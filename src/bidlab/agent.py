@@ -44,7 +44,6 @@ from .planning import (
     OutcomePlan,
     PlanParams,
     best_outcome_plan,
-    default_bid_grid,
     dp_policy,
 )
 
@@ -222,9 +221,9 @@ def optimistic_params(agent: AgentState, x: np.ndarray) -> PlanParams:
     )
 
 
-def act(agent: AgentState, x: np.ndarray) -> Decision:
+def act(agent: AgentState, x: np.ndarray, bid_grid: np.ndarray) -> Decision:
     """Decide one episode: scheduled exposures during exploration, planned
-    optimism afterwards."""
+    optimism afterwards.  The dp planner picks its bids from `bid_grid`."""
     if agent.exploring:
         plan = exploration_plan(agent.t, agent.n_underbar, agent.bounds.H)
         return _plan_decision(plan, agent.bid_mode, agent.bounds.B_A, True)
@@ -232,7 +231,7 @@ def act(agent: AgentState, x: np.ndarray) -> Decision:
     if agent.planner_mode == "outcome":
         plan, _ = best_outcome_plan(params)
         return _plan_decision(plan, agent.bid_mode, agent.bounds.B_A, False)
-    table = dp_policy(params, default_bid_grid(agent.bounds))
+    table = dp_policy(params, bid_grid)
     return Decision(
         mode="auction",
         policy=lambda h, s, x_: table.act(h, s),
@@ -254,10 +253,12 @@ def update(agent: AgentState, log: EpisodeLog, *, enforce_order: bool = True) ->
         for r in split.w.get(idx, []):
             # provenance: W rounds only — wins at the matching index, or
             # never-exposed losses feeding natural demand
-            if r.won:
-                assert win_index(r.state.s1) == idx
-            else:
-                assert r.state.s1 is NEVER and idx == NATURAL_DEMAND
+            home = win_index(r.state.s1) if r.won else NATURAL_DEMAND
+            if home != idx or not (r.won or r.state.s1 is NEVER):
+                raise ValueError(
+                    f"customer {r.t}, round {r.h} is not a clean "
+                    f"{idx.token} sample"
+                )
             crtm_update(agent.theta_bank[idx], x, float(r.conversions), agent.cfg)
     theta_snapshot = {idx: est.theta_hat for idx, est in agent.theta_bank.items()}
     for lag in sorted(split.d):

@@ -336,7 +336,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
 
             for name in config.policies:
                 if name == LEARNER_POLICY:
-                    decision = act(agent, x)
+                    decision = act(agent, x, grid)
                     log = run_episode(
                         decision.policy,
                         x,

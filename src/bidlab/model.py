@@ -3,8 +3,7 @@
 Exposure states track the two most recent ad wins per customer; conversion
 rates are linear in the context with a multiplicative decay on rounds that
 follow a win; the highest other bid (HOB) is lognormal per round, which gives
-closed forms for the win probability, the expected second-price payment, and
-the expected per-round reward.
+closed forms for the win probability and the expected second-price payment.
 
 Everything in this module is a pure function of its arguments: no randomness,
 no mutation.
@@ -49,7 +48,6 @@ __all__ = [
     "cdf_integral",
     "expected_payment",
     "expected_payment_given_win",
-    "expected_round_reward",
 ]
 
 
@@ -345,24 +343,3 @@ def expected_payment_given_win(
     if F == 0.0:
         raise ValueError("payment undefined at zero win probability")
     return expected_payment(h, bid, x, a) / F
-
-
-def expected_round_reward(
-    h: int,
-    s: ExposureState,
-    bid: float,
-    x: np.ndarray,
-    m: TrueModel,
-    a: AuctionModel,
-) -> float:
-    """Expected conversions minus expected payment for one round at `bid`.
-
-    The payment enters as p(bid) * F(bid), expanded in closed form so the
-    bid -> 0 limit needs no division by a vanishing win probability.
-    """
-    mu_lose = m.delay[delay_index(s.s1)] * float(m.theta[lose_index(s.s2)] @ x)
-    if bid <= 0:
-        return mu_lose
-    F = win_probability(h, bid, x, a)
-    mu_win = float(m.theta[win_index(s.s1)] @ x)
-    return mu_lose * (1.0 - F) + mu_win * F - expected_payment(h, bid, x, a)

@@ -1,15 +1,14 @@
-"""Episode planners.
+"""Episode planners, all one backward induction over reachable exposure
+states with a per-planner choice of bid at each state.
 
-Two action abstractions coexist: outcome enumeration picks a target
-win/lose sequence directly (a forced winner pays the unconditional HOB
-mean), while dynamic programming picks bids from a grid and wins
-stochastically at the auction.  A closed-form continuation-value bid serves
-as the exact continuous-bid optimum for testing the grid planner.
+Outcome planning picks a target win/lose sequence directly (a forced winner
+pays the unconditional HOB mean), while grid planning picks bids from a grid
+and wins stochastically at the auction.  A closed-form continuation-value
+bid serves as the exact continuous-bid optimum for testing the grid planner.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -39,6 +38,7 @@ __all__ = [
     "OutcomePlan",
     "PolicyTable",
     "params_from_true",
+    "auction_round_value",
     "outcome_value",
     "best_outcome_plan",
     "dp_policy",
@@ -48,8 +48,6 @@ __all__ = [
     "default_bid_grid",
     "oracle_value",
 ]
-
-MAX_ENUMERATION_H = 20
 
 OutcomePlan = tuple[bool, ...]
 
@@ -87,28 +85,45 @@ def params_from_true(
     return PlanParams(mu=mu, delay=dict(m.delay), auction=a, x=x, B_A=B_A)
 
 
-def _forced_round_reward(
-    params: PlanParams, h: int, s: ExposureState, won: bool
-) -> float:
-    # shared by outcome enumeration and forced-mode DP so their candidate
-    # values agree bit for bit
-    if won:
-        return params.mu[win_index(s.s1)] - hob_mean(h, params.x, params.auction)
+def _mu_win(params: PlanParams, s: ExposureState) -> float:
+    """Conversion mean of a won round in state `s`."""
+    return params.mu[win_index(s.s1)]
+
+
+def _mu_lose(params: PlanParams, s: ExposureState) -> float:
+    """Conversion mean of a lost round in state `s`, delay factor applied."""
     return params.delay[delay_index(s.s1)] * params.mu[lose_index(s.s2)]
 
 
-def _auction_round_reward(
-    params: PlanParams, h: int, s: ExposureState, bid: float
+def _forced_round_reward(
+    params: PlanParams, h: int, s: ExposureState, won: bool
 ) -> float:
-    mu_lose = params.delay[delay_index(s.s1)] * params.mu[lose_index(s.s2)]
-    if bid <= 0:
-        return mu_lose
+    if won:
+        return _mu_win(params, s) - hob_mean(h, params.x, params.auction)
+    return _mu_lose(params, s)
+
+
+def auction_round_value(
+    params: PlanParams,
+    h: int,
+    s: ExposureState,
+    bid: float,
+    v_win: float,
+    v_lose: float,
+) -> float:
+    """Expected round reward at `bid` (conversions minus second-price
+    payment) plus the successor values mixed by the win probability F.
+
+    The payment enters as p(bid) * F(bid), expanded in closed form so the
+    bid -> 0 limit needs no division by a vanishing win probability.
+    """
     F = win_probability(h, bid, params.x, params.auction)
-    mu_win = params.mu[win_index(s.s1)]
     return (
-        mu_lose * (1.0 - F)
-        + mu_win * F
+        _mu_lose(params, s) * (1.0 - F)
+        + _mu_win(params, s) * F
         - expected_payment(h, bid, params.x, params.auction)
+        + F * v_win
+        + (1.0 - F) * v_lose
     )
 
 
@@ -116,7 +131,8 @@ def outcome_value(plan: OutcomePlan, params: PlanParams) -> float:
     """Expected episode value of a target outcome sequence.
 
     Contributions are accumulated from the last round backward, matching
-    the dynamic program's evaluation order exactly.
+    the dynamic program's evaluation order exactly, so the value of the
+    plan `best_outcome_plan` returns equals its DP value bit for bit.
     """
     H = params.H
     if len(plan) != H:
@@ -125,27 +141,11 @@ def outcome_value(plan: OutcomePlan, params: PlanParams) -> float:
     contributions = []
     for h, won in enumerate(plan, start=1):
         contributions.append(_forced_round_reward(params, h, s, won))
-        if h < H:
-            s = next_state(s, won)
+        s = next_state(s, won)
     total = 0.0
     for c in reversed(contributions):
         total += c
     return total
-
-
-def best_outcome_plan(params: PlanParams) -> tuple[OutcomePlan, float]:
-    """Exhaustive maximum over all 2^H outcome sequences; ties go to the
-    lexicographically smallest plan (lose before win)."""
-    H = params.H
-    if H > MAX_ENUMERATION_H:
-        raise ValueError(f"enumeration capped at H <= {MAX_ENUMERATION_H}")
-    best_plan: OutcomePlan | None = None
-    best = -float("inf")
-    for plan in itertools.product((False, True), repeat=H):
-        v = outcome_value(plan, params)
-        if v > best:
-            best_plan, best = plan, v
-    return best_plan, best
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,42 @@ class PolicyTable:
 
     def act(self, h: int, s: ExposureState) -> float:
         return self.bids[(h, s)]
+
+
+def _backward_induction(
+    params: PlanParams, choose: Callable[..., tuple[float, float]]
+) -> PolicyTable:
+    """Visit every reachable (round, state) from the last round back.
+
+    `choose(h, s, v_win, v_lose)` gets the values of the two successor
+    states (zero after the last round) and returns the bid taken at (h, s)
+    and its value.
+    """
+    H = params.H
+    bids: dict[tuple[int, ExposureState], float] = {}
+    values: dict[tuple[int, ExposureState], float] = {}
+    layers = reachable_states(H)
+    for h in range(H, 0, -1):
+        for s in layers[h - 1]:
+            v_win = values[(h + 1, next_state(s, True))] if h < H else 0.0
+            v_lose = values[(h + 1, next_state(s, False))] if h < H else 0.0
+            bids[(h, s)], values[(h, s)] = choose(h, s, v_win, v_lose)
+    return PolicyTable(bids=bids, values=values)
+
+
+def best_outcome_plan(params: PlanParams) -> tuple[OutcomePlan, float]:
+    """The best target outcome sequence and its value: the two-action
+    forced DP, traced forward from the first round.  Ties go to losing, so
+    equal-valued plans resolve to the lexicographically smallest (lose
+    before win)."""
+    table = dp_policy(params, np.array([0.0, params.B_A]), mode="forced")
+    plan = []
+    s = INITIAL_STATE
+    for h in range(1, params.H + 1):
+        won = table.act(h, s) > 0.0
+        plan.append(won)
+        s = next_state(s, won)
+    return tuple(plan), table.value
 
 
 def dp_policy(
@@ -180,76 +216,41 @@ def dp_policy(
         raise ValueError("bid grid must be nonempty and ascending")
     if grid[0] < 0 or grid[-1] > params.B_A:
         raise ValueError("bid grid must lie in [0, B_A]")
-    H = params.H
-    bids: dict[tuple[int, ExposureState], float] = {}
-    values: dict[tuple[int, ExposureState], float] = {}
-    layers = reachable_states(H)
-    for h in range(H, 0, -1):
-        for s in layers[h - 1]:
-            v_win = values[(h + 1, next_state(s, True))] if h < H else 0.0
-            v_lose = values[(h + 1, next_state(s, False))] if h < H else 0.0
-            best_bid, best = None, -float("inf")
-            for a in grid:
-                if mode == "forced":
-                    if a == 0.0:
-                        q = _forced_round_reward(params, h, s, False) + v_lose
-                    else:
-                        q = _forced_round_reward(params, h, s, True) + v_win
-                else:
-                    F = win_probability(h, a, params.x, params.auction)
-                    q = (
-                        _auction_round_reward(params, h, s, a)
-                        + F * v_win
-                        + (1.0 - F) * v_lose
-                    )
-                if q > best:
-                    best_bid, best = a, q
-            bids[(h, s)] = best_bid
-            values[(h, s)] = best
-    return PolicyTable(bids=bids, values=values)
+
+    def choose(h, s, v_win, v_lose):
+        best_bid, best = None, -float("inf")
+        for a in grid:
+            if mode == "auction":
+                q = auction_round_value(params, h, s, a, v_win, v_lose)
+            elif a > 0.0:
+                q = _forced_round_reward(params, h, s, True) + v_win
+            else:
+                q = _forced_round_reward(params, h, s, False) + v_lose
+            if q > best:
+                best_bid, best = a, q
+        return best_bid, best
+
+    return _backward_induction(params, choose)
 
 
 def closed_form_bid(
-    h: int,
-    s: ExposureState,
-    params: PlanParams,
-    V_next: Callable[[ExposureState], float],
+    s: ExposureState, params: PlanParams, v_win: float, v_lose: float
 ) -> float:
     """Truthful second-price bid with continuation values: the marginal
     value of winning this round, clamped to [0, B_A]."""
-    marginal = (
-        params.mu[win_index(s.s1)]
-        - params.delay[delay_index(s.s1)] * params.mu[lose_index(s.s2)]
-        + V_next(next_state(s, True))
-        - V_next(next_state(s, False))
-    )
+    marginal = _mu_win(params, s) - _mu_lose(params, s) + v_win - v_lose
     return min(max(marginal, 0.0), params.B_A)
 
 
 def closed_form_policy(params: PlanParams) -> PolicyTable:
     """Backward induction with the exact continuous-bid maximizer at every
     state; the optimal auction-mode policy."""
-    H = params.H
-    bids: dict[tuple[int, ExposureState], float] = {}
-    values: dict[tuple[int, ExposureState], float] = {}
-    layers = reachable_states(H)
-    for h in range(H, 0, -1):
-        for s in layers[h - 1]:
-            if h < H:
-                v_next = lambda succ: values[(h + 1, succ)]
-            else:
-                v_next = lambda succ: 0.0
-            a = closed_form_bid(h, s, params, v_next)
-            F = win_probability(h, a, params.x, params.auction)
-            v_win = values[(h + 1, next_state(s, True))] if h < H else 0.0
-            v_lose = values[(h + 1, next_state(s, False))] if h < H else 0.0
-            bids[(h, s)] = a
-            values[(h, s)] = (
-                _auction_round_reward(params, h, s, a)
-                + F * v_win
-                + (1.0 - F) * v_lose
-            )
-    return PolicyTable(bids=bids, values=values)
+
+    def choose(h, s, v_win, v_lose):
+        a = closed_form_bid(s, params, v_win, v_lose)
+        return a, auction_round_value(params, h, s, a, v_win, v_lose)
+
+    return _backward_induction(params, choose)
 
 
 def policy_value(
@@ -257,21 +258,12 @@ def policy_value(
 ) -> float:
     """Expected episode value of a fixed bid rule under these parameters
     (auction semantics), by backward induction over reachable states."""
-    H = params.H
-    values: dict[tuple[int, ExposureState], float] = {}
-    layers = reachable_states(H)
-    for h in range(H, 0, -1):
-        for s in layers[h - 1]:
-            a = float(bid_fn(h, s))
-            F = win_probability(h, a, params.x, params.auction)
-            v_win = values[(h + 1, next_state(s, True))] if h < H else 0.0
-            v_lose = values[(h + 1, next_state(s, False))] if h < H else 0.0
-            values[(h, s)] = (
-                _auction_round_reward(params, h, s, a)
-                + F * v_win
-                + (1.0 - F) * v_lose
-            )
-    return values[(1, INITIAL_STATE)]
+
+    def choose(h, s, v_win, v_lose):
+        a = float(bid_fn(h, s))
+        return a, auction_round_value(params, h, s, a, v_win, v_lose)
+
+    return _backward_induction(params, choose).value
 
 
 def default_bid_grid(bounds: Bounds, points: int = 256) -> np.ndarray:

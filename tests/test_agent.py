@@ -3,6 +3,10 @@ baselines, and snapshots."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,9 +42,11 @@ from bidlab.model import (
     delay_lag_indices,
     theta_indices,
 )
-from bidlab.planning import best_outcome_plan, params_from_true
+import bidlab
+from bidlab.planning import best_outcome_plan, default_bid_grid, params_from_true
 
 BOUNDS = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
+GRID = default_bid_grid(BOUNDS)
 
 
 def small_agent(**kw):
@@ -89,14 +95,14 @@ def test_exploration_never_consults_estimators():
     agent.theta_bank = None  # would crash any planner access
     agent.delay_bank = None
     agent.auction_bank = None
-    d = act(agent, np.array([1.0, 1.0]))
+    d = act(agent, np.array([1.0, 1.0]), GRID)
     assert d.exploring and d.mode == "forced"
     assert d.plan == (True, False, False)
 
 
 def test_act_bid_mode_auction_realizes_plan_with_cap_bids():
     agent = small_agent(bid_mode="auction")
-    d = act(agent, np.array([1.0, 1.0]))
+    d = act(agent, np.array([1.0, 1.0]), GRID)
     assert d.mode == "auction"
     assert d.policy(1, None, None) == BOUNDS.B_A
     assert d.policy(2, None, None) == 0.0
@@ -115,7 +121,7 @@ def test_zero_information_params_are_floored():
     assert params.delay[DELAY_NEVER] == 1.0
     assert np.array_equal(params.auction.beta, np.zeros((3, 2)))
     assert np.all(params.auction.sigma == SIGMA_FLOOR)
-    d = act(agent, np.array([1.0, 1.0]))
+    d = act(agent, np.array([1.0, 1.0]), GRID)
     assert d.plan is not None and len(d.plan) == 3
 
 
@@ -140,7 +146,7 @@ def test_exact_parameters_reproduce_oracle_plan():
         agent = small_agent()
         agent.t = 1000
         inject_truth(agent, m, a)
-        d = act(agent, x)
+        d = act(agent, x, GRID)
         want_plan, _ = best_outcome_plan(params_from_true(x, m, a, BOUNDS.B_A))
         assert d.plan == want_plan
 
@@ -151,7 +157,7 @@ def test_optimism_orders_means_and_delays():
     m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, rng)
     for t in range(1, 13):
         x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream(t, "ctx"))
-        d = act(agent, x)
+        d = act(agent, x, GRID)
         log = run_episode(d.policy, x, m, a, rng, d.mode, t=t, bounds=BOUNDS)
         update(agent, log)
     x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream("probe"))
@@ -171,7 +177,7 @@ def test_dp_planner_mode_returns_bid_policy():
     m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, RandomSource(3))
     inject_truth(agent, m, a)
     x = sample_context(BENCHMARK_RECIPE, BOUNDS, RandomSource(3).stream("c"))
-    d = act(agent, x)
+    d = act(agent, x, GRID)
     assert d.mode == "auction" and d.plan is None
     from bidlab.model import INITIAL_STATE
     bid = d.policy(1, INITIAL_STATE, x)
@@ -186,7 +192,7 @@ def run_exploration(agent, seed=5):
     window = exploration_window(agent.n_underbar, BOUNDS.H)
     for t in range(1, window + 1):
         x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream(t, "ctx"))
-        d = act(agent, x)
+        d = act(agent, x, GRID)
         log = run_episode(d.policy, x, m, a, rng, d.mode, t=t, bounds=BOUNDS)
         update(agent, log)
     return m, a
@@ -203,6 +209,47 @@ def test_update_rejects_out_of_order():
         update(agent, log)
     update(agent, log, enforce_order=False)  # explicit override allowed
     assert agent.t == 1
+
+
+# A won round filed as a natural-demand sample must be rejected by update,
+# also when asserts are stripped.
+MISROUTED_UPDATE = """
+import sys
+import numpy as np
+from bidlab import agent as agent_mod
+from bidlab.environment import BENCHMARK_RECIPE, RandomSource, generate_instance, run_episode
+from bidlab.estimation import SplitDatasets
+from bidlab.model import NATURAL_DEMAND, Bounds
+
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+bounds = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
+rng = RandomSource(11)
+m, a = generate_instance(BENCHMARK_RECIPE, bounds, rng)
+log = run_episode(lambda h, s, x: h == 1, np.array([1.0, 1.0]), m, a, rng,
+                  "forced", t=1, bounds=bounds)
+agent_mod.split_episode = lambda log: SplitDatasets(
+    w={NATURAL_DEMAND: [log.records[0]]}, d={}
+)
+agent = agent_mod.make_agent(bounds, T=200, n_underbar=4)
+try:
+    agent_mod.update(agent, log)
+except ValueError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("update accepted a misrouted round")
+"""
+
+
+def test_update_rejects_misrouted_rounds_under_optimize():
+    src = str(Path(bidlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", MISROUTED_UPDATE],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "customer 1, round 1 is not a clean NATURAL_DEMAND sample" in proc.stdout
 
 
 def test_all_lose_episode_routes_to_natural_demand_only():

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bidlab.agent import agent_to_dict, make_agent, update
+from bidlab.agent import agent_to_dict, exploration_window, make_agent, update
 from bidlab.cli import main
 from bidlab.environment import (
     RandomSource,
@@ -36,7 +36,12 @@ from bidlab.harness import (
     write_outputs,
 )
 from bidlab.model import Bounds
-from bidlab.planning import best_outcome_plan, outcome_value, params_from_true
+from bidlab.planning import (
+    best_outcome_plan,
+    default_bid_grid,
+    outcome_value,
+    params_from_true,
+)
 from reference_table import REFERENCE_CHECKPOINTS, REFERENCE_MEANS, REFERENCE_ORDERS
 
 
@@ -210,6 +215,28 @@ def test_expected_regret_matches_direct_computation():
         opt = best_outcome_plan(params)[1]
         want.append(opt - outcome_value((False,) * cfg.H, params))
     assert np.allclose(tr.expected["passive"], np.cumsum(want), atol=1e-12)
+
+
+def test_dp_learner_plans_on_the_configured_grid():
+    cfg = small_config(trials=1, T=30, n_underbar=5, mode="dp", bid_grid_points=8,
+                       checkpoints=(30,), policies=("learner",))
+    tr = run_trial(cfg, 0)
+    grid = set(default_bid_grid(cfg.bounds, 8).tolist())
+    window = exploration_window(cfg.n_underbar, cfg.H)
+    bids = [r.bid for _, log in tr.episodes if log.t > window for r in log.records]
+    assert len(bids) == (cfg.T - window) * cfg.H
+    assert all(bid in grid for bid in bids)
+
+
+def test_long_horizon_config_runs_to_the_end():
+    # past the old 2^H enumeration cap of H <= 20
+    cfg = config_from_dict(
+        {"H": 21, "T": 2, "trials": 1, "n_underbar": 1, "bid_grid_points": 2}
+    )
+    result = run_experiment(cfg)
+    for name in cfg.policies:
+        curve = result.trials[0].expected[name]
+        assert curve.shape == (2,) and np.all(curve >= -1e-9)
 
 
 def test_trial_errors_carry_provenance(monkeypatch):

@@ -27,7 +27,6 @@ from bidlab.model import (
     delay_lag,
     delay_lag_indices,
     expected_payment_given_win,
-    expected_round_reward,
     hob_mean,
     lose_index,
     next_state,
@@ -38,6 +37,7 @@ from bidlab.model import (
     win_index,
     win_probability,
 )
+from bidlab.planning import auction_round_value, params_from_true
 
 PHI_1 = 0.8413447460685429          # Phi(1)
 E_HALF = 1.6487212707001282         # e^{1/2}
@@ -308,6 +308,12 @@ def test_payment_monotone_in_bid(unit_auction):
 
 
 # --- expected round reward -------------------------------------------------
+
+def expected_round_reward(h, s, bid, x, m, a):
+    # the planners' auction round value with zero successor values, fed the
+    # true parameters
+    return auction_round_value(params_from_true(x, m, a), h, s, bid, 0.0, 0.0)
+
 
 @pytest.fixture
 def reward_setup(tiny_model, unit_auction):

@@ -1,5 +1,6 @@
-"""Planners: outcome enumeration against hand traces, DP against the
-closed-form continuous-bid optimum, and cross-mode consistency."""
+"""Planners: outcome plans against hand traces and brute-force
+enumeration, DP against the closed-form continuous-bid optimum, and
+cross-mode consistency."""
 
 import math
 
@@ -16,13 +17,17 @@ from bidlab.model import (
     Bounds,
     ExposureState,
     ONLY_ONE,
+    conversion_mean,
     delay_lag,
-    expected_round_reward,
+    expected_payment,
     hob_mean,
+    next_state,
     theta_lag,
+    win_probability,
 )
 from bidlab.planning import (
     PlanParams,
+    auction_round_value,
     best_outcome_plan,
     closed_form_bid,
     closed_form_policy,
@@ -32,6 +37,7 @@ from bidlab.planning import (
     outcome_value,
     params_from_true,
 )
+from enumeration import enumerated_best_plan
 
 BOUNDS = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
 
@@ -56,7 +62,7 @@ def random_instance(seed):
     return m, a, x
 
 
-# --- outcome enumeration -----------------------------------------------------
+# --- outcome planning --------------------------------------------------------
 
 def test_outcome_value_hand_traces():
     p = make_params()
@@ -103,15 +109,48 @@ def test_best_plan_all_lose_when_winning_never_pays():
     assert value == pytest.approx(6.0)
 
 
-def test_enumeration_guard():
-    a = AuctionModel(beta=np.zeros((21, 1)), sigma=np.ones(21))
-    mu = {NATURAL_DEMAND: 0.0, FIRST_EXPOSURE: 0.0}
-    mu.update({theta_lag(k): 0.0 for k in range(1, 21)})
+def random_params(H, seed):
+    # random conversion means, delays and per-round auctions at horizon H
+    rng = np.random.default_rng(seed)
+    mu = {NATURAL_DEMAND: rng.uniform(0.0, 3.0), FIRST_EXPOSURE: rng.uniform(0.0, 6.0)}
+    mu.update({theta_lag(k): rng.uniform(0.0, 6.0) for k in range(1, H)})
     delay = {DELAY_NEVER: 1.0}
-    delay.update({delay_lag(k): 0.0 for k in range(1, 21)})
-    p = PlanParams(mu=mu, delay=delay, auction=a, x=np.ones(1), B_A=1.0)
-    with pytest.raises(ValueError):
-        best_outcome_plan(p)
+    delay.update({delay_lag(k): rng.uniform(0.0, 1.5) for k in range(1, H)})
+    auction = AuctionModel(beta=rng.uniform(-0.5, 1.0, (H, 1)),
+                           sigma=rng.uniform(0.3, 1.2, H))
+    return PlanParams(mu=mu, delay=delay, auction=auction, x=np.ones(1), B_A=50.0)
+
+
+def test_large_horizon_plan_value_is_bitwise():
+    # far past 2^H enumeration: the reachable states grow quadratically
+    rng = np.random.default_rng(7)
+    for seed in range(2025, 2030):
+        p = random_params(25, seed=seed)
+        plan, value = best_outcome_plan(p)
+        assert len(plan) == 25 and any(plan) and not all(plan)
+        assert outcome_value(plan, p) == value
+        for _ in range(100):
+            other = tuple(bool(b) for b in rng.integers(0, 2, 25))
+            assert outcome_value(other, p) <= value
+
+
+def test_outcome_plan_matches_enumeration_across_horizons():
+    for H in range(1, 11):
+        for seed in range(5):
+            p = random_params(H, seed=100 * H + seed)
+            assert best_outcome_plan(p) == enumerated_best_plan(p)
+        # zero carryover: one win is worth the same at every round, and the
+        # lexicographically smallest plan takes it last
+        p = random_params(H, seed=0)
+        tie = PlanParams(
+            mu={idx: (100.0 if idx == FIRST_EXPOSURE else 0.0) for idx in p.mu},
+            delay={idx: (1.0 if idx == DELAY_NEVER else 0.0) for idx in p.delay},
+            auction=AuctionModel(beta=np.zeros((H, 1)), sigma=np.ones(H)),
+            x=np.ones(1), B_A=50.0,
+        )
+        plan, value = best_outcome_plan(tie)
+        assert plan == (False,) * (H - 1) + (True,)
+        assert (plan, value) == enumerated_best_plan(tie)
 
 
 def test_oracle_dominates_every_plan():
@@ -132,7 +171,7 @@ def test_dp_one_round_truthful():
     grid = np.linspace(0.0, 10.0, 2001)  # step 0.005
     table = dp_policy(p, grid)
     assert abs(table.act(1, INITIAL_STATE) - b_star) <= 0.005 + 1e-12
-    cf = closed_form_bid(1, INITIAL_STATE, p, lambda s: 0.0)
+    cf = closed_form_bid(INITIAL_STATE, p, 0.0, 0.0)
     assert cf == pytest.approx(b_star)
 
 
@@ -167,21 +206,25 @@ def test_dp_covers_reachable_states():
 
 
 def test_forced_dp_equals_enumeration_bitwise():
+    # both planners against the brute-force lexicographic argmax of
+    # outcome_value, not against each other
     for seed in range(10):
         m, a, x = random_instance(100 + seed)
         params = params_from_true(x, m, a, B_A=BOUNDS.B_A)
+        want_plan, want_value = enumerated_best_plan(params)
         plan, value = best_outcome_plan(params)
+        assert plan == want_plan
+        assert value == want_value  # bitwise: same fold order, same floats
         table = dp_policy(params, np.array([0.0, BOUNDS.B_A]), mode="forced")
-        assert table.value == value  # bitwise: same fold order, same floats
+        assert table.value == want_value
         # the greedy path through the forced table reproduces the plan
         s, path = INITIAL_STATE, []
-        from bidlab.model import next_state
         for h in range(1, 4):
             won = table.act(h, s) > 0.0
             path.append(won)
             if h < 3:
                 s = next_state(s, won)
-        assert tuple(path) == plan
+        assert tuple(path) == want_plan
 
 
 def test_forced_dp_tie_prefers_losing():
@@ -194,23 +237,32 @@ def test_forced_dp_tie_prefers_losing():
 
 
 def test_dp_matches_expected_round_reward_model():
-    # the planner's auction scoring agrees with the model closed form when
+    # the planners' auction scoring agrees with the model closed forms when
     # fed the true parameters
     m, a, x = random_instance(7)
     params = params_from_true(x, m, a, B_A=BOUNDS.B_A)
-    from bidlab.planning import _auction_round_reward
     for s in (INITIAL_STATE, ExposureState(1, ONLY_ONE), ExposureState(1, 1)):
         for bid in (0.0, 0.3, 1.7, 12.0):
-            got = _auction_round_reward(params, 2, s, bid)
-            want = expected_round_reward(2, s, bid, x, m, a)
+            F = win_probability(2, bid, x, a)
+            want = (
+                conversion_mean(s, False, x, m) * (1.0 - F)
+                + conversion_mean(s, True, x, m) * F
+                - expected_payment(2, bid, x, a)
+            )
+            got = auction_round_value(params, 2, s, bid, 0.0, 0.0)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            got = auction_round_value(params, 2, s, bid, 5.0, 3.0)
+            want += F * 5.0 + (1.0 - F) * 3.0
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        with pytest.raises(ValueError):
+            auction_round_value(params, 2, s, -1.0, 0.0, 0.0)
 
 
 def test_closed_form_bid_clamps():
     p = make_params(mu_nd=5.0, mu_f=1.0)
-    assert closed_form_bid(1, INITIAL_STATE, p, lambda s: 0.0) == 0.0
+    assert closed_form_bid(INITIAL_STATE, p, 0.0, 0.0) == 0.0
     p = make_params(mu_nd=0.0, mu_f=100.0, B_A=10.0)
-    assert closed_form_bid(1, INITIAL_STATE, p, lambda s: 0.0) == 10.0
+    assert closed_form_bid(INITIAL_STATE, p, 0.0, 0.0) == 10.0
 
 
 def test_dp_converges_to_closed_form():
