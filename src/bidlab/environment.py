@@ -117,8 +117,7 @@ BENCHMARK_RECIPE = InstanceRecipe()
 @dataclass(frozen=True)
 class RoundRecord:
     """One auction round: the HOB is recorded whether or not the bid won
-    (full-information feedback).  `forced` marks rounds whose outcome was
-    imposed rather than resolved by comparing bid and HOB."""
+    (full-information feedback)."""
 
     t: int
     h: int
@@ -128,7 +127,6 @@ class RoundRecord:
     won: bool
     payment: float
     conversions: int
-    forced: bool = False
 
 
 @dataclass(frozen=True)
@@ -216,15 +214,13 @@ def run_episode(
             if bounds is not None:
                 bid = min(bid, bounds.B_A)
             won = bid >= hob
-            forced = False
         else:
             won = bool(policy(h, state, x))
             bid = bounds.B_A if won else 0.0
-            forced = won
         payment = hob if won else 0.0
         y = sample_conversions(conversion_mean(state, won, x, m), conv_rng)
         records.append(
-            RoundRecord(t, h, state, bid, hob, won, payment, y, forced)
+            RoundRecord(t, h, state, bid, hob, won, payment, y)
         )
         if h < H:
             state = next_state(state, won)

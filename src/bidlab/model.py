@@ -12,6 +12,7 @@ no mutation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,6 +44,7 @@ __all__ = [
     "reachable_states",
     "conversion_mean",
     "norm_cdf",
+    "hob_cdf_terms",
     "win_probability",
     "hob_mean",
     "cdf_integral",
@@ -179,6 +181,9 @@ def delay_index(s1: int | Sentinel) -> DelayIndex:
     return DELAY_NEVER if s1 is NEVER else delay_lag(s1)
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 @dataclass(frozen=True, slots=True)
 class Bounds:
     """Problem-scale constants.  `b` is the floor on every true conversion
@@ -203,6 +208,12 @@ class Bounds:
             raise ValueError("H and dim must be >= 1")
         if self.b > self.B_x * self.B_theta:
             raise ValueError("b must not exceed B_x * B_theta")
+        if self.B_beta * self.B_x + 0.5 * self.sigma_max**2 > _LOG_FLOAT_MAX:
+            raise ValueError(
+                "B_beta * B_x + sigma_max**2 / 2 must not exceed "
+                f"log(max float) = {_LOG_FLOAT_MAX:.2f}, or the HOB mean "
+                "exp(<x, beta_h> + sigma_h^2 / 2) overflows"
+            )
 
 
 @dataclass(frozen=True)
@@ -292,12 +303,28 @@ def conversion_mean(
 
 
 _SQRT2 = math.sqrt(2.0)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
-def norm_cdf(z: float) -> float:
-    """Standard normal CDF via the complementary error function
-    (abs error <= 1e-15, bit-reproducible on a given platform)."""
+def norm_cdf(z: float | np.ndarray) -> float | np.ndarray:
+    """Standard normal CDF via the complementary error function, of a float
+    or elementwise of a float array.  Both take libm's erfc (abs error
+    <= 1e-15, bit-reproducible on a given platform)."""
+    if isinstance(z, np.ndarray):
+        return 0.5 * _erfc(-z / _SQRT2).astype(float)
     return 0.5 * math.erfc(-z / _SQRT2)
+
+
+def hob_cdf_terms(
+    h: int, log_bid: float | np.ndarray, x: np.ndarray, a: AuctionModel
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Win probability P(HOB <= bid) = Phi(u) and expected payment
+    E[HOB * 1{HOB <= bid}] = exp(mu + sigma^2/2) * Phi(u - sigma), with
+    u = (log bid - mu) / sigma, for one log-bid or elementwise for an array
+    of them (same floats either way).  Take the logs with `math.log`."""
+    sigma = a.log_sd(h)
+    u = (log_bid - a.log_mean(h, x)) / sigma
+    return norm_cdf(u), hob_mean(h, x, a) * norm_cdf(u - sigma)
 
 
 def win_probability(h: int, bid: float, x: np.ndarray, a: AuctionModel) -> float:
@@ -306,8 +333,7 @@ def win_probability(h: int, bid: float, x: np.ndarray, a: AuctionModel) -> float
         raise ValueError("bid must be nonnegative")
     if bid == 0:
         return 0.0
-    u = (math.log(bid) - a.log_mean(h, x)) / a.log_sd(h)
-    return norm_cdf(u)
+    return hob_cdf_terms(h, math.log(bid), x, a)[0]
 
 
 def hob_mean(h: int, x: np.ndarray, a: AuctionModel) -> float:
@@ -316,14 +342,11 @@ def hob_mean(h: int, x: np.ndarray, a: AuctionModel) -> float:
 
 
 def expected_payment(h: int, bid: float, x: np.ndarray, a: AuctionModel) -> float:
-    """Unconditional expected payment E[HOB * 1{HOB <= bid}], equal to
-    exp(mu + sigma^2/2) * Phi(u - sigma); zero for an opt-out bid."""
+    """Unconditional expected payment E[HOB * 1{HOB <= bid}]; zero for an
+    opt-out bid."""
     if bid <= 0:
         return 0.0
-    sigma = a.log_sd(h)
-    u = (math.log(bid) - a.log_mean(h, x)) / sigma
-    return hob_mean(h, x, a) * norm_cdf(u - sigma)
-
+    return hob_cdf_terms(h, math.log(bid), x, a)[1]
 
 
 def cdf_integral(h: int, bid: float, x: np.ndarray, a: AuctionModel) -> float:

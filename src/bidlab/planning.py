@@ -5,10 +5,18 @@ Outcome planning picks a target win/lose sequence directly (a forced winner
 pays the unconditional HOB mean), while grid planning picks bids from a grid
 and wins stochastically at the auction.  A closed-form continuation-value
 bid serves as the exact continuous-bid optimum for testing the grid planner.
+
+The expected round value is written once, for one win probability or an
+array of them.  The grid planner tabulates the win probability and the
+expected payment per round over the whole grid (neither depends on the
+state), scores every bid of a state in one array expression and keeps the
+first maximum, which gives the same floats as scoring the bids one by one
+with `auction_round_value`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -25,6 +33,7 @@ from .model import (
     TrueModel,
     delay_index,
     expected_payment,
+    hob_cdf_terms,
     hob_mean,
     lose_index,
     next_state,
@@ -103,6 +112,20 @@ def _forced_round_reward(
     return _mu_lose(params, s)
 
 
+def _round_value(
+    mu_win: float,
+    mu_lose: float,
+    F: float | np.ndarray,
+    pay: float | np.ndarray,
+    v_win: float,
+    v_lose: float,
+) -> float | np.ndarray:
+    """Expected round reward (conversions minus second-price payment) plus
+    the successor values mixed by the win probability `F`; `F` and `pay`
+    are floats or arrays over bids."""
+    return mu_lose * (1.0 - F) + mu_win * F - pay + F * v_win + (1.0 - F) * v_lose
+
+
 def auction_round_value(
     params: PlanParams,
     h: int,
@@ -111,19 +134,19 @@ def auction_round_value(
     v_win: float,
     v_lose: float,
 ) -> float:
-    """Expected round reward at `bid` (conversions minus second-price
-    payment) plus the successor values mixed by the win probability F.
+    """Expected round reward at `bid` plus the win-probability mixture of
+    the successor values.
 
     The payment enters as p(bid) * F(bid), expanded in closed form so the
     bid -> 0 limit needs no division by a vanishing win probability.
     """
-    F = win_probability(h, bid, params.x, params.auction)
-    return (
-        _mu_lose(params, s) * (1.0 - F)
-        + _mu_win(params, s) * F
-        - expected_payment(h, bid, params.x, params.auction)
-        + F * v_win
-        + (1.0 - F) * v_lose
+    return _round_value(
+        _mu_win(params, s),
+        _mu_lose(params, s),
+        win_probability(h, bid, params.x, params.auction),
+        expected_payment(h, bid, params.x, params.auction),
+        v_win,
+        v_lose,
     )
 
 
@@ -211,24 +234,50 @@ def dp_policy(
     """
     if mode not in ("auction", "forced"):
         raise ValueError(f"unknown planning mode {mode!r}")
-    grid = [float(g) for g in bid_grid]
+    grid = np.asarray(bid_grid, dtype=float).tolist()
     if not grid or sorted(grid) != grid:
         raise ValueError("bid grid must be nonempty and ascending")
     if grid[0] < 0 or grid[-1] > params.B_A:
         raise ValueError("bid grid must lie in [0, B_A]")
 
+    if mode == "forced":
+
+        def choose(h, s, v_win, v_lose):
+            best_bid, best = None, -float("inf")
+            for a in grid:
+                if a > 0.0:
+                    q = _forced_round_reward(params, h, s, True) + v_win
+                else:
+                    q = _forced_round_reward(params, h, s, False) + v_lose
+                if q > best:
+                    best_bid, best = a, q
+            return best_bid, best
+
+        return _backward_induction(params, choose)
+
+    # F and the payment depend on the round and the bid, never on the state:
+    # one table row per round, every bid of a state scored at once
+    positive = np.array(grid) > 0.0
+    log_bids = np.array([math.log(b) for b in grid if b > 0.0])
+    F = np.zeros((params.H, len(grid)))
+    pay = np.zeros((params.H, len(grid)))
+    for h in range(1, params.H + 1):
+        F[h - 1, positive], pay[h - 1, positive] = hob_cdf_terms(
+            h, log_bids, params.x, params.auction
+        )
+
     def choose(h, s, v_win, v_lose):
-        best_bid, best = None, -float("inf")
-        for a in grid:
-            if mode == "auction":
-                q = auction_round_value(params, h, s, a, v_win, v_lose)
-            elif a > 0.0:
-                q = _forced_round_reward(params, h, s, True) + v_win
-            else:
-                q = _forced_round_reward(params, h, s, False) + v_lose
-            if q > best:
-                best_bid, best = a, q
-        return best_bid, best
+        q = _round_value(
+            _mu_win(params, s), _mu_lose(params, s), F[h - 1], pay[h - 1],
+            v_win, v_lose,
+        )
+        # the first maximum, as a strict > scan from -inf finds it; NaN
+        # never wins
+        q[np.isnan(q)] = -np.inf
+        i = int(np.argmax(q))
+        if q[i] == -np.inf:
+            return None, -float("inf")
+        return grid[i], float(q[i])
 
     return _backward_induction(params, choose)
 

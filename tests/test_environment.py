@@ -111,7 +111,6 @@ def test_auction_episode_semantics(instance):
         assert r.state == s
         assert r.won == (r.bid >= r.hob)
         assert r.payment == (r.hob if r.won else 0.0)
-        assert not r.forced
         assert r.bid == 2.0
         s = next_state(s, r.won)
     assert ep.realized_reward == pytest.approx(
@@ -137,7 +136,6 @@ def test_forced_episode_semantics(instance):
                      "forced", t=2, bounds=BOUNDS)
     for r in ep.records:
         assert r.won == plan[r.h]
-        assert r.forced == r.won
         assert r.bid == (BOUNDS.B_A if r.won else 0.0)
         assert r.payment == (r.hob if r.won else 0.0)
     # forced outcomes ignore the auction comparison by design

@@ -1,5 +1,5 @@
-"""Golden digests: byte-exact outputs of two small runs, one per planner
-mode.
+"""Golden digests: byte-exact outputs of small runs in both planner modes,
+including a dp run at H=4 on an 8-point bid grid.
 
 Any change to the simulator, the planners, the estimators or the writers
 that moves a single bit of `curves.csv`, `summary.txt`, the emitted episode
@@ -22,6 +22,15 @@ from bidlab.harness import config_from_dict, run_experiment
 CONFIGS = {
     "outcome": {"T": 600, "trials": 2, "n_underbar": 50, "emit_logs": True},
     "dp": {"T": 60, "trials": 1, "mode": "dp", "n_underbar": 10, "emit_logs": True},
+    "dp_h4_grid8": {
+        "T": 60,
+        "trials": 1,
+        "mode": "dp",
+        "H": 4,
+        "bid_grid_points": 8,
+        "n_underbar": 8,
+        "emit_logs": True,
+    },
 }
 
 GOLDEN = {
@@ -41,6 +50,13 @@ GOLDEN = {
         "curves.csv": "d8dc7a881b9f105d5d18d1a1f483924adcd70335bd97875504b96427aa6b2c1c",
         "episodes_trial0.csv": "4c50ee8dd5a73c2c9ea29cbe878dfce4221120f64b8bb67f3cd3762979963a28",
         "summary.txt": "b8c2c83be0f923a42fbd274628053f5d76a9387adfa48e880918e500669e7bbb",
+    },
+    "dp_h4_grid8": {
+        "agent_trial0.snapshot": "5cc13c44cfce29fbfb377dda38bd4dc076a53223f03750205b8e5e474316e844",
+        "contexts_trial0.csv": "4b0f48e0df687f770b0fa425f980917c7cdbbd4b0193b051edd4ccab18b2bb7c",
+        "curves.csv": "9eb05e323fbeafb9dc03ee45751db2cb6ce3c9db70a5421bc67ca25a0cad8b72",
+        "episodes_trial0.csv": "e68fe50e434282d89f779d01ae7b2a0d38ab8dfa76bd4c328a6f471fc812d05f",
+        "summary.txt": "609c949c3111a0911d0a81455c3e95a5c25a37b84dfd2fcdd83a0d2c05b2030a",
     },
 }
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -237,6 +238,33 @@ def test_long_horizon_config_runs_to_the_end():
     for name in cfg.policies:
         curve = result.trials[0].expected[name]
         assert curve.shape == (2,) and np.all(curve >= -1e-9)
+
+
+# The HOB mean exp(<x, beta_h> + sigma_h^2 / 2), with |<x, beta_h>| up to
+# B_beta * B_x = 25 at the default bounds, leaves the float range past this
+# sigma_max (~37.008).
+_SIGMA_MAX_EDGE = math.sqrt(2.0 * (math.log(sys.float_info.max) - 5.0 * 5.0))
+
+
+def _hob_limit_config(sigma_max, mode="outcome"):
+    # sigma_scale 60 drives every round's sigma to the sigma_max cap
+    return {"T": 30, "trials": 1, "mode": mode,
+            "bounds": {"sigma_max": sigma_max}, "instance": {"sigma_scale": 60}}
+
+
+def test_bounds_that_overflow_the_hob_mean_are_rejected_at_load():
+    for sigma_max in (60.0, _SIGMA_MAX_EDGE * (1.0 + 1e-9)):
+        with pytest.raises(ValueError, match=r"B_beta \* B_x \+ sigma_max"):
+            config_from_dict(_hob_limit_config(sigma_max))
+
+
+@pytest.mark.parametrize("mode", ["outcome", "dp"])
+def test_bounds_just_inside_the_hob_mean_limit_run_a_trial(mode):
+    cfg = config_from_dict(_hob_limit_config(_SIGMA_MAX_EDGE * (1.0 - 1e-9), mode))
+    result = run_experiment(cfg)
+    for name in cfg.policies:
+        curve = result.trials[0].expected[name]
+        assert curve.shape == (30,) and np.all(np.isfinite(curve))
 
 
 def test_trial_errors_carry_provenance(monkeypatch):

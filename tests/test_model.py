@@ -26,7 +26,9 @@ from bidlab.model import (
     delay_index,
     delay_lag,
     delay_lag_indices,
+    expected_payment,
     expected_payment_given_win,
+    hob_cdf_terms,
     hob_mean,
     lose_index,
     next_state,
@@ -232,6 +234,27 @@ def test_win_probability(unit_auction):
     assert win_probability(1, math.e, x, a) == pytest.approx(PHI_1, abs=1e-15)
     with pytest.raises(ValueError):
         win_probability(1, -0.5, x, a)
+
+
+def test_hob_cdf_terms_arrays_match_scalars():
+    # the array form gives the scalar floats, and both are the closed forms
+    # Phi(u) and exp(mu + sigma^2/2) Phi(u - sigma) evaluated with libm
+    rng = np.random.default_rng(11)
+    a = AuctionModel(beta=rng.uniform(-1.0, 1.0, (3, 2)),
+                     sigma=rng.uniform(0.1, 3.0, 3))
+    x = rng.uniform(0.0, 2.0, 2)
+    bids = np.geomspace(1e-4, 1e3, 300).tolist()
+    for h in (1, 2, 3):
+        F, pay = hob_cdf_terms(h, np.array([math.log(b) for b in bids]), x, a)
+        mu, sigma = float(a.beta[h - 1] @ x), float(a.sigma[h - 1])
+        for bid, f, p in zip(bids, F.tolist(), pay.tolist()):
+            u = (math.log(bid) - mu) / sigma
+            assert f == 0.5 * math.erfc(-u / math.sqrt(2.0))
+            assert p == math.exp(mu + 0.5 * sigma**2) * (
+                0.5 * math.erfc(-(u - sigma) / math.sqrt(2.0))
+            )
+            assert f == win_probability(h, bid, x, a)
+            assert p == expected_payment(h, bid, x, a)
 
 
 def test_hob_mean_frozen(unit_auction):

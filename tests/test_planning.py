@@ -37,7 +37,7 @@ from bidlab.planning import (
     outcome_value,
     params_from_true,
 )
-from enumeration import enumerated_best_plan
+from enumeration import enumerated_best_plan, scalar_grid_policy
 
 BOUNDS = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
 
@@ -256,6 +256,55 @@ def test_dp_matches_expected_round_reward_model():
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
         with pytest.raises(ValueError):
             auction_round_value(params, 2, s, -1.0, 0.0, 0.0)
+
+
+def test_dp_grid_equals_scalar_reference_bitwise():
+    # dp_policy scores every bid of a state at once; the scalar loop over
+    # auction_round_value must give the same bids and values, float for float
+    grids = (
+        default_bid_grid(BOUNDS),
+        default_bid_grid(BOUNDS, 8),
+        np.array([0.0, 0.0, 0.5, 0.5, 2.0, 2.0, 2.0, 10.0, 50.0]),
+    )
+    for H in range(1, 7):
+        for seed in range(3):
+            p = random_params(H, seed=500 + 10 * H + seed)
+            for grid in grids:
+                table = dp_policy(p, grid)
+                bids, values = scalar_grid_policy(p, grid)
+                assert table.bids == bids
+                assert table.values == values
+
+
+def test_dp_grid_ties_go_to_the_lower_bid():
+    # HOB ~ 1 with a tiny spread: bids up to 0.5 win with probability
+    # exactly 0 and bids from 5 up win surely and pay exactly the HOB mean,
+    # so each group scores the same float at every state
+    p = make_params(mu_nd=1.0, mu_f=4.0, mu_l1=1.5, mu_l2=1.0, d1=1.0, d2=1.0,
+                    log_means=(0.0, 0.0, 0.0), sigmas=(0.01, 0.01, 0.01))
+    grid = np.array([0.0, 0.1, 0.2, 0.5, 5.0, 10.0, 20.0, 50.0])
+    table = dp_policy(p, grid)
+    bids, values = scalar_grid_policy(p, grid)
+    assert (table.bids, table.values) == (bids, values)
+    for (h, s), bid in table.bids.items():
+        nxt = [table.values.get((h + 1, next_state(s, won)), 0.0)
+               for won in (True, False)]
+        q = [auction_round_value(p, h, s, float(a), *nxt) for a in grid]
+        best = [float(a) for a, v in zip(grid, q) if v == max(q)]
+        assert len(best) >= 2
+        assert bid == best[0] and table.values[(h, s)] == max(q)
+    assert set(table.bids.values()) == {0.0, 5.0}
+
+
+def test_dp_grid_never_chooses_nan():
+    # an infinite win mean scores the zero bid inf * 0 = NaN and every
+    # positive bid +inf: the loop skips the NaN and keeps the first +inf
+    p = make_params(mu_f=math.inf, log_means=(0.0,), sigmas=(1.0,))
+    grid = np.array([0.0, 0.5, 1.0])
+    with np.errstate(invalid="ignore"):
+        table = dp_policy(p, grid)
+    assert (table.bids, table.values) == scalar_grid_policy(p, grid)
+    assert table.act(1, INITIAL_STATE) == 0.5 and table.value == math.inf
 
 
 def test_closed_form_bid_clamps():
