@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .environment import EpisodeLog
+from .environment import EpisodeLog, delay_token, theta_token
 from .estimation import (
     AuctionEstimator,
     ConfidenceConfig,
@@ -28,16 +28,11 @@ from .estimation import (
     tsmle_update,
 )
 from .model import (
-    DELAY_NEVER,
-    NATURAL_DEMAND,
     NEVER,
     AuctionModel,
     Bounds,
-    DelayIndex,
-    ThetaIndex,
-    delay_lag,
-    delay_lag_indices,
-    theta_indices,
+    cap_norm,
+    lose_index,
     win_index,
 )
 from .planning import (
@@ -102,8 +97,8 @@ class AgentState:
     n_underbar: int
     planner_mode: str  # "outcome" | "dp"
     bid_mode: str      # "forced" | "auction"
-    theta_bank: dict[ThetaIndex, ThetaEstimator]
-    delay_bank: dict[DelayIndex, DelayEstimator]
+    theta_bank: list[ThetaEstimator]  # by theta row
+    delay_bank: dict[int, DelayEstimator]  # by lag, 1..H-1
     auction_bank: dict[int, AuctionEstimator]
     t: int = 1
 
@@ -147,13 +142,11 @@ def make_agent(
         ),
         planner_mode=planner_mode,
         bid_mode=bid_mode,
-        theta_bank={
-            idx: ThetaEstimator(index=idx, dim=bounds.dim, B_theta=bounds.B_theta)
-            for idx in theta_indices(bounds.H)
-        },
-        delay_bank={
-            idx: DelayEstimator(index=idx) for idx in delay_lag_indices(bounds.H)
-        },
+        theta_bank=[
+            ThetaEstimator(index=i, dim=bounds.dim, B_theta=bounds.B_theta)
+            for i in range(bounds.H + 1)
+        ],
+        delay_bank={k: DelayEstimator(index=k) for k in range(1, bounds.H)},
         auction_bank={
             h: AuctionEstimator(h=h, dim=bounds.dim) for h in range(1, bounds.H + 1)
         },
@@ -191,27 +184,30 @@ def _plan_decision(plan: OutcomePlan, bid_mode: str, B_A: float, exploring: bool
 def optimistic_params(agent: AgentState, x: np.ndarray) -> PlanParams:
     """Planner inputs at the top of the confidence region: upper conversion
     means, upper delays (full optimism before any delay data), and the
-    estimated auction model with a floored noise scale."""
+    estimated auction model projected onto the bounds (each beta row onto
+    the B_beta ball, the noise scale into [SIGMA_FLOOR, sigma_max]), which
+    keeps the planner's HOB mean finite."""
     b = agent.bounds
-    mu = {
-        idx: optimistic_mean(est, x, agent.cfg.gamma, b=b.b)
-        for idx, est in agent.theta_bank.items()
-    }
-    delay: dict[DelayIndex, float] = {DELAY_NEVER: 1.0}
-    for idx, est in agent.delay_bank.items():
+    mu = [optimistic_mean(est, x, agent.cfg.gamma, b=b.b) for est in agent.theta_bank]
+    delay = [1.0]
+    for lag in range(1, b.H):
+        est = agent.delay_bank[lag]
         d_hat = est.estimate
         if d_hat is None:
-            delay[idx] = b.B_d
+            delay.append(b.B_d)
         else:
             radius = delay_radius(
                 est.N, agent.gamma_raw, b, b.H, agent.T, agent.cfg.delta,
                 width_scale=agent.cfg.width_scale,
             )
-            delay[idx] = min(max(d_hat + radius, 0.0), b.B_d)
-    beta = np.stack([agent.auction_bank[h].beta_hat for h in range(1, b.H + 1)])
+            delay.append(min(max(d_hat + radius, 0.0), b.B_d))
+    beta = np.stack(
+        [cap_norm(agent.auction_bank[h].beta_hat, b.B_beta) for h in range(1, b.H + 1)]
+    )
     sigma = np.array(
         [
-            max(sigma_estimate(agent.auction_bank[h]) or 0.0, SIGMA_FLOOR)
+            min(max(sigma_estimate(agent.auction_bank[h]) or 0.0, SIGMA_FLOOR),
+                b.sigma_max)
             for h in range(1, b.H + 1)
         ]
     )
@@ -240,42 +236,40 @@ def act(agent: AgentState, x: np.ndarray, bid_grid: np.ndarray) -> Decision:
     )
 
 
-def update(agent: AgentState, log: EpisodeLog, *, enforce_order: bool = True) -> AgentState:
+def update(agent: AgentState, log: EpisodeLog) -> AgentState:
     """Consume one episode: auction regression on every round, then the
-    split-bucket effect and delay updates in canonical index order."""
-    if enforce_order and log.t != agent.t:
+    split-bucket effect updates by theta row and the delay updates by lag."""
+    if log.t != agent.t:
         raise ValueError(f"expected customer {agent.t}, got log for {log.t}")
     x = log.x
     for r in log.records:
         ridge_update(agent.auction_bank[r.h], x, math.log(r.hob))
     split = split_episode(log)
-    for idx in theta_indices(agent.bounds.H):
-        for r in split.w.get(idx, []):
-            # provenance: W rounds only — wins at the matching index, or
+    for i, rounds in enumerate(split.w):
+        for r in rounds:
+            # provenance: W rounds only — wins at the matching row, or
             # never-exposed losses feeding natural demand
-            home = win_index(r.state.s1) if r.won else NATURAL_DEMAND
-            if home != idx or not (r.won or r.state.s1 is NEVER):
+            home = win_index(r.state.s1) if r.won else lose_index(r.state.s2)
+            if home != i or not (r.won or r.state.s1 == NEVER):
                 raise ValueError(
-                    f"customer {r.t}, round {r.h} is not a clean "
-                    f"{idx.token} sample"
+                    f"customer {r.t}, round {r.h} is not a clean sample of "
+                    f"theta row {i}"
                 )
-            crtm_update(agent.theta_bank[idx], x, float(r.conversions), agent.cfg)
-    theta_snapshot = {idx: est.theta_hat for idx, est in agent.theta_bank.items()}
+            crtm_update(agent.theta_bank[i], x, float(r.conversions), agent.cfg)
+    theta_snapshot = [est.theta_hat for est in agent.theta_bank]
     for lag in sorted(split.d):
         tsmle_update(
-            agent.delay_bank[delay_lag(lag)], split.d[lag], x, theta_snapshot,
-            agent.bounds.b,
+            agent.delay_bank[lag], split.d[lag], x, theta_snapshot, agent.bounds.b
         )
+    agent.t += 1
     boundary = exploration_window(agent.n_underbar, agent.bounds.H)
-    if enforce_order:
-        agent.t += 1
-        if agent.bid_mode == "forced" and agent.t == boundary + 1:
-            for idx, est in agent.delay_bank.items():
-                if est.N < agent.n_underbar:
-                    raise RuntimeError(
-                        f"exploration underfed delay estimator {idx.token}: "
-                        f"{est.N} < {agent.n_underbar}"
-                    )
+    if agent.bid_mode == "forced" and agent.t == boundary + 1:
+        for lag, est in agent.delay_bank.items():
+            if est.N < agent.n_underbar:
+                raise RuntimeError(
+                    f"exploration underfed the lag-{lag} delay estimator: "
+                    f"{est.N} < {agent.n_underbar}"
+                )
     return agent
 
 
@@ -325,8 +319,10 @@ def agent_to_dict(agent: AgentState) -> dict:
         "planner_mode": agent.planner_mode,
         "bid_mode": agent.bid_mode,
         "t": agent.t,
-        "theta": {idx.token: est.to_dict() for idx, est in agent.theta_bank.items()},
-        "delay": {idx.token: est.to_dict() for idx, est in agent.delay_bank.items()},
+        "theta": {
+            theta_token(i): est.to_dict() for i, est in enumerate(agent.theta_bank)
+        },
+        "delay": {delay_token(k): est.to_dict() for k, est in agent.delay_bank.items()},
         "auction": {str(h): est.to_dict() for h, est in agent.auction_bank.items()},
     }
 
@@ -334,8 +330,6 @@ def agent_to_dict(agent: AgentState) -> dict:
 def agent_from_dict(d: dict) -> AgentState:
     b = Bounds(**d["bounds"])
     cfg = ConfidenceConfig(**d["cfg"])
-    theta_by_token = {idx.token: idx for idx in theta_indices(b.H)}
-    delay_by_token = {idx.token: idx for idx in delay_lag_indices(b.H)}
     return AgentState(
         bounds=b,
         T=int(d["T"]),
@@ -344,13 +338,13 @@ def agent_from_dict(d: dict) -> AgentState:
         n_underbar=int(d["n_underbar"]),
         planner_mode=d["planner_mode"],
         bid_mode=d["bid_mode"],
-        theta_bank={
-            theta_by_token[tok]: ThetaEstimator.from_dict(sub, theta_by_token[tok])
-            for tok, sub in d["theta"].items()
-        },
+        theta_bank=[
+            ThetaEstimator.from_dict(d["theta"][theta_token(i)], i)
+            for i in range(b.H + 1)
+        ],
         delay_bank={
-            delay_by_token[tok]: DelayEstimator.from_dict(sub, delay_by_token[tok])
-            for tok, sub in d["delay"].items()
+            k: DelayEstimator.from_dict(d["delay"][delay_token(k)], k)
+            for k in range(1, b.H)
         },
         auction_bank={
             int(h): AuctionEstimator.from_dict(sub) for h, sub in d["auction"].items()

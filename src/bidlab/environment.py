@@ -23,14 +23,11 @@ from .model import (
     ONLY_ONE,
     AuctionModel,
     Bounds,
-    DELAY_NEVER,
     ExposureState,
-    Sentinel,
     TrueModel,
+    cap_norm,
     conversion_mean,
-    delay_lag_indices,
     next_state,
-    theta_indices,
 )
 
 __all__ = [
@@ -50,6 +47,8 @@ __all__ = [
     "read_context_csv",
     "instance_to_dict",
     "instance_from_dict",
+    "theta_token",
+    "delay_token",
 ]
 
 
@@ -233,18 +232,13 @@ def _half_normal(
     return scale * np.abs(rng.standard_normal(shape)) + offset
 
 
-def _cap_norm(v: np.ndarray, cap: float) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    return v * (cap / n) if n > cap else v
-
-
 def generate_instance(
     recipe: InstanceRecipe, bounds: Bounds, rng: RandomSource
 ) -> tuple[TrueModel, AuctionModel]:
     """Sample one problem instance from the recipe, clamped to the bounds.
 
-    Draw order (fixed for reproducibility): effect vectors in canonical index
-    order, delay factors by ascending lag, auction coefficients by round,
+    Draw order (fixed for reproducibility): effect vectors by position,
+    delay factors by ascending lag, auction coefficients by round,
     noise scales by round.  Effect and coefficient vectors are rescaled onto
     their norm balls; delay factors are clipped to [0, B_d].
 
@@ -253,20 +247,28 @@ def generate_instance(
     guarantees every sampled context satisfies the conversion-rate floor.
     """
     gen = rng.stream("instance")
-    theta = {
-        idx: _cap_norm(
-            _half_normal(gen, recipe.theta_scale, recipe.theta_offset, (bounds.dim,)),
-            bounds.B_theta,
-        )
-        for idx in theta_indices(bounds.H)
-    }
-    delay = {DELAY_NEVER: 1.0}
-    for idx in delay_lag_indices(bounds.H):
-        raw = _half_normal(gen, recipe.delay_scale, recipe.delay_offset, ())
-        delay[idx] = float(np.clip(raw, 0.0, bounds.B_d))
+    theta = np.stack(
+        [
+            cap_norm(
+                _half_normal(gen, recipe.theta_scale, recipe.theta_offset, (bounds.dim,)),
+                bounds.B_theta,
+            )
+            for _ in range(bounds.H + 1)
+        ]
+    )
+    delay = np.array(
+        [1.0]
+        + [
+            float(np.clip(
+                _half_normal(gen, recipe.delay_scale, recipe.delay_offset, ()),
+                0.0, bounds.B_d,
+            ))
+            for _ in range(1, bounds.H)
+        ]
+    )
     beta = np.stack(
         [
-            _cap_norm(
+            cap_norm(
                 _half_normal(gen, recipe.beta_scale, recipe.beta_offset, (bounds.dim,)),
                 bounds.B_beta,
             )
@@ -280,10 +282,10 @@ def generate_instance(
     model = TrueModel(theta=theta, delay=delay)
     model.validate(bounds)
     if recipe.strict:
-        for idx, v in theta.items():
+        for i, v in enumerate(theta):
             if recipe.context_offset * float(np.sum(v)) < bounds.b:
                 raise ValueError(
-                    f"strict bounds check failed: theta[{idx}] cannot keep "
+                    f"strict bounds check failed: theta[{i}] cannot keep "
                     f"conversion rates above the floor {bounds.b}"
                 )
     return model, AuctionModel(beta=beta, sigma=sigma)
@@ -294,7 +296,7 @@ def sample_context(
 ) -> np.ndarray:
     """One context vector, elementwise scale * |N(0,1)| + offset, rescaled
     onto the context norm ball."""
-    return _cap_norm(
+    return cap_norm(
         _half_normal(rng, recipe.context_scale, recipe.context_offset, (bounds.dim,)),
         bounds.B_x,
     )
@@ -307,28 +309,36 @@ _EPISODE_COLUMNS = [
 ]
 
 
-def _s1_token(s1: int | Sentinel) -> str:
-    return "NEVER" if s1 is NEVER else str(s1)
+# The file tokens of states and positions are spelled in these four
+# functions only, and only readers and writers of files call them.
 
 
-def _s2_token(s2: int | Sentinel) -> str:
-    if s2 is NEVER_BEFORE:
-        return "NEVERBEFORE"
-    if s2 is ONLY_ONE:
-        return "ONLYONE"
-    return str(s2)
+def theta_token(i: int) -> str:
+    """File token of theta row i."""
+    return ("NATURAL_DEMAND", "FIRST_EXPOSURE")[i] if i < 2 else f"LAG{i - 1}"
 
 
-def _parse_s1(token: str) -> int | Sentinel:
-    return NEVER if token == "NEVER" else int(token)
+def delay_token(k: int) -> str:
+    """File token of delay entry k."""
+    return "NEVER" if k == 0 else f"LAG{k}"
 
 
-def _parse_s2(token: str) -> int | Sentinel:
-    if token == "NEVERBEFORE":
-        return NEVER_BEFORE
-    if token == "ONLYONE":
-        return ONLY_ONE
-    return int(token)
+def _state_tokens(s: ExposureState) -> tuple[str, str]:
+    s2 = {NEVER_BEFORE: "NEVERBEFORE", ONLY_ONE: "ONLYONE"}.get(s.s2, str(s.s2))
+    return ("NEVER" if s.s1 == NEVER else str(s.s1)), s2
+
+
+def _parse_state(s1: str, s2: str) -> ExposureState:
+    def lag(token: str) -> int:
+        value = int(token)
+        if value < 1:
+            raise ValueError(f"a lag token must be a positive integer, got {token!r}")
+        return value
+
+    named = {"NEVERBEFORE": NEVER_BEFORE, "ONLYONE": ONLY_ONE}
+    return ExposureState(
+        NEVER if s1 == "NEVER" else lag(s1), named[s2] if s2 in named else lag(s2)
+    )
 
 
 def write_episode_csv(path, episodes: Iterable[tuple[int, EpisodeLog]]) -> None:
@@ -343,8 +353,7 @@ def write_episode_csv(path, episodes: Iterable[tuple[int, EpisodeLog]]) -> None:
                         trial,
                         r.t,
                         r.h,
-                        _s1_token(r.state.s1),
-                        _s2_token(r.state.s2),
+                        *_state_tokens(r.state),
                         repr(r.bid),
                         repr(r.hob),
                         int(r.won),
@@ -380,7 +389,7 @@ def read_episode_csv(path, contexts: dict[tuple[int, int], np.ndarray]) -> Itera
                 raise ValueError(f"line {lineno}: expected {len(_EPISODE_COLUMNS)} fields")
             try:
                 trial, t, h = int(row[0]), int(row[1]), int(row[2])
-                state = ExposureState(_parse_s1(row[3]), _parse_s2(row[4]))
+                state = _parse_state(row[3], row[4])
                 rec = RoundRecord(
                     t, h, state,
                     float(row[5]), float(row[6]), bool(int(row[7])),
@@ -427,19 +436,16 @@ def read_context_csv(path) -> dict[tuple[int, int], np.ndarray]:
 
 def instance_to_dict(m: TrueModel, a: AuctionModel) -> dict:
     return {
-        "theta": {idx.token: [float(v) for v in vec] for idx, vec in m.theta.items()},
-        "delay": {idx.token: float(d) for idx, d in m.delay.items()},
-        "beta": [[float(v) for v in row] for row in a.beta],
-        "sigma": [float(s) for s in a.sigma],
+        "theta": {theta_token(i): row.tolist() for i, row in enumerate(m.theta)},
+        "delay": {delay_token(k): d for k, d in enumerate(m.delay.tolist())},
+        "beta": a.beta.tolist(),
+        "sigma": a.sigma.tolist(),
     }
 
 
 def instance_from_dict(d: dict, H: int) -> tuple[TrueModel, AuctionModel]:
-    by_token = {idx.token: idx for idx in theta_indices(H)}
-    delay_by_token = {DELAY_NEVER.token: DELAY_NEVER}
-    delay_by_token.update({idx.token: idx for idx in delay_lag_indices(H)})
-    theta = {by_token[k]: np.array(v, dtype=float) for k, v in d["theta"].items()}
-    delay = {delay_by_token[k]: float(v) for k, v in d["delay"].items()}
+    theta = np.array([d["theta"][theta_token(i)] for i in range(H + 1)], dtype=float)
+    delay = np.array([d["delay"][delay_token(k)] for k in range(H)], dtype=float)
     return (
         TrueModel(theta=theta, delay=delay),
         AuctionModel(beta=np.array(d["beta"], dtype=float),

@@ -9,19 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .model import (
-    NATURAL_DEMAND,
-    NEVER,
-    Bounds,
-    DelayIndex,
-    ThetaIndex,
-    lose_index,
-    win_index,
-)
-from .environment import EpisodeLog, RoundRecord
+from .model import NEVER, Bounds, lose_index, win_index
+from .environment import EpisodeLog, RoundRecord, delay_token, theta_token
 
 __all__ = [
     "ConfidenceConfig",
@@ -128,9 +121,9 @@ def _identity(dim: int) -> np.ndarray:
 
 @dataclass
 class ThetaEstimator:
-    """Online Newton state for one effect vector."""
+    """Online Newton state for one effect vector (theta row `index`)."""
 
-    index: ThetaIndex
+    index: int
     dim: int
     B_theta: float
     V: np.ndarray = None
@@ -151,7 +144,7 @@ class ThetaEstimator:
 
     def to_dict(self) -> dict:
         return {
-            "index": self.index.token,
+            "index": theta_token(self.index),
             "dim": self.dim,
             "B_theta": self.B_theta,
             "V": [[float(v) for v in row] for row in self.V],
@@ -160,9 +153,9 @@ class ThetaEstimator:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, index: ThetaIndex) -> "ThetaEstimator":
-        if d["index"] != index.token:
-            raise ValueError(f"snapshot index {d['index']} != {index.token}")
+    def from_dict(cls, d: dict, index: int) -> "ThetaEstimator":
+        if d["index"] != theta_token(index):
+            raise ValueError(f"snapshot index {d['index']} != {theta_token(index)}")
         return cls(
             index=index,
             dim=int(d["dim"]),
@@ -224,10 +217,10 @@ def crtm_update(
 
 @dataclass
 class DelayEstimator:
-    """Ratio estimator for one delay factor: total conversions over total
-    estimated base rates."""
+    """Ratio estimator for one delay factor (the lag, and delay entry,
+    `index`): total conversions over total estimated base rates."""
 
-    index: DelayIndex
+    index: int
     numerator: float = 0.0
     denominator: float = 0.0
     N: int = 0
@@ -241,16 +234,16 @@ class DelayEstimator:
 
     def to_dict(self) -> dict:
         return {
-            "index": self.index.token,
+            "index": delay_token(self.index),
             "numerator": self.numerator,
             "denominator": self.denominator,
             "N": self.N,
         }
 
     @classmethod
-    def from_dict(cls, d: dict, index: DelayIndex) -> "DelayEstimator":
-        if d["index"] != index.token:
-            raise ValueError(f"snapshot index {d['index']} != {index.token}")
+    def from_dict(cls, d: dict, index: int) -> "DelayEstimator":
+        if d["index"] != delay_token(index):
+            raise ValueError(f"snapshot index {d['index']} != {delay_token(index)}")
         return cls(
             index=index,
             numerator=float(d["numerator"]),
@@ -263,17 +256,18 @@ def tsmle_update(
     est: DelayEstimator,
     rounds: list[RoundRecord],
     x: np.ndarray,
-    theta_bank: dict[ThetaIndex, np.ndarray],
+    theta_bank: Sequence[np.ndarray],
     b: float,
 ) -> DelayEstimator:
     """Consume one customer's lost rounds at this lag.
 
-    Base rates come from the effect estimates current for this customer;
-    each is floored at b so the ratio stays bounded.
+    Base rates come from the effect estimates current for this customer
+    (`theta_bank`, by theta row); each is floored at b so the ratio stays
+    bounded.
     """
     for r in rounds:
-        if r.won or r.state.s1 != est.index.lag:
-            raise ValueError(f"round {r} does not belong to lag {est.index.lag}")
+        if r.won or r.state.s1 != est.index:
+            raise ValueError(f"round {r} does not belong to lag {est.index}")
         theta_hat = theta_bank[lose_index(r.state.s2)]
         est.denominator += max(b, float(theta_hat @ x))
         est.numerator += float(r.conversions)
@@ -351,10 +345,10 @@ def sigma_estimate(est: AuctionEstimator) -> float | None:
 
 @dataclass(frozen=True)
 class SplitDatasets:
-    """Per-episode buckets: W feeds the effect-vector estimators (keyed by
-    index), D feeds the delay estimators (keyed by lag)."""
+    """Per-episode buckets: W feeds the effect-vector estimators (one list
+    per theta row), D feeds the delay estimators (keyed by lag)."""
 
-    w: dict[ThetaIndex, list[RoundRecord]]
+    w: list[list[RoundRecord]]
     d: dict[int, list[RoundRecord]]
 
 
@@ -365,13 +359,13 @@ def split_episode(log: EpisodeLog) -> SplitDatasets:
     a never-exposed customer are clean natural-demand samples; lost rounds
     after an exposure are delay samples keyed by the current lag.
     """
-    w: dict[ThetaIndex, list[RoundRecord]] = {}
+    w: list[list[RoundRecord]] = [[] for _ in range(len(log.records) + 1)]
     d: dict[int, list[RoundRecord]] = {}
     for r in log.records:
         if r.won:
-            w.setdefault(win_index(r.state.s1), []).append(r)
-        elif r.state.s1 is NEVER:
-            w.setdefault(NATURAL_DEMAND, []).append(r)
+            w[win_index(r.state.s1)].append(r)
+        elif r.state.s1 == NEVER:
+            w[lose_index(r.state.s2)].append(r)
         else:
             d.setdefault(r.state.s1, []).append(r)
     return SplitDatasets(w=w, d=d)

@@ -1,9 +1,15 @@
 """Pure model of the personalized ad-bidding MDP.
 
-Exposure states track the two most recent ad wins per customer; conversion
-rates are linear in the context with a multiplicative decay on rounds that
-follow a win; the highest other bid (HOB) is lognormal per round, which gives
-closed forms for the win probability and the expected second-price payment.
+Exposure states track the two most recent ad wins per customer as two
+integer lags (s1, s2): s1 is the number of rounds since the last win (0
+before any win), s2 the value s1 had when that win happened (0 for the
+first win, -1 before any win).  Conversion rates are linear in the context,
+with a multiplicative decay on rounds that follow a win.  The effect
+vectors and delay factors are arrays indexed by position, and each lag maps
+to its position by one line of arithmetic: a won round converts at theta
+row s1 + 1, a lost one at theta row s2 + 1 times delay entry s1.  The
+highest other bid (HOB) is lognormal per round, which gives closed forms
+for the win probability and the expected second-price payment.
 
 Everything in this module is a pure function of its arguments: no randomness,
 no mutation.
@@ -14,29 +20,19 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "Sentinel",
     "NEVER",
     "NEVER_BEFORE",
     "ONLY_ONE",
     "ExposureState",
     "INITIAL_STATE",
-    "ThetaIndex",
-    "NATURAL_DEMAND",
-    "FIRST_EXPOSURE",
-    "theta_lag",
-    "theta_indices",
-    "DelayIndex",
-    "DELAY_NEVER",
-    "delay_lag",
-    "delay_lag_indices",
     "win_index",
     "lose_index",
     "delay_index",
+    "cap_norm",
     "Bounds",
     "TrueModel",
     "AuctionModel",
@@ -52,133 +48,62 @@ __all__ = [
     "expected_payment_given_win",
 ]
 
-
-class Sentinel(Enum):
-    """Named sentinel values for exposure-state fields."""
-
-    NEVER = "NEVER"  # s1: the customer has never seen a won ad
-    NEVER_BEFORE = "NEVERBEFORE"  # s2: no win earlier than the most recent one
-    ONLY_ONE = "ONLYONE"  # s2: exactly one win so far, so no second-most-recent
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-NEVER = Sentinel.NEVER
-NEVER_BEFORE = Sentinel.NEVER_BEFORE
-ONLY_ONE = Sentinel.ONLY_ONE
+NEVER = 0  # s1: the customer has never seen a won ad
+ONLY_ONE = 0  # s2: the most recent win was the first one
+NEVER_BEFORE = -1  # s2: no win at all yet
 
 
 @dataclass(frozen=True, slots=True)
 class ExposureState:
-    """Rounds since the most recent win (s1) and the gap between the two most
-    recent wins (s2).  Integer lags/gaps count rounds and start at 1."""
+    """Two integer lags.  `s1` counts the rounds since the most recent win
+    (NEVER = 0 before any win); `s2` is the value `s1` had when that win
+    happened: the gap to the win before it, ONLY_ONE = 0 if it was the
+    first win, NEVER_BEFORE = -1 if there has been no win."""
 
-    s1: int | Sentinel
-    s2: int | Sentinel
+    s1: int
+    s2: int
 
     def __post_init__(self) -> None:
-        if self.s1 is not NEVER and (not isinstance(self.s1, int) or self.s1 < 1):
-            raise ValueError(f"s1 must be NEVER or an integer >= 1, got {self.s1!r}")
-        if self.s2 not in (NEVER_BEFORE, ONLY_ONE) and (
-            not isinstance(self.s2, int) or self.s2 < 1
+        if (
+            not isinstance(self.s1, int)
+            or not isinstance(self.s2, int)
+            or self.s1 < 0
+            or self.s2 < -1
+            or (self.s1 == NEVER) != (self.s2 == NEVER_BEFORE)
         ):
             raise ValueError(
-                f"s2 must be NEVERBEFORE, ONLYONE or an integer >= 1, got {self.s2!r}"
+                "need integers s1 >= 0 and s2 >= -1 with s1 == 0 exactly when "
+                f"s2 == -1, got {self}"
             )
-        if (self.s1 is NEVER) != (self.s2 is NEVER_BEFORE):
-            raise ValueError(f"s1=NEVER and s2=NEVERBEFORE must coincide, got {self}")
 
 
 INITIAL_STATE = ExposureState(NEVER, NEVER_BEFORE)
 
 
-@dataclass(frozen=True, slots=True)
-class ThetaIndex:
-    """Which conversion-effect vector applies: natural demand (no exposure),
-    first exposure, or a win that happened `lag` rounds ago."""
-
-    kind: str
-    lag: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("natural_demand", "first_exposure", "lag"):
-            raise ValueError(f"unknown theta index kind {self.kind!r}")
-        if (self.kind == "lag") != (self.lag > 0):
-            raise ValueError(f"lag must be positive exactly for kind='lag', got {self}")
-
-    @property
-    def token(self) -> str:
-        return f"LAG{self.lag}" if self.kind == "lag" else self.kind.upper()
-
-    def __repr__(self) -> str:
-        return self.token
+# Parameter positions.  Theta rows: 0 natural demand (no win yet), 1 first
+# exposure, k + 1 a win k rounds ago.  Delay entries: 0 never exposed
+# (fixed at 1), k a win k rounds ago.
 
 
-NATURAL_DEMAND = ThetaIndex("natural_demand")
-FIRST_EXPOSURE = ThetaIndex("first_exposure")
+def win_index(s1: int) -> int:
+    """Theta row that converts a won round."""
+    return s1 + 1
 
 
-def theta_lag(k: int) -> ThetaIndex:
-    return ThetaIndex("lag", k)
+def lose_index(s2: int) -> int:
+    """Theta row that converts a lost round."""
+    return s2 + 1
 
 
-def theta_indices(H: int) -> list[ThetaIndex]:
-    """Canonical ordering of all H+1 conversion-effect indices."""
-    return [NATURAL_DEMAND, FIRST_EXPOSURE] + [theta_lag(k) for k in range(1, H)]
+def delay_index(s1: int) -> int:
+    """Delay entry applied on a lost round."""
+    return s1
 
 
-@dataclass(frozen=True, slots=True)
-class DelayIndex:
-    """Which delay factor applies: never won (fixed factor 1) or a win `lag`
-    rounds ago."""
-
-    kind: str
-    lag: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("never", "lag"):
-            raise ValueError(f"unknown delay index kind {self.kind!r}")
-        if (self.kind == "lag") != (self.lag > 0):
-            raise ValueError(f"lag must be positive exactly for kind='lag', got {self}")
-
-    @property
-    def token(self) -> str:
-        return f"LAG{self.lag}" if self.kind == "lag" else "NEVER"
-
-    def __repr__(self) -> str:
-        return self.token
-
-
-DELAY_NEVER = DelayIndex("never")
-
-
-def delay_lag(k: int) -> DelayIndex:
-    return DelayIndex("lag", k)
-
-
-def delay_lag_indices(H: int) -> list[DelayIndex]:
-    """The estimable delay indices (the 'never' factor is fixed at 1)."""
-    return [delay_lag(k) for k in range(1, H)]
-
-
-def win_index(s1: int | Sentinel) -> ThetaIndex:
-    """Conversion index used when the current round is won."""
-    return FIRST_EXPOSURE if s1 is NEVER else theta_lag(s1)
-
-
-def lose_index(s2: int | Sentinel) -> ThetaIndex:
-    """Conversion index used when the current round is lost."""
-    if s2 is NEVER_BEFORE:
-        return NATURAL_DEMAND
-    if s2 is ONLY_ONE:
-        return FIRST_EXPOSURE
-    return theta_lag(s2)
-
-
-def delay_index(s1: int | Sentinel) -> DelayIndex:
-    """Delay factor applied on a lost round."""
-    return DELAY_NEVER if s1 is NEVER else delay_lag(s1)
+def cap_norm(v: np.ndarray, cap: float) -> np.ndarray:
+    """Nearest point of the Euclidean ball of radius `cap`."""
+    n = float(np.linalg.norm(v))
+    return v * (cap / n) if n > cap else v
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -218,29 +143,29 @@ class Bounds:
 
 @dataclass(frozen=True)
 class TrueModel:
-    """Ground-truth conversion parameters: effect vectors theta[l] and delay
-    factors delay[l] (delay at DELAY_NEVER is identically 1)."""
+    """Ground-truth conversion parameters: the (H+1, dim) effect vectors
+    `theta` and the length-H delay factors `delay`, by position (see
+    `win_index`, `lose_index` and `delay_index`); delay[0] is 1."""
 
-    theta: dict[ThetaIndex, np.ndarray]
-    delay: dict[DelayIndex, float]
+    theta: np.ndarray
+    delay: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.delay.get(DELAY_NEVER) != 1.0:
-            raise ValueError("delay[DELAY_NEVER] must be exactly 1.0")
-        for idx, d in self.delay.items():
-            if d < 0:
-                raise ValueError(f"delay[{idx}] must be nonnegative")
+        if self.theta.ndim != 2 or self.delay.shape != (len(self.theta) - 1,):
+            raise ValueError("theta must be (H+1, dim) and delay (H,)")
+        if self.delay[0] != 1.0:
+            raise ValueError("delay[0] (never exposed) must be exactly 1.0")
+        if np.any(self.delay < 0):
+            raise ValueError("delay factors must be nonnegative")
 
     def validate(self, bounds: Bounds) -> None:
-        for idx in theta_indices(bounds.H):
-            v = self.theta[idx]
-            if v.shape != (bounds.dim,):
-                raise ValueError(f"theta[{idx}] has shape {v.shape}")
+        if self.theta.shape != (bounds.H + 1, bounds.dim):
+            raise ValueError(f"theta has shape {self.theta.shape}")
+        for i, v in enumerate(self.theta):
             if float(np.linalg.norm(v)) > bounds.B_theta + 1e-9:
-                raise ValueError(f"theta[{idx}] exceeds the norm bound")
-        for idx in delay_lag_indices(bounds.H):
-            if not 0.0 <= self.delay[idx] <= bounds.B_d:
-                raise ValueError(f"delay[{idx}] outside [0, B_d]")
+                raise ValueError(f"theta[{i}] exceeds the norm bound")
+        if np.any(self.delay[1:] > bounds.B_d):
+            raise ValueError("delay factors must not exceed B_d")
 
 
 @dataclass(frozen=True)
@@ -268,8 +193,8 @@ class AuctionModel:
 def next_state(s: ExposureState, won: bool) -> ExposureState:
     """Deterministic exposure-state transition for one round."""
     if won:
-        return ExposureState(1, ONLY_ONE if s.s1 is NEVER else s.s1)
-    if s.s1 is NEVER:
+        return ExposureState(1, s.s1)
+    if s.s1 == NEVER:
         return s
     return ExposureState(s.s1 + 1, s.s2)
 
@@ -296,7 +221,7 @@ def conversion_mean(
     if won:
         rate = float(m.theta[win_index(s.s1)] @ x)
     else:
-        rate = m.delay[delay_index(s.s1)] * float(m.theta[lose_index(s.s2)] @ x)
+        rate = float(m.delay[delay_index(s.s1)]) * float(m.theta[lose_index(s.s2)] @ x)
     if rate < 0:
         raise ValueError(f"negative conversion rate {rate} in state {s}")
     return rate

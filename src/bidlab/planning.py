@@ -18,18 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .model import (
-    DELAY_NEVER,
     INITIAL_STATE,
     AuctionModel,
     Bounds,
-    DelayIndex,
     ExposureState,
-    ThetaIndex,
     TrueModel,
     delay_index,
     expected_payment,
@@ -63,20 +60,21 @@ OutcomePlan = tuple[bool, ...]
 
 @dataclass(frozen=True)
 class PlanParams:
-    """Everything planning needs for one customer: per-index conversion
-    means at this context, delay factors, the auction view, the context
-    itself, and the bid cap."""
+    """Everything planning needs for one customer: the conversion mean of
+    each theta row at this context, the delay factors (both by position, as
+    in `TrueModel`), the auction view, the context itself, and the bid
+    cap."""
 
-    mu: Mapping[ThetaIndex, float]
-    delay: Mapping[DelayIndex, float]
+    mu: Sequence[float]
+    delay: Sequence[float]
     auction: AuctionModel
     x: np.ndarray
     B_A: float
 
     def __post_init__(self) -> None:
-        if any(v < 0 for v in self.mu.values()):
+        if any(v < 0 for v in self.mu):
             raise ValueError("conversion means must be clamped nonnegative")
-        if self.delay.get(DELAY_NEVER) != 1.0:
+        if self.delay[0] != 1.0:
             raise ValueError("the never-exposed delay factor is fixed at 1")
         if self.B_A <= 0:
             raise ValueError("bid cap must be positive")
@@ -90,8 +88,9 @@ def params_from_true(
     x: np.ndarray, m: TrueModel, a: AuctionModel, B_A: float = float("inf")
 ) -> PlanParams:
     """Plan against the true parameters (the oracle's view)."""
-    mu = {idx: float(vec @ x) for idx, vec in m.theta.items()}
-    return PlanParams(mu=mu, delay=dict(m.delay), auction=a, x=x, B_A=B_A)
+    # one dot per row: theta @ x can differ from it in the last bit
+    mu = [float(row @ x) for row in m.theta]
+    return PlanParams(mu=mu, delay=m.delay.tolist(), auction=a, x=x, B_A=B_A)
 
 
 def _mu_win(params: PlanParams, s: ExposureState) -> float:

@@ -60,18 +60,18 @@ from bidlab.harness import (
     run_experiment,
 )
 from bidlab.model import (
-    FIRST_EXPOSURE,
     INITIAL_STATE,
-    NATURAL_DEMAND,
+    NEVER,
+    NEVER_BEFORE,
+    ONLY_ONE,
     AuctionModel,
     ExposureState,
-    Sentinel,
-    delay_lag,
     expected_payment_given_win,
     cdf_integral,
+    lose_index,
     next_state,
     reachable_states,
-    theta_lag,
+    win_index,
     win_probability,
 )
 from bidlab.planning import (
@@ -257,9 +257,9 @@ def _delay_replicate(
     n: int, theta: np.ndarray, theta_hat: np.ndarray, d_true: float,
     rng: np.random.Generator,
 ) -> float:
-    est = DelayEstimator(index=delay_lag(1))
-    bank = {FIRST_EXPOSURE: theta_hat.copy()}
-    state = ExposureState(1, Sentinel.ONLY_ONE)
+    est = DelayEstimator(index=1)
+    state = ExposureState(1, ONLY_ONE)
+    bank = {lose_index(state.s2): theta_hat.copy()}
     xs = np.abs(rng.standard_normal((n, 2))) + 0.1
     ys = rng.poisson(d_true * xs @ theta)
     for t in range(n):
@@ -345,7 +345,7 @@ def test_criterion_5_payment_identities():
 
 def test_criterion_6_estimator_micro_oracles():
     cfg = ConfidenceConfig(delta=0.01, gamma=1.0, Gamma_trunc=1e6, width_scale=1.0)
-    est = ThetaEstimator(index=NATURAL_DEMAND, dim=2, B_theta=10.0)
+    est = ThetaEstimator(index=lose_index(NEVER_BEFORE), dim=2, B_theta=10.0)
     crtm_update(est, np.array([1.0, 0.0]), 1, cfg)
     crtm_ok = np.allclose(
         est.V, np.diag([1.5, 1.0]), atol=1e-12
@@ -365,7 +365,7 @@ def test_criterion_6_estimator_micro_oracles():
     for _ in range(20):
         A = rng.normal(size=(2, 2))
         V = A @ A.T + np.eye(2)
-        est = ThetaEstimator(index=NATURAL_DEMAND, dim=2, B_theta=50.0)
+        est = ThetaEstimator(index=lose_index(NEVER_BEFORE), dim=2, B_theta=50.0)
         est.V = V
         est.theta_hat = rng.normal(size=2) + 2.0
         x = np.abs(rng.normal(size=2)) + 0.5
@@ -461,11 +461,9 @@ def test_criterion_8_states_and_splitting():
         reach_ok = reach_ok and layers[0] == [INITIAL_STATE]
         for h, layer in enumerate(layers, start=1):
             for s in layer:
-                never = s.s1 is Sentinel.NEVER
-                reach_ok = reach_ok and (never == (s.s2 is Sentinel.NEVER_BEFORE))
-                lag = 0 if never else s.s1
-                gap = s.s2 if isinstance(s.s2, int) else 0
-                reach_ok = reach_ok and lag + gap <= h - 1
+                never = s.s1 == NEVER
+                reach_ok = reach_ok and (never == (s.s2 == NEVER_BEFORE))
+                reach_ok = reach_ok and s.s1 + max(s.s2, 0) <= h - 1
 
     wins = {3, 6}
     records = []
@@ -481,15 +479,14 @@ def test_criterion_8_states_and_splitting():
         state = next_state(state, won)
     split = split_episode(EpisodeLog(t=1, x=np.array([1.0, 0.0]), records=records))
     got_w = {
-        idx.token: sorted(r.h for r in rounds)
-        for idx, rounds in split.w.items()
-        if rounds
+        i: sorted(r.h for r in rounds) for i, rounds in enumerate(split.w) if rounds
     }
     got_d = {lag: sorted(r.h for r in rounds) for lag, rounds in split.d.items() if rounds}
+    # theta rows: natural demand, first exposure, the lag-3 win
     split_ok = got_w == {
-        "NATURAL_DEMAND": [1, 2],
-        "FIRST_EXPOSURE": [3],
-        "LAG3": [6],
+        lose_index(NEVER_BEFORE): [1, 2],
+        win_index(NEVER): [3],
+        win_index(3): [6],
     } and got_d == {1: [4, 7], 2: [5]}
     _report(
         8,

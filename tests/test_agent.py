@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,20 +34,15 @@ from bidlab.environment import (
     sample_context,
 )
 from bidlab.estimation import optimistic_mean
-from bidlab.model import (
-    DELAY_NEVER,
-    FIRST_EXPOSURE,
-    NATURAL_DEMAND,
-    Bounds,
-    delay_lag,
-    delay_lag_indices,
-    theta_indices,
-)
+from bidlab.model import NEVER_BEFORE, ONLY_ONE, Bounds, lose_index, win_index
 import bidlab
 from bidlab.planning import best_outcome_plan, default_bid_grid, params_from_true
 
 BOUNDS = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
 GRID = default_bid_grid(BOUNDS)
+
+# theta rows by name
+NATURAL_DEMAND, FIRST_EXPOSURE = lose_index(NEVER_BEFORE), lose_index(ONLY_ONE)
 
 
 def small_agent(**kw):
@@ -114,11 +110,8 @@ def test_zero_information_params_are_floored():
     agent = small_agent()
     agent.t = 1000  # exploitation with no data
     params = optimistic_params(agent, np.array([1.0, 1.0]))
-    for idx in theta_indices(3):
-        assert params.mu[idx] == BOUNDS.b
-    for idx in delay_lag_indices(3):
-        assert params.delay[idx] == BOUNDS.B_d  # pure optimism, no data
-    assert params.delay[DELAY_NEVER] == 1.0
+    assert params.mu == [BOUNDS.b] * 4
+    assert params.delay == [1.0, BOUNDS.B_d, BOUNDS.B_d]  # pure optimism, no data
     assert np.array_equal(params.auction.beta, np.zeros((3, 2)))
     assert np.all(params.auction.sigma == SIGMA_FLOOR)
     d = act(agent, np.array([1.0, 1.0]), GRID)
@@ -126,10 +119,10 @@ def test_zero_information_params_are_floored():
 
 
 def inject_truth(agent, m, a):
-    for idx, est in agent.theta_bank.items():
-        est.theta_hat = m.theta[idx].copy()
-    for idx, est in agent.delay_bank.items():
-        est.numerator = m.delay[idx]
+    for i, est in enumerate(agent.theta_bank):
+        est.theta_hat = m.theta[i].copy()
+    for lag, est in agent.delay_bank.items():
+        est.numerator = float(m.delay[lag])
         est.denominator = 1.0
         est.N = 1
     for h, est in agent.auction_bank.items():
@@ -162,13 +155,13 @@ def test_optimism_orders_means_and_delays():
         update(agent, log)
     x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream("probe"))
     params = optimistic_params(agent, x)
-    for idx, est in agent.theta_bank.items():
-        assert params.mu[idx] >= est.mean(x) - 1e-12
-    for idx, est in agent.delay_bank.items():
+    for i, est in enumerate(agent.theta_bank):
+        assert params.mu[i] >= est.mean(x) - 1e-12
+    for lag, est in agent.delay_bank.items():
         if est.estimate is not None:
             # optimistic delay is the estimate plus a positive radius,
             # clamped into [0, B_d]
-            assert params.delay[idx] >= min(est.estimate, BOUNDS.B_d) - 1e-12
+            assert params.delay[lag] >= min(est.estimate, BOUNDS.B_d) - 1e-12
 
 
 def test_dp_planner_mode_returns_bid_policy():
@@ -207,8 +200,15 @@ def test_update_rejects_out_of_order():
                       bounds=BOUNDS)
     with pytest.raises(ValueError):
         update(agent, log)
-    update(agent, log, enforce_order=False)  # explicit override allowed
     assert agent.t == 1
+    # the same customers fed in order are accepted one after another
+    for t in (1, 2):
+        log = run_episode(lambda h, s, x: False, x, m, a, rng, "forced", t=t,
+                          bounds=BOUNDS)
+        update(agent, log)
+        assert agent.t == t + 1
+    with pytest.raises(ValueError):
+        update(agent, log)
 
 
 # A won round filed as a natural-demand sample must be rejected by update,
@@ -219,7 +219,7 @@ import numpy as np
 from bidlab import agent as agent_mod
 from bidlab.environment import BENCHMARK_RECIPE, RandomSource, generate_instance, run_episode
 from bidlab.estimation import SplitDatasets
-from bidlab.model import NATURAL_DEMAND, Bounds
+from bidlab.model import Bounds
 
 if not sys.flags.optimize:
     sys.exit("expected to run under python -O")
@@ -228,8 +228,9 @@ rng = RandomSource(11)
 m, a = generate_instance(BENCHMARK_RECIPE, bounds, rng)
 log = run_episode(lambda h, s, x: h == 1, np.array([1.0, 1.0]), m, a, rng,
                   "forced", t=1, bounds=bounds)
+# round 1 is won, but filed under theta row 0 (natural demand)
 agent_mod.split_episode = lambda log: SplitDatasets(
-    w={NATURAL_DEMAND: [log.records[0]]}, d={}
+    w=[[log.records[0]], [], [], []], d={}
 )
 agent = agent_mod.make_agent(bounds, T=200, n_underbar=4)
 try:
@@ -249,7 +250,7 @@ def test_update_rejects_misrouted_rounds_under_optimize():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert "customer 1, round 1 is not a clean NATURAL_DEMAND sample" in proc.stdout
+    assert "customer 1, round 1 is not a clean sample of theta row 0" in proc.stdout
 
 
 def test_all_lose_episode_routes_to_natural_demand_only():
@@ -272,19 +273,26 @@ def test_replay_doubles_counts():
     rng = RandomSource(10)
     m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, rng)
     x = np.array([1.0, 1.0])
-    log = run_episode(lambda h, s, x: h == 1, x, m, a, rng, "forced", t=1,
-                      bounds=BOUNDS)
-    update(agent, log)
+
+    def replay(t):
+        # the same forced outcomes for customers 1 and 2; only the noise
+        # differs, so every count doubles
+        log = run_episode(lambda h, s, x: h == 1, x, m, a, rng, "forced", t=t,
+                          bounds=BOUNDS)
+        update(agent, log)
+
+    replay(1)
     first = {
-        "theta": {i.token: e.update_count for i, e in agent.theta_bank.items()},
-        "delay": {i.token: e.N for i, e in agent.delay_bank.items()},
+        "theta": [e.update_count for e in agent.theta_bank],
+        "delay": {lag: e.N for lag, e in agent.delay_bank.items()},
         "auction": {h: e.count for h, e in agent.auction_bank.items()},
     }
-    update(agent, log, enforce_order=False)
-    for i, e in agent.theta_bank.items():
-        assert e.update_count == 2 * first["theta"][i.token]
-    for i, e in agent.delay_bank.items():
-        assert e.N == 2 * first["delay"][i.token]
+    assert sum(first["theta"]) == 1 and sum(first["delay"].values()) == 2
+    replay(2)
+    for i, e in enumerate(agent.theta_bank):
+        assert e.update_count == 2 * first["theta"][i]
+    for lag, e in agent.delay_bank.items():
+        assert e.N == 2 * first["delay"][lag]
     for h, e in agent.auction_bank.items():
         assert e.count == 2 * first["auction"][h]
 
@@ -293,13 +301,12 @@ def test_exploration_feeds_every_estimator():
     agent = small_agent()
     run_exploration(agent)
     n = agent.n_underbar
-    from bidlab.model import theta_lag
     assert agent.theta_bank[NATURAL_DEMAND].update_count == 3 * n
     assert agent.theta_bank[FIRST_EXPOSURE].update_count == 3 * n
-    assert agent.theta_bank[theta_lag(1)].update_count == n
-    assert agent.theta_bank[theta_lag(2)].update_count == n
-    assert agent.delay_bank[delay_lag(1)].N == 3 * n
-    assert agent.delay_bank[delay_lag(2)].N == n
+    assert agent.theta_bank[win_index(1)].update_count == n
+    assert agent.theta_bank[win_index(2)].update_count == n
+    assert agent.delay_bank[1].N == 3 * n
+    assert agent.delay_bank[2].N == n
     for est in agent.auction_bank.values():
         assert est.count == 4 * n
     assert not agent.exploring
@@ -332,14 +339,12 @@ def test_estimates_approach_truth_after_learning():
                        Gamma_override=100_000.0)
     m, a = run_exploration(agent, seed=21)
     probe = sample_context(BENCHMARK_RECIPE, BOUNDS, RandomSource(21).stream("p"))
-    for idx in theta_indices(3):
-        got = agent.theta_bank[idx].mean(probe)
-        want = float(m.theta[idx] @ probe)
+    for i, est in enumerate(agent.theta_bank):
+        got = est.mean(probe)
+        want = float(m.theta[i] @ probe)
         assert got == pytest.approx(want, rel=0.25, abs=0.5)
-    for idx in delay_lag_indices(3):
-        assert agent.delay_bank[idx].estimate == pytest.approx(
-            m.delay[idx], abs=0.3
-        )
+    for lag, est in agent.delay_bank.items():
+        assert est.estimate == pytest.approx(m.delay[lag], abs=0.3)
     for h, est in agent.auction_bank.items():
         assert np.linalg.norm(est.beta_hat - a.beta[h - 1]) <= 0.5
 
@@ -378,13 +383,13 @@ def test_agent_snapshot_round_trip():
     assert back.t == agent.t
     assert back.n_underbar == agent.n_underbar
     assert back.cfg == agent.cfg
-    for idx in theta_indices(3):
-        assert np.array_equal(back.theta_bank[idx].V, agent.theta_bank[idx].V)
+    for i in range(4):
+        assert np.array_equal(back.theta_bank[i].V, agent.theta_bank[i].V)
         assert np.array_equal(
-            back.theta_bank[idx].theta_hat, agent.theta_bank[idx].theta_hat
+            back.theta_bank[i].theta_hat, agent.theta_bank[i].theta_hat
         )
-    for idx in delay_lag_indices(3):
-        assert back.delay_bank[idx].to_dict() == agent.delay_bank[idx].to_dict()
+    for lag in (1, 2):
+        assert back.delay_bank[lag].to_dict() == agent.delay_bank[lag].to_dict()
     for h in (1, 2, 3):
         assert np.array_equal(
             back.auction_bank[h].gram, agent.auction_bank[h].gram
@@ -392,3 +397,53 @@ def test_agent_snapshot_round_trip():
         assert back.auction_bank[h].residual_sq_sum == (
             agent.auction_bank[h].residual_sq_sum
         )
+
+    # bit-equal arrays back, and the same JSON again, at every horizon
+    for H in range(1, 7):
+        bounds = replace(BOUNDS, H=H)
+        agent = make_agent(bounds, T=100, n_underbar=2, width_scale=1.0)
+        rng = RandomSource(40 + H)
+        m, a = generate_instance(BENCHMARK_RECIPE, bounds, rng)
+        # the whole exploration window and a few optimistic customers
+        for t in range(1, exploration_window(2, H) + 4):
+            x = sample_context(BENCHMARK_RECIPE, bounds, rng.stream(t, "ctx"))
+            d = act(agent, x, default_bid_grid(bounds))
+            log = run_episode(d.policy, x, m, a, rng, d.mode, t=t, bounds=bounds)
+            update(agent, log)
+        d = agent_to_dict(agent)
+        lags = [f"LAG{k}" for k in range(1, H)]
+        assert list(d["theta"]) == ["NATURAL_DEMAND", "FIRST_EXPOSURE", *lags]
+        assert list(d["delay"]) == lags
+        blob = json.dumps(d, sort_keys=True)
+        back = agent_from_dict(json.loads(blob))
+        assert json.dumps(agent_to_dict(back), sort_keys=True) == blob
+        assert len(back.theta_bank) == H + 1
+        assert list(back.delay_bank) == list(range(1, H))
+        for got, want in zip(_estimator_arrays(back), _estimator_arrays(agent)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _estimator_arrays(agent):
+    return [v for e in agent.theta_bank for v in (e.V, e.theta_hat)] + [
+        v for e in agent.auction_bank.values() for v in (e.gram, e.moment)
+    ]
+
+
+def test_optimistic_params_project_auction_estimates():
+    # estimates outside the bounds are projected before planning: each beta
+    # row onto the B_beta ball, the noise scale into [SIGMA_FLOOR, sigma_max]
+    agent = small_agent()
+    agent.t = 1000
+    inside = np.array([0.3, -0.4])
+    for h, est in agent.auction_bank.items():
+        est.moment = est.gram @ (inside if h == 1 else np.array([30.0, 40.0]))
+        est.count = 10
+        est.residual_sq_sum = 10 * (2.0 if h == 2 else 100.0) ** 2
+    params = optimistic_params(agent, np.array([1.0, 1.0]))
+    assert params.auction.beta[0].tobytes() == agent.auction_bank[1].beta_hat.tobytes()
+    for row in params.auction.beta[1:]:
+        assert np.linalg.norm(row) == pytest.approx(BOUNDS.B_beta)
+        assert np.allclose(row / np.linalg.norm(row), [0.6, 0.8])
+    assert params.auction.sigma.tolist() == [
+        BOUNDS.sigma_max, 2.0, BOUNDS.sigma_max,
+    ]

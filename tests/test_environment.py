@@ -1,8 +1,10 @@
 """Simulator: keyed random streams, episode execution, instance sampling,
 and log serialization."""
 
+import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,13 +34,11 @@ from bidlab.model import (
     ONLY_ONE,
     AuctionModel,
     Bounds,
-    DELAY_NEVER,
     ExposureState,
     TrueModel,
     conversion_mean,
-    delay_lag,
     next_state,
-    theta_indices,
+    reachable_states,
 )
 
 BOUNDS = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
@@ -198,13 +198,15 @@ def test_conversion_rates_feed_poisson(instance):
 def test_generate_instance_bounds_and_determinism():
     m1, a1 = generate_instance(BENCHMARK_RECIPE, BOUNDS, RandomSource(100))
     m2, a2 = generate_instance(BENCHMARK_RECIPE, BOUNDS, RandomSource(100))
-    for idx in theta_indices(BOUNDS.H):
-        assert np.array_equal(m1.theta[idx], m2.theta[idx])
-        assert np.linalg.norm(m1.theta[idx]) <= BOUNDS.B_theta + 1e-12
-        assert (m1.theta[idx] > 0).all()
-    assert m1.delay[DELAY_NEVER] == 1.0
-    for idx, d in m1.delay.items():
-        assert 0.0 <= d <= BOUNDS.B_d
+    assert m1.theta.shape == (BOUNDS.H + 1, BOUNDS.dim)
+    assert np.array_equal(m1.theta, m2.theta)
+    for row in m1.theta:
+        assert np.linalg.norm(row) <= BOUNDS.B_theta + 1e-12
+        assert (row > 0).all()
+    assert m1.delay.shape == (BOUNDS.H,)
+    assert np.array_equal(m1.delay, m2.delay)
+    assert m1.delay[0] == 1.0
+    assert ((0.0 <= m1.delay) & (m1.delay <= BOUNDS.B_d)).all()
     assert np.array_equal(a1.beta, a2.beta)
     assert a1.beta.shape == (BOUNDS.H, BOUNDS.dim)
     assert (a1.sigma > 0).all() and (a1.sigma <= BOUNDS.sigma_max).all()
@@ -216,9 +218,8 @@ def test_degenerate_recipe_is_exact():
     recipe = InstanceRecipe(theta_scale=0.0, delay_scale=0.0, beta_scale=0.0,
                             sigma_scale=0.0, context_scale=0.0)
     m, a = generate_instance(recipe, BOUNDS, RandomSource(1))
-    for idx in theta_indices(BOUNDS.H):
-        assert np.array_equal(m.theta[idx], np.array([0.1, 0.1]))
-    assert m.delay[delay_lag(1)] == 0.1 and m.delay[delay_lag(2)] == 0.1
+    assert np.array_equal(m.theta, np.full((4, 2), 0.1))
+    assert np.array_equal(m.delay, np.array([1.0, 0.1, 0.1]))
     assert np.array_equal(a.beta, np.full((3, 2), 0.1))
     assert np.array_equal(a.sigma, np.full(3, 0.1))
     x = sample_context(recipe, BOUNDS, RandomSource(1).stream("ctx"))
@@ -307,14 +308,51 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     )
     with pytest.raises(ValueError, match="line 3"):
         list(read_episode_csv(path, {(0, 1): np.array([1.0, 1.0])}))
+    # 0 is spelled NEVER for s1 and ONLYONE for s2; the integer 0 and
+    # negative lags are not tokens
+    for s1, s2 in (("0", "NEVERBEFORE"), ("1", "0"), ("-1", "ONLYONE"),
+                   ("NEVER", "-1"), ("1", "NEVERBEFORE")):
+        path.write_text(
+            "trial,t,h,s1,s2,bid,hob,won,payment,conversions\n"
+            f"0,1,1,{s1},{s2},0.0,1.0,0,0.0,0\n"
+        )
+        with pytest.raises(ValueError, match="line 2"):
+            list(read_episode_csv(path, {(0, 1): np.array([1.0, 1.0])}))
 
 
-def test_instance_snapshot_round_trip(instance):
-    m, a = instance
-    blob = json.dumps(instance_to_dict(m, a))
-    m2, a2 = instance_from_dict(json.loads(blob), BOUNDS.H)
-    for idx in theta_indices(BOUNDS.H):
-        assert np.array_equal(m.theta[idx], m2.theta[idx])
-    assert m.delay == m2.delay
-    assert np.array_equal(a.beta, a2.beta)
-    assert np.array_equal(a.sigma, a2.sigma)
+@pytest.mark.parametrize("H", range(1, 7))
+def test_every_reachable_state_round_trips_through_the_csv(tmp_path, H):
+    # one episode per outcome sequence visits every reachable state
+    x = np.array([1.0, 2.0])
+    episodes = []
+    for t, plan in enumerate(itertools.product((False, True), repeat=H), start=1):
+        s, records = INITIAL_STATE, []
+        for h, won in enumerate(plan, start=1):
+            records.append(RoundRecord(t, h, s, 1.0 * won, 0.5, won, 0.5 * won, h))
+            s = next_state(s, won)
+        episodes.append((0, EpisodeLog(t, x, records)))
+    visited = {(r.h, r.state) for _, ep in episodes for r in ep.records}
+    assert visited == {
+        (h, s) for h, states in enumerate(reachable_states(H), start=1) for s in states
+    }
+    path = tmp_path / "e.csv"
+    write_episode_csv(path, episodes)
+    back = list(read_episode_csv(path, {(0, t): x for t in range(1, 2**H + 1)}))
+    assert [ep.records for _, ep in back] == [ep.records for _, ep in episodes]
+
+
+def test_instance_snapshot_round_trip():
+    # bit-equal arrays back, and the same JSON again, at every horizon
+    for H in range(1, 7):
+        bounds = replace(BOUNDS, H=H, dim=3)
+        m, a = generate_instance(BENCHMARK_RECIPE, bounds, RandomSource(H))
+        d = instance_to_dict(m, a)
+        lags = [f"LAG{k}" for k in range(1, H)]
+        assert list(d["theta"]) == ["NATURAL_DEMAND", "FIRST_EXPOSURE", *lags]
+        assert list(d["delay"]) == ["NEVER", *lags]
+        blob = json.dumps(d, sort_keys=True)
+        m2, a2 = instance_from_dict(json.loads(blob), H)
+        for got, want in ((m2.theta, m.theta), (m2.delay, m.delay),
+                          (a2.beta, a.beta), (a2.sigma, a.sigma)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert json.dumps(instance_to_dict(m2, a2), sort_keys=True) == blob

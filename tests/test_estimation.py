@@ -28,15 +28,17 @@ from bidlab.estimation import (
     tsmle_update,
 )
 from bidlab.model import (
-    FIRST_EXPOSURE,
     INITIAL_STATE,
-    NATURAL_DEMAND,
+    NEVER_BEFORE,
     ONLY_ONE,
     Bounds,
     ExposureState,
-    delay_lag,
-    theta_lag,
+    lose_index,
+    win_index,
 )
+
+# theta rows by name
+NATURAL_DEMAND, FIRST_EXPOSURE = lose_index(NEVER_BEFORE), lose_index(ONLY_ONE)
 
 UNIT = Bounds(b=1.0, B_x=1.0, B_theta=1.0, B_d=1.0, B_A=1.0, H=3, dim=2)
 
@@ -201,7 +203,7 @@ def lost_round(lag, s2, y, t=1, h=1):
 
 
 def test_tsmle_single_round():
-    est = DelayEstimator(index=delay_lag(1))
+    est = DelayEstimator(index=1)
     x = np.array([1.0, 0.0])
     bank = {FIRST_EXPOSURE: np.array([1.5, 0.0])}
     tsmle_update(est, [lost_round(1, ONLY_ONE, 3)], x, bank, b=0.1)
@@ -210,12 +212,12 @@ def test_tsmle_single_round():
 
 
 def test_tsmle_unavailable_before_data():
-    est = DelayEstimator(index=delay_lag(1))
+    est = DelayEstimator(index=1)
     assert est.estimate is None
 
 
 def test_tsmle_floor_applies():
-    est = DelayEstimator(index=delay_lag(1))
+    est = DelayEstimator(index=1)
     bank = {FIRST_EXPOSURE: np.array([0.0, 0.0])}
     tsmle_update(est, [lost_round(1, ONLY_ONE, 0)], np.ones(2), bank, b=0.5)
     assert est.denominator == 0.5
@@ -223,7 +225,7 @@ def test_tsmle_floor_applies():
 
 def test_tsmle_plug_in_exactness():
     d_true = 0.7
-    est = DelayEstimator(index=delay_lag(2))
+    est = DelayEstimator(index=2)
     theta = np.array([2.0, 1.0])
     rng = np.random.default_rng(3)
     for t in range(50):
@@ -237,7 +239,7 @@ def test_tsmle_plug_in_exactness():
 
 
 def test_tsmle_rejects_foreign_rounds():
-    est = DelayEstimator(index=delay_lag(1))
+    est = DelayEstimator(index=1)
     bank = {FIRST_EXPOSURE: np.ones(2)}
     with pytest.raises(ValueError):
         tsmle_update(est, [lost_round(2, ONLY_ONE, 1)], np.ones(2), bank, 0.1)
@@ -254,7 +256,7 @@ def test_tsmle_monte_carlo_consistency():
     reps = 40
     for rep in range(reps):
         rng = np.random.default_rng(1000 + rep)
-        est = DelayEstimator(index=delay_lag(1))
+        est = DelayEstimator(index=1)
         for c in range(100):
             x = rng.uniform(0.1, 1.0, 2)
             x *= rng.uniform(1.0, 5.0) / float(theta @ x)  # rate in [1, 5]
@@ -332,7 +334,7 @@ def episode_from_outcomes(outcomes, t=1):
 
 def test_split_all_lose():
     split = split_episode(episode_from_outcomes([False, False, False]))
-    assert set(split.w) == {NATURAL_DEMAND}
+    assert [i for i, rs in enumerate(split.w) if rs] == [NATURAL_DEMAND]
     assert [r.h for r in split.w[NATURAL_DEMAND]] == [1, 2, 3]
     assert split.d == {}
 
@@ -341,7 +343,7 @@ def test_split_exploration_pattern():
     # wins at rounds 1 and l+1 with l=2, H=4
     split = split_episode(episode_from_outcomes([True, False, True, False]))
     assert [r.h for r in split.w[FIRST_EXPOSURE]] == [1]
-    assert [r.h for r in split.w[theta_lag(2)]] == [3]
+    assert [r.h for r in split.w[win_index(2)]] == [3]
     assert [r.h for r in split.d[1]] == [2, 4]
 
 
@@ -350,7 +352,7 @@ def test_split_seven_round_trajectory():
     split = split_episode(episode_from_outcomes(outcomes))
     assert [r.h for r in split.w[NATURAL_DEMAND]] == [1, 2]
     assert [r.h for r in split.w[FIRST_EXPOSURE]] == [3]
-    assert [r.h for r in split.w[theta_lag(3)]] == [6]
+    assert [r.h for r in split.w[win_index(3)]] == [6]
     assert [r.h for r in split.d[1]] == [4, 7]
     assert [r.h for r in split.d[2]] == [5]
 
@@ -359,7 +361,7 @@ def test_split_seven_round_trajectory():
 def test_split_is_a_partition(outcomes):
     ep = episode_from_outcomes(outcomes)
     split = split_episode(ep)
-    seen = [r.h for rs in split.w.values() for r in rs]
+    seen = [r.h for rs in split.w for r in rs]
     seen += [r.h for rs in split.d.values() for r in rs]
     assert sorted(seen) == [r.h for r in ep.records]
 
@@ -414,11 +416,11 @@ def test_estimator_snapshots_round_trip():
     assert np.array_equal(back.theta_hat, theta.theta_hat)
     assert back.update_count == theta.update_count
 
-    delay = DelayEstimator(index=delay_lag(1))
+    delay = DelayEstimator(index=1)
     tsmle_update(delay, [lost_round(1, ONLY_ONE, 2)], np.ones(2),
                  {FIRST_EXPOSURE: np.array([1.0, 1.0])}, 0.1)
     back = DelayEstimator.from_dict(
-        json.loads(json.dumps(delay.to_dict())), delay_lag(1)
+        json.loads(json.dumps(delay.to_dict())), 1
     )
     assert (back.numerator, back.denominator, back.N) == (
         delay.numerator, delay.denominator, delay.N

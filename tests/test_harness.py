@@ -267,6 +267,19 @@ def test_bounds_just_inside_the_hob_mean_limit_run_a_trial(mode):
         assert curve.shape == (30,) and np.all(np.isfinite(curve))
 
 
+@pytest.mark.parametrize("mode", ["outcome", "dp"])
+def test_learner_plans_past_exploration_just_inside_the_hob_mean_limit(mode):
+    # the learner plans from customer 21 on; its estimated beta and sigma
+    # are projected onto the bounds, so its HOB mean stays finite too
+    cfg = config_from_dict({"T": 200, "trials": 1, "n_underbar": 5, "mode": mode,
+                            "bounds": {"sigma_max": 37.0076},
+                            "instance": {"sigma_scale": 60}})
+    trial = run_experiment(cfg).trials[0]
+    for name in cfg.policies:
+        for curve in (trial.expected[name], trial.realized[name]):
+            assert curve.shape == (200,) and np.all(np.isfinite(curve))
+
+
 def test_trial_errors_carry_provenance(monkeypatch):
     cfg = small_config(trials=1, emit_logs=False)
     import bidlab.harness as harness_module

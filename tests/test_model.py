@@ -3,6 +3,7 @@ forms.  Reference values were derived by hand or with scipy oracles and are
 frozen here as literals."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,22 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidlab.model import (
-    FIRST_EXPOSURE,
     INITIAL_STATE,
-    NATURAL_DEMAND,
     NEVER,
     NEVER_BEFORE,
     ONLY_ONE,
     AuctionModel,
     Bounds,
-    DELAY_NEVER,
     ExposureState,
     TrueModel,
     cdf_integral,
     conversion_mean,
     delay_index,
-    delay_lag,
-    delay_lag_indices,
     expected_payment,
     expected_payment_given_win,
     hob_cdf_terms,
@@ -34,11 +30,10 @@ from bidlab.model import (
     next_state,
     norm_cdf,
     reachable_states,
-    theta_indices,
-    theta_lag,
     win_index,
     win_probability,
 )
+from bidlab.environment import delay_token, theta_token
 from bidlab.planning import auction_round_value, params_from_true
 
 PHI_1 = 0.8413447460685429          # Phi(1)
@@ -87,11 +82,14 @@ def test_state_validation():
     with pytest.raises(ValueError):
         ExposureState(1, NEVER_BEFORE)
     with pytest.raises(ValueError):
-        ExposureState(0, ONLY_ONE)
+        ExposureState(-1, NEVER_BEFORE)
     with pytest.raises(ValueError):
-        ExposureState(1, 0)
+        ExposureState(1, -2)
     with pytest.raises(ValueError):
         ExposureState(NEVER, 1)
+    with pytest.raises(ValueError):
+        ExposureState(1.0, 1)
+    assert ExposureState(1, 0) == ExposureState(1, ONLY_ONE)
 
 
 def test_reachable_states_h3():
@@ -113,59 +111,58 @@ def test_reachable_states_invariants(H):
     for h, states in enumerate(rounds, start=1):
         assert len(set(states)) == len(states)
         for s in states:
-            if s.s1 is NEVER:
-                assert s.s2 is NEVER_BEFORE
-            elif isinstance(s.s2, int):
-                # in-episode lag+gap never exceeds the rounds elapsed
-                assert s.s1 + s.s2 <= h - 1 <= H - 1
+            if s.s1 == NEVER:
+                assert s.s2 == NEVER_BEFORE
             else:
-                assert s.s2 is ONLY_ONE and s.s1 <= h - 1
+                # in-episode lag+gap never exceeds the rounds elapsed
+                assert s.s2 >= ONLY_ONE and s.s1 + s.s2 <= h - 1 <= H - 1
 
 
 @given(st.lists(st.booleans(), max_size=12))
 def test_transition_chain_stays_valid(outcomes):
     s = INITIAL_STATE
     for n, won in enumerate(outcomes, start=1):
-        s = next_state(s, won)
-        if isinstance(s.s1, int) and isinstance(s.s2, int):
-            assert s.s1 + s.s2 <= n
+        prev, s = s, next_state(s, won)
+        assert s.s1 + s.s2 <= n
         if won:
-            assert s.s1 == 1
+            assert s == ExposureState(1, prev.s1)
 
 
 # --- index mapping and conversion rates -----------------------------------
 
 def test_index_mapping():
-    assert win_index(NEVER) == FIRST_EXPOSURE
-    assert win_index(2) == theta_lag(2)
-    assert lose_index(NEVER_BEFORE) == NATURAL_DEMAND
-    assert lose_index(ONLY_ONE) == FIRST_EXPOSURE
-    assert lose_index(3) == theta_lag(3)
-    assert delay_index(NEVER) == DELAY_NEVER
-    assert delay_index(2) == delay_lag(2)
+    # theta rows: 0 natural demand, 1 first exposure, k + 1 lag k; delay
+    # entries: 0 never exposed, k lag k
+    assert win_index(NEVER) == 1
+    assert win_index(2) == 3
+    assert lose_index(NEVER_BEFORE) == 0
+    assert lose_index(ONLY_ONE) == 1
+    assert lose_index(3) == 4
+    assert delay_index(NEVER) == 0
+    assert delay_index(2) == 2
+    # every reachable state maps into the (H+1)-row theta array and the
+    # length-H delay array, and each row is the one the lags name
+    for H in range(1, 8):
+        for h, states in enumerate(reachable_states(H), start=1):
+            for s in states:
+                assert 1 <= win_index(s.s1) <= h <= H
+                assert 0 <= lose_index(s.s2) <= h - 1
+                assert 0 <= delay_index(s.s1) <= h - 1
+                assert (lose_index(s.s2) == 0) == (delay_index(s.s1) == 0)
 
 
 def test_theta_index_families():
-    idx = theta_indices(4)
-    assert idx == [NATURAL_DEMAND, FIRST_EXPOSURE, theta_lag(1), theta_lag(2), theta_lag(3)]
-    assert [i.token for i in idx] == [
+    # the file tokens of the theta rows and delay entries, in position order
+    assert [theta_token(i) for i in range(5)] == [
         "NATURAL_DEMAND", "FIRST_EXPOSURE", "LAG1", "LAG2", "LAG3",
     ]
-    assert [i.token for i in delay_lag_indices(4)] == ["LAG1", "LAG2", "LAG3"]
-    assert DELAY_NEVER.token == "NEVER"
+    assert [delay_token(k) for k in range(4)] == ["NEVER", "LAG1", "LAG2", "LAG3"]
 
 
 @pytest.fixture
 def tiny_model():
-    theta = {
-        NATURAL_DEMAND: np.array([1.0, 0.0]),
-        FIRST_EXPOSURE: np.array([2.0, 0.0]),
-        theta_lag(1): np.array([3.0, 0.0]),
-        theta_lag(2): np.array([4.0, 0.0]),
-        theta_lag(3): np.array([5.0, 0.0]),
-    }
-    delay = {DELAY_NEVER: 1.0, delay_lag(1): 0.5, delay_lag(2): 0.25, delay_lag(3): 0.125}
-    return TrueModel(theta=theta, delay=delay)
+    theta = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0], [5.0, 0.0]])
+    return TrueModel(theta=theta, delay=np.array([1.0, 0.5, 0.25, 0.125]))
 
 
 def test_conversion_mean_cases(tiny_model):
@@ -197,10 +194,17 @@ def test_true_model_validation(tiny_model):
     with pytest.raises(ValueError):
         tiny_model.validate(Bounds(b=0.1, B_x=5.0, B_theta=1.0, B_d=5.0, B_A=50.0, H=4, dim=2))
     with pytest.raises(ValueError):
-        TrueModel(theta=dict(tiny_model.theta), delay={DELAY_NEVER: 0.5})
+        TrueModel(theta=tiny_model.theta, delay=np.array([0.5, 0.5, 0.25, 0.125]))
     with pytest.raises(ValueError):
-        TrueModel(theta=dict(tiny_model.theta),
-                  delay={DELAY_NEVER: 1.0, delay_lag(1): -0.1})
+        TrueModel(theta=tiny_model.theta, delay=np.array([1.0, -0.1, 0.25, 0.125]))
+    with pytest.raises(ValueError):
+        TrueModel(theta=tiny_model.theta, delay=np.array([1.0, 0.5, 0.25]))
+    # B_d bounds the lag factors only; the never-exposed factor is 1
+    tiny_model.validate(replace(b, B_d=0.5))
+    with pytest.raises(ValueError):
+        tiny_model.validate(replace(b, B_d=0.4))
+    with pytest.raises(ValueError):
+        tiny_model.validate(replace(b, H=3))
 
 
 def test_bounds_validation():
@@ -381,15 +385,8 @@ def test_reward_monte_carlo():
     for _ in range(20):
         dim = 2
         x = rng.uniform(0.1, 1.5, dim)
-        theta = {
-            NATURAL_DEMAND: rng.uniform(0.1, 2.0, dim),
-            FIRST_EXPOSURE: rng.uniform(0.1, 2.0, dim),
-            theta_lag(1): rng.uniform(0.1, 2.0, dim),
-            theta_lag(2): rng.uniform(0.1, 2.0, dim),
-        }
-        delay = {DELAY_NEVER: 1.0,
-                 delay_lag(1): rng.uniform(0.1, 2.0),
-                 delay_lag(2): rng.uniform(0.1, 2.0)}
+        theta = np.stack([rng.uniform(0.1, 2.0, dim) for _ in range(4)])
+        delay = np.array([1.0, rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)])
         m = TrueModel(theta=theta, delay=delay)
         a = AuctionModel(beta=rng.uniform(-0.5, 0.8, (1, dim)),
                          sigma=np.array([rng.uniform(0.3, 1.2)]))
@@ -412,8 +409,7 @@ def test_reward_monte_carlo():
 def test_reward_monotone_in_level(reward_setup):
     m, a, x = reward_setup
     # richer conversion model raises the reward at any bid
-    theta2 = {k: v * 2.0 for k, v in m.theta.items()}
-    m2 = TrueModel(theta=theta2, delay=dict(m.delay))
+    m2 = TrueModel(theta=m.theta * 2.0, delay=m.delay)
     for bid in (0.0, 0.5, 2.0):
         assert expected_round_reward(1, INITIAL_STATE, bid, x, m2, a) >= (
             expected_round_reward(1, INITIAL_STATE, bid, x, m, a)

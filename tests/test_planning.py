@@ -9,20 +9,17 @@ import pytest
 
 from bidlab.environment import BENCHMARK_RECIPE, RandomSource, generate_instance, sample_context
 from bidlab.model import (
-    DELAY_NEVER,
-    FIRST_EXPOSURE,
     INITIAL_STATE,
-    NATURAL_DEMAND,
     AuctionModel,
     Bounds,
     ExposureState,
     ONLY_ONE,
+    TrueModel,
     conversion_mean,
-    delay_lag,
     expected_payment,
     hob_mean,
+    lose_index,
     next_state,
-    theta_lag,
     win_probability,
 )
 from bidlab.planning import (
@@ -49,10 +46,9 @@ def make_params(mu_nd=1.0, mu_f=2.0, mu_l1=3.0, mu_l2=4.0, d1=0.5, d2=0.25,
         beta=np.array([[lm, 0.0] for lm in log_means]),
         sigma=np.array(sigmas, dtype=float),
     )
-    mu = {NATURAL_DEMAND: mu_nd, FIRST_EXPOSURE: mu_f,
-          theta_lag(1): mu_l1, theta_lag(2): mu_l2}
-    delay = {DELAY_NEVER: 1.0, delay_lag(1): d1, delay_lag(2): d2}
-    return PlanParams(mu=mu, delay=delay, auction=auction,
+    # by position: natural demand, first exposure, lags 1 and 2
+    return PlanParams(mu=[mu_nd, mu_f, mu_l1, mu_l2], delay=[1.0, d1, d2],
+                      auction=auction,
                       x=np.array([1.0, 0.0]), B_A=B_A)
 
 
@@ -81,7 +77,7 @@ def test_plan_params_validation():
         make_params(mu_nd=-0.5)
     p = make_params()
     with pytest.raises(ValueError):
-        PlanParams(mu=dict(p.mu), delay={DELAY_NEVER: 0.9}, auction=p.auction,
+        PlanParams(mu=p.mu, delay=[0.9, 0.5, 0.25], auction=p.auction,
                    x=p.x, B_A=50.0)
 
 
@@ -112,10 +108,9 @@ def test_best_plan_all_lose_when_winning_never_pays():
 def random_params(H, seed):
     # random conversion means, delays and per-round auctions at horizon H
     rng = np.random.default_rng(seed)
-    mu = {NATURAL_DEMAND: rng.uniform(0.0, 3.0), FIRST_EXPOSURE: rng.uniform(0.0, 6.0)}
-    mu.update({theta_lag(k): rng.uniform(0.0, 6.0) for k in range(1, H)})
-    delay = {DELAY_NEVER: 1.0}
-    delay.update({delay_lag(k): rng.uniform(0.0, 1.5) for k in range(1, H)})
+    mu = [rng.uniform(0.0, 3.0), rng.uniform(0.0, 6.0)]
+    mu += [rng.uniform(0.0, 6.0) for _ in range(1, H)]
+    delay = [1.0] + [rng.uniform(0.0, 1.5) for _ in range(1, H)]
     auction = AuctionModel(beta=rng.uniform(-0.5, 1.0, (H, 1)),
                            sigma=rng.uniform(0.3, 1.2, H))
     return PlanParams(mu=mu, delay=delay, auction=auction, x=np.ones(1), B_A=50.0)
@@ -143,8 +138,8 @@ def test_outcome_plan_matches_enumeration_across_horizons():
         # lexicographically smallest plan takes it last
         p = random_params(H, seed=0)
         tie = PlanParams(
-            mu={idx: (100.0 if idx == FIRST_EXPOSURE else 0.0) for idx in p.mu},
-            delay={idx: (1.0 if idx == DELAY_NEVER else 0.0) for idx in p.delay},
+            mu=[100.0 if i == lose_index(ONLY_ONE) else 0.0 for i in range(H + 1)],
+            delay=[1.0] + [0.0] * (H - 1),
             auction=AuctionModel(beta=np.zeros((H, 1)), sigma=np.ones(H)),
             x=np.ones(1), B_A=50.0,
         )
@@ -345,13 +340,7 @@ def test_dp_dense_grid_near_exact():
 def test_oracle_degenerate_instance():
     # all means equal, unit delays: winning only adds payment, both modes
     # settle on H * mu
-    theta = {NATURAL_DEMAND: np.array([1.5, 0.0]),
-             FIRST_EXPOSURE: np.array([1.5, 0.0]),
-             theta_lag(1): np.array([1.5, 0.0]),
-             theta_lag(2): np.array([1.5, 0.0])}
-    from bidlab.model import TrueModel
-    m = TrueModel(theta=theta, delay={DELAY_NEVER: 1.0, delay_lag(1): 1.0,
-                                      delay_lag(2): 1.0})
+    m = TrueModel(theta=np.tile([1.5, 0.0], (4, 1)), delay=np.ones(3))
     a = AuctionModel(beta=np.zeros((3, 2)), sigma=np.ones(3))
     x = np.array([1.0, 0.0])
     assert oracle_value(x, m, a, "outcome") == pytest.approx(4.5)
@@ -366,17 +355,16 @@ def test_oracle_monotone_in_parameters():
     m, a, x = random_instance(42)
     base_outcome = oracle_value(x, m, a, "outcome")
     base_dp = oracle_value(x, m, a, "dp", BOUNDS)
-    from bidlab.model import TrueModel
-    for idx in m.theta:
-        theta2 = {k: (v + 0.1 if k == idx else v) for k, v in m.theta.items()}
-        m2 = TrueModel(theta=theta2, delay=dict(m.delay))
+    for i in range(len(m.theta)):
+        theta2 = m.theta.copy()
+        theta2[i] += 0.1
+        m2 = TrueModel(theta=theta2, delay=m.delay)
         assert oracle_value(x, m2, a, "outcome") >= base_outcome - 1e-12
         assert oracle_value(x, m2, a, "dp", BOUNDS) >= base_dp - 1e-12
-    for idx in m.delay:
-        if idx == DELAY_NEVER:
-            continue
-        delay2 = {k: (v + 0.1 if k == idx else v) for k, v in m.delay.items()}
-        m2 = TrueModel(theta=dict(m.theta), delay=delay2)
+    for k in range(1, len(m.delay)):
+        delay2 = m.delay.copy()
+        delay2[k] += 0.1
+        m2 = TrueModel(theta=m.theta, delay=delay2)
         assert oracle_value(x, m2, a, "outcome") >= base_outcome - 1e-12
         assert oracle_value(x, m2, a, "dp", BOUNDS) >= base_dp - 1e-12
 
