@@ -1,6 +1,7 @@
 """Golden digests: byte-exact outputs of small runs in both planner modes,
-including an outcome run at H=1 (the smallest parameter arrays) and a dp run
-at H=4 on an 8-point bid grid.
+including outcome runs at H=1 (the smallest parameter arrays), at H=5 in
+dimension 3 (up to 11 states per round) and at T=2 (the smallest batch of
+customers), and a dp run at H=4 on an 8-point bid grid.
 
 Any change to the simulator, the planners, the estimators or the writers
 that moves a single bit of `curves.csv`, `summary.txt`, `config.json`, the
@@ -24,6 +25,15 @@ from bidlab.harness import config_from_dict, run_experiment
 CONFIGS = {
     "outcome": {"T": 600, "trials": 2, "n_underbar": 50, "emit_logs": True},
     "outcome_h1": {"T": 60, "trials": 1, "H": 1, "n_underbar": 5, "emit_logs": True},
+    "outcome_h5_dim3": {
+        "T": 200,
+        "trials": 2,
+        "H": 5,
+        "dim": 3,
+        "n_underbar": 10,
+        "emit_logs": True,
+    },
+    "outcome_t2": {"T": 2, "trials": 1, "n_underbar": 1, "emit_logs": True},
     "dp": {"T": 60, "trials": 1, "mode": "dp", "n_underbar": 10, "emit_logs": True},
     "dp_h4_grid8": {
         "T": 60,
@@ -58,6 +68,28 @@ GOLDEN = {
         "episodes_trial0.csv": "ba415341c638e070bf8d1ebf6a973211079d4814adb557917787cfe929f65701",
         "instance_trial0.snapshot": "9a9168623aac46924b13eaad734c3aef098ca8e93d7e64f876029ca1fc7517a6",
         "summary.txt": "67a83e696c02b68322618a8b8d257b3415e72b552a970897ff6a9907a7dab861",
+    },
+    "outcome_h5_dim3": {
+        "agent_trial0.snapshot": "881e1e4744e73c83c9f197613510d9983952b2784afc5463ca6a3be3a8587ff1",
+        "agent_trial1.snapshot": "9adafca156b8628de9f7d2f7df3e6304334f89cccc003ff5695e452b81c39c15",
+        "config.json": "29dac33b97696ba6b4cfd82c19c1388bc9e3485ebe1d4a802184af556ae9ba4e",
+        "contexts_trial0.csv": "e28a84c6513ddbaa2b931615c50c846caa9383aacd7d8ec9d20bd0853efce146",
+        "contexts_trial1.csv": "43f53a44e256cca1789a50b655331bbe51262b2389bf7008df7d12e18b3006a8",
+        "curves.csv": "e1e215073cd34bf6c368fbe2e77e445c9615967370f8468172c098edcaf92475",
+        "episodes_trial0.csv": "cb981b632bc36c079dbe731c9c16686b69e5cc5ed5c97b983cdc09583e88115f",
+        "episodes_trial1.csv": "1570e1cb6d560791ec5a4cb4e60fa3a54764e083a1527d372ba7a40a18456819",
+        "instance_trial0.snapshot": "650f7f66c7d851ca5ec90172bf1b9b1e9f2b41b089b5612ede1eff4f02c9f4db",
+        "instance_trial1.snapshot": "5b794fb31dd9d60fd3f107b1c1bb54bd29ef891f1544094027b5e3947d8d152c",
+        "summary.txt": "7ba089b2932118af59a60bf2cd18291cd0943960283490a2e071e2cdc2aea205",
+    },
+    "outcome_t2": {
+        "agent_trial0.snapshot": "57649f2031cae13bb364974a4b8af479d3a1053febf5c58bd9617d95581ccb1a",
+        "config.json": "a60aff6bdb62b89d87287af53be0752e8a30378e5bddc17734877ea0f314ea5d",
+        "contexts_trial0.csv": "b26ec3ce7c3700e79f2b11250c2959f60858627dc2b491ec10eceb4efa06a8bd",
+        "curves.csv": "535f4b87ae01fb4e7c2ad2c81d1d88382d415ac1d0ede6e2c2f66d0c024dd79a",
+        "episodes_trial0.csv": "8dd48d7044fc0e05645dc46fbe0aa033da39b45f4e04c784edd3cf4364b86ddc",
+        "instance_trial0.snapshot": "5224ffb2ca1412074c36969583d75dbf6a178543ea7dfe1c55aab1a1f9c55b4e",
+        "summary.txt": "bc072331b36c3b725bddd472f2bcb943b434d3ebb7a2b395f7e0d7e83c670b71",
     },
     "dp": {
         "agent_trial0.snapshot": "952cae640ca76b0726301eb87488df090537de3c46f1d6fa83516434734ebf66",
