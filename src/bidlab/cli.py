@@ -2,7 +2,7 @@
 
 Four subcommands: `run` executes the benchmark and writes curves, summary
 and snapshots; `oracle` prints per-context oracle values and maximizing
-plans for the per-trial instances implied by a config; `fit` regresses the
+plans for the per-trial instances implied by an outcome-mode config; `fit` regresses the
 growth order of mean regret curves from a curves.csv; `estimate` rebuilds
 estimator snapshots offline from emitted episode logs.
 """
@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--emit-logs", action="store_true")
 
     oracle = sub.add_parser(
-        "oracle", help="print oracle values and plans for stored contexts"
+        "oracle", help="print outcome-mode oracle values and plans for stored contexts"
     )
     oracle.add_argument("--config", required=True)
     oracle.add_argument("--contexts", required=True)
@@ -92,6 +92,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     config = load_config(args.config)
+    if config.mode != "outcome":
+        raise ValueError(
+            f"bidlab oracle prints outcome-plan values; the config's mode is "
+            f"{config.mode!r}, whose oracle is the grid planner"
+        )
     contexts = read_context_csv(args.contexts)
     instances: dict[int, tuple] = {}
     writer = csv.writer(sys.stdout)

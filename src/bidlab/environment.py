@@ -10,14 +10,14 @@ perturb each other's noise.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .model import (
-    INITIAL_STATE,
     NEVER,
     NEVER_BEFORE,
     ONLY_ONE,
@@ -27,7 +27,7 @@ from .model import (
     TrueModel,
     cap_norm,
     conversion_mean,
-    next_state,
+    state_table,
 )
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "RoundRecord",
     "EpisodeLog",
     "sample_hob",
+    "draw_hobs",
     "sample_conversions",
     "run_episode",
     "generate_instance",
@@ -139,18 +140,19 @@ class EpisodeLog:
     def __post_init__(self) -> None:
         if not self.records:
             raise ValueError("an episode needs at least one round")
-        if self.records[0].state != INITIAL_STATE:
-            raise ValueError("episodes must start from the initial state")
-        for i, rec in enumerate(self.records):
-            if rec.h != i + 1 or rec.t != self.t:
-                raise ValueError(f"round {i + 1} is mislabelled: {rec}")
-            if i + 1 < len(self.records):
-                expected = next_state(rec.state, rec.won)
-                if self.records[i + 1].state != expected:
-                    raise ValueError(
-                        f"state chain broken at round {rec.h}: "
-                        f"{self.records[i + 1].state} != {expected}"
-                    )
+        table = state_table(len(self.records))
+        i = 0  # the state id each round should start from
+        for k, rec in enumerate(self.records):
+            if rec.state != table.states[i]:
+                if k == 0:
+                    raise ValueError("episodes must start from the initial state")
+                raise ValueError(
+                    f"state chain broken at round {k}: "
+                    f"{rec.state} != {table.states[i]}"
+                )
+            if rec.h != k + 1 or rec.t != self.t:
+                raise ValueError(f"round {k + 1} is mislabelled: {rec}")
+            i = table.next_id[i][bool(rec.won)]
 
     @property
     def realized_reward(self) -> float:
@@ -172,6 +174,15 @@ def sample_conversions(rate: float, rng: np.random.Generator) -> int:
     return int(rng.poisson(rate))
 
 
+def draw_hobs(
+    x: np.ndarray, a: AuctionModel, rng: RandomSource, t: int
+) -> list[float]:
+    """Customer t's H highest other bids, round h from the h-th draw of its
+    (t, "hob") stream; the same for every policy that plays the customer."""
+    gen = rng.stream(t, "hob")
+    return [sample_hob(h, x, a, gen) for h in range(1, a.beta.shape[0] + 1)]
+
+
 def run_episode(
     policy: Callable[[int, ExposureState, np.ndarray], float | bool],
     x: np.ndarray,
@@ -183,6 +194,7 @@ def run_episode(
     t: int = 1,
     noise_label: str = "policy",
     bounds: Bounds | None = None,
+    hobs: Sequence[float] | Callable[..., Sequence[float]] = draw_hobs,
 ) -> EpisodeLog:
     """Execute one H-round episode.
 
@@ -190,22 +202,26 @@ def run_episode(
     is at least the realized HOB (ties win) and the winner pays the HOB.  In
     forced mode the policy returns the target outcome directly; a forced win
     pays the realized HOB and is recorded with bid B_A, a forced loss with
-    bid 0.  The HOB stream is keyed by (t, "hob") only, so it is identical
-    for every policy replaying the same customer; conversion noise is keyed
-    by (t, "conv", noise_label).  Within each stream, round h consumes the
-    h-th draw.
+    bid 0.  `hobs` holds the H realized HOBs, or is a function of
+    (x, a, rng, t) that draws them, `draw_hobs` by default; a caller playing
+    several policies on one customer draws them once and passes them to
+    each.  Conversion noise is keyed by (t, "conv", noise_label), round h
+    taking the h-th draw.
     """
     H = a.beta.shape[0]
     if mode not in ("auction", "forced"):
         raise ValueError(f"unknown bid mode {mode!r}")
     if mode == "forced" and bounds is None:
         raise ValueError("forced mode needs bounds to record the nominal bid")
-    hob_rng = rng.stream(t, "hob")
+    hobs = [float(v) for v in (hobs(x, a, rng, t) if callable(hobs) else hobs)]
+    if len(hobs) != H:
+        raise ValueError(f"need one HOB per round, got {len(hobs)} for {H}")
     conv_rng = rng.stream(t, "conv", noise_label)
-    state = INITIAL_STATE
+    table = state_table(H)
+    i = 0  # state id
     records: list[RoundRecord] = []
-    for h in range(1, H + 1):
-        hob = sample_hob(h, x, a, hob_rng)
+    for h, hob in enumerate(hobs, start=1):
+        state = table.states[i]
         if mode == "auction":
             bid = float(policy(h, state, x))
             if bid < 0:
@@ -221,8 +237,7 @@ def run_episode(
         records.append(
             RoundRecord(t, h, state, bid, hob, won, payment, y)
         )
-        if h < H:
-            state = next_state(state, won)
+        i = table.next_id[i][won]
     return EpisodeLog(t, x, records)
 
 
@@ -328,6 +343,7 @@ def _state_tokens(s: ExposureState) -> tuple[str, str]:
     return ("NEVER" if s.s1 == NEVER else str(s.s1)), s2
 
 
+@functools.lru_cache(maxsize=256)
 def _parse_state(s1: str, s2: str) -> ExposureState:
     def lag(token: str) -> int:
         value = int(token)

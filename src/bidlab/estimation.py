@@ -140,6 +140,8 @@ class ThetaEstimator:
         return float(x @ self.theta_hat)
 
     def width(self, x: np.ndarray, gamma: float) -> float:
+        if gamma == 0.0:
+            return 0.0  # what the product gives: V is positive definite
         return math.sqrt(gamma) * math.sqrt(float(x @ np.linalg.solve(self.V, x)))
 
     def to_dict(self) -> dict:

@@ -10,12 +10,13 @@ byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .environment import (
     EpisodeLog,
     InstanceRecipe,
     RandomSource,
+    draw_hobs,
     generate_instance,
     instance_to_dict,
     read_context_csv,
@@ -42,12 +44,15 @@ from .environment import (
     write_episode_csv,
 )
 from .model import Bounds
-from .planning import (
-    PlanParams,
+# best_outcome_plan stays in this namespace, where perfbench/tracing.py wraps it
+from .planning import (  # noqa: F401
+    batch_params,
     best_outcome_plan,
+    best_outcome_values,
     default_bid_grid,
     dp_policy,
     outcome_value,
+    outcome_values,
     params_from_true,
     policy_value,
 )
@@ -270,123 +275,122 @@ class TrialResult:
     contexts: list[tuple[int, int, np.ndarray]] | None
 
 
-def _learner_expected_value(
-    decision, x: np.ndarray, params_true: PlanParams
-) -> float:
-    if decision.plan is not None:
-        return outcome_value(decision.plan, params_true)
-    return policy_value(params_true, lambda h, s: decision.policy(h, s, x))
-
-
 def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     """Run every configured policy over one independently sampled instance.
 
     All policies face the same customer contexts and the same highest other
-    bids; conversion noise is drawn per policy.  Any failure is re-raised
-    with (trial, customer) provenance.
+    bids; conversion noise is drawn per policy.  Only the learner runs
+    customer by customer: the contexts are drawn first, and the outcome
+    oracle and every outcome plan are scored for all customers at once.
+    Any failure at a customer is re-raised with (trial, customer)
+    provenance.
     """
     if trial < 0:
         raise ValueError("trial index must be nonnegative")
     rng = RandomSource(config.seed).scoped(trial)
     m, a = generate_instance(config.instance, config.bounds, rng)
     bounds = config.bounds
+    T = config.T
+    outcome_mode = config.mode == "outcome"
 
     agent: AgentState | None = None
     if LEARNER_POLICY in config.policies:
         agent = make_agent(
             bounds,
-            config.T,
+            T,
             delta=config.delta,
             width_scale=config.width_scale,
             n_underbar=config.n_underbar,
             Gamma_override=config.Gamma_trunc,
             planner_mode=config.mode,
         )
-    baselines = {
-        name: BaselinePolicy(kind=name, H=config.H)
-        for name in config.policies
-        if name != LEARNER_POLICY
-    }
     grid = default_bid_grid(bounds, config.bid_grid_points)
 
-    inc_real = {name: np.empty(config.T) for name in config.policies}
-    inc_exp = {name: np.empty(config.T) for name in config.policies}
+    xs = []
+    for t in range(1, T + 1):
+        with _provenance(trial, t):
+            xs.append(sample_context(config.instance, bounds, rng.stream(t, "ctx")))
+    batch = batch_params(np.array(xs), m, a)
+    outcome_opt = best_outcome_values(batch)
+    plans = {}  # each customer's target outcomes, by policy
+    for name in config.policies:
+        if name != LEARNER_POLICY:
+            policy = BaselinePolicy(kind=name, H=config.H)
+            plans[name] = [
+                baseline_act(policy, rng.stream(t, "plan", name) if name == "random"
+                             else _NULL_RNG)
+                for t in range(1, T + 1)
+            ]
+        elif outcome_mode:
+            plans[name] = []  # filled as the learner plays
+    realized = {name: np.empty(T) for name in config.policies}
+    expected = {LEARNER_POLICY: np.empty(T)}  # the dp-mode learner's
+    dp_opt = np.empty(T)
     episodes: list[tuple[int, EpisodeLog]] | None = (
         [] if config.emit_logs and agent is not None else None
     )
-    contexts: list[tuple[int, int, np.ndarray]] | None = (
-        [] if episodes is not None else None
-    )
     gap_total = 0.0
-    gap_count = 0
 
-    for t in range(1, config.T + 1):
-        try:
-            x = sample_context(config.instance, bounds, rng.stream(t, "ctx"))
-            params_true = params_from_true(x, m, a, B_A=bounds.B_A)
-            outcome_opt = dp_opt = None
-            if config.mode == "outcome" or t <= ORACLE_GAP_SAMPLE:
-                outcome_opt = best_outcome_plan(params_true)[1]
-            if config.mode == "dp" or t <= ORACLE_GAP_SAMPLE:
-                dp_opt = dp_policy(params_true, grid, mode="auction").value
-            opt = outcome_opt if config.mode == "outcome" else dp_opt
+    for t, x in enumerate(xs, start=1):
+        with _provenance(trial, t):
+            if not outcome_mode or t <= ORACLE_GAP_SAMPLE:
+                params_true = params_from_true(x, m, a, B_A=bounds.B_A)
+                dp_opt[t - 1] = dp_policy(params_true, grid, mode="auction").value
             if t <= ORACLE_GAP_SAMPLE:
-                gap_total += outcome_opt - dp_opt
-                gap_count += 1
+                gap_total += float(outcome_opt[t - 1] - dp_opt[t - 1])
 
+            hobs = draw_hobs(x, a, rng, t)
             for name in config.policies:
                 if name == LEARNER_POLICY:
                     decision = act(agent, x, grid)
-                    log = run_episode(
-                        decision.policy,
-                        x,
-                        m,
-                        a,
-                        rng,
-                        decision.mode,
-                        t=t,
-                        noise_label=LEARNER_POLICY,
-                        bounds=bounds,
-                    )
-                    update(agent, log)
-                    expected = _learner_expected_value(decision, x, params_true)
-                    if episodes is not None:
-                        episodes.append((trial, log))
-                        contexts.append((trial, t, x))
+                    policy, mode = decision.policy, decision.mode
                 else:
-                    if name == "random":
-                        plan = baseline_act(
-                            baselines[name], rng.stream(t, "plan", name)
-                        )
-                    else:
-                        plan = baseline_act(baselines[name], _NULL_RNG)
-                    log = run_episode(
-                        lambda h, s, xx, plan=plan: plan[h - 1],
-                        x,
-                        m,
-                        a,
-                        rng,
-                        "forced",
-                        t=t,
-                        noise_label=name,
-                        bounds=bounds,
+                    plan = plans[name][t - 1]
+                    policy, mode = (lambda h, s, xx, plan=plan: plan[h - 1]), "forced"
+                log = run_episode(
+                    policy, x, m, a, rng, mode,
+                    t=t, noise_label=name, bounds=bounds, hobs=hobs,
+                )
+                realized[name][t - 1] = log.realized_reward
+                if name != LEARNER_POLICY:
+                    continue
+                update(agent, log)
+                if episodes is not None:
+                    episodes.append((trial, log))
+                if outcome_mode:
+                    plans[name].append(decision.plan)
+                elif decision.plan is not None:
+                    expected[name][t - 1] = outcome_value(decision.plan, params_true)
+                else:
+                    expected[name][t - 1] = policy_value(
+                        params_true, lambda h, s: decision.policy(h, s, x)
                     )
-                    expected = outcome_value(plan, params_true)
-                inc_real[name][t - 1] = opt - log.realized_reward
-                inc_exp[name][t - 1] = opt - expected
-        except Exception as exc:
-            raise RuntimeError(f"trial {trial}, customer {t}: {exc}") from exc
 
+    # round h of every customer's plan at once
+    for name, p in plans.items():
+        expected[name] = outcome_values(np.array(p).T, batch)
+    opt = outcome_opt if outcome_mode else dp_opt
     return TrialResult(
         trial=trial,
-        realized={name: np.cumsum(inc_real[name]) for name in config.policies},
-        expected={name: np.cumsum(inc_exp[name]) for name in config.policies},
+        realized={name: np.cumsum(opt - realized[name]) for name in config.policies},
+        expected={name: np.cumsum(opt - expected[name]) for name in config.policies},
         instance=instance_to_dict(m, a),
         agent_snapshot=agent_to_dict(agent) if agent is not None else None,
-        oracle_gap=gap_total / gap_count,
+        oracle_gap=gap_total / min(T, ORACLE_GAP_SAMPLE),
         episodes=episodes,
-        contexts=contexts,
+        contexts=None if episodes is None else [
+            (trial, t, x) for t, x in enumerate(xs, start=1)
+        ],
     )
+
+
+@contextlib.contextmanager
+def _provenance(trial: int, t: int) -> Iterator[None]:
+    """Re-raise any failure with the trial and customer it happened at."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"trial {trial}, customer {t}: {exc}") from exc
 
 
 # Fixed baselines never draw from their generator; a shared dummy keeps the
@@ -462,6 +466,12 @@ def _summarize_policy(
             hw = np.zeros_like(means)
         return tuple(float(v) for v in means), tuple(float(v) for v in hw)
 
+    def order(means) -> float | None:
+        # one checkpoint gives no slope: the order is undefined
+        if len(config.checkpoints) < 2:
+            return None
+        return fit_regret_order(means, config.checkpoints)
+
     means, half_widths = stats(realized)
     e_means, e_half_widths = stats(expected)
     return PolicySummary(
@@ -470,12 +480,9 @@ def _summarize_policy(
         half_widths=half_widths,
         expected_means=e_means,
         expected_half_widths=e_half_widths,
-        mean_curve_order=fit_regret_order(means, config.checkpoints),
-        expected_mean_curve_order=fit_regret_order(e_means, config.checkpoints),
-        per_trial_orders=tuple(
-            fit_regret_order(tr.realized[name][idx], config.checkpoints)
-            for tr in trials
-        ),
+        mean_curve_order=order(means),
+        expected_mean_curve_order=order(e_means),
+        per_trial_orders=tuple(order(tr.realized[name][idx]) for tr in trials),
     )
 
 

@@ -17,6 +17,8 @@ no mutation.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -38,14 +40,15 @@ __all__ = [
     "AuctionModel",
     "next_state",
     "reachable_states",
+    "StateTable",
+    "state_table",
     "conversion_mean",
     "norm_cdf",
     "hob_cdf_terms",
     "win_probability",
     "hob_mean",
-    "cdf_integral",
+    "lognormal_mean",
     "expected_payment",
-    "expected_payment_given_win",
 ]
 
 NEVER = 0  # s1: the customer has never seen a won ad
@@ -214,6 +217,34 @@ def reachable_states(H: int) -> list[list[ExposureState]]:
     return levels
 
 
+class StateTable:
+    """Every reachable (round, state) pair of an H-round episode under an
+    integer id, round by round in `reachable_states` order: `keys[i]` is the
+    pair of id i and `states[i]` its state, built once; `layers[h - 1]` is
+    the range of round h's ids; `next_id[i][won]` is the id the outcome
+    leads to (`len(states)` after the last round).  `state_table` builds one
+    per H."""
+
+    def __init__(self, H: int) -> None:
+        levels = reachable_states(H)
+        self.keys = tuple((h, s) for h, lv in enumerate(levels, 1) for s in lv)
+        self.states = tuple(s for _, s in self.keys)
+        ends = itertools.accumulate(map(len, levels))
+        self.layers = tuple(range(e - len(lv), e) for e, lv in zip(ends, levels))
+        ids = {key: i for i, key in enumerate(self.keys)}
+        self.next_id = tuple(
+            tuple(ids[(h + 1, next_state(s, won))] if h < H else len(ids)
+                  for won in (False, True))
+            for h, s in self.keys
+        )
+
+
+@functools.cache
+def state_table(H: int) -> StateTable:
+    """The StateTable of H rounds, built on first use and shared after."""
+    return StateTable(H)
+
+
 def conversion_mean(
     s: ExposureState, won: bool, x: np.ndarray, m: TrueModel
 ) -> float:
@@ -263,7 +294,12 @@ def win_probability(h: int, bid: float, x: np.ndarray, a: AuctionModel) -> float
 
 def hob_mean(h: int, x: np.ndarray, a: AuctionModel) -> float:
     """Unconditional lognormal HOB mean exp(<x, beta_h> + sigma_h^2 / 2)."""
-    return math.exp(a.log_mean(h, x) + 0.5 * a.log_sd(h) ** 2)
+    return lognormal_mean(a.log_mean(h, x), a.log_sd(h))
+
+
+def lognormal_mean(log_mean: float, log_sd: float) -> float:
+    """Mean exp(log_mean + log_sd^2 / 2) of a lognormal variable."""
+    return math.exp(log_mean + 0.5 * log_sd**2)
 
 
 def expected_payment(h: int, bid: float, x: np.ndarray, a: AuctionModel) -> float:
@@ -272,22 +308,3 @@ def expected_payment(h: int, bid: float, x: np.ndarray, a: AuctionModel) -> floa
     if bid <= 0:
         return 0.0
     return hob_cdf_terms(h, math.log(bid), x, a)[1]
-
-
-def cdf_integral(h: int, bid: float, x: np.ndarray, a: AuctionModel) -> float:
-    """Exact integral of the HOB CDF from 0 to `bid`:
-    bid * F(bid) - E[HOB * 1{HOB <= bid}]."""
-    if bid <= 0:
-        return 0.0
-    return bid * win_probability(h, bid, x, a) - expected_payment(h, bid, x, a)
-
-
-def expected_payment_given_win(
-    h: int, bid: float, x: np.ndarray, a: AuctionModel
-) -> float:
-    """Expected second-price payment E[HOB | HOB <= bid], equal to
-    bid - (1/F(bid)) * integral_0^bid F."""
-    F = win_probability(h, bid, x, a)
-    if F == 0.0:
-        raise ValueError("payment undefined at zero win probability")
-    return expected_payment(h, bid, x, a) / F

@@ -1,10 +1,11 @@
-"""Episode planners, all one backward induction over reachable exposure
-states with a per-planner choice of bid at each state.
+"""Episode planners, all one backward induction over the state ids of
+`state_table(H)` with a per-planner choice of bid at each state.
 
 Outcome planning picks a target win/lose sequence directly (a forced winner
-pays the unconditional HOB mean), while grid planning picks bids from a grid
-and wins stochastically at the auction.  A closed-form continuation-value
-bid serves as the exact continuous-bid optimum for testing the grid planner.
+pays the unconditional HOB mean), on floats for one customer or elementwise
+on arrays over a batch of them (`batch_params`), which gives each customer
+the same floats.  Grid planning picks bids from a grid and wins
+stochastically at the auction.
 
 The expected round value is written once, for one win probability or an
 array of them.  The grid planner tabulates the win probability and the
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,27 +33,28 @@ from .model import (
     expected_payment,
     hob_cdf_terms,
     hob_mean,
+    lognormal_mean,
     lose_index,
-    next_state,
-    reachable_states,
+    state_table,
     win_index,
     win_probability,
 )
 
 __all__ = [
     "PlanParams",
+    "OutcomeParams",
     "OutcomePlan",
     "PolicyTable",
     "params_from_true",
+    "batch_params",
     "auction_round_value",
     "outcome_value",
+    "outcome_values",
     "best_outcome_plan",
+    "best_outcome_values",
     "dp_policy",
-    "closed_form_bid",
-    "closed_form_policy",
     "policy_value",
     "default_bid_grid",
-    "oracle_value",
 ]
 
 OutcomePlan = tuple[bool, ...]
@@ -93,22 +95,53 @@ def params_from_true(
     return PlanParams(mu=mu, delay=m.delay.tolist(), auction=a, x=x, B_A=B_A)
 
 
-def _mu_win(params: PlanParams, s: ExposureState) -> float:
+class OutcomeParams(NamedTuple):
+    """What outcome planning needs: the conversion mean of each theta row
+    and the HOB mean of each round, floats for one customer or arrays over
+    a batch of customers, and the delay factors by position."""
+
+    mu: Sequence
+    delay: Sequence[float]
+    hob: Sequence
+
+
+def _outcome_params(params: PlanParams) -> OutcomeParams:
+    hob = [hob_mean(h, params.x, params.auction) for h in range(1, params.H + 1)]
+    return OutcomeParams(mu=params.mu, delay=params.delay, hob=hob)
+
+
+def batch_params(X: np.ndarray, m: TrueModel, a: AuctionModel) -> OutcomeParams:
+    """Outcome-planning inputs for every row of the (T, dim) contexts `X`,
+    bit for bit those `params_from_true` gives each row alone.
+
+    The conversion means and the HOB log-means come from one product, which
+    equals the per-row dot only on BLAS's matrix-matrix path: both operands
+    need two or more rows (theta and beta stacked have 2H + 1 >= 3), so a
+    single context is padded with a copy.  The HOB means take `math.exp`,
+    since `np.exp` differs in the last bit.
+    """
+    H = len(a.sigma)
+    padded = X if len(X) > 1 else np.vstack([X, X])
+    means = (padded @ np.vstack([m.theta, a.beta]).T)[: len(X)].T
+    hob = [np.array([lognormal_mean(v, sd) for v in row.tolist()])
+           for row, sd in zip(means[H + 1:], a.sigma.tolist())]
+    return OutcomeParams(mu=means[: H + 1], delay=m.delay.tolist(), hob=hob)
+
+
+def _mu_win(params: PlanParams | OutcomeParams, s: ExposureState) -> float:
     """Conversion mean of a won round in state `s`."""
     return params.mu[win_index(s.s1)]
 
 
-def _mu_lose(params: PlanParams, s: ExposureState) -> float:
+def _mu_lose(params: PlanParams | OutcomeParams, s: ExposureState) -> float:
     """Conversion mean of a lost round in state `s`, delay factor applied."""
     return params.delay[delay_index(s.s1)] * params.mu[lose_index(s.s2)]
 
 
-def _forced_round_reward(
-    params: PlanParams, h: int, s: ExposureState, won: bool
-) -> float:
+def _forced_round_reward(op: OutcomeParams, h: int, s: ExposureState, won: bool):
     if won:
-        return _mu_win(params, s) - hob_mean(h, params.x, params.auction)
-    return _mu_lose(params, s)
+        return _mu_win(op, s) - op.hob[h - 1]
+    return _mu_lose(op, s)
 
 
 def _round_value(
@@ -149,27 +182,6 @@ def auction_round_value(
     )
 
 
-def outcome_value(plan: OutcomePlan, params: PlanParams) -> float:
-    """Expected episode value of a target outcome sequence.
-
-    Contributions are accumulated from the last round backward, matching
-    the dynamic program's evaluation order exactly, so the value of the
-    plan `best_outcome_plan` returns equals its DP value bit for bit.
-    """
-    H = params.H
-    if len(plan) != H:
-        raise ValueError(f"plan must cover all {H} rounds")
-    s = INITIAL_STATE
-    contributions = []
-    for h, won in enumerate(plan, start=1):
-        contributions.append(_forced_round_reward(params, h, s, won))
-        s = next_state(s, won)
-    total = 0.0
-    for c in reversed(contributions):
-        total += c
-    return total
-
-
 @dataclass(frozen=True)
 class PolicyTable:
     """Bids and continuation values on every reachable (round, state)."""
@@ -185,25 +197,71 @@ class PolicyTable:
         return self.bids[(h, s)]
 
 
-def _backward_induction(
-    params: PlanParams, choose: Callable[..., tuple[float, float]]
-) -> PolicyTable:
-    """Visit every reachable (round, state) from the last round back.
+def _backward_induction(H: int, choose: Callable[..., tuple]) -> tuple[list, list]:
+    """Visit every state id of `state_table(H)` from the last round back.
 
-    `choose(h, s, v_win, v_lose)` gets the values of the two successor
-    states (zero after the last round) and returns the bid taken at (h, s)
-    and its value.
+    `choose(h, s, v_win, v_lose)` gets the round, the state and the values
+    of its two successors (0.0 after the last round) and returns the action
+    taken there and its value: floats, or arrays over a batch of customers.
+    Returns the actions and the values by id; the values end with the 0.0.
     """
-    H = params.H
-    bids: dict[tuple[int, ExposureState], float] = {}
-    values: dict[tuple[int, ExposureState], float] = {}
-    layers = reachable_states(H)
+    table = state_table(H)
+    actions = [None] * len(table.states)
+    values = [*actions, 0.0]
     for h in range(H, 0, -1):
-        for s in layers[h - 1]:
-            v_win = values[(h + 1, next_state(s, True))] if h < H else 0.0
-            v_lose = values[(h + 1, next_state(s, False))] if h < H else 0.0
-            bids[(h, s)], values[(h, s)] = choose(h, s, v_win, v_lose)
-    return PolicyTable(bids=bids, values=values)
+        for i in table.layers[h - 1]:
+            lose, win = table.next_id[i]
+            s = table.states[i]
+            actions[i], values[i] = choose(h, s, values[win], values[lose])
+    return actions, values
+
+
+def _policy_table(H: int, bids: list, values: list) -> PolicyTable:
+    keys = state_table(H).keys
+    return PolicyTable(bids=dict(zip(keys, bids)), values=dict(zip(keys, values)))
+
+
+def _forced_policy(op: OutcomeParams, rule: Callable[..., bool]) -> tuple[list, list]:
+    """Backward induction over forced outcomes: at each state,
+    `rule(h, q_win, q_lose)` says whether to win, given the values of
+    winning and of losing there; it is the action returned."""
+
+    def choose(h, s, v_win, v_lose):
+        q_win = _forced_round_reward(op, h, s, True) + v_win
+        q_lose = _forced_round_reward(op, h, s, False) + v_lose
+        won = rule(h, q_win, q_lose)
+        if isinstance(won, np.ndarray):
+            return won, np.where(won, q_win, q_lose)
+        return won, q_win if won else q_lose
+
+    return _backward_induction(len(op.hob), choose)
+
+
+def _win_if_better(h: int, q_win, q_lose):
+    return q_win > q_lose  # strict: ties go to losing
+
+
+def outcome_values(plan: Sequence, op: OutcomeParams) -> float | np.ndarray:
+    """Expected episode value of forcing outcome `plan[h - 1]` at round h:
+    a bool, or with batch inputs a bool or a bool array over customers.
+
+    The plan is the rule of the forced backward induction, so the rounds
+    are summed from the last back as for the best plan, and the value of
+    the plan `best_outcome_plan` returns equals its DP value bit for bit.
+    """
+    if len(plan) != len(op.hob):
+        raise ValueError(f"plan must cover all {len(op.hob)} rounds")
+    return _forced_policy(op, lambda h, q_win, q_lose: plan[h - 1])[1][0]
+
+
+def outcome_value(plan: OutcomePlan, params: PlanParams) -> float:
+    """Expected episode value of a target outcome sequence."""
+    return outcome_values(plan, _outcome_params(params))
+
+
+def best_outcome_values(op: OutcomeParams) -> float | np.ndarray:
+    """The value of the best target outcome sequence: the forced DP's."""
+    return _forced_policy(op, _win_if_better)[1][0]
 
 
 def best_outcome_plan(params: PlanParams) -> tuple[OutcomePlan, float]:
@@ -211,14 +269,13 @@ def best_outcome_plan(params: PlanParams) -> tuple[OutcomePlan, float]:
     forced DP, traced forward from the first round.  Ties go to losing, so
     equal-valued plans resolve to the lexicographically smallest (lose
     before win)."""
-    table = dp_policy(params, np.array([0.0, params.B_A]), mode="forced")
-    plan = []
-    s = INITIAL_STATE
-    for h in range(1, params.H + 1):
-        won = table.act(h, s) > 0.0
-        plan.append(won)
-        s = next_state(s, won)
-    return tuple(plan), table.value
+    won, values = _forced_policy(_outcome_params(params), _win_if_better)
+    next_id = state_table(params.H).next_id
+    plan, i = [], 0
+    for _ in range(params.H):
+        plan.append(bool(won[i]))
+        i = next_id[i][plan[-1]]
+    return tuple(plan), values[0]
 
 
 def dp_policy(
@@ -227,9 +284,10 @@ def dp_policy(
     """Backward induction over reachable states on a fixed bid grid.
 
     Auction mode scores each bid by its expected round reward plus the
-    win-probability mixture of successor values.  Forced mode treats any
-    positive grid bid as a guaranteed win (paying the HOB mean) and zero as
-    a guaranteed loss.  Ties go to the lower bid.
+    win-probability mixture of successor values.  Forced mode needs the
+    zero bid and a positive one: the first positive bid is a guaranteed win
+    (paying the HOB mean) and zero a guaranteed loss.  Ties go to the lower
+    bid.
     """
     if mode not in ("auction", "forced"):
         raise ValueError(f"unknown planning mode {mode!r}")
@@ -240,19 +298,12 @@ def dp_policy(
         raise ValueError("bid grid must lie in [0, B_A]")
 
     if mode == "forced":
-
-        def choose(h, s, v_win, v_lose):
-            best_bid, best = None, -float("inf")
-            for a in grid:
-                if a > 0.0:
-                    q = _forced_round_reward(params, h, s, True) + v_win
-                else:
-                    q = _forced_round_reward(params, h, s, False) + v_lose
-                if q > best:
-                    best_bid, best = a, q
-            return best_bid, best
-
-        return _backward_induction(params, choose)
+        if grid[0] != 0.0 or grid[-1] == 0.0:
+            raise ValueError("forced mode needs the zero bid and a positive bid")
+        win_bid = next(b for b in grid if b > 0.0)
+        won, values = _forced_policy(_outcome_params(params), _win_if_better)
+        bids = [win_bid if w else 0.0 for w in won]
+        return _policy_table(params.H, bids, values)
 
     # F and the payment depend on the round and the bid, never on the state:
     # one table row per round, every bid of a state scored at once
@@ -278,27 +329,7 @@ def dp_policy(
             return None, -float("inf")
         return grid[i], float(q[i])
 
-    return _backward_induction(params, choose)
-
-
-def closed_form_bid(
-    s: ExposureState, params: PlanParams, v_win: float, v_lose: float
-) -> float:
-    """Truthful second-price bid with continuation values: the marginal
-    value of winning this round, clamped to [0, B_A]."""
-    marginal = _mu_win(params, s) - _mu_lose(params, s) + v_win - v_lose
-    return min(max(marginal, 0.0), params.B_A)
-
-
-def closed_form_policy(params: PlanParams) -> PolicyTable:
-    """Backward induction with the exact continuous-bid maximizer at every
-    state; the optimal auction-mode policy."""
-
-    def choose(h, s, v_win, v_lose):
-        a = closed_form_bid(s, params, v_win, v_lose)
-        return a, auction_round_value(params, h, s, a, v_win, v_lose)
-
-    return _backward_induction(params, choose)
+    return _policy_table(params.H, *_backward_induction(params.H, choose))
 
 
 def policy_value(
@@ -311,7 +342,7 @@ def policy_value(
         a = float(bid_fn(h, s))
         return a, auction_round_value(params, h, s, a, v_win, v_lose)
 
-    return _backward_induction(params, choose).value
+    return _backward_induction(params.H, choose)[1][0]
 
 
 def default_bid_grid(bounds: Bounds, points: int = 256) -> np.ndarray:
@@ -319,25 +350,3 @@ def default_bid_grid(bounds: Bounds, points: int = 256) -> np.ndarray:
     return np.concatenate(
         [[0.0], np.geomspace(bounds.b * 1e-2, bounds.B_A, points)]
     )
-
-
-def oracle_value(
-    x: np.ndarray,
-    m: TrueModel,
-    a: AuctionModel,
-    mode: str = "outcome",
-    bounds: Bounds | None = None,
-) -> float:
-    """Best achievable expected episode value under the true parameters.
-
-    Outcome mode maximizes over target outcome sequences; dp mode runs the
-    grid planner (requires bounds for the bid grid)."""
-    if mode == "outcome":
-        params = params_from_true(x, m, a)
-        return best_outcome_plan(params)[1]
-    if mode == "dp":
-        if bounds is None:
-            raise ValueError("dp mode needs bounds for the bid grid")
-        params = params_from_true(x, m, a, B_A=bounds.B_A)
-        return dp_policy(params, default_bid_grid(bounds)).value
-    raise ValueError(f"unknown oracle mode {mode!r}")

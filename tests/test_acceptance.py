@@ -66,8 +66,6 @@ from bidlab.model import (
     ONLY_ONE,
     AuctionModel,
     ExposureState,
-    expected_payment_given_win,
-    cdf_integral,
     lose_index,
     next_state,
     reachable_states,
@@ -76,14 +74,18 @@ from bidlab.model import (
 )
 from bidlab.planning import (
     best_outcome_plan,
-    closed_form_policy,
     default_bid_grid,
     dp_policy,
-    oracle_value,
     outcome_value,
     params_from_true,
 )
-from enumeration import enumerated_best_plan
+from enumeration import (
+    cdf_integral,
+    closed_form_value,
+    enumerated_best_plan,
+    expected_payment_given_win,
+    oracle_value,
+)
 from reference_table import REFERENCE_CHECKPOINTS, REFERENCE_MEANS, REFERENCE_ORDERS
 
 # The benchmark preset is an instance *distribution*, so the qualitative
@@ -433,7 +435,7 @@ def test_criterion_7_planner_cross_validation():
         m, a = generate_instance(BENCHMARK_RECIPE, bounds, rng)
         x = sample_context(BENCHMARK_RECIPE, bounds, rng.stream(1, "ctx"))
         params = params_from_true(x, m, a, B_A=bounds.B_A)
-        exact = closed_form_policy(params).value
+        exact = closed_form_value(params)
         for n in gaps:
             approx = dp_policy(params, default_bid_grid(bounds, n), mode="auction")
             gap = exact - approx.value

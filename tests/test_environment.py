@@ -15,6 +15,7 @@ from bidlab.environment import (
     BENCHMARK_RECIPE,
     RandomSource,
     RoundRecord,
+    draw_hobs,
     generate_instance,
     instance_from_dict,
     instance_to_dict,
@@ -152,6 +153,26 @@ def test_hob_shared_across_policies(instance):
     lose = run_episode(lambda h, s, x: False, x, m, a, RandomSource(40), "forced",
                        noise_label="p2", **kw)
     assert [r.hob for r in win.records] == [r.hob for r in lose.records]
+
+
+def test_hobs_drawn_once_feed_every_episode(instance):
+    m, a = instance
+    x = np.array([1.0, 1.0])
+    rng = RandomSource(41)
+    hobs = draw_hobs(x, a, rng, 9)
+    assert len(hobs) == BOUNDS.H
+    kw = dict(t=9, bounds=BOUNDS)
+    drawn = run_episode(always_bid(2.0), x, m, a, rng, "auction", **kw)
+    given = run_episode(always_bid(2.0), x, m, a, rng, "auction", hobs=hobs, **kw)
+    assert drawn.records == given.records
+    assert [r.hob for r in given.records] == hobs
+    # given HOBs are taken as they are, as floats; ties win
+    fixed = run_episode(always_bid(2.0), x, m, a, rng, "auction",
+                        hobs=np.array([1.0, 3.0, 2.0]), **kw)
+    assert [r.won for r in fixed.records] == [True, False, True]
+    assert all(type(r.hob) is float for r in fixed.records)
+    with pytest.raises(ValueError, match="one HOB per round"):
+        run_episode(always_bid(2.0), x, m, a, rng, "auction", hobs=[1.0], **kw)
 
 
 def test_episode_replay_bit_exact(instance):

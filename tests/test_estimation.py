@@ -403,6 +403,30 @@ def test_optimistic_mean_is_ellipsoid_max():
             assert float(x @ theta) <= got + 1e-8
 
 
+def test_optimistic_mean_at_zero_width_skips_the_solve(monkeypatch):
+    # gamma = 0 gives the point estimate bit for bit, with no linear solve
+    rng = np.random.default_rng(23)
+    cases = []
+    for _ in range(50):
+        A = rng.normal(size=(3, 3))
+        est = make_theta(dim=3)
+        est.V = A @ A.T + 0.1 * np.eye(3)
+        est.theta_hat = rng.normal(size=3)
+        x = rng.uniform(0.1, 2.0, 3)
+        b = float(rng.uniform(0.0, 1.0))
+        width = math.sqrt(0.0) * math.sqrt(float(x @ np.linalg.solve(est.V, x)))
+        cases.append((est, x, b, max(float(x @ est.theta_hat) + width, b)))
+
+    def no_solve(*args):
+        raise AssertionError("solve called at gamma = 0")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    for est, x, b, want in cases:
+        assert est.width(x, 0.0) == 0.0
+        got = optimistic_mean(est, x, 0.0, b=b)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
 # --- serialization -----------------------------------------------------------
 
 def test_estimator_snapshots_round_trip():

@@ -240,6 +240,72 @@ def test_long_horizon_config_runs_to_the_end():
         assert curve.shape == (2,) and np.all(curve >= -1e-9)
 
 
+def test_single_checkpoint_config_runs_to_the_end(tmp_path):
+    # T=1 scales the checkpoint grid to one point: no order can be fitted
+    cfg = config_from_dict({"T": 1, "trials": 1, "n_underbar": 1})
+    assert cfg.checkpoints == (1,)
+    result = run_experiment(cfg, tmp_path)
+    summary = (tmp_path / "summary.txt").read_text()
+    for name in cfg.policies:
+        s = result.summaries[name]
+        assert s.mean_curve_order is None and s.expected_mean_curve_order is None
+        assert s.per_trial_orders == (None,)
+        assert f"  {name:<10} realized=undefined expected=undefined" in summary
+    # the one-customer batch scores each fixed plan as the scalar planner does
+    trial = result.trials[0]
+    rng = RandomSource(cfg.seed).scoped(0)
+    m, a = generate_instance(cfg.instance, cfg.bounds, rng)
+    x = sample_context(cfg.instance, cfg.bounds, rng.stream(1, "ctx"))
+    params = params_from_true(x, m, a, B_A=cfg.bounds.B_A)
+    opt = best_outcome_plan(params)[1]
+    for name, plan in (("aggressive", (True,) * 3), ("passive", (False,) * 3)):
+        assert trial.expected[name].tolist() == [opt - outcome_value(plan, params)]
+
+
+def test_each_customer_builds_each_stream_once(monkeypatch):
+    # one HOB stream per customer, shared by all four policies: context,
+    # HOBs, the random plan and four conversion streams
+    keys = []
+    real = RandomSource.stream
+
+    def stream(self, *key):
+        keys.append((self.prefix, key))
+        return real(self, *key)
+
+    monkeypatch.setattr(RandomSource, "stream", stream)
+    cfg = small_config(T=30, trials=1, n_underbar=5, checkpoints=(10, 30),
+                       emit_logs=False)
+    run_trial(cfg, 0)
+    per_customer = [k for k in keys if k[1] != ("instance",)]
+    assert len(per_customer) == 7 * cfg.T
+    assert len(set(per_customer)) == len(per_customer)
+
+
+def test_trials_reuse_the_state_table(monkeypatch):
+    # once the table of an H exists, no customer rebuilds the reachable
+    # states or constructs an exposure state
+    import bidlab.model as model_module
+
+    cfg = small_config(T=30, trials=1, n_underbar=5, checkpoints=(10, 30),
+                       emit_logs=False)
+    run_trial(cfg, 0)
+    built = []
+    real_init = model_module.ExposureState.__post_init__
+
+    def counting_init(self):
+        built.append(self)
+        real_init(self)
+
+    def no_reachable_states(H):
+        raise AssertionError("reachable_states called")
+
+    monkeypatch.setattr(model_module.ExposureState, "__post_init__", counting_init)
+    monkeypatch.setattr(model_module, "reachable_states", no_reachable_states)
+    for mode in ("outcome", "dp"):
+        run_trial(replace(cfg, mode=mode), 1)
+    assert built == []
+
+
 # The HOB mean exp(<x, beta_h> + sigma_h^2 / 2), with |<x, beta_h>| up to
 # B_beta * B_x = 25 at the default bounds, leaves the float range past this
 # sigma_max (~37.008).
@@ -591,6 +657,19 @@ def test_cli_estimate_reproduces_live_snapshot(cli_run, tmp_path):
                  "--out", str(target)])
     assert code == 0
     assert target.read_bytes() == (out / "agent_trial0.snapshot").read_bytes()
+
+
+def test_cli_oracle_rejects_dp_configs(cli_run, tmp_path, capsys):
+    # the grid planner is a dp config's oracle; outcome plans would mislead
+    _, _, out = cli_run
+    raw = json.loads((out / "config.json").read_text())
+    (tmp_path / "dp.json").write_text(json.dumps({**raw, "mode": "dp"}))
+    code = main(["oracle", "--config", str(tmp_path / "dp.json"),
+                 "--contexts", str(out / "contexts_trial0.csv")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "'dp'" in captured.err
 
 
 def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):

@@ -19,22 +19,23 @@ from bidlab.model import (
     Bounds,
     ExposureState,
     TrueModel,
-    cdf_integral,
     conversion_mean,
     delay_index,
     expected_payment,
-    expected_payment_given_win,
     hob_cdf_terms,
     hob_mean,
     lose_index,
     next_state,
     norm_cdf,
     reachable_states,
+    StateTable,
+    state_table,
     win_index,
     win_probability,
 )
 from bidlab.environment import delay_token, theta_token
 from bidlab.planning import auction_round_value, params_from_true
+from enumeration import cdf_integral, expected_payment_given_win
 
 PHI_1 = 0.8413447460685429          # Phi(1)
 E_HALF = 1.6487212707001282         # e^{1/2}
@@ -116,6 +117,30 @@ def test_reachable_states_invariants(H):
             else:
                 # in-episode lag+gap never exceeds the rounds elapsed
                 assert s.s2 >= ONLY_ONE and s.s1 + s.s2 <= h - 1 <= H - 1
+
+
+@pytest.mark.parametrize("H", [1, 2, 3, 5, 8])
+def test_state_table_agrees_with_the_state_machine(H):
+    table = StateTable(H)
+    levels = reachable_states(H)
+    end = len(table.states)
+    for h, layer in enumerate(table.layers, start=1):
+        # 1 + h(h-1)/2 states at round h, in reachable_states order
+        assert len(layer) == 1 + h * (h - 1) // 2
+        assert [table.states[i] for i in layer] == levels[h - 1]
+        for i in layer:
+            s = table.states[i]
+            assert table.keys[i] == (h, s)
+            for won in (False, True):
+                nxt = table.next_id[i][won]
+                if h == H:
+                    assert nxt == end
+                else:
+                    assert nxt in table.layers[h]
+                    assert table.states[nxt] == next_state(s, won)
+    assert [i for layer in table.layers for i in layer] == list(range(end))
+    # built once per H and shared
+    assert state_table(H) is state_table(H)
 
 
 @given(st.lists(st.booleans(), max_size=12))

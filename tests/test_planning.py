@@ -2,6 +2,7 @@
 enumeration, DP against the closed-form continuous-bid optimum, and
 cross-mode consistency."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,21 +21,30 @@ from bidlab.model import (
     hob_mean,
     lose_index,
     next_state,
+    state_table,
     win_probability,
 )
+from bidlab import planning
 from bidlab.planning import (
+    OutcomeParams,
     PlanParams,
     auction_round_value,
+    batch_params,
     best_outcome_plan,
-    closed_form_bid,
-    closed_form_policy,
+    best_outcome_values,
     default_bid_grid,
     dp_policy,
-    oracle_value,
     outcome_value,
+    outcome_values,
     params_from_true,
 )
-from enumeration import enumerated_best_plan, scalar_grid_policy
+from enumeration import (
+    closed_form_bid,
+    closed_form_value,
+    enumerated_best_plan,
+    oracle_value,
+    scalar_grid_policy,
+)
 
 BOUNDS = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
 
@@ -146,6 +156,91 @@ def test_outcome_plan_matches_enumeration_across_horizons():
         plan, value = best_outcome_plan(tie)
         assert plan == (False,) * (H - 1) + (True,)
         assert (plan, value) == enumerated_best_plan(tie)
+
+
+def batch_instance(H, dim, T, seed):
+    bounds = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=H, dim=dim)
+    m, a = generate_instance(BENCHMARK_RECIPE, bounds, RandomSource(seed))
+    # contexts as the recipe draws them, from one generator
+    X = np.abs(np.random.default_rng(seed).standard_normal((T, dim))) + 0.1
+    return m, a, X
+
+
+@pytest.mark.parametrize("H", range(1, 9))
+def test_batch_outcome_planning_equals_scalar_bitwise(H):
+    # the batched oracle and plan values against best_outcome_plan and
+    # outcome_value customer by customer, for every one of the 2^H plans
+    plans = list(itertools.product((False, True), repeat=H))
+    for dim in range(1, 6):
+        m, a, X = batch_instance(H, dim, T=3, seed=1000 + 10 * H + dim)
+        batch = batch_params(X, m, a)
+        scalar = [params_from_true(x, m, a, B_A=50.0) for x in X]
+        assert best_outcome_values(batch).tolist() == [
+            best_outcome_plan(p)[1] for p in scalar
+        ]
+        for plan in plans:
+            assert outcome_values(plan, batch).tolist() == [
+                outcome_value(plan, p) for p in scalar
+            ]
+        # and a different plan for every customer, as the harness scores them
+        rng = np.random.default_rng(H * dim)
+        mixed = [plans[k] for k in rng.integers(len(plans), size=len(X))]
+        assert outcome_values(np.array(mixed).T, batch).tolist() == [
+            outcome_value(plan, p) for plan, p in zip(mixed, scalar)
+        ]
+
+
+def test_batch_outcome_ties_go_to_losing():
+    # customer 0 gains exactly as much from a round-1 win as from a loss,
+    # customer 1 strictly more, customer 2 strictly less; H = 1
+    batch = OutcomeParams(
+        mu=np.array([[1.0, 1.0, 1.0], [3.0, 4.0, 2.5]]),
+        delay=[1.0],
+        hob=[np.array([2.0, 2.0, 2.0])],
+    )
+    won, _ = planning._forced_policy(batch, planning._win_if_better)
+    assert won[0].tolist() == [False, True, False]
+    assert best_outcome_values(batch).tolist() == [1.0, 2.0, 1.0]
+    # the tied zero-carryover family: one win is worth the same at every
+    # round; per customer the batch keeps the lexicographically smallest
+    # plan, which wins last, exactly as the scalar planner does
+    for H in range(1, 6):
+        mu = [100.0 if i == lose_index(ONLY_ONE) else 0.0 for i in range(H + 1)]
+        scalar = PlanParams(
+            mu=mu, delay=[1.0] + [0.0] * (H - 1),
+            auction=AuctionModel(beta=np.zeros((H, 1)), sigma=np.ones(H)),
+            x=np.ones(1), B_A=50.0,
+        )
+        plan, value = best_outcome_plan(scalar)
+        assert plan == (False,) * (H - 1) + (True,)
+        hob = [hob_mean(h, scalar.x, scalar.auction) for h in range(1, H + 1)]
+        batch = OutcomeParams(
+            mu=np.array([[v, v] for v in mu]), delay=scalar.delay,
+            hob=[np.array([e, e]) for e in hob],
+        )
+        won, _ = planning._forced_policy(batch, planning._win_if_better)
+        i, path = 0, []
+        for _ in range(H):
+            assert won[i].tolist() == [won[i][0]] * 2
+            path.append(bool(won[i][0]))
+            i = state_table(H).next_id[i][path[-1]]
+        assert tuple(path) == plan
+        assert best_outcome_values(batch).tolist() == [value, value]
+
+
+@pytest.mark.parametrize("H", [1, 3])
+@pytest.mark.parametrize("T", [1, 2, 64, 20000])
+def test_stacked_product_equals_per_row_dot(H, T):
+    # conversion means and HOB means of the batch, against the per-row dot
+    # params_from_true and hob_mean take (a 1-row operand would take BLAS's
+    # matrix-vector path, which differs in the last bit)
+    for dim in (1, 2, 5):
+        m, a, X = batch_instance(H, dim, T, seed=40 + T + dim)
+        batch = batch_params(X, m, a)
+        assert batch.mu.T.tolist() == [params_from_true(x, m, a).mu for x in X]
+        assert np.array(batch.hob).T.tolist() == [
+            [hob_mean(h, x, a) for h in range(1, H + 1)] for x in X
+        ]
 
 
 def test_oracle_dominates_every_plan():
@@ -314,7 +409,7 @@ def test_dp_converges_to_closed_form():
     for seed in range(20):
         m, a, x = random_instance(200 + seed)
         params = params_from_true(x, m, a, B_A=BOUNDS.B_A)
-        v_star = closed_form_policy(params).value
+        v_star = closed_form_value(params)
         for n in gaps:
             v = dp_policy(params, default_bid_grid(BOUNDS, n)).value
             assert v <= v_star + 1e-9
@@ -329,7 +424,7 @@ def test_dp_dense_grid_near_exact():
     for seed in range(3):
         m, a, x = random_instance(300 + seed)
         params = params_from_true(x, m, a, B_A=BOUNDS.B_A)
-        v_star = closed_form_policy(params).value
+        v_star = closed_form_value(params)
         v = dp_policy(params, default_bid_grid(BOUNDS, 10_000)).value
         assert v <= v_star + 1e-9
         assert v_star - v <= 1e-4 * max(1.0, abs(v_star))
