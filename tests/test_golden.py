@@ -1,7 +1,9 @@
 """Golden digests: byte-exact outputs of small runs in both planner modes,
 including outcome runs at H=1 (the smallest parameter arrays), at H=5 in
-dimension 3 (up to 11 states per round) and at T=2 (the smallest batch of
-customers), and a dp run at H=4 on an 8-point bid grid.
+dimension 3 (up to 11 states per round), at T=2 (the smallest batch of
+customers), at a root seed of two 32-bit words (2**40 + 3) and with the
+fixed baselines only (no learner), and a dp run at H=4 on an 8-point bid
+grid.
 
 Any change to the simulator, the planners, the estimators or the writers
 that moves a single bit of `curves.csv`, `summary.txt`, `config.json`, the
@@ -34,6 +36,20 @@ CONFIGS = {
         "emit_logs": True,
     },
     "outcome_t2": {"T": 2, "trials": 1, "n_underbar": 1, "emit_logs": True},
+    "outcome_seed_2pow40": {
+        "T": 40,
+        "trials": 2,
+        "seed": 2**40 + 3,
+        "n_underbar": 2,
+        "emit_logs": True,
+    },
+    "outcome_baselines_only": {
+        "T": 50,
+        "trials": 2,
+        "H": 4,
+        "policies": ["aggressive", "random", "passive"],
+        "emit_logs": True,
+    },
     "dp": {"T": 60, "trials": 1, "mode": "dp", "n_underbar": 10, "emit_logs": True},
     "dp_h4_grid8": {
         "T": 60,
@@ -90,6 +106,26 @@ GOLDEN = {
         "episodes_trial0.csv": "8dd48d7044fc0e05645dc46fbe0aa033da39b45f4e04c784edd3cf4364b86ddc",
         "instance_trial0.snapshot": "5224ffb2ca1412074c36969583d75dbf6a178543ea7dfe1c55aab1a1f9c55b4e",
         "summary.txt": "bc072331b36c3b725bddd472f2bcb943b434d3ebb7a2b395f7e0d7e83c670b71",
+    },
+    "outcome_seed_2pow40": {
+        "agent_trial0.snapshot": "4a06d7fca0035952c0e0557bc4262dca6f60be85208a6754842785aaddbf87c2",
+        "agent_trial1.snapshot": "310c666c90b213045fb1411eeba6600bbf23579715764f6230615dc7b91de4cb",
+        "config.json": "10732d3bfa847faaeb9af6cdf425fc162c1eaf96068a2afb33e396ffd7c13276",
+        "contexts_trial0.csv": "fd663105bb6af9f7e2ad56880f283d1bee5c7a01793bfbd8453ff8b537f09d37",
+        "contexts_trial1.csv": "7da3b07b9bf4b65bf56a2f47ee7bcbe14474d0e874e75e067fdb1ca1995fec65",
+        "curves.csv": "c6b8c51cef7264ff2a679f6148d64c4d1fd151af7ef8f72c2e98b034dea56354",
+        "episodes_trial0.csv": "5589e4583bef0d03b993574082f49adcf0885a0c3a55a7e68cb588c074ae5285",
+        "episodes_trial1.csv": "271e8d192081590201cee757f8274afba8de27da256723781801e0e786474697",
+        "instance_trial0.snapshot": "431b87ae465afb97bedbfefb40586149a74e869144bf3ece4c0a363c01643990",
+        "instance_trial1.snapshot": "58661539c4149af9824510b17a5f6cd5c124811a66c1a1b0f34b626a89b5c654",
+        "summary.txt": "04fd27f4b93eca2f28945653b5c03f0a8360dbc9fa8ad0010a7d6b4b33253f2f",
+    },
+    "outcome_baselines_only": {
+        "config.json": "992a35d5a017c70f78a06900ddc91982c820700f0d51ef487b60f78816e7e707",
+        "curves.csv": "2f7d0efeeca178e7a66bc667817e9a34bd988f602aa18eaaced85e824a937830",
+        "instance_trial0.snapshot": "45542f1f4ec3fe51b7051c34ac7fa37d6aa4334fc3a9b2f5f2d37e9d6bf6cc40",
+        "instance_trial1.snapshot": "f3a841b1e759b5c57f0745910e3db1b9889fd4cf1d1ea183ca8e3b193f583512",
+        "summary.txt": "1d220f504e8f0e05acf342f64f1f547f1895a24c7b4aa82b0d7d995edd8df87b",
     },
     "dp": {
         "agent_trial0.snapshot": "952cae640ca76b0726301eb87488df090537de3c46f1d6fa83516434734ebf66",
