@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .model import (
     NEVER,
@@ -61,20 +62,82 @@ def _encode_key_part(part: int | str) -> int:
     return int(part)
 
 
+def _words(*parts: int) -> list[int]:
+    """The 32-bit words, low first, that SeedSequence reads the parts as."""
+    return [n >> s & 0xFFFFFFFF
+            for n in parts for s in range(0, n.bit_length() or 1, 32)]
+
+
+# numpy's SeedSequence hash constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """`SeedSequence(entropy=row).generate_state(4, np.uint64)` of every row
+    of the (count, L) uint32 word array `entropy`: numpy's mix with a pool
+    of 4 words, run on whole columns.  The hash constant steps the same way
+    for every row, so each row gets its own SeedSequence's words."""
+    const = _INIT_A
+
+    def hashmix(v: np.ndarray, mult: int) -> np.ndarray:
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        v = v * np.uint32(const)
+        return v ^ (v >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    count, n = entropy.shape
+    pad = np.zeros(count, np.uint32)
+    pool = [hashmix(entropy[:, i] if i < n else pad, _MULT_A) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], _MULT_A))
+    for src in range(4, n):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src], _MULT_A))
+    const = _INIT_B
+    state = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Ready seed words: what `generate_state(4, np.uint64)` gives PCG64."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
 class RandomSource:
     """Keyed factory of independent numpy generators.
 
     `stream(*key)` returns a fresh generator seeded by SeedSequence entropy
     (root, *prefix, *key); string key parts are encoded as little-endian
     bytes.  Streams with distinct keys are statistically independent, and the
-    same (root, key) always yields the same draws.
+    same (root, key) always yields the same draws.  A source from `prepare`
+    builds the streams of whole key families from seed words computed at
+    once: the same generators, without a SeedSequence each.
     """
 
     def __init__(self, root: int, prefix: tuple[int, ...] = ()):
         self.root = int(root)
         self.prefix = prefix
+        self._seeds: dict = {}  # family -> (count, 4) words of t = 1..count
 
     def stream(self, *key: int | str) -> np.random.Generator:
+        seeds = self._seeds.get(key[1:]) if key else None
+        if seeds is not None and type(key[0]) is int and 0 < key[0] <= len(seeds):
+            words = _SeedWords(seeds[key[0] - 1])
+            return np.random.Generator(np.random.PCG64(words))
         parts = tuple(_encode_key_part(k) for k in key)
         entropy = (self.root, *self.prefix, *parts)
         return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
@@ -82,6 +145,27 @@ class RandomSource:
     def scoped(self, *key: int | str) -> "RandomSource":
         parts = tuple(_encode_key_part(k) for k in key)
         return RandomSource(self.root, self.prefix + parts)
+
+    def prepare(self, count: int, *families: tuple[int | str, ...]) -> "RandomSource":
+        """This source, with the seed words of the keys (t, *family), t =
+        1..count, of each family computed in one pass; each family's first
+        and last are checked against SeedSequence's."""
+        if not 0 < count < 2**32:
+            raise ValueError(f"can prepare 1 to 2**32 - 1 keys, got {count}")
+        head = _words(self.root, *self.prefix)
+        prepared = RandomSource(self.root, self.prefix)
+        seeds = prepared._seeds = dict(self._seeds)
+        for family in families:
+            parts = [_encode_key_part(p) for p in family]
+            row = np.array([*head, 0, *_words(*parts)], np.uint32)
+            entropy = np.tile(row, (count, 1))
+            entropy[:, len(head)] = np.arange(1, count + 1)
+            seeds[tuple(family)] = words = _pcg64_seeds(entropy)
+            for t in {1, count}:
+                ss = np.random.SeedSequence((self.root, *self.prefix, t, *parts))
+                if not np.array_equal(words[t - 1], ss.generate_state(4, np.uint64)):
+                    raise RuntimeError(f"seed words of key {(t, *family)} are wrong")
+        return prepared
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,10 @@ from .environment import (
     write_context_csv,
     write_episode_csv,
 )
-from .model import Bounds
+from .model import Bounds, state_table
 # best_outcome_plan stays in this namespace, where perfbench/tracing.py wraps it
 from .planning import (  # noqa: F401
+    OutcomeParams,
     batch_params,
     best_outcome_plan,
     best_outcome_values,
@@ -102,6 +103,22 @@ def _default_bounds() -> Bounds:
 
 # --- configuration --------------------------------------------------------
 
+_INT_KEYS = (
+    "T", "trials", "seed", "H", "dim", "n_underbar", "bid_grid_points", "workers",
+)
+_REAL_KEYS = ("width_scale", "delta", "Gamma_trunc", "half_width_multiplier")
+
+
+def _check_type(key: str, value, kind: type, optional: bool = False) -> None:
+    """Reject, naming the key, a value that is not an integer (`kind` int)
+    or a real number (`kind` float, which takes integers too); a bool is
+    neither, and None passes only when `optional`."""
+    if value is None and optional:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {noun}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -133,6 +150,10 @@ class ExperimentConfig:
     instance: InstanceRecipe = field(default_factory=InstanceRecipe)
 
     def __post_init__(self) -> None:
+        for key in _INT_KEYS:
+            _check_type(key, getattr(self, key), int, optional=key == "n_underbar")
+        for key in _REAL_KEYS:
+            _check_type(key, getattr(self, key), float, optional=key == "Gamma_trunc")
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if self.trials < 1:
@@ -161,6 +182,8 @@ class ExperimentConfig:
             raise ValueError("duplicate policy names")
         if not self.checkpoints:
             raise ValueError("at least one checkpoint is required")
+        for i, c in enumerate(self.checkpoints):
+            _check_type(f"checkpoints[{i}]", c, int)
         if list(self.checkpoints) != sorted(set(self.checkpoints)):
             raise ValueError("checkpoints must be strictly increasing")
         if self.checkpoints[0] < 1 or self.checkpoints[-1] > self.T:
@@ -204,29 +227,33 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key in ("dim", "H", "T"):  # read here, before the config checks them
+        if key in raw:
+            _check_type(key, raw[key], int)
     kwargs = dict(raw)
-    dim = int(kwargs.get("dim", 2))
-    H = int(kwargs.get("H", 3))
+    sections = {}
+    for key, known in (("bounds", _BOUNDS_KEYS), ("instance", _INSTANCE_KEYS)):
+        sections[key] = section = kwargs.pop(key, {})
+        if not isinstance(section, Mapping):
+            raise ValueError(f"{key} must be an object, got {section!r}")
+        unknown = set(section) - known
+        if unknown:
+            raise ValueError(f"unknown {key} keys: {sorted(unknown)}")
+        for k, v in section.items():
+            if k != "strict":
+                _check_type(f"{key}.{k}", v, float)
+    merged = {**_BOUNDS_DEFAULTS, **sections["bounds"]}
+    kwargs["bounds"] = Bounds(H=kwargs.get("H", 3), dim=kwargs.get("dim", 2),
+                              **{k: float(v) for k, v in merged.items()})
+    kwargs["instance"] = InstanceRecipe(**sections["instance"])
 
-    bounds_raw = dict(kwargs.pop("bounds", {}))
-    unknown = set(bounds_raw) - _BOUNDS_KEYS
-    if unknown:
-        raise ValueError(f"unknown bounds keys: {sorted(unknown)}")
-    merged = {**_BOUNDS_DEFAULTS, **{k: float(v) for k, v in bounds_raw.items()}}
-    kwargs["bounds"] = Bounds(H=H, dim=dim, **merged)
-
-    instance_raw = dict(kwargs.pop("instance", {}))
-    unknown = set(instance_raw) - _INSTANCE_KEYS
-    if unknown:
-        raise ValueError(f"unknown instance keys: {sorted(unknown)}")
-    kwargs["instance"] = InstanceRecipe(**instance_raw)
-
-    if "checkpoints" in kwargs:
-        kwargs["checkpoints"] = tuple(int(c) for c in kwargs["checkpoints"])
-    elif "T" in kwargs:
-        kwargs["checkpoints"] = scaled_checkpoints(int(kwargs["T"]))
-    if "policies" in kwargs:
-        kwargs["policies"] = tuple(kwargs["policies"])
+    for key in ("policies", "checkpoints"):
+        if key in kwargs:
+            if not isinstance(kwargs[key], (list, tuple)):
+                raise ValueError(f"{key} must be a list, got {kwargs[key]!r}")
+            kwargs[key] = tuple(kwargs[key])
+    if "checkpoints" not in kwargs and "T" in kwargs:
+        kwargs["checkpoints"] = scaled_checkpoints(kwargs["T"])
     return ExperimentConfig(**kwargs)
 
 
@@ -280,17 +307,21 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
 
     All policies face the same customer contexts and the same highest other
     bids; conversion noise is drawn per policy.  Only the learner runs
-    customer by customer: the contexts are drawn first, and the outcome
-    oracle and every outcome plan are scored for all customers at once.
-    Any failure at a customer is re-raised with (trial, customer)
-    provenance.
+    customer by customer: the contexts and HOBs are drawn first, the outcome
+    oracle and every outcome plan are scored for all customers at once, and
+    the fixed baselines play their plans as arrays.  The trial's per-customer
+    streams are seeded in one pass (`RandomSource.prepare`).  Any failure at
+    a customer is re-raised with (trial, customer) provenance.
     """
     if trial < 0:
         raise ValueError("trial index must be nonnegative")
-    rng = RandomSource(config.seed).scoped(trial)
+    T = config.T
+    families = [("ctx",), ("hob",), *(("conv", name) for name in config.policies)]
+    if "random" in config.policies:
+        families.append(("plan", "random"))
+    rng = RandomSource(config.seed).scoped(trial).prepare(T, *families)
     m, a = generate_instance(config.instance, config.bounds, rng)
     bounds = config.bounds
-    T = config.T
     outcome_mode = config.mode == "outcome"
 
     agent: AgentState | None = None
@@ -306,10 +337,11 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
         )
     grid = default_bid_grid(bounds, config.bid_grid_points)
 
-    xs = []
+    xs, hobs = [], np.empty((T, config.H))
     for t in range(1, T + 1):
         with _provenance(trial, t):
             xs.append(sample_context(config.instance, bounds, rng.stream(t, "ctx")))
+            hobs[t - 1] = draw_hobs(xs[-1], a, rng, t)
     batch = batch_params(np.array(xs), m, a)
     outcome_opt = best_outcome_values(batch)
     plans = {}  # each customer's target outcomes, by policy
@@ -318,13 +350,15 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
             policy = BaselinePolicy(kind=name, H=config.H)
             plans[name] = [
                 baseline_act(policy, rng.stream(t, "plan", name) if name == "random"
-                             else _NULL_RNG)
+                             else None)  # the fixed baselines draw nothing
                 for t in range(1, T + 1)
             ]
         elif outcome_mode:
             plans[name] = []  # filled as the learner plays
-    realized = {name: np.empty(T) for name in config.policies}
-    expected = {LEARNER_POLICY: np.empty(T)}  # the dp-mode learner's
+    realized_learner = np.empty(T)
+    expected_learner = np.empty(T)  # dp mode's; outcome mode scores the plans
+    realized = {LEARNER_POLICY: realized_learner}
+    expected = {LEARNER_POLICY: expected_learner}
     dp_opt = np.empty(T)
     episodes: list[tuple[int, EpisodeLog]] | None = (
         [] if config.emit_logs and agent is not None else None
@@ -338,37 +372,31 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
                 dp_opt[t - 1] = dp_policy(params_true, grid, mode="auction").value
             if t <= ORACLE_GAP_SAMPLE:
                 gap_total += float(outcome_opt[t - 1] - dp_opt[t - 1])
-
-            hobs = draw_hobs(x, a, rng, t)
-            for name in config.policies:
-                if name == LEARNER_POLICY:
-                    decision = act(agent, x, grid)
-                    policy, mode = decision.policy, decision.mode
-                else:
-                    plan = plans[name][t - 1]
-                    policy, mode = (lambda h, s, xx, plan=plan: plan[h - 1]), "forced"
-                log = run_episode(
-                    policy, x, m, a, rng, mode,
-                    t=t, noise_label=name, bounds=bounds, hobs=hobs,
+            if agent is None:
+                continue
+            decision = act(agent, x, grid)
+            log = run_episode(
+                decision.policy, x, m, a, rng, decision.mode,
+                t=t, noise_label=LEARNER_POLICY, bounds=bounds, hobs=hobs[t - 1],
+            )
+            realized_learner[t - 1] = log.realized_reward
+            update(agent, log)
+            if episodes is not None:
+                episodes.append((trial, log))
+            if outcome_mode:
+                plans[LEARNER_POLICY].append(decision.plan)
+            elif decision.plan is not None:
+                expected_learner[t - 1] = outcome_value(decision.plan, params_true)
+            else:
+                expected_learner[t - 1] = policy_value(
+                    params_true, lambda h, s: decision.policy(h, s, x)
                 )
-                realized[name][t - 1] = log.realized_reward
-                if name != LEARNER_POLICY:
-                    continue
-                update(agent, log)
-                if episodes is not None:
-                    episodes.append((trial, log))
-                if outcome_mode:
-                    plans[name].append(decision.plan)
-                elif decision.plan is not None:
-                    expected[name][t - 1] = outcome_value(decision.plan, params_true)
-                else:
-                    expected[name][t - 1] = policy_value(
-                        params_true, lambda h, s: decision.policy(h, s, x)
-                    )
 
-    # round h of every customer's plan at once
     for name, p in plans.items():
-        expected[name] = outcome_values(np.array(p).T, batch)
+        won = np.array(p, dtype=bool)  # (T, H): round h of every customer's plan
+        expected[name] = outcome_values(won.T, batch)
+        if name != LEARNER_POLICY:
+            realized[name] = _play_plans(won, hobs, batch, rng, name, trial)
     opt = outcome_opt if outcome_mode else dp_opt
     return TrialResult(
         trial=trial,
@@ -384,6 +412,33 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     )
 
 
+def _play_plans(
+    won: np.ndarray, hobs: np.ndarray, batch: OutcomeParams, rng: RandomSource,
+    name: str, trial: int,
+) -> np.ndarray:
+    """Each customer's realized reward from forcing the outcomes `won`
+    ((T, H) bools) against `hobs`: the floats `run_episode` gives, with
+    round h's conversions the h-th draw of the (t, "conv", name) stream."""
+    T, H = won.shape
+    table, cols, delay = state_table(H), np.arange(T), np.array(batch.delay)
+    ids = np.zeros((T, H + 1), dtype=np.intp)  # the state id of each round
+    rates = np.empty((T, H))
+    for h in range(H):
+        s1, s2 = table.s1[ids[:, h]], table.s2[ids[:, h]]
+        rates[:, h] = np.where(won[:, h], batch.mu[s1 + 1, cols],
+                               delay[s1] * batch.mu[s2 + 1, cols])
+        ids[:, h + 1] = table.successors[ids[:, h], won[:, h].astype(np.intp)]
+    for t, h in np.argwhere(rates < 0)[:1]:
+        with _provenance(trial, t + 1):
+            raise ValueError(f"negative conversion rate {rates[t, h]} in state "
+                             f"{table.states[ids[t, h]]}")
+    conversions = np.empty((T, H), dtype=np.int64)
+    for t in range(T):
+        conversions[t] = rng.stream(t + 1, "conv", name).poisson(rates[t])
+    # summed round by round from 0, as EpisodeLog.realized_reward sums
+    return sum((conversions - np.where(won, hobs, 0.0)).T)
+
+
 @contextlib.contextmanager
 def _provenance(trial: int, t: int) -> Iterator[None]:
     """Re-raise any failure with the trial and customer it happened at."""
@@ -391,11 +446,6 @@ def _provenance(trial: int, t: int) -> Iterator[None]:
         yield
     except Exception as exc:
         raise RuntimeError(f"trial {trial}, customer {t}: {exc}") from exc
-
-
-# Fixed baselines never draw from their generator; a shared dummy keeps the
-# call signature uniform without minting a stream per customer.
-_NULL_RNG = np.random.default_rng(0)
 
 
 # --- curve fitting ---------------------------------------------------------

@@ -222,8 +222,9 @@ class StateTable:
     integer id, round by round in `reachable_states` order: `keys[i]` is the
     pair of id i and `states[i]` its state, built once; `layers[h - 1]` is
     the range of round h's ids; `next_id[i][won]` is the id the outcome
-    leads to (`len(states)` after the last round).  `state_table` builds one
-    per H."""
+    leads to (`len(states)` after the last round).  The integer arrays `s1`,
+    `s2` and `successors` (`next_id` as an (n, 2) array) walk a batch of
+    customers at once.  `state_table` builds one per H."""
 
     def __init__(self, H: int) -> None:
         levels = reachable_states(H)
@@ -237,6 +238,9 @@ class StateTable:
                   for won in (False, True))
             for h, s in self.keys
         )
+        self.s1 = np.array([s.s1 for s in self.states])
+        self.s2 = np.array([s.s2 for s in self.states])
+        self.successors = np.array(self.next_id)
 
 
 @functools.cache

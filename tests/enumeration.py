@@ -2,10 +2,21 @@
 behind the planners: every one of the 2^H target outcome sequences scored
 by `outcome_value`, a scalar loop over the bid grid scored by
 `auction_round_value`, the exact continuous-bid optimum, the oracle value
-in either planner mode, and two identities of the HOB payment."""
+in either planner mode, two identities of the HOB payment, and an
+outcome-mode trial played one customer and one policy at a time."""
 
 import itertools
 
+import numpy as np
+
+from bidlab.agent import BaselinePolicy, act, baseline_act, make_agent, update
+from bidlab.environment import (
+    RandomSource,
+    draw_hobs,
+    generate_instance,
+    run_episode,
+    sample_context,
+)
 from bidlab.model import (
     INITIAL_STATE,
     delay_index,
@@ -18,7 +29,9 @@ from bidlab.model import (
 )
 from bidlab.planning import (
     auction_round_value,
+    batch_params,
     best_outcome_plan,
+    best_outcome_values,
     default_bid_grid,
     dp_policy,
     outcome_value,
@@ -118,3 +131,42 @@ def expected_payment_given_win(h, bid, x, a):
     if F == 0.0:
         raise ValueError("payment undefined at zero win probability")
     return expected_payment(h, bid, x, a) / F
+
+
+def per_customer_realized(config, trial, instance=None):
+    """Realized cumulative regret of every policy of an outcome-mode
+    config, each customer's episode run through `run_episode` once per
+    policy in config order, every stream built by SeedSequence; the
+    instance is the trial's own unless given."""
+    rng = RandomSource(config.seed).scoped(trial)
+    m, a = instance or generate_instance(config.instance, config.bounds, rng)
+    xs = [sample_context(config.instance, config.bounds, rng.stream(t, "ctx"))
+          for t in range(1, config.T + 1)]
+    opt = best_outcome_values(batch_params(np.array(xs), m, a))
+    agent = None
+    if "learner" in config.policies:
+        agent = make_agent(
+            config.bounds, config.T, delta=config.delta,
+            width_scale=config.width_scale, n_underbar=config.n_underbar,
+            Gamma_override=config.Gamma_trunc, planner_mode=config.mode,
+        )
+    grid = default_bid_grid(config.bounds, config.bid_grid_points)
+    rewards = {name: [] for name in config.policies}
+    for t, x in enumerate(xs, start=1):
+        hobs = draw_hobs(x, a, rng, t)
+        for name in config.policies:
+            if name == "learner":
+                decision = act(agent, x, grid)
+                policy, mode = decision.policy, decision.mode
+            else:
+                plan = baseline_act(
+                    BaselinePolicy(name, config.H),
+                    rng.stream(t, "plan", name) if name == "random" else None,
+                )
+                policy, mode = (lambda h, s, xx, plan=plan: plan[h - 1]), "forced"
+            log = run_episode(policy, x, m, a, rng, mode, t=t, noise_label=name,
+                              bounds=config.bounds, hobs=hobs)
+            rewards[name].append(log.realized_reward)
+            if name == "learner":
+                update(agent, log)
+    return {name: np.cumsum(opt - np.array(r)) for name, r in rewards.items()}

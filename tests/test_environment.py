@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bidlab import environment
 from bidlab.environment import (
     EpisodeLog,
     InstanceRecipe,
@@ -71,6 +72,84 @@ def test_scoped_prefix_matches_inline_key():
 def test_negative_key_rejected():
     with pytest.raises(ValueError):
         RandomSource(1).stream(-2)
+
+
+# every key family run_trial prepares
+TRIAL_FAMILIES = [
+    ("ctx",), ("hob",), ("plan", "random"),
+    *(("conv", name) for name in ("learner", "aggressive", "random", "passive")),
+]
+
+
+def _seed_words(gen: np.random.Generator) -> np.ndarray:
+    return gen.bit_generator.seed_seq.generate_state(4, np.uint64)
+
+
+@pytest.mark.parametrize("root", [0, 69, 2**32, 2**70 + 5])
+@pytest.mark.parametrize("prefix", [(), (0,), (2**32 + 3,)])
+def test_prepared_streams_equal_seed_sequence_streams(root, prefix):
+    count = 150
+    plain = RandomSource(root, prefix)
+    prepared = plain.prepare(count, *TRIAL_FAMILIES)
+    for family in TRIAL_FAMILIES:
+        # t = count + 1 and the other families take the SeedSequence path
+        for t in range(1, count + 2):
+            a, b = prepared.stream(t, *family), plain.stream(t, *family)
+            assert np.array_equal(_seed_words(a), _seed_words(b))
+            assert np.array_equal(a.integers(2**63, size=3), b.integers(2**63, size=3))
+    for key in [(1, "instance"), ("instance",), (np.int64(3), "hob"), (0, "ctx")]:
+        assert np.array_equal(prepared.stream(*key).random(3), plain.stream(*key).random(3))
+
+
+def test_bulk_seed_words_cover_every_32_bit_customer_index():
+    # t is one word below 2**32; prepare only ever fills 1..count, so the
+    # mix is checked on hand-built rows up to t = 2**32 - 1
+    ts = [1, 2**16, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1]
+    for root, prefix in [(0, ()), (69, (1,)), (2**70 + 5, (2**32 + 3,))]:
+        for family in TRIAL_FAMILIES:
+            parts = [environment._encode_key_part(p) for p in family]
+            rows = np.array(
+                [environment._words(root, *prefix, t, *parts) for t in ts], np.uint32
+            )
+            words = environment._pcg64_seeds(rows)
+            for t, got in zip(ts, words):
+                want = np.random.SeedSequence((root, *prefix, t, *parts))
+                assert np.array_equal(got, want.generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("row", [0, -1])
+def test_prepare_rejects_wrong_seed_words(monkeypatch, row):
+    real = environment._pcg64_seeds
+
+    def corrupted(entropy):
+        words = real(entropy)
+        words[row, 2] ^= np.uint64(1)
+        return words
+
+    monkeypatch.setattr(environment, "_pcg64_seeds", corrupted)
+    with pytest.raises(RuntimeError, match="seed words of key"):
+        RandomSource(5, (1,)).prepare(40, ("hob",))
+
+
+def test_prepare_needs_a_32_bit_count():
+    for count in (0, 2**32):
+        with pytest.raises(ValueError, match="prepare"):
+            RandomSource(1).prepare(count, ("ctx",))
+
+
+@pytest.mark.parametrize("H", [1, 2, 3, 6])
+def test_one_poisson_call_equals_per_round_draws(H):
+    # a baseline's H conversion counts come from one array call on the
+    # customer's stream; run_episode draws them one round at a time
+    gen = np.random.default_rng(2024 + H)
+    rates = gen.exponential(gen.choice([0.5, 5.0, 50.0, 500.0], size=(5000, 1)),
+                            size=(5000, H))
+    rates[::7, 0] = 0.0
+    vector, scalar = np.random.default_rng(H), np.random.default_rng(H)
+    for row in rates:
+        assert vector.poisson(row).tolist() == [
+            sample_conversions(float(r), scalar) for r in row
+        ]
 
 
 # --- primitive draws -------------------------------------------------------
