@@ -2,8 +2,9 @@
 including outcome runs at H=1 (the smallest parameter arrays), at H=5 in
 dimension 3 (up to 11 states per round), at T=2 (the smallest batch of
 customers), at a root seed of two 32-bit words (2**40 + 3) and with the
-fixed baselines only (no learner), and a dp run at H=4 on an 8-point bid
-grid.
+fixed baselines only (no learner), with a truncation level and an effect
+bound small enough that the online Newton step truncates and projects, and
+a dp run at H=4 on an 8-point bid grid.
 
 Any change to the simulator, the planners, the estimators or the writers
 that moves a single bit of `curves.csv`, `summary.txt`, `config.json`, the
@@ -48,6 +49,14 @@ CONFIGS = {
         "trials": 2,
         "H": 4,
         "policies": ["aggressive", "random", "passive"],
+        "emit_logs": True,
+    },
+    "outcome_trunc_proj": {
+        "T": 200,
+        "trials": 2,
+        "n_underbar": 12,
+        "Gamma_trunc": 2.0,
+        "bounds": {"B_theta": 2.0},
         "emit_logs": True,
     },
     "dp": {"T": 60, "trials": 1, "mode": "dp", "n_underbar": 10, "emit_logs": True},
@@ -126,6 +135,19 @@ GOLDEN = {
         "instance_trial0.snapshot": "45542f1f4ec3fe51b7051c34ac7fa37d6aa4334fc3a9b2f5f2d37e9d6bf6cc40",
         "instance_trial1.snapshot": "f3a841b1e759b5c57f0745910e3db1b9889fd4cf1d1ea183ca8e3b193f583512",
         "summary.txt": "1d220f504e8f0e05acf342f64f1f547f1895a24c7b4aa82b0d7d995edd8df87b",
+    },
+    "outcome_trunc_proj": {
+        "agent_trial0.snapshot": "09d519cecf39bece9364ece9bffedd298641d9052483aa03da2799d56d1d397a",
+        "agent_trial1.snapshot": "5fbb7199ba26c30b7ece025b2d6b3dd80ecf0a4063699dcdba29312fd20aba27",
+        "config.json": "2f36be5ee726474de758ae69063c7e801a0e6bf27de1176a18c6377611b36ede",
+        "contexts_trial0.csv": "6e23815af94284c346407673deedfa3ec859a695eab6a4df7a42c90a9836a271",
+        "contexts_trial1.csv": "f4f98ee60c846e28f62c511574a163527ec44f156bb19cbb3d7cdee87b430168",
+        "curves.csv": "2c99fda538c8a35a044a13ecc70901789c42e6e07ab9c8c8db7b629268d8f187",
+        "episodes_trial0.csv": "fe6e6140f552284534efe480021a08ee97eaaf9ec760501ea9aef2ce40dedd6d",
+        "episodes_trial1.csv": "c1b4e1e057b630dc73a053a910020680432a0961ccaaa23baf9e815b49aaa9ed",
+        "instance_trial0.snapshot": "8cdf333097e95ed20b158cac8a1358b7258ced8afbcea646705fd9d8cf2b66bc",
+        "instance_trial1.snapshot": "7ef72c6932e8ea89db706d019674966c4e54ca3f7a30aeb823fe28bf6a9004ab",
+        "summary.txt": "3a101b6061110757c293f8d6ed14ddf910c259418b79d1e77225b864a9df4994",
     },
     "dp": {
         "agent_trial0.snapshot": "952cae640ca76b0726301eb87488df090537de3c46f1d6fa83516434734ebf66",
