@@ -5,9 +5,10 @@ baseline policies used in the benchmark.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -217,12 +218,17 @@ def optimistic_params(agent: AgentState, x: np.ndarray) -> PlanParams:
     )
 
 
-def act(agent: AgentState, x: np.ndarray, bid_grid: np.ndarray) -> Decision:
-    """Decide one episode: scheduled exposures during exploration, planned
-    optimism afterwards.  The dp planner picks its bids from `bid_grid`."""
-    if agent.exploring:
-        plan = exploration_plan(agent.t, agent.n_underbar, agent.bounds.H)
+def act(agent: AgentState, x: np.ndarray, bid_grid: np.ndarray,
+        t: int | None = None) -> Decision:
+    """Decide customer t's episode (by default agent.t): scheduled exposures
+    during exploration, which read no estimate and so may run ahead of the
+    updates, planned optimism afterwards on bids from `bid_grid` (dp)."""
+    t = agent.t if t is None else t
+    if t <= exploration_window(agent.n_underbar, agent.bounds.H):
+        plan = exploration_plan(t, agent.n_underbar, agent.bounds.H)
         return _plan_decision(plan, agent.bid_mode, agent.bounds.B_A, True)
+    if t != agent.t:
+        raise ValueError(f"customer {t}: the learner expects customer {agent.t}")
     params = optimistic_params(agent, x)
     if agent.planner_mode == "outcome":
         plan, _ = best_outcome_plan(params)
@@ -236,39 +242,66 @@ def act(agent: AgentState, x: np.ndarray, bid_grid: np.ndarray) -> Decision:
     )
 
 
-def update(agent: AgentState, log: EpisodeLog) -> AgentState:
-    """Consume one episode: auction regression on every round, then the
-    split-bucket effect updates by theta row and the delay updates by lag."""
-    if log.t != agent.t:
-        raise ValueError(f"expected customer {agent.t}, got log for {log.t}")
-    x = log.x
-    for r in log.records:
-        ridge_update(agent.auction_bank[r.h], x, math.log(r.hob))
-    split = split_episode(log)
-    for i, rounds in enumerate(split.w):
-        for r in rounds:
-            # provenance: W rounds only — wins at the matching row, or
-            # never-exposed losses feeding natural demand
-            home = win_index(r.state.s1) if r.won else lose_index(r.state.s2)
-            if home != i or not (r.won or r.state.s1 == NEVER):
-                raise ValueError(
-                    f"customer {r.t}, round {r.h} is not a clean sample of "
-                    f"theta row {i}"
-                )
-            crtm_update(agent.theta_bank[i], x, float(r.conversions), agent.cfg)
-    theta_snapshot = [est.theta_hat for est in agent.theta_bank]
-    for lag in sorted(split.d):
-        tsmle_update(
-            agent.delay_bank[lag], split.d[lag], x, theta_snapshot, agent.bounds.b
-        )
-    agent.t += 1
+def update(agent: AgentState, logs: Sequence[EpisodeLog]) -> AgentState:
+    """Consume a run of consecutive episodes (one customer is a run of one),
+    bit for bit as one at a time: per round position a ridge sample per
+    customer, per theta row its W rounds in order, per lag its delay rounds,
+    each base rate from its row's estimate after the round's own customer.
+    Every error raised here names the customer."""
+    if not logs:
+        return agent
     boundary = exploration_window(agent.n_underbar, agent.bounds.H)
+    cut = boundary + 1 - agent.t
+    if 0 < cut < len(logs):  # the underfed check runs at the boundary
+        update(agent, logs[:cut])
+        return update(agent, logs[cut:])
+    t0 = agent.t
+    w, d = [[] for _ in agent.theta_bank], {}  # W rounds by theta row, D rounds by lag
+    for k, log in enumerate(logs):
+        if log.t != t0 + k:
+            raise ValueError(f"customer {log.t}: expected customer {t0 + k}")
+        for r in log.records:
+            if not 0.0 < r.hob < math.inf:
+                raise ValueError(f"customer {r.t}, round {r.h}: log HOB must be "
+                                 f"finite, got the HOB {r.hob!r}")
+        split = split_episode(log)
+        for i, rounds in enumerate(split.w):
+            for r in rounds:
+                # provenance: W rounds only — wins at the matching row, or
+                # never-exposed losses feeding natural demand
+                home = win_index(r.state.s1) if r.won else lose_index(r.state.s2)
+                if home != i or not (r.won or r.state.s1 == NEVER):
+                    raise ValueError(
+                        f"customer {r.t}, round {r.h} is not a clean sample of "
+                        f"theta row {i}"
+                    )
+                w[i].append(r)
+        for lag, rounds in split.d.items():
+            d.setdefault(lag, []).extend(rounds)
+    X = np.array([log.x for log in logs], dtype=float)
+    ridge_update([agent.auction_bank[h] for h in range(1, agent.bounds.H + 1)], X,
+                 [[math.log(r.hob) for r in log.records] for log in logs])
+    paths = []  # by theta row: its rounds' customers, its estimates from before the run
+    for est, rounds in zip(agent.theta_bank, w):
+        ts, path = [r.t for r in rounds], [est.theta_hat]
+        if rounds:
+            ys = [r.conversions for r in rounds]
+            path += crtm_update(est, X[[t - t0 for t in ts]], ys, agent.cfg)
+        paths.append((ts, path))
+    for lag in sorted(d):
+        thetas = []
+        for r in d[lag]:  # the base-rate row's estimate after r's customer
+            ts, path = paths[lose_index(r.state.s2)]
+            thetas.append(path[bisect.bisect_right(ts, r.t)])
+        X_lag = X[[r.t - t0 for r in d[lag]]]
+        tsmle_update(agent.delay_bank[lag], d[lag], X_lag, thetas, agent.bounds.b)
+    agent.t += len(logs)
     if agent.bid_mode == "forced" and agent.t == boundary + 1:
         for lag, est in agent.delay_bank.items():
             if est.N < agent.n_underbar:
                 raise RuntimeError(
-                    f"exploration underfed the lag-{lag} delay estimator: "
-                    f"{est.N} < {agent.n_underbar}"
+                    f"customer {boundary}: exploration underfed the lag-{lag} "
+                    f"delay estimator: {est.N} < {agent.n_underbar}"
                 )
     return agent
 

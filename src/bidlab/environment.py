@@ -530,7 +530,10 @@ def read_context_csv(path) -> dict[tuple[int, int], np.ndarray]:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValueError(f"line {lineno}: expected {len(header)} fields")
-            out[(int(row[0]), int(row[1]))] = np.array([float(v) for v in row[2:]])
+            try:
+                out[(int(row[0]), int(row[1]))] = np.array([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         return out
 
 

@@ -115,8 +115,18 @@ def delay_radius(
 
 # --- effect vectors (truncated-mean online Newton) -------------------------
 
-def _identity(dim: int) -> np.ndarray:
-    return np.eye(dim)
+def _partial_sums(start, steps: np.ndarray) -> np.ndarray:
+    """start, start + steps[0], (start + steps[0]) + steps[1], ...: summed
+    in order along the first axis, as a loop of `+` sums them."""
+    out = np.empty((len(steps) + 1, *np.shape(start)))
+    out[0], out[1:] = start, steps
+    return np.add.accumulate(out, axis=0, out=out)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """float(a[k] @ b[k]) for every (broadcast) row k: a stacked (1, d) @
+    (d, 1) product runs the vector dot, bit for bit."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 @dataclass
@@ -132,7 +142,7 @@ class ThetaEstimator:
 
     def __post_init__(self) -> None:
         if self.V is None:
-            self.V = _identity(self.dim)
+            self.V = np.eye(self.dim)
         if self.theta_hat is None:
             self.theta_hat = np.zeros(self.dim)
 
@@ -197,22 +207,26 @@ def project_v_ball(theta_star: np.ndarray, V: np.ndarray, radius: float) -> np.n
 
 
 def crtm_update(
-    est: ThetaEstimator, x: np.ndarray, y: float, cfg: ConfidenceConfig
-) -> ThetaEstimator:
-    """One truncated-mean online Newton step.
-
-    The design matrix gains half the outer product first; the truncation
-    test uses the updated metric.
-    """
-    x = np.asarray(x, dtype=float)
-    est.V = est.V + 0.5 * np.outer(x, x)
-    x_norm = math.sqrt(float(x @ np.linalg.solve(est.V, x)))
-    y_trunc = float(y) if x_norm * abs(float(y)) <= cfg.Gamma_trunc else 0.0
-    grad = (float(x @ est.theta_hat) - y_trunc) * x
-    theta_star = est.theta_hat - np.linalg.solve(est.V, grad)
-    est.theta_hat = project_v_ball(theta_star, est.V, est.B_theta)
-    est.update_count += 1
-    return est
+    est: ThetaEstimator, X: np.ndarray, ys: Sequence[float], cfg: ConfidenceConfig
+) -> list[np.ndarray]:
+    """Truncated-mean online Newton steps on the samples (X[k], ys[k]) in
+    order; returns the estimate after each step.  Each step's metric gains
+    half the outer product first, and the truncation test uses the updated
+    metric.  The metrics are running sums and the truncation norms come
+    from one stacked solve; each step's own solve runs in sequence."""
+    X = np.asarray(X, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    V = _partial_sums(est.V, 0.5 * (X[:, :, None] * X[:, None, :]))[1:]
+    x_norm = np.sqrt(_rowdot(X, np.linalg.solve(V, X[:, :, None])[..., 0]))
+    y_trunc = np.where(x_norm * np.abs(ys) <= cfg.Gamma_trunc, ys, 0.0).tolist()
+    thetas, theta = [], est.theta_hat
+    for x, v, y in zip(X, V, y_trunc):
+        grad = (float(x @ theta) - y) * x
+        theta = project_v_ball(theta - np.linalg.solve(v, grad), v, est.B_theta)
+        thetas.append(theta)
+    est.V, est.theta_hat = V[-1], theta
+    est.update_count += len(X)
+    return thetas
 
 
 # --- delay factors (two-stage ratio) ---------------------------------------
@@ -255,23 +269,19 @@ class DelayEstimator:
 
 
 def tsmle_update(
-    est: DelayEstimator,
-    rounds: list[RoundRecord],
-    x: np.ndarray,
-    theta_bank: Sequence[np.ndarray],
-    b: float,
+    est: DelayEstimator, rounds: Sequence[RoundRecord], X: np.ndarray,
+    thetas: np.ndarray, b: float,
 ) -> DelayEstimator:
-    """Consume one customer's lost rounds at this lag.
-
-    Base rates come from the effect estimates current for this customer
-    (`theta_bank`, by theta row); each is floored at b so the ratio stays
-    bounded.
+    """Consume lost rounds at this lag, in order: round k has context X[k],
+    and its base rate comes from thetas[k], the effect estimate of its row
+    (lose_index(s2)) current for its customer.  Each base rate is floored
+    at b so the ratio stays bounded.
     """
-    for r in rounds:
+    rates = _rowdot(np.asarray(thetas, dtype=float), np.asarray(X, dtype=float))
+    for r, rate in zip(rounds, rates.tolist()):
         if r.won or r.state.s1 != est.index:
             raise ValueError(f"round {r} does not belong to lag {est.index}")
-        theta_hat = theta_bank[lose_index(r.state.s2)]
-        est.denominator += max(b, float(theta_hat @ x))
+        est.denominator += max(b, rate)
         est.numerator += float(r.conversions)
         est.N += 1
     return est
@@ -292,7 +302,7 @@ class AuctionEstimator:
 
     def __post_init__(self) -> None:
         if self.gram is None:
-            self.gram = _identity(self.dim)
+            self.gram = np.eye(self.dim)
         if self.moment is None:
             self.moment = np.zeros(self.dim)
 
@@ -322,18 +332,26 @@ class AuctionEstimator:
         )
 
 
-def ridge_update(est: AuctionEstimator, x: np.ndarray, log_hob: float) -> AuctionEstimator:
-    """One regression sample; the residual is scored against the estimate
-    available before the sample arrives (progressive first stage)."""
-    if not math.isfinite(log_hob):
+def ridge_update(
+    bank: Sequence[AuctionEstimator], X: np.ndarray, log_hobs: np.ndarray
+) -> None:
+    """One regression sample per context X[k] at each round position,
+    log_hobs[k, j] going to bank[j]; each residual is scored against the
+    estimate before its sample (progressive first stage), all of them from
+    one stacked solve on the running grams and moments."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(log_hobs, dtype=float)
+    if not np.all(np.isfinite(Y)):
         raise ValueError("log HOB must be finite")
-    x = np.asarray(x, dtype=float)
-    resid = log_hob - float(x @ est.beta_hat)
-    est.residual_sq_sum += resid * resid
-    est.gram = est.gram + np.outer(x, x)
-    est.moment = est.moment + x * log_hob
-    est.count += 1
-    return est
+    outer = X[:, None, :, None] * X[:, None, None, :]  # each sample's, at every position
+    grams = _partial_sums([e.gram for e in bank], outer)
+    moments = _partial_sums([e.moment for e in bank], X[:, None, :] * Y[:, :, None])
+    betas = np.linalg.solve(grams[:-1], moments[:-1, :, :, None])[..., 0]
+    resid = Y - _rowdot(X[:, None, :], betas)
+    rss = _partial_sums([e.residual_sq_sum for e in bank], resid * resid)[-1].tolist()
+    for j, est in enumerate(bank):
+        est.gram, est.moment, est.residual_sq_sum = grams[-1, j], moments[-1, j], rss[j]
+        est.count += len(X)
 
 
 def sigma_estimate(est: AuctionEstimator) -> float | None:

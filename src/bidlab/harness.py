@@ -26,6 +26,7 @@ from .agent import (
     act,
     agent_to_dict,
     baseline_act,
+    exploration_window,
     make_agent,
     update,
 )
@@ -85,6 +86,9 @@ _REFERENCE_T = 20000
 # Customers per trial on which both planner oracles are evaluated so the
 # summary can surface the gap between the two action abstractions.
 ORACLE_GAP_SAMPLE = 50
+# Episodes per learner update where no decision reads the estimates: in the
+# exploration window (its schedule reads none) and in an offline replay.
+UPDATE_CHUNK = 64
 
 _BOUNDS_DEFAULTS: Mapping[str, float] = {
     "b": 0.1,
@@ -110,13 +114,13 @@ _REAL_KEYS = ("width_scale", "delta", "Gamma_trunc", "half_width_multiplier")
 
 
 def _check_type(key: str, value, kind: type, optional: bool = False) -> None:
-    """Reject, naming the key, a value that is not an integer (`kind` int)
-    or a real number (`kind` float, which takes integers too); a bool is
-    neither, and None passes only when `optional`."""
+    """Reject, naming the key, a value that is not of `kind`: bool, int, or
+    float (which takes integers too; a bool is no number); None passes only
+    when `optional`."""
     if value is None and optional:
         return
-    if isinstance(value, bool) or not isinstance(value, (int, kind)):
-        noun = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, kind)):
+        noun = {bool: "true or false", int: "an integer"}.get(kind, "a number")
         raise ValueError(f"{key} must be {noun}, got {value!r}")
 
 
@@ -154,6 +158,7 @@ class ExperimentConfig:
             _check_type(key, getattr(self, key), int, optional=key == "n_underbar")
         for key in _REAL_KEYS:
             _check_type(key, getattr(self, key), float, optional=key == "Gamma_trunc")
+        _check_type("emit_logs", self.emit_logs, bool)
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if self.trials < 1:
@@ -240,8 +245,7 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown {key} keys: {sorted(unknown)}")
         for k, v in section.items():
-            if k != "strict":
-                _check_type(f"{key}.{k}", v, float)
+            _check_type(f"{key}.{k}", v, bool if k == "strict" else float)
     merged = {**_BOUNDS_DEFAULTS, **sections["bounds"]}
     kwargs["bounds"] = Bounds(H=kwargs.get("H", 3), dim=kwargs.get("dim", 2),
                               **{k: float(v) for k, v in merged.items()})
@@ -307,9 +311,10 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
 
     All policies face the same customer contexts and the same highest other
     bids; conversion noise is drawn per policy.  Only the learner runs
-    customer by customer: the contexts and HOBs are drawn first, the outcome
-    oracle and every outcome plan are scored for all customers at once, and
-    the fixed baselines play their plans as arrays.  The trial's per-customer
+    customer by customer, its updates consuming the exploration window in
+    chunks: the contexts and HOBs are drawn first, the outcome oracle and
+    every outcome plan are scored for all customers at once, and the fixed
+    baselines play their plans as arrays.  The trial's per-customer
     streams are seeded in one pass (`RandomSource.prepare`).  Any failure at
     a customer is re-raised with (trial, customer) provenance.
     """
@@ -324,17 +329,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     bounds = config.bounds
     outcome_mode = config.mode == "outcome"
 
-    agent: AgentState | None = None
-    if LEARNER_POLICY in config.policies:
-        agent = make_agent(
-            bounds,
-            T,
-            delta=config.delta,
-            width_scale=config.width_scale,
-            n_underbar=config.n_underbar,
-            Gamma_override=config.Gamma_trunc,
-            planner_mode=config.mode,
-        )
+    agent = _agent_for(config) if LEARNER_POLICY in config.policies else None
     grid = default_bid_grid(bounds, config.bid_grid_points)
 
     xs, hobs = [], np.empty((T, config.H))
@@ -365,6 +360,8 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     )
     gap_total = 0.0
 
+    window = exploration_window(agent.n_underbar, bounds.H) if agent is not None else 0
+    pending: list[EpisodeLog] = []  # played, not yet consumed by the learner
     for t, x in enumerate(xs, start=1):
         with _provenance(trial, t):
             if not outcome_mode or t <= ORACLE_GAP_SAMPLE:
@@ -374,13 +371,13 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
                 gap_total += float(outcome_opt[t - 1] - dp_opt[t - 1])
             if agent is None:
                 continue
-            decision = act(agent, x, grid)
+            decision = act(agent, x, grid, t)
             log = run_episode(
                 decision.policy, x, m, a, rng, decision.mode,
                 t=t, noise_label=LEARNER_POLICY, bounds=bounds, hobs=hobs[t - 1],
             )
             realized_learner[t - 1] = log.realized_reward
-            update(agent, log)
+            pending.append(log)
             if episodes is not None:
                 episodes.append((trial, log))
             if outcome_mode:
@@ -391,6 +388,10 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
                 expected_learner[t - 1] = policy_value(
                     params_true, lambda h, s: decision.policy(h, s, x)
                 )
+        if len(pending) == UPDATE_CHUNK or t >= window or t == T:
+            with _provenance(trial):
+                update(agent, pending)
+            pending = []
 
     for name, p in plans.items():
         won = np.array(p, dtype=bool)  # (T, H): round h of every customer's plan
@@ -440,12 +441,14 @@ def _play_plans(
 
 
 @contextlib.contextmanager
-def _provenance(trial: int, t: int) -> Iterator[None]:
-    """Re-raise any failure with the trial and customer it happened at."""
+def _provenance(trial: int, t: int | None = None) -> Iterator[None]:
+    """Re-raise any failure with the trial and customer it happened at;
+    without t, the failure names its customer itself (as `update` does)."""
     try:
         yield
     except Exception as exc:
-        raise RuntimeError(f"trial {trial}, customer {t}: {exc}") from exc
+        where = "" if t is None else f" customer {t}:"
+        raise RuntimeError(f"trial {trial},{where} {exc}") from exc
 
 
 # --- curve fitting ---------------------------------------------------------
@@ -729,13 +732,16 @@ def replay_estimation(
 
     contexts = read_context_csv(contexts_path)
     agent = _agent_for(config)
-    seen: int | None = None
+    seen, chunk = None, []
     for trial, log in read_episode_csv(log_path, contexts):
-        if seen is None:
-            seen = trial
-        elif trial != seen:
+        if seen not in (None, trial):
             raise ValueError(
                 f"log mixes trials {seen} and {trial}; replay one trial at a time"
             )
-        update(agent, log)
+        seen = trial
+        chunk.append(log)
+        if len(chunk) == UPDATE_CHUNK:
+            update(agent, chunk)
+            chunk = []
+    update(agent, chunk)
     return agent_to_dict(agent)

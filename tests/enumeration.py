@@ -2,14 +2,24 @@
 behind the planners: every one of the 2^H target outcome sequences scored
 by `outcome_value`, a scalar loop over the bid grid scored by
 `auction_round_value`, the exact continuous-bid optimum, the oracle value
-in either planner mode, two identities of the HOB payment, and an
-outcome-mode trial played one customer and one policy at a time."""
+in either planner mode, two identities of the HOB payment, an
+outcome-mode trial played one customer and one policy at a time, and the
+learner's update consuming one customer and one sample at a time."""
 
 import itertools
+import math
 
 import numpy as np
 
-from bidlab.agent import BaselinePolicy, act, baseline_act, make_agent, update
+from bidlab.agent import (
+    BaselinePolicy,
+    act,
+    baseline_act,
+    exploration_window,
+    make_agent,
+    update,
+)
+from bidlab.estimation import project_v_ball, split_episode
 from bidlab.environment import (
     RandomSource,
     draw_hobs,
@@ -24,6 +34,7 @@ from bidlab.model import (
     lose_index,
     next_state,
     reachable_states,
+    NEVER,
     win_index,
     win_probability,
 )
@@ -168,5 +179,88 @@ def per_customer_realized(config, trial, instance=None):
                               bounds=config.bounds, hobs=hobs)
             rewards[name].append(log.realized_reward)
             if name == "learner":
-                update(agent, log)
+                update(agent, [log])
     return {name: np.cumsum(opt - np.array(r)) for name, r in rewards.items()}
+
+
+# --- the learner's update, one customer and one sample at a time -------------
+
+
+def per_sample_ridge(est, x, log_hob):
+    """One regression sample; the residual is scored against the estimate
+    available before the sample arrives (progressive first stage)."""
+    if not math.isfinite(log_hob):
+        raise ValueError("log HOB must be finite")
+    x = np.asarray(x, dtype=float)
+    resid = log_hob - float(x @ est.beta_hat)
+    est.residual_sq_sum += resid * resid
+    est.gram = est.gram + np.outer(x, x)
+    est.moment = est.moment + x * log_hob
+    est.count += 1
+    return est
+
+
+def per_sample_crtm(est, x, y, cfg):
+    """One truncated-mean online Newton step.
+
+    The design matrix gains half the outer product first; the truncation
+    test uses the updated metric.
+    """
+    x = np.asarray(x, dtype=float)
+    est.V = est.V + 0.5 * np.outer(x, x)
+    x_norm = math.sqrt(float(x @ np.linalg.solve(est.V, x)))
+    y_trunc = float(y) if x_norm * abs(float(y)) <= cfg.Gamma_trunc else 0.0
+    grad = (float(x @ est.theta_hat) - y_trunc) * x
+    theta_star = est.theta_hat - np.linalg.solve(est.V, grad)
+    est.theta_hat = project_v_ball(theta_star, est.V, est.B_theta)
+    est.update_count += 1
+    return est
+
+
+def per_sample_tsmle(est, rounds, x, theta_bank, b):
+    """Consume one customer's lost rounds at this lag, base rates from the
+    effect estimates current for this customer (`theta_bank`, by theta
+    row), each floored at b."""
+    for r in rounds:
+        if r.won or r.state.s1 != est.index:
+            raise ValueError(f"round {r} does not belong to lag {est.index}")
+        theta_hat = theta_bank[lose_index(r.state.s2)]
+        est.denominator += max(b, float(theta_hat @ x))
+        est.numerator += float(r.conversions)
+        est.N += 1
+    return est
+
+
+def per_sample_update(agent, log):
+    """Consume one episode: auction regression on every round, then the
+    split-bucket effect updates by theta row and the delay updates by lag."""
+    if log.t != agent.t:
+        raise ValueError(f"expected customer {agent.t}, got log for {log.t}")
+    x = log.x
+    for r in log.records:
+        per_sample_ridge(agent.auction_bank[r.h], x, math.log(r.hob))
+    split = split_episode(log)
+    for i, rounds in enumerate(split.w):
+        for r in rounds:
+            home = win_index(r.state.s1) if r.won else lose_index(r.state.s2)
+            if home != i or not (r.won or r.state.s1 == NEVER):
+                raise ValueError(
+                    f"customer {r.t}, round {r.h} is not a clean sample of "
+                    f"theta row {i}"
+                )
+            per_sample_crtm(agent.theta_bank[i], x, float(r.conversions), agent.cfg)
+    theta_snapshot = [est.theta_hat for est in agent.theta_bank]
+    for lag in sorted(split.d):
+        per_sample_tsmle(
+            agent.delay_bank[lag], split.d[lag], x, theta_snapshot, agent.bounds.b
+        )
+    agent.t += 1
+    boundary = exploration_window(agent.n_underbar, agent.bounds.H)
+    if agent.bid_mode == "forced" and agent.t == boundary + 1:
+        for lag, est in agent.delay_bank.items():
+            if est.N < agent.n_underbar:
+                raise RuntimeError(
+                    f"exploration underfed the lag-{lag} delay estimator: "
+                    f"{est.N} < {agent.n_underbar}"
+                )
+    return agent

@@ -261,15 +261,17 @@ def _delay_replicate(
 ) -> float:
     est = DelayEstimator(index=1)
     state = ExposureState(1, ONLY_ONE)
-    bank = {lose_index(state.s2): theta_hat.copy()}
     xs = np.abs(rng.standard_normal((n, 2))) + 0.1
     ys = rng.poisson(d_true * xs @ theta)
-    for t in range(n):
-        record = RoundRecord(
+    records = [
+        RoundRecord(
             t=t + 1, h=2, state=state, bid=0.0, hob=1.0, won=False,
             payment=0.0, conversions=int(ys[t]),
         )
-        tsmle_update(est, [record], xs[t], bank, 0.1)
+        for t in range(n)
+    ]
+    # every round's base rate from the same effect estimate
+    tsmle_update(est, records, xs, np.broadcast_to(theta_hat, xs.shape), 0.1)
     return est.estimate
 
 
@@ -348,13 +350,13 @@ def test_criterion_5_payment_identities():
 def test_criterion_6_estimator_micro_oracles():
     cfg = ConfidenceConfig(delta=0.01, gamma=1.0, Gamma_trunc=1e6, width_scale=1.0)
     est = ThetaEstimator(index=lose_index(NEVER_BEFORE), dim=2, B_theta=10.0)
-    crtm_update(est, np.array([1.0, 0.0]), 1, cfg)
+    crtm_update(est, [[1.0, 0.0]], [1], cfg)
     crtm_ok = np.allclose(
         est.V, np.diag([1.5, 1.0]), atol=1e-12
     ) and np.allclose(est.theta_hat, [2.0 / 3.0, 0.0], atol=1e-12)
 
     ridge = AuctionEstimator(h=1, dim=2)
-    ridge_update(ridge, np.array([1.0, 0.0]), 4.0)
+    ridge_update([ridge], [[1.0, 0.0]], [[4.0]])
     ridge_ok = (
         np.array_equal(ridge.gram, np.diag([2.0, 1.0]))
         and np.array_equal(ridge.moment, np.array([4.0, 0.0]))

@@ -33,7 +33,7 @@ from bidlab.environment import (
     run_episode,
     sample_context,
 )
-from bidlab.estimation import optimistic_mean
+from bidlab.estimation import optimistic_mean, split_episode
 from bidlab.model import NEVER_BEFORE, ONLY_ONE, Bounds, lose_index, win_index
 import bidlab
 from bidlab.planning import best_outcome_plan, default_bid_grid, params_from_true
@@ -152,7 +152,7 @@ def test_optimism_orders_means_and_delays():
         x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream(t, "ctx"))
         d = act(agent, x, GRID)
         log = run_episode(d.policy, x, m, a, rng, d.mode, t=t, bounds=BOUNDS)
-        update(agent, log)
+        update(agent, [log])
     x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream("probe"))
     params = optimistic_params(agent, x)
     for i, est in enumerate(agent.theta_bank):
@@ -187,7 +187,7 @@ def run_exploration(agent, seed=5):
         x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream(t, "ctx"))
         d = act(agent, x, GRID)
         log = run_episode(d.policy, x, m, a, rng, d.mode, t=t, bounds=BOUNDS)
-        update(agent, log)
+        update(agent, [log])
     return m, a
 
 
@@ -199,16 +199,16 @@ def test_update_rejects_out_of_order():
     log = run_episode(lambda h, s, x: False, x, m, a, rng, "forced", t=5,
                       bounds=BOUNDS)
     with pytest.raises(ValueError):
-        update(agent, log)
+        update(agent, [log])
     assert agent.t == 1
     # the same customers fed in order are accepted one after another
     for t in (1, 2):
         log = run_episode(lambda h, s, x: False, x, m, a, rng, "forced", t=t,
                           bounds=BOUNDS)
-        update(agent, log)
+        update(agent, [log])
         assert agent.t == t + 1
     with pytest.raises(ValueError):
-        update(agent, log)
+        update(agent, [log])
 
 
 # A won round filed as a natural-demand sample must be rejected by update,
@@ -234,7 +234,7 @@ agent_mod.split_episode = lambda log: SplitDatasets(
 )
 agent = agent_mod.make_agent(bounds, T=200, n_underbar=4)
 try:
-    agent_mod.update(agent, log)
+    agent_mod.update(agent, [log])
 except ValueError as exc:
     print(exc)
     sys.exit(0)
@@ -260,7 +260,7 @@ def test_all_lose_episode_routes_to_natural_demand_only():
     x = np.array([1.0, 1.0])
     log = run_episode(lambda h, s, x: False, x, m, a, rng, "forced", t=1,
                       bounds=BOUNDS)
-    update(agent, log)
+    update(agent, [log])
     assert agent.theta_bank[NATURAL_DEMAND].update_count == 3
     assert agent.theta_bank[FIRST_EXPOSURE].update_count == 0
     assert all(est.N == 0 for est in agent.delay_bank.values())
@@ -279,7 +279,7 @@ def test_replay_doubles_counts():
         # differs, so every count doubles
         log = run_episode(lambda h, s, x: h == 1, x, m, a, rng, "forced", t=t,
                           bounds=BOUNDS)
-        update(agent, log)
+        update(agent, [log])
 
     replay(1)
     first = {
@@ -326,9 +326,26 @@ def test_underfed_exploration_raises():
                           bounds=BOUNDS)
         if t == window:
             with pytest.raises(RuntimeError):
-                update(agent, log)
+                update(agent, [log])
         else:
-            update(agent, log)
+            update(agent, [log])
+
+
+def test_underfed_exploration_raises_inside_a_run_across_the_window():
+    # the check runs at the window's last customer, also when one run of
+    # updates spans the window
+    agent = small_agent()
+    rng = RandomSource(11)
+    m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, rng)
+    window = exploration_window(agent.n_underbar, BOUNDS.H)
+    logs = [
+        run_episode(lambda h, s, x: False, np.array([1.0, 1.0]), m, a, rng,
+                    "forced", t=t, bounds=BOUNDS)
+        for t in range(1, window + 3)
+    ]
+    with pytest.raises(RuntimeError, match=rf"^customer {window}: exploration underfed"):
+        update(agent, logs)
+    assert agent.t == window + 1
 
 
 def test_estimates_approach_truth_after_learning():
@@ -409,7 +426,7 @@ def test_agent_snapshot_round_trip():
             x = sample_context(BENCHMARK_RECIPE, bounds, rng.stream(t, "ctx"))
             d = act(agent, x, default_bid_grid(bounds))
             log = run_episode(d.policy, x, m, a, rng, d.mode, t=t, bounds=bounds)
-            update(agent, log)
+            update(agent, [log])
         d = agent_to_dict(agent)
         lags = [f"LAG{k}" for k in range(1, H)]
         assert list(d["theta"]) == ["NATURAL_DEMAND", "FIRST_EXPOSURE", *lags]
@@ -447,3 +464,107 @@ def test_optimistic_params_project_auction_estimates():
     assert params.auction.sigma.tolist() == [
         BOUNDS.sigma_max, 2.0, BOUNDS.sigma_max,
     ]
+
+
+# --- runs of episodes --------------------------------------------------------
+
+# Learner-only trials covering H 1-5 and dim 1-3, plus one that truncates
+# and projects the effect estimates.  No exploration window is a multiple of
+# 7, so runs of 7 cut across the boundary (runs of 2 do where it is odd).
+RUN_CONFIGS = {
+    "h1_dim1": {"T": 60, "H": 1, "dim": 1, "n_underbar": 9},
+    "h2_dim3": {"T": 80, "H": 2, "dim": 3, "n_underbar": 11},
+    "h3_dim2": {"T": 120, "H": 3, "dim": 2, "n_underbar": 13},
+    "h4_dim1": {"T": 120, "H": 4, "dim": 1, "n_underbar": 9},
+    "h5_dim2": {"T": 130, "H": 5, "dim": 2, "n_underbar": 15},
+    "h5_dim3": {"T": 150, "H": 5, "dim": 3, "n_underbar": 11},
+    "trunc_proj": {"T": 200, "n_underbar": 12, "Gamma_trunc": 2.0,
+                   "bounds": {"B_theta": 2.0}},
+}
+
+
+def _learner_run(name):
+    from bidlab.harness import config_from_dict, run_trial
+
+    cfg = config_from_dict({**RUN_CONFIGS[name], "trials": 1,
+                            "policies": ["learner"], "emit_logs": True})
+    logs = [log for _, log in run_trial(cfg, 0).episodes]
+
+    def fresh():
+        return make_agent(cfg.bounds, cfg.T, delta=cfg.delta,
+                          width_scale=cfg.width_scale, n_underbar=cfg.n_underbar,
+                          Gamma_override=cfg.Gamma_trunc)
+
+    return fresh, logs
+
+
+def _snapshot(agent):
+    return json.dumps(agent_to_dict(agent), sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CONFIGS))
+def test_runs_of_episodes_equal_one_sample_at_a_time(name):
+    # after every run the snapshot is byte for byte the one the per-sample
+    # reference reaches at the same customer
+    from enumeration import per_sample_update
+
+    fresh, logs = _learner_run(name)
+    reference = fresh()
+    want = [_snapshot(reference)]
+    for log in logs:
+        per_sample_update(reference, log)
+        want.append(_snapshot(reference))
+    window = exploration_window(reference.n_underbar, reference.bounds.H)
+    for size in (1, 2, 7, 256, len(logs)):
+        agent = fresh()
+        starts = range(0, len(logs), size)
+        for start in starts:
+            update(agent, logs[start:start + size])
+            assert _snapshot(agent) == want[min(start + size, len(logs))]
+        if size in (7, len(logs)):
+            assert any(s < window < s + size for s in starts)
+
+
+def test_truncation_and_projection_run_in_the_trunc_proj_config(monkeypatch):
+    # the config above reaches both branches of the online Newton step
+    import bidlab.estimation as estimation_module
+
+    projected = []
+    real = estimation_module.project_v_ball
+
+    def counting(theta_star, V, radius):
+        projected.append(float(np.linalg.norm(theta_star)) > radius)
+        return real(theta_star, V, radius)
+
+    monkeypatch.setattr(estimation_module, "project_v_ball", counting)
+    fresh, logs = _learner_run("trunc_proj")
+    gamma, metric, truncated = fresh().cfg.Gamma_trunc, {}, 0
+    for log in logs:
+        x = log.x
+        for i, rounds in enumerate(split_episode(log).w):
+            for r in rounds:  # the truncation test of the reference's step
+                metric[i] = metric.get(i, np.eye(len(x))) + 0.5 * np.outer(x, x)
+                norm = math.sqrt(float(x @ np.linalg.solve(metric[i], x)))
+                truncated += norm * r.conversions > gamma
+    assert truncated > 0 and any(projected)
+
+
+def test_update_of_an_empty_run_changes_nothing():
+    agent = small_agent()
+    before = _snapshot(agent)
+    assert update(agent, []) is agent and _snapshot(agent) == before
+
+
+def test_schedule_decisions_may_run_ahead_of_updates():
+    # an exploration decision reads the schedule at its own customer, however
+    # far behind the updates are; a planned one needs them all consumed
+    agent = small_agent()
+    window = exploration_window(agent.n_underbar, BOUNDS.H)
+    x = np.array([1.0, 1.0])
+    for t in range(1, window + 1):
+        assert act(agent, x, GRID, t).plan == exploration_plan(
+            t, agent.n_underbar, BOUNDS.H
+        )
+    assert agent.t == 1
+    with pytest.raises(ValueError, match=rf"^customer {window + 1}: "):
+        act(agent, x, GRID, window + 1)

@@ -4,6 +4,7 @@ and log serialization."""
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -418,6 +419,19 @@ def test_csv_errors_carry_line_numbers(tmp_path):
         )
         with pytest.raises(ValueError, match="line 2"):
             list(read_episode_csv(path, {(0, 1): np.array([1.0, 1.0])}))
+
+
+def test_context_csv_errors_carry_line_numbers(tmp_path):
+    path = tmp_path / "contexts.csv"
+    good = "0,1,0.5,1.5\n"
+    for bad, lineno, message in (
+        ("0,2,abc,1.0\n", 3, "could not convert string to float: 'abc'"),
+        ("0,1.5,1.0,1.0\n", 2, "invalid literal for int() with base 10: '1.5'"),
+    ):
+        rows = good + bad if lineno == 3 else bad + good
+        path.write_text("trial,t,x0,x1\n" + rows)
+        with pytest.raises(ValueError, match=rf"^line {lineno}: {re.escape(message)}$"):
+            read_context_csv(path)
 
 
 @pytest.mark.parametrize("H", range(1, 7))

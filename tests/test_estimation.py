@@ -110,7 +110,7 @@ def test_confidence_config_validation():
 
 def test_crtm_hand_oracle():
     est = make_theta()
-    crtm_update(est, np.array([1.0, 0.0]), 1.0, big_cfg())
+    crtm_update(est, [[1.0, 0.0]], [1.0], big_cfg())
     assert np.allclose(est.V, np.diag([1.5, 1.0]), atol=0)
     assert est.theta_hat == pytest.approx([2.0 / 3.0, 0.0], abs=1e-12)
     assert est.update_count == 1
@@ -118,14 +118,14 @@ def test_crtm_hand_oracle():
 
 def test_crtm_truncation_zeroes_gradient():
     est = make_theta()
-    crtm_update(est, np.array([1.0, 0.0]), 1e9, ConfidenceConfig(0.01, 1.0, 0.0))
+    crtm_update(est, [[1.0, 0.0]], [1e9], ConfidenceConfig(0.01, 1.0, 0.0))
     assert np.array_equal(est.theta_hat, np.zeros(2))
     assert np.allclose(est.V, np.diag([1.5, 1.0]))
 
 
 def test_crtm_interior_point_unprojected():
     est = make_theta(B=100.0)
-    crtm_update(est, np.array([1.0, 0.0]), 1.0, big_cfg())
+    crtm_update(est, [[1.0, 0.0]], [1.0], big_cfg())
     # unconstrained Newton step lands inside the ball and is kept as is
     assert est.theta_hat == pytest.approx([2.0 / 3.0, 0.0], abs=1e-12)
 
@@ -135,7 +135,7 @@ def test_crtm_v_bookkeeping():
     rng = np.random.default_rng(5)
     xs = rng.uniform(-1, 1, (30, 2))
     for x in xs:
-        crtm_update(est, x, float(rng.poisson(1.0)), big_cfg())
+        crtm_update(est, [x], [float(rng.poisson(1.0))], big_cfg())
     want = np.eye(2) + 0.5 * sum(np.outer(x, x) for x in xs)
     assert np.allclose(est.V, want, rtol=0, atol=1e-12)
     assert est.update_count == 30
@@ -149,7 +149,7 @@ def test_crtm_norm_bound_holds(seed):
     for _ in range(15):
         x = rng.uniform(-2, 2, 2)
         y = float(rng.uniform(-50, 50))
-        crtm_update(est, x, y, big_cfg())
+        crtm_update(est, [x], [y], big_cfg())
         assert np.linalg.norm(est.theta_hat) <= 1.0 + 1e-8
 
 
@@ -162,7 +162,7 @@ def test_elliptical_potential_bound():
     for _ in range(T):
         x = rng.uniform(-1, 1, d)
         x *= bx / max(np.linalg.norm(x), 1e-9) * rng.uniform(0.2, 1.0)
-        crtm_update(est, x, 0.0, big_cfg())
+        crtm_update(est, [x], [0.0], big_cfg())
         w = float(x @ np.linalg.solve(est.V, x))
         total += min(1.0, w)
     assert total <= 2.0 * d * math.log(1.0 + T * bx * bx / (2.0 * d))
@@ -205,8 +205,7 @@ def lost_round(lag, s2, y, t=1, h=1):
 def test_tsmle_single_round():
     est = DelayEstimator(index=1)
     x = np.array([1.0, 0.0])
-    bank = {FIRST_EXPOSURE: np.array([1.5, 0.0])}
-    tsmle_update(est, [lost_round(1, ONLY_ONE, 3)], x, bank, b=0.1)
+    tsmle_update(est, [lost_round(1, ONLY_ONE, 3)], [x], [[1.5, 0.0]], b=0.1)
     assert est.estimate == pytest.approx(2.0)
     assert est.N == 1
 
@@ -218,8 +217,7 @@ def test_tsmle_unavailable_before_data():
 
 def test_tsmle_floor_applies():
     est = DelayEstimator(index=1)
-    bank = {FIRST_EXPOSURE: np.array([0.0, 0.0])}
-    tsmle_update(est, [lost_round(1, ONLY_ONE, 0)], np.ones(2), bank, b=0.5)
+    tsmle_update(est, [lost_round(1, ONLY_ONE, 0)], [np.ones(2)], [[0.0, 0.0]], b=0.5)
     assert est.denominator == 0.5
 
 
@@ -234,18 +232,18 @@ def test_tsmle_plug_in_exactness():
         # observations replaced by their exact means
         r = RoundRecord(t, 1, ExposureState(2, ONLY_ONE), 0.0, 1.0, False,
                         0.0, d_true * rate)
-        tsmle_update(est, [r], x, {FIRST_EXPOSURE: theta}, b=0.01)
+        tsmle_update(est, [r], [x], [theta], b=0.01)
     assert est.estimate == pytest.approx(d_true, rel=1e-12)
 
 
 def test_tsmle_rejects_foreign_rounds():
     est = DelayEstimator(index=1)
-    bank = {FIRST_EXPOSURE: np.ones(2)}
+    bank = [np.ones(2)]
     with pytest.raises(ValueError):
-        tsmle_update(est, [lost_round(2, ONLY_ONE, 1)], np.ones(2), bank, 0.1)
+        tsmle_update(est, [lost_round(2, ONLY_ONE, 1)], [np.ones(2)], bank, 0.1)
     won = RoundRecord(1, 1, ExposureState(1, ONLY_ONE), 1.0, 0.5, True, 0.5, 1)
     with pytest.raises(ValueError):
-        tsmle_update(est, [won], np.ones(2), bank, 0.1)
+        tsmle_update(est, [won], [np.ones(2)], bank, 0.1)
 
 
 def test_tsmle_monte_carlo_consistency():
@@ -263,7 +261,7 @@ def test_tsmle_monte_carlo_consistency():
             rate = float(theta @ x)
             ys = rng.poisson(d_true * rate, 100)
             rounds = [lost_round(1, ONLY_ONE, int(y), t=c, h=1) for y in ys]
-            tsmle_update(est, rounds, x, {FIRST_EXPOSURE: theta}, b=0.1)
+            tsmle_update(est, rounds, [x] * len(rounds), [theta] * len(rounds), b=0.1)
         assert est.N == 10_000
         if abs(est.estimate - d_true) <= 0.05:
             hits += 1
@@ -275,7 +273,7 @@ def test_tsmle_monte_carlo_consistency():
 def test_ridge_first_sample_oracle():
     est = AuctionEstimator(h=1, dim=2)
     assert np.array_equal(est.beta_hat, np.zeros(2))
-    ridge_update(est, np.array([1.0, 0.0]), 4.0)
+    ridge_update([est], [[1.0, 0.0]], [[4.0]])
     assert est.beta_hat == pytest.approx([2.0, 0.0], abs=1e-14)
     # progressive residual scored against the prior estimate (zero)
     assert est.residual_sq_sum == pytest.approx(16.0)
@@ -301,8 +299,8 @@ def test_ridge_and_sigma_monte_carlo():
         est = AuctionEstimator(h=1, dim=2)
         xs = rng.uniform(-1, 1, (10_000, 2))
         noise = sigma * rng.standard_normal(10_000)
-        for x, eps in zip(xs, noise):
-            ridge_update(est, x, float(x @ beta + eps))
+        log_hobs = [[float(x @ beta + eps)] for x, eps in zip(xs, noise)]
+        ridge_update([est], xs, log_hobs)
         hits_beta += np.linalg.norm(est.beta_hat - beta) <= 0.1
         hits_sigma += abs(sigma_estimate(est) - sigma) <= 0.05
     assert hits_beta >= int(0.95 * reps)
@@ -312,7 +310,7 @@ def test_ridge_and_sigma_monte_carlo():
 def test_ridge_rejects_nonfinite():
     est = AuctionEstimator(h=1, dim=2)
     with pytest.raises(ValueError):
-        ridge_update(est, np.ones(2), float("inf"))
+        ridge_update([est], [np.ones(2)], [[float("inf")]])
 
 
 # --- data splitting ----------------------------------------------------------
@@ -431,8 +429,8 @@ def test_optimistic_mean_at_zero_width_skips_the_solve(monkeypatch):
 
 def test_estimator_snapshots_round_trip():
     theta = make_theta()
-    crtm_update(theta, np.array([0.7, 0.2]), 3.0, big_cfg())
-    crtm_update(theta, np.array([0.1, 0.9]), 1.0, big_cfg())
+    crtm_update(theta, [[0.7, 0.2]], [3.0], big_cfg())
+    crtm_update(theta, [[0.1, 0.9]], [1.0], big_cfg())
     back = ThetaEstimator.from_dict(
         json.loads(json.dumps(theta.to_dict())), FIRST_EXPOSURE
     )
@@ -441,8 +439,7 @@ def test_estimator_snapshots_round_trip():
     assert back.update_count == theta.update_count
 
     delay = DelayEstimator(index=1)
-    tsmle_update(delay, [lost_round(1, ONLY_ONE, 2)], np.ones(2),
-                 {FIRST_EXPOSURE: np.array([1.0, 1.0])}, 0.1)
+    tsmle_update(delay, [lost_round(1, ONLY_ONE, 2)], [np.ones(2)], [[1.0, 1.0]], 0.1)
     back = DelayEstimator.from_dict(
         json.loads(json.dumps(delay.to_dict())), 1
     )
@@ -451,7 +448,7 @@ def test_estimator_snapshots_round_trip():
     )
 
     auc = AuctionEstimator(h=2, dim=2)
-    ridge_update(auc, np.array([0.3, 0.4]), 1.7)
+    ridge_update([auc], [[0.3, 0.4]], [[1.7]])
     back = AuctionEstimator.from_dict(json.loads(json.dumps(auc.to_dict())))
     assert np.array_equal(back.gram, auc.gram)
     assert np.array_equal(back.moment, auc.moment)

@@ -12,7 +12,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bidlab.agent import agent_to_dict, exploration_window, make_agent, update
+from bidlab.agent import (
+    agent_to_dict,
+    exploration_plan,
+    exploration_window,
+    make_agent,
+    update,
+)
 from bidlab.cli import main
 from bidlab.environment import (
     RandomSource,
@@ -24,6 +30,7 @@ from bidlab.environment import (
 )
 from bidlab.harness import (
     DEFAULT_CHECKPOINTS,
+    UPDATE_CHUNK,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
@@ -152,6 +159,9 @@ def test_config_validation():
         ({"checkpoints": 5}, "checkpoints"),
         ({"checkpoints": [1.5]}, "checkpoints"),
         ({"delta": None}, "delta"),
+        ({"emit_logs": "no"}, "emit_logs"),
+        ({"emit_logs": 1}, "emit_logs"),
+        ({"instance": {"strict": "no"}}, "instance.strict"),
     ],
 )
 def test_config_rejects_values_of_the_wrong_type(raw, key):
@@ -618,7 +628,7 @@ def test_replay_of_a_prefix_matches_a_live_agent_stopped_there(tmp_path, small_r
         planner_mode=cfg.mode,
     )
     for _, log in episodes[:k]:
-        update(live, log)
+        update(live, [log])
     assert snap == agent_to_dict(live)
 
 
@@ -646,6 +656,148 @@ def test_replay_requires_locatable_contexts(tmp_path):
     write_episode_csv(tmp_path / "rounds.csv", [])
     with pytest.raises(ValueError, match="contexts_path"):
         replay_estimation(tmp_path / "rounds.csv", config=small_config())
+
+
+def test_replay_holds_at_most_one_chunk_of_episodes(tmp_path, small_result, monkeypatch):
+    # the log is streamed: each update gets at most UPDATE_CHUNK episodes,
+    # and no episode is read before the ones already read are consumed
+    import bidlab.harness as harness_module
+
+    monkeypatch.setattr(harness_module, "UPDATE_CHUNK", 16)
+    write_outputs(small_result, tmp_path)
+    counts = {"read": 0, "consumed": 0}
+    real_read, real_update = harness_module.read_episode_csv, harness_module.update
+
+    def counted_read(*args):
+        for item in real_read(*args):
+            counts["read"] += 1
+            assert counts["read"] - counts["consumed"] <= 16
+            yield item
+
+    def counted_update(agent, logs):
+        assert len(logs) <= 16
+        counts["consumed"] += len(logs)
+        return real_update(agent, logs)
+
+    monkeypatch.setattr(harness_module, "read_episode_csv", counted_read)
+    monkeypatch.setattr(harness_module, "update", counted_update)
+    snap = replay_estimation(tmp_path / "episodes_trial0.csv")
+    assert counts == {"read": small_result.config.T, "consumed": small_result.config.T}
+    assert snap == small_result.trials[0].agent_snapshot
+
+
+# --- the learner's runs of updates ------------------------------------------------
+
+
+def _recording_trial(monkeypatch, cfg):
+    """Run trial 0 of `cfg`, recording every learner decision as (customer,
+    the agent's next customer, plan) and the length of every update."""
+    import bidlab.harness as harness_module
+
+    decisions, runs = [], []
+    real_act, real_update = harness_module.act, harness_module.update
+
+    def recording_act(agent, x, grid, t):
+        decision = real_act(agent, x, grid, t)
+        decisions.append((t, agent.t, decision.plan))
+        return decision
+
+    def recording_update(agent, logs):
+        runs.append(len(logs))
+        return real_update(agent, logs)
+
+    monkeypatch.setattr(harness_module, "act", recording_act)
+    monkeypatch.setattr(harness_module, "update", recording_update)
+    return run_trial(cfg, 0), decisions, runs
+
+
+def test_exploration_is_consumed_in_chunks_ending_at_the_window(monkeypatch):
+    import bidlab.harness as harness_module
+
+    monkeypatch.setattr(harness_module, "UPDATE_CHUNK", 7)
+    cfg = small_config(T=60, trials=1, n_underbar=10, checkpoints=(60,),
+                       policies=("learner",))
+    result, decisions, runs = _recording_trial(monkeypatch, cfg)
+    window = exploration_window(10, cfg.H)
+    assert runs == [7] * 5 + [window - 35] + [1] * (cfg.T - window)
+    for t, agent_t, plan in decisions:
+        if t <= window:
+            assert plan == exploration_plan(t, 10, cfg.H)
+        else:
+            assert agent_t == t
+    assert any(agent_t < t for t, agent_t, _ in decisions)  # updates deferred
+    assert result.agent_snapshot["t"] == cfg.T + 1
+
+
+def test_a_trial_shorter_than_the_window_consumes_every_customer(monkeypatch):
+    cfg = small_config(T=300, trials=1, n_underbar=100, checkpoints=(300,),
+                       policies=("learner",))
+    result, decisions, runs = _recording_trial(monkeypatch, cfg)
+    assert runs == [UPDATE_CHUNK] * (300 // UPDATE_CHUNK) + [300 % UPDATE_CHUNK]
+    assert [plan for _, _, plan in decisions] == [
+        exploration_plan(t, 100, cfg.H) for t in range(1, 301)
+    ]
+    assert result.agent_snapshot["t"] == 301
+
+
+def _learner_config(**overrides):
+    return small_config(T=40, trials=1, n_underbar=5, checkpoints=(40,),
+                        policies=("learner",), **overrides)
+
+
+def test_a_nonfinite_log_hob_in_a_run_names_trial_customer_and_round(monkeypatch):
+    # customers 1-20 (the window) are consumed in one run
+    import bidlab.harness as harness_module
+
+    real = harness_module.draw_hobs
+
+    def draw(x, a, rng, t):
+        hobs = real(x, a, rng, t)
+        return [math.inf if (t, h) == (7, 2) else v for h, v in enumerate(hobs, 1)]
+
+    monkeypatch.setattr(harness_module, "draw_hobs", draw)
+    with pytest.raises(RuntimeError) as err:
+        _recording_trial(monkeypatch, _learner_config())
+    assert str(err.value) == (
+        "trial 0, customer 7, round 2: log HOB must be finite, got the HOB inf"
+    )
+
+
+def test_a_misrouted_w_round_in_a_run_names_trial_and_customer(monkeypatch):
+    import bidlab.agent as agent_module
+    from bidlab.estimation import SplitDatasets
+
+    real = agent_module.split_episode
+
+    def misfile(log):
+        # customer 9 wins round 1; file it under natural demand
+        if log.t != 9:
+            return real(log)
+        return SplitDatasets(w=[[log.records[0]], [], [], []], d={})
+
+    monkeypatch.setattr(agent_module, "split_episode", misfile)
+    with pytest.raises(RuntimeError) as err:
+        _recording_trial(monkeypatch, _learner_config())
+    assert str(err.value) == (
+        "trial 0, customer 9, round 1 is not a clean sample of theta row 0"
+    )
+
+
+def test_underfed_delays_in_a_run_name_trial_and_customer(monkeypatch):
+    # all-lose episodes never feed a delay estimator; the run that ends at
+    # the window (customer 20) trips the check
+    import bidlab.harness as harness_module
+    from bidlab.agent import Decision
+
+    never = Decision(mode="forced", policy=lambda h, s, x: False,
+                     plan=(False,) * 3, exploring=True)
+    monkeypatch.setattr(harness_module, "act", lambda agent, x, grid, t: never)
+    with pytest.raises(RuntimeError) as err:
+        run_trial(_learner_config(), 0)
+    assert str(err.value) == (
+        "trial 0, customer 20: exploration underfed the lag-1 delay "
+        "estimator: 0 < 5"
+    )
 
 
 # --- command line ---------------------------------------------------------------
