@@ -4,7 +4,9 @@ dimension 3 (up to 11 states per round), at T=2 (the smallest batch of
 customers), at a root seed of two 32-bit words (2**40 + 3) and with the
 fixed baselines only (no learner), with a truncation level and an effect
 bound small enough that the online Newton step truncates and projects, and
-a dp run at H=4 on an 8-point bid grid.
+dp runs at H=4 on an 8-point bid grid, at T=1 (one context, padded
+for the stacked product) and at H=5 in dimension 3 (37 customers, 13 of
+them planned by the learner on the grid).
 
 Any change to the simulator, the planners, the estimators or the writers
 that moves a single bit of `curves.csv`, `summary.txt`, `config.json`, the
@@ -67,6 +69,16 @@ CONFIGS = {
         "H": 4,
         "bid_grid_points": 8,
         "n_underbar": 8,
+        "emit_logs": True,
+    },
+    "dp_t1": {"T": 1, "trials": 1, "mode": "dp", "n_underbar": 1, "emit_logs": True},
+    "dp_h5_dim3": {
+        "T": 37,
+        "trials": 2,
+        "mode": "dp",
+        "H": 5,
+        "dim": 3,
+        "n_underbar": 4,
         "emit_logs": True,
     },
 }
@@ -166,6 +178,28 @@ GOLDEN = {
         "episodes_trial0.csv": "e68fe50e434282d89f779d01ae7b2a0d38ab8dfa76bd4c328a6f471fc812d05f",
         "instance_trial0.snapshot": "45542f1f4ec3fe51b7051c34ac7fa37d6aa4334fc3a9b2f5f2d37e9d6bf6cc40",
         "summary.txt": "609c949c3111a0911d0a81455c3e95a5c25a37b84dfd2fcdd83a0d2c05b2030a",
+    },
+    "dp_t1": {
+        "agent_trial0.snapshot": "d4f3652f563410b949771db85ce2fa198e76f1495422f6e807ad2dd9362bde68",
+        "config.json": "2ac785d114cb0d2dddbbc3f3b04a52359b91b5960fbc1ea70b41c68d364e5834",
+        "contexts_trial0.csv": "432570627a2c69b92413e94eda991687a92711b82fb501f8596cad5c009e3baf",
+        "curves.csv": "51648678a183591fcd0f4fe3a1aa8d7747a5e8da914790a8605146f7246e994f",
+        "episodes_trial0.csv": "46a6aaa5ea5c0e5905ef259d074cfc01c8113af93742f70c9238ab06bd010e9e",
+        "instance_trial0.snapshot": "5224ffb2ca1412074c36969583d75dbf6a178543ea7dfe1c55aab1a1f9c55b4e",
+        "summary.txt": "3b6c5f5a88ecbe5b9b2af5916dab286b2cb52c780f3ea70fbfd9b53c9864d4b8",
+    },
+    "dp_h5_dim3": {
+        "agent_trial0.snapshot": "683d982a0a5444528601d73128cf91bed527ed5d086d2cb69f48db2c5d0b98f1",
+        "agent_trial1.snapshot": "df2e7cec288fc10db6929b7394cd14307e9af6c661e7a99e588804630b17470d",
+        "config.json": "8b852703a9aa8a453656255b761300fc516a0c165a9429fa2ed9c8a50166ea24",
+        "contexts_trial0.csv": "9b0bdadc71053f9ead62493eea62a8b507a57a0995d5537163b99ab518581baa",
+        "contexts_trial1.csv": "ca30957a4a28ddad0589fa8384ed4faed9db852a8d4e99db3f0361391c81ee5b",
+        "curves.csv": "cbde046a7cd323e6fcfd54f310186755a99d2b2209aee8447cd071114f699d33",
+        "episodes_trial0.csv": "d2ed3a7f5854eb4e765e1f8c374648ce3080c777e496e5a4b50065eb4ec5e842",
+        "episodes_trial1.csv": "90a67369cec3d80e5087dc367556252ba945518c2a9075ecf67051c8515630ce",
+        "instance_trial0.snapshot": "650f7f66c7d851ca5ec90172bf1b9b1e9f2b41b089b5612ede1eff4f02c9f4db",
+        "instance_trial1.snapshot": "5b794fb31dd9d60fd3f107b1c1bb54bd29ef891f1544094027b5e3947d8d152c",
+        "summary.txt": "7d0d11eefc5cd368cda5f7ea9d07ec187848552064c73f21839f483eeeb863cb",
     },
 }
 
