@@ -408,6 +408,30 @@ def test_negative_rate_of_a_baseline_names_trial_and_customer(monkeypatch):
     assert str(err.value) == f"trial 0, customer {t}: {reference.value}"
 
 
+@pytest.mark.parametrize("mode", ["outcome", "dp"])
+@pytest.mark.parametrize("policies", [("learner", "aggressive"), ("aggressive",)])
+def test_negative_conversion_mean_of_the_oracle_names_trial_and_customer(
+    monkeypatch, mode, policies
+):
+    # the same instance with the oracle-gap sample on: the oracle plans
+    # customer 4 (the first context with x0 < x1) on true means one of which
+    # is negative, and rejects them before anything plays that customer
+    import bidlab.harness as harness_module
+
+    cfg = small_config(T=60, trials=1, n_underbar=5, checkpoints=(60,),
+                       mode=mode, policies=policies, emit_logs=False)
+    m, a = generate_instance(cfg.instance, cfg.bounds, RandomSource(cfg.seed).scoped(0))
+    theta = m.theta.copy()
+    theta[1] = [1.0, -1.0]
+    bad = (replace(m, theta=theta), a)
+    monkeypatch.setattr(harness_module, "generate_instance", lambda *args: bad)
+    with pytest.raises(RuntimeError) as err:
+        run_trial(cfg, 0)
+    assert str(err.value) == (
+        "trial 0, customer 4: conversion means must be clamped nonnegative"
+    )
+
+
 def test_trials_reuse_the_state_table(monkeypatch):
     # once the table of an H exists, no customer rebuilds the reachable
     # states or constructs an exposure state
