@@ -403,6 +403,7 @@ def sample_context(
 
 # --- serialization -------------------------------------------------------
 
+_INF = math.inf
 _EPISODE_COLUMNS = [
     "trial", "t", "h", "s1", "s2", "bid", "hob", "won", "payment", "conversions",
 ]
@@ -463,26 +464,29 @@ def write_episode_csv(path, episodes: Iterable[tuple[int, EpisodeLog]]) -> None:
                 )
 
 
-def read_episode_csv(path, contexts: dict[tuple[int, int], np.ndarray]) -> Iterator[
-    tuple[int, EpisodeLog]
-]:
-    """Parse an episode CSV back into logs, joining contexts by (trial, t).
-
-    Schema violations raise ValueError with the offending line number.
-    """
+def read_episode_csv(
+    path, contexts: dict[tuple[int, int], np.ndarray], H: int | None = None
+) -> Iterator[tuple[int, EpisodeLog]]:
+    """Parse an episode CSV back into logs of H rounds (if given), joining
+    contexts by (trial, t).  Violations raise ValueError with the offending
+    line number, an episode's own with the line it starts at."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != _EPISODE_COLUMNS:
             raise ValueError(f"line 1: expected header {_EPISODE_COLUMNS}")
-        current: list[RoundRecord] = []
-        cur_key: tuple[int, int] | None = None
+        current, cur_key, start = [], None, 2  # the episode read, its key, its first line
 
         def finish() -> tuple[int, EpisodeLog]:
             trial, t = cur_key
-            if cur_key not in contexts:
-                raise ValueError(f"no context recorded for trial {trial}, t {t}")
-            return trial, EpisodeLog(t, contexts[cur_key], list(current))
+            try:
+                if cur_key not in contexts:
+                    raise ValueError(f"no context recorded for trial {trial}, t {t}")
+                if H is not None and len(current) != H:
+                    raise ValueError(f"expected {H} rounds, got {len(current)}")
+                return trial, EpisodeLog(t, contexts[cur_key], list(current))
+            except ValueError as exc:
+                raise ValueError(f"line {start}: {exc}") from None
 
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(_EPISODE_COLUMNS):
@@ -490,16 +494,18 @@ def read_episode_csv(path, contexts: dict[tuple[int, int], np.ndarray]) -> Itera
             try:
                 trial, t, h = int(row[0]), int(row[1]), int(row[2])
                 state = _parse_state(row[3], row[4])
-                rec = RoundRecord(
-                    t, h, state,
-                    float(row[5]), float(row[6]), bool(int(row[7])),
-                    float(row[8]), int(row[9]),
-                )
+                bid, hob, pay = float(row[5]), float(row[6]), float(row[8])
+                y = int(row[9])
+                rec = RoundRecord(t, h, state, bid, hob, row[7] == "1", pay, y)
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
+            if not (0 <= bid < _INF and 0 < hob < _INF and 0 <= pay < _INF and y >= 0
+                    and row[7] in ("0", "1")):
+                raise ValueError(f"line {lineno}: need finite bid >= 0, HOB > 0, payment"
+                                 f" >= 0, won 0 or 1, conversions >= 0: {row[5:]}")
             if cur_key is not None and (trial, t) != cur_key:
                 yield finish()
-                current = []
+                current, start = [], lineno
             cur_key = (trial, t)
             current.append(rec)
         if cur_key is not None:
@@ -520,7 +526,8 @@ def write_context_csv(path, rows: Iterable[tuple[int, int, np.ndarray]]) -> None
             w.writerow([trial, t] + [repr(float(v)) for v in x])
 
 
-def read_context_csv(path) -> dict[tuple[int, int], np.ndarray]:
+def read_context_csv(path, dim: int | None = None) -> dict[tuple[int, int], np.ndarray]:
+    """Parse one finite context (of `dim` entries, if given) per (trial, t)."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -531,9 +538,16 @@ def read_context_csv(path) -> dict[tuple[int, int], np.ndarray]:
             if len(row) != len(header):
                 raise ValueError(f"line {lineno}: expected {len(header)} fields")
             try:
-                out[(int(row[0]), int(row[1]))] = np.array([float(v) for v in row[2:]])
+                if dim is not None and len(row) != dim + 2:
+                    raise ValueError(f"expected {dim} x-columns, got {len(row) - 2}")
+                key, x = (int(row[0]), int(row[1])), [float(v) for v in row[2:]]
+                if key in out:
+                    raise ValueError(f"a second context of trial {key[0]}, t {key[1]}")
+                if not all(map(math.isfinite, x)):
+                    raise ValueError(f"contexts must be finite, got {row[2:]}")
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
+            out[key] = np.array(x)
         return out
 
 

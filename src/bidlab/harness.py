@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -45,10 +46,11 @@ from .environment import (
     write_episode_csv,
 )
 from .model import Bounds, state_table
-# best_outcome_plan stays in this namespace, where perfbench/tracing.py wraps it
+# names run_trial no longer calls stay here, where perfbench/tracing.py wraps them
 from .planning import (  # noqa: F401
     OutcomeParams,
     batch_params,
+    best_grid_values,
     best_outcome_plan,
     best_outcome_values,
     default_bid_grid,
@@ -57,6 +59,7 @@ from .planning import (  # noqa: F401
     outcome_values,
     params_from_true,
     policy_value,
+    policy_values,
 )
 
 __all__ = [
@@ -89,6 +92,8 @@ ORACLE_GAP_SAMPLE = 50
 # Episodes per learner update where no decision reads the estimates: in the
 # exploration window (its schedule reads none) and in an offline replay.
 UPDATE_CHUNK = 64
+# Customers per block of the grid oracle, whose (customers, grid) tables stay small.
+GRID_CHUNK = 16
 
 _BOUNDS_DEFAULTS: Mapping[str, float] = {
     "b": 0.1,
@@ -115,13 +120,15 @@ _REAL_KEYS = ("width_scale", "delta", "Gamma_trunc", "half_width_multiplier")
 
 def _check_type(key: str, value, kind: type, optional: bool = False) -> None:
     """Reject, naming the key, a value that is not of `kind`: bool, int, or
-    float (which takes integers too; a bool is no number); None passes only
-    when `optional`."""
+    float (which takes integers too, up to the largest float; a bool is no
+    number, nor is NaN or an infinity); None passes only when `optional`."""
     if value is None and optional:
         return
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, kind)):
         noun = {bool: "true or false", int: "an integer"}.get(kind, "a number")
         raise ValueError(f"{key} must be {noun}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -159,8 +166,8 @@ class ExperimentConfig:
         for key in _REAL_KEYS:
             _check_type(key, getattr(self, key), float, optional=key == "Gamma_trunc")
         _check_type("emit_logs", self.emit_logs, bool)
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
+        if not 1 <= self.T < 2**32:  # RandomSource.prepare seeds at most 2**32 - 1
+            raise ValueError("T must lie in [1, 2**32)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -256,8 +263,8 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
             if not isinstance(kwargs[key], (list, tuple)):
                 raise ValueError(f"{key} must be a list, got {kwargs[key]!r}")
             kwargs[key] = tuple(kwargs[key])
-    if "checkpoints" not in kwargs and "T" in kwargs:
-        kwargs["checkpoints"] = scaled_checkpoints(kwargs["T"])
+    if "checkpoints" not in kwargs and "T" in kwargs:  # too large a T fails below
+        kwargs["checkpoints"] = scaled_checkpoints(min(kwargs["T"], 2**32))
     return ExperimentConfig(**kwargs)
 
 
@@ -312,11 +319,11 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     All policies face the same customer contexts and the same highest other
     bids; conversion noise is drawn per policy.  Only the learner runs
     customer by customer, its updates consuming the exploration window in
-    chunks: the contexts and HOBs are drawn first, the outcome oracle and
-    every outcome plan are scored for all customers at once, and the fixed
-    baselines play their plans as arrays.  The trial's per-customer
-    streams are seeded in one pass (`RandomSource.prepare`).  Any failure at
-    a customer is re-raised with (trial, customer) provenance.
+    chunks: the contexts and HOBs are drawn first, the oracles are scored
+    for all customers at once (the grid's in blocks), every plan and bid
+    rule after the loop, and the fixed baselines play as arrays.  The
+    trial's streams are seeded in one pass (`RandomSource.prepare`).  Any
+    failure at a customer is re-raised with (trial, customer) provenance.
     """
     if trial < 0:
         raise ValueError("trial index must be nonnegative")
@@ -339,6 +346,15 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
             hobs[t - 1] = draw_hobs(xs[-1], a, rng, t)
     batch = batch_params(np.array(xs), m, a)
     outcome_opt = best_outcome_values(batch)
+    # the grid oracle of dp mode's customers or outcome mode's gap sample; its
+    # first customer with a negative conversion mean fails when its turn comes
+    n_grid = min(T, ORACLE_GAP_SAMPLE) if outcome_mode else T
+    dp_opt = np.empty(n_grid)
+    for i in range(0, n_grid, GRID_CHUNK):
+        stop = min(i + GRID_CHUNK, n_grid)
+        dp_opt[i:stop] = best_grid_values(batch.rows(i, stop), grid)
+    negative = np.flatnonzero((batch.mu[:, :n_grid] < 0).any(axis=0)).tolist()
+    first_negative = negative[0] + 1 if negative else 0
     plans = {}  # each customer's target outcomes, by policy
     for name in config.policies:
         if name != LEARNER_POLICY:
@@ -348,27 +364,21 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
                              else None)  # the fixed baselines draw nothing
                 for t in range(1, T + 1)
             ]
-        elif outcome_mode:
-            plans[name] = []  # filled as the learner plays
-    realized_learner = np.empty(T)
-    expected_learner = np.empty(T)  # dp mode's; outcome mode scores the plans
-    realized = {LEARNER_POLICY: realized_learner}
-    expected = {LEARNER_POLICY: expected_learner}
-    dp_opt = np.empty(T)
+        else:
+            plans[name] = []  # filled as the learner plays (dp mode: while it explores)
+    keys, exploit_bids = state_table(config.H).keys, []  # dp: bids by state id
+    realized = {LEARNER_POLICY: np.empty(T)}
+    expected = {}
     episodes: list[tuple[int, EpisodeLog]] | None = (
         [] if config.emit_logs and agent is not None else None
     )
-    gap_total = 0.0
 
     window = exploration_window(agent.n_underbar, bounds.H) if agent is not None else 0
     pending: list[EpisodeLog] = []  # played, not yet consumed by the learner
     for t, x in enumerate(xs, start=1):
         with _provenance(trial, t):
-            if not outcome_mode or t <= ORACLE_GAP_SAMPLE:
-                params_true = params_from_true(x, m, a, B_A=bounds.B_A)
-                dp_opt[t - 1] = dp_policy(params_true, grid, mode="auction").value
-            if t <= ORACLE_GAP_SAMPLE:
-                gap_total += float(outcome_opt[t - 1] - dp_opt[t - 1])
+            if t == first_negative:
+                raise ValueError("conversion means must be clamped nonnegative")
             if agent is None:
                 continue
             decision = act(agent, x, grid, t)
@@ -376,28 +386,32 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
                 decision.policy, x, m, a, rng, decision.mode,
                 t=t, noise_label=LEARNER_POLICY, bounds=bounds, hobs=hobs[t - 1],
             )
-            realized_learner[t - 1] = log.realized_reward
+            realized[LEARNER_POLICY][t - 1] = log.realized_reward
             pending.append(log)
             if episodes is not None:
                 episodes.append((trial, log))
-            if outcome_mode:
+            if decision.plan is not None:
                 plans[LEARNER_POLICY].append(decision.plan)
-            elif decision.plan is not None:
-                expected_learner[t - 1] = outcome_value(decision.plan, params_true)
             else:
-                expected_learner[t - 1] = policy_value(
-                    params_true, lambda h, s: decision.policy(h, s, x)
-                )
+                exploit_bids.append([decision.policy(h, s, x) for h, s in keys])
         if len(pending) == UPDATE_CHUNK or t >= window or t == T:
             with _provenance(trial):
                 update(agent, pending)
             pending = []
 
+    gap_total = 0.0
+    for t in range(min(T, ORACLE_GAP_SAMPLE)):
+        gap_total += float(outcome_opt[t] - dp_opt[t])
     for name, p in plans.items():
-        won = np.array(p, dtype=bool)  # (T, H): round h of every customer's plan
-        expected[name] = outcome_values(won.T, batch)
+        won = np.array(p, dtype=bool)  # (n, H): round h of every customer's plan
+        expected[name] = outcome_values(won.T, batch.rows(0, len(p)))
         if name != LEARNER_POLICY:
             realized[name] = _play_plans(won, hobs, batch, rng, name, trial)
+    if exploit_bids:  # dp mode's learner past its plans
+        bids = dict(zip(keys, np.array(exploit_bids).T))  # every customer's, by state
+        rows = batch.rows(T - len(exploit_bids), T)
+        expected[LEARNER_POLICY] = np.concatenate(
+            [expected[LEARNER_POLICY], policy_values(rows, lambda h, s: bids[(h, s)])])
     opt = outcome_opt if outcome_mode else dp_opt
     return TrialResult(
         trial=trial,
@@ -730,10 +744,10 @@ def replay_estimation(
     if config is None:
         config = load_config(log_path.parent / "config.json")
 
-    contexts = read_context_csv(contexts_path)
+    contexts = read_context_csv(contexts_path, config.dim)
     agent = _agent_for(config)
     seen, chunk = None, []
-    for trial, log in read_episode_csv(log_path, contexts):
+    for trial, log in read_episode_csv(log_path, contexts, config.H):
         if seen not in (None, trial):
             raise ValueError(
                 f"log mixes trials {seen} and {trial}; replay one trial at a time"

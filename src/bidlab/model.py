@@ -44,6 +44,7 @@ __all__ = [
     "state_table",
     "conversion_mean",
     "norm_cdf",
+    "lognormal_cdf_terms",
     "hob_cdf_terms",
     "win_probability",
     "hob_mean",
@@ -136,7 +137,7 @@ class Bounds:
             raise ValueError("H and dim must be >= 1")
         if self.b > self.B_x * self.B_theta:
             raise ValueError("b must not exceed B_x * B_theta")
-        if self.B_beta * self.B_x + 0.5 * self.sigma_max**2 > _LOG_FLOAT_MAX:
+        if self.B_beta * self.B_x + self.sigma_max * self.sigma_max / 2 > _LOG_FLOAT_MAX:
             raise ValueError(
                 "B_beta * B_x + sigma_max**2 / 2 must not exceed "
                 f"log(max float) = {_LOG_FLOAT_MAX:.2f}, or the HOB mean "
@@ -263,7 +264,6 @@ def conversion_mean(
 
 
 _SQRT2 = math.sqrt(2.0)
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def norm_cdf(z: float | np.ndarray) -> float | np.ndarray:
@@ -271,20 +271,24 @@ def norm_cdf(z: float | np.ndarray) -> float | np.ndarray:
     or elementwise of a float array.  Both take libm's erfc (abs error
     <= 1e-15, bit-reproducible on a given platform)."""
     if isinstance(z, np.ndarray):
-        return 0.5 * _erfc(-z / _SQRT2).astype(float)
+        w = (-z / _SQRT2).ravel().tolist()
+        return 0.5 * np.fromiter(map(math.erfc, w), float, len(w)).reshape(z.shape)
     return 0.5 * math.erfc(-z / _SQRT2)
+
+
+def lognormal_cdf_terms(log_bid, log_mean, log_sd, mean):
+    """Phi(u) = P(Y <= bid) and mean * Phi(u - log_sd) = E[Y 1{Y <= bid}] of a
+    lognormal Y, u = (log bid - log_mean) / log_sd (logs by `math.log`)."""
+    u = (log_bid - log_mean) / log_sd
+    return norm_cdf(u), mean * norm_cdf(u - log_sd)
 
 
 def hob_cdf_terms(
     h: int, log_bid: float | np.ndarray, x: np.ndarray, a: AuctionModel
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Win probability P(HOB <= bid) = Phi(u) and expected payment
-    E[HOB * 1{HOB <= bid}] = exp(mu + sigma^2/2) * Phi(u - sigma), with
-    u = (log bid - mu) / sigma, for one log-bid or elementwise for an array
-    of them (same floats either way).  Take the logs with `math.log`."""
-    sigma = a.log_sd(h)
-    u = (log_bid - a.log_mean(h, x)) / sigma
-    return norm_cdf(u), hob_mean(h, x, a) * norm_cdf(u - sigma)
+    """Win probability and expected payment of round h, per log-bid (same floats)."""
+    return lognormal_cdf_terms(log_bid, a.log_mean(h, x), a.log_sd(h),
+                               hob_mean(h, x, a))
 
 
 def win_probability(h: int, bid: float, x: np.ndarray, a: AuctionModel) -> float:

@@ -5,25 +5,27 @@ Outcome planning picks a target win/lose sequence directly (a forced winner
 pays the unconditional HOB mean), on floats for one customer or elementwise
 on arrays over a batch of them (`batch_params`), which gives each customer
 the same floats.  Grid planning picks bids from a grid and wins
-stochastically at the auction.
+stochastically at the auction, for a block of customers at once; one
+customer is a block of one.
 
 The expected round value is written once, for one win probability or an
-array of them.  The grid planner tabulates the win probability and the
-expected payment per round over the whole grid (neither depends on the
-state), scores every bid of a state in one array expression and keeps the
-first maximum, which gives the same floats as scoring the bids one by one
-with `auction_round_value`.
+array of them.  The grid planner tabulates round h's win probability and
+expected payment over the whole grid for every customer of the block
+(neither depends on the state) when the induction reaches round h, scores
+every bid of a state in one array expression and keeps the first maximum
+along the grid, which gives the same floats as scoring the bids one by one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import (
+from .model import (  # noqa: F401 (tracing counts two closed forms here)
     INITIAL_STATE,
     AuctionModel,
     Bounds,
@@ -31,8 +33,8 @@ from .model import (
     TrueModel,
     delay_index,
     expected_payment,
-    hob_cdf_terms,
     hob_mean,
+    lognormal_cdf_terms,
     lognormal_mean,
     lose_index,
     state_table,
@@ -47,13 +49,14 @@ __all__ = [
     "PolicyTable",
     "params_from_true",
     "batch_params",
-    "auction_round_value",
     "outcome_value",
     "outcome_values",
     "best_outcome_plan",
     "best_outcome_values",
     "dp_policy",
+    "best_grid_values",
     "policy_value",
+    "policy_values",
     "default_bid_grid",
 ]
 
@@ -96,18 +99,29 @@ def params_from_true(
 
 
 class OutcomeParams(NamedTuple):
-    """What outcome planning needs: the conversion mean of each theta row
-    and the HOB mean of each round, floats for one customer or arrays over
-    a batch of customers, and the delay factors by position."""
+    """What planning needs: the conversion mean of each theta row and the
+    HOB mean and log-mean of each round, floats for one customer or arrays
+    over a batch (customers along the last axis), and the delay factors and
+    HOB log-sds by position, which outcome planning does not read."""
 
     mu: Sequence
     delay: Sequence[float]
     hob: Sequence
+    log_hob: Sequence = ()
+    sigma: Sequence[float] = ()
+
+    def rows(self, start: int, stop: int) -> "OutcomeParams":
+        """Customers start..stop-1 of a batch."""
+        return self._replace(mu=self.mu[:, start:stop], hob=self.hob[:, start:stop],
+                             log_hob=self.log_hob[:, start:stop])
 
 
 def _outcome_params(params: PlanParams) -> OutcomeParams:
-    hob = [hob_mean(h, params.x, params.auction) for h in range(1, params.H + 1)]
-    return OutcomeParams(mu=params.mu, delay=params.delay, hob=hob)
+    a, x, rounds = params.auction, params.x, range(1, params.H + 1)
+    return OutcomeParams(
+        mu=params.mu, delay=params.delay, hob=[hob_mean(h, x, a) for h in rounds],
+        log_hob=[a.log_mean(h, x) for h in rounds], sigma=a.sigma.tolist(),
+    )
 
 
 def batch_params(X: np.ndarray, m: TrueModel, a: AuctionModel) -> OutcomeParams:
@@ -120,12 +134,13 @@ def batch_params(X: np.ndarray, m: TrueModel, a: AuctionModel) -> OutcomeParams:
     single context is padded with a copy.  The HOB means take `math.exp`,
     since `np.exp` differs in the last bit.
     """
-    H = len(a.sigma)
+    H, sigma = len(a.sigma), a.sigma.tolist()
     padded = X if len(X) > 1 else np.vstack([X, X])
     means = (padded @ np.vstack([m.theta, a.beta]).T)[: len(X)].T
-    hob = [np.array([lognormal_mean(v, sd) for v in row.tolist()])
-           for row, sd in zip(means[H + 1:], a.sigma.tolist())]
-    return OutcomeParams(mu=means[: H + 1], delay=m.delay.tolist(), hob=hob)
+    hob = np.array([[lognormal_mean(v, sd) for v in row.tolist()]
+                    for row, sd in zip(means[H + 1:], sigma)])
+    return OutcomeParams(mu=means[: H + 1], delay=m.delay.tolist(), hob=hob,
+                         log_hob=means[H + 1:], sigma=sigma)
 
 
 def _mu_win(params: PlanParams | OutcomeParams, s: ExposureState) -> float:
@@ -156,30 +171,6 @@ def _round_value(
     the successor values mixed by the win probability `F`; `F` and `pay`
     are floats or arrays over bids."""
     return mu_lose * (1.0 - F) + mu_win * F - pay + F * v_win + (1.0 - F) * v_lose
-
-
-def auction_round_value(
-    params: PlanParams,
-    h: int,
-    s: ExposureState,
-    bid: float,
-    v_win: float,
-    v_lose: float,
-) -> float:
-    """Expected round reward at `bid` plus the win-probability mixture of
-    the successor values.
-
-    The payment enters as p(bid) * F(bid), expanded in closed form so the
-    bid -> 0 limit needs no division by a vanishing win probability.
-    """
-    return _round_value(
-        _mu_win(params, s),
-        _mu_lose(params, s),
-        win_probability(h, bid, params.x, params.auction),
-        expected_payment(h, bid, params.x, params.auction),
-        v_win,
-        v_lose,
-    )
 
 
 @dataclass(frozen=True)
@@ -278,16 +269,67 @@ def best_outcome_plan(params: PlanParams) -> tuple[OutcomePlan, float]:
     return tuple(plan), values[0]
 
 
+def _logs(bids) -> np.ndarray:
+    """`math.log` of each bid, 0.0 at zero bids (which never win or pay)."""
+    return np.array([math.log(b) if b else 0.0 for b in bids])
+
+
+_grid_logs = functools.lru_cache(maxsize=8)(_logs)  # called with a grid's tuple
+
+
+def _column(v) -> np.ndarray:
+    """A float or an array over customers as an (n, 1) column."""
+    return v.reshape(-1, 1) if isinstance(v, np.ndarray) else np.array([[v]])
+
+
+def _auction_terms(op: OutcomeParams, h: int, bids, log_bids) -> tuple:
+    """Round h's win probability and expected payment at `bids` (with their
+    `_logs`), which broadcast against the customers' (n, 1) columns."""
+    F, pay = lognormal_cdf_terms(log_bids, _column(op.log_hob[h - 1]), op.sigma[h - 1],
+                                 _column(op.hob[h - 1]))
+    return np.where(bids != 0.0, F, 0.0), np.where(bids != 0.0, pay, 0.0)
+
+
+def _scores(op: OutcomeParams, s: ExposureState, terms: tuple, v_win, v_lose):
+    """`_round_value` of every customer (rows) at each of its bids (columns)."""
+    return _round_value(_column(_mu_win(op, s)), _column(_mu_lose(op, s)), *terms,
+                        _column(v_win), _column(v_lose))
+
+
+def _grid_policy(op: OutcomeParams, grid: Sequence[float]) -> tuple[list, list]:
+    """Backward induction on a bid grid for a block of customers: by state
+    id, each customer's grid index and value ((n,) arrays).  The first
+    maximum along the grid wins, so ties go to the lower bid; NaN never
+    wins, and where every score is -inf the value is -inf."""
+    bids, log_bids, tables = np.asarray(grid), _grid_logs(tuple(grid)), {}
+
+    def choose(h, s, v_win, v_lose):
+        if h not in tables:  # built when the induction reaches round h, one at a time
+            tables.clear()
+            tables[h] = _auction_terms(op, h, bids, log_bids)
+        q = _scores(op, s, tables[h], v_win, v_lose)
+        q[np.isnan(q)] = -np.inf
+        return q.argmax(axis=1), q.max(axis=1)
+
+    return _backward_induction(len(op.hob), choose)
+
+
+def best_grid_values(op: OutcomeParams, grid: Sequence[float]) -> np.ndarray:
+    """The grid planner's episode value of every customer of a block."""
+    return _grid_policy(op, grid)[1][0]
+
+
 def dp_policy(
     params: PlanParams, bid_grid: np.ndarray, mode: str = "auction"
 ) -> PolicyTable:
     """Backward induction over reachable states on a fixed bid grid.
 
     Auction mode scores each bid by its expected round reward plus the
-    win-probability mixture of successor values.  Forced mode needs the
-    zero bid and a positive one: the first positive bid is a guaranteed win
-    (paying the HOB mean) and zero a guaranteed loss.  Ties go to the lower
-    bid.
+    win-probability mixture of successor values: the grid planner on a
+    block of one, which bids None where no score beats -inf.  Forced mode
+    needs the zero bid and a positive one: the first positive bid is a
+    guaranteed win (paying the HOB mean) and zero a guaranteed loss.  Ties
+    go to the lower bid.
     """
     if mode not in ("auction", "forced"):
         raise ValueError(f"unknown planning mode {mode!r}")
@@ -305,44 +347,30 @@ def dp_policy(
         bids = [win_bid if w else 0.0 for w in won]
         return _policy_table(params.H, bids, values)
 
-    # F and the payment depend on the round and the bid, never on the state:
-    # one table row per round, every bid of a state scored at once
-    positive = np.array(grid) > 0.0
-    log_bids = np.array([math.log(b) for b in grid if b > 0.0])
-    F = np.zeros((params.H, len(grid)))
-    pay = np.zeros((params.H, len(grid)))
-    for h in range(1, params.H + 1):
-        F[h - 1, positive], pay[h - 1, positive] = hob_cdf_terms(
-            h, log_bids, params.x, params.auction
-        )
+    index, values = _grid_policy(_outcome_params(params), grid)
+    values = [float(v[0]) for v in values[:-1]]
+    bids = [None if v == -math.inf else grid[i[0]] for i, v in zip(index, values)]
+    return _policy_table(params.H, bids, values)
+
+
+def policy_values(op: OutcomeParams, bid_fn: Callable[[int, ExposureState], object]):
+    """Expected episode value of a fixed bid rule (auction semantics) by
+    backward induction: `bid_fn(h, s)` gives one customer's bid or, with
+    batch inputs, an array of every customer's."""
 
     def choose(h, s, v_win, v_lose):
-        q = _round_value(
-            _mu_win(params, s), _mu_lose(params, s), F[h - 1], pay[h - 1],
-            v_win, v_lose,
-        )
-        # the first maximum, as a strict > scan from -inf finds it; NaN
-        # never wins
-        q[np.isnan(q)] = -np.inf
-        i = int(np.argmax(q))
-        if q[i] == -np.inf:
-            return None, -float("inf")
-        return grid[i], float(q[i])
+        bid = _column(np.asarray(bid_fn(h, s), dtype=float))
+        if np.any(bid < 0):
+            raise ValueError("bid must be nonnegative")
+        terms = _auction_terms(op, h, bid, _column(_logs(bid.ravel().tolist())))
+        return bid, _scores(op, s, terms, v_win, v_lose)[:, 0]
 
-    return _policy_table(params.H, *_backward_induction(params.H, choose))
+    return _backward_induction(len(op.hob), choose)[1][0]
 
 
-def policy_value(
-    params: PlanParams, bid_fn: Callable[[int, ExposureState], float]
-) -> float:
-    """Expected episode value of a fixed bid rule under these parameters
-    (auction semantics), by backward induction over reachable states."""
-
-    def choose(h, s, v_win, v_lose):
-        a = float(bid_fn(h, s))
-        return a, auction_round_value(params, h, s, a, v_win, v_lose)
-
-    return _backward_induction(params.H, choose)[1][0]
+def policy_value(params: PlanParams, bid_fn: Callable) -> float:
+    """`policy_values` of one customer."""
+    return float(policy_values(_outcome_params(params), bid_fn)[0])
 
 
 def default_bid_grid(bounds: Bounds, points: int = 256) -> np.ndarray:

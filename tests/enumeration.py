@@ -1,7 +1,8 @@
 """References that only tests use, independent of the backward induction
 behind the planners: every one of the 2^H target outcome sequences scored
-by `outcome_value`, a scalar loop over the bid grid scored by
-`auction_round_value`, the exact continuous-bid optimum, the oracle value
+by `outcome_value`, a scalar round value `auction_round_value` on the
+model's closed forms with a scalar loop over the bid grid and a fixed bid
+rule's value built on it, the exact continuous-bid optimum, the oracle value
 in either planner mode, two identities of the HOB payment, an
 outcome-mode trial played one customer and one policy at a time, and the
 learner's update consuming one customer and one sample at a time."""
@@ -39,7 +40,6 @@ from bidlab.model import (
     win_probability,
 )
 from bidlab.planning import (
-    auction_round_value,
     batch_params,
     best_outcome_plan,
     best_outcome_values,
@@ -48,6 +48,29 @@ from bidlab.planning import (
     outcome_value,
     params_from_true,
 )
+
+
+def auction_round_value(params, h, s, bid, v_win, v_lose):
+    """Expected round reward at `bid` (conversions minus the second-price
+    payment, whose closed form needs no division by a vanishing win
+    probability) plus the win-probability mixture of the successor values,
+    scored with the model's scalar closed forms."""
+    mu_win = params.mu[win_index(s.s1)]
+    mu_lose = params.delay[delay_index(s.s1)] * params.mu[lose_index(s.s2)]
+    F = win_probability(h, bid, params.x, params.auction)
+    pay = expected_payment(h, bid, params.x, params.auction)
+    return mu_lose * (1.0 - F) + mu_win * F - pay + F * v_win + (1.0 - F) * v_lose
+
+
+def scalar_policy_value(params, bid_fn):
+    """Expected episode value of the bid rule `bid_fn(h, s)` for one
+    customer, one state at a time."""
+
+    def choose(h, s, v_win, v_lose):
+        bid = float(bid_fn(h, s))
+        return bid, auction_round_value(params, h, s, bid, v_win, v_lose)
+
+    return scalar_backward_induction(params, choose)[1][(1, INITIAL_STATE)]
 
 
 def enumerated_best_plan(params):

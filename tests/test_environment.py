@@ -1,6 +1,7 @@
 """Simulator: keyed random streams, episode execution, instance sampling,
 and log serialization."""
 
+import csv
 import itertools
 import json
 import math
@@ -9,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bidlab import environment
 from bidlab.environment import (
@@ -432,6 +434,142 @@ def test_context_csv_errors_carry_line_numbers(tmp_path):
         path.write_text("trial,t,x0,x1\n" + rows)
         with pytest.raises(ValueError, match=rf"^line {lineno}: {re.escape(message)}$"):
             read_context_csv(path)
+
+
+_HEADER = "trial,t,h,s1,s2,bid,hob,won,payment,conversions\n"
+_ROUNDS = (  # one customer's three rounds: lose, win, lose
+    "0,1,1,NEVER,NEVERBEFORE,0.0,1.0,0,0.0,2\n",
+    "0,1,2,NEVER,NEVERBEFORE,5.0,1.5,1,1.5,1\n",
+    "0,1,3,1,ONLYONE,0.0,2.0,0,0.0,0\n",
+)
+
+
+@pytest.mark.parametrize("column, value", [
+    (9, "-3"), (7, "2"), (7, "-1"), (5, "nan"), (5, "-1.0"), (5, "inf"),
+    (8, "nan"), (8, "-0.5"), (6, "nan"), (6, "0.0"), (6, "inf"),
+])
+def test_episode_csv_rejects_out_of_range_fields(tmp_path, column, value):
+    # round 2 (line 3) carries the bad field; every other field is valid
+    row = _ROUNDS[1].rstrip("\n").split(",")
+    row[column] = value
+    path = tmp_path / "e.csv"
+    path.write_text(_HEADER + _ROUNDS[0] + ",".join(row) + "\n" + _ROUNDS[2])
+    with pytest.raises(ValueError, match=r"^line 3: need finite bid >= 0"):
+        list(read_episode_csv(path, {(0, 1): np.array([1.0, 1.0])}))
+
+
+def test_episode_violations_name_the_line_the_episode_starts_at(tmp_path):
+    # the second customer starts at line 5; its episode skips round 2, or
+    # has no context, or is one round short of H
+    path = tmp_path / "e.csv"
+    second = [r.replace("0,1,", "0,2,", 1) for r in _ROUNDS]
+    x = np.array([1.0, 1.0])
+    for rows, contexts, H, message in (
+        ([second[0], second[2]], {(0, 1): x, (0, 2): x}, None,
+         "state chain broken at round 1"),
+        (second, {(0, 1): x}, None, "no context recorded for trial 0, t 2"),
+        (second[:2], {(0, 1): x, (0, 2): x}, 3, "expected 3 rounds, got 2"),
+    ):
+        path.write_text(_HEADER + "".join(_ROUNDS) + "".join(rows))
+        episodes = read_episode_csv(path, contexts, H)
+        assert next(episodes)[1].t == 1
+        with pytest.raises(ValueError, match=rf"^line 5: {re.escape(message)}"):
+            next(episodes)
+
+
+def test_context_csv_rejects_nonfinite_repeated_and_misshapen_rows(tmp_path):
+    path = tmp_path / "contexts.csv"
+    for rows, dim, message in (
+        ("0,1,0.5,1.5\n0,2,nan,1.0\n", None, "line 3: contexts must be finite"),
+        ("0,1,0.5,1.5\n0,2,1.0,-inf\n", None, "line 3: contexts must be finite"),
+        ("0,1,0.5,1.5\n0,1,0.5,1.5\n", None, "line 3: a second context of trial 0, t 1"),
+        ("0,1,0.5,1.5\n", 3, "line 2: expected 3 x-columns, got 2"),
+    ):
+        path.write_text("trial,t,x0,x1\n" + rows)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}"):
+            read_context_csv(path, dim)
+    path.write_text("trial,t,x0,x1\n0,1,0.5,1.5\n0,2,1e-300,0.0\n")
+    assert sorted(read_context_csv(path, 2)) == [(0, 1), (0, 2)]
+
+
+# --- fuzzing: any input is parsed or rejected with a ValueError -------------
+
+_TOKENS = ["NEVER", "NEVERBEFORE", "ONLYONE", "1", "2", "3", "0", "-1", "x", ""]
+_NUMBERS = st.one_of(
+    st.integers(-3, 4).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "1e999", "0x1", " 1", "1_0", "abc"]),
+)
+_FUZZ = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+_VALID = [r.rstrip("\n").split(",") for r in _ROUNDS]
+_VALID += [["0", "2", *r[2:]] for r in _VALID]  # a second customer
+
+
+@_FUZZ
+@given(
+    edits=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9),
+                             st.one_of(_NUMBERS, st.sampled_from(_TOKENS))), max_size=2),
+    drop=st.one_of(st.none(), st.integers(0, 5)),
+    junk=st.one_of(st.none(), st.lists(_NUMBERS, max_size=12)),
+    H=st.sampled_from([None, 3]),
+)
+def test_fuzzed_episode_csv_parses_or_raises_a_value_error(tmp_path, edits, drop, junk, H):
+    # two valid episodes with a few fields replaced, a row dropped or a junk
+    # row appended: parsed into valid records, or rejected naming a line
+    rows = [list(r) for r in _VALID]
+    for k, column, value in edits:
+        rows[k][column] = value
+    rows = [r for k, r in enumerate(rows) if k != drop] + [junk] * (junk is not None)
+    path = tmp_path / "e.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_HEADER.strip().split(","))
+        writer.writerows(rows)
+    contexts = {(0, t): np.array([1.0, 1.0]) for t in (1, 2)}
+    try:
+        episodes = list(read_episode_csv(path, contexts, H))
+    except ValueError as exc:
+        assert str(exc).startswith("line ")
+        return
+    assert len(episodes) <= 2
+    for _, ep in episodes:
+        assert H is None or len(ep.records) == H
+        for r in ep.records:
+            assert 0 <= r.bid < math.inf and 0 < r.hob < math.inf
+            assert 0 <= r.payment < math.inf and r.conversions >= 0
+
+
+@_FUZZ
+@given(text=st.text(max_size=200))
+def test_fuzzed_text_as_episode_or_context_csv_raises_only_value_errors(tmp_path, text):
+    path = tmp_path / "f.csv"
+    path.write_text(text, encoding="utf-8")
+    for read in (lambda: list(read_episode_csv(path, {})), lambda: read_context_csv(path)):
+        try:
+            read()
+        except ValueError:
+            pass
+
+
+@_FUZZ
+@given(rows=st.lists(st.lists(_NUMBERS, min_size=0, max_size=5), max_size=6),
+       dim=st.sampled_from([None, 1, 2, 3]))
+def test_fuzzed_context_csv_parses_or_raises_a_value_error(tmp_path, rows, dim):
+    path = tmp_path / "c.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trial", "t", "x0", "x1"])
+        writer.writerows(rows)
+    try:
+        contexts = read_context_csv(path, dim)
+    except ValueError as exc:
+        assert str(exc).startswith("line ")
+        return
+    assert (dim in (None, 2) or not rows) and len(contexts) == len(rows)
+    assert all(np.all(np.isfinite(x)) and x.shape == (2,) for x in contexts.values())
 
 
 @pytest.mark.parametrize("H", range(1, 7))

@@ -7,10 +7,11 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bidlab.agent import (
     agent_to_dict,
@@ -21,6 +22,7 @@ from bidlab.agent import (
 )
 from bidlab.cli import main
 from bidlab.environment import (
+    InstanceRecipe,
     RandomSource,
     generate_instance,
     read_context_csv,
@@ -168,6 +170,64 @@ def test_config_rejects_values_of_the_wrong_type(raw, key):
     # rejected at load time, naming the key, before any trial runs
     with pytest.raises(ValueError, match=rf"^{re.escape(key)}\b"):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"width_scale": math.nan}, "width_scale"),
+    ({"Gamma_trunc": math.inf}, "Gamma_trunc"),
+    ({"bounds": {"B_A": 10**400}}, "bounds.B_A"),
+    ({"instance": {"theta_scale": -math.inf}}, "instance.theta_scale"),
+])
+def test_config_rejects_nonfinite_numbers(raw, key):
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be a finite number"):
+        config_from_dict(raw)
+
+
+def test_config_rejects_overflowing_scales_and_horizons():
+    # sigma_max**2 overflowed inside the bounds check; a T past 2**32 - 1
+    # customers has no stream seeds, and one past 1e304 overflowed the
+    # checkpoint rescaling
+    with pytest.raises(ValueError, match=r"B_beta \* B_x \+ sigma_max"):
+        config_from_dict({"bounds": {"sigma_max": 1e200}})
+    for T in (2**32, 10**400):
+        with pytest.raises(ValueError, match=r"^T must lie in \[1, 2\*\*32\)"):
+            config_from_dict({"T": T})
+    assert config_from_dict({"T": 2**32 - 1, "checkpoints": [1]}).T == 2**32 - 1
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=3),
+    max_leaves=6,
+)
+_PLAUSIBLE = st.one_of(
+    st.integers(-2, 70), st.floats(-1.0, 70.0), st.sampled_from(
+        ["outcome", "dp", "learner", None, True, [], [1, 5], ["learner", "passive"]]
+    ),
+)
+
+
+def _section(keys):
+    return st.dictionaries(st.sampled_from(sorted(keys) + ["bogus"]),
+                           _PLAUSIBLE | _JSON, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.dictionaries(
+    st.sampled_from(sorted(f.name for f in fields(ExperimentConfig)) + ["bogus"]),
+    _PLAUSIBLE | _JSON, max_size=6,
+).flatmap(lambda raw: st.fixed_dictionaries(
+    {}, optional={"bounds": _section(Bounds.__dataclass_fields__) | _JSON,
+                  "instance": _section(InstanceRecipe.__dataclass_fields__) | _JSON},
+).map(lambda sections: {**raw, **sections})))
+def test_fuzzed_config_loads_or_raises_a_value_error(raw):
+    # any JSON object is a config, which round-trips, or a ValueError
+    try:
+        cfg = config_from_dict(raw)
+    except ValueError:
+        return
+    assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
 def test_config_accepts_the_optional_nones():
@@ -432,6 +492,48 @@ def test_negative_conversion_mean_of_the_oracle_names_trial_and_customer(
     )
 
 
+def test_a_dp_trial_plans_on_the_grid_only_for_the_learners_exploit_customers(
+    monkeypatch,
+):
+    # the grid oracle runs on blocks of customers, so dp_policy is called
+    # once per exploit customer by the learner and never by the harness,
+    # which also builds no per-customer params and scores no bid rule alone
+    import bidlab.agent as agent_module
+    import bidlab.harness as harness_module
+
+    calls = []
+    for module, name in ((agent_module, "dp_policy"), (harness_module, "dp_policy"),
+                         (harness_module, "params_from_true"),
+                         (harness_module, "policy_value")):
+        def counting(*args, _real=getattr(module, name),
+                     _key=f"{module.__name__}.{name}", **kwargs):
+            calls.append(_key)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    cfg = small_config(T=45, trials=1, n_underbar=5, checkpoints=(45,), mode="dp",
+                       emit_logs=False)
+    run_trial(cfg, 0)
+    exploit = cfg.T - exploration_window(cfg.n_underbar, cfg.H)
+    assert calls == ["bidlab.agent.dp_policy"] * exploit
+
+
+@pytest.mark.parametrize("mode", ["outcome", "dp"])
+@pytest.mark.parametrize("chunk", [1, 7, 10**6])
+def test_grid_oracle_block_size_leaves_a_trial_unchanged(monkeypatch, mode, chunk):
+    import bidlab.harness as harness_module
+
+    cfg = small_config(T=60, trials=1, n_underbar=5, checkpoints=(60,), mode=mode,
+                       emit_logs=False)
+    reference = run_trial(cfg, 0)
+    monkeypatch.setattr(harness_module, "GRID_CHUNK", chunk)
+    got = run_trial(cfg, 0)
+    assert got.oracle_gap == reference.oracle_gap
+    for name in cfg.policies:
+        assert got.realized[name].tolist() == reference.realized[name].tolist()
+        assert got.expected[name].tolist() == reference.expected[name].tolist()
+
+
 def test_trials_reuse_the_state_table(monkeypatch):
     # once the table of an H exists, no customer rebuilds the reachable
     # states or constructs an exposure state
@@ -674,6 +776,23 @@ def test_replay_rejects_logs_mixing_trials(tmp_path, small_result):
             contexts_path=tmp_path / "contexts_mixed.csv",
             config=small_result.config,
         )
+
+
+def test_replay_rejects_a_short_episode_and_contexts_of_another_dimension(
+    tmp_path, small_result
+):
+    # unchecked, the first fails inside numpy on ragged HOB rows and the
+    # second on a matrix product of mismatched shapes, neither naming a line
+    write_outputs(small_result, tmp_path)
+    log, ctx = tmp_path / "episodes_trial0.csv", tmp_path / "contexts_trial0.csv"
+    lines = log.read_text().splitlines(keepends=True)
+    log.write_text("".join(lines[:3] + lines[4:]))  # customer 1's round 3
+    with pytest.raises(ValueError, match=r"^line 2: expected 3 rounds, got 2$"):
+        replay_estimation(log)
+    log.write_text("".join(lines))
+    ctx.write_text("\n".join(line + ",0.5" for line in ctx.read_text().splitlines()))
+    with pytest.raises(ValueError, match=r"^line 2: expected 2 x-columns, got 3$"):
+        replay_estimation(log)
 
 
 def test_replay_requires_locatable_contexts(tmp_path):

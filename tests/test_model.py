@@ -34,8 +34,8 @@ from bidlab.model import (
     win_probability,
 )
 from bidlab.environment import delay_token, theta_token
-from bidlab.planning import auction_round_value, params_from_true
-from enumeration import cdf_integral, expected_payment_given_win
+from bidlab.planning import params_from_true
+from enumeration import auction_round_value, cdf_integral, expected_payment_given_win
 
 PHI_1 = 0.8413447460685429          # Phi(1)
 E_HALF = 1.6487212707001282         # e^{1/2}

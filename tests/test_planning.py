@@ -25,10 +25,10 @@ from bidlab.model import (
     win_probability,
 )
 from bidlab import planning
+from bidlab.harness import GRID_CHUNK
 from bidlab.planning import (
     OutcomeParams,
     PlanParams,
-    auction_round_value,
     batch_params,
     best_outcome_plan,
     best_outcome_values,
@@ -37,13 +37,17 @@ from bidlab.planning import (
     outcome_value,
     outcome_values,
     params_from_true,
+    policy_value,
+    policy_values,
 )
 from enumeration import (
+    auction_round_value,
     closed_form_bid,
     closed_form_value,
     enumerated_best_plan,
     oracle_value,
     scalar_grid_policy,
+    scalar_policy_value,
 )
 
 BOUNDS = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
@@ -395,6 +399,107 @@ def test_dp_grid_never_chooses_nan():
         table = dp_policy(p, grid)
     assert (table.bids, table.values) == scalar_grid_policy(p, grid)
     assert table.act(1, INITIAL_STATE) == 0.5 and table.value == math.inf
+
+
+def grid_block(op, grid):
+    """Each customer's bids and values by (round, state), from one run of
+    the grid planner over the block `op`."""
+    index, values = planning._grid_policy(op, grid)
+    keys = state_table(len(op.hob)).keys
+    out = []
+    for c in range(len(values[0])):
+        v = {key: float(values[i][c]) for i, key in enumerate(keys)}
+        b = {key: None if v[key] == -math.inf else float(grid[index[i][c]])
+             for i, key in enumerate(keys)}
+        out.append((b, v))
+    return out
+
+
+def stacked(customers):
+    """One batch of single-customer params that share delays and HOB
+    log-sds, customer k in column k."""
+    ops = [planning._outcome_params(p) for p in customers]
+    cols = {f: np.array([getattr(op, f) for op in ops]).T
+            for f in ("mu", "hob", "log_hob")}
+    return ops[0]._replace(**cols)
+
+
+GRIDS = (
+    default_bid_grid(BOUNDS),
+    default_bid_grid(BOUNDS, 8),
+    np.array([0.0, 0.0, 0.5, 0.5, 2.0, 2.0, 2.0, 10.0, 50.0]),
+)
+
+
+@pytest.mark.parametrize("H", range(1, 7))
+def test_grid_blocks_equal_scalar_reference_bitwise(H):
+    # blocks of 1, 2, chunk - 1, chunk and chunk + 1 customers of a batch,
+    # in dimensions 1 to 5: every customer against `dp_policy` on its own
+    # params, and against the scalar loop the first and last customer of
+    # each block on the short grids and the last of each dimension on the
+    # 257-point grid (the slow one for the scalar loop)
+    sizes = (1, 2, GRID_CHUNK - 1, GRID_CHUNK, GRID_CHUNK + 1)
+    for dim in range(1, 6):
+        m, a, X = batch_instance(H, dim, T=sum(sizes), seed=700 + 10 * H + dim)
+        batch = batch_params(X, m, a)
+        scalar = [params_from_true(x, m, a, B_A=50.0) for x in X]
+        for g, grid in enumerate(GRIDS):
+            start = 0
+            for n in sizes:
+                block = grid_block(batch.rows(start, start + n), grid)
+                assert len(block) == n
+                for c, got in enumerate(block, start):
+                    table = dp_policy(scalar[c], grid)
+                    assert got == (table.bids, table.values)
+                    if c == len(X) - 1 or g and c in (start, start + n - 1):
+                        assert got == scalar_grid_policy(scalar[c], grid)
+                start += n
+
+
+def test_grid_block_mixes_ties_nan_and_ordinary_customers():
+    # customer "tie" meets a HOB far above the grid, so no bid wins or pays
+    # and every bid of a state scores the same float: the lowest bid must
+    # win; customer "nan" converts a first win infinitely, so the zero bid
+    # scores inf * 0 = NaN and every positive bid +inf: the NaN must never
+    # win.  In one block, in every order, each gets the scalar loop's bids
+    # and values.
+    sigmas = (0.5, 0.5, 0.5)
+    customers = {
+        "tie": make_params(log_means=(300.0,) * 3, sigmas=sigmas),
+        "nan": make_params(mu_f=math.inf, sigmas=sigmas),
+        "ordinary": make_params(sigmas=sigmas),
+    }
+    grid = np.array([0.0, 0.1, 0.2, 0.5, 5.0, 10.0, 20.0, 50.0])
+    with np.errstate(invalid="ignore"):
+        reference = {k: scalar_grid_policy(p, grid) for k, p in customers.items()}
+        for order in itertools.permutations(customers):
+            block = grid_block(stacked([customers[k] for k in order]), grid)
+            assert dict(zip(order, block)) == reference
+    bids, values = reference["tie"]
+    assert set(bids.values()) == {0.0}
+    bids, values = reference["nan"]
+    assert bids[(1, INITIAL_STATE)] == 0.1 and values[(1, INITIAL_STATE)] == math.inf
+
+
+@pytest.mark.parametrize("H", range(1, 7))
+def test_block_policy_value_equals_per_customer_bitwise(H):
+    # random grid bids at every state (customer 0 never bids), scored for
+    # a block at once, one customer at a time and by the scalar closed forms
+    keys = state_table(H).keys
+    grid = default_bid_grid(BOUNDS)
+    for dim in (1, 3, 5):
+        m, a, X = batch_instance(H, dim, T=GRID_CHUNK + 1, seed=900 + 10 * H + dim)
+        batch = batch_params(X, m, a)
+        bids = np.random.default_rng(H * dim).choice(grid, (len(keys), len(X)))
+        bids[:, 0] = 0.0
+        by_key = dict(zip(keys, bids))
+        got = policy_values(batch, lambda h, s: by_key[(h, s)]).tolist()
+        for c, x in enumerate(X):
+            p = params_from_true(x, m, a, B_A=50.0)
+            one = policy_value(p, lambda h, s: by_key[(h, s)][c])
+            assert got[c] == one == scalar_policy_value(p, lambda h, s: by_key[(h, s)][c])
+        with pytest.raises(ValueError, match="bid must be nonnegative"):
+            policy_values(batch, lambda h, s: -by_key[(h, s)] - 1.0)
 
 
 def test_closed_form_bid_clamps():
