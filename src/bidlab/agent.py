@@ -1,6 +1,12 @@
 """The learning agent: a forced-exposure exploration schedule followed by
 optimistic planning against estimated parameters, plus the three fixed
 baseline policies used in the benchmark.
+
+The learner plans one customer at a time on the planners' one input,
+`OutcomeParams` built from its estimates (`optimistic_params`).  A
+`Decision` holds either a target outcome per round, which the simulator
+forces, or (in dp mode past exploration) a grid bid per state id, which it
+bids at the auction.
 """
 
 from __future__ import annotations
@@ -30,15 +36,16 @@ from .estimation import (
 )
 from .model import (
     NEVER,
-    AuctionModel,
     Bounds,
     cap_norm,
+    lognormal_mean,
     lose_index,
+    state_table,
     win_index,
 )
 from .planning import (
+    OutcomeParams,
     OutcomePlan,
-    PlanParams,
     best_outcome_plan,
     dp_policy,
 )
@@ -94,10 +101,8 @@ class AgentState:
     bounds: Bounds
     T: int
     cfg: ConfidenceConfig
-    gamma_raw: float
     n_underbar: int
     planner_mode: str  # "outcome" | "dp"
-    bid_mode: str      # "forced" | "auction"
     theta_bank: list[ThetaEstimator]  # by theta row
     delay_bank: dict[int, DelayEstimator]  # by lag, 1..H-1
     auction_bank: dict[int, AuctionEstimator]
@@ -116,16 +121,12 @@ def make_agent(
     n_underbar: int | None = None,
     Gamma_override: float | None = None,
     planner_mode: str = "outcome",
-    bid_mode: str = "forced",
 ) -> AgentState:
     if planner_mode not in ("outcome", "dp"):
         raise ValueError(f"unknown planner mode {planner_mode!r}")
-    if bid_mode not in ("forced", "auction"):
-        raise ValueError(f"unknown bid mode {bid_mode!r}")
-    gamma_raw = theta_gamma(bounds, T, delta)
     cfg = ConfidenceConfig(
         delta=delta,
-        gamma=width_scale * gamma_raw,
+        gamma_raw=theta_gamma(bounds, T, delta),
         Gamma_trunc=(
             Gamma_override
             if Gamma_override is not None
@@ -137,12 +138,10 @@ def make_agent(
         bounds=bounds,
         T=T,
         cfg=cfg,
-        gamma_raw=gamma_raw,
         n_underbar=(
             n_underbar if n_underbar is not None else default_n_underbar(bounds, T)
         ),
         planner_mode=planner_mode,
-        bid_mode=bid_mode,
         theta_bank=[
             ThetaEstimator(index=i, dim=bounds.dim, B_theta=bounds.B_theta)
             for i in range(bounds.H + 1)
@@ -156,38 +155,35 @@ def make_agent(
 
 @dataclass(frozen=True)
 class Decision:
-    """What the agent wants to do with one customer: an execution mode for
-    the simulator, the policy callable it expects, and the target plan when
-    one exists (outcome-style decisions)."""
+    """What the agent does with one customer: force the target outcome of
+    each round (`plan`), or bid `bids[i]` in the state of id i of
+    `state_table(H)` (dp mode's grid plan).  The simulator's execution mode
+    and the policy it calls follow from which one the decision holds."""
 
-    mode: str
-    policy: Callable
     plan: OutcomePlan | None
+    bids: list | None
     exploring: bool
+    H: int
+
+    @property
+    def mode(self) -> str:
+        return "forced" if self.bids is None else "auction"
+
+    @property
+    def policy(self) -> Callable:
+        if self.bids is None:
+            plan = self.plan
+            return lambda h, s, x: plan[h - 1]
+        bids, ids = self.bids, state_table(self.H).ids
+        return lambda h, s, x: bids[ids[(h, s)]]
 
 
-def _plan_decision(plan: OutcomePlan, bid_mode: str, B_A: float, exploring: bool) -> Decision:
-    if bid_mode == "forced":
-        return Decision(
-            mode="forced",
-            policy=lambda h, s, x: plan[h - 1],
-            plan=plan,
-            exploring=exploring,
-        )
-    return Decision(
-        mode="auction",
-        policy=lambda h, s, x: B_A if plan[h - 1] else 0.0,
-        plan=plan,
-        exploring=exploring,
-    )
-
-
-def optimistic_params(agent: AgentState, x: np.ndarray) -> PlanParams:
+def optimistic_params(agent: AgentState, x: np.ndarray) -> OutcomeParams:
     """Planner inputs at the top of the confidence region: upper conversion
-    means, upper delays (full optimism before any delay data), and the
-    estimated auction model projected onto the bounds (each beta row onto
-    the B_beta ball, the noise scale into [SIGMA_FLOOR, sigma_max]), which
-    keeps the planner's HOB mean finite."""
+    means, upper delays (full optimism before any delay data), and the HOB
+    means of the estimated auction model projected onto the bounds (each
+    beta row onto the B_beta ball, the noise scale into [SIGMA_FLOOR,
+    sigma_max]), which keeps them finite."""
     b = agent.bounds
     mu = [optimistic_mean(est, x, agent.cfg.gamma, b=b.b) for est in agent.theta_bank]
     delay = [1.0]
@@ -198,23 +194,21 @@ def optimistic_params(agent: AgentState, x: np.ndarray) -> PlanParams:
             delay.append(b.B_d)
         else:
             radius = delay_radius(
-                est.N, agent.gamma_raw, b, b.H, agent.T, agent.cfg.delta,
+                est.N, agent.cfg.gamma_raw, b, b.H, agent.T, agent.cfg.delta,
                 width_scale=agent.cfg.width_scale,
             )
             delay.append(min(max(d_hat + radius, 0.0), b.B_d))
     beta = np.stack(
         [cap_norm(agent.auction_bank[h].beta_hat, b.B_beta) for h in range(1, b.H + 1)]
     )
-    sigma = np.array(
-        [
-            min(max(sigma_estimate(agent.auction_bank[h]) or 0.0, SIGMA_FLOOR),
-                b.sigma_max)
-            for h in range(1, b.H + 1)
-        ]
-    )
-    return PlanParams(
-        mu=mu, delay=delay, auction=AuctionModel(beta=beta, sigma=sigma),
-        x=np.asarray(x, dtype=float), B_A=b.B_A,
+    sigma = [
+        min(max(sigma_estimate(agent.auction_bank[h]) or 0.0, SIGMA_FLOOR), b.sigma_max)
+        for h in range(1, b.H + 1)
+    ]
+    log_hob = [float(row @ x) for row in beta]
+    return OutcomeParams(
+        mu=mu, delay=delay, hob=[lognormal_mean(v, sd) for v, sd in zip(log_hob, sigma)],
+        log_hob=log_hob, sigma=sigma,
     )
 
 
@@ -223,23 +217,18 @@ def act(agent: AgentState, x: np.ndarray, bid_grid: np.ndarray,
     """Decide customer t's episode (by default agent.t): scheduled exposures
     during exploration, which read no estimate and so may run ahead of the
     updates, planned optimism afterwards on bids from `bid_grid` (dp)."""
-    t = agent.t if t is None else t
-    if t <= exploration_window(agent.n_underbar, agent.bounds.H):
-        plan = exploration_plan(t, agent.n_underbar, agent.bounds.H)
-        return _plan_decision(plan, agent.bid_mode, agent.bounds.B_A, True)
+    t, H = agent.t if t is None else t, agent.bounds.H
+    if t <= exploration_window(agent.n_underbar, H):
+        plan = exploration_plan(t, agent.n_underbar, H)
+        return Decision(plan=plan, bids=None, exploring=True, H=H)
     if t != agent.t:
         raise ValueError(f"customer {t}: the learner expects customer {agent.t}")
     params = optimistic_params(agent, x)
     if agent.planner_mode == "outcome":
         plan, _ = best_outcome_plan(params)
-        return _plan_decision(plan, agent.bid_mode, agent.bounds.B_A, False)
-    table = dp_policy(params, bid_grid)
-    return Decision(
-        mode="auction",
-        policy=lambda h, s, x_: table.act(h, s),
-        plan=None,
-        exploring=False,
-    )
+        return Decision(plan=plan, bids=None, exploring=False, H=H)
+    bids, _ = dp_policy(params, bid_grid, agent.bounds.B_A)
+    return Decision(plan=None, bids=bids, exploring=False, H=H)
 
 
 def update(agent: AgentState, logs: Sequence[EpisodeLog]) -> AgentState:
@@ -296,7 +285,7 @@ def update(agent: AgentState, logs: Sequence[EpisodeLog]) -> AgentState:
         X_lag = X[[r.t - t0 for r in d[lag]]]
         tsmle_update(agent.delay_bank[lag], d[lag], X_lag, thetas, agent.bounds.b)
     agent.t += len(logs)
-    if agent.bid_mode == "forced" and agent.t == boundary + 1:
+    if agent.t == boundary + 1:
         for lag, est in agent.delay_bank.items():
             if est.N < agent.n_underbar:
                 raise RuntimeError(
@@ -347,10 +336,10 @@ def agent_to_dict(agent: AgentState) -> dict:
             "Gamma_trunc": agent.cfg.Gamma_trunc,
             "width_scale": agent.cfg.width_scale,
         },
-        "gamma_raw": agent.gamma_raw,
+        "gamma_raw": agent.cfg.gamma_raw,
         "n_underbar": agent.n_underbar,
         "planner_mode": agent.planner_mode,
-        "bid_mode": agent.bid_mode,
+        "bid_mode": "forced",  # the one way outcome plans are executed
         "t": agent.t,
         "theta": {
             theta_token(i): est.to_dict() for i, est in enumerate(agent.theta_bank)
@@ -361,16 +350,20 @@ def agent_to_dict(agent: AgentState) -> dict:
 
 
 def agent_from_dict(d: dict) -> AgentState:
-    b = Bounds(**d["bounds"])
-    cfg = ConfidenceConfig(**d["cfg"])
+    b, c = Bounds(**d["bounds"]), d["cfg"]
+    cfg = ConfidenceConfig(delta=c["delta"], gamma_raw=float(d["gamma_raw"]),
+                           Gamma_trunc=c["Gamma_trunc"], width_scale=c["width_scale"])
+    if c["gamma"] != cfg.gamma:
+        raise ValueError(f"cfg.gamma must be width_scale * gamma_raw = {cfg.gamma!r}, "
+                         f"got {c['gamma']!r}")
+    if d["bid_mode"] != "forced":
+        raise ValueError(f"bid_mode must be 'forced', got {d['bid_mode']!r}")
     return AgentState(
         bounds=b,
         T=int(d["T"]),
         cfg=cfg,
-        gamma_raw=float(d["gamma_raw"]),
         n_underbar=int(d["n_underbar"]),
         planner_mode=d["planner_mode"],
-        bid_mode=d["bid_mode"],
         theta_bank=[
             ThetaEstimator.from_dict(d["theta"][theta_token(i)], i)
             for i in range(b.H + 1)

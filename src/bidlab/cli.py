@@ -97,7 +97,7 @@ def _cmd_oracle(args) -> int:
             f"bidlab oracle prints outcome-plan values; the config's mode is "
             f"{config.mode!r}, whose oracle is the grid planner"
         )
-    contexts = read_context_csv(args.contexts)
+    contexts = read_context_csv(args.contexts, config.dim)
     instances: dict[int, tuple] = {}
     writer = csv.writer(sys.stdout)
     writer.writerow(["trial", "t", "value", "plan"])
@@ -107,8 +107,7 @@ def _cmd_oracle(args) -> int:
             instances[trial] = generate_instance(config.instance, config.bounds, rng)
         m, a = instances[trial]
         x = contexts[(trial, t)]
-        params = params_from_true(x, m, a, B_A=config.bounds.B_A)
-        plan, value = best_outcome_plan(params)
+        plan, value = best_outcome_plan(params_from_true(x, m, a))
         writer.writerow(
             [trial, t, repr(value), "".join("1" if w else "0" for w in plan)]
         )

@@ -465,11 +465,12 @@ def write_episode_csv(path, episodes: Iterable[tuple[int, EpisodeLog]]) -> None:
 
 
 def read_episode_csv(
-    path, contexts: dict[tuple[int, int], np.ndarray], H: int | None = None
+    path, contexts: dict[tuple[int, int], np.ndarray], H: int
 ) -> Iterator[tuple[int, EpisodeLog]]:
-    """Parse an episode CSV back into logs of H rounds (if given), joining
-    contexts by (trial, t).  Violations raise ValueError with the offending
-    line number, an episode's own with the line it starts at."""
+    """Parse an episode CSV back into logs of H rounds, joining contexts by
+    (trial, t).  Violations raise ValueError with the offending line
+    number, an episode's own with the line it starts at.  An episode's
+    length is checked before its state chain, whose table grows with it."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -482,7 +483,7 @@ def read_episode_csv(
             try:
                 if cur_key not in contexts:
                     raise ValueError(f"no context recorded for trial {trial}, t {t}")
-                if H is not None and len(current) != H:
+                if len(current) != H:
                     raise ValueError(f"expected {H} rounds, got {len(current)}")
                 return trial, EpisodeLog(t, contexts[cur_key], list(current))
             except ValueError as exc:
@@ -526,8 +527,8 @@ def write_context_csv(path, rows: Iterable[tuple[int, int, np.ndarray]]) -> None
             w.writerow([trial, t] + [repr(float(v)) for v in x])
 
 
-def read_context_csv(path, dim: int | None = None) -> dict[tuple[int, int], np.ndarray]:
-    """Parse one finite context (of `dim` entries, if given) per (trial, t)."""
+def read_context_csv(path, dim: int) -> dict[tuple[int, int], np.ndarray]:
+    """Parse one finite context of `dim` entries per (trial, t)."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -538,7 +539,7 @@ def read_context_csv(path, dim: int | None = None) -> dict[tuple[int, int], np.n
             if len(row) != len(header):
                 raise ValueError(f"line {lineno}: expected {len(header)} fields")
             try:
-                if dim is not None and len(row) != dim + 2:
+                if len(row) != dim + 2:
                     raise ValueError(f"expected {dim} x-columns, got {len(row) - 2}")
                 key, x = (int(row[0]), int(row[1])), [float(v) for v in row[2:]]
                 if key in out:

@@ -39,40 +39,45 @@ __all__ = [
 class ConfidenceConfig:
     """Tail probability and the (possibly overridden) width constants.
 
-    width_scale multiplies every confidence radius exactly once; 0 turns
-    optimism off entirely (point estimates, useful in tests and when the
-    theoretical constants are too conservative to act on).
+    width_scale multiplies every confidence radius exactly once: the
+    effect-vector radius here (`gamma`), the delay radius in
+    `delay_radius`.  0 turns optimism off entirely (point estimates, useful
+    in tests and when the theoretical constants are too conservative to act
+    on).
     """
 
     delta: float
-    gamma: float
+    gamma_raw: float  # the unscaled `theta_gamma`
     Gamma_trunc: float
     width_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.gamma < 0 or self.Gamma_trunc < 0:
+        if self.gamma_raw < 0 or self.Gamma_trunc < 0:
             raise ValueError("width constants must be nonnegative")
         if self.width_scale < 0:
             raise ValueError("width_scale must be nonnegative")
 
+    @property
+    def gamma(self) -> float:
+        """The effect-vector radius the optimistic means use."""
+        return self.width_scale * self.gamma_raw
 
-def theta_gamma(
-    bounds: Bounds, T: int, delta: float, width_scale: float = 1.0
-) -> float:
-    """Squared confidence radius for the effect-vector estimators."""
+
+def theta_gamma(bounds: Bounds, T: int, delta: float) -> float:
+    """Squared confidence radius for the effect-vector estimators, before
+    `width_scale`."""
     if T < 1 or not 0.0 < delta < 1.0:
         raise ValueError("need T >= 1 and delta in (0, 1)")
     d, bx, bt = bounds.dim, bounds.B_x, bounds.B_theta
     l_tail = math.log(4.0 * T / delta)
     l_pot = math.log(1.0 + T / (2.0 * d))
-    raw = (
+    return (
         896.0 * d * bx * bt * (1.0 + bx * bt) * l_tail * l_pot
         + 2.0 * bx * bx * bt * bt
         + 48.0 * d * bx * bt * l_pot
     )
-    return width_scale * raw
 
 
 def truncation_threshold(bounds: Bounds, T: int, delta: float) -> float:

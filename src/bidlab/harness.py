@@ -320,10 +320,11 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     bids; conversion noise is drawn per policy.  Only the learner runs
     customer by customer, its updates consuming the exploration window in
     chunks: the contexts and HOBs are drawn first, the oracles are scored
-    for all customers at once (the grid's in blocks), every plan and bid
-    rule after the loop, and the fixed baselines play as arrays.  The
-    trial's streams are seeded in one pass (`RandomSource.prepare`).  Any
-    failure at a customer is re-raised with (trial, customer) provenance.
+    for all customers at once (the grid's in blocks), every plan and every
+    row of grid bids after the loop, and the fixed baselines play as
+    arrays.  The trial's streams are seeded in one pass
+    (`RandomSource.prepare`).  Any failure at a customer is re-raised with
+    (trial, customer) provenance.
     """
     if trial < 0:
         raise ValueError("trial index must be nonnegative")
@@ -366,7 +367,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
             ]
         else:
             plans[name] = []  # filled as the learner plays (dp mode: while it explores)
-    keys, exploit_bids = state_table(config.H).keys, []  # dp: bids by state id
+    exploit_bids = []  # dp: each exploit customer's grid bids by state id
     realized = {LEARNER_POLICY: np.empty(T)}
     expected = {}
     episodes: list[tuple[int, EpisodeLog]] | None = (
@@ -393,7 +394,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
             if decision.plan is not None:
                 plans[LEARNER_POLICY].append(decision.plan)
             else:
-                exploit_bids.append([decision.policy(h, s, x) for h, s in keys])
+                exploit_bids.append(decision.bids)
         if len(pending) == UPDATE_CHUNK or t >= window or t == T:
             with _provenance(trial):
                 update(agent, pending)
@@ -408,10 +409,9 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
         if name != LEARNER_POLICY:
             realized[name] = _play_plans(won, hobs, batch, rng, name, trial)
     if exploit_bids:  # dp mode's learner past its plans
-        bids = dict(zip(keys, np.array(exploit_bids).T))  # every customer's, by state
         rows = batch.rows(T - len(exploit_bids), T)
         expected[LEARNER_POLICY] = np.concatenate(
-            [expected[LEARNER_POLICY], policy_values(rows, lambda h, s: bids[(h, s)])])
+            [expected[LEARNER_POLICY], policy_values(rows, np.array(exploit_bids).T)])
     opt = outcome_opt if outcome_mode else dp_opt
     return TrialResult(
         trial=trial,

@@ -220,24 +220,25 @@ def reachable_states(H: int) -> list[list[ExposureState]]:
 
 class StateTable:
     """Every reachable (round, state) pair of an H-round episode under an
-    integer id, round by round in `reachable_states` order: `keys[i]` is the
-    pair of id i and `states[i]` its state, built once; `layers[h - 1]` is
-    the range of round h's ids; `next_id[i][won]` is the id the outcome
-    leads to (`len(states)` after the last round).  The integer arrays `s1`,
-    `s2` and `successors` (`next_id` as an (n, 2) array) walk a batch of
-    customers at once.  `state_table` builds one per H."""
+    integer id, round by round in `reachable_states` order: `ids[(h, s)]` is
+    the id of a pair (the dict runs in id order) and `states[i]` the state
+    of id i, built once; `layers[h - 1]` is the range of round h's ids;
+    `next_id[i][won]` is the id the outcome leads to (`len(states)` after
+    the last round).  The integer arrays `s1`, `s2` and `successors`
+    (`next_id` as an (n, 2) array) walk a batch of customers at once.
+    `state_table` builds one per H."""
 
     def __init__(self, H: int) -> None:
         levels = reachable_states(H)
-        self.keys = tuple((h, s) for h, lv in enumerate(levels, 1) for s in lv)
-        self.states = tuple(s for _, s in self.keys)
+        keys = [(h, s) for h, lv in enumerate(levels, 1) for s in lv]
+        self.ids = {key: i for i, key in enumerate(keys)}
+        self.states = tuple(s for _, s in keys)
         ends = itertools.accumulate(map(len, levels))
         self.layers = tuple(range(e - len(lv), e) for e, lv in zip(ends, levels))
-        ids = {key: i for i, key in enumerate(self.keys)}
         self.next_id = tuple(
-            tuple(ids[(h + 1, next_state(s, won))] if h < H else len(ids)
+            tuple(self.ids[(h + 1, next_state(s, won))] if h < H else len(keys)
                   for won in (False, True))
-            for h, s in self.keys
+            for h, s in keys
         )
         self.s1 = np.array([s.s1 for s in self.states])
         self.s2 = np.array([s.s2 for s in self.states])

@@ -1,12 +1,14 @@
 """Episode planners, all one backward induction over the state ids of
 `state_table(H)` with a per-planner choice of bid at each state.
 
-Outcome planning picks a target win/lose sequence directly (a forced winner
-pays the unconditional HOB mean), on floats for one customer or elementwise
-on arrays over a batch of them (`batch_params`), which gives each customer
-the same floats.  Grid planning picks bids from a grid and wins
-stochastically at the auction, for a block of customers at once; one
-customer is a block of one.
+Every planner reads one input, `OutcomeParams`: floats for one customer
+(`params_from_true`, or the learner's optimistic view) or arrays over a
+batch of customers (`batch_params`), which gives each customer the same
+floats.  Outcome planning picks a target win/lose sequence directly (a
+forced winner pays the unconditional HOB mean).  Grid planning picks bids
+from a grid and wins stochastically at the auction, for a block of
+customers at once; one customer is a block of one, whose plan is a bid per
+state id.
 
 The expected round value is written once, for one win probability or an
 array of them.  The grid planner tabulates round h's win probability and
@@ -20,13 +22,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .model import (  # noqa: F401 (tracing counts two closed forms here)
-    INITIAL_STATE,
     AuctionModel,
     Bounds,
     ExposureState,
@@ -43,10 +43,8 @@ from .model import (  # noqa: F401 (tracing counts two closed forms here)
 )
 
 __all__ = [
-    "PlanParams",
     "OutcomeParams",
     "OutcomePlan",
-    "PolicyTable",
     "params_from_true",
     "batch_params",
     "outcome_value",
@@ -61,41 +59,6 @@ __all__ = [
 ]
 
 OutcomePlan = tuple[bool, ...]
-
-
-@dataclass(frozen=True)
-class PlanParams:
-    """Everything planning needs for one customer: the conversion mean of
-    each theta row at this context, the delay factors (both by position, as
-    in `TrueModel`), the auction view, the context itself, and the bid
-    cap."""
-
-    mu: Sequence[float]
-    delay: Sequence[float]
-    auction: AuctionModel
-    x: np.ndarray
-    B_A: float
-
-    def __post_init__(self) -> None:
-        if any(v < 0 for v in self.mu):
-            raise ValueError("conversion means must be clamped nonnegative")
-        if self.delay[0] != 1.0:
-            raise ValueError("the never-exposed delay factor is fixed at 1")
-        if self.B_A <= 0:
-            raise ValueError("bid cap must be positive")
-
-    @property
-    def H(self) -> int:
-        return self.auction.beta.shape[0]
-
-
-def params_from_true(
-    x: np.ndarray, m: TrueModel, a: AuctionModel, B_A: float = float("inf")
-) -> PlanParams:
-    """Plan against the true parameters (the oracle's view)."""
-    # one dot per row: theta @ x can differ from it in the last bit
-    mu = [float(row @ x) for row in m.theta]
-    return PlanParams(mu=mu, delay=m.delay.tolist(), auction=a, x=x, B_A=B_A)
 
 
 class OutcomeParams(NamedTuple):
@@ -116,10 +79,15 @@ class OutcomeParams(NamedTuple):
                              log_hob=self.log_hob[:, start:stop])
 
 
-def _outcome_params(params: PlanParams) -> OutcomeParams:
-    a, x, rounds = params.auction, params.x, range(1, params.H + 1)
+def params_from_true(x: np.ndarray, m: TrueModel, a: AuctionModel) -> OutcomeParams:
+    """Plan one customer against the true parameters (the oracle's view)."""
+    # one dot per row: theta @ x can differ from it in the last bit
+    mu = [float(row @ x) for row in m.theta]
+    if any(v < 0 for v in mu):
+        raise ValueError("conversion means must be clamped nonnegative")
+    rounds = range(1, len(a.sigma) + 1)
     return OutcomeParams(
-        mu=params.mu, delay=params.delay, hob=[hob_mean(h, x, a) for h in rounds],
+        mu=mu, delay=m.delay.tolist(), hob=[hob_mean(h, x, a) for h in rounds],
         log_hob=[a.log_mean(h, x) for h in rounds], sigma=a.sigma.tolist(),
     )
 
@@ -143,12 +111,12 @@ def batch_params(X: np.ndarray, m: TrueModel, a: AuctionModel) -> OutcomeParams:
                          log_hob=means[H + 1:], sigma=sigma)
 
 
-def _mu_win(params: PlanParams | OutcomeParams, s: ExposureState) -> float:
+def _mu_win(params: OutcomeParams, s: ExposureState) -> float:
     """Conversion mean of a won round in state `s`."""
     return params.mu[win_index(s.s1)]
 
 
-def _mu_lose(params: PlanParams | OutcomeParams, s: ExposureState) -> float:
+def _mu_lose(params: OutcomeParams, s: ExposureState) -> float:
     """Conversion mean of a lost round in state `s`, delay factor applied."""
     return params.delay[delay_index(s.s1)] * params.mu[lose_index(s.s2)]
 
@@ -173,28 +141,14 @@ def _round_value(
     return mu_lose * (1.0 - F) + mu_win * F - pay + F * v_win + (1.0 - F) * v_lose
 
 
-@dataclass(frozen=True)
-class PolicyTable:
-    """Bids and continuation values on every reachable (round, state)."""
-
-    bids: dict[tuple[int, ExposureState], float]
-    values: dict[tuple[int, ExposureState], float]
-
-    @property
-    def value(self) -> float:
-        return self.values[(1, INITIAL_STATE)]
-
-    def act(self, h: int, s: ExposureState) -> float:
-        return self.bids[(h, s)]
-
-
 def _backward_induction(H: int, choose: Callable[..., tuple]) -> tuple[list, list]:
     """Visit every state id of `state_table(H)` from the last round back.
 
-    `choose(h, s, v_win, v_lose)` gets the round, the state and the values
-    of its two successors (0.0 after the last round) and returns the action
-    taken there and its value: floats, or arrays over a batch of customers.
-    Returns the actions and the values by id; the values end with the 0.0.
+    `choose(h, i, s, v_win, v_lose)` gets the round, the state id, the
+    state and the values of its two successors (0.0 after the last round)
+    and returns the action taken there and its value: floats, or arrays over
+    a batch of customers.  Returns the actions and the values by id; the
+    values end with the 0.0.
     """
     table = state_table(H)
     actions = [None] * len(table.states)
@@ -203,13 +157,8 @@ def _backward_induction(H: int, choose: Callable[..., tuple]) -> tuple[list, lis
         for i in table.layers[h - 1]:
             lose, win = table.next_id[i]
             s = table.states[i]
-            actions[i], values[i] = choose(h, s, values[win], values[lose])
+            actions[i], values[i] = choose(h, i, s, values[win], values[lose])
     return actions, values
-
-
-def _policy_table(H: int, bids: list, values: list) -> PolicyTable:
-    keys = state_table(H).keys
-    return PolicyTable(bids=dict(zip(keys, bids)), values=dict(zip(keys, values)))
 
 
 def _forced_policy(op: OutcomeParams, rule: Callable[..., bool]) -> tuple[list, list]:
@@ -217,7 +166,7 @@ def _forced_policy(op: OutcomeParams, rule: Callable[..., bool]) -> tuple[list, 
     `rule(h, q_win, q_lose)` says whether to win, given the values of
     winning and of losing there; it is the action returned."""
 
-    def choose(h, s, v_win, v_lose):
+    def choose(h, i, s, v_win, v_lose):
         q_win = _forced_round_reward(op, h, s, True) + v_win
         q_lose = _forced_round_reward(op, h, s, False) + v_lose
         won = rule(h, q_win, q_lose)
@@ -245,9 +194,7 @@ def outcome_values(plan: Sequence, op: OutcomeParams) -> float | np.ndarray:
     return _forced_policy(op, lambda h, q_win, q_lose: plan[h - 1])[1][0]
 
 
-def outcome_value(plan: OutcomePlan, params: PlanParams) -> float:
-    """Expected episode value of a target outcome sequence."""
-    return outcome_values(plan, _outcome_params(params))
+outcome_value = outcome_values  # the name perfbench/tracing.py wraps
 
 
 def best_outcome_values(op: OutcomeParams) -> float | np.ndarray:
@@ -255,15 +202,15 @@ def best_outcome_values(op: OutcomeParams) -> float | np.ndarray:
     return _forced_policy(op, _win_if_better)[1][0]
 
 
-def best_outcome_plan(params: PlanParams) -> tuple[OutcomePlan, float]:
+def best_outcome_plan(op: OutcomeParams) -> tuple[OutcomePlan, float]:
     """The best target outcome sequence and its value: the two-action
     forced DP, traced forward from the first round.  Ties go to losing, so
     equal-valued plans resolve to the lexicographically smallest (lose
     before win)."""
-    won, values = _forced_policy(_outcome_params(params), _win_if_better)
-    next_id = state_table(params.H).next_id
+    won, values = _forced_policy(op, _win_if_better)
+    next_id = state_table(len(op.hob)).next_id
     plan, i = [], 0
-    for _ in range(params.H):
+    for _ in range(len(op.hob)):
         plan.append(bool(won[i]))
         i = next_id[i][plan[-1]]
     return tuple(plan), values[0]
@@ -303,7 +250,7 @@ def _grid_policy(op: OutcomeParams, grid: Sequence[float]) -> tuple[list, list]:
     wins, and where every score is -inf the value is -inf."""
     bids, log_bids, tables = np.asarray(grid), _grid_logs(tuple(grid)), {}
 
-    def choose(h, s, v_win, v_lose):
+    def choose(h, i, s, v_win, v_lose):
         if h not in tables:  # built when the induction reaches round h, one at a time
             tables.clear()
             tables[h] = _auction_terms(op, h, bids, log_bids)
@@ -319,58 +266,39 @@ def best_grid_values(op: OutcomeParams, grid: Sequence[float]) -> np.ndarray:
     return _grid_policy(op, grid)[1][0]
 
 
-def dp_policy(
-    params: PlanParams, bid_grid: np.ndarray, mode: str = "auction"
-) -> PolicyTable:
-    """Backward induction over reachable states on a fixed bid grid.
-
-    Auction mode scores each bid by its expected round reward plus the
-    win-probability mixture of successor values: the grid planner on a
-    block of one, which bids None where no score beats -inf.  Forced mode
-    needs the zero bid and a positive one: the first positive bid is a
-    guaranteed win (paying the HOB mean) and zero a guaranteed loss.  Ties
-    go to the lower bid.
-    """
-    if mode not in ("auction", "forced"):
-        raise ValueError(f"unknown planning mode {mode!r}")
+def dp_policy(op: OutcomeParams, bid_grid: np.ndarray, B_A: float) -> tuple[list, list]:
+    """One customer's grid plan: the grid planner on a block of one, on an
+    ascending grid in [0, B_A].  Returns by state id the bid, None where no
+    score beats -inf, and its value; ties go to the lower bid."""
     grid = np.asarray(bid_grid, dtype=float).tolist()
     if not grid or sorted(grid) != grid:
         raise ValueError("bid grid must be nonempty and ascending")
-    if grid[0] < 0 or grid[-1] > params.B_A:
+    if grid[0] < 0 or grid[-1] > B_A:
         raise ValueError("bid grid must lie in [0, B_A]")
-
-    if mode == "forced":
-        if grid[0] != 0.0 or grid[-1] == 0.0:
-            raise ValueError("forced mode needs the zero bid and a positive bid")
-        win_bid = next(b for b in grid if b > 0.0)
-        won, values = _forced_policy(_outcome_params(params), _win_if_better)
-        bids = [win_bid if w else 0.0 for w in won]
-        return _policy_table(params.H, bids, values)
-
-    index, values = _grid_policy(_outcome_params(params), grid)
+    index, values = _grid_policy(op, grid)
     values = [float(v[0]) for v in values[:-1]]
-    bids = [None if v == -math.inf else grid[i[0]] for i, v in zip(index, values)]
-    return _policy_table(params.H, bids, values)
+    return [None if v == -math.inf else grid[i[0]] for i, v in zip(index, values)], values
 
 
-def policy_values(op: OutcomeParams, bid_fn: Callable[[int, ExposureState], object]):
-    """Expected episode value of a fixed bid rule (auction semantics) by
-    backward induction: `bid_fn(h, s)` gives one customer's bid or, with
-    batch inputs, an array of every customer's."""
+def policy_values(op: OutcomeParams, bids) -> np.ndarray:
+    """Expected episode value of bidding `bids[i]` in the state of id i
+    (auction semantics), by backward induction: one customer's bids, or
+    with batch inputs an (n_states, customers) array of every customer's."""
+    bids = np.asarray(bids, dtype=float)
+    if np.any(bids < 0):
+        raise ValueError("bid must be nonnegative")
 
-    def choose(h, s, v_win, v_lose):
-        bid = _column(np.asarray(bid_fn(h, s), dtype=float))
-        if np.any(bid < 0):
-            raise ValueError("bid must be nonnegative")
+    def choose(h, i, s, v_win, v_lose):
+        bid = _column(bids[i])
         terms = _auction_terms(op, h, bid, _column(_logs(bid.ravel().tolist())))
         return bid, _scores(op, s, terms, v_win, v_lose)[:, 0]
 
     return _backward_induction(len(op.hob), choose)[1][0]
 
 
-def policy_value(params: PlanParams, bid_fn: Callable) -> float:
+def policy_value(op: OutcomeParams, bids) -> float:
     """`policy_values` of one customer."""
-    return float(policy_values(_outcome_params(params), bid_fn)[0])
+    return float(policy_values(op, bids)[0])
 
 
 def default_bid_grid(bounds: Bounds, points: int = 256) -> np.ndarray:

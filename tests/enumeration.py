@@ -1,14 +1,16 @@
 """References that only tests use, independent of the backward induction
 behind the planners: every one of the 2^H target outcome sequences scored
 by `outcome_value`, a scalar round value `auction_round_value` on the
-model's closed forms with a scalar loop over the bid grid and a fixed bid
-rule's value built on it, the exact continuous-bid optimum, the oracle value
-in either planner mode, two identities of the HOB payment, an
-outcome-mode trial played one customer and one policy at a time, and the
-learner's update consuming one customer and one sample at a time."""
+model's closed forms (on one `Customer`: its context and auction model)
+with a scalar loop over the bid grid and a fixed bid rule's value built on
+it, the exact continuous-bid optimum, the oracle value in either planner
+mode, two identities of the HOB payment, an outcome-mode trial played one
+customer and one policy at a time, and the learner's update consuming one
+customer and one sample at a time."""
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,16 +32,20 @@ from bidlab.environment import (
 )
 from bidlab.model import (
     INITIAL_STATE,
+    AuctionModel,
     delay_index,
     expected_payment,
+    hob_mean,
     lose_index,
     next_state,
     reachable_states,
     NEVER,
+    state_table,
     win_index,
     win_probability,
 )
 from bidlab.planning import (
+    OutcomeParams,
     batch_params,
     best_outcome_plan,
     best_outcome_values,
@@ -50,45 +56,83 @@ from bidlab.planning import (
 )
 
 
-def auction_round_value(params, h, s, bid, v_win, v_lose):
+class Customer(NamedTuple):
+    """One customer as the scalar references read it: the conversion mean
+    of each theta row and the delay factors (by position, as in
+    `TrueModel`), the context, the auction model and the bid cap."""
+
+    mu: list
+    delay: list
+    x: np.ndarray
+    auction: AuctionModel
+    B_A: float = math.inf
+
+    @property
+    def H(self):
+        return len(self.auction.sigma)
+
+    @property
+    def op(self):
+        """The planners' input for this customer, from the model's scalar
+        closed forms."""
+        a, x, rounds = self.auction, self.x, range(1, self.H + 1)
+        return OutcomeParams(
+            mu=list(self.mu), delay=list(self.delay),
+            hob=[hob_mean(h, x, a) for h in rounds],
+            log_hob=[a.log_mean(h, x) for h in rounds], sigma=a.sigma.tolist(),
+        )
+
+
+def true_customer(x, m, a, B_A=math.inf):
+    """The oracle's view of one customer: one dot per theta row."""
+    return Customer([float(row @ x) for row in m.theta], m.delay.tolist(), x, a, B_A)
+
+
+def by_id(table, H):
+    """A dict keyed by (round, state) as a list by the state ids of
+    `state_table(H)`."""
+    return [table[key] for key in state_table(H).ids]
+
+
+def auction_round_value(c, h, s, bid, v_win, v_lose):
     """Expected round reward at `bid` (conversions minus the second-price
     payment, whose closed form needs no division by a vanishing win
     probability) plus the win-probability mixture of the successor values,
     scored with the model's scalar closed forms."""
-    mu_win = params.mu[win_index(s.s1)]
-    mu_lose = params.delay[delay_index(s.s1)] * params.mu[lose_index(s.s2)]
-    F = win_probability(h, bid, params.x, params.auction)
-    pay = expected_payment(h, bid, params.x, params.auction)
+    mu_win = c.mu[win_index(s.s1)]
+    mu_lose = c.delay[delay_index(s.s1)] * c.mu[lose_index(s.s2)]
+    F = win_probability(h, bid, c.x, c.auction)
+    pay = expected_payment(h, bid, c.x, c.auction)
     return mu_lose * (1.0 - F) + mu_win * F - pay + F * v_win + (1.0 - F) * v_lose
 
 
-def scalar_policy_value(params, bid_fn):
-    """Expected episode value of the bid rule `bid_fn(h, s)` for one
-    customer, one state at a time."""
+def scalar_policy_value(c, bids):
+    """Expected episode value of bidding `bids[i]` in the state of id i of
+    `state_table(H)` for one customer, one state at a time."""
+    ids = state_table(c.H).ids
 
     def choose(h, s, v_win, v_lose):
-        bid = float(bid_fn(h, s))
-        return bid, auction_round_value(params, h, s, bid, v_win, v_lose)
+        bid = float(bids[ids[(h, s)]])
+        return bid, auction_round_value(c, h, s, bid, v_win, v_lose)
 
-    return scalar_backward_induction(params, choose)[1][(1, INITIAL_STATE)]
+    return scalar_backward_induction(c.H, choose)[1][(1, INITIAL_STATE)]
 
 
-def enumerated_best_plan(params):
+def enumerated_best_plan(op):
     """The lexicographically smallest maximizer of `outcome_value` over all
     2^H plans (lose before win), with its value."""
     best_plan, best = None, -float("inf")
-    for plan in itertools.product((False, True), repeat=params.H):
-        v = outcome_value(plan, params)
+    for plan in itertools.product((False, True), repeat=len(op.hob)):
+        v = outcome_value(plan, op)
         if v > best:
             best_plan, best = plan, v
     return best_plan, best
 
 
-def scalar_backward_induction(params, choose):
+def scalar_backward_induction(H, choose):
     """Bids and values keyed by (round, state): `choose(h, s, v_win,
     v_lose)` picks the bid at each reachable state from the last round
     back, one state at a time."""
-    H = params.H
     bids, values = {}, {}
     layers = reachable_states(H)
     for h in range(H, 0, -1):
@@ -99,40 +143,40 @@ def scalar_backward_induction(params, choose):
     return bids, values
 
 
-def scalar_grid_policy(params, grid):
+def scalar_grid_policy(c, grid):
     """Auction-mode grid planning one (state, bid) pair at a time: the bids
-    and values `dp_policy` must return, keyed by (round, state).  The
-    strict `>` keeps the first of equal maxima, so ties go to the lower
-    bid."""
+    and values `dp_policy` must return, by state id.  The strict `>` keeps
+    the first of equal maxima, so ties go to the lower bid."""
 
     def choose(h, s, v_win, v_lose):
         best_bid, best = None, -float("inf")
         for a in grid:
-            q = auction_round_value(params, h, s, float(a), v_win, v_lose)
+            q = auction_round_value(c, h, s, float(a), v_win, v_lose)
             if q > best:
                 best_bid, best = float(a), q
         return best_bid, best
 
-    return scalar_backward_induction(params, choose)
+    bids, values = scalar_backward_induction(c.H, choose)
+    return by_id(bids, c.H), by_id(values, c.H)
 
 
-def closed_form_bid(s, params, v_win, v_lose):
+def closed_form_bid(s, c, v_win, v_lose):
     """Truthful second-price bid with continuation values: the marginal
     value of winning this round, clamped to [0, B_A]."""
-    mu_win = params.mu[win_index(s.s1)]
-    mu_lose = params.delay[delay_index(s.s1)] * params.mu[lose_index(s.s2)]
-    return min(max(mu_win - mu_lose + v_win - v_lose, 0.0), params.B_A)
+    mu_win = c.mu[win_index(s.s1)]
+    mu_lose = c.delay[delay_index(s.s1)] * c.mu[lose_index(s.s2)]
+    return min(max(mu_win - mu_lose + v_win - v_lose, 0.0), c.B_A)
 
 
-def closed_form_value(params):
+def closed_form_value(c):
     """Value of the exact continuous-bid maximizer at every state: the
     optimal auction-mode episode value."""
 
     def choose(h, s, v_win, v_lose):
-        a = closed_form_bid(s, params, v_win, v_lose)
-        return a, auction_round_value(params, h, s, a, v_win, v_lose)
+        a = closed_form_bid(s, c, v_win, v_lose)
+        return a, auction_round_value(c, h, s, a, v_win, v_lose)
 
-    _, values = scalar_backward_induction(params, choose)
+    _, values = scalar_backward_induction(c.H, choose)
     return values[(1, INITIAL_STATE)]
 
 
@@ -145,8 +189,9 @@ def oracle_value(x, m, a, mode="outcome", bounds=None):
     if mode == "dp":
         if bounds is None:
             raise ValueError("dp mode needs bounds for the bid grid")
-        params = params_from_true(x, m, a, B_A=bounds.B_A)
-        return dp_policy(params, default_bid_grid(bounds)).value
+        _, values = dp_policy(params_from_true(x, m, a), default_bid_grid(bounds),
+                              bounds.B_A)
+        return values[0]
     raise ValueError(f"unknown oracle mode {mode!r}")
 
 
@@ -279,7 +324,7 @@ def per_sample_update(agent, log):
         )
     agent.t += 1
     boundary = exploration_window(agent.n_underbar, agent.bounds.H)
-    if agent.bid_mode == "forced" and agent.t == boundary + 1:
+    if agent.t == boundary + 1:
         for lag, est in agent.delay_bank.items():
             if est.N < agent.n_underbar:
                 raise RuntimeError(

@@ -73,7 +73,9 @@ from bidlab.model import (
     win_probability,
 )
 from bidlab.planning import (
+    batch_params,
     best_outcome_plan,
+    best_outcome_values,
     default_bid_grid,
     dp_policy,
     outcome_value,
@@ -85,6 +87,7 @@ from enumeration import (
     enumerated_best_plan,
     expected_payment_given_win,
     oracle_value,
+    true_customer,
 )
 from reference_table import REFERENCE_CHECKPOINTS, REFERENCE_MEANS, REFERENCE_ORDERS
 
@@ -348,7 +351,7 @@ def test_criterion_5_payment_identities():
 
 
 def test_criterion_6_estimator_micro_oracles():
-    cfg = ConfidenceConfig(delta=0.01, gamma=1.0, Gamma_trunc=1e6, width_scale=1.0)
+    cfg = ConfidenceConfig(delta=0.01, gamma_raw=1.0, Gamma_trunc=1e6, width_scale=1.0)
     est = ThetaEstimator(index=lose_index(NEVER_BEFORE), dim=2, B_theta=10.0)
     crtm_update(est, [[1.0, 0.0]], [1], cfg)
     crtm_ok = np.allclose(
@@ -408,23 +411,24 @@ def test_criterion_6_estimator_micro_oracles():
 def test_criterion_7_planner_cross_validation():
     bounds = benchmark_config().bounds
     plans = list(itertools.product((False, True), repeat=3))
-    two_point_ok = True
+    plans_ok = True
     dominance_ok = True
     for i in range(100):
         rng = RandomSource(1000 + i)
         m, a = generate_instance(BENCHMARK_RECIPE, bounds, rng)
         x = sample_context(BENCHMARK_RECIPE, bounds, rng.stream(1, "ctx"))
-        params = params_from_true(x, m, a, B_A=bounds.B_A)
-        # both planners share one backward induction, so each is checked
-        # against the brute-force lexicographic argmax, not the other
+        params = params_from_true(x, m, a)
+        # the outcome plan and the batch oracle share one backward
+        # induction, so each is checked against the brute-force
+        # lexicographic argmax, not the other
         want_plan, want = enumerated_best_plan(params)
         plan, best = best_outcome_plan(params)
-        table = dp_policy(params, np.array([0.0, bounds.B_A]), mode="forced")
-        two_point_ok = (
-            two_point_ok
+        batch = best_outcome_values(batch_params(x[None], m, a))
+        plans_ok = (
+            plans_ok
             and plan == want_plan
             and best == want
-            and table.value == want
+            and batch.tolist() == [want]
         )
         opt = oracle_value(x, m, a, mode="outcome")
         dominance_ok = dominance_ok and all(
@@ -436,11 +440,11 @@ def test_criterion_7_planner_cross_validation():
         rng = RandomSource(2000 + i)
         m, a = generate_instance(BENCHMARK_RECIPE, bounds, rng)
         x = sample_context(BENCHMARK_RECIPE, bounds, rng.stream(1, "ctx"))
-        params = params_from_true(x, m, a, B_A=bounds.B_A)
-        exact = closed_form_value(params)
+        exact = closed_form_value(true_customer(x, m, a, B_A=bounds.B_A))
         for n in gaps:
-            approx = dp_policy(params, default_bid_grid(bounds, n), mode="auction")
-            gap = exact - approx.value
+            _, values = dp_policy(params_from_true(x, m, a), default_bid_grid(bounds, n),
+                                  bounds.B_A)
+            gap = exact - values[0]
             assert gap >= -1e-9
             gaps[n].append(max(gap, 0.0))
     mean_gap = {n: float(np.mean(v)) for n, v in gaps.items()}
@@ -449,13 +453,13 @@ def test_criterion_7_planner_cross_validation():
         and mean_gap[256] <= 0.6 * mean_gap[128] + 1e-10
     )
     detail = (
-        f"outcome plan and two-point DP == enumeration on 100 instances: "
-        f"{two_point_ok}; "
+        f"outcome plan and batch oracle == enumeration on 100 instances: "
+        f"{plans_ok}; "
         f"oracle dominance: {dominance_ok}; "
         f"mean closed-form gap {mean_gap[64]:.2e} -> {mean_gap[128]:.2e} "
         f"-> {mean_gap[256]:.2e}"
     )
-    _report(7, two_point_ok and dominance_ok and converges, detail)
+    _report(7, plans_ok and dominance_ok and converges, detail)
 
 
 def test_criterion_8_states_and_splitting():

@@ -34,9 +34,17 @@ from bidlab.environment import (
     sample_context,
 )
 from bidlab.estimation import optimistic_mean, split_episode
-from bidlab.model import NEVER_BEFORE, ONLY_ONE, Bounds, lose_index, win_index
+from bidlab.model import (
+    NEVER_BEFORE,
+    ONLY_ONE,
+    Bounds,
+    lognormal_mean,
+    lose_index,
+    state_table,
+    win_index,
+)
 import bidlab
-from bidlab.planning import best_outcome_plan, default_bid_grid, params_from_true
+from bidlab.planning import best_outcome_plan, default_bid_grid, dp_policy, params_from_true
 
 BOUNDS = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
 GRID = default_bid_grid(BOUNDS)
@@ -96,14 +104,6 @@ def test_exploration_never_consults_estimators():
     assert d.plan == (True, False, False)
 
 
-def test_act_bid_mode_auction_realizes_plan_with_cap_bids():
-    agent = small_agent(bid_mode="auction")
-    d = act(agent, np.array([1.0, 1.0]), GRID)
-    assert d.mode == "auction"
-    assert d.policy(1, None, None) == BOUNDS.B_A
-    assert d.policy(2, None, None) == 0.0
-
-
 # --- optimistic planning inputs ----------------------------------------------
 
 def test_zero_information_params_are_floored():
@@ -112,8 +112,9 @@ def test_zero_information_params_are_floored():
     params = optimistic_params(agent, np.array([1.0, 1.0]))
     assert params.mu == [BOUNDS.b] * 4
     assert params.delay == [1.0, BOUNDS.B_d, BOUNDS.B_d]  # pure optimism, no data
-    assert np.array_equal(params.auction.beta, np.zeros((3, 2)))
-    assert np.all(params.auction.sigma == SIGMA_FLOOR)
+    assert params.log_hob == [0.0] * 3  # zero beta estimates
+    assert params.sigma == [SIGMA_FLOOR] * 3
+    assert params.hob == [lognormal_mean(0.0, SIGMA_FLOOR)] * 3
     d = act(agent, np.array([1.0, 1.0]), GRID)
     assert d.plan is not None and len(d.plan) == 3
 
@@ -140,7 +141,7 @@ def test_exact_parameters_reproduce_oracle_plan():
         agent.t = 1000
         inject_truth(agent, m, a)
         d = act(agent, x, GRID)
-        want_plan, _ = best_outcome_plan(params_from_true(x, m, a, BOUNDS.B_A))
+        want_plan, _ = best_outcome_plan(params_from_true(x, m, a))
         assert d.plan == want_plan
 
 
@@ -175,6 +176,20 @@ def test_dp_planner_mode_returns_bid_policy():
     from bidlab.model import INITIAL_STATE
     bid = d.policy(1, INITIAL_STATE, x)
     assert 0.0 <= bid <= BOUNDS.B_A
+    # the grid bids by state id, as the planner gives them on the learner's
+    # optimistic inputs, and the policy reads each state's own
+    want, _ = dp_policy(optimistic_params(agent, x), GRID, BOUNDS.B_A)
+    assert d.bids == want and bid == want[0]
+    table = state_table(BOUNDS.H)
+    assert [d.policy(h, s, x) for h, s in table.ids] == want
+
+
+def test_dp_learner_rejects_a_grid_above_the_bid_cap():
+    agent = small_agent(planner_mode="dp")
+    agent.t = 1000
+    high = np.concatenate([GRID, [2 * BOUNDS.B_A]])
+    with pytest.raises(ValueError, match=r"bid grid must lie in \[0, B_A\]"):
+        act(agent, np.array([1.0, 1.0]), high)
 
 
 # --- updates -----------------------------------------------------------------
@@ -440,6 +455,22 @@ def test_agent_snapshot_round_trip():
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def test_agent_snapshot_holds_one_gamma_and_the_forced_bid_mode():
+    agent = make_agent(BOUNDS, T=200, n_underbar=4, width_scale=0.25)
+    d = agent_to_dict(agent)
+    assert d["bid_mode"] == "forced"
+    assert d["cfg"]["gamma"] == 0.25 * d["gamma_raw"] == agent.cfg.gamma
+    assert d["gamma_raw"] == agent.cfg.gamma_raw
+    assert agent_from_dict(json.loads(json.dumps(d))).cfg == agent.cfg
+    stale = json.loads(json.dumps(d))
+    stale["cfg"]["gamma"] = d["gamma_raw"]  # width_scale not applied
+    with pytest.raises(ValueError, match=r"^cfg\.gamma must be width_scale \* gamma_raw"):
+        agent_from_dict(stale)
+    auction = {**d, "bid_mode": "auction"}
+    with pytest.raises(ValueError, match=r"^bid_mode must be 'forced', got 'auction'"):
+        agent_from_dict(auction)
+
+
 def _estimator_arrays(agent):
     return [v for e in agent.theta_bank for v in (e.V, e.theta_hat)] + [
         v for e in agent.auction_bank.values() for v in (e.gram, e.moment)
@@ -456,14 +487,13 @@ def test_optimistic_params_project_auction_estimates():
         est.moment = est.gram @ (inside if h == 1 else np.array([30.0, 40.0]))
         est.count = 10
         est.residual_sq_sum = 10 * (2.0 if h == 2 else 100.0) ** 2
-    params = optimistic_params(agent, np.array([1.0, 1.0]))
-    assert params.auction.beta[0].tobytes() == agent.auction_bank[1].beta_hat.tobytes()
-    for row in params.auction.beta[1:]:
-        assert np.linalg.norm(row) == pytest.approx(BOUNDS.B_beta)
-        assert np.allclose(row / np.linalg.norm(row), [0.6, 0.8])
-    assert params.auction.sigma.tolist() == [
-        BOUNDS.sigma_max, 2.0, BOUNDS.sigma_max,
-    ]
+    x = np.array([1.0, 1.0])
+    params = optimistic_params(agent, x)
+    assert params.log_hob[0] == float(agent.auction_bank[1].beta_hat @ x)
+    # the projected rows point along (0.6, 0.8) with norm B_beta
+    assert params.log_hob[1:] == pytest.approx([1.4 * BOUNDS.B_beta] * 2)
+    assert params.sigma == [BOUNDS.sigma_max, 2.0, BOUNDS.sigma_max]
+    assert params.hob == [lognormal_mean(v, sd) for v, sd in zip(params.log_hob, params.sigma)]
 
 
 # --- runs of episodes --------------------------------------------------------

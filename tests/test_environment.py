@@ -373,7 +373,7 @@ def test_csv_round_trip(tmp_path, instance):
     cpath = tmp_path / "contexts.csv"
     write_episode_csv(epath, episodes)
     write_context_csv(cpath, contexts)
-    back = list(read_episode_csv(epath, read_context_csv(cpath)))
+    back = list(read_episode_csv(epath, read_context_csv(cpath, BOUNDS.dim), BOUNDS.H))
     assert len(back) == len(episodes)
     for (trial, ep), (trial2, ep2) in zip(episodes, back):
         assert trial == trial2 and ep.t == ep2.t
@@ -403,14 +403,14 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("nope\n")
     with pytest.raises(ValueError, match="line 1"):
-        list(read_episode_csv(path, {}))
+        list(read_episode_csv(path, {}, 3))
     path.write_text(
         "trial,t,h,s1,s2,bid,hob,won,payment,conversions\n"
         "0,1,1,NEVER,NEVERBEFORE,0.0,1.0,0,0.0,0\n"
         "0,1,2,WAT,NEVERBEFORE,0.0,1.0,0,0.0,0\n"
     )
     with pytest.raises(ValueError, match="line 3"):
-        list(read_episode_csv(path, {(0, 1): np.array([1.0, 1.0])}))
+        list(read_episode_csv(path, {(0, 1): np.array([1.0, 1.0])}, 3))
     # 0 is spelled NEVER for s1 and ONLYONE for s2; the integer 0 and
     # negative lags are not tokens
     for s1, s2 in (("0", "NEVERBEFORE"), ("1", "0"), ("-1", "ONLYONE"),
@@ -420,7 +420,7 @@ def test_csv_errors_carry_line_numbers(tmp_path):
             f"0,1,1,{s1},{s2},0.0,1.0,0,0.0,0\n"
         )
         with pytest.raises(ValueError, match="line 2"):
-            list(read_episode_csv(path, {(0, 1): np.array([1.0, 1.0])}))
+            list(read_episode_csv(path, {(0, 1): np.array([1.0, 1.0])}, 3))
 
 
 def test_context_csv_errors_carry_line_numbers(tmp_path):
@@ -433,7 +433,7 @@ def test_context_csv_errors_carry_line_numbers(tmp_path):
         rows = good + bad if lineno == 3 else bad + good
         path.write_text("trial,t,x0,x1\n" + rows)
         with pytest.raises(ValueError, match=rf"^line {lineno}: {re.escape(message)}$"):
-            read_context_csv(path)
+            read_context_csv(path, 2)
 
 
 _HEADER = "trial,t,h,s1,s2,bid,hob,won,payment,conversions\n"
@@ -455,19 +455,19 @@ def test_episode_csv_rejects_out_of_range_fields(tmp_path, column, value):
     path = tmp_path / "e.csv"
     path.write_text(_HEADER + _ROUNDS[0] + ",".join(row) + "\n" + _ROUNDS[2])
     with pytest.raises(ValueError, match=r"^line 3: need finite bid >= 0"):
-        list(read_episode_csv(path, {(0, 1): np.array([1.0, 1.0])}))
+        list(read_episode_csv(path, {(0, 1): np.array([1.0, 1.0])}, 3))
 
 
 def test_episode_violations_name_the_line_the_episode_starts_at(tmp_path):
-    # the second customer starts at line 5; its episode skips round 2, or
-    # has no context, or is one round short of H
+    # the second customer starts at line 5; its episode jumps from round 1
+    # to round 3's state, or has no context, or is one round short of H
     path = tmp_path / "e.csv"
     second = [r.replace("0,1,", "0,2,", 1) for r in _ROUNDS]
     x = np.array([1.0, 1.0])
     for rows, contexts, H, message in (
-        ([second[0], second[2]], {(0, 1): x, (0, 2): x}, None,
+        ([second[0], second[2], second[2]], {(0, 1): x, (0, 2): x}, 3,
          "state chain broken at round 1"),
-        (second, {(0, 1): x}, None, "no context recorded for trial 0, t 2"),
+        (second, {(0, 1): x}, 3, "no context recorded for trial 0, t 2"),
         (second[:2], {(0, 1): x, (0, 2): x}, 3, "expected 3 rounds, got 2"),
     ):
         path.write_text(_HEADER + "".join(_ROUNDS) + "".join(rows))
@@ -477,12 +477,29 @@ def test_episode_violations_name_the_line_the_episode_starts_at(tmp_path):
             next(episodes)
 
 
+def test_a_long_episode_fails_its_length_check_before_any_state_table(
+    tmp_path, monkeypatch,
+):
+    # a crafted 60-round episode read with H=3 is rejected by its length
+    # alone: no state table of 60 rounds (36,050 states, cached for the
+    # life of the process) is built to check its chain
+    built, real = [], environment.state_table
+    monkeypatch.setattr(environment, "state_table", lambda H: built.append(H) or real(H))
+    path = tmp_path / "e.csv"
+    path.write_text(_HEADER + "".join(
+        f"0,1,{h},NEVER,NEVERBEFORE,0.0,1.0,0,0.0,0\n" for h in range(1, 61)
+    ))
+    with pytest.raises(ValueError, match=r"^line 2: expected 3 rounds, got 60$"):
+        list(read_episode_csv(path, {(0, 1): np.array([1.0, 1.0])}, 3))
+    assert built == []
+
+
 def test_context_csv_rejects_nonfinite_repeated_and_misshapen_rows(tmp_path):
     path = tmp_path / "contexts.csv"
     for rows, dim, message in (
-        ("0,1,0.5,1.5\n0,2,nan,1.0\n", None, "line 3: contexts must be finite"),
-        ("0,1,0.5,1.5\n0,2,1.0,-inf\n", None, "line 3: contexts must be finite"),
-        ("0,1,0.5,1.5\n0,1,0.5,1.5\n", None, "line 3: a second context of trial 0, t 1"),
+        ("0,1,0.5,1.5\n0,2,nan,1.0\n", 2, "line 3: contexts must be finite"),
+        ("0,1,0.5,1.5\n0,2,1.0,-inf\n", 2, "line 3: contexts must be finite"),
+        ("0,1,0.5,1.5\n0,1,0.5,1.5\n", 2, "line 3: a second context of trial 0, t 1"),
         ("0,1,0.5,1.5\n", 3, "line 2: expected 3 x-columns, got 2"),
     ):
         path.write_text("trial,t,x0,x1\n" + rows)
@@ -514,7 +531,7 @@ _VALID += [["0", "2", *r[2:]] for r in _VALID]  # a second customer
                              st.one_of(_NUMBERS, st.sampled_from(_TOKENS))), max_size=2),
     drop=st.one_of(st.none(), st.integers(0, 5)),
     junk=st.one_of(st.none(), st.lists(_NUMBERS, max_size=12)),
-    H=st.sampled_from([None, 3]),
+    H=st.sampled_from([2, 3]),
 )
 def test_fuzzed_episode_csv_parses_or_raises_a_value_error(tmp_path, edits, drop, junk, H):
     # two valid episodes with a few fields replaced, a row dropped or a junk
@@ -536,7 +553,7 @@ def test_fuzzed_episode_csv_parses_or_raises_a_value_error(tmp_path, edits, drop
         return
     assert len(episodes) <= 2
     for _, ep in episodes:
-        assert H is None or len(ep.records) == H
+        assert len(ep.records) == H
         for r in ep.records:
             assert 0 <= r.bid < math.inf and 0 < r.hob < math.inf
             assert 0 <= r.payment < math.inf and r.conversions >= 0
@@ -547,7 +564,8 @@ def test_fuzzed_episode_csv_parses_or_raises_a_value_error(tmp_path, edits, drop
 def test_fuzzed_text_as_episode_or_context_csv_raises_only_value_errors(tmp_path, text):
     path = tmp_path / "f.csv"
     path.write_text(text, encoding="utf-8")
-    for read in (lambda: list(read_episode_csv(path, {})), lambda: read_context_csv(path)):
+    for read in (lambda: list(read_episode_csv(path, {}, 3)),
+                 lambda: read_context_csv(path, 2)):
         try:
             read()
         except ValueError:
@@ -556,7 +574,7 @@ def test_fuzzed_text_as_episode_or_context_csv_raises_only_value_errors(tmp_path
 
 @_FUZZ
 @given(rows=st.lists(st.lists(_NUMBERS, min_size=0, max_size=5), max_size=6),
-       dim=st.sampled_from([None, 1, 2, 3]))
+       dim=st.sampled_from([1, 2, 3]))
 def test_fuzzed_context_csv_parses_or_raises_a_value_error(tmp_path, rows, dim):
     path = tmp_path / "c.csv"
     with open(path, "w", newline="") as fh:
@@ -568,7 +586,7 @@ def test_fuzzed_context_csv_parses_or_raises_a_value_error(tmp_path, rows, dim):
     except ValueError as exc:
         assert str(exc).startswith("line ")
         return
-    assert (dim in (None, 2) or not rows) and len(contexts) == len(rows)
+    assert (dim == 2 or not rows) and len(contexts) == len(rows)
     assert all(np.all(np.isfinite(x)) and x.shape == (2,) for x in contexts.values())
 
 
@@ -589,7 +607,7 @@ def test_every_reachable_state_round_trips_through_the_csv(tmp_path, H):
     }
     path = tmp_path / "e.csv"
     write_episode_csv(path, episodes)
-    back = list(read_episode_csv(path, {(0, t): x for t in range(1, 2**H + 1)}))
+    back = list(read_episode_csv(path, {(0, t): x for t in range(1, 2**H + 1)}, H))
     assert [ep.records for _, ep in back] == [ep.records for _, ep in episodes]
 
 

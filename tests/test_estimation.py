@@ -53,7 +53,7 @@ def make_theta(dim=2, B=10.0):
 
 
 def big_cfg(Gamma=1e12):
-    return ConfidenceConfig(delta=0.01, gamma=1.0, Gamma_trunc=Gamma)
+    return ConfidenceConfig(delta=0.01, gamma_raw=1.0, Gamma_trunc=Gamma)
 
 
 # --- confidence constants ----------------------------------------------------
@@ -66,10 +66,12 @@ def test_theta_gamma_frozen():
 def test_theta_gamma_monotone_and_scaled():
     assert theta_gamma(UNIT, 1000, 0.1) > theta_gamma(UNIT, 100, 0.1)
     assert theta_gamma(UNIT, 100, 0.01) > theta_gamma(UNIT, 100, 0.1)
-    assert theta_gamma(UNIT, 100, 0.1, width_scale=0.0) == 0.0
-    assert theta_gamma(UNIT, 100, 0.1, width_scale=0.5) == pytest.approx(
-        0.5 * theta_gamma(UNIT, 100, 0.1), rel=1e-15
-    )
+    # width_scale is applied once, by the confidence config, to the raw radius
+    raw = theta_gamma(UNIT, 100, 0.1)
+    assert ConfidenceConfig(0.1, raw, 0.0, width_scale=0.0).gamma == 0.0
+    assert ConfidenceConfig(0.1, raw, 0.0, width_scale=0.5).gamma == 0.5 * raw
+    with pytest.raises(ValueError, match="width constants must be nonnegative"):
+        ConfidenceConfig(0.1, -raw, 0.0)
 
 
 def test_truncation_threshold_frozen():
@@ -97,13 +99,13 @@ def test_delay_radius_frozen_and_scaling():
 
 
 def test_confidence_config_validation():
-    ConfidenceConfig(delta=0.5, gamma=1.0, Gamma_trunc=1.0, width_scale=0.0)
+    ConfidenceConfig(delta=0.5, gamma_raw=1.0, Gamma_trunc=1.0, width_scale=0.0)
     with pytest.raises(ValueError):
-        ConfidenceConfig(delta=0.0, gamma=1.0, Gamma_trunc=1.0)
+        ConfidenceConfig(delta=0.0, gamma_raw=1.0, Gamma_trunc=1.0)
     with pytest.raises(ValueError):
-        ConfidenceConfig(delta=0.5, gamma=-1.0, Gamma_trunc=1.0)
+        ConfidenceConfig(delta=0.5, gamma_raw=-1.0, Gamma_trunc=1.0)
     with pytest.raises(ValueError):
-        ConfidenceConfig(delta=0.5, gamma=1.0, Gamma_trunc=1.0, width_scale=-0.1)
+        ConfidenceConfig(delta=0.5, gamma_raw=1.0, Gamma_trunc=1.0, width_scale=-0.1)
 
 
 # --- online Newton -----------------------------------------------------------

@@ -331,7 +331,7 @@ def test_expected_regret_matches_direct_computation():
     want = []
     for t in range(1, cfg.T + 1):
         x = sample_context(cfg.instance, cfg.bounds, rng.stream(t, "ctx"))
-        params = params_from_true(x, m, a, B_A=cfg.bounds.B_A)
+        params = params_from_true(x, m, a)
         opt = best_outcome_plan(params)[1]
         want.append(opt - outcome_value((False,) * cfg.H, params))
     assert np.allclose(tr.expected["passive"], np.cumsum(want), atol=1e-12)
@@ -375,7 +375,7 @@ def test_single_checkpoint_config_runs_to_the_end(tmp_path):
     rng = RandomSource(cfg.seed).scoped(0)
     m, a = generate_instance(cfg.instance, cfg.bounds, rng)
     x = sample_context(cfg.instance, cfg.bounds, rng.stream(1, "ctx"))
-    params = params_from_true(x, m, a, B_A=cfg.bounds.B_A)
+    params = params_from_true(x, m, a)
     opt = best_outcome_plan(params)[1]
     for name, plan in (("aggressive", (True,) * 3), ("passive", (False,) * 3)):
         assert trial.expected[name].tolist() == [opt - outcome_value(plan, params)]
@@ -734,7 +734,7 @@ def test_replay_of_a_prefix_matches_a_live_agent_stopped_there(tmp_path, small_r
     cfg = small_result.config
     out = tmp_path
     write_outputs(small_result, out)
-    contexts = read_context_csv(out / "contexts_trial0.csv")
+    contexts = read_context_csv(out / "contexts_trial0.csv", cfg.dim)
     episodes = small_result.trials[0].episodes
     k = 37
     write_episode_csv(out / "episodes_trial9.csv", episodes[:k])
@@ -764,7 +764,8 @@ def test_replay_rejects_logs_mixing_trials(tmp_path, small_result):
              (1, small_result.trials[1].episodes[0][1])]
     write_episode_csv(tmp_path / "episodes_mixed.csv", mixed)
     contexts = {
-        (k, 1): read_context_csv(tmp_path / f"contexts_trial{k}.csv")[(k, 1)]
+        (k, 1): read_context_csv(tmp_path / f"contexts_trial{k}.csv",
+                                  small_result.config.dim)[(k, 1)]
         for k in (0, 1)
     }
     write_context_csv(
@@ -932,8 +933,7 @@ def test_underfed_delays_in_a_run_name_trial_and_customer(monkeypatch):
     import bidlab.harness as harness_module
     from bidlab.agent import Decision
 
-    never = Decision(mode="forced", policy=lambda h, s, x: False,
-                     plan=(False,) * 3, exploring=True)
+    never = Decision(plan=(False,) * 3, bids=None, exploring=True, H=3)
     monkeypatch.setattr(harness_module, "act", lambda agent, x, grid, t: never)
     with pytest.raises(RuntimeError) as err:
         run_trial(_learner_config(), 0)
@@ -1055,8 +1055,8 @@ def test_cli_oracle_matches_direct_enumeration(cli_run, capsys):
     _, _, value, plan_text = line.split(",")
     rng = RandomSource(cfg.seed).scoped(0)
     m, a = generate_instance(cfg.instance, cfg.bounds, rng)
-    contexts = read_context_csv(out / "contexts_trial0.csv")
-    params = params_from_true(contexts[(0, 1)], m, a, B_A=cfg.bounds.B_A)
+    contexts = read_context_csv(out / "contexts_trial0.csv", cfg.dim)
+    params = params_from_true(contexts[(0, 1)], m, a)
     plan, value_want = best_outcome_plan(params)
     assert float(value) == value_want
     assert plan_text == "".join("1" if w else "0" for w in plan)
@@ -1082,6 +1082,19 @@ def test_cli_oracle_rejects_dp_configs(cli_run, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "'dp'" in captured.err
+
+
+def test_cli_oracle_rejects_contexts_of_another_dimension(cli_run, tmp_path, capsys):
+    # a 3-column context file under a dim-2 config fails on its first row,
+    # before the CSV header is printed
+    _, _, out = cli_run
+    (tmp_path / "contexts.csv").write_text("trial,t,x0,x1,x2\n0,1,0.5,1.0,1.5\n")
+    code = main(["oracle", "--config", str(out / "config.json"),
+                 "--contexts", str(tmp_path / "contexts.csv")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2: expected 2 x-columns")
 
 
 def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):

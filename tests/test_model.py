@@ -34,8 +34,12 @@ from bidlab.model import (
     win_probability,
 )
 from bidlab.environment import delay_token, theta_token
-from bidlab.planning import params_from_true
-from enumeration import auction_round_value, cdf_integral, expected_payment_given_win
+from enumeration import (
+    auction_round_value,
+    cdf_integral,
+    expected_payment_given_win,
+    true_customer,
+)
 
 PHI_1 = 0.8413447460685429          # Phi(1)
 E_HALF = 1.6487212707001282         # e^{1/2}
@@ -130,7 +134,7 @@ def test_state_table_agrees_with_the_state_machine(H):
         assert [table.states[i] for i in layer] == levels[h - 1]
         for i in layer:
             s = table.states[i]
-            assert table.keys[i] == (h, s)
+            assert table.ids[(h, s)] == i
             for won in (False, True):
                 nxt = table.next_id[i][won]
                 if h == H:
@@ -364,7 +368,7 @@ def test_payment_monotone_in_bid(unit_auction):
 def expected_round_reward(h, s, bid, x, m, a):
     # the planners' auction round value with zero successor values, fed the
     # true parameters
-    return auction_round_value(params_from_true(x, m, a), h, s, bid, 0.0, 0.0)
+    return auction_round_value(true_customer(x, m, a), h, s, bid, 0.0, 0.0)
 
 
 @pytest.fixture

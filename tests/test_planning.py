@@ -20,7 +20,6 @@ from bidlab.model import (
     expected_payment,
     hob_mean,
     lose_index,
-    next_state,
     state_table,
     win_probability,
 )
@@ -28,7 +27,6 @@ from bidlab import planning
 from bidlab.harness import GRID_CHUNK
 from bidlab.planning import (
     OutcomeParams,
-    PlanParams,
     batch_params,
     best_outcome_plan,
     best_outcome_values,
@@ -41,6 +39,7 @@ from bidlab.planning import (
     policy_values,
 )
 from enumeration import (
+    Customer,
     auction_round_value,
     closed_form_bid,
     closed_form_value,
@@ -48,6 +47,7 @@ from enumeration import (
     oracle_value,
     scalar_grid_policy,
     scalar_policy_value,
+    true_customer,
 )
 
 BOUNDS = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
@@ -61,9 +61,8 @@ def make_params(mu_nd=1.0, mu_f=2.0, mu_l1=3.0, mu_l2=4.0, d1=0.5, d2=0.25,
         sigma=np.array(sigmas, dtype=float),
     )
     # by position: natural demand, first exposure, lags 1 and 2
-    return PlanParams(mu=[mu_nd, mu_f, mu_l1, mu_l2], delay=[1.0, d1, d2],
-                      auction=auction,
-                      x=np.array([1.0, 0.0]), B_A=B_A)
+    return Customer(mu=[mu_nd, mu_f, mu_l1, mu_l2], delay=[1.0, d1, d2],
+                    x=np.array([1.0, 0.0]), auction=auction, B_A=B_A)
 
 
 def random_instance(seed):
@@ -77,28 +76,34 @@ def random_instance(seed):
 def test_outcome_value_hand_traces():
     p = make_params()
     em = [hob_mean(h, p.x, p.auction) for h in (1, 2, 3)]
-    assert outcome_value((False, False, False), p) == pytest.approx(3 * 1.0)
+    assert outcome_value((False, False, False), p.op) == pytest.approx(3 * 1.0)
     want = (2.0 - em[0]) + (3.0 - em[1]) + (3.0 - em[2])
-    assert outcome_value((True, True, True), p) == pytest.approx(want)
+    assert outcome_value((True, True, True), p.op) == pytest.approx(want)
     want = 1.0 + (2.0 - em[1]) + 0.5 * 2.0
-    assert outcome_value((False, True, False), p) == pytest.approx(want)
+    assert outcome_value((False, True, False), p.op) == pytest.approx(want)
     with pytest.raises(ValueError):
-        outcome_value((False, True), p)
+        outcome_value((False, True), p.op)
 
 
 def test_plan_params_validation():
+    # the oracle's planner inputs reject a negative conversion mean; the
+    # true model itself fixes the never-exposed delay factor at 1
+    m, a, x = random_instance(0)
+    theta = m.theta.copy()
+    theta[2] = -theta[2]
+    with pytest.raises(ValueError, match="conversion means must be clamped nonnegative"):
+        params_from_true(x, TrueModel(theta=theta, delay=m.delay), a)
     with pytest.raises(ValueError):
-        make_params(mu_nd=-0.5)
-    p = make_params()
-    with pytest.raises(ValueError):
-        PlanParams(mu=p.mu, delay=[0.9, 0.5, 0.25], auction=p.auction,
-                   x=p.x, B_A=50.0)
+        TrueModel(theta=m.theta, delay=np.array([0.9, 0.5, 0.25]))
+    # the planners' input for one customer: one dot per theta row, the
+    # scalar closed forms per round
+    assert params_from_true(x, m, a) == true_customer(x, m, a).op
 
 
 def test_best_plan_dominance_case():
     # huge first-exposure value with carryover: win once, immediately
     p = make_params(mu_nd=0.0, mu_f=100.0, mu_l1=0.0, mu_l2=0.0, d1=0.5, d2=0.5)
-    plan, value = best_outcome_plan(p)
+    plan, value = best_outcome_plan(p.op)
     assert plan == (True, False, False)
     em1 = hob_mean(1, p.x, p.auction)
     assert value == pytest.approx((100.0 - em1) + 0.5 * 100.0 + 0.5 * 100.0)
@@ -108,13 +113,13 @@ def test_best_plan_tie_breaks_lexicographically():
     # zero carryover makes the single win equally good at any round; the
     # lexicographically smallest plan defers it to the last round
     p = make_params(mu_nd=0.0, mu_f=100.0, mu_l1=0.0, mu_l2=0.0, d1=0.0, d2=0.0)
-    plan, _ = best_outcome_plan(p)
+    plan, _ = best_outcome_plan(p.op)
     assert plan == (False, False, True)
 
 
 def test_best_plan_all_lose_when_winning_never_pays():
     p = make_params(mu_nd=2.0, mu_f=2.0, mu_l1=2.0, mu_l2=2.0, d1=1.0, d2=1.0)
-    plan, value = best_outcome_plan(p)
+    plan, value = best_outcome_plan(p.op)
     assert plan == (False, False, False)
     assert value == pytest.approx(6.0)
 
@@ -127,14 +132,14 @@ def random_params(H, seed):
     delay = [1.0] + [rng.uniform(0.0, 1.5) for _ in range(1, H)]
     auction = AuctionModel(beta=rng.uniform(-0.5, 1.0, (H, 1)),
                            sigma=rng.uniform(0.3, 1.2, H))
-    return PlanParams(mu=mu, delay=delay, auction=auction, x=np.ones(1), B_A=50.0)
+    return Customer(mu=mu, delay=delay, x=np.ones(1), auction=auction, B_A=50.0)
 
 
 def test_large_horizon_plan_value_is_bitwise():
     # far past 2^H enumeration: the reachable states grow quadratically
     rng = np.random.default_rng(7)
     for seed in range(2025, 2030):
-        p = random_params(25, seed=seed)
+        p = random_params(25, seed=seed).op
         plan, value = best_outcome_plan(p)
         assert len(plan) == 25 and any(plan) and not all(plan)
         assert outcome_value(plan, p) == value
@@ -146,17 +151,15 @@ def test_large_horizon_plan_value_is_bitwise():
 def test_outcome_plan_matches_enumeration_across_horizons():
     for H in range(1, 11):
         for seed in range(5):
-            p = random_params(H, seed=100 * H + seed)
+            p = random_params(H, seed=100 * H + seed).op
             assert best_outcome_plan(p) == enumerated_best_plan(p)
         # zero carryover: one win is worth the same at every round, and the
         # lexicographically smallest plan takes it last
-        p = random_params(H, seed=0)
-        tie = PlanParams(
+        tie = Customer(
             mu=[100.0 if i == lose_index(ONLY_ONE) else 0.0 for i in range(H + 1)],
-            delay=[1.0] + [0.0] * (H - 1),
+            delay=[1.0] + [0.0] * (H - 1), x=np.ones(1),
             auction=AuctionModel(beta=np.zeros((H, 1)), sigma=np.ones(H)),
-            x=np.ones(1), B_A=50.0,
-        )
+        ).op
         plan, value = best_outcome_plan(tie)
         assert plan == (False,) * (H - 1) + (True,)
         assert (plan, value) == enumerated_best_plan(tie)
@@ -178,7 +181,7 @@ def test_batch_outcome_planning_equals_scalar_bitwise(H):
     for dim in range(1, 6):
         m, a, X = batch_instance(H, dim, T=3, seed=1000 + 10 * H + dim)
         batch = batch_params(X, m, a)
-        scalar = [params_from_true(x, m, a, B_A=50.0) for x in X]
+        scalar = [params_from_true(x, m, a) for x in X]
         assert best_outcome_values(batch).tolist() == [
             best_outcome_plan(p)[1] for p in scalar
         ]
@@ -210,17 +213,15 @@ def test_batch_outcome_ties_go_to_losing():
     # plan, which wins last, exactly as the scalar planner does
     for H in range(1, 6):
         mu = [100.0 if i == lose_index(ONLY_ONE) else 0.0 for i in range(H + 1)]
-        scalar = PlanParams(
-            mu=mu, delay=[1.0] + [0.0] * (H - 1),
+        scalar = Customer(
+            mu=mu, delay=[1.0] + [0.0] * (H - 1), x=np.ones(1),
             auction=AuctionModel(beta=np.zeros((H, 1)), sigma=np.ones(H)),
-            x=np.ones(1), B_A=50.0,
-        )
+        ).op
         plan, value = best_outcome_plan(scalar)
         assert plan == (False,) * (H - 1) + (True,)
-        hob = [hob_mean(h, scalar.x, scalar.auction) for h in range(1, H + 1)]
         batch = OutcomeParams(
             mu=np.array([[v, v] for v in mu]), delay=scalar.delay,
-            hob=[np.array([e, e]) for e in hob],
+            hob=[np.array([e, e]) for e in scalar.hob],
         )
         won, _ = planning._forced_policy(batch, planning._win_if_better)
         i, path = 0, []
@@ -263,61 +264,63 @@ def test_dp_one_round_truthful():
     p = make_params(mu_nd=1.0, mu_f=3.0, log_means=(0.5,), sigmas=(0.8,))
     b_star = 3.0 - 1.0
     grid = np.linspace(0.0, 10.0, 2001)  # step 0.005
-    table = dp_policy(p, grid)
-    assert abs(table.act(1, INITIAL_STATE) - b_star) <= 0.005 + 1e-12
+    bids, _ = dp_policy(p.op, grid, p.B_A)
+    assert abs(bids[0] - b_star) <= 0.005 + 1e-12  # id 0: round 1, initial state
     cf = closed_form_bid(INITIAL_STATE, p, 0.0, 0.0)
     assert cf == pytest.approx(b_star)
 
 
 def test_dp_bids_zero_when_winning_never_pays():
     p = make_params(mu_nd=2.0, mu_f=2.0, mu_l1=2.0, mu_l2=2.0, d1=1.0, d2=1.0)
-    table = dp_policy(p, default_bid_grid(BOUNDS))
-    assert all(b == 0.0 for b in table.bids.values())
-    assert table.value == pytest.approx(6.0)
+    bids, values = dp_policy(p.op, default_bid_grid(BOUNDS), p.B_A)
+    assert all(b == 0.0 for b in bids)
+    assert values[0] == pytest.approx(6.0)
 
 
 def test_dp_grid_validation():
     p = make_params()
-    with pytest.raises(ValueError):
-        dp_policy(p, np.array([]))
-    with pytest.raises(ValueError):
-        dp_policy(p, np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
-        dp_policy(p, np.array([0.0, 100.0]))
-    with pytest.raises(ValueError):
-        dp_policy(p, np.array([0.0, 1.0]), mode="nope")
+    with pytest.raises(ValueError, match="nonempty and ascending"):
+        dp_policy(p.op, np.array([]), 50.0)
+    with pytest.raises(ValueError, match="nonempty and ascending"):
+        dp_policy(p.op, np.array([1.0, 0.5]), 50.0)
+    with pytest.raises(ValueError, match=r"lie in \[0, B_A\]"):
+        dp_policy(p.op, np.array([-1.0, 0.5]), 50.0)
+    with pytest.raises(ValueError, match=r"lie in \[0, B_A\]"):
+        dp_policy(p.op, np.array([0.0, 100.0]), 50.0)
+    # the cap is the caller's: the same grid passes under a higher one
+    assert len(dp_policy(p.op, np.array([0.0, 100.0]), 100.0)[0]) == 7
 
 
 def test_dp_covers_reachable_states():
     p = make_params()
-    table = dp_policy(p, default_bid_grid(BOUNDS))
-    keys = set(table.bids)
-    assert (1, INITIAL_STATE) in keys
-    assert (2, ExposureState(1, ONLY_ONE)) in keys
-    assert (3, ExposureState(2, ONLY_ONE)) in keys
-    assert (3, ExposureState(1, 1)) in keys
-    assert len(keys) == 1 + 2 + 4
+    bids, values = dp_policy(p.op, default_bid_grid(BOUNDS), p.B_A)
+    ids = state_table(3).ids
+    assert len(bids) == len(values) == len(ids) == 1 + 2 + 4
+    assert list(ids)[0] == (1, INITIAL_STATE)
+    assert (2, ExposureState(1, ONLY_ONE)) in ids
+    assert (3, ExposureState(2, ONLY_ONE)) in ids
+    assert (3, ExposureState(1, 1)) in ids
+    assert all(b is not None for b in bids)
 
 
 def test_forced_dp_equals_enumeration_bitwise():
-    # both planners against the brute-force lexicographic argmax of
-    # outcome_value, not against each other
+    # the forced DP, by its best plan and its value for a batch of one,
+    # against the brute-force lexicographic argmax of outcome_value
     for seed in range(10):
         m, a, x = random_instance(100 + seed)
-        params = params_from_true(x, m, a, B_A=BOUNDS.B_A)
+        params = params_from_true(x, m, a)
         want_plan, want_value = enumerated_best_plan(params)
         plan, value = best_outcome_plan(params)
         assert plan == want_plan
         assert value == want_value  # bitwise: same fold order, same floats
-        table = dp_policy(params, np.array([0.0, BOUNDS.B_A]), mode="forced")
-        assert table.value == want_value
-        # the greedy path through the forced table reproduces the plan
-        s, path = INITIAL_STATE, []
-        for h in range(1, 4):
-            won = table.act(h, s) > 0.0
-            path.append(won)
-            if h < 3:
-                s = next_state(s, won)
+        assert best_outcome_values(batch_params(x[None], m, a)).tolist() == [want_value]
+        # the greedy path through the forced decisions by state id
+        # reproduces the plan
+        won, _ = planning._forced_policy(params, planning._win_if_better)
+        i, path = 0, []
+        for _ in range(3):
+            path.append(bool(won[i]))
+            i = state_table(3).next_id[i][path[-1]]
         assert tuple(path) == want_plan
 
 
@@ -326,15 +329,16 @@ def test_forced_dp_tie_prefers_losing():
     em1 = hob_mean(1, p0.x, p0.auction)
     # win reward mu_f - em1 equals lose reward mu_nd exactly
     p = make_params(mu_nd=1.0, mu_f=1.0 + em1, log_means=(0.0,), sigmas=(1.0,))
-    table = dp_policy(p, np.array([0.0, 50.0]), mode="forced")
-    assert table.act(1, INITIAL_STATE) == 0.0
+    won, values = planning._forced_policy(p.op, planning._win_if_better)
+    assert won[0] is False
+    assert best_outcome_plan(p.op) == ((False,), values[0])
 
 
 def test_dp_matches_expected_round_reward_model():
     # the planners' auction scoring agrees with the model closed forms when
     # fed the true parameters
     m, a, x = random_instance(7)
-    params = params_from_true(x, m, a, B_A=BOUNDS.B_A)
+    params = true_customer(x, m, a, B_A=BOUNDS.B_A)
     for s in (INITIAL_STATE, ExposureState(1, ONLY_ONE), ExposureState(1, 1)):
         for bid in (0.0, 0.3, 1.7, 12.0):
             F = win_probability(2, bid, x, a)
@@ -364,10 +368,7 @@ def test_dp_grid_equals_scalar_reference_bitwise():
         for seed in range(3):
             p = random_params(H, seed=500 + 10 * H + seed)
             for grid in grids:
-                table = dp_policy(p, grid)
-                bids, values = scalar_grid_policy(p, grid)
-                assert table.bids == bids
-                assert table.values == values
+                assert dp_policy(p.op, grid, p.B_A) == scalar_grid_policy(p, grid)
 
 
 def test_dp_grid_ties_go_to_the_lower_bid():
@@ -377,17 +378,16 @@ def test_dp_grid_ties_go_to_the_lower_bid():
     p = make_params(mu_nd=1.0, mu_f=4.0, mu_l1=1.5, mu_l2=1.0, d1=1.0, d2=1.0,
                     log_means=(0.0, 0.0, 0.0), sigmas=(0.01, 0.01, 0.01))
     grid = np.array([0.0, 0.1, 0.2, 0.5, 5.0, 10.0, 20.0, 50.0])
-    table = dp_policy(p, grid)
-    bids, values = scalar_grid_policy(p, grid)
-    assert (table.bids, table.values) == (bids, values)
-    for (h, s), bid in table.bids.items():
-        nxt = [table.values.get((h + 1, next_state(s, won)), 0.0)
-               for won in (True, False)]
+    bids, values = dp_policy(p.op, grid, p.B_A)
+    assert (bids, values) == scalar_grid_policy(p, grid)
+    table = state_table(3)
+    for (h, s), i in table.ids.items():
+        nxt = [values[j] if j < len(values) else 0.0 for j in table.next_id[i][::-1]]
         q = [auction_round_value(p, h, s, float(a), *nxt) for a in grid]
         best = [float(a) for a, v in zip(grid, q) if v == max(q)]
         assert len(best) >= 2
-        assert bid == best[0] and table.values[(h, s)] == max(q)
-    assert set(table.bids.values()) == {0.0, 5.0}
+        assert bids[i] == best[0] and values[i] == max(q)
+    assert set(bids) == {0.0, 5.0}
 
 
 def test_dp_grid_never_chooses_nan():
@@ -396,21 +396,20 @@ def test_dp_grid_never_chooses_nan():
     p = make_params(mu_f=math.inf, log_means=(0.0,), sigmas=(1.0,))
     grid = np.array([0.0, 0.5, 1.0])
     with np.errstate(invalid="ignore"):
-        table = dp_policy(p, grid)
-    assert (table.bids, table.values) == scalar_grid_policy(p, grid)
-    assert table.act(1, INITIAL_STATE) == 0.5 and table.value == math.inf
+        bids, values = dp_policy(p.op, grid, p.B_A)
+    assert (bids, values) == scalar_grid_policy(p, grid)
+    assert bids[0] == 0.5 and values[0] == math.inf
 
 
 def grid_block(op, grid):
-    """Each customer's bids and values by (round, state), from one run of
-    the grid planner over the block `op`."""
+    """Each customer's bids and values by state id, from one run of the
+    grid planner over the block `op`."""
     index, values = planning._grid_policy(op, grid)
-    keys = state_table(len(op.hob)).keys
     out = []
     for c in range(len(values[0])):
-        v = {key: float(values[i][c]) for i, key in enumerate(keys)}
-        b = {key: None if v[key] == -math.inf else float(grid[index[i][c]])
-             for i, key in enumerate(keys)}
+        v = [float(col[c]) for col in values[:-1]]
+        b = [None if v[i] == -math.inf else float(grid[col[c]])
+             for i, col in enumerate(index)]
         out.append((b, v))
     return out
 
@@ -418,7 +417,7 @@ def grid_block(op, grid):
 def stacked(customers):
     """One batch of single-customer params that share delays and HOB
     log-sds, customer k in column k."""
-    ops = [planning._outcome_params(p) for p in customers]
+    ops = [p.op for p in customers]
     cols = {f: np.array([getattr(op, f) for op in ops]).T
             for f in ("mu", "hob", "log_hob")}
     return ops[0]._replace(**cols)
@@ -442,15 +441,14 @@ def test_grid_blocks_equal_scalar_reference_bitwise(H):
     for dim in range(1, 6):
         m, a, X = batch_instance(H, dim, T=sum(sizes), seed=700 + 10 * H + dim)
         batch = batch_params(X, m, a)
-        scalar = [params_from_true(x, m, a, B_A=50.0) for x in X]
+        scalar = [true_customer(x, m, a, B_A=50.0) for x in X]
         for g, grid in enumerate(GRIDS):
             start = 0
             for n in sizes:
                 block = grid_block(batch.rows(start, start + n), grid)
                 assert len(block) == n
                 for c, got in enumerate(block, start):
-                    table = dp_policy(scalar[c], grid)
-                    assert got == (table.bids, table.values)
+                    assert got == dp_policy(params_from_true(X[c], m, a), grid, 50.0)
                     if c == len(X) - 1 or g and c in (start, start + n - 1):
                         assert got == scalar_grid_policy(scalar[c], grid)
                 start += n
@@ -476,30 +474,29 @@ def test_grid_block_mixes_ties_nan_and_ordinary_customers():
             block = grid_block(stacked([customers[k] for k in order]), grid)
             assert dict(zip(order, block)) == reference
     bids, values = reference["tie"]
-    assert set(bids.values()) == {0.0}
+    assert set(bids) == {0.0}
     bids, values = reference["nan"]
-    assert bids[(1, INITIAL_STATE)] == 0.1 and values[(1, INITIAL_STATE)] == math.inf
+    assert bids[0] == 0.1 and values[0] == math.inf  # id 0: round 1, initial state
 
 
 @pytest.mark.parametrize("H", range(1, 7))
 def test_block_policy_value_equals_per_customer_bitwise(H):
-    # random grid bids at every state (customer 0 never bids), scored for
-    # a block at once, one customer at a time and by the scalar closed forms
-    keys = state_table(H).keys
+    # random grid bids at every state id (customer 0 never bids), scored
+    # for a block at once, one customer at a time and by the scalar closed
+    # forms
+    n_states = len(state_table(H).states)
     grid = default_bid_grid(BOUNDS)
     for dim in (1, 3, 5):
         m, a, X = batch_instance(H, dim, T=GRID_CHUNK + 1, seed=900 + 10 * H + dim)
         batch = batch_params(X, m, a)
-        bids = np.random.default_rng(H * dim).choice(grid, (len(keys), len(X)))
+        bids = np.random.default_rng(H * dim).choice(grid, (n_states, len(X)))
         bids[:, 0] = 0.0
-        by_key = dict(zip(keys, bids))
-        got = policy_values(batch, lambda h, s: by_key[(h, s)]).tolist()
+        got = policy_values(batch, bids).tolist()
         for c, x in enumerate(X):
-            p = params_from_true(x, m, a, B_A=50.0)
-            one = policy_value(p, lambda h, s: by_key[(h, s)][c])
-            assert got[c] == one == scalar_policy_value(p, lambda h, s: by_key[(h, s)][c])
+            one = policy_value(params_from_true(x, m, a), bids[:, c])
+            assert got[c] == one == scalar_policy_value(true_customer(x, m, a), bids[:, c])
         with pytest.raises(ValueError, match="bid must be nonnegative"):
-            policy_values(batch, lambda h, s: -by_key[(h, s)] - 1.0)
+            policy_values(batch, -bids - 1.0)
 
 
 def test_closed_form_bid_clamps():
@@ -513,10 +510,10 @@ def test_dp_converges_to_closed_form():
     gaps = {n: [] for n in (64, 128, 256, 512)}
     for seed in range(20):
         m, a, x = random_instance(200 + seed)
-        params = params_from_true(x, m, a, B_A=BOUNDS.B_A)
-        v_star = closed_form_value(params)
+        v_star = closed_form_value(true_customer(x, m, a, B_A=BOUNDS.B_A))
         for n in gaps:
-            v = dp_policy(params, default_bid_grid(BOUNDS, n)).value
+            v = dp_policy(params_from_true(x, m, a), default_bid_grid(BOUNDS, n),
+                          BOUNDS.B_A)[1][0]
             assert v <= v_star + 1e-9
             gaps[n].append(v_star - v)
     means = {n: float(np.mean(g)) for n, g in gaps.items()}
@@ -528,9 +525,9 @@ def test_dp_converges_to_closed_form():
 def test_dp_dense_grid_near_exact():
     for seed in range(3):
         m, a, x = random_instance(300 + seed)
-        params = params_from_true(x, m, a, B_A=BOUNDS.B_A)
-        v_star = closed_form_value(params)
-        v = dp_policy(params, default_bid_grid(BOUNDS, 10_000)).value
+        v_star = closed_form_value(true_customer(x, m, a, B_A=BOUNDS.B_A))
+        v = dp_policy(params_from_true(x, m, a), default_bid_grid(BOUNDS, 10_000),
+                      BOUNDS.B_A)[1][0]
         assert v <= v_star + 1e-9
         assert v_star - v <= 1e-4 * max(1.0, abs(v_star))
 
@@ -597,13 +594,13 @@ def test_oracle_vs_monte_carlo_plans():
 
 def test_planning_deterministic():
     m, a, x = random_instance(77)
-    params = params_from_true(x, m, a, B_A=BOUNDS.B_A)
+    params = params_from_true(x, m, a)
     p1, v1 = best_outcome_plan(params)
     p2, v2 = best_outcome_plan(params)
     assert p1 == p2 and v1 == v2
-    t1 = dp_policy(params, default_bid_grid(BOUNDS))
-    t2 = dp_policy(params, default_bid_grid(BOUNDS))
-    assert t1.bids == t2.bids and t1.values == t2.values
+    t1 = dp_policy(params, default_bid_grid(BOUNDS), BOUNDS.B_A)
+    t2 = dp_policy(params, default_bid_grid(BOUNDS), BOUNDS.B_A)
+    assert t1 == t2
 
 
 def test_default_grid_shape():
