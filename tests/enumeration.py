@@ -88,12 +88,6 @@ def true_customer(x, m, a, B_A=math.inf):
     return Customer([float(row @ x) for row in m.theta], m.delay.tolist(), x, a, B_A)
 
 
-def by_id(table, H):
-    """A dict keyed by (round, state) as a list by the state ids of
-    `state_table(H)`."""
-    return [table[key] for key in state_table(H).ids]
-
-
 def auction_round_value(c, h, s, bid, v_win, v_lose):
     """Expected round reward at `bid` (conversions minus the second-price
     payment, whose closed form needs no division by a vanishing win
@@ -157,7 +151,8 @@ def scalar_grid_policy(c, grid):
         return best_bid, best
 
     bids, values = scalar_backward_induction(c.H, choose)
-    return by_id(bids, c.H), by_id(values, c.H)
+    keys = state_table(c.H).ids
+    return [bids[key] for key in keys], [values[key] for key in keys]
 
 
 def closed_form_bid(s, c, v_win, v_lose):
