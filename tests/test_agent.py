@@ -487,13 +487,22 @@ def test_optimistic_params_project_auction_estimates():
         est.moment = est.gram @ (inside if h == 1 else np.array([30.0, 40.0]))
         est.count = 10
         est.residual_sq_sum = 10 * (2.0 if h == 2 else 100.0) ** 2
-    x = np.array([1.0, 1.0])
-    params = optimistic_params(agent, x)
-    assert params.log_hob[0] == float(agent.auction_bank[1].beta_hat @ x)
+    # at a unit context the HOB log-mean of round h is one coordinate of the
+    # planned beta row, so the two contexts read the rows back coordinatewise
+    p0 = optimistic_params(agent, np.array([1.0, 0.0]))
+    p1 = optimistic_params(agent, np.array([0.0, 1.0]))
+    rows = np.array([p0.log_hob, p1.log_hob]).T
+    # the row inside the ball keeps the bits of beta_hat
+    assert rows[0].tobytes() == agent.auction_bank[1].beta_hat.tobytes()
     # the projected rows point along (0.6, 0.8) with norm B_beta
-    assert params.log_hob[1:] == pytest.approx([1.4 * BOUNDS.B_beta] * 2)
-    assert params.sigma == [BOUNDS.sigma_max, 2.0, BOUNDS.sigma_max]
-    assert params.hob == [lognormal_mean(v, sd) for v, sd in zip(params.log_hob, params.sigma)]
+    for row in rows[1:]:
+        assert np.linalg.norm(row) == pytest.approx(BOUNDS.B_beta)
+        assert row.tolist() == pytest.approx([0.6 * BOUNDS.B_beta, 0.8 * BOUNDS.B_beta])
+    for params in (p0, p1):
+        assert params.sigma == [BOUNDS.sigma_max, 2.0, BOUNDS.sigma_max]
+        assert params.hob == [
+            lognormal_mean(v, sd) for v, sd in zip(params.log_hob, params.sigma)
+        ]
 
 
 # --- runs of episodes --------------------------------------------------------
