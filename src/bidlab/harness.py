@@ -42,6 +42,7 @@ from .environment import (
     read_episode_csv,
     run_episode,
     sample_context,
+    sample_conversions,
     write_context_csv,
     write_episode_csv,
 )
@@ -301,7 +302,9 @@ class TrialResult:
     (both realized-reward and expected-value variants), the sampled
     instance, the learner's final estimator snapshot, the mean
     outcome-vs-dp oracle gap on the sampled prefix, and (when emitting)
-    the learner's episode logs with their contexts."""
+    the learner's episode logs with their contexts.  The logs are None
+    once written: `run_experiment` with an output directory writes them in
+    the process that ran the trial and returns the rest."""
 
     trial: int
     realized: dict[str, np.ndarray]
@@ -447,11 +450,12 @@ def _play_plans(
         with _provenance(trial, t + 1):
             raise ValueError(f"negative conversion rate {rates[t, h]} in state "
                              f"{table.states[ids[t, h]]}")
-    conversions = np.empty((T, H), dtype=np.int64)
-    for t in range(T):
-        conversions[t] = rng.stream(t + 1, "conv", name).poisson(rates[t])
+    conversions = []
+    for t, row in enumerate(rates.tolist(), start=1):
+        gen = rng.stream(t, "conv", name)
+        conversions.append([sample_conversions(r, gen) for r in row])
     # summed round by round from 0, as EpisodeLog.realized_reward sums
-    return sum((conversions - np.where(won, hobs, 0.0)).T)
+    return sum((np.array(conversions) - np.where(won, hobs, 0.0)).T)
 
 
 @contextlib.contextmanager
@@ -553,8 +557,16 @@ def _summarize_policy(
     )
 
 
-def _run_trial_args(args: tuple[ExperimentConfig, int]) -> TrialResult:
-    return run_trial(*args)
+def _run_trial_args(args: tuple[ExperimentConfig, int, Path | None]) -> TrialResult:
+    """Run one trial; with an output directory, write its episode and
+    context logs from this process and return the result without them."""
+    config, trial, out = args
+    tr = run_trial(config, trial)
+    if out is None or tr.episodes is None:
+        return tr
+    write_episode_csv(out / f"episodes_trial{trial}.csv", tr.episodes)
+    write_context_csv(out / f"contexts_trial{trial}.csv", tr.contexts)
+    return replace(tr, episodes=None, contexts=None)
 
 
 def run_experiment(
@@ -564,16 +576,23 @@ def run_experiment(
     persist curves, summary, per-trial instance snapshots and (when the
     config emits logs) the learner's episode logs and estimator snapshots.
 
-    A failed trial aborts the whole experiment with its provenance; nothing
-    is silently dropped.
+    With `out_dir`, the process that ran a trial writes its episode and
+    context logs, and the returned trials carry none.  The pool has
+    min(workers, trials) processes; with one, the trials run here.  A
+    failed trial aborts the experiment with its provenance, before
+    `curves.csv` and `summary.txt` are written; nothing is silently dropped.
     """
-    jobs = [(config, k) for k in range(config.trials)]
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    jobs = [(config, k, out) for k in range(config.trials)]
+    workers = min(config.workers, config.trials)
     try:
-        if config.workers > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 trials = tuple(pool.map(_run_trial_args, jobs))
         else:
-            trials = tuple(run_trial(config, k) for k in range(config.trials))
+            trials = tuple(map(_run_trial_args, jobs))
     except Exception as exc:
         raise RuntimeError(f"experiment aborted: {exc}") from exc
 
@@ -584,8 +603,8 @@ def run_experiment(
     result = ExperimentResult(
         config=config, trials=trials, summaries=summaries, oracle_gap=gap
     )
-    if out_dir is not None:
-        write_outputs(result, out_dir)
+    if out is not None:
+        write_outputs(result, out)
     return result
 
 

@@ -142,8 +142,8 @@ def test_prepare_needs_a_32_bit_count():
 
 @pytest.mark.parametrize("H", [1, 2, 3, 6])
 def test_one_poisson_call_equals_per_round_draws(H):
-    # a baseline's H conversion counts come from one array call on the
-    # customer's stream; run_episode draws them one round at a time
+    # numpy's array Poisson draws element by element in order, so H
+    # conversion counts from one array call equal H scalar calls
     gen = np.random.default_rng(2024 + H)
     rates = gen.exponential(gen.choice([0.5, 5.0, 50.0, 500.0], size=(5000, 1)),
                             size=(5000, H))
@@ -153,6 +153,19 @@ def test_one_poisson_call_equals_per_round_draws(H):
         assert vector.poisson(row).tolist() == [
             sample_conversions(float(r), scalar) for r in row
         ]
+
+
+def test_per_round_draws_on_prepared_streams_equal_one_array_call():
+    # a baseline's conversions are drawn round by round on the customer's
+    # prepared (t, "conv", name) stream, as run_episode draws; rates of 0,
+    # below 10 (inversion) and 10 or more (numpy's PTRS branch)
+    rates = [[0.0, 0.0, 0.0], [0.3, 9.99, 0.0], [10.0, 57.5, 3.0], [1e3, 0.0, 12.0]]
+    rng = RandomSource(7).scoped(2).prepare(len(rates), ("conv", "random"))
+    for t, row in enumerate(rates, start=1):
+        scalar = rng.stream(t, "conv", "random")
+        draws = [sample_conversions(r, scalar) for r in row]
+        assert draws == rng.stream(t, "conv", "random").poisson(row).tolist()
+        assert all(d == 0 for d, r in zip(draws, row) if r == 0)
 
 
 # --- primitive draws -------------------------------------------------------

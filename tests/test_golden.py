@@ -4,9 +4,10 @@ dimension 3 (up to 11 states per round), at T=2 (the smallest batch of
 customers), at a root seed of two 32-bit words (2**40 + 3) and with the
 fixed baselines only (no learner), with a truncation level and an effect
 bound small enough that the online Newton step truncates and projects, and
-dp runs at H=4 on an 8-point bid grid, at T=1 (one context, padded
-for the stacked product) and at H=5 in dimension 3 (37 customers, 13 of
-them planned by the learner on the grid).
+with three trials on a pool of two workers (whose processes write the
+episode and context logs), and dp runs at H=4 on an 8-point bid grid, at
+T=1 (one context, padded for the stacked product) and at H=5 in dimension
+3 (37 customers, 13 of them planned by the learner on the grid).
 
 Any change to the simulator, the planners, the estimators or the writers
 that moves a single bit of `curves.csv`, `summary.txt`, `config.json`, the
@@ -51,6 +52,13 @@ CONFIGS = {
         "trials": 2,
         "H": 4,
         "policies": ["aggressive", "random", "passive"],
+        "emit_logs": True,
+    },
+    "outcome_workers2": {
+        "T": 200,
+        "trials": 3,
+        "workers": 2,
+        "n_underbar": 20,
         "emit_logs": True,
     },
     "outcome_trunc_proj": {
@@ -147,6 +155,23 @@ GOLDEN = {
         "instance_trial0.snapshot": "45542f1f4ec3fe51b7051c34ac7fa37d6aa4334fc3a9b2f5f2d37e9d6bf6cc40",
         "instance_trial1.snapshot": "f3a841b1e759b5c57f0745910e3db1b9889fd4cf1d1ea183ca8e3b193f583512",
         "summary.txt": "1d220f504e8f0e05acf342f64f1f547f1895a24c7b4aa82b0d7d995edd8df87b",
+    },
+    "outcome_workers2": {
+        "agent_trial0.snapshot": "2f9f07fda81ce154750c6de19cdd2c8d6185de963d42ad1d967a14829ab601b6",
+        "agent_trial1.snapshot": "81e1b952d8ec16053a5bee37d26ea6083d6f4db3c8fb39ce8b4ddab315eecf17",
+        "agent_trial2.snapshot": "b15a1adb8594c179a0315fba125680e7e2784600aff3445f27be547b77f0a478",
+        "config.json": "63fde41b16ce2af8d7be74ad3392bed1f9ec960705c46f2ce768917e6c420981",
+        "contexts_trial0.csv": "6e23815af94284c346407673deedfa3ec859a695eab6a4df7a42c90a9836a271",
+        "contexts_trial1.csv": "f4f98ee60c846e28f62c511574a163527ec44f156bb19cbb3d7cdee87b430168",
+        "contexts_trial2.csv": "2b0c010b8d0bdde4a7430b593d45f8b4e01da5e4b68caed5171f463cc4087663",
+        "curves.csv": "f92a306de2efc69fbab0a863cacaaf22dc885ec917f36d657f9ee2bba6c60d6d",
+        "episodes_trial0.csv": "a60518543bf901838962377bf6f72c3b5ee4d0aeb111f387f888cd9a29021253",
+        "episodes_trial1.csv": "e1d03278b964b5880a6f449cad8e5ee5236bb4baf22c8099e75d89a95739a800",
+        "episodes_trial2.csv": "709f0f5b4aef08601323fed9244b33c06544a3b38dbadb32365be6e52ad6a7aa",
+        "instance_trial0.snapshot": "5224ffb2ca1412074c36969583d75dbf6a178543ea7dfe1c55aab1a1f9c55b4e",
+        "instance_trial1.snapshot": "492ff1f1f9b7230a30def54c6a175c1bdff17b544417dae704ee15d3e607d906",
+        "instance_trial2.snapshot": "87d185c7968a290d180819905be53067a2a0947e787e9c3b76319416bb8d1dab",
+        "summary.txt": "9f34b182f204475307a1134d612dc2dc19972aa5b3fdf381c082293d256f5967",
     },
     "outcome_trunc_proj": {
         "agent_trial0.snapshot": "09d519cecf39bece9364ece9bffedd298641d9052483aa03da2799d56d1d397a",

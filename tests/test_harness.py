@@ -618,11 +618,15 @@ def test_trial_errors_carry_provenance(monkeypatch):
         run_trial(cfg, 0)
 
 
-def test_experiment_aborts_on_trial_failure():
+def test_experiment_aborts_on_trial_failure(tmp_path):
     bad = small_config(instance=replace(small_config().instance, strict=True,
                                         theta_scale=0.0, theta_offset=1e-6))
     with pytest.raises(RuntimeError, match="experiment aborted"):
         run_experiment(bad)
+    with pytest.raises(RuntimeError, match="experiment aborted"):
+        run_experiment(bad, tmp_path)
+    assert not (tmp_path / "curves.csv").exists()
+    assert not (tmp_path / "summary.txt").exists()
 
 
 def test_worker_pool_matches_sequential(small_result):
@@ -631,6 +635,58 @@ def test_worker_pool_matches_sequential(small_result):
     for tr_seq, tr_par in zip(small_result.trials, par.trials):
         for name in cfg.policies:
             assert np.array_equal(tr_seq.realized[name], tr_par.realized[name])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_trials_write_their_logs_and_return_without_them(tmp_path, small_result,
+                                                        workers):
+    cfg = replace(small_result.config, workers=workers)
+    result = run_experiment(cfg, tmp_path / "run")
+    assert all(tr.episodes is None and tr.contexts is None for tr in result.trials)
+    write_outputs(small_result, tmp_path / "memory")
+    written = sorted(p.name for p in (tmp_path / "memory").iterdir())
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == written
+    for name in written:
+        if name == "config.json":  # it records the workers
+            assert load_config(tmp_path / "run" / name) == cfg
+        else:
+            assert ((tmp_path / "run" / name).read_bytes()
+                    == (tmp_path / "memory" / name).read_bytes()), name
+
+
+def test_a_run_without_an_output_directory_keeps_the_logs(small_result):
+    customers = list(range(1, small_result.config.T + 1))
+    for tr in small_result.trials:
+        assert [log.t for _, log in tr.episodes] == customers
+        assert [t for _, t, _ in tr.contexts] == customers
+
+
+@pytest.mark.parametrize("workers, trials, pool", [
+    (8, 2, [2]), (2, 3, [2]), (8, 1, []), (1, 3, []),
+])
+def test_the_pool_has_no_more_workers_than_trials(monkeypatch, workers, trials, pool):
+    import bidlab.harness as harness_module
+
+    sizes = []
+
+    class RecordingPool:  # runs the jobs here, in order, and records its size
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness_module, "ProcessPoolExecutor", RecordingPool)
+    cfg = small_config(T=20, checkpoints=(10, 20), n_underbar=2, emit_logs=False,
+                       workers=workers, trials=trials)
+    assert len(run_experiment(cfg).trials) == trials
+    assert sizes == pool
 
 
 # --- aggregation and persistence ---------------------------------------------
