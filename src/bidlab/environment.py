@@ -13,7 +13,7 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -198,10 +198,10 @@ class InstanceRecipe:
 BENCHMARK_RECIPE = InstanceRecipe()
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """One auction round: the HOB is recorded whether or not the bid won
-    (full-information feedback)."""
+    (full-information feedback).  An immutable tuple: logs hold one per
+    round, and a tuple is the cheapest record to build and read."""
 
     t: int
     h: int
@@ -227,13 +227,11 @@ class EpisodeLog:
         table = state_table(len(self.records))
         i = 0  # the state id each round should start from
         for k, rec in enumerate(self.records):
-            if rec.state != table.states[i]:
+            state = table.states[i]  # the simulator and the reader use these objects
+            if rec.state is not state and rec.state != state:
                 if k == 0:
                     raise ValueError("episodes must start from the initial state")
-                raise ValueError(
-                    f"state chain broken at round {k}: "
-                    f"{rec.state} != {table.states[i]}"
-                )
+                raise ValueError(f"state chain broken at round {k}: {rec.state} != {state}")
             if rec.h != k + 1 or rec.t != self.t:
                 raise ValueError(f"round {k + 1} is mislabelled: {rec}")
             i = table.next_id[i][bool(rec.won)]
@@ -470,46 +468,51 @@ def read_episode_csv(
     """Parse an episode CSV back into logs of H rounds, joining contexts by
     (trial, t).  Violations raise ValueError with the offending line
     number, an episode's own with the line it starts at.  An episode's
-    length is checked before its state chain, whose table grows with it."""
+    length is checked before its state chain, whose table grows with it.
+    Once one episode has passed, a reachable state is read as the state
+    table's own object."""
+    states: dict[tuple[str, str], ExposureState] = {}  # tokens -> state_table(H)'s state
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != _EPISODE_COLUMNS:
             raise ValueError(f"line 1: expected header {_EPISODE_COLUMNS}")
-        current, cur_key, start = [], None, 2  # the episode read, its key, its first line
+        current, trial, t, start = [], None, None, 2  # the episode read, its key, its first line
 
         def finish() -> tuple[int, EpisodeLog]:
-            trial, t = cur_key
             try:
-                if cur_key not in contexts:
+                x = contexts.get((trial, t))
+                if x is None:
                     raise ValueError(f"no context recorded for trial {trial}, t {t}")
                 if len(current) != H:
                     raise ValueError(f"expected {H} rounds, got {len(current)}")
-                return trial, EpisodeLog(t, contexts[cur_key], list(current))
+                log = EpisodeLog(t, x, current)
             except ValueError as exc:
                 raise ValueError(f"line {start}: {exc}") from None
+            if not states:
+                states.update((_state_tokens(s), s) for s in state_table(H).states)
+            return trial, log
 
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(_EPISODE_COLUMNS):
                 raise ValueError(f"line {lineno}: expected {len(_EPISODE_COLUMNS)} fields")
             try:
-                trial, t, h = int(row[0]), int(row[1]), int(row[2])
-                state = _parse_state(row[3], row[4])
-                bid, hob, pay = float(row[5]), float(row[6]), float(row[8])
-                y = int(row[9])
-                rec = RoundRecord(t, h, state, bid, hob, row[7] == "1", pay, y)
-            except (ValueError, TypeError) as exc:
+                row_trial, row_t, h = int(row[0]), int(row[1]), int(row[2])
+                state = states.get((row[3], row[4])) or _parse_state(row[3], row[4])
+                bid, hob, pay, y = float(row[5]), float(row[6]), float(row[8]), int(row[9])
+            except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
+            won = row[7]
             if not (0 <= bid < _INF and 0 < hob < _INF and 0 <= pay < _INF and y >= 0
-                    and row[7] in ("0", "1")):
+                    and (won == "1" or won == "0")):
                 raise ValueError(f"line {lineno}: need finite bid >= 0, HOB > 0, payment"
                                  f" >= 0, won 0 or 1, conversions >= 0: {row[5:]}")
-            if cur_key is not None and (trial, t) != cur_key:
-                yield finish()
-                current, start = [], lineno
-            cur_key = (trial, t)
-            current.append(rec)
-        if cur_key is not None:
+            if row_t != t or row_trial != trial:
+                if current:
+                    yield finish()
+                current, trial, t, start = [], row_trial, row_t, lineno
+            current.append(RoundRecord(t, h, state, bid, hob, won == "1", pay, y))
+        if current:
             yield finish()
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import solve1 as _lapack_solve1
 
 from .model import NEVER, Bounds, lose_index, win_index
 from .environment import EpisodeLog, RoundRecord, delay_token, theta_token
@@ -24,6 +26,7 @@ __all__ = [
     "SplitDatasets",
     "split_episode",
     "crtm_update",
+    "solve_small",
     "project_v_ball",
     "theta_gamma",
     "truncation_threshold",
@@ -120,6 +123,18 @@ def delay_radius(
 
 # --- effect vectors (truncated-mean online Newton) -------------------------
 
+def solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) of one float64 system, a (d, d) and b (d,), bit
+    for bit: the LAPACK kernel that np.linalg.solve runs, without the
+    wrapper's checks and conversions, which cost three times the kernel at
+    d = 2.  As there, a singular or non-finite system raises LinAlgError
+    (after numpy's warning of the invalid value)."""
+    r = _lapack_solve1(a, b, signature="dd->d")
+    if not math.isfinite(r.dot(r)) and not np.isfinite(r).all():
+        raise LinAlgError("singular or non-finite system")
+    return r
+
+
 def _partial_sums(start, steps: np.ndarray) -> np.ndarray:
     """start, start + steps[0], (start + steps[0]) + steps[1], ...: summed
     in order along the first axis, as a loop of `+` sums them."""
@@ -152,12 +167,12 @@ class ThetaEstimator:
             self.theta_hat = np.zeros(self.dim)
 
     def mean(self, x: np.ndarray) -> float:
-        return float(x @ self.theta_hat)
+        return float(x.dot(self.theta_hat))
 
     def width(self, x: np.ndarray, gamma: float) -> float:
         if gamma == 0.0:
             return 0.0  # what the product gives: V is positive definite
-        return math.sqrt(gamma) * math.sqrt(float(x @ np.linalg.solve(self.V, x)))
+        return math.sqrt(gamma) * math.sqrt(float(x.dot(solve_small(self.V, x))))
 
     def to_dict(self) -> dict:
         return {
@@ -190,21 +205,25 @@ def project_v_ball(theta_star: np.ndarray, V: np.ndarray, radius: float) -> np.n
     multiplier lam >= 0 that puts it on the sphere; its norm is strictly
     decreasing in lam, so bisection converges.  lam is located to 1e-10.
     """
-    if float(np.linalg.norm(theta_star)) <= radius:
+    if math.sqrt(theta_star.dot(theta_star)) <= radius:
         return theta_star
     eye = np.eye(len(theta_star))
     v_ts = V @ theta_star
 
     def candidate(lam: float) -> np.ndarray:
-        return np.linalg.solve(V + lam * eye, v_ts)
+        return solve_small(V + lam * eye, v_ts)
+
+    def outside(lam: float) -> bool:
+        c = candidate(lam)
+        return math.sqrt(c.dot(c)) > radius
 
     hi = 1.0
-    while float(np.linalg.norm(candidate(hi))) > radius:
+    while outside(hi):
         hi *= 2.0
     lo = 0.0
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if float(np.linalg.norm(candidate(mid))) > radius:
+        if outside(mid):
             lo = mid
         else:
             hi = mid
@@ -218,16 +237,18 @@ def crtm_update(
     order; returns the estimate after each step.  Each step's metric gains
     half the outer product first, and the truncation test uses the updated
     metric.  The metrics are running sums and the truncation norms come
-    from one stacked solve; each step's own solve runs in sequence."""
+    from one stacked solve; each step's own solve runs in sequence, and
+    only a step that leaves the ball is projected."""
     X = np.asarray(X, dtype=float)
     ys = np.asarray(ys, dtype=float)
     V = _partial_sums(est.V, 0.5 * (X[:, :, None] * X[:, None, :]))[1:]
     x_norm = np.sqrt(_rowdot(X, np.linalg.solve(V, X[:, :, None])[..., 0]))
     y_trunc = np.where(x_norm * np.abs(ys) <= cfg.Gamma_trunc, ys, 0.0).tolist()
-    thetas, theta = [], est.theta_hat
+    thetas, theta, radius = [], est.theta_hat, est.B_theta
     for x, v, y in zip(X, V, y_trunc):
-        grad = (float(x @ theta) - y) * x
-        theta = project_v_ball(theta - np.linalg.solve(v, grad), v, est.B_theta)
+        theta = theta - solve_small(v, (float(x.dot(theta)) - y) * x)
+        if math.sqrt(theta.dot(theta)) > radius:
+            theta = project_v_ball(theta, v, radius)
         thetas.append(theta)
     est.V, est.theta_hat = V[-1], theta
     est.update_count += len(X)
@@ -313,7 +334,7 @@ class AuctionEstimator:
 
     @property
     def beta_hat(self) -> np.ndarray:
-        return np.linalg.solve(self.gram, self.moment)
+        return solve_small(self.gram, self.moment)
 
     def to_dict(self) -> dict:
         return {

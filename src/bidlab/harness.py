@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -569,6 +570,22 @@ def _run_trial_args(args: tuple[ExperimentConfig, int, Path | None]) -> TrialRes
     return replace(tr, episodes=None, contexts=None)
 
 
+def _run_pooled(jobs: list, workers: int) -> tuple[TrialResult, ...]:
+    """Run the jobs on a pool of `workers` processes, at most `workers` in
+    flight: a job starts only when one has finished, so the first failure
+    is raised before any later job starts.  Results are in job order."""
+    results, queued, running = [None] * len(jobs), iter(enumerate(jobs)), {}
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        while True:
+            for k, job in itertools.islice(queued, workers - len(running)):
+                running[pool.submit(_run_trial_args, job)] = k
+            if not running:
+                return tuple(results)
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                results[running.pop(future)] = future.result()
+
+
 def run_experiment(
     config: ExperimentConfig, out_dir: str | Path | None = None
 ) -> ExperimentResult:
@@ -580,7 +597,8 @@ def run_experiment(
     context logs, and the returned trials carry none.  The pool has
     min(workers, trials) processes; with one, the trials run here.  A
     failed trial aborts the experiment with its provenance, before
-    `curves.csv` and `summary.txt` are written; nothing is silently dropped.
+    `curves.csv` and `summary.txt` are written and before any trial not yet
+    started; nothing is silently dropped.
     """
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
@@ -589,8 +607,7 @@ def run_experiment(
     workers = min(config.workers, config.trials)
     try:
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                trials = tuple(pool.map(_run_trial_args, jobs))
+            trials = _run_pooled(jobs, workers)
         else:
             trials = tuple(map(_run_trial_args, jobs))
     except Exception as exc:

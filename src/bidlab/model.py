@@ -105,8 +105,9 @@ def delay_index(s1: int) -> int:
 
 
 def cap_norm(v: np.ndarray, cap: float) -> np.ndarray:
-    """Nearest point of the Euclidean ball of radius `cap`."""
-    n = float(np.linalg.norm(v))
+    """Nearest point of the Euclidean ball of radius `cap`.  The norm is
+    np.linalg.norm's, bit for bit, for a contiguous `v`."""
+    n = math.sqrt(v.dot(v))
     return v * (cap / n) if n > cap else v
 
 
@@ -166,7 +167,7 @@ class TrueModel:
         if self.theta.shape != (bounds.H + 1, bounds.dim):
             raise ValueError(f"theta has shape {self.theta.shape}")
         for i, v in enumerate(self.theta):
-            if float(np.linalg.norm(v)) > bounds.B_theta + 1e-9:
+            if math.sqrt(v.dot(v)) > bounds.B_theta + 1e-9:
                 raise ValueError(f"theta[{i}] exceeds the norm bound")
         if np.any(self.delay[1:] > bounds.B_d):
             raise ValueError("delay factors must not exceed B_d")

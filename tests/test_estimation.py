@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bidlab import estimation
 from bidlab.environment import EpisodeLog, RoundRecord
 from bidlab.estimation import (
     AuctionEstimator,
@@ -22,6 +23,7 @@ from bidlab.estimation import (
     project_v_ball,
     ridge_update,
     sigma_estimate,
+    solve_small,
     split_episode,
     theta_gamma,
     truncation_threshold,
@@ -196,6 +198,40 @@ def test_projection_optimality():
             z = rng.normal(size=2)
             z *= radius * rng.uniform(0, 1) / np.linalg.norm(z)
             assert dist <= (z - target) @ V @ (z - target) + 1e-7
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_solve_small_and_the_norms_match_numpy_bit_for_bit(d):
+    # random SPD systems and running-sum metrics I + sum x x^T / 2, built as
+    # crtm_update builds them, against np.linalg.solve; the dot form against
+    # @ on rows and strided columns; the norm form against np.linalg.norm on
+    # contiguous vectors, the only ones it is given (norm copies a strided
+    # vector contiguous first, and from d = 4 the two sums can round apart)
+    rng = np.random.default_rng(60 + d)
+    X = rng.normal(size=(400, d)) * rng.uniform(0.1, 5.0, size=(400, 1))
+    metrics = estimation._partial_sums(np.eye(d), 0.5 * (X[:, :, None] * X[:, None, :]))
+    for k, V in enumerate(metrics):
+        A = rng.normal(size=(d, d))
+        b = rng.normal(size=d) * 10.0 ** rng.uniform(-3.0, 3.0)
+        for M in (V, A @ A.T + 0.01 * np.eye(d)):
+            assert solve_small(M, b).tobytes() == np.linalg.solve(M, b).tobytes()
+        cols = rng.normal(size=(d, 3))
+        for v in (b, X[k - 1], cols[:, 1]):
+            assert float(v.dot(b)) == float(v @ b)
+            assert float(cols[:, 0].dot(v)) == float(cols[:, 0] @ v)
+        for v in (b, X[k - 1], metrics[k - 1][0]):
+            assert math.sqrt(v.dot(v)) == float(np.linalg.norm(v))
+
+
+def test_solve_small_raises_on_a_singular_or_nonfinite_system():
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    for a, b in ((singular, np.ones(2)), (np.zeros((3, 3)), np.ones(3)),
+                 (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2)),
+                 (np.eye(2), np.array([1.0, np.inf]))):
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            solve_small(a, b)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(singular, np.ones(2))  # the contract kept
 
 
 # --- delay ratio -------------------------------------------------------------
@@ -421,6 +457,7 @@ def test_optimistic_mean_at_zero_width_skips_the_solve(monkeypatch):
         raise AssertionError("solve called at gamma = 0")
 
     monkeypatch.setattr(np.linalg, "solve", no_solve)
+    monkeypatch.setattr(estimation, "solve_small", no_solve)
     for est, x, b, want in cases:
         assert est.width(x, 0.0) == 0.0
         got = optimistic_mean(est, x, 0.0, b=b)

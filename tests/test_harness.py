@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import re
 import sys
+import time
+from concurrent.futures import Future
 from dataclasses import fields, replace
 
 import numpy as np
@@ -629,6 +632,30 @@ def test_experiment_aborts_on_trial_failure(tmp_path):
     assert not (tmp_path / "summary.txt").exists()
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched run_trial reaches the workers by fork")
+def test_a_pooled_run_stops_at_its_first_failed_trial(tmp_path, monkeypatch):
+    # trial 0 fails at once and every other trial takes 1 s: the run aborts
+    # once trial 0 has failed and trial 1, already running, has ended; no
+    # trial past the two workers starts (all six would take 3 s)
+    import bidlab.harness as harness_module
+
+    def run_trial(config, trial):
+        (tmp_path / f"started{trial}").touch()
+        if trial == 0:
+            raise ValueError("synthetic failure")
+        time.sleep(1.0)
+        raise ValueError(f"trial {trial} ran to its end")
+
+    monkeypatch.setattr(harness_module, "run_trial", run_trial)
+    began = time.perf_counter()
+    with pytest.raises(RuntimeError, match="experiment aborted: synthetic failure"):
+        run_experiment(small_config(trials=6, workers=2))
+    assert time.perf_counter() - began < 2.0
+    started = {int(p.name.removeprefix("started")) for p in tmp_path.iterdir()}
+    assert 0 in started and started <= {0, 1}
+
+
 def test_worker_pool_matches_sequential(small_result):
     cfg = replace(small_config(), workers=2, emit_logs=False)
     par = run_experiment(cfg)
@@ -669,7 +696,7 @@ def test_the_pool_has_no_more_workers_than_trials(monkeypatch, workers, trials, 
 
     sizes = []
 
-    class RecordingPool:  # runs the jobs here, in order, and records its size
+    class RecordingPool:  # runs each job here as it is submitted, records its size
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -679,8 +706,10 @@ def test_the_pool_has_no_more_workers_than_trials(monkeypatch, workers, trials, 
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def submit(self, fn, job):
+            future = Future()
+            future.set_result(fn(job))
+            return future
 
     monkeypatch.setattr(harness_module, "ProcessPoolExecutor", RecordingPool)
     cfg = small_config(T=20, checkpoints=(10, 20), n_underbar=2, emit_logs=False,
