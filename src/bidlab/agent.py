@@ -4,9 +4,9 @@ baseline policies used in the benchmark.
 
 The learner plans one customer at a time on the planners' one input,
 `OutcomeParams` built from its estimates (`optimistic_params`).  A
-`Decision` holds either a target outcome per round, which the simulator
-forces, or (in dp mode past exploration) a grid bid per state id, which it
-bids at the auction.
+`Decision` is a bid per state id, which the simulator bids at the auction:
+the forced bids of a target outcome per round, or (in dp mode past
+exploration) a grid bid.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .model import (
     cap_norm,
     lognormal_mean,
     lose_index,
-    state_table,
     win_index,
 )
 from .planning import (
@@ -48,6 +47,7 @@ from .planning import (
     OutcomePlan,
     best_outcome_plan,
     dp_policy,
+    forced_bids,
 )
 
 __all__ = [
@@ -153,29 +153,14 @@ def make_agent(
     )
 
 
-@dataclass(frozen=True)
-class Decision:
-    """What the agent does with one customer: force the target outcome of
-    each round (`plan`), or bid `bids[i]` in the state of id i of
-    `state_table(H)` (dp mode's grid plan).  The simulator's execution mode
-    and the policy it calls follow from which one the decision holds."""
+class Decision(NamedTuple):
+    """What the agent does with one customer: bid `bids[i]` in the state of
+    id i of `state_table(H)`.  `plan` holds the target outcomes when the
+    bids force them (`forced_bids(plan)`: the exploration schedule and
+    outcome mode), and is None for dp mode's grid bids."""
 
+    bids: Sequence[float]
     plan: OutcomePlan | None
-    bids: list | None
-    exploring: bool
-    H: int
-
-    @property
-    def mode(self) -> str:
-        return "forced" if self.bids is None else "auction"
-
-    @property
-    def policy(self) -> Callable:
-        if self.bids is None:
-            plan = self.plan
-            return lambda h, s, x: plan[h - 1]
-        bids, ids = self.bids, state_table(self.H).ids
-        return lambda h, s, x: bids[ids[(h, s)]]
 
 
 def optimistic_params(agent: AgentState, x: np.ndarray) -> OutcomeParams:
@@ -220,15 +205,15 @@ def act(agent: AgentState, x: np.ndarray, bid_grid: np.ndarray,
     t, H = agent.t if t is None else t, agent.bounds.H
     if t <= exploration_window(agent.n_underbar, H):
         plan = exploration_plan(t, agent.n_underbar, H)
-        return Decision(plan=plan, bids=None, exploring=True, H=H)
+        return Decision(forced_bids(plan), plan)
     if t != agent.t:
         raise ValueError(f"customer {t}: the learner expects customer {agent.t}")
     params = optimistic_params(agent, x)
     if agent.planner_mode == "outcome":
         plan, _ = best_outcome_plan(params)
-        return Decision(plan=plan, bids=None, exploring=False, H=H)
+        return Decision(forced_bids(plan), plan)
     bids, _ = dp_policy(params, bid_grid, agent.bounds.B_A)
-    return Decision(plan=None, bids=bids, exploring=False, H=H)
+    return Decision(bids, None)
 
 
 def update(agent: AgentState, logs: Sequence[EpisodeLog]) -> AgentState:
@@ -339,7 +324,7 @@ def agent_to_dict(agent: AgentState) -> dict:
         "gamma_raw": agent.cfg.gamma_raw,
         "n_underbar": agent.n_underbar,
         "planner_mode": agent.planner_mode,
-        "bid_mode": "forced",  # the one way outcome plans are executed
+        "bid_mode": "forced",  # outcome plans are played as forced bids
         "t": agent.t,
         "theta": {
             theta_token(i): est.to_dict() for i, est in enumerate(agent.theta_bank)

@@ -114,31 +114,42 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+_CURVE_COLUMNS = ["trial", "t", "policy", "cum_regret", "cum_regret_expected"]
+
+
 def _cmd_fit(args) -> int:
     checkpoints = tuple(int(tok) for tok in args.checkpoints.split(","))
-    sums: dict[str, dict[int, float]] = defaultdict(lambda: defaultdict(float))
-    sums_expected: dict[str, dict[int, float]] = defaultdict(lambda: defaultdict(float))
-    counts: dict[str, dict[int, int]] = defaultdict(lambda: defaultdict(int))
     wanted = set(checkpoints)
+    # policy -> checkpoint -> [realized sum, expected sum, rows]
+    sums: dict[str, dict[int, list]] = defaultdict(dict)
     with open(args.curve, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            t = int(row["t"])
-            if t not in wanted:
-                continue
-            name = row["policy"]
-            sums[name][t] += float(row["cum_regret"])
-            sums_expected[name][t] += float(row["cum_regret_expected"])
-            counts[name][t] += 1
+        reader = csv.reader(fh)
+        if next(reader, None) != _CURVE_COLUMNS:
+            raise ValueError(f"{args.curve}: line 1: expected header "
+                             f"{','.join(_CURVE_COLUMNS)}")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                if len(row) != len(_CURVE_COLUMNS):
+                    raise ValueError(f"expected {len(_CURVE_COLUMNS)} fields, "
+                                     f"got {len(row)}")
+                t = int(row[1])
+                if t not in wanted:
+                    continue
+                cell = sums[row[2]].setdefault(t, [0.0, 0.0, 0])
+                cell[0] += float(row[3])
+                cell[1] += float(row[4])
+                cell[2] += 1
+            except ValueError as exc:
+                raise ValueError(f"{args.curve}: line {lineno}: {exc}") from None
     if not sums:
         raise ValueError(f"{args.curve}: no rows at the requested checkpoints")
     for name in sorted(sums):
-        missing = [c for c in checkpoints if counts[name][c] == 0]
+        missing = [c for c in checkpoints if c not in sums[name]]
         if missing:
             raise ValueError(f"policy {name!r} has no rows at t={missing}")
-        means = [sums[name][c] / counts[name][c] for c in checkpoints]
-        means_exp = [sums_expected[name][c] / counts[name][c] for c in checkpoints]
-        for label, m in (("realized", means), ("expected", means_exp)):
-            order = fit_regret_order(m, checkpoints)
+        cells = [sums[name][c] for c in checkpoints]
+        for label, k in (("realized", 0), ("expected", 1)):
+            order = fit_regret_order([cell[k] / cell[2] for cell in cells], checkpoints)
             text = "undefined" if order is None else f"{order:.4f}"
             print(f"{name} {label} {text}")
     return 0

@@ -1,5 +1,5 @@
 """Stochastic simulator: lognormal HOB draws, Poisson conversions,
-episode execution under bid or forced-outcome policies, and random problem
+second-price episodes played from a bid per state id, and random problem
 instances drawn from a shifted half-normal recipe.
 
 Randomness is organized as keyed sub-streams derived from a single root seed
@@ -13,7 +13,7 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -266,36 +266,27 @@ def draw_hobs(
 
 
 def run_episode(
-    policy: Callable[[int, ExposureState, np.ndarray], float | bool],
+    bids: Sequence[float],
     x: np.ndarray,
     m: TrueModel,
     a: AuctionModel,
     rng: RandomSource,
-    mode: str = "auction",
     *,
-    t: int = 1,
-    noise_label: str = "policy",
-    bounds: Bounds | None = None,
-    hobs: Sequence[float] | Callable[..., Sequence[float]] = draw_hobs,
+    t: int,
+    noise_label: str,
+    hobs: Sequence[float],
 ) -> EpisodeLog:
-    """Execute one H-round episode.
-
-    In auction mode the policy returns a bid; the round is won when the bid
-    is at least the realized HOB (ties win) and the winner pays the HOB.  In
-    forced mode the policy returns the target outcome directly; a forced win
-    pays the realized HOB and is recorded with bid B_A, a forced loss with
-    bid 0.  `hobs` holds the H realized HOBs, or is a function of
-    (x, a, rng, t) that draws them, `draw_hobs` by default; a caller playing
-    several policies on one customer draws them once and passes them to
-    each.  Conversion noise is keyed by (t, "conv", noise_label), round h
-    taking the h-th draw.
+    """Play one H-round episode of second-price auctions, bidding `bids[i]`
+    in the state of id i of `state_table(H)`: a round is won when the bid is
+    at least the realized HOB (ties win), and the winner pays the HOB.  A bid
+    of inf wins at any price and 0.0 never wins, since every HOB is > 0;
+    that is how a target outcome is played (`planning.forced_bids`).  `hobs`
+    holds the H realized HOBs, drawn once per customer (`draw_hobs`) and
+    passed to every policy that plays it.  Conversion noise is keyed by
+    (t, "conv", noise_label), round h taking the h-th draw.
     """
     H = a.beta.shape[0]
-    if mode not in ("auction", "forced"):
-        raise ValueError(f"unknown bid mode {mode!r}")
-    if mode == "forced" and bounds is None:
-        raise ValueError("forced mode needs bounds to record the nominal bid")
-    hobs = [float(v) for v in (hobs(x, a, rng, t) if callable(hobs) else hobs)]
+    hobs = [float(v) for v in hobs]
     if len(hobs) != H:
         raise ValueError(f"need one HOB per round, got {len(hobs)} for {H}")
     conv_rng = rng.stream(t, "conv", noise_label)
@@ -303,22 +294,13 @@ def run_episode(
     i = 0  # state id
     records: list[RoundRecord] = []
     for h, hob in enumerate(hobs, start=1):
-        state = table.states[i]
-        if mode == "auction":
-            bid = float(policy(h, state, x))
-            if bid < 0:
-                raise ValueError(f"negative bid at round {h}")
-            if bounds is not None:
-                bid = min(bid, bounds.B_A)
-            won = bid >= hob
-        else:
-            won = bool(policy(h, state, x))
-            bid = bounds.B_A if won else 0.0
+        state, bid = table.states[i], float(bids[i])
+        if not bid >= 0:
+            raise ValueError(f"bid must be >= 0, got {bid} at round {h}")
+        won = bid >= hob
         payment = hob if won else 0.0
         y = sample_conversions(conversion_mean(state, won, x, m), conv_rng)
-        records.append(
-            RoundRecord(t, h, state, bid, hob, won, payment, y)
-        )
+        records.append(RoundRecord(t, h, state, bid, hob, won, payment, y))
         i = table.next_id[i][won]
     return EpisodeLog(t, x, records)
 
@@ -466,7 +448,9 @@ def read_episode_csv(
     path, contexts: dict[tuple[int, int], np.ndarray], H: int
 ) -> Iterator[tuple[int, EpisodeLog]]:
     """Parse an episode CSV back into logs of H rounds, joining contexts by
-    (trial, t).  Violations raise ValueError with the offending line
+    (trial, t).  Every row must be a second-price round: won exactly when
+    bid >= HOB (a bid may be inf), paying the HOB when won and 0.0 when
+    lost.  Violations raise ValueError with the offending line
     number, an episode's own with the line it starts at.  An episode's
     length is checked before its state chain, whose table grows with it.
     Once one episode has passed, a reachable state is read as the state
@@ -502,16 +486,17 @@ def read_episode_csv(
                 bid, hob, pay, y = float(row[5]), float(row[6]), float(row[8]), int(row[9])
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-            won = row[7]
-            if not (0 <= bid < _INF and 0 < hob < _INF and 0 <= pay < _INF and y >= 0
-                    and (won == "1" or won == "0")):
-                raise ValueError(f"line {lineno}: need finite bid >= 0, HOB > 0, payment"
-                                 f" >= 0, won 0 or 1, conversions >= 0: {row[5:]}")
+            won = row[7] == "1"
+            if not (0 <= bid and 0 < hob < _INF and y >= 0 and (won or row[7] == "0")
+                    and won == (bid >= hob) and pay == (hob if won else 0.0)):
+                raise ValueError(f"line {lineno}: need bid >= 0, finite HOB > 0, won 0 or"
+                                 f" 1, conversions >= 0, and a second-price round (won"
+                                 f" when bid >= HOB, paying the HOB, else 0): {row[5:]}")
             if row_t != t or row_trial != trial:
                 if current:
                     yield finish()
                 current, trial, t, start = [], row_trial, row_t, lineno
-            current.append(RoundRecord(t, h, state, bid, hob, won == "1", pay, y))
+            current.append(RoundRecord(t, h, state, bid, hob, won, pay, y))
         if current:
             yield finish()
 

@@ -387,10 +387,8 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
             if agent is None:
                 continue
             decision = act(agent, x, grid, t)
-            log = run_episode(
-                decision.policy, x, m, a, rng, decision.mode,
-                t=t, noise_label=LEARNER_POLICY, bounds=bounds, hobs=hobs[t - 1],
-            )
+            log = run_episode(decision.bids, x, m, a, rng,
+                              t=t, noise_label=LEARNER_POLICY, hobs=hobs[t - 1])
             realized[LEARNER_POLICY][t - 1] = log.realized_reward
             pending.append(log)
             if episodes is not None:

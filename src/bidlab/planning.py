@@ -5,7 +5,8 @@ Every planner reads one input, `OutcomeParams`: floats for one customer
 (`params_from_true`, or the learner's optimistic view) or arrays over a
 batch of customers (`batch_params`), which gives each customer the same
 floats.  Outcome planning picks a target win/lose sequence directly (a
-forced winner pays the unconditional HOB mean).  Grid planning picks bids
+forced winner pays the unconditional HOB mean), which the simulator plays
+as bids of inf and 0 (`forced_bids`).  Grid planning picks bids
 from a grid and wins stochastically at the auction, for a block of
 customers at once; one customer is a block of one, whose plan is a bid per
 state id.
@@ -51,6 +52,7 @@ __all__ = [
     "outcome_values",
     "best_outcome_plan",
     "best_outcome_values",
+    "forced_bids",
     "dp_policy",
     "best_grid_values",
     "policy_value",
@@ -214,6 +216,15 @@ def best_outcome_plan(op: OutcomeParams) -> tuple[OutcomePlan, float]:
         plan.append(bool(won[i]))
         i = next_id[i][plan[-1]]
     return tuple(plan), values[0]
+
+
+@functools.lru_cache(maxsize=1024)
+def forced_bids(plan: OutcomePlan) -> tuple[float, ...]:
+    """The bids by state id that play the target outcomes `plan`: inf, which
+    wins at any price, in each state of a won round, and 0.0, which never
+    wins (every HOB is > 0), in each state of a lost one."""
+    layers = state_table(len(plan)).layers
+    return tuple(math.inf if won else 0.0 for won, ids in zip(plan, layers) for _ in ids)
 
 
 def _logs(bids) -> np.ndarray:

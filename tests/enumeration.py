@@ -51,6 +51,7 @@ from bidlab.planning import (
     best_outcome_values,
     default_bid_grid,
     dp_policy,
+    forced_bids,
     outcome_value,
     params_from_true,
 )
@@ -230,16 +231,13 @@ def per_customer_realized(config, trial, instance=None):
         hobs = draw_hobs(x, a, rng, t)
         for name in config.policies:
             if name == "learner":
-                decision = act(agent, x, grid)
-                policy, mode = decision.policy, decision.mode
+                bids = act(agent, x, grid).bids
             else:
-                plan = baseline_act(
+                bids = forced_bids(baseline_act(
                     BaselinePolicy(name, config.H),
                     rng.stream(t, "plan", name) if name == "random" else None,
-                )
-                policy, mode = (lambda h, s, xx, plan=plan: plan[h - 1]), "forced"
-            log = run_episode(policy, x, m, a, rng, mode, t=t, noise_label=name,
-                              bounds=config.bounds, hobs=hobs)
+                ))
+            log = run_episode(bids, x, m, a, rng, t=t, noise_label=name, hobs=hobs)
             rewards[name].append(log.realized_reward)
             if name == "learner":
                 update(agent, [log])

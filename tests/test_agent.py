@@ -29,6 +29,7 @@ from bidlab.agent import (
 from bidlab.environment import (
     BENCHMARK_RECIPE,
     RandomSource,
+    draw_hobs,
     generate_instance,
     run_episode,
     sample_context,
@@ -44,13 +45,26 @@ from bidlab.model import (
     win_index,
 )
 import bidlab
-from bidlab.planning import best_outcome_plan, default_bid_grid, dp_policy, params_from_true
+from bidlab.planning import (
+    best_outcome_plan,
+    default_bid_grid,
+    dp_policy,
+    forced_bids,
+    params_from_true,
+)
 
 BOUNDS = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
 GRID = default_bid_grid(BOUNDS)
 
 # theta rows by name
 NATURAL_DEMAND, FIRST_EXPOSURE = lose_index(NEVER_BEFORE), lose_index(ONLY_ONE)
+LOSE_ALL, WIN_FIRST = forced_bids((False,) * 3), forced_bids((True, False, False))
+
+
+def play(bids, x, m, a, rng, t):
+    """Customer t's episode on its own HOB draws."""
+    return run_episode(bids, x, m, a, rng, t=t, noise_label="policy",
+                       hobs=draw_hobs(x, a, rng, t))
 
 
 def small_agent(**kw):
@@ -100,8 +114,8 @@ def test_exploration_never_consults_estimators():
     agent.delay_bank = None
     agent.auction_bank = None
     d = act(agent, np.array([1.0, 1.0]), GRID)
-    assert d.exploring and d.mode == "forced"
-    assert d.plan == (True, False, False)
+    assert agent.exploring
+    assert d == (forced_bids((True, False, False)), (True, False, False))
 
 
 # --- optimistic planning inputs ----------------------------------------------
@@ -152,7 +166,7 @@ def test_optimism_orders_means_and_delays():
     for t in range(1, 13):
         x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream(t, "ctx"))
         d = act(agent, x, GRID)
-        log = run_episode(d.policy, x, m, a, rng, d.mode, t=t, bounds=BOUNDS)
+        log = play(d.bids, x, m, a, rng, t)
         update(agent, [log])
     x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream("probe"))
     params = optimistic_params(agent, x)
@@ -172,16 +186,13 @@ def test_dp_planner_mode_returns_bid_policy():
     inject_truth(agent, m, a)
     x = sample_context(BENCHMARK_RECIPE, BOUNDS, RandomSource(3).stream("c"))
     d = act(agent, x, GRID)
-    assert d.mode == "auction" and d.plan is None
-    from bidlab.model import INITIAL_STATE
-    bid = d.policy(1, INITIAL_STATE, x)
-    assert 0.0 <= bid <= BOUNDS.B_A
+    assert d.plan is None
+    assert len(d.bids) == len(state_table(BOUNDS.H).states)
+    assert all(0.0 <= bid <= BOUNDS.B_A for bid in d.bids)
     # the grid bids by state id, as the planner gives them on the learner's
-    # optimistic inputs, and the policy reads each state's own
+    # optimistic inputs
     want, _ = dp_policy(optimistic_params(agent, x), GRID, BOUNDS.B_A)
-    assert d.bids == want and bid == want[0]
-    table = state_table(BOUNDS.H)
-    assert [d.policy(h, s, x) for h, s in table.ids] == want
+    assert d == (want, None)
 
 
 def test_dp_learner_rejects_a_grid_above_the_bid_cap():
@@ -201,7 +212,7 @@ def run_exploration(agent, seed=5):
     for t in range(1, window + 1):
         x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream(t, "ctx"))
         d = act(agent, x, GRID)
-        log = run_episode(d.policy, x, m, a, rng, d.mode, t=t, bounds=BOUNDS)
+        log = play(d.bids, x, m, a, rng, t)
         update(agent, [log])
     return m, a
 
@@ -211,15 +222,13 @@ def test_update_rejects_out_of_order():
     rng = RandomSource(8)
     m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, rng)
     x = np.array([1.0, 1.0])
-    log = run_episode(lambda h, s, x: False, x, m, a, rng, "forced", t=5,
-                      bounds=BOUNDS)
+    log = play(LOSE_ALL, x, m, a, rng, 5)
     with pytest.raises(ValueError):
         update(agent, [log])
     assert agent.t == 1
     # the same customers fed in order are accepted one after another
     for t in (1, 2):
-        log = run_episode(lambda h, s, x: False, x, m, a, rng, "forced", t=t,
-                          bounds=BOUNDS)
+        log = play(LOSE_ALL, x, m, a, rng, t)
         update(agent, [log])
         assert agent.t == t + 1
     with pytest.raises(ValueError):
@@ -232,7 +241,9 @@ MISROUTED_UPDATE = """
 import sys
 import numpy as np
 from bidlab import agent as agent_mod
-from bidlab.environment import BENCHMARK_RECIPE, RandomSource, generate_instance, run_episode
+from bidlab.environment import (
+    BENCHMARK_RECIPE, RandomSource, draw_hobs, generate_instance, run_episode,
+)
 from bidlab.estimation import SplitDatasets
 from bidlab.model import Bounds
 
@@ -241,8 +252,10 @@ if not sys.flags.optimize:
 bounds = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
 rng = RandomSource(11)
 m, a = generate_instance(BENCHMARK_RECIPE, bounds, rng)
-log = run_episode(lambda h, s, x: h == 1, np.array([1.0, 1.0]), m, a, rng,
-                  "forced", t=1, bounds=bounds)
+from bidlab.planning import forced_bids
+x = np.array([1.0, 1.0])
+log = run_episode(forced_bids((True, False, False)), x, m, a, rng, t=1,
+                  noise_label="policy", hobs=draw_hobs(x, a, rng, 1))
 # round 1 is won, but filed under theta row 0 (natural demand)
 agent_mod.split_episode = lambda log: SplitDatasets(
     w=[[log.records[0]], [], [], []], d={}
@@ -273,8 +286,7 @@ def test_all_lose_episode_routes_to_natural_demand_only():
     rng = RandomSource(9)
     m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, rng)
     x = np.array([1.0, 1.0])
-    log = run_episode(lambda h, s, x: False, x, m, a, rng, "forced", t=1,
-                      bounds=BOUNDS)
+    log = play(LOSE_ALL, x, m, a, rng, 1)
     update(agent, [log])
     assert agent.theta_bank[NATURAL_DEMAND].update_count == 3
     assert agent.theta_bank[FIRST_EXPOSURE].update_count == 0
@@ -292,8 +304,7 @@ def test_replay_doubles_counts():
     def replay(t):
         # the same forced outcomes for customers 1 and 2; only the noise
         # differs, so every count doubles
-        log = run_episode(lambda h, s, x: h == 1, x, m, a, rng, "forced", t=t,
-                          bounds=BOUNDS)
+        log = play(WIN_FIRST, x, m, a, rng, t)
         update(agent, [log])
 
     replay(1)
@@ -337,8 +348,7 @@ def test_underfed_exploration_raises():
         x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream(t, "ctx"))
         # feed all-lose episodes regardless of the schedule: delay buckets
         # starve and the boundary assertion fires on the final update
-        log = run_episode(lambda h, s, x: False, x, m, a, rng, "forced", t=t,
-                          bounds=BOUNDS)
+        log = play(LOSE_ALL, x, m, a, rng, t)
         if t == window:
             with pytest.raises(RuntimeError):
                 update(agent, [log])
@@ -354,8 +364,7 @@ def test_underfed_exploration_raises_inside_a_run_across_the_window():
     m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, rng)
     window = exploration_window(agent.n_underbar, BOUNDS.H)
     logs = [
-        run_episode(lambda h, s, x: False, np.array([1.0, 1.0]), m, a, rng,
-                    "forced", t=t, bounds=BOUNDS)
+        play(LOSE_ALL, np.array([1.0, 1.0]), m, a, rng, t)
         for t in range(1, window + 3)
     ]
     with pytest.raises(RuntimeError, match=rf"^customer {window}: exploration underfed"):
@@ -440,7 +449,7 @@ def test_agent_snapshot_round_trip():
         for t in range(1, exploration_window(2, H) + 4):
             x = sample_context(BENCHMARK_RECIPE, bounds, rng.stream(t, "ctx"))
             d = act(agent, x, default_bid_grid(bounds))
-            log = run_episode(d.policy, x, m, a, rng, d.mode, t=t, bounds=bounds)
+            log = play(d.bids, x, m, a, rng, t)
             update(agent, [log])
         d = agent_to_dict(agent)
         lags = [f"LAG{k}" for k in range(1, H)]

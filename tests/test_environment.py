@@ -44,7 +44,9 @@ from bidlab.model import (
     conversion_mean,
     next_state,
     reachable_states,
+    state_table,
 )
+from bidlab.planning import forced_bids
 
 BOUNDS = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
 
@@ -192,15 +194,22 @@ def test_sample_conversions_distribution():
 
 # --- episodes --------------------------------------------------------------
 
-def always_bid(amount):
-    return lambda h, s, x: amount
+def always_bid(amount, H=BOUNDS.H):
+    """The same bid in every state id."""
+    return [amount] * len(state_table(H).states)
+
+
+def play(bids, x, m, a, rng, t=1, noise_label="policy"):
+    """One episode on customer t's own HOB draws."""
+    return run_episode(bids, x, m, a, rng, t=t, noise_label=noise_label,
+                       hobs=draw_hobs(x, a, rng, t))
 
 
 def test_auction_episode_semantics(instance):
     m, a = instance
     x = np.array([1.0, 1.0])
     rng = RandomSource(31)
-    ep = run_episode(always_bid(2.0), x, m, a, rng, "auction", t=5, bounds=BOUNDS)
+    ep = play(always_bid(2.0), x, m, a, rng, t=5)
     assert ep.t == 5 and len(ep.records) == BOUNDS.H
     s = INITIAL_STATE
     for r in ep.records:
@@ -214,39 +223,53 @@ def test_auction_episode_semantics(instance):
     )
 
 
-def test_bid_cap_and_negative_bid(instance):
+def test_each_state_id_plays_its_own_bid(instance):
     m, a = instance
     x = np.array([1.0, 1.0])
-    ep = run_episode(always_bid(1e6), x, m, a, RandomSource(32), "auction",
-                     bounds=BOUNDS)
-    assert all(r.bid == BOUNDS.B_A for r in ep.records)
-    with pytest.raises(ValueError):
-        run_episode(always_bid(-1.0), x, m, a, RandomSource(32), "auction")
+    table = state_table(BOUNDS.H)
+    bids = [0.25 * (i + 1) for i in range(len(table.states))]
+    for t in range(1, 20):
+        ep = play(bids, x, m, a, RandomSource(34), t=t)
+        for r in ep.records:
+            assert r.bid == bids[table.ids[(r.h, r.state)]]
+            assert r.won == (r.bid >= r.hob)
+
+
+def test_large_bids_are_uncapped_and_negative_bids_rejected(instance):
+    m, a = instance
+    x = np.array([1.0, 1.0])
+    ep = play(always_bid(1e6), x, m, a, RandomSource(32))
+    assert all(r.bid == 1e6 and r.won for r in ep.records)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="bid must be >= 0"):
+            play(always_bid(bad), x, m, a, RandomSource(32))
 
 
 def test_forced_episode_semantics(instance):
     m, a = instance
     x = np.array([1.0, 1.0])
-    plan = {1: True, 2: False, 3: True}
-    ep = run_episode(lambda h, s, x: plan[h], x, m, a, RandomSource(33),
-                     "forced", t=2, bounds=BOUNDS)
+    plan = (True, False, True)
+    ep = play(forced_bids(plan), x, m, a, RandomSource(33), t=2)
     for r in ep.records:
-        assert r.won == plan[r.h]
-        assert r.bid == (BOUNDS.B_A if r.won else 0.0)
+        assert r.won == plan[r.h - 1]
+        assert r.bid == (math.inf if r.won else 0.0)
         assert r.payment == (r.hob if r.won else 0.0)
-    # forced outcomes ignore the auction comparison by design
-    with pytest.raises(ValueError):
-        run_episode(lambda h, s, x: True, x, m, a, RandomSource(33), "forced")
+    # inf wins at any price, 0.0 loses to any HOB
+    kw = dict(t=2, noise_label="policy")
+    for plan, hob in (((True,) * 3, 1e300), ((False,) * 3, 1e-300)):
+        ep = run_episode(forced_bids(plan), x, m, a, RandomSource(33),
+                         hobs=[hob] * 3, **kw)
+        assert [r.won for r in ep.records] == list(plan)
+        assert [r.payment for r in ep.records] == [hob if w else 0.0 for w in plan]
 
 
 def test_hob_shared_across_policies(instance):
     m, a = instance
     x = np.array([1.0, 1.0])
-    kw = dict(t=9, bounds=BOUNDS)
-    win = run_episode(lambda h, s, x: True, x, m, a, RandomSource(40), "forced",
-                      noise_label="p1", **kw)
-    lose = run_episode(lambda h, s, x: False, x, m, a, RandomSource(40), "forced",
-                       noise_label="p2", **kw)
+    win = play(forced_bids((True,) * 3), x, m, a, RandomSource(40), t=9,
+               noise_label="p1")
+    lose = play(forced_bids((False,) * 3), x, m, a, RandomSource(40), t=9,
+                noise_label="p2")
     assert [r.hob for r in win.records] == [r.hob for r in lose.records]
 
 
@@ -256,25 +279,24 @@ def test_hobs_drawn_once_feed_every_episode(instance):
     rng = RandomSource(41)
     hobs = draw_hobs(x, a, rng, 9)
     assert len(hobs) == BOUNDS.H
-    kw = dict(t=9, bounds=BOUNDS)
-    drawn = run_episode(always_bid(2.0), x, m, a, rng, "auction", **kw)
-    given = run_episode(always_bid(2.0), x, m, a, rng, "auction", hobs=hobs, **kw)
-    assert drawn.records == given.records
+    assert hobs == draw_hobs(x, a, rng, 9)  # the customer's own stream
+    kw = dict(t=9, noise_label="policy")
+    given = run_episode(always_bid(2.0), x, m, a, rng, hobs=hobs, **kw)
     assert [r.hob for r in given.records] == hobs
     # given HOBs are taken as they are, as floats; ties win
-    fixed = run_episode(always_bid(2.0), x, m, a, rng, "auction",
+    fixed = run_episode(always_bid(2.0), x, m, a, rng,
                         hobs=np.array([1.0, 3.0, 2.0]), **kw)
     assert [r.won for r in fixed.records] == [True, False, True]
     assert all(type(r.hob) is float for r in fixed.records)
     with pytest.raises(ValueError, match="one HOB per round"):
-        run_episode(always_bid(2.0), x, m, a, rng, "auction", hobs=[1.0], **kw)
+        run_episode(always_bid(2.0), x, m, a, rng, hobs=[1.0], **kw)
 
 
 def test_episode_replay_bit_exact(instance):
     m, a = instance
     x = np.array([0.5, 1.5])
-    e1 = run_episode(always_bid(1.0), x, m, a, RandomSource(55), "auction", t=3)
-    e2 = run_episode(always_bid(1.0), x, m, a, RandomSource(55), "auction", t=3)
+    e1 = play(always_bid(1.0), x, m, a, RandomSource(55), t=3)
+    e2 = play(always_bid(1.0), x, m, a, RandomSource(55), t=3)
     assert e1.records == e2.records
 
 
@@ -302,8 +324,7 @@ def test_conversion_rates_feed_poisson(instance):
     rng = RandomSource(77)
     total, n = 0, 4000
     for t in range(n):
-        ep = run_episode(lambda h, s, x: h == 1, x, m, a, rng, "forced",
-                         t=t, bounds=BOUNDS)
+        ep = play(forced_bids((True, False, False)), x, m, a, rng, t=t)
         total += ep.records[0].conversions
     se = math.sqrt(rate / n)
     assert total / n == pytest.approx(rate, abs=5 * se)
@@ -379,7 +400,8 @@ def test_csv_round_trip(tmp_path, instance):
     contexts = []
     for t in range(1, 6):
         x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream(t, "ctx"))
-        ep = run_episode(always_bid(1.5), x, m, a, rng, "auction", t=t)
+        bids = forced_bids((True, False, True)) if t % 2 else always_bid(1.5)
+        ep = play(bids, x, m, a, rng, t=t)
         episodes.append((1, ep))
         contexts.append((1, t, x))
     epath = tmp_path / "episodes.csv"
@@ -392,7 +414,6 @@ def test_csv_round_trip(tmp_path, instance):
         assert trial == trial2 and ep.t == ep2.t
         assert np.array_equal(ep.x, ep2.x)
         for r, r2 in zip(ep.records, ep2.records):
-            # forced flags live in memory only; everything else round-trips
             assert (r.t, r.h, r.state, r.bid, r.hob, r.won, r.payment,
                     r.conversions) == (r2.t, r2.h, r2.state, r2.bid, r2.hob,
                                        r2.won, r2.payment, r2.conversions)
@@ -401,8 +422,7 @@ def test_csv_round_trip(tmp_path, instance):
 def test_csv_sentinel_tokens(tmp_path, instance):
     m, a = instance
     x = np.array([1.0, 1.0])
-    ep = run_episode(lambda h, s, x: h == 1, x, m, a, RandomSource(1),
-                     "forced", bounds=BOUNDS)
+    ep = play(forced_bids((True, False, False)), x, m, a, RandomSource(1))
     path = tmp_path / "e.csv"
     write_episode_csv(path, [(0, ep)])
     text = path.read_text().splitlines()
@@ -460,14 +480,21 @@ _ROUNDS = (  # one customer's three rounds: lose, win, lose
 @pytest.mark.parametrize("column, value", [
     (9, "-3"), (7, "2"), (7, "-1"), (5, "nan"), (5, "-1.0"), (5, "inf"),
     (8, "nan"), (8, "-0.5"), (6, "nan"), (6, "0.0"), (6, "inf"),
+    # the second-price rule: a win below the HOB, a win paying other than
+    # the HOB or paying its bid, a loss at a bid above the HOB that pays
+    (5, "1.0"), (8, "1.0"), (8, "5.0"), (7, "0"),
 ])
 def test_episode_csv_rejects_out_of_range_fields(tmp_path, column, value):
-    # round 2 (line 3) carries the bad field; every other field is valid
+    # round 2 (line 3, a win at bid 5.0 paying the HOB 1.5) carries the bad
+    # field; every other field is valid.  A bid of inf is valid on a won
+    # round, so that case is a lost round, which inf cannot be
     row = _ROUNDS[1].rstrip("\n").split(",")
     row[column] = value
+    if (column, value) == (5, "inf"):
+        row[7], row[8] = "0", "0.0"
     path = tmp_path / "e.csv"
     path.write_text(_HEADER + _ROUNDS[0] + ",".join(row) + "\n" + _ROUNDS[2])
-    with pytest.raises(ValueError, match=r"^line 3: need finite bid >= 0"):
+    with pytest.raises(ValueError, match=r"^line 3: need bid >= 0"):
         list(read_episode_csv(path, {(0, 1): np.array([1.0, 1.0])}, 3))
 
 
@@ -568,8 +595,9 @@ def test_fuzzed_episode_csv_parses_or_raises_a_value_error(tmp_path, edits, drop
     for _, ep in episodes:
         assert len(ep.records) == H
         for r in ep.records:
-            assert 0 <= r.bid < math.inf and 0 < r.hob < math.inf
-            assert 0 <= r.payment < math.inf and r.conversions >= 0
+            assert 0 <= r.bid and 0 < r.hob < math.inf and r.conversions >= 0
+            assert r.won == (r.bid >= r.hob)
+            assert r.payment == (r.hob if r.won else 0.0)
 
 
 @_FUZZ

@@ -99,8 +99,8 @@ GOLDEN = {
         "contexts_trial0.csv": "9c7263b04e2ff9b3e92af470f1f48eb050122a9ddb5fa880e9e5ebae13406a3e",
         "contexts_trial1.csv": "058ec76871de266f393d2832b0914903efd618be1eb08e31b7913d288c6b5262",
         "curves.csv": "fc6137c83941ef6a8569300a07ee90cefb846de9f4b14742ee1bb4f8d3beea04",
-        "episodes_trial0.csv": "9c9310a8f713510e28aa43c4a04a35565829e34a9fa05ec73fd40827f1b0fbf7",
-        "episodes_trial1.csv": "9a6f1017d0636360e19b8bd57919ab0050a37aa33f4c2d402a43af1f23b0df0c",
+        "episodes_trial0.csv": "8c62a3faf966c2f909d42a9730401f3d1e8e626b00bd4912e6ac5219e70fe767",
+        "episodes_trial1.csv": "9a9d0c952433d63597f106d7292988bcc4a3d4a39dc18478eceff7ce2e159240",
         "instance_trial0.snapshot": "5224ffb2ca1412074c36969583d75dbf6a178543ea7dfe1c55aab1a1f9c55b4e",
         "instance_trial1.snapshot": "492ff1f1f9b7230a30def54c6a175c1bdff17b544417dae704ee15d3e607d906",
         "summary.txt": "c58d4649e5e9ef8ce4d02ea00fa378a41d9b1e132a0a27524465aaa98997841d",
@@ -110,7 +110,7 @@ GOLDEN = {
         "config.json": "6d8237db8cf0124ff2b8fa88c060d9102f328a7c9f9a32c3c7df2d177a275cbd",
         "contexts_trial0.csv": "4b0f48e0df687f770b0fa425f980917c7cdbbd4b0193b051edd4ccab18b2bb7c",
         "curves.csv": "4ea2939a9381bdb810ee7520a4b49eaca0d1226e81bf62e7adab357498befb2d",
-        "episodes_trial0.csv": "ba415341c638e070bf8d1ebf6a973211079d4814adb557917787cfe929f65701",
+        "episodes_trial0.csv": "b8e2d632dff45d8e0407e0dad80c82f966428756fd11f829008a3daa8b83c40a",
         "instance_trial0.snapshot": "9a9168623aac46924b13eaad734c3aef098ca8e93d7e64f876029ca1fc7517a6",
         "summary.txt": "67a83e696c02b68322618a8b8d257b3415e72b552a970897ff6a9907a7dab861",
     },
@@ -121,8 +121,8 @@ GOLDEN = {
         "contexts_trial0.csv": "e28a84c6513ddbaa2b931615c50c846caa9383aacd7d8ec9d20bd0853efce146",
         "contexts_trial1.csv": "43f53a44e256cca1789a50b655331bbe51262b2389bf7008df7d12e18b3006a8",
         "curves.csv": "e1e215073cd34bf6c368fbe2e77e445c9615967370f8468172c098edcaf92475",
-        "episodes_trial0.csv": "cb981b632bc36c079dbe731c9c16686b69e5cc5ed5c97b983cdc09583e88115f",
-        "episodes_trial1.csv": "1570e1cb6d560791ec5a4cb4e60fa3a54764e083a1527d372ba7a40a18456819",
+        "episodes_trial0.csv": "70f147838e5fd904f76dfd880331543e0e3621b64cbbd1641a97181bb91c57e0",
+        "episodes_trial1.csv": "6f527537c48c90501108338982fc5870b855335d62144561828931f73041da70",
         "instance_trial0.snapshot": "650f7f66c7d851ca5ec90172bf1b9b1e9f2b41b089b5612ede1eff4f02c9f4db",
         "instance_trial1.snapshot": "5b794fb31dd9d60fd3f107b1c1bb54bd29ef891f1544094027b5e3947d8d152c",
         "summary.txt": "7ba089b2932118af59a60bf2cd18291cd0943960283490a2e071e2cdc2aea205",
@@ -132,7 +132,7 @@ GOLDEN = {
         "config.json": "a60aff6bdb62b89d87287af53be0752e8a30378e5bddc17734877ea0f314ea5d",
         "contexts_trial0.csv": "b26ec3ce7c3700e79f2b11250c2959f60858627dc2b491ec10eceb4efa06a8bd",
         "curves.csv": "535f4b87ae01fb4e7c2ad2c81d1d88382d415ac1d0ede6e2c2f66d0c024dd79a",
-        "episodes_trial0.csv": "8dd48d7044fc0e05645dc46fbe0aa033da39b45f4e04c784edd3cf4364b86ddc",
+        "episodes_trial0.csv": "0ad604f63390c6ec7375d6a9ecc0ff539f342a679ea3dc2f4d97b99b2f12e80e",
         "instance_trial0.snapshot": "5224ffb2ca1412074c36969583d75dbf6a178543ea7dfe1c55aab1a1f9c55b4e",
         "summary.txt": "bc072331b36c3b725bddd472f2bcb943b434d3ebb7a2b395f7e0d7e83c670b71",
     },
@@ -143,8 +143,8 @@ GOLDEN = {
         "contexts_trial0.csv": "fd663105bb6af9f7e2ad56880f283d1bee5c7a01793bfbd8453ff8b537f09d37",
         "contexts_trial1.csv": "7da3b07b9bf4b65bf56a2f47ee7bcbe14474d0e874e75e067fdb1ca1995fec65",
         "curves.csv": "c6b8c51cef7264ff2a679f6148d64c4d1fd151af7ef8f72c2e98b034dea56354",
-        "episodes_trial0.csv": "5589e4583bef0d03b993574082f49adcf0885a0c3a55a7e68cb588c074ae5285",
-        "episodes_trial1.csv": "271e8d192081590201cee757f8274afba8de27da256723781801e0e786474697",
+        "episodes_trial0.csv": "a6e9831b4bd0b9bc3104b42c622e2eff150d5b7f7b8de8a13501a940e7b36690",
+        "episodes_trial1.csv": "6b54e783cc4106f1956c1960fb48733ec07ad574c9d1094f14e1b054c37a44fb",
         "instance_trial0.snapshot": "431b87ae465afb97bedbfefb40586149a74e869144bf3ece4c0a363c01643990",
         "instance_trial1.snapshot": "58661539c4149af9824510b17a5f6cd5c124811a66c1a1b0f34b626a89b5c654",
         "summary.txt": "04fd27f4b93eca2f28945653b5c03f0a8360dbc9fa8ad0010a7d6b4b33253f2f",
@@ -165,9 +165,9 @@ GOLDEN = {
         "contexts_trial1.csv": "f4f98ee60c846e28f62c511574a163527ec44f156bb19cbb3d7cdee87b430168",
         "contexts_trial2.csv": "2b0c010b8d0bdde4a7430b593d45f8b4e01da5e4b68caed5171f463cc4087663",
         "curves.csv": "f92a306de2efc69fbab0a863cacaaf22dc885ec917f36d657f9ee2bba6c60d6d",
-        "episodes_trial0.csv": "a60518543bf901838962377bf6f72c3b5ee4d0aeb111f387f888cd9a29021253",
-        "episodes_trial1.csv": "e1d03278b964b5880a6f449cad8e5ee5236bb4baf22c8099e75d89a95739a800",
-        "episodes_trial2.csv": "709f0f5b4aef08601323fed9244b33c06544a3b38dbadb32365be6e52ad6a7aa",
+        "episodes_trial0.csv": "ff3c2711d7b9bb6612c07b34ac3e7a402a2e0accff22ab2063f91f9fea25bc36",
+        "episodes_trial1.csv": "1872a578d55fd00cccf7a58b5d29603129060fe1f637bf91f18f419d171cf4f6",
+        "episodes_trial2.csv": "0d593205b6037daef2fa995a32295617b6a4b15476e6f1b9178fac779512dcd7",
         "instance_trial0.snapshot": "5224ffb2ca1412074c36969583d75dbf6a178543ea7dfe1c55aab1a1f9c55b4e",
         "instance_trial1.snapshot": "492ff1f1f9b7230a30def54c6a175c1bdff17b544417dae704ee15d3e607d906",
         "instance_trial2.snapshot": "87d185c7968a290d180819905be53067a2a0947e787e9c3b76319416bb8d1dab",
@@ -180,8 +180,8 @@ GOLDEN = {
         "contexts_trial0.csv": "6e23815af94284c346407673deedfa3ec859a695eab6a4df7a42c90a9836a271",
         "contexts_trial1.csv": "f4f98ee60c846e28f62c511574a163527ec44f156bb19cbb3d7cdee87b430168",
         "curves.csv": "2c99fda538c8a35a044a13ecc70901789c42e6e07ab9c8c8db7b629268d8f187",
-        "episodes_trial0.csv": "fe6e6140f552284534efe480021a08ee97eaaf9ec760501ea9aef2ce40dedd6d",
-        "episodes_trial1.csv": "c1b4e1e057b630dc73a053a910020680432a0961ccaaa23baf9e815b49aaa9ed",
+        "episodes_trial0.csv": "8f58313c91599e81e80a95ade2cb36a74118ce63f5b90282a307aac8a6534793",
+        "episodes_trial1.csv": "f3f37c9f7d26f5b15ee8b5bb6057efd7674fc7f3977d0ecb305fc014f75bbd17",
         "instance_trial0.snapshot": "8cdf333097e95ed20b158cac8a1358b7258ced8afbcea646705fd9d8cf2b66bc",
         "instance_trial1.snapshot": "7ef72c6932e8ea89db706d019674966c4e54ca3f7a30aeb823fe28bf6a9004ab",
         "summary.txt": "3a101b6061110757c293f8d6ed14ddf910c259418b79d1e77225b864a9df4994",
@@ -191,7 +191,7 @@ GOLDEN = {
         "config.json": "c199ad305ce4843481e42d24d71fde949b92c267c5cc493858ec12a4bff73f61",
         "contexts_trial0.csv": "4b0f48e0df687f770b0fa425f980917c7cdbbd4b0193b051edd4ccab18b2bb7c",
         "curves.csv": "d8dc7a881b9f105d5d18d1a1f483924adcd70335bd97875504b96427aa6b2c1c",
-        "episodes_trial0.csv": "4c50ee8dd5a73c2c9ea29cbe878dfce4221120f64b8bb67f3cd3762979963a28",
+        "episodes_trial0.csv": "28bd7b5cf3755aba71572cf49606106cfd00bd6e10af076f85d439b349896709",
         "instance_trial0.snapshot": "5224ffb2ca1412074c36969583d75dbf6a178543ea7dfe1c55aab1a1f9c55b4e",
         "summary.txt": "b8c2c83be0f923a42fbd274628053f5d76a9387adfa48e880918e500669e7bbb",
     },
@@ -200,7 +200,7 @@ GOLDEN = {
         "config.json": "740235ff607360a07c9fc37c6e7fa633ca666a71cdf579d42a353929e91b8633",
         "contexts_trial0.csv": "4b0f48e0df687f770b0fa425f980917c7cdbbd4b0193b051edd4ccab18b2bb7c",
         "curves.csv": "9eb05e323fbeafb9dc03ee45751db2cb6ce3c9db70a5421bc67ca25a0cad8b72",
-        "episodes_trial0.csv": "e68fe50e434282d89f779d01ae7b2a0d38ab8dfa76bd4c328a6f471fc812d05f",
+        "episodes_trial0.csv": "9c9b7ab089aff8e5e18d309802fa0341170de3d3f4fb0ea7771273aca96ddc29",
         "instance_trial0.snapshot": "45542f1f4ec3fe51b7051c34ac7fa37d6aa4334fc3a9b2f5f2d37e9d6bf6cc40",
         "summary.txt": "609c949c3111a0911d0a81455c3e95a5c25a37b84dfd2fcdd83a0d2c05b2030a",
     },
@@ -209,7 +209,7 @@ GOLDEN = {
         "config.json": "2ac785d114cb0d2dddbbc3f3b04a52359b91b5960fbc1ea70b41c68d364e5834",
         "contexts_trial0.csv": "432570627a2c69b92413e94eda991687a92711b82fb501f8596cad5c009e3baf",
         "curves.csv": "51648678a183591fcd0f4fe3a1aa8d7747a5e8da914790a8605146f7246e994f",
-        "episodes_trial0.csv": "46a6aaa5ea5c0e5905ef259d074cfc01c8113af93742f70c9238ab06bd010e9e",
+        "episodes_trial0.csv": "61a06433aaa379567c6ba4141ec0bf13d71e82c9bd36623e51fbf8b360591fcb",
         "instance_trial0.snapshot": "5224ffb2ca1412074c36969583d75dbf6a178543ea7dfe1c55aab1a1f9c55b4e",
         "summary.txt": "3b6c5f5a88ecbe5b9b2af5916dab286b2cb52c780f3ea70fbfd9b53c9864d4b8",
     },
@@ -220,8 +220,8 @@ GOLDEN = {
         "contexts_trial0.csv": "9b0bdadc71053f9ead62493eea62a8b507a57a0995d5537163b99ab518581baa",
         "contexts_trial1.csv": "ca30957a4a28ddad0589fa8384ed4faed9db852a8d4e99db3f0361391c81ee5b",
         "curves.csv": "cbde046a7cd323e6fcfd54f310186755a99d2b2209aee8447cd071114f699d33",
-        "episodes_trial0.csv": "d2ed3a7f5854eb4e765e1f8c374648ce3080c777e496e5a4b50065eb4ec5e842",
-        "episodes_trial1.csv": "90a67369cec3d80e5087dc367556252ba945518c2a9075ecf67051c8515630ce",
+        "episodes_trial0.csv": "64abc7a74d286bb1f3c3bd40bc69d3133fe0489cb78f2be98378033398dde83b",
+        "episodes_trial1.csv": "a1a96dc36223febf8fe9d0acf305843b83cfc2314321796572ab62b4fc7b8fb2",
         "instance_trial0.snapshot": "650f7f66c7d851ca5ec90172bf1b9b1e9f2b41b089b5612ede1eff4f02c9f4db",
         "instance_trial1.snapshot": "5b794fb31dd9d60fd3f107b1c1bb54bd29ef891f1544094027b5e3947d8d152c",
         "summary.txt": "7d0d11eefc5cd368cda5f7ea9d07ec187848552064c73f21839f483eeeb863cb",

@@ -29,6 +29,7 @@ from bidlab.environment import (
     RandomSource,
     generate_instance,
     read_context_csv,
+    read_episode_csv,
     sample_context,
     write_context_csv,
     write_episode_csv,
@@ -785,6 +786,19 @@ def test_written_outputs_round_trip(tmp_path, small_result):
     assert (tmp_path / "summary.txt").read_text() == render_summary(small_result)
 
 
+def test_no_won_round_of_the_preset_log_pays_more_than_its_bid(tmp_path):
+    # a forced win was once logged at the bid cap B_A while it paid the HOB:
+    # 15 of this log's 3,600 won rounds paid more than their bid
+    cfg = benchmark_config(T=3000, trials=1, seed=69, emit_logs=True,
+                           checkpoints=scaled_checkpoints(3000))
+    run_experiment(cfg, tmp_path)
+    contexts = read_context_csv(tmp_path / "contexts_trial0.csv", cfg.dim)
+    episodes = read_episode_csv(tmp_path / "episodes_trial0.csv", contexts, cfg.H)
+    won = [r for _, ep in episodes for r in ep.records if r.won]
+    assert len(won) == 3600
+    assert [r for r in won if r.payment > r.bid] == []
+
+
 # --- offline replay ------------------------------------------------------------
 
 
@@ -1017,8 +1031,9 @@ def test_underfed_delays_in_a_run_name_trial_and_customer(monkeypatch):
     # the window (customer 20) trips the check
     import bidlab.harness as harness_module
     from bidlab.agent import Decision
+    from bidlab.planning import forced_bids
 
-    never = Decision(plan=(False,) * 3, bids=None, exploring=True, H=3)
+    never = Decision(forced_bids((False,) * 3), (False,) * 3)
     monkeypatch.setattr(harness_module, "act", lambda agent, x, grid, t: never)
     with pytest.raises(RuntimeError) as err:
         run_trial(_learner_config(), 0)
@@ -1187,3 +1202,23 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
                  "--checkpoints", "1,2"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_fit_rejects_a_malformed_curve_file_naming_the_line(cli_run, tmp_path, capsys):
+    # a missing column and a short row end in "error: ..." with exit 1,
+    # not in a traceback
+    _, _, out = cli_run
+    lines = (out / "curves.csv").read_text().splitlines(keepends=True)
+    missing = "".join(",".join(ln.rstrip("\n").split(",")[:-1]) + "\n" for ln in lines)
+    short = lines[0] + lines[1] + "0,2,learner,1.0\n" + "".join(lines[2:])
+    for text, message in (
+        (missing, "line 1: expected header trial,t,policy,cum_regret,cum_regret_expected"),
+        (short, "line 3: expected 5 fields, got 4"),
+    ):
+        path = tmp_path / "curves.csv"
+        path.write_text(text)
+        code = main(["fit", "--curve", str(path), "--checkpoints", "100,250,400"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"

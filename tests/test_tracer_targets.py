@@ -34,3 +34,24 @@ def test_the_tracer_has_targets_in_every_table():
 @pytest.mark.parametrize("module, attr", TARGETS, ids=[f"{m}.{a}" for m, a in TARGETS])
 def test_every_traced_name_is_in_its_module(module, attr):
     assert attr in vars(importlib.import_module(module))
+
+
+def test_a_traced_learner_run_records_one_episode_span_per_customer(tmp_path):
+    from bidlab.environment import RandomSource
+    from bidlab.harness import benchmark_config, run_experiment
+
+    def installed():
+        return [vars(importlib.import_module(m))[a] for m, a in TARGETS] + [
+            RandomSource.__dict__["stream"]]
+
+    originals = installed()
+    cfg = benchmark_config(T=30, trials=1, n_underbar=5, checkpoints=(10, 30),
+                           policies=("learner",), emit_logs=True)
+    with _MODULE.Tracer() as tracer:
+        assert all(a is not b for a, b in zip(installed(), originals))
+        result = run_experiment(cfg, tmp_path)
+    assert all(a is b for a, b in zip(installed(), originals))
+    assert result.trials[0].agent_snapshot["t"] == cfg.T + 1
+    episodes = {name: row["calls"] for name, row in tracer.span_table().items()
+                if name.startswith("environment.run_episode.")}
+    assert episodes == {"environment.run_episode.auction": cfg.T}
