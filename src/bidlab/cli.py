@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .environment import RandomSource, generate_instance, read_context_csv
 from .harness import (
+    _CURVE_COLUMNS,
     _write_json,
     fit_regret_order,
     load_config,
@@ -112,9 +113,6 @@ def _cmd_oracle(args) -> int:
             [trial, t, repr(value), "".join("1" if w else "0" for w in plan)]
         )
     return 0
-
-
-_CURVE_COLUMNS = ["trial", "t", "policy", "cum_regret", "cum_regret_expected"]
 
 
 def _cmd_fit(args) -> int:

@@ -700,11 +700,14 @@ def render_summary(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
+_CURVE_COLUMNS = ["trial", "t", "policy", "cum_regret", "cum_regret_expected"]
+
+
 def write_curves_csv(path: Path, result: ExperimentResult) -> None:
     cfg = result.config
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["trial", "t", "policy", "cum_regret", "cum_regret_expected"])
+        writer.writerow(_CURVE_COLUMNS)
         for tr in result.trials:
             for name in cfg.policies:
                 realized = tr.realized[name]
