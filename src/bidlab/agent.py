@@ -6,7 +6,7 @@ The learner plans one customer at a time on the planners' one input,
 `OutcomeParams` built from its estimates (`optimistic_params`).  A
 `Decision` is a bid per state id, which the simulator bids at the auction:
 the forced bids of a target outcome per round, or (in dp mode past
-exploration) a grid bid.
+exploration) the exact second-price bid.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ class Decision(NamedTuple):
     """What the agent does with one customer: bid `bids[i]` in the state of
     id i of `state_table(H)`.  `plan` holds the target outcomes when the
     bids force them (`forced_bids(plan)`: the exploration schedule and
-    outcome mode), and is None for dp mode's grid bids."""
+    outcome mode), and is None for dp mode's exact bids."""
 
     bids: Sequence[float]
     plan: OutcomePlan | None
@@ -197,11 +197,10 @@ def optimistic_params(agent: AgentState, x: np.ndarray) -> OutcomeParams:
     )
 
 
-def act(agent: AgentState, x: np.ndarray, bid_grid: np.ndarray,
-        t: int | None = None) -> Decision:
+def act(agent: AgentState, x: np.ndarray, t: int | None = None) -> Decision:
     """Decide customer t's episode (by default agent.t): scheduled exposures
     during exploration, which read no estimate and so may run ahead of the
-    updates, planned optimism afterwards on bids from `bid_grid` (dp)."""
+    updates, planned optimism afterwards."""
     t, H = agent.t if t is None else t, agent.bounds.H
     if t <= exploration_window(agent.n_underbar, H):
         plan = exploration_plan(t, agent.n_underbar, H)
@@ -212,7 +211,7 @@ def act(agent: AgentState, x: np.ndarray, bid_grid: np.ndarray,
     if agent.planner_mode == "outcome":
         plan, _ = best_outcome_plan(params)
         return Decision(forced_bids(plan), plan)
-    bids, _ = dp_policy(params, bid_grid, agent.bounds.B_A)
+    bids, _ = dp_policy(params, agent.bounds.B_A)
     return Decision(bids, None)
 
 

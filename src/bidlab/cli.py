@@ -96,7 +96,7 @@ def _cmd_oracle(args) -> int:
     if config.mode != "outcome":
         raise ValueError(
             f"bidlab oracle prints outcome-plan values; the config's mode is "
-            f"{config.mode!r}, whose oracle is the grid planner"
+            f"{config.mode!r}, whose oracle is the exact auction planner"
         )
     contexts = read_context_csv(args.contexts, config.dim)
     instances: dict[int, tuple] = {}

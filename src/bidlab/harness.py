@@ -55,7 +55,6 @@ from .planning import (  # noqa: F401
     best_grid_values,
     best_outcome_plan,
     best_outcome_values,
-    default_bid_grid,
     dp_policy,
     outcome_value,
     outcome_values,
@@ -94,8 +93,6 @@ ORACLE_GAP_SAMPLE = 50
 # Episodes per learner update where no decision reads the estimates: in the
 # exploration window (its schedule reads none) and in an offline replay.
 UPDATE_CHUNK = 64
-# Customers per block of the grid oracle, whose (customers, grid) tables stay small.
-GRID_CHUNK = 16
 
 _BOUNDS_DEFAULTS: Mapping[str, float] = {
     "b": 0.1,
@@ -153,7 +150,7 @@ class ExperimentConfig:
     delta: float = 0.01
     Gamma_trunc: float | None = 100000.0
     mode: str = "outcome"
-    bid_grid_points: int = 256
+    bid_grid_points: int = 256  # no planner reads it; perfbench/setup_probe.py does
     policies: tuple[str, ...] = (LEARNER_POLICY, *BASELINE_POLICIES)
     checkpoints: tuple[int, ...] = DEFAULT_CHECKPOINTS
     half_width_multiplier: float = 0.5
@@ -324,11 +321,10 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     bids; conversion noise is drawn per policy.  Only the learner runs
     customer by customer, its updates consuming the exploration window in
     chunks: the contexts and HOBs are drawn first, the oracles are scored
-    for all customers at once (the grid's in blocks), every plan and every
-    row of grid bids after the loop, and the fixed baselines play as
-    arrays.  The trial's streams are seeded in one pass
-    (`RandomSource.prepare`).  Any failure at a customer is re-raised with
-    (trial, customer) provenance.
+    for all customers at once, every plan and every row of exact bids after
+    the loop, and the fixed baselines play as arrays.  The trial's streams
+    are seeded in one pass (`RandomSource.prepare`).  Any failure at a
+    customer is re-raised with (trial, customer) provenance.
     """
     if trial < 0:
         raise ValueError("trial index must be nonnegative")
@@ -342,7 +338,6 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     outcome_mode = config.mode == "outcome"
 
     agent = _agent_for(config) if LEARNER_POLICY in config.policies else None
-    grid = default_bid_grid(bounds, config.bid_grid_points)
 
     xs, hobs = [], np.empty((T, config.H))
     for t in range(1, T + 1):
@@ -351,14 +346,12 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
             hobs[t - 1] = draw_hobs(xs[-1], a, rng, t)
     batch = batch_params(np.array(xs), m, a)
     outcome_opt = best_outcome_values(batch)
-    # the grid oracle of dp mode's customers or outcome mode's gap sample; its
+    # the auction oracle of dp mode's customers or outcome mode's gap sample; its
     # first customer with a negative conversion mean fails when its turn comes
-    n_grid = min(T, ORACLE_GAP_SAMPLE) if outcome_mode else T
-    dp_opt = np.empty(n_grid)
-    for i in range(0, n_grid, GRID_CHUNK):
-        stop = min(i + GRID_CHUNK, n_grid)
-        dp_opt[i:stop] = best_grid_values(batch.rows(i, stop), grid)
-    negative = np.flatnonzero((batch.mu[:, :n_grid] < 0).any(axis=0)).tolist()
+    n_dp = min(T, ORACLE_GAP_SAMPLE) if outcome_mode else T
+    with _provenance(trial):
+        dp_opt = best_grid_values(batch.rows(0, n_dp), bounds.B_A)
+    negative = np.flatnonzero((batch.mu[:, :n_dp] < 0).any(axis=0)).tolist()
     first_negative = negative[0] + 1 if negative else 0
     plans = {}  # each customer's target outcomes, by policy
     for name in config.policies:
@@ -371,7 +364,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
             ]
         else:
             plans[name] = []  # filled as the learner plays (dp mode: while it explores)
-    exploit_bids = []  # dp: each exploit customer's grid bids by state id
+    exploit_bids = []  # dp: each exploit customer's exact bids by state id
     realized = {LEARNER_POLICY: np.empty(T)}
     expected = {}
     episodes: list[tuple[int, EpisodeLog]] | None = (
@@ -386,7 +379,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
                 raise ValueError("conversion means must be clamped nonnegative")
             if agent is None:
                 continue
-            decision = act(agent, x, grid, t)
+            decision = act(agent, x, t)
             log = run_episode(decision.bids, x, m, a, rng,
                               t=t, noise_label=LEARNER_POLICY, hobs=hobs[t - 1])
             realized[LEARNER_POLICY][t - 1] = log.realized_reward

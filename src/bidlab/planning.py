@@ -6,17 +6,15 @@ Every planner reads one input, `OutcomeParams`: floats for one customer
 batch of customers (`batch_params`), which gives each customer the same
 floats.  Outcome planning picks a target win/lose sequence directly (a
 forced winner pays the unconditional HOB mean), which the simulator plays
-as bids of inf and 0 (`forced_bids`).  Grid planning picks bids
-from a grid and wins stochastically at the auction, for a block of
-customers at once; one customer is a block of one, whose plan is a bid per
-state id.
+as bids of inf and 0 (`forced_bids`).  Auction planning bids at each state
+the value of winning over losing, successor values included, clipped to
+[0, B_A]: the exact best second-price bid for any HOB law.  One customer
+runs in floats, a batch in arrays with the same operations element by
+element, so the two agree bit for bit.
 
-The expected round value is written once, for one win probability or an
-array of them.  The grid planner tabulates round h's win probability and
-expected payment over the whole grid for every customer of the block
-(neither depends on the state) when the induction reaches round h, scores
-every bid of a state in one array expression and keeps the first maximum
-along the grid, which gives the same floats as scoring the bids one by one.
+The expected round value and the auction's closed forms are each written
+once, for floats or arrays; the exact planner and the scoring of given bids
+(`policy_values`) share them.
 """
 
 from __future__ import annotations
@@ -227,93 +225,82 @@ def forced_bids(plan: OutcomePlan) -> tuple[float, ...]:
     return tuple(math.inf if won else 0.0 for won, ids in zip(plan, layers) for _ in ids)
 
 
-def _logs(bids) -> np.ndarray:
-    """`math.log` of each bid, 0.0 at zero bids (which never win or pay)."""
-    return np.array([math.log(b) if b else 0.0 for b in bids])
+def _auction_terms(op: OutcomeParams, h: int, bid) -> tuple:
+    """Round h's win probability and expected payment at `bid`, a float for
+    one customer or an array over a batch: both 0.0 at a zero bid, which
+    never wins or pays (every HOB is > 0), and the closed forms on
+    `math.log` of any other."""
+    terms = op.log_hob[h - 1], op.sigma[h - 1], op.hob[h - 1]
+    if isinstance(bid, np.ndarray):
+        F, pay = lognormal_cdf_terms(
+            np.array([math.log(b) if b else 0.0 for b in bid.tolist()]), *terms)
+        return np.where(bid != 0.0, F, 0.0), np.where(bid != 0.0, pay, 0.0)
+    return lognormal_cdf_terms(math.log(bid), *terms) if bid else (0.0, 0.0)
 
 
-_grid_logs = functools.lru_cache(maxsize=8)(_logs)  # called with a grid's tuple
+def _bid_value(op: OutcomeParams, h: int, s: ExposureState, bid, v_win, v_lose):
+    """`_round_value` of bidding `bid` in state `s` of round h."""
+    return _round_value(_mu_win(op, s), _mu_lose(op, s), *_auction_terms(op, h, bid),
+                        v_win, v_lose)
 
 
-def _column(v) -> np.ndarray:
-    """A float or an array over customers as an (n, 1) column."""
-    return v.reshape(-1, 1) if isinstance(v, np.ndarray) else np.array([[v]])
-
-
-def _auction_terms(op: OutcomeParams, h: int, bids, log_bids) -> tuple:
-    """Round h's win probability and expected payment at `bids` (with their
-    `_logs`), which broadcast against the customers' (n, 1) columns."""
-    F, pay = lognormal_cdf_terms(log_bids, _column(op.log_hob[h - 1]), op.sigma[h - 1],
-                                 _column(op.hob[h - 1]))
-    return np.where(bids != 0.0, F, 0.0), np.where(bids != 0.0, pay, 0.0)
-
-
-def _scores(op: OutcomeParams, s: ExposureState, terms: tuple, v_win, v_lose):
-    """`_round_value` of every customer (rows) at each of its bids (columns)."""
-    return _round_value(_column(_mu_win(op, s)), _column(_mu_lose(op, s)), *terms,
-                        _column(v_win), _column(v_lose))
-
-
-def _grid_policy(op: OutcomeParams, grid: Sequence[float]) -> tuple[list, list]:
-    """Backward induction on a bid grid for a block of customers: by state
-    id, each customer's grid index and value ((n,) arrays).  The first
-    maximum along the grid wins, so ties go to the lower bid; NaN never
-    wins, and where every score is -inf the value is -inf."""
-    bids, log_bids, tables = np.asarray(grid), _grid_logs(tuple(grid)), {}
+def dp_policy(op: OutcomeParams, B_A: float) -> tuple[list, list]:
+    """The exact auction plan: by state id, the bid and its value, floats for
+    one customer or arrays over a batch (the same operations element by
+    element).  Bidding b is worth a constant plus the integral over HOBs
+    m <= b of (gain - m), where gain is the value of winning over losing,
+    successor values included, so the best bid is gain clipped to [0, B_A]
+    for any HOB law.  A gain that is not finite raises, naming the round
+    and state id (and, in a batch, the customer)."""
 
     def choose(h, i, s, v_win, v_lose):
-        if h not in tables:  # built when the induction reaches round h, one at a time
-            tables.clear()
-            tables[h] = _auction_terms(op, h, bids, log_bids)
-        q = _scores(op, s, tables[h], v_win, v_lose)
-        q[np.isnan(q)] = -np.inf
-        return q.argmax(axis=1), q.max(axis=1)
+        gain = _mu_win(op, s) - _mu_lose(op, s) + v_win - v_lose
+        if isinstance(gain, np.ndarray):
+            bad = np.flatnonzero(~np.isfinite(gain))
+            if bad.size:
+                raise ValueError(f"customer {bad[0] + 1} of the batch, round {h}, state "
+                                 f"id {i}: the value of winning is {gain[bad[0]]!r}")
+            bid = np.minimum(np.maximum(gain, 0.0), B_A)
+        elif math.isfinite(gain):
+            bid = min(max(gain, 0.0), B_A)
+        else:
+            raise ValueError(f"round {h}, state id {i}: the value of winning is {gain!r}")
+        return bid, _bid_value(op, h, s, bid, v_win, v_lose)
 
-    return _backward_induction(len(op.hob), choose)
-
-
-def best_grid_values(op: OutcomeParams, grid: Sequence[float]) -> np.ndarray:
-    """The grid planner's episode value of every customer of a block."""
-    return _grid_policy(op, grid)[1][0]
-
-
-def dp_policy(op: OutcomeParams, bid_grid: np.ndarray, B_A: float) -> tuple[list, list]:
-    """One customer's grid plan: the grid planner on a block of one, on an
-    ascending grid in [0, B_A].  Returns by state id the bid, None where no
-    score beats -inf, and its value; ties go to the lower bid."""
-    grid = np.asarray(bid_grid, dtype=float).tolist()
-    if not grid or sorted(grid) != grid:
-        raise ValueError("bid grid must be nonempty and ascending")
-    if grid[0] < 0 or grid[-1] > B_A:
-        raise ValueError("bid grid must lie in [0, B_A]")
-    index, values = _grid_policy(op, grid)
-    values = [float(v[0]) for v in values[:-1]]
-    return [None if v == -math.inf else grid[i[0]] for i, v in zip(index, values)], values
+    bids, values = _backward_induction(len(op.hob), choose)
+    return bids, values[:-1]
 
 
-def policy_values(op: OutcomeParams, bids) -> np.ndarray:
+def best_grid_values(op: OutcomeParams, B_A: float) -> np.ndarray:
+    """The auction oracle: every customer's exact episode value, for a batch
+    in one backward induction."""
+    return dp_policy(op, B_A)[1][0]
+
+
+def policy_values(op: OutcomeParams, bids):
     """Expected episode value of bidding `bids[i]` in the state of id i
-    (auction semantics), by backward induction: one customer's bids, or
-    with batch inputs an (n_states, customers) array of every customer's."""
+    (auction semantics), by backward induction: a float for one customer's
+    bids, or with batch inputs an array over customers of the
+    (n_states, customers) bids."""
     bids = np.asarray(bids, dtype=float)
     if np.any(bids < 0):
         raise ValueError("bid must be nonnegative")
+    rows = bids.tolist() if bids.ndim == 1 else list(bids)
 
     def choose(h, i, s, v_win, v_lose):
-        bid = _column(bids[i])
-        terms = _auction_terms(op, h, bid, _column(_logs(bid.ravel().tolist())))
-        return bid, _scores(op, s, terms, v_win, v_lose)[:, 0]
+        return rows[i], _bid_value(op, h, s, rows[i], v_win, v_lose)
 
     return _backward_induction(len(op.hob), choose)[1][0]
 
 
 def policy_value(op: OutcomeParams, bids) -> float:
     """`policy_values` of one customer."""
-    return float(policy_values(op, bids)[0])
+    return float(policy_values(op, bids))
 
 
 def default_bid_grid(bounds: Bounds, points: int = 256) -> np.ndarray:
-    """Zero plus log-spaced bids from b/100 up to the cap."""
+    """Zero plus log-spaced bids from b/100 up to the cap: the bid grid that
+    the tests score against the exact planner; no planner reads it."""
     return np.concatenate(
         [[0.0], np.geomspace(bounds.b * 1e-2, bounds.B_A, points)]
     )

@@ -2,7 +2,7 @@
 behind the planners: every one of the 2^H target outcome sequences scored
 by `outcome_value`, a scalar round value `auction_round_value` on the
 model's closed forms (on one `Customer`: its context and auction model)
-with a scalar loop over the bid grid and a fixed bid rule's value built on
+with a scalar loop over a bid grid and a fixed bid rule's value built on
 it, the exact continuous-bid optimum, the oracle value in either planner
 mode, two identities of the HOB payment, an outcome-mode trial played one
 customer and one policy at a time, and the learner's update consuming one
@@ -49,7 +49,6 @@ from bidlab.planning import (
     batch_params,
     best_outcome_plan,
     best_outcome_values,
-    default_bid_grid,
     dp_policy,
     forced_bids,
     outcome_value,
@@ -139,9 +138,10 @@ def scalar_backward_induction(H, choose):
 
 
 def scalar_grid_policy(c, grid):
-    """Auction-mode grid planning one (state, bid) pair at a time: the bids
-    and values `dp_policy` must return, by state id.  The strict `>` keeps
-    the first of equal maxima, so ties go to the lower bid."""
+    """Auction-mode planning on a bid grid, one (state, bid) pair at a time:
+    the bids and values by state id of the best grid bid at every state,
+    which the exact planner (`dp_policy`) must dominate.  The strict `>`
+    keeps the first of equal maxima, so ties go to the lower bid."""
 
     def choose(h, s, v_win, v_lose):
         best_bid, best = None, -float("inf")
@@ -178,15 +178,14 @@ def closed_form_value(c):
 
 def oracle_value(x, m, a, mode="outcome", bounds=None):
     """Best achievable expected episode value under the true parameters:
-    over target outcome sequences, or by the grid planner on the default
-    257-point grid (which needs bounds)."""
+    over target outcome sequences, or by the exact auction planner under
+    the bid cap of `bounds`."""
     if mode == "outcome":
         return best_outcome_plan(params_from_true(x, m, a))[1]
     if mode == "dp":
         if bounds is None:
-            raise ValueError("dp mode needs bounds for the bid grid")
-        _, values = dp_policy(params_from_true(x, m, a), default_bid_grid(bounds),
-                              bounds.B_A)
+            raise ValueError("dp mode needs bounds for the bid cap")
+        _, values = dp_policy(params_from_true(x, m, a), bounds.B_A)
         return values[0]
     raise ValueError(f"unknown oracle mode {mode!r}")
 
@@ -225,13 +224,12 @@ def per_customer_realized(config, trial, instance=None):
             width_scale=config.width_scale, n_underbar=config.n_underbar,
             Gamma_override=config.Gamma_trunc, planner_mode=config.mode,
         )
-    grid = default_bid_grid(config.bounds, config.bid_grid_points)
     rewards = {name: [] for name in config.policies}
     for t, x in enumerate(xs, start=1):
         hobs = draw_hobs(x, a, rng, t)
         for name in config.policies:
             if name == "learner":
-                bids = act(agent, x, grid).bids
+                bids = act(agent, x).bids
             else:
                 bids = forced_bids(baseline_act(
                     BaselinePolicy(name, config.H),

@@ -87,6 +87,7 @@ from enumeration import (
     enumerated_best_plan,
     expected_payment_given_win,
     oracle_value,
+    scalar_grid_policy,
     true_customer,
 )
 from reference_table import REFERENCE_CHECKPOINTS, REFERENCE_MEANS, REFERENCE_ORDERS
@@ -435,17 +436,21 @@ def test_criterion_7_planner_cross_validation():
             opt >= outcome_value(p, params) - 1e-12 for p in plans
         )
 
+    # the exact auction planner against the scalar closed form, and the
+    # grid reference's convergence to it
     gaps = {n: [] for n in (64, 128, 256)}
+    exact_ok = True
     for i in range(10):
         rng = RandomSource(2000 + i)
         m, a = generate_instance(BENCHMARK_RECIPE, bounds, rng)
         x = sample_context(BENCHMARK_RECIPE, bounds, rng.stream(1, "ctx"))
-        exact = closed_form_value(true_customer(x, m, a, B_A=bounds.B_A))
+        customer = true_customer(x, m, a, B_A=bounds.B_A)
+        exact = closed_form_value(customer)
+        _, values = dp_policy(params_from_true(x, m, a), bounds.B_A)
+        exact_ok = exact_ok and values[0] == exact
         for n in gaps:
-            _, values = dp_policy(params_from_true(x, m, a), default_bid_grid(bounds, n),
-                                  bounds.B_A)
-            gap = exact - values[0]
-            assert gap >= -1e-9
+            gap = exact - scalar_grid_policy(customer, default_bid_grid(bounds, n))[1][0]
+            exact_ok = exact_ok and gap >= -1e-12
             gaps[n].append(max(gap, 0.0))
     mean_gap = {n: float(np.mean(v)) for n, v in gaps.items()}
     converges = (
@@ -456,10 +461,11 @@ def test_criterion_7_planner_cross_validation():
         f"outcome plan and batch oracle == enumeration on 100 instances: "
         f"{plans_ok}; "
         f"oracle dominance: {dominance_ok}; "
+        f"dp planner == closed form and >= every grid on 10 instances: {exact_ok}; "
         f"mean closed-form gap {mean_gap[64]:.2e} -> {mean_gap[128]:.2e} "
         f"-> {mean_gap[256]:.2e}"
     )
-    _report(7, plans_ok and dominance_ok and converges, detail)
+    _report(7, plans_ok and dominance_ok and exact_ok and converges, detail)
 
 
 def test_criterion_8_states_and_splitting():

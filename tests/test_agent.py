@@ -47,14 +47,12 @@ from bidlab.model import (
 import bidlab
 from bidlab.planning import (
     best_outcome_plan,
-    default_bid_grid,
     dp_policy,
     forced_bids,
     params_from_true,
 )
 
 BOUNDS = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
-GRID = default_bid_grid(BOUNDS)
 
 # theta rows by name
 NATURAL_DEMAND, FIRST_EXPOSURE = lose_index(NEVER_BEFORE), lose_index(ONLY_ONE)
@@ -113,7 +111,7 @@ def test_exploration_never_consults_estimators():
     agent.theta_bank = None  # would crash any planner access
     agent.delay_bank = None
     agent.auction_bank = None
-    d = act(agent, np.array([1.0, 1.0]), GRID)
+    d = act(agent, np.array([1.0, 1.0]))
     assert agent.exploring
     assert d == (forced_bids((True, False, False)), (True, False, False))
 
@@ -129,7 +127,7 @@ def test_zero_information_params_are_floored():
     assert params.log_hob == [0.0] * 3  # zero beta estimates
     assert params.sigma == [SIGMA_FLOOR] * 3
     assert params.hob == [lognormal_mean(0.0, SIGMA_FLOOR)] * 3
-    d = act(agent, np.array([1.0, 1.0]), GRID)
+    d = act(agent, np.array([1.0, 1.0]))
     assert d.plan is not None and len(d.plan) == 3
 
 
@@ -154,7 +152,7 @@ def test_exact_parameters_reproduce_oracle_plan():
         agent = small_agent()
         agent.t = 1000
         inject_truth(agent, m, a)
-        d = act(agent, x, GRID)
+        d = act(agent, x)
         want_plan, _ = best_outcome_plan(params_from_true(x, m, a))
         assert d.plan == want_plan
 
@@ -165,7 +163,7 @@ def test_optimism_orders_means_and_delays():
     m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, rng)
     for t in range(1, 13):
         x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream(t, "ctx"))
-        d = act(agent, x, GRID)
+        d = act(agent, x)
         log = play(d.bids, x, m, a, rng, t)
         update(agent, [log])
     x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream("probe"))
@@ -185,22 +183,29 @@ def test_dp_planner_mode_returns_bid_policy():
     m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, RandomSource(3))
     inject_truth(agent, m, a)
     x = sample_context(BENCHMARK_RECIPE, BOUNDS, RandomSource(3).stream("c"))
-    d = act(agent, x, GRID)
+    d = act(agent, x)
     assert d.plan is None
     assert len(d.bids) == len(state_table(BOUNDS.H).states)
     assert all(0.0 <= bid <= BOUNDS.B_A for bid in d.bids)
-    # the grid bids by state id, as the planner gives them on the learner's
+    # the exact bids by state id, as the planner gives them on the learner's
     # optimistic inputs
-    want, _ = dp_policy(optimistic_params(agent, x), GRID, BOUNDS.B_A)
+    want, _ = dp_policy(optimistic_params(agent, x), BOUNDS.B_A)
     assert d == (want, None)
 
 
-def test_dp_learner_rejects_a_grid_above_the_bid_cap():
-    agent = small_agent(planner_mode="dp")
+def test_dp_learner_caps_its_bids_at_B_A():
+    # under a cap far below the value of a first win, that state bids the cap
+    bounds = replace(BOUNDS, B_A=0.05)
+    agent = make_agent(bounds, T=200, n_underbar=4, width_scale=0.0,
+                       Gamma_override=100_000.0, planner_mode="dp")
     agent.t = 1000
-    high = np.concatenate([GRID, [2 * BOUNDS.B_A]])
-    with pytest.raises(ValueError, match=r"bid grid must lie in \[0, B_A\]"):
-        act(agent, np.array([1.0, 1.0]), high)
+    m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, RandomSource(3))
+    inject_truth(agent, m, a)
+    x = sample_context(BENCHMARK_RECIPE, BOUNDS, RandomSource(3).stream("c"))
+    d = act(agent, x)
+    assert d.bids[0] == bounds.B_A  # id 0: round 1, initial state
+    assert all(0.0 <= bid <= bounds.B_A for bid in d.bids)
+    assert d == (dp_policy(optimistic_params(agent, x), bounds.B_A)[0], None)
 
 
 # --- updates -----------------------------------------------------------------
@@ -211,7 +216,7 @@ def run_exploration(agent, seed=5):
     window = exploration_window(agent.n_underbar, BOUNDS.H)
     for t in range(1, window + 1):
         x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream(t, "ctx"))
-        d = act(agent, x, GRID)
+        d = act(agent, x)
         log = play(d.bids, x, m, a, rng, t)
         update(agent, [log])
     return m, a
@@ -448,7 +453,7 @@ def test_agent_snapshot_round_trip():
         # the whole exploration window and a few optimistic customers
         for t in range(1, exploration_window(2, H) + 4):
             x = sample_context(BENCHMARK_RECIPE, bounds, rng.stream(t, "ctx"))
-            d = act(agent, x, default_bid_grid(bounds))
+            d = act(agent, x)
             log = play(d.bids, x, m, a, rng, t)
             update(agent, [log])
         d = agent_to_dict(agent)
@@ -610,9 +615,9 @@ def test_schedule_decisions_may_run_ahead_of_updates():
     window = exploration_window(agent.n_underbar, BOUNDS.H)
     x = np.array([1.0, 1.0])
     for t in range(1, window + 1):
-        assert act(agent, x, GRID, t).plan == exploration_plan(
+        assert act(agent, x, t).plan == exploration_plan(
             t, agent.n_underbar, BOUNDS.H
         )
     assert agent.t == 1
     with pytest.raises(ValueError, match=rf"^customer {window + 1}: "):
-        act(agent, x, GRID, window + 1)
+        act(agent, x, window + 1)

@@ -5,9 +5,10 @@ customers), at a root seed of two 32-bit words (2**40 + 3) and with the
 fixed baselines only (no learner), with a truncation level and an effect
 bound small enough that the online Newton step truncates and projects, and
 with three trials on a pool of two workers (whose processes write the
-episode and context logs), and dp runs at H=4 on an 8-point bid grid, at
-T=1 (one context, padded for the stacked product) and at H=5 in dimension
-3 (37 customers, 13 of them planned by the learner on the grid).
+episode and context logs), and dp runs at H=4 (whose `bid_grid_points`
+of 8 no planner reads), at T=1 (one context, padded for the stacked
+product) and at H=5 in dimension 3 (37 customers, 13 of them planned by
+the learner).
 
 Any change to the simulator, the planners, the estimators or the writers
 that moves a single bit of `curves.csv`, `summary.txt`, `config.json`, the
@@ -103,7 +104,7 @@ GOLDEN = {
         "episodes_trial1.csv": "9a9d0c952433d63597f106d7292988bcc4a3d4a39dc18478eceff7ce2e159240",
         "instance_trial0.snapshot": "5224ffb2ca1412074c36969583d75dbf6a178543ea7dfe1c55aab1a1f9c55b4e",
         "instance_trial1.snapshot": "492ff1f1f9b7230a30def54c6a175c1bdff17b544417dae704ee15d3e607d906",
-        "summary.txt": "c58d4649e5e9ef8ce4d02ea00fa378a41d9b1e132a0a27524465aaa98997841d",
+        "summary.txt": "c84e97ca5f86a510a0ef6089d480ba1f03214a5d6322d6fb66d0cb5180ed46a1",
     },
     "outcome_h1": {
         "agent_trial0.snapshot": "43d172bbb845fb41f57897adf81b81058a40b7c1f1e9e52aeda054c6ff3a7726",
@@ -112,7 +113,7 @@ GOLDEN = {
         "curves.csv": "4ea2939a9381bdb810ee7520a4b49eaca0d1226e81bf62e7adab357498befb2d",
         "episodes_trial0.csv": "b8e2d632dff45d8e0407e0dad80c82f966428756fd11f829008a3daa8b83c40a",
         "instance_trial0.snapshot": "9a9168623aac46924b13eaad734c3aef098ca8e93d7e64f876029ca1fc7517a6",
-        "summary.txt": "67a83e696c02b68322618a8b8d257b3415e72b552a970897ff6a9907a7dab861",
+        "summary.txt": "00ee2b2a3419e08f60b194417aa34bda81da4fc18f5e9520f6fbd0e46eab9292",
     },
     "outcome_h5_dim3": {
         "agent_trial0.snapshot": "881e1e4744e73c83c9f197613510d9983952b2784afc5463ca6a3be3a8587ff1",
@@ -125,7 +126,7 @@ GOLDEN = {
         "episodes_trial1.csv": "6f527537c48c90501108338982fc5870b855335d62144561828931f73041da70",
         "instance_trial0.snapshot": "650f7f66c7d851ca5ec90172bf1b9b1e9f2b41b089b5612ede1eff4f02c9f4db",
         "instance_trial1.snapshot": "5b794fb31dd9d60fd3f107b1c1bb54bd29ef891f1544094027b5e3947d8d152c",
-        "summary.txt": "7ba089b2932118af59a60bf2cd18291cd0943960283490a2e071e2cdc2aea205",
+        "summary.txt": "7147cca0fe4eff0ff56fe330d361b0a3238a979e399c0b9dc507a834c06eaf17",
     },
     "outcome_t2": {
         "agent_trial0.snapshot": "57649f2031cae13bb364974a4b8af479d3a1053febf5c58bd9617d95581ccb1a",
@@ -134,7 +135,7 @@ GOLDEN = {
         "curves.csv": "535f4b87ae01fb4e7c2ad2c81d1d88382d415ac1d0ede6e2c2f66d0c024dd79a",
         "episodes_trial0.csv": "0ad604f63390c6ec7375d6a9ecc0ff539f342a679ea3dc2f4d97b99b2f12e80e",
         "instance_trial0.snapshot": "5224ffb2ca1412074c36969583d75dbf6a178543ea7dfe1c55aab1a1f9c55b4e",
-        "summary.txt": "bc072331b36c3b725bddd472f2bcb943b434d3ebb7a2b395f7e0d7e83c670b71",
+        "summary.txt": "e94791e686ee50c7bac57640045d1f8300bafa9d504b8defbc42cbd19c67fea3",
     },
     "outcome_seed_2pow40": {
         "agent_trial0.snapshot": "4a06d7fca0035952c0e0557bc4262dca6f60be85208a6754842785aaddbf87c2",
@@ -147,14 +148,14 @@ GOLDEN = {
         "episodes_trial1.csv": "6b54e783cc4106f1956c1960fb48733ec07ad574c9d1094f14e1b054c37a44fb",
         "instance_trial0.snapshot": "431b87ae465afb97bedbfefb40586149a74e869144bf3ece4c0a363c01643990",
         "instance_trial1.snapshot": "58661539c4149af9824510b17a5f6cd5c124811a66c1a1b0f34b626a89b5c654",
-        "summary.txt": "04fd27f4b93eca2f28945653b5c03f0a8360dbc9fa8ad0010a7d6b4b33253f2f",
+        "summary.txt": "e5458a2979e4138e56d5c05084ceb1a63c4ff1fee5ea2643c26902de04eed677",
     },
     "outcome_baselines_only": {
         "config.json": "992a35d5a017c70f78a06900ddc91982c820700f0d51ef487b60f78816e7e707",
         "curves.csv": "2f7d0efeeca178e7a66bc667817e9a34bd988f602aa18eaaced85e824a937830",
         "instance_trial0.snapshot": "45542f1f4ec3fe51b7051c34ac7fa37d6aa4334fc3a9b2f5f2d37e9d6bf6cc40",
         "instance_trial1.snapshot": "f3a841b1e759b5c57f0745910e3db1b9889fd4cf1d1ea183ca8e3b193f583512",
-        "summary.txt": "1d220f504e8f0e05acf342f64f1f547f1895a24c7b4aa82b0d7d995edd8df87b",
+        "summary.txt": "bb343ef5c562fc52b83024f2607b8a2efdd2328b1e5bb4110cd6c8017c7e7f95",
     },
     "outcome_workers2": {
         "agent_trial0.snapshot": "2f9f07fda81ce154750c6de19cdd2c8d6185de963d42ad1d967a14829ab601b6",
@@ -171,7 +172,7 @@ GOLDEN = {
         "instance_trial0.snapshot": "5224ffb2ca1412074c36969583d75dbf6a178543ea7dfe1c55aab1a1f9c55b4e",
         "instance_trial1.snapshot": "492ff1f1f9b7230a30def54c6a175c1bdff17b544417dae704ee15d3e607d906",
         "instance_trial2.snapshot": "87d185c7968a290d180819905be53067a2a0947e787e9c3b76319416bb8d1dab",
-        "summary.txt": "9f34b182f204475307a1134d612dc2dc19972aa5b3fdf381c082293d256f5967",
+        "summary.txt": "d840f411ddd41b87f5e67827d3d8ec2f9eb2cc72395779a7661c75d2be0b9aeb",
     },
     "outcome_trunc_proj": {
         "agent_trial0.snapshot": "09d519cecf39bece9364ece9bffedd298641d9052483aa03da2799d56d1d397a",
@@ -184,34 +185,34 @@ GOLDEN = {
         "episodes_trial1.csv": "f3f37c9f7d26f5b15ee8b5bb6057efd7674fc7f3977d0ecb305fc014f75bbd17",
         "instance_trial0.snapshot": "8cdf333097e95ed20b158cac8a1358b7258ced8afbcea646705fd9d8cf2b66bc",
         "instance_trial1.snapshot": "7ef72c6932e8ea89db706d019674966c4e54ca3f7a30aeb823fe28bf6a9004ab",
-        "summary.txt": "3a101b6061110757c293f8d6ed14ddf910c259418b79d1e77225b864a9df4994",
+        "summary.txt": "8176b28182b4336bcb0c3ee8655df07a5180f86a2e05e9bf0f2b86a2bb635dd3",
     },
     "dp": {
         "agent_trial0.snapshot": "952cae640ca76b0726301eb87488df090537de3c46f1d6fa83516434734ebf66",
         "config.json": "c199ad305ce4843481e42d24d71fde949b92c267c5cc493858ec12a4bff73f61",
         "contexts_trial0.csv": "4b0f48e0df687f770b0fa425f980917c7cdbbd4b0193b051edd4ccab18b2bb7c",
-        "curves.csv": "d8dc7a881b9f105d5d18d1a1f483924adcd70335bd97875504b96427aa6b2c1c",
-        "episodes_trial0.csv": "28bd7b5cf3755aba71572cf49606106cfd00bd6e10af076f85d439b349896709",
+        "curves.csv": "a3387f664de037ed7be9dcdc93f62618376a2e842858669a6af197e852a3fb8b",
+        "episodes_trial0.csv": "7b76144d5de51b918024952f6d6fedbb8966d431b784cc0924d346697f47c251",
         "instance_trial0.snapshot": "5224ffb2ca1412074c36969583d75dbf6a178543ea7dfe1c55aab1a1f9c55b4e",
-        "summary.txt": "b8c2c83be0f923a42fbd274628053f5d76a9387adfa48e880918e500669e7bbb",
+        "summary.txt": "8a03c497871d9050811d8ee7f2ae520563cd9536882d78197abb669156515e73",
     },
     "dp_h4_grid8": {
-        "agent_trial0.snapshot": "5cc13c44cfce29fbfb377dda38bd4dc076a53223f03750205b8e5e474316e844",
+        "agent_trial0.snapshot": "1f1b6a4267db442578c247e4cc03ec114ad5b6915f8576cc4eaf9a5c3f77b73b",
         "config.json": "740235ff607360a07c9fc37c6e7fa633ca666a71cdf579d42a353929e91b8633",
         "contexts_trial0.csv": "4b0f48e0df687f770b0fa425f980917c7cdbbd4b0193b051edd4ccab18b2bb7c",
-        "curves.csv": "9eb05e323fbeafb9dc03ee45751db2cb6ce3c9db70a5421bc67ca25a0cad8b72",
-        "episodes_trial0.csv": "9c9b7ab089aff8e5e18d309802fa0341170de3d3f4fb0ea7771273aca96ddc29",
+        "curves.csv": "6e215e758c3e0c19a58d6a79773f87793510288549645aedaf93a2ceeb07ee62",
+        "episodes_trial0.csv": "ae202feaa90ca8112fb2730cd1c11b802f80353a8f40cef612c8fb5bc0aa5290",
         "instance_trial0.snapshot": "45542f1f4ec3fe51b7051c34ac7fa37d6aa4334fc3a9b2f5f2d37e9d6bf6cc40",
-        "summary.txt": "609c949c3111a0911d0a81455c3e95a5c25a37b84dfd2fcdd83a0d2c05b2030a",
+        "summary.txt": "c40bfb5e5cd730bf4347b6b3e5843faa306619b8a860127f066953e1ccbdea5e",
     },
     "dp_t1": {
         "agent_trial0.snapshot": "d4f3652f563410b949771db85ce2fa198e76f1495422f6e807ad2dd9362bde68",
         "config.json": "2ac785d114cb0d2dddbbc3f3b04a52359b91b5960fbc1ea70b41c68d364e5834",
         "contexts_trial0.csv": "432570627a2c69b92413e94eda991687a92711b82fb501f8596cad5c009e3baf",
-        "curves.csv": "51648678a183591fcd0f4fe3a1aa8d7747a5e8da914790a8605146f7246e994f",
+        "curves.csv": "c4825a490004c78d6f88b77e4fb1313ee00d6e0dbaa020f4bd33cdcd2fb7012e",
         "episodes_trial0.csv": "61a06433aaa379567c6ba4141ec0bf13d71e82c9bd36623e51fbf8b360591fcb",
         "instance_trial0.snapshot": "5224ffb2ca1412074c36969583d75dbf6a178543ea7dfe1c55aab1a1f9c55b4e",
-        "summary.txt": "3b6c5f5a88ecbe5b9b2af5916dab286b2cb52c780f3ea70fbfd9b53c9864d4b8",
+        "summary.txt": "368b043e339cd345d3d9d55333c5d3c5c6826d904bb770b08465c0c5734b89ba",
     },
     "dp_h5_dim3": {
         "agent_trial0.snapshot": "683d982a0a5444528601d73128cf91bed527ed5d086d2cb69f48db2c5d0b98f1",
@@ -219,12 +220,12 @@ GOLDEN = {
         "config.json": "8b852703a9aa8a453656255b761300fc516a0c165a9429fa2ed9c8a50166ea24",
         "contexts_trial0.csv": "9b0bdadc71053f9ead62493eea62a8b507a57a0995d5537163b99ab518581baa",
         "contexts_trial1.csv": "ca30957a4a28ddad0589fa8384ed4faed9db852a8d4e99db3f0361391c81ee5b",
-        "curves.csv": "cbde046a7cd323e6fcfd54f310186755a99d2b2209aee8447cd071114f699d33",
-        "episodes_trial0.csv": "64abc7a74d286bb1f3c3bd40bc69d3133fe0489cb78f2be98378033398dde83b",
-        "episodes_trial1.csv": "a1a96dc36223febf8fe9d0acf305843b83cfc2314321796572ab62b4fc7b8fb2",
+        "curves.csv": "3c5a789976870be1a8e8ced56d71011c2f2f761ab975ddfa646bbc5c8fbe6681",
+        "episodes_trial0.csv": "42c944c82b2d4e7e2a96772a41a2d8c3a401e5028ece1258b947c1900282648d",
+        "episodes_trial1.csv": "7dc5917fd6c560b01f1c6bfcaf9bc084670583ef295460e46441ef9174758b28",
         "instance_trial0.snapshot": "650f7f66c7d851ca5ec90172bf1b9b1e9f2b41b089b5612ede1eff4f02c9f4db",
         "instance_trial1.snapshot": "5b794fb31dd9d60fd3f107b1c1bb54bd29ef891f1544094027b5e3947d8d152c",
-        "summary.txt": "7d0d11eefc5cd368cda5f7ea9d07ec187848552064c73f21839f483eeeb863cb",
+        "summary.txt": "6e2438349e435f90880cdce50613ee4f963c5f6262626d673b8dd61dd8bd05d1",
     },
 }
 

@@ -50,10 +50,9 @@ from bidlab.harness import (
     scaled_checkpoints,
     write_outputs,
 )
-from bidlab.model import Bounds
+from bidlab.model import INITIAL_STATE, Bounds, state_table
 from bidlab.planning import (
     best_outcome_plan,
-    default_bid_grid,
     outcome_value,
     params_from_true,
 )
@@ -341,15 +340,43 @@ def test_expected_regret_matches_direct_computation():
     assert np.allclose(tr.expected["passive"], np.cumsum(want), atol=1e-12)
 
 
-def test_dp_learner_plans_on_the_configured_grid():
-    cfg = small_config(trials=1, T=30, n_underbar=5, mode="dp", bid_grid_points=8,
-                       checkpoints=(30,), policies=("learner",))
-    tr = run_trial(cfg, 0)
-    grid = set(default_bid_grid(cfg.bounds, 8).tolist())
+def test_bid_grid_points_leaves_a_dp_trial_unchanged():
+    # no planner reads the grid size: the learner bids its exact bids, each
+    # within [0, B_A], whatever the config names
+    cfg = small_config(trials=1, T=30, n_underbar=5, mode="dp", checkpoints=(30,),
+                       policies=("learner",))
+    reference = run_trial(cfg, 0)
+    tr = run_trial(replace(cfg, bid_grid_points=8), 0)
+    assert tr.realized["learner"].tolist() == reference.realized["learner"].tolist()
+    assert tr.expected["learner"].tolist() == reference.expected["learner"].tolist()
     window = exploration_window(cfg.n_underbar, cfg.H)
     bids = [r.bid for _, log in tr.episodes if log.t > window for r in log.records]
     assert len(bids) == (cfg.T - window) * cfg.H
-    assert all(bid in grid for bid in bids)
+    assert all(0.0 <= bid <= cfg.bounds.B_A for bid in bids)
+
+
+def test_a_non_finite_value_of_winning_names_trial_customer_round_and_state(
+    monkeypatch,
+):
+    # a NaN first-exposure mean in the learner's optimistic view at its
+    # first planned customer fails there, before any bid is played
+    import bidlab.agent as agent_module
+
+    real = agent_module.optimistic_params
+
+    def nan_first_exposure(agent, x):
+        params = real(agent, x)
+        return params._replace(mu=[params.mu[0], math.nan, *params.mu[2:]])
+
+    monkeypatch.setattr(agent_module, "optimistic_params", nan_first_exposure)
+    cfg = small_config(trials=1, T=30, n_underbar=5, mode="dp", checkpoints=(30,),
+                       policies=("learner",), emit_logs=False)
+    window = exploration_window(cfg.n_underbar, cfg.H)
+    i = state_table(cfg.H).ids[(cfg.H, INITIAL_STATE)]
+    with pytest.raises(RuntimeError) as err:
+        run_trial(cfg, 0)
+    assert str(err.value) == (f"trial 0, customer {window + 1}: round {cfg.H}, "
+                              f"state id {i}: the value of winning is nan")
 
 
 def test_long_horizon_config_runs_to_the_end():
@@ -499,7 +526,7 @@ def test_negative_conversion_mean_of_the_oracle_names_trial_and_customer(
 def test_a_dp_trial_plans_on_the_grid_only_for_the_learners_exploit_customers(
     monkeypatch,
 ):
-    # the grid oracle runs on blocks of customers, so dp_policy is called
+    # the auction oracle runs on one block of customers, so dp_policy is called
     # once per exploit customer by the learner and never by the harness,
     # which also builds no per-customer params and scores no bid rule alone
     import bidlab.agent as agent_module
@@ -525,12 +552,21 @@ def test_a_dp_trial_plans_on_the_grid_only_for_the_learners_exploit_customers(
 @pytest.mark.parametrize("mode", ["outcome", "dp"])
 @pytest.mark.parametrize("chunk", [1, 7, 10**6])
 def test_grid_oracle_block_size_leaves_a_trial_unchanged(monkeypatch, mode, chunk):
+    # the harness scores the auction oracle in one block; in blocks of
+    # `chunk` customers every customer's value, and so the trial, is the same
     import bidlab.harness as harness_module
 
     cfg = small_config(T=60, trials=1, n_underbar=5, checkpoints=(60,), mode=mode,
                        emit_logs=False)
     reference = run_trial(cfg, 0)
-    monkeypatch.setattr(harness_module, "GRID_CHUNK", chunk)
+    real = harness_module.best_grid_values
+
+    def in_blocks(op, B_A):
+        n = len(op.hob[0])
+        return np.concatenate([real(op.rows(i, min(i + chunk, n)), B_A)
+                               for i in range(0, n, chunk)])
+
+    monkeypatch.setattr(harness_module, "best_grid_values", in_blocks)
     got = run_trial(cfg, 0)
     assert got.oracle_gap == reference.oracle_gap
     for name in cfg.policies:
@@ -940,8 +976,8 @@ def _recording_trial(monkeypatch, cfg):
     decisions, runs = [], []
     real_act, real_update = harness_module.act, harness_module.update
 
-    def recording_act(agent, x, grid, t):
-        decision = real_act(agent, x, grid, t)
+    def recording_act(agent, x, t):
+        decision = real_act(agent, x, t)
         decisions.append((t, agent.t, decision.plan))
         return decision
 
@@ -1034,7 +1070,7 @@ def test_underfed_delays_in_a_run_name_trial_and_customer(monkeypatch):
     from bidlab.planning import forced_bids
 
     never = Decision(forced_bids((False,) * 3), (False,) * 3)
-    monkeypatch.setattr(harness_module, "act", lambda agent, x, grid, t: never)
+    monkeypatch.setattr(harness_module, "act", lambda agent, x, t: never)
     with pytest.raises(RuntimeError) as err:
         run_trial(_learner_config(), 0)
     assert str(err.value) == (

@@ -1,6 +1,7 @@
 """Planners: outcome plans against hand traces and brute-force
-enumeration, DP against the closed-form continuous-bid optimum, and
-cross-mode consistency."""
+enumeration, the exact auction planner against the closed-form
+continuous-bid optimum and the grid reference, and cross-mode
+consistency."""
 
 import itertools
 import math
@@ -24,11 +25,11 @@ from bidlab.model import (
     win_probability,
 )
 from bidlab import planning
-from bidlab.harness import GRID_CHUNK
 from bidlab.planning import (
     OutcomeParams,
     batch_params,
     best_outcome_plan,
+    best_grid_values,
     best_outcome_values,
     default_bid_grid,
     dp_policy,
@@ -263,44 +264,31 @@ def test_oracle_dominates_every_plan():
 def test_dp_one_round_truthful():
     p = make_params(mu_nd=1.0, mu_f=3.0, log_means=(0.5,), sigmas=(0.8,))
     b_star = 3.0 - 1.0
+    bids, values = dp_policy(p.op, p.B_A)
+    assert bids[0] == b_star == closed_form_bid(INITIAL_STATE, p, 0.0, 0.0)
+    assert values[0] == closed_form_value(p)  # id 0: round 1, initial state
+    # no bid of a fine grid around it does better
     grid = np.linspace(0.0, 10.0, 2001)  # step 0.005
-    bids, _ = dp_policy(p.op, grid, p.B_A)
-    assert abs(bids[0] - b_star) <= 0.005 + 1e-12  # id 0: round 1, initial state
-    cf = closed_form_bid(INITIAL_STATE, p, 0.0, 0.0)
-    assert cf == pytest.approx(b_star)
+    assert values[0] >= scalar_grid_policy(p, grid)[1][0]
 
 
 def test_dp_bids_zero_when_winning_never_pays():
     p = make_params(mu_nd=2.0, mu_f=2.0, mu_l1=2.0, mu_l2=2.0, d1=1.0, d2=1.0)
-    bids, values = dp_policy(p.op, default_bid_grid(BOUNDS), p.B_A)
+    bids, values = dp_policy(p.op, p.B_A)
     assert all(b == 0.0 for b in bids)
     assert values[0] == pytest.approx(6.0)
 
 
-def test_dp_grid_validation():
-    p = make_params()
-    with pytest.raises(ValueError, match="nonempty and ascending"):
-        dp_policy(p.op, np.array([]), 50.0)
-    with pytest.raises(ValueError, match="nonempty and ascending"):
-        dp_policy(p.op, np.array([1.0, 0.5]), 50.0)
-    with pytest.raises(ValueError, match=r"lie in \[0, B_A\]"):
-        dp_policy(p.op, np.array([-1.0, 0.5]), 50.0)
-    with pytest.raises(ValueError, match=r"lie in \[0, B_A\]"):
-        dp_policy(p.op, np.array([0.0, 100.0]), 50.0)
-    # the cap is the caller's: the same grid passes under a higher one
-    assert len(dp_policy(p.op, np.array([0.0, 100.0]), 100.0)[0]) == 7
-
-
 def test_dp_covers_reachable_states():
     p = make_params()
-    bids, values = dp_policy(p.op, default_bid_grid(BOUNDS), p.B_A)
+    bids, values = dp_policy(p.op, p.B_A)
     ids = state_table(3).ids
     assert len(bids) == len(values) == len(ids) == 1 + 2 + 4
     assert list(ids)[0] == (1, INITIAL_STATE)
     assert (2, ExposureState(1, ONLY_ONE)) in ids
     assert (3, ExposureState(2, ONLY_ONE)) in ids
     assert (3, ExposureState(1, 1)) in ids
-    assert all(b is not None for b in bids)
+    assert all(isinstance(b, float) and 0.0 <= b <= p.B_A for b in bids)
 
 
 def test_forced_dp_equals_enumeration_bitwise():
@@ -356,30 +344,38 @@ def test_dp_matches_expected_round_reward_model():
             auction_round_value(params, 2, s, -1.0, 0.0, 0.0)
 
 
-def test_dp_grid_equals_scalar_reference_bitwise():
-    # dp_policy scores every bid of a state at once; the scalar loop over
-    # auction_round_value must give the same bids and values, float for float
-    grids = (
-        default_bid_grid(BOUNDS),
-        default_bid_grid(BOUNDS, 8),
-        np.array([0.0, 0.0, 0.5, 0.5, 2.0, 2.0, 2.0, 10.0, 50.0]),
-    )
-    for H in range(1, 7):
-        for seed in range(3):
-            p = random_params(H, seed=500 + 10 * H + seed)
-            for grid in grids:
-                assert dp_policy(p.op, grid, p.B_A) == scalar_grid_policy(p, grid)
+GRIDS = (
+    default_bid_grid(BOUNDS),
+    default_bid_grid(BOUNDS, 8),
+    np.array([0.0, 0.0, 0.5, 0.5, 2.0, 2.0, 2.0, 10.0, 50.0]),
+)
+
+
+def test_dp_equals_closed_form_bitwise():
+    # the exact planner's value against the scalar closed form, float for
+    # float, on 100 instances at each H in 1..6; its bids scored by
+    # policy_values and by the scalar closed forms give its value again; and
+    # on a few of them it is at least the value of the best bids of every
+    # reference grid
+    for H, seed in itertools.product(range(1, 7), range(100)):
+        p = random_params(H, seed=500 + 1000 * H + seed)
+        bids, values = dp_policy(p.op, p.B_A)
+        assert values[0] == closed_form_value(p)
+        assert policy_value(p.op, bids) == scalar_policy_value(p, bids) == values[0]
+        if seed < 3:
+            for grid in GRIDS:
+                assert values[0] >= scalar_grid_policy(p, grid)[1][0] - 1e-12
 
 
 def test_dp_grid_ties_go_to_the_lower_bid():
-    # HOB ~ 1 with a tiny spread: bids up to 0.5 win with probability
-    # exactly 0 and bids from 5 up win surely and pay exactly the HOB mean,
-    # so each group scores the same float at every state
+    # the grid reference: HOB ~ 1 with a tiny spread, so bids up to 0.5 win
+    # with probability exactly 0 and bids from 5 up win surely and pay
+    # exactly the HOB mean, and each group scores the same float at every
+    # state; the exact planner does at least as well
     p = make_params(mu_nd=1.0, mu_f=4.0, mu_l1=1.5, mu_l2=1.0, d1=1.0, d2=1.0,
                     log_means=(0.0, 0.0, 0.0), sigmas=(0.01, 0.01, 0.01))
     grid = np.array([0.0, 0.1, 0.2, 0.5, 5.0, 10.0, 20.0, 50.0])
-    bids, values = dp_policy(p.op, grid, p.B_A)
-    assert (bids, values) == scalar_grid_policy(p, grid)
+    bids, values = scalar_grid_policy(p, grid)
     table = state_table(3)
     for (h, s), i in table.ids.items():
         nxt = [values[j] if j < len(values) else 0.0 for j in table.next_id[i][::-1]]
@@ -388,30 +384,35 @@ def test_dp_grid_ties_go_to_the_lower_bid():
         assert len(best) >= 2
         assert bids[i] == best[0] and values[i] == max(q)
     assert set(bids) == {0.0, 5.0}
+    assert dp_policy(p.op, p.B_A)[1][0] >= values[0] - 1e-12
 
 
 def test_dp_grid_never_chooses_nan():
     # an infinite win mean scores the zero bid inf * 0 = NaN and every
-    # positive bid +inf: the loop skips the NaN and keeps the first +inf
+    # positive bid +inf: the grid reference skips the NaN and keeps the
+    # first +inf, and the exact planner bids no infinite value of winning
     p = make_params(mu_f=math.inf, log_means=(0.0,), sigmas=(1.0,))
-    grid = np.array([0.0, 0.5, 1.0])
-    with np.errstate(invalid="ignore"):
-        bids, values = dp_policy(p.op, grid, p.B_A)
-    assert (bids, values) == scalar_grid_policy(p, grid)
+    bids, values = scalar_grid_policy(p, np.array([0.0, 0.5, 1.0]))
     assert bids[0] == 0.5 and values[0] == math.inf
+    with pytest.raises(ValueError, match=r"^round 1, state id 0: the value of winning is inf$"):
+        dp_policy(p.op, p.B_A)
 
 
-def grid_block(op, grid):
+def test_dp_rejects_a_nan_conversion_mean():
+    # a NaN first-exposure mean makes the value of winning NaN in the
+    # never-exposed state of the last round, the first the induction visits
+    p = make_params(mu_f=math.nan)
+    i = state_table(3).ids[(3, INITIAL_STATE)]
+    with pytest.raises(ValueError, match=rf"^round 3, state id {i}: the value of winning is nan$"):
+        dp_policy(p.op, p.B_A)
+
+
+def exact_block(op, B_A=50.0):
     """Each customer's bids and values by state id, from one run of the
-    grid planner over the block `op`."""
-    index, values = planning._grid_policy(op, grid)
-    out = []
-    for c in range(len(values[0])):
-        v = [float(col[c]) for col in values[:-1]]
-        b = [None if v[i] == -math.inf else float(grid[col[c]])
-             for i, col in enumerate(index)]
-        out.append((b, v))
-    return out
+    exact planner over the batch `op`."""
+    bids, values = dp_policy(op, B_A)
+    return [([float(b[c]) for b in bids], [float(v[c]) for v in values])
+            for c in range(len(values[0]))]
 
 
 def stacked(customers):
@@ -423,60 +424,56 @@ def stacked(customers):
     return ops[0]._replace(**cols)
 
 
-GRIDS = (
-    default_bid_grid(BOUNDS),
-    default_bid_grid(BOUNDS, 8),
-    np.array([0.0, 0.0, 0.5, 0.5, 2.0, 2.0, 2.0, 10.0, 50.0]),
-)
-
-
 @pytest.mark.parametrize("H", range(1, 7))
 def test_grid_blocks_equal_scalar_reference_bitwise(H):
-    # blocks of 1, 2, chunk - 1, chunk and chunk + 1 customers of a batch,
-    # in dimensions 1 to 5: every customer against `dp_policy` on its own
-    # params, and against the scalar loop the first and last customer of
-    # each block on the short grids and the last of each dimension on the
-    # 257-point grid (the slow one for the scalar loop)
-    sizes = (1, 2, GRID_CHUNK - 1, GRID_CHUNK, GRID_CHUNK + 1)
+    # the auction oracle on one block of 1, 2 and 17 customers of a batch,
+    # in dimensions 1 to 5: every customer's bids and values against
+    # `dp_policy` on its own params, its oracle value against the scalar
+    # closed form, and its bids scored by policy_values, for the block and
+    # for the customer alone, against its values
+    sizes = (1, 2, 17)
     for dim in range(1, 6):
         m, a, X = batch_instance(H, dim, T=sum(sizes), seed=700 + 10 * H + dim)
         batch = batch_params(X, m, a)
-        scalar = [true_customer(x, m, a, B_A=50.0) for x in X]
-        for g, grid in enumerate(GRIDS):
-            start = 0
-            for n in sizes:
-                block = grid_block(batch.rows(start, start + n), grid)
-                assert len(block) == n
-                for c, got in enumerate(block, start):
-                    assert got == dp_policy(params_from_true(X[c], m, a), grid, 50.0)
-                    if c == len(X) - 1 or g and c in (start, start + n - 1):
-                        assert got == scalar_grid_policy(scalar[c], grid)
-                start += n
+        start = 0
+        for n in sizes:
+            block = batch.rows(start, start + n)
+            got = exact_block(block)
+            oracle = best_grid_values(block, 50.0).tolist()
+            block_bids = np.array([bids for bids, _ in got]).T
+            scored = policy_values(block, block_bids).tolist()
+            for c, (bids, values) in enumerate(got, start):
+                one = params_from_true(X[c], m, a)
+                assert (bids, values) == dp_policy(one, 50.0)
+                assert oracle[c - start] == scored[c - start] == values[0]
+                assert policy_value(one, bids) == values[0]
+                assert values[0] == closed_form_value(true_customer(X[c], m, a, B_A=50.0))
+            start += n
 
 
 def test_grid_block_mixes_ties_nan_and_ordinary_customers():
-    # customer "tie" meets a HOB far above the grid, so no bid wins or pays
-    # and every bid of a state scores the same float: the lowest bid must
-    # win; customer "nan" converts a first win infinitely, so the zero bid
-    # scores inf * 0 = NaN and every positive bid +inf: the NaN must never
-    # win.  In one block, in every order, each gets the scalar loop's bids
-    # and values.
+    # customer "tie" meets a HOB far above the cap, so no bid wins or pays
+    # and its value is that of never bidding; customer "nan" converts a
+    # first win infinitely, so its value of winning is infinite.  In one
+    # block, in every order, "tie" and "ordinary" get their own plans, and
+    # "nan" fails the block, naming its place in it.
     sigmas = (0.5, 0.5, 0.5)
     customers = {
         "tie": make_params(log_means=(300.0,) * 3, sigmas=sigmas),
         "nan": make_params(mu_f=math.inf, sigmas=sigmas),
         "ordinary": make_params(sigmas=sigmas),
     }
-    grid = np.array([0.0, 0.1, 0.2, 0.5, 5.0, 10.0, 20.0, 50.0])
-    with np.errstate(invalid="ignore"):
-        reference = {k: scalar_grid_policy(p, grid) for k, p in customers.items()}
-        for order in itertools.permutations(customers):
-            block = grid_block(stacked([customers[k] for k in order]), grid)
-            assert dict(zip(order, block)) == reference
+    reference = {k: dp_policy(customers[k].op, 50.0) for k in ("tie", "ordinary")}
+    for order in itertools.permutations(customers):
+        ops = [customers[k] for k in order]
+        k = order.index("nan")
+        with pytest.raises(ValueError, match=rf"^customer {k + 1} of the batch, round 3"):
+            exact_block(stacked(ops))
+        rest = [k for k in order if k != "nan"]
+        block = exact_block(stacked([customers[k] for k in rest]))
+        assert dict(zip(rest, block)) == reference
     bids, values = reference["tie"]
-    assert set(bids) == {0.0}
-    bids, values = reference["nan"]
-    assert bids[0] == 0.1 and values[0] == math.inf  # id 0: round 1, initial state
+    assert values[0] == policy_value(customers["tie"].op, [0.0] * len(bids))
 
 
 @pytest.mark.parametrize("H", range(1, 7))
@@ -487,7 +484,7 @@ def test_block_policy_value_equals_per_customer_bitwise(H):
     n_states = len(state_table(H).states)
     grid = default_bid_grid(BOUNDS)
     for dim in (1, 3, 5):
-        m, a, X = batch_instance(H, dim, T=GRID_CHUNK + 1, seed=900 + 10 * H + dim)
+        m, a, X = batch_instance(H, dim, T=17, seed=900 + 10 * H + dim)
         batch = batch_params(X, m, a)
         bids = np.random.default_rng(H * dim).choice(grid, (n_states, len(X)))
         bids[:, 0] = 0.0
@@ -507,13 +504,16 @@ def test_closed_form_bid_clamps():
 
 
 def test_dp_converges_to_closed_form():
+    # the grid reference's value climbs to the exact planner's, which is the
+    # closed form's bit for bit
     gaps = {n: [] for n in (64, 128, 256, 512)}
     for seed in range(20):
         m, a, x = random_instance(200 + seed)
-        v_star = closed_form_value(true_customer(x, m, a, B_A=BOUNDS.B_A))
+        customer = true_customer(x, m, a, B_A=BOUNDS.B_A)
+        v_star = closed_form_value(customer)
+        assert dp_policy(params_from_true(x, m, a), BOUNDS.B_A)[1][0] == v_star
         for n in gaps:
-            v = dp_policy(params_from_true(x, m, a), default_bid_grid(BOUNDS, n),
-                          BOUNDS.B_A)[1][0]
+            v = scalar_grid_policy(customer, default_bid_grid(BOUNDS, n))[1][0]
             assert v <= v_star + 1e-9
             gaps[n].append(v_star - v)
     means = {n: float(np.mean(g)) for n, g in gaps.items()}
@@ -525,9 +525,9 @@ def test_dp_converges_to_closed_form():
 def test_dp_dense_grid_near_exact():
     for seed in range(3):
         m, a, x = random_instance(300 + seed)
-        v_star = closed_form_value(true_customer(x, m, a, B_A=BOUNDS.B_A))
-        v = dp_policy(params_from_true(x, m, a), default_bid_grid(BOUNDS, 10_000),
-                      BOUNDS.B_A)[1][0]
+        customer = true_customer(x, m, a, B_A=BOUNDS.B_A)
+        v_star = dp_policy(params_from_true(x, m, a), BOUNDS.B_A)[1][0]
+        v = scalar_grid_policy(customer, default_bid_grid(BOUNDS, 10_000))[1][0]
         assert v <= v_star + 1e-9
         assert v_star - v <= 1e-4 * max(1.0, abs(v_star))
 
@@ -598,8 +598,8 @@ def test_planning_deterministic():
     p1, v1 = best_outcome_plan(params)
     p2, v2 = best_outcome_plan(params)
     assert p1 == p2 and v1 == v2
-    t1 = dp_policy(params, default_bid_grid(BOUNDS), BOUNDS.B_A)
-    t2 = dp_policy(params, default_bid_grid(BOUNDS), BOUNDS.B_A)
+    t1 = dp_policy(params, BOUNDS.B_A)
+    t2 = dp_policy(params, BOUNDS.B_A)
     assert t1 == t2
 
 

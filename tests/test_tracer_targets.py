@@ -1,24 +1,31 @@
 """The benchmark's tracer (perfbench/tracing.py) patches bidlab functions by
 module and name, and its install raises KeyError on any name that is gone,
-so a deletion in the package must keep every name it wraps."""
+so a deletion in the package must keep every name it wraps.  Its set-up
+probe (perfbench/setup_probe.py) imports and calls package names too."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-_MODULE = _tracing()
+_MODULE = _load("tracing")
 TARGETS = [
     (module, attr)
     for module, attr, _ in (
@@ -55,3 +62,15 @@ def test_a_traced_learner_run_records_one_episode_span_per_customer(tmp_path):
     episodes = {name: row["calls"] for name, row in tracer.span_table().items()
                 if name.startswith("environment.run_episode.")}
     assert episodes == {"environment.run_episode.auction": cfg.T}
+
+
+def test_the_set_up_probe_runs_on_the_dp_workload():
+    config = _load("run").workload_config("dp_grid", 0)
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "setup_probe.py"), json.dumps(config)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert list(last) == ["setup_s"] and last["setup_s"] > 0.0
