@@ -37,6 +37,8 @@ __all__ = [
     "BENCHMARK_RECIPE",
     "RoundRecord",
     "EpisodeLog",
+    "Z_MAX",
+    "POISSON_RATE_MAX",
     "sample_hob",
     "draw_hobs",
     "sample_conversions",
@@ -131,13 +133,15 @@ class RandomSource:
     def __init__(self, root: int, prefix: tuple[int, ...] = ()):
         self.root = int(root)
         self.prefix = prefix
-        self._seeds: dict = {}  # family -> (count, 4) words of t = 1..count
+        self._seeds: dict = {}  # family -> (start, (count, 4) words of t = start+1..)
 
     def stream(self, *key: int | str) -> np.random.Generator:
-        seeds = self._seeds.get(key[1:]) if key else None
-        if seeds is not None and type(key[0]) is int and 0 < key[0] <= len(seeds):
-            words = _SeedWords(seeds[key[0] - 1])
-            return np.random.Generator(np.random.PCG64(words))
+        prepared = self._seeds.get(key[1:]) if key else None
+        if prepared is not None and type(key[0]) is int:
+            start, seeds = prepared
+            if 0 <= key[0] - start - 1 < len(seeds):
+                words = _SeedWords(seeds[key[0] - start - 1])
+                return np.random.Generator(np.random.PCG64(words))
         parts = tuple(_encode_key_part(k) for k in key)
         entropy = (self.root, *self.prefix, *parts)
         return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
@@ -146,25 +150,35 @@ class RandomSource:
         parts = tuple(_encode_key_part(k) for k in key)
         return RandomSource(self.root, self.prefix + parts)
 
-    def prepare(self, count: int, *families: tuple[int | str, ...]) -> "RandomSource":
+    def prepare(
+        self, count: int, *families: tuple[int | str, ...], start: int = 0
+    ) -> "RandomSource":
         """This source, with the seed words of the keys (t, *family), t =
-        1..count, of each family computed in one pass; each family's first
-        and last are checked against SeedSequence's."""
-        if not 0 < count < 2**32:
-            raise ValueError(f"can prepare 1 to 2**32 - 1 keys, got {count}")
+        start+1..start+count, of each family computed at once: one pass for
+        all families of the same word count.  Each family's first and last
+        key are checked against SeedSequence's."""
+        if not (0 < count and 0 <= start and start + count < 2**32):
+            raise ValueError(f"can prepare keys 1 to 2**32 - 1, got {count} from {start + 1}")
         head = _words(self.root, *self.prefix)
         prepared = RandomSource(self.root, self.prefix)
         seeds = prepared._seeds = dict(self._seeds)
+        rows: dict[int, dict] = {}  # entropy length -> {family: entropy row}
         for family in families:
-            parts = [_encode_key_part(p) for p in family]
-            row = np.array([*head, 0, *_words(*parts)], np.uint32)
-            entropy = np.tile(row, (count, 1))
-            entropy[:, len(head)] = np.arange(1, count + 1)
-            seeds[tuple(family)] = words = _pcg64_seeds(entropy)
-            for t in {1, count}:
-                ss = np.random.SeedSequence((self.root, *self.prefix, t, *parts))
-                if not np.array_equal(words[t - 1], ss.generate_state(4, np.uint64)):
-                    raise RuntimeError(f"seed words of key {(t, *family)} are wrong")
+            row = [*head, 0, *_words(*(_encode_key_part(p) for p in family))]
+            rows.setdefault(len(row), {})[tuple(family)] = row
+        for group in rows.values():
+            entropy = np.repeat(np.array(list(group.values()), np.uint32), count, axis=0)
+            entropy[:, len(head)] = np.tile(np.arange(start + 1, start + count + 1),
+                                            len(group))
+            words = _pcg64_seeds(entropy)
+            for k, family in enumerate(group):
+                seeds[family] = start, words[k * count:(k + 1) * count]
+                for t in {start + 1, start + count}:
+                    ss = np.random.SeedSequence(
+                        (self.root, *self.prefix, t, *map(_encode_key_part, family)))
+                    if not np.array_equal(seeds[family][1][t - start - 1],
+                                          ss.generate_state(4, np.uint64)):
+                        raise RuntimeError(f"seed words of key {(t, *family)} are wrong")
         return prepared
 
 
@@ -239,6 +253,15 @@ class EpisodeLog:
     @property
     def realized_reward(self) -> float:
         return float(sum(r.conversions - r.payment for r in self.records))
+
+
+# The largest |z| numpy's ziggurat standard normal draws.  Its tail returns
+# r - log1p(-U) / r for a U < 1 on a 2**-53 grid, so |z| <= r + 53 ln 2 / r,
+# where r is the ziggurat's edge; every other branch returns |z| < r.
+_ZIGGURAT_R = 3.6541528853610088
+Z_MAX = _ZIGGURAT_R + 53 * math.log(2) / _ZIGGURAT_R
+# numpy's Poisson draws no rate above 2**63 - 1 - 10 * sqrt(2**63 - 1)
+POISSON_RATE_MAX = 9.2e18
 
 
 def sample_hob(
@@ -422,11 +445,15 @@ def _parse_state(s1: str, s2: str) -> ExposureState:
     )
 
 
-def write_episode_csv(path, episodes: Iterable[tuple[int, EpisodeLog]]) -> None:
-    """Write (trial, episode) pairs in the flat round-per-line schema."""
-    with open(path, "w", newline="") as f:
+def write_episode_csv(
+    path, episodes: Iterable[tuple[int, EpisodeLog]], append: bool = False
+) -> None:
+    """Write (trial, episode) pairs in the flat round-per-line schema; with
+    `append`, add them to the end of the file, without the header."""
+    with open(path, "a" if append else "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(_EPISODE_COLUMNS)
+        if not append:
+            w.writerow(_EPISODE_COLUMNS)
         for trial, ep in episodes:
             for r in ep.records:
                 w.writerow(
@@ -501,16 +528,17 @@ def read_episode_csv(
             yield finish()
 
 
-def write_context_csv(path, rows: Iterable[tuple[int, int, np.ndarray]]) -> None:
-    """Write (trial, t, context) rows; column count follows the dimension."""
+def write_context_csv(
+    path, rows: Iterable[tuple[int, int, np.ndarray]], append: bool = False
+) -> None:
+    """Write (trial, t, context) rows; column count follows the dimension.
+    With `append`, add them to the end of the file, without the header."""
     rows = list(rows)
-    if not rows:
-        dim = 0
-    else:
-        dim = len(rows[0][2])
-    with open(path, "w", newline="") as f:
+    with open(path, "a" if append else "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["trial", "t"] + [f"x{i}" for i in range(dim)])
+        if not append:
+            dim = len(rows[0][2]) if rows else 0
+            w.writerow(["trial", "t"] + [f"x{i}" for i in range(dim)])
         for trial, t, x in rows:
             w.writerow([trial, t] + [repr(float(v)) for v in x])
 

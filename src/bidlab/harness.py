@@ -14,6 +14,7 @@ import contextlib
 import csv
 import itertools
 import json
+import math
 import sys
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, fields, replace
@@ -33,6 +34,8 @@ from .agent import (
     update,
 )
 from .environment import (
+    POISSON_RATE_MAX,
+    Z_MAX,
     EpisodeLog,
     InstanceRecipe,
     RandomSource,
@@ -93,6 +96,11 @@ ORACLE_GAP_SAMPLE = 50
 # Episodes per learner update where no decision reads the estimates: in the
 # exploration window (its schedule reads none) and in an offline replay.
 UPDATE_CHUNK = 64
+# Customers a trial plays at once: apart from each policy's per-customer
+# regret increments, what a trial holds does not grow with T.
+SEGMENT = 512
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 _BOUNDS_DEFAULTS: Mapping[str, float] = {
     "b": 0.1,
@@ -205,6 +213,20 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.bounds.H != self.H or self.bounds.dim != self.dim:
             raise ValueError("bounds must agree with the configured H and dim")
+        b = self.bounds
+        spread = max(b.sigma_max * Z_MAX, b.sigma_max * b.sigma_max / 2)
+        if b.B_beta * b.B_x + spread + math.log(self.T * self.H) > _LOG_FLOAT_MAX:
+            raise ValueError(
+                "B_beta * B_x + sigma_max * Z_MAX (or sigma_max**2 / 2 when larger) "
+                f"+ log(T * H) must not exceed log(max float) = {_LOG_FLOAT_MAX:.2f}, "
+                "or a HOB draw exp(<x, beta_h> + sigma_h z), |z| <= Z_MAX = "
+                f"{Z_MAX:.4f}, a HOB mean, or a trial's sum of them overflows"
+            )
+        if b.B_theta * b.B_x * max(1.0, b.B_d) > POISSON_RATE_MAX:
+            raise ValueError(
+                "B_theta * B_x * max(1, B_d) must not exceed "
+                f"{POISSON_RATE_MAX:.3g}, the largest conversion rate numpy's Poisson draws"
+            )
 
 
 def benchmark_config(**overrides) -> ExperimentConfig:
@@ -314,121 +336,184 @@ class TrialResult:
     contexts: list[tuple[int, int, np.ndarray]] | None
 
 
-def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
+def run_trial(
+    config: ExperimentConfig, trial: int, out_dir: str | Path | None = None
+) -> TrialResult:
     """Run every configured policy over one independently sampled instance.
 
     All policies face the same customer contexts and the same highest other
-    bids; conversion noise is drawn per policy.  Only the learner runs
-    customer by customer, its updates consuming the exploration window in
-    chunks: the contexts and HOBs are drawn first, the oracles are scored
-    for all customers at once, every plan and every row of exact bids after
-    the loop, and the fixed baselines play as arrays.  The trial's streams
-    are seeded in one pass (`RandomSource.prepare`).  Any failure at a
-    customer is re-raised with (trial, customer) provenance.
+    bids; conversion noise is drawn per policy.  The trial walks its
+    customers in segments of `SEGMENT`, and holds only one segment at once
+    besides each policy's per-customer regret increments.  Per segment the
+    streams are seeded in one pass (`RandomSource.prepare`), the contexts
+    and HOBs are drawn first, the oracles are scored for the whole segment,
+    the learner runs customer by customer (its updates consuming the
+    exploration window in chunks, carried across segments), every plan and
+    every row of exact bids is scored after it, and the fixed baselines
+    play as arrays.  With `out_dir` and emitted logs, each segment's episode
+    and context rows are appended to `episodes_trial{k}.csv` and
+    `contexts_trial{k}.csv` there, and the result carries no logs; a failed
+    trial deletes both files.  Any failure at a customer is re-raised with
+    (trial, customer) provenance.
     """
     if trial < 0:
         raise ValueError("trial index must be nonnegative")
-    T = config.T
-    families = [("ctx",), ("hob",), *(("conv", name) for name in config.policies)]
-    if "random" in config.policies:
-        families.append(("plan", "random"))
-    rng = RandomSource(config.seed).scoped(trial).prepare(T, *families)
-    m, a = generate_instance(config.instance, config.bounds, rng)
-    bounds = config.bounds
-    outcome_mode = config.mode == "outcome"
-
-    agent = _agent_for(config) if LEARNER_POLICY in config.policies else None
-
-    xs, hobs = [], np.empty((T, config.H))
-    for t in range(1, T + 1):
-        with _provenance(trial, t):
-            xs.append(sample_context(config.instance, bounds, rng.stream(t, "ctx")))
-            hobs[t - 1] = draw_hobs(xs[-1], a, rng, t)
-    batch = batch_params(np.array(xs), m, a)
-    outcome_opt = best_outcome_values(batch)
-    # the auction oracle of dp mode's customers or outcome mode's gap sample; its
-    # first customer with a negative conversion mean fails when its turn comes
-    n_dp = min(T, ORACLE_GAP_SAMPLE) if outcome_mode else T
-    with _provenance(trial):
-        dp_opt = best_grid_values(batch.rows(0, n_dp), bounds.B_A)
-    negative = np.flatnonzero((batch.mu[:, :n_dp] < 0).any(axis=0)).tolist()
-    first_negative = negative[0] + 1 if negative else 0
-    plans = {}  # each customer's target outcomes, by policy
-    for name in config.policies:
-        if name != LEARNER_POLICY:
-            policy = BaselinePolicy(kind=name, H=config.H)
-            plans[name] = [
-                baseline_act(policy, rng.stream(t, "plan", name) if name == "random"
-                             else None)  # the fixed baselines draw nothing
-                for t in range(1, T + 1)
-            ]
-        else:
-            plans[name] = []  # filled as the learner plays (dp mode: while it explores)
-    exploit_bids = []  # dp: each exploit customer's exact bids by state id
-    realized = {LEARNER_POLICY: np.empty(T)}
-    expected = {}
-    episodes: list[tuple[int, EpisodeLog]] | None = (
-        [] if config.emit_logs and agent is not None else None
-    )
-
-    window = exploration_window(agent.n_underbar, bounds.H) if agent is not None else 0
-    pending: list[EpisodeLog] = []  # played, not yet consumed by the learner
-    for t, x in enumerate(xs, start=1):
-        with _provenance(trial, t):
-            if t == first_negative:
-                raise ValueError("conversion means must be clamped nonnegative")
-            if agent is None:
-                continue
-            decision = act(agent, x, t)
-            log = run_episode(decision.bids, x, m, a, rng,
-                              t=t, noise_label=LEARNER_POLICY, hobs=hobs[t - 1])
-            realized[LEARNER_POLICY][t - 1] = log.realized_reward
-            pending.append(log)
-            if episodes is not None:
-                episodes.append((trial, log))
-            if decision.plan is not None:
-                plans[LEARNER_POLICY].append(decision.plan)
-            else:
-                exploit_bids.append(decision.bids)
-        if len(pending) == UPDATE_CHUNK or t >= window or t == T:
-            with _provenance(trial):
-                update(agent, pending)
-            pending = []
-
-    gap_total = 0.0
-    for t in range(min(T, ORACLE_GAP_SAMPLE)):
-        gap_total += float(outcome_opt[t] - dp_opt[t])
-    for name, p in plans.items():
-        won = np.array(p, dtype=bool)  # (n, H): round h of every customer's plan
-        expected[name] = outcome_values(won.T, batch.rows(0, len(p)))
-        if name != LEARNER_POLICY:
-            realized[name] = _play_plans(won, hobs, batch, rng, name, trial)
-    if exploit_bids:  # dp mode's learner past its plans
-        rows = batch.rows(T - len(exploit_bids), T)
-        expected[LEARNER_POLICY] = np.concatenate(
-            [expected[LEARNER_POLICY], policy_values(rows, np.array(exploit_bids).T)])
-    opt = outcome_opt if outcome_mode else dp_opt
+    play = _TrialPlay(config, trial, out_dir)
+    try:
+        for start in range(0, config.T, SEGMENT):
+            play.segment(start, min(start + SEGMENT, config.T))
+    except BaseException:
+        for path in play.paths:
+            path.unlink(missing_ok=True)
+        raise
+    # one sum over all customers, as one segment of T would take it
+    for increments in (*play.realized.values(), *play.expected.values()):
+        np.cumsum(increments, out=increments)
     return TrialResult(
         trial=trial,
-        realized={name: np.cumsum(opt - realized[name]) for name in config.policies},
-        expected={name: np.cumsum(opt - expected[name]) for name in config.policies},
-        instance=instance_to_dict(m, a),
-        agent_snapshot=agent_to_dict(agent) if agent is not None else None,
-        oracle_gap=gap_total / min(T, ORACLE_GAP_SAMPLE),
-        episodes=episodes,
-        contexts=None if episodes is None else [
-            (trial, t, x) for t, x in enumerate(xs, start=1)
-        ],
+        realized=play.realized,
+        expected=play.expected,
+        instance=instance_to_dict(play.m, play.a),
+        agent_snapshot=agent_to_dict(play.agent) if play.agent is not None else None,
+        oracle_gap=play.gap_total / min(config.T, ORACLE_GAP_SAMPLE),
+        episodes=play.episodes,
+        contexts=play.contexts,
     )
+
+
+class _TrialPlay:
+    """One trial's state between segments: its instance, learner and
+    streams' source, each policy's regret increments (opt minus realized,
+    opt minus expected) by customer, the learner's played episodes its
+    update has not consumed, and the oracle-gap sum.  A trial that emits
+    logs appends them to `paths` or, without an output directory, keeps
+    its episodes and contexts."""
+
+    def __init__(self, config: ExperimentConfig, trial: int, out_dir: str | Path | None):
+        T = config.T
+        self.config, self.trial = config, trial
+        self.source = RandomSource(config.seed).scoped(trial)
+        self.m, self.a = generate_instance(config.instance, config.bounds, self.source)
+        self.agent = agent = (_agent_for(config) if LEARNER_POLICY in config.policies
+                              else None)
+        self.families = [("ctx",), ("hob",), *(("conv", name) for name in config.policies)]
+        if "random" in config.policies:
+            self.families.append(("plan", "random"))
+        self.realized = {name: np.empty(T) for name in config.policies}
+        self.expected = {name: np.empty(T) for name in config.policies}
+        self.window = (exploration_window(agent.n_underbar, config.H)
+                       if agent is not None else 0)
+        self.pending: list[EpisodeLog] = []  # played, not yet consumed by the learner
+        self.gap_total = 0.0
+        self.paths: list[Path] = []
+        self.episodes: list[tuple[int, EpisodeLog]] | None = None
+        self.contexts: list[tuple[int, int, np.ndarray]] | None = None
+        if config.emit_logs and agent is not None:
+            if out_dir is None:
+                self.episodes, self.contexts = [], []
+            else:
+                self.paths = [Path(out_dir) / f"{kind}_trial{trial}.csv"
+                              for kind in ("episodes", "contexts")]
+
+    def segment(self, start: int, stop: int) -> None:
+        """Play customers start+1..stop, record their regret increments and
+        write or keep their logs."""
+        config, trial, m, a, agent = self.config, self.trial, self.m, self.a, self.agent
+        T, n, bounds = config.T, stop - start, config.bounds
+        outcome_mode = config.mode == "outcome"
+        rng = self.source.prepare(n, *self.families, start=start)
+        customers = range(start + 1, stop + 1)
+
+        xs, hobs = [], np.empty((n, config.H))
+        for i, t in enumerate(customers):
+            with _provenance(trial, t):
+                xs.append(sample_context(config.instance, bounds, rng.stream(t, "ctx")))
+                hobs[i] = draw_hobs(xs[-1], a, rng, t)
+        batch = batch_params(np.array(xs), m, a)
+        outcome_opt = best_outcome_values(batch)
+        # the auction oracle of dp mode's customers or outcome mode's gap sample; its
+        # first customer with a negative conversion mean fails when its turn comes
+        n_gap = min(max(ORACLE_GAP_SAMPLE - start, 0), n)
+        n_dp = n_gap if outcome_mode else n
+        dp_opt = np.empty(0)
+        if n_dp:
+            with _provenance(trial, f"customers {start + 1}-{start + n_dp}"):
+                dp_opt = best_grid_values(batch.rows(0, n_dp), bounds.B_A)
+        negative = np.flatnonzero((batch.mu[:, :n_dp] < 0).any(axis=0)).tolist()
+        first_negative = start + negative[0] + 1 if negative else 0
+        plans = {}  # each customer's target outcomes, by policy
+        for name in config.policies:
+            if name != LEARNER_POLICY:
+                policy = BaselinePolicy(kind=name, H=config.H)
+                plans[name] = [
+                    baseline_act(policy, rng.stream(t, "plan", name) if name == "random"
+                                 else None)  # the fixed baselines draw nothing
+                    for t in customers
+                ]
+            else:
+                plans[name] = []  # filled as the learner plays (dp mode: while it explores)
+        exploit_bids = []  # dp: each exploit customer's exact bids by state id
+        realized = {LEARNER_POLICY: np.empty(n)}
+        expected = {}
+        episodes = [] if self.episodes is not None or self.paths else None
+
+        for i, (t, x) in enumerate(zip(customers, xs)):
+            with _provenance(trial, t):
+                if t == first_negative:
+                    raise ValueError("conversion means must be clamped nonnegative")
+                if agent is None:
+                    continue
+                decision = act(agent, x, t)
+                log = run_episode(decision.bids, x, m, a, rng,
+                                  t=t, noise_label=LEARNER_POLICY, hobs=hobs[i])
+                realized[LEARNER_POLICY][i] = log.realized_reward
+                self.pending.append(log)
+                if episodes is not None:
+                    episodes.append((trial, log))
+                if decision.plan is not None:
+                    plans[LEARNER_POLICY].append(decision.plan)
+                else:
+                    exploit_bids.append(decision.bids)
+            if len(self.pending) == UPDATE_CHUNK or t >= self.window or t == T:
+                with _provenance(trial):
+                    update(agent, self.pending)
+                self.pending = []
+
+        for i in range(n_gap):
+            self.gap_total += float(outcome_opt[i] - dp_opt[i])
+        for name, p in plans.items():
+            won = np.array(p, dtype=bool)  # (n, H): round h of every customer's plan
+            expected[name] = (outcome_values(won.T, batch.rows(0, len(p))) if p
+                              else np.empty(0))
+            if name != LEARNER_POLICY:
+                realized[name] = _play_plans(won, hobs, batch, rng, name, trial, start)
+        if exploit_bids:  # dp mode's learner past its plans
+            rows = batch.rows(n - len(exploit_bids), n)
+            expected[LEARNER_POLICY] = np.concatenate(
+                [expected[LEARNER_POLICY], policy_values(rows, np.array(exploit_bids).T)])
+        opt = outcome_opt if outcome_mode else dp_opt
+        for name in config.policies:
+            self.realized[name][start:stop] = opt - realized[name]
+            self.expected[name][start:stop] = opt - expected[name]
+        if episodes is None:
+            return
+        contexts = [(trial, t, x) for t, x in zip(customers, xs)]
+        if self.paths:
+            write_episode_csv(self.paths[0], episodes, append=start > 0)
+            write_context_csv(self.paths[1], contexts, append=start > 0)
+        else:
+            self.episodes += episodes
+            self.contexts += contexts
 
 
 def _play_plans(
     won: np.ndarray, hobs: np.ndarray, batch: OutcomeParams, rng: RandomSource,
-    name: str, trial: int,
+    name: str, trial: int, start: int,
 ) -> np.ndarray:
     """Each customer's realized reward from forcing the outcomes `won`
-    ((T, H) bools) against `hobs`: the floats `run_episode` gives, with
-    round h's conversions the h-th draw of the (t, "conv", name) stream."""
+    ((n, H) bools, customers start+1..start+n) against `hobs`: the floats
+    `run_episode` gives, with round h's conversions the h-th draw of the
+    (t, "conv", name) stream."""
     T, H = won.shape
     table, cols, delay = state_table(H), np.arange(T), np.array(batch.delay)
     ids = np.zeros((T, H + 1), dtype=np.intp)  # the state id of each round
@@ -439,11 +524,11 @@ def _play_plans(
                                delay[s1] * batch.mu[s2 + 1, cols])
         ids[:, h + 1] = table.successors[ids[:, h], won[:, h].astype(np.intp)]
     for t, h in np.argwhere(rates < 0)[:1]:
-        with _provenance(trial, t + 1):
+        with _provenance(trial, start + t + 1):
             raise ValueError(f"negative conversion rate {rates[t, h]} in state "
                              f"{table.states[ids[t, h]]}")
     conversions = []
-    for t, row in enumerate(rates.tolist(), start=1):
+    for t, row in enumerate(rates.tolist(), start=start + 1):
         gen = rng.stream(t, "conv", name)
         conversions.append([sample_conversions(r, gen) for r in row])
     # summed round by round from 0, as EpisodeLog.realized_reward sums
@@ -451,13 +536,14 @@ def _play_plans(
 
 
 @contextlib.contextmanager
-def _provenance(trial: int, t: int | None = None) -> Iterator[None]:
-    """Re-raise any failure with the trial and customer it happened at;
-    without t, the failure names its customer itself (as `update` does)."""
+def _provenance(trial: int, t: int | str | None = None) -> Iterator[None]:
+    """Re-raise any failure with the trial and customer it happened at (or
+    the customers of a batch, named by `t`); without t, the failure names
+    its customer itself (as `update` does)."""
     try:
         yield
     except Exception as exc:
-        where = "" if t is None else f" customer {t}:"
+        where = "" if t is None else f" {t}:" if isinstance(t, str) else f" customer {t}:"
         raise RuntimeError(f"trial {trial},{where} {exc}") from exc
 
 
@@ -550,15 +636,9 @@ def _summarize_policy(
 
 
 def _run_trial_args(args: tuple[ExperimentConfig, int, Path | None]) -> TrialResult:
-    """Run one trial; with an output directory, write its episode and
-    context logs from this process and return the result without them."""
-    config, trial, out = args
-    tr = run_trial(config, trial)
-    if out is None or tr.episodes is None:
-        return tr
-    write_episode_csv(out / f"episodes_trial{trial}.csv", tr.episodes)
-    write_context_csv(out / f"contexts_trial{trial}.csv", tr.contexts)
-    return replace(tr, episodes=None, contexts=None)
+    """Run one trial; with an output directory, this process writes its
+    episode and context logs, and the result comes back without them."""
+    return run_trial(*args)
 
 
 def _run_pooled(jobs: list, workers: int) -> tuple[TrialResult, ...]:

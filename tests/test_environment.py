@@ -140,6 +140,37 @@ def test_prepare_needs_a_32_bit_count():
     for count in (0, 2**32):
         with pytest.raises(ValueError, match="prepare"):
             RandomSource(1).prepare(count, ("ctx",))
+    for count, start in ((1, 2**32 - 1), (2, 2**32 - 2), (1, -1)):
+        with pytest.raises(ValueError, match="prepare"):
+            RandomSource(1).prepare(count, ("ctx",), start=start)
+
+
+@pytest.mark.parametrize("start, count", [(0, 1), (7, 5), (512, 512), (2**32 - 4, 3)])
+def test_a_prepared_range_of_keys_equals_seed_sequence_streams(start, count):
+    # a trial prepares one segment of customers at a time: keys start+1 to
+    # start+count, and any key outside the range takes the SeedSequence path
+    plain = RandomSource(69, (3,))
+    prepared = plain.prepare(count, *TRIAL_FAMILIES, start=start)
+    ts = sorted({start, start + 1, start + count // 2 + 1, start + count,
+                 start + count + 1} - {0})
+    for family in TRIAL_FAMILIES:
+        for t in ts:
+            a, b = prepared.stream(t, *family), plain.stream(t, *family)
+            assert np.array_equal(_seed_words(a), _seed_words(b))
+            assert np.array_equal(a.random(2), b.random(2))
+
+
+def test_the_families_of_one_word_count_share_a_pass(monkeypatch):
+    # the 7 trial families have 1, 3 or 4 key words: three passes
+    real, passes = environment._pcg64_seeds, []
+
+    def counting(entropy):
+        passes.append(entropy.shape)
+        return real(entropy)
+
+    monkeypatch.setattr(environment, "_pcg64_seeds", counting)
+    RandomSource(0).scoped(1).prepare(10, *TRIAL_FAMILIES, start=20)
+    assert sorted(passes) == [(10, 7), (20, 4), (40, 6)]
 
 
 @pytest.mark.parametrize("H", [1, 2, 3, 6])
@@ -417,6 +448,26 @@ def test_csv_round_trip(tmp_path, instance):
             assert (r.t, r.h, r.state, r.bid, r.hob, r.won, r.payment,
                     r.conversions) == (r2.t, r2.h, r2.state, r2.bid, r2.hob,
                                        r2.won, r2.payment, r2.conversions)
+
+
+@pytest.mark.parametrize("cut", [0, 1, 3, 5])
+def test_appending_writers_equal_one_write(tmp_path, instance, cut):
+    # a trial appends each segment's rows; the header is written once
+    m, a = instance
+    rng = RandomSource(201)
+    episodes, contexts = [], []
+    for t in range(1, 6):
+        x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream(t, "ctx"))
+        episodes.append((2, play(always_bid(1.5), x, m, a, rng, t=t)))
+        contexts.append((2, t, x))
+    write_episode_csv(tmp_path / "e.csv", episodes)
+    write_context_csv(tmp_path / "c.csv", contexts)
+    write_episode_csv(tmp_path / "e2.csv", episodes[:cut])
+    write_episode_csv(tmp_path / "e2.csv", episodes[cut:], append=True)
+    write_context_csv(tmp_path / "c2.csv", contexts[:max(cut, 1)])
+    write_context_csv(tmp_path / "c2.csv", contexts[max(cut, 1):], append=True)
+    assert (tmp_path / "e2.csv").read_bytes() == (tmp_path / "e.csv").read_bytes()
+    assert (tmp_path / "c2.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
 
 def test_csv_sentinel_tokens(tmp_path, instance):

@@ -10,6 +10,9 @@ of 8 no planner reads), at T=1 (one context, padded for the stacked
 product) and at H=5 in dimension 3 (37 customers, 13 of them planned by
 the learner).
 
+Every config reaches the same digests when its trials play in segments of
+1, 7 or 64 customers instead of `harness.SEGMENT`.
+
 Any change to the simulator, the planners, the estimators or the writers
 that moves a single bit of `curves.csv`, `summary.txt`, `config.json`, the
 emitted episode and context logs, the instance snapshots or the learner
@@ -246,6 +249,18 @@ def output_digests(name: str, out_dir: Path) -> dict[str, str]:
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_digests(name, tmp_path):
+    assert output_digests(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("segment", [1, 7, 64])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_digests_at_any_segment_size(name, segment, tmp_path, monkeypatch):
+    # a trial plays its customers in segments: the learner's update chunks,
+    # the oracle-gap sample and the dp learner's switch to exact bids span
+    # them, and the pool's workers (forked) play theirs alike
+    import bidlab.harness as harness_module
+
+    monkeypatch.setattr(harness_module, "SEGMENT", segment)
     assert output_digests(name, tmp_path) == GOLDEN[name]
 
 

@@ -9,12 +9,13 @@ import multiprocessing
 import re
 import sys
 import time
+import tracemalloc
 from concurrent.futures import Future
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from bidlab.agent import (
     agent_to_dict,
@@ -25,6 +26,8 @@ from bidlab.agent import (
 )
 from bidlab.cli import main
 from bidlab.environment import (
+    POISSON_RATE_MAX,
+    Z_MAX,
     InstanceRecipe,
     RandomSource,
     generate_instance,
@@ -599,10 +602,15 @@ def test_trials_reuse_the_state_table(monkeypatch):
     assert built == []
 
 
-# The HOB mean exp(<x, beta_h> + sigma_h^2 / 2), with |<x, beta_h>| up to
-# B_beta * B_x = 25 at the default bounds, leaves the float range past this
-# sigma_max (~37.008).
-_SIGMA_MAX_EDGE = math.sqrt(2.0 * (math.log(sys.float_info.max) - 5.0 * 5.0))
+def _sigma_max_edge(T, H=3):
+    # A trial's sum of T * H HOB means exp(<x, beta_h> + sigma_h^2 / 2), with
+    # |<x, beta_h>| up to B_beta * B_x = 25 at the default bounds, leaves the
+    # float range past this sigma_max (~36.886 at T=30, ~36.834 at T=200).
+    return math.sqrt(2.0 * (math.log(sys.float_info.max) - 5.0 * 5.0
+                            - math.log(T * H)))
+
+
+_SIGMA_MAX_EDGE = _sigma_max_edge(30)
 
 
 def _hob_limit_config(sigma_max, mode="outcome"):
@@ -631,12 +639,97 @@ def test_learner_plans_past_exploration_just_inside_the_hob_mean_limit(mode):
     # the learner plans from customer 21 on; its estimated beta and sigma
     # are projected onto the bounds, so its HOB mean stays finite too
     cfg = config_from_dict({"T": 200, "trials": 1, "n_underbar": 5, "mode": mode,
-                            "bounds": {"sigma_max": 37.0076},
+                            "bounds": {"sigma_max": _sigma_max_edge(200) - 1e-4},
                             "instance": {"sigma_scale": 60}})
     trial = run_experiment(cfg).trials[0]
     for name in cfg.policies:
         for curve in (trial.expected[name], trial.realized[name]):
             assert curve.shape == (200,) and np.all(np.isfinite(curve))
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def test_z_max_bounds_the_normal_numpy_draws():
+    # the ziggurat's tail returns r - inv_r * log1p(-U) with U at most
+    # 1 - 2**-53 (numpy's ziggurat_nor_r and ziggurat_nor_inv_r)
+    r, inv_r = 3.6541528853610088, 0.27366123732975828
+    assert r + inv_r * -math.log1p(-(1.0 - 2.0**-53)) <= Z_MAX < 13.708
+
+
+def test_the_hob_draw_overflow_probe_is_rejected_at_load():
+    # it used to load and abort with "trial 0, customer 393: math range error"
+    probe = {"T": 2000, "trials": 1, "seed": 0, "n_underbar": 20,
+             "checkpoints": [500, 2000],
+             "bounds": {"B_x": 100.0, "B_beta": 6.972, "sigma_max": 5.0},
+             "instance": {"beta_scale": 1000.0, "context_scale": 1000.0,
+                          "sigma_scale": 100.0}}
+    with pytest.raises(ValueError, match=r"^B_beta \* B_x \+ sigma_max \* Z_MAX .*"
+                       r"\+ log\(T \* H\) must not exceed log\(max float\) = 709\.78"):
+        config_from_dict(probe)
+
+
+@pytest.mark.parametrize("sigma_max", [0.5, 5.0, 27.0, 30.0])
+@pytest.mark.parametrize("T, H", [(1, 1), (50, 3)])
+def test_the_hob_bound_holds_at_its_edge(sigma_max, T, H):
+    spread = max(sigma_max * Z_MAX, sigma_max * sigma_max / 2)
+    edge = _LOG_FLOAT_MAX - spread - math.log(T * H)  # B_beta * B_x there
+    for B_beta, loads in ((edge * (1 - 1e-9), True), (edge * (1 + 1e-9), False)):
+        raw = {"T": T, "H": H, "bounds": {"B_x": 1.0, "B_beta": B_beta,
+                                          "sigma_max": sigma_max}}
+        if loads:
+            config_from_dict(raw)
+        else:
+            with pytest.raises(ValueError, match=r"^B_beta \* B_x \+ sigma_max"):
+                config_from_dict(raw)
+
+
+def test_a_conversion_rate_numpy_cannot_draw_is_rejected_at_load():
+    edge = POISSON_RATE_MAX / 10.0 / 5.0  # B_theta at B_x = 10, B_d = 5
+    config_from_dict({"bounds": {"B_x": 10.0, "B_beta": 1e-3, "B_theta": edge}})
+    with pytest.raises(ValueError, match=r"^B_theta \* B_x \* max\(1, B_d\)"):
+        config_from_dict({"bounds": {"B_x": 10.0, "B_beta": 1e-3,
+                                     "B_theta": edge * (1 + 1e-9)}})
+
+
+@settings(max_examples=100, deadline=None)
+@example(H=3, T=2, dim=1, mode="outcome", sigma_max=37.0, B_x=1.0, headroom=0.5,
+         rate_edge=False, rate_slack=0.0, scale=1e6)
+@given(
+    H=st.integers(1, 3), T=st.integers(1, 50), dim=st.integers(1, 3),
+    mode=st.sampled_from(["outcome", "dp"]),
+    sigma_max=st.floats(0.01, 40.0), B_x=st.floats(0.01, 100.0),
+    headroom=st.floats(-0.5, 1.5) | st.floats(1 - 1e-9, 1 + 1e-9),
+    rate_edge=st.booleans(), rate_slack=st.floats(-1e-3, 1e-3),
+    scale=st.sampled_from([1.0, 1e6]),
+)
+def test_a_config_near_the_bounds_edges_is_rejected_at_load_or_runs_finite(
+    H, T, dim, mode, sigma_max, B_x, headroom, rate_edge, rate_slack, scale,
+):
+    # B_beta * B_x leaves `headroom` times log(T * H) below log(max float)
+    # for the HOB spread (1 at the edge; below 0 the HOB mean alone
+    # overflows) and, optionally, B_theta lies around the largest Poisson
+    # rate; a scale of 1e6 drives every drawn context, effect, coefficient
+    # and noise scale to its bound, so in dimension 1 <x, beta_h> is B_beta * B_x
+    spread = max(sigma_max * Z_MAX, sigma_max * sigma_max / 2)
+    exponent = _LOG_FLOAT_MAX - spread - headroom * math.log(T * H)
+    bounds = {"B_x": B_x, "B_beta": max(exponent / B_x, 1e-3), "sigma_max": sigma_max}
+    if rate_edge:
+        bounds["B_theta"] = POISSON_RATE_MAX / (B_x * 5.0) * (1 + rate_slack)
+    raw = {"T": T, "trials": 1, "H": H, "dim": dim, "mode": mode, "n_underbar": 2,
+           "bounds": bounds,
+           "instance": {f"{k}_scale": scale
+                        for k in ("theta", "beta", "sigma", "context")}}
+    try:
+        cfg = config_from_dict(raw)
+    except ValueError:
+        event("rejected at load")
+        return
+    event("ran")
+    trial = run_experiment(cfg).trials[0]
+    for name in cfg.policies:
+        assert np.all(np.isfinite(trial.realized[name])), name
+        assert np.all(np.isfinite(trial.expected[name])), name
 
 
 def test_trial_errors_carry_provenance(monkeypatch):
@@ -658,6 +751,53 @@ def test_trial_errors_carry_provenance(monkeypatch):
         run_trial(cfg, 0)
 
 
+def test_a_failed_trial_deletes_its_partial_logs(monkeypatch, tmp_path):
+    # segments of 16: the first segment's rows are on disk when the second
+    # fails at customer 20; the trial removes both of its logs and re-raises
+    import bidlab.harness as harness_module
+
+    monkeypatch.setattr(harness_module, "SEGMENT", 16)
+    real, written = harness_module.sample_context, []
+
+    def boom(recipe, bounds, rng):
+        boom.count += 1
+        if boom.count == 20:
+            written.extend(sorted(p.name for p in tmp_path.iterdir()))
+            raise ValueError("synthetic failure")
+        return real(recipe, bounds, rng)
+
+    boom.count = 0
+    monkeypatch.setattr(harness_module, "sample_context", boom)
+    cfg = small_config(T=40, trials=1, n_underbar=2, checkpoints=(40,))
+    with pytest.raises(RuntimeError, match="^trial 0, customer 20: synthetic failure$"):
+        run_trial(cfg, 0, tmp_path)
+    assert written == ["contexts_trial0.csv", "episodes_trial0.csv"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_trial_holds_one_segment_besides_its_regret_increments(monkeypatch, tmp_path):
+    # the Python-heap peak of a trial that writes its logs grows by its
+    # 8-byte increments (2 per policy and customer, 64 bytes here) as T
+    # goes from one segment to four; a trial that held every customer grew
+    # by about 1.1 KB per customer on this measure
+    import bidlab.harness as harness_module
+
+    S = 64
+    monkeypatch.setattr(harness_module, "SEGMENT", S)
+
+    def peak(T):
+        cfg = small_config(T=T, trials=1, n_underbar=5, checkpoints=(T,))
+        tracemalloc.start()
+        try:
+            run_trial(cfg, 0, tmp_path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(S)  # caches and free lists
+    assert (peak(4 * S) - peak(S)) / (3 * S) <= 256
+
+
 def test_experiment_aborts_on_trial_failure(tmp_path):
     bad = small_config(instance=replace(small_config().instance, strict=True,
                                         theta_scale=0.0, theta_offset=1e-6))
@@ -677,7 +817,7 @@ def test_a_pooled_run_stops_at_its_first_failed_trial(tmp_path, monkeypatch):
     # trial past the two workers starts (all six would take 3 s)
     import bidlab.harness as harness_module
 
-    def run_trial(config, trial):
+    def run_trial(config, trial, out_dir=None):
         (tmp_path / f"started{trial}").touch()
         if trial == 0:
             raise ValueError("synthetic failure")
