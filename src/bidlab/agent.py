@@ -3,10 +3,11 @@ optimistic planning against estimated parameters, plus the three fixed
 baseline policies used in the benchmark.
 
 The learner plans one customer at a time on the planners' one input,
-`OutcomeParams` built from its estimates (`optimistic_params`).  A
-`Decision` is a bid per state id, which the simulator bids at the auction:
-the forced bids of a target outcome per round, or (in dp mode past
-exploration) the exact second-price bid.
+`OutcomeParams` built from its estimates (`optimistic_params`).  Every
+policy plays a customer as a row of bids by state id, which the simulator
+bids at the auction: the forced bids of a target outcome per round
+(`forced_bids`: the exploration schedule, outcome mode and the baselines),
+or, in dp mode past exploration, the exact second-price bid.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,8 +53,6 @@ from .planning import (
 
 __all__ = [
     "AgentState",
-    "Decision",
-    "BaselinePolicy",
     "SIGMA_FLOOR",
     "make_agent",
     "default_n_underbar",
@@ -62,7 +61,7 @@ __all__ = [
     "optimistic_params",
     "act",
     "update",
-    "baseline_act",
+    "baseline_bids",
     "agent_to_dict",
     "agent_from_dict",
 ]
@@ -153,16 +152,6 @@ def make_agent(
     )
 
 
-class Decision(NamedTuple):
-    """What the agent does with one customer: bid `bids[i]` in the state of
-    id i of `state_table(H)`.  `plan` holds the target outcomes when the
-    bids force them (`forced_bids(plan)`: the exploration schedule and
-    outcome mode), and is None for dp mode's exact bids."""
-
-    bids: Sequence[float]
-    plan: OutcomePlan | None
-
-
 def optimistic_params(agent: AgentState, x: np.ndarray) -> OutcomeParams:
     """Planner inputs at the top of the confidence region: upper conversion
     means, upper delays (full optimism before any delay data), and the HOB
@@ -197,22 +186,19 @@ def optimistic_params(agent: AgentState, x: np.ndarray) -> OutcomeParams:
     )
 
 
-def act(agent: AgentState, x: np.ndarray, t: int | None = None) -> Decision:
-    """Decide customer t's episode (by default agent.t): scheduled exposures
-    during exploration, which read no estimate and so may run ahead of the
-    updates, planned optimism afterwards."""
+def act(agent: AgentState, x: np.ndarray, t: int | None = None) -> Sequence[float]:
+    """Customer t's bids by state id (by default agent.t's): the forced
+    bids of scheduled exposures during exploration, which read no estimate
+    and so may run ahead of the updates, planned optimism afterwards."""
     t, H = agent.t if t is None else t, agent.bounds.H
     if t <= exploration_window(agent.n_underbar, H):
-        plan = exploration_plan(t, agent.n_underbar, H)
-        return Decision(forced_bids(plan), plan)
+        return forced_bids(exploration_plan(t, agent.n_underbar, H))
     if t != agent.t:
         raise ValueError(f"customer {t}: the learner expects customer {agent.t}")
     params = optimistic_params(agent, x)
     if agent.planner_mode == "outcome":
-        plan, _ = best_outcome_plan(params)
-        return Decision(forced_bids(plan), plan)
-    bids, _ = dp_policy(params, agent.bounds.B_A)
-    return Decision(bids, None)
+        return forced_bids(best_outcome_plan(params)[0])
+    return dp_policy(params, agent.bounds.B_A)[0]
 
 
 def update(agent: AgentState, logs: Sequence[EpisodeLog]) -> AgentState:
@@ -281,26 +267,17 @@ def update(agent: AgentState, logs: Sequence[EpisodeLog]) -> AgentState:
 
 # --- baselines ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BaselinePolicy:
-    """One of the fixed comparison policies."""
-
-    kind: str  # "aggressive" | "random" | "passive"
-    H: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("aggressive", "random", "passive"):
-            raise ValueError(f"unknown baseline {self.kind!r}")
-
-
-def baseline_act(policy: BaselinePolicy, rng: np.random.Generator) -> OutcomePlan:
-    """Target outcome sequence for one customer."""
-    if policy.kind == "aggressive":
-        return (True,) * policy.H
-    if policy.kind == "passive":
-        return (False,) * policy.H
-    k = int(rng.integers(2**policy.H))
-    return tuple(bool((k >> (h - 1)) & 1) for h in range(1, policy.H + 1))
+def baseline_bids(
+    kind: str, H: int, rng: np.random.Generator | None
+) -> tuple[float, ...]:
+    """One customer's bids by state id under a fixed baseline, the forced
+    bids of its target outcomes: win every round ("aggressive"), lose every
+    round ("passive"), or ("random") round h won when bit h - 1 of a draw
+    k < 2**H from `rng` is set."""
+    if kind == "random":
+        k = int(rng.integers(2**H))
+        return forced_bids(tuple(bool((k >> (h - 1)) & 1) for h in range(1, H + 1)))
+    return forced_bids(({"aggressive": True, "passive": False}[kind],) * H)
 
 
 # --- snapshots ---------------------------------------------------------------

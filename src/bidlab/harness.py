@@ -25,10 +25,9 @@ import numpy as np
 
 from .agent import (
     AgentState,
-    BaselinePolicy,
     act,
     agent_to_dict,
-    baseline_act,
+    baseline_bids,
     exploration_window,
     make_agent,
     update,
@@ -50,8 +49,9 @@ from .environment import (
     write_context_csv,
     write_episode_csv,
 )
-from .model import Bounds, state_table
-# names run_trial no longer calls stay here, where perfbench/tracing.py wraps them
+from .model import Bounds, delay_index, lose_index, state_table, win_index
+# names run_trial does not call (outcome_value, params_from_true, best_outcome_plan,
+# dp_policy, policy_value) stay here, where perfbench/tracing.py wraps them
 from .planning import (  # noqa: F401
     OutcomeParams,
     batch_params,
@@ -60,7 +60,6 @@ from .planning import (  # noqa: F401
     best_outcome_values,
     dp_policy,
     outcome_value,
-    outcome_values,
     params_from_true,
     policy_value,
     policy_values,
@@ -348,13 +347,13 @@ def run_trial(
     streams are seeded in one pass (`RandomSource.prepare`), the contexts
     and HOBs are drawn first, the oracles are scored for the whole segment,
     the learner runs customer by customer (its updates consuming the
-    exploration window in chunks, carried across segments), every plan and
-    every row of exact bids is scored after it, and the fixed baselines
-    play as arrays.  With `out_dir` and emitted logs, each segment's episode
-    and context rows are appended to `episodes_trial{k}.csv` and
-    `contexts_trial{k}.csv` there, and the result carries no logs; a failed
-    trial deletes both files.  Any failure at a customer is re-raised with
-    (trial, customer) provenance.
+    exploration window in chunks, carried across segments), every policy's
+    rows of bids by state id are scored after it, and the fixed baselines
+    play their rows as arrays under the same auction rule.  With `out_dir`
+    and emitted logs, each segment's episode and context rows are appended
+    to `episodes_trial{k}.csv` and `contexts_trial{k}.csv` there, and the
+    result carries no logs; a failed trial deletes both files.  Any failure
+    at a customer is re-raised with (trial, customer) provenance.
     """
     if trial < 0:
         raise ValueError("trial index must be nonnegative")
@@ -441,18 +440,16 @@ class _TrialPlay:
                 dp_opt = best_grid_values(batch.rows(0, n_dp), bounds.B_A)
         negative = np.flatnonzero((batch.mu[:, :n_dp] < 0).any(axis=0)).tolist()
         first_negative = start + negative[0] + 1 if negative else 0
-        plans = {}  # each customer's target outcomes, by policy
+        bids = {}  # each customer's bids by state id, by policy
         for name in config.policies:
-            if name != LEARNER_POLICY:
-                policy = BaselinePolicy(kind=name, H=config.H)
-                plans[name] = [
-                    baseline_act(policy, rng.stream(t, "plan", name) if name == "random"
-                                 else None)  # the fixed baselines draw nothing
-                    for t in customers
-                ]
+            if name == "random":
+                bids[name] = [baseline_bids(name, config.H, rng.stream(t, "plan", name))
+                              for t in customers]
+            elif name != LEARNER_POLICY:  # the others draw nothing: one row for all
+                row = baseline_bids(name, config.H, None)
+                bids[name] = np.broadcast_to(row, (n, len(row)))
             else:
-                plans[name] = []  # filled as the learner plays (dp mode: while it explores)
-        exploit_bids = []  # dp: each exploit customer's exact bids by state id
+                bids[name] = []  # filled as the learner plays
         realized = {LEARNER_POLICY: np.empty(n)}
         expected = {}
         episodes = [] if self.episodes is not None or self.paths else None
@@ -463,17 +460,13 @@ class _TrialPlay:
                     raise ValueError("conversion means must be clamped nonnegative")
                 if agent is None:
                     continue
-                decision = act(agent, x, t)
-                log = run_episode(decision.bids, x, m, a, rng,
+                bids[LEARNER_POLICY].append(act(agent, x, t))
+                log = run_episode(bids[LEARNER_POLICY][-1], x, m, a, rng,
                                   t=t, noise_label=LEARNER_POLICY, hobs=hobs[i])
                 realized[LEARNER_POLICY][i] = log.realized_reward
                 self.pending.append(log)
                 if episodes is not None:
                     episodes.append((trial, log))
-                if decision.plan is not None:
-                    plans[LEARNER_POLICY].append(decision.plan)
-                else:
-                    exploit_bids.append(decision.bids)
             if len(self.pending) == UPDATE_CHUNK or t >= self.window or t == T:
                 with _provenance(trial):
                     update(agent, self.pending)
@@ -481,16 +474,11 @@ class _TrialPlay:
 
         for i in range(n_gap):
             self.gap_total += float(outcome_opt[i] - dp_opt[i])
-        for name, p in plans.items():
-            won = np.array(p, dtype=bool)  # (n, H): round h of every customer's plan
-            expected[name] = (outcome_values(won.T, batch.rows(0, len(p))) if p
-                              else np.empty(0))
+        for name, rows in bids.items():
+            rows = np.array(rows, dtype=float)  # (n, states): each customer's row
+            expected[name] = policy_values(batch, rows.T)
             if name != LEARNER_POLICY:
-                realized[name] = _play_plans(won, hobs, batch, rng, name, trial, start)
-        if exploit_bids:  # dp mode's learner past its plans
-            rows = batch.rows(n - len(exploit_bids), n)
-            expected[LEARNER_POLICY] = np.concatenate(
-                [expected[LEARNER_POLICY], policy_values(rows, np.array(exploit_bids).T)])
+                realized[name] = _play_bids(rows, hobs, batch, rng, name, trial, start)
         opt = outcome_opt if outcome_mode else dp_opt
         for name in config.policies:
             self.realized[name][start:stop] = opt - realized[name]
@@ -506,22 +494,24 @@ class _TrialPlay:
             self.contexts += contexts
 
 
-def _play_plans(
-    won: np.ndarray, hobs: np.ndarray, batch: OutcomeParams, rng: RandomSource,
+def _play_bids(
+    bids: np.ndarray, hobs: np.ndarray, batch: OutcomeParams, rng: RandomSource,
     name: str, trial: int, start: int,
 ) -> np.ndarray:
-    """Each customer's realized reward from forcing the outcomes `won`
-    ((n, H) bools, customers start+1..start+n) against `hobs`: the floats
-    `run_episode` gives, with round h's conversions the h-th draw of the
-    (t, "conv", name) stream."""
-    T, H = won.shape
-    table, cols, delay = state_table(H), np.arange(T), np.array(batch.delay)
-    ids = np.zeros((T, H + 1), dtype=np.intp)  # the state id of each round
-    rates = np.empty((T, H))
+    """Each customer's realized reward from bidding `bids` ((n, states)
+    bids by state id, customers start+1..start+n) against `hobs`, under
+    `run_episode`'s rule and in its floats: a round is won when the bid is
+    at least the HOB, the winner pays the HOB, and round h's conversions
+    are the h-th draw of the (t, "conv", name) stream."""
+    n, H = hobs.shape
+    table, cols, delay = state_table(H), np.arange(n), np.array(batch.delay)
+    ids = np.zeros((n, H + 1), dtype=np.intp)  # the state id of each round
+    won, rates = np.empty((n, H), dtype=bool), np.empty((n, H))
     for h in range(H):
         s1, s2 = table.s1[ids[:, h]], table.s2[ids[:, h]]
-        rates[:, h] = np.where(won[:, h], batch.mu[s1 + 1, cols],
-                               delay[s1] * batch.mu[s2 + 1, cols])
+        won[:, h] = bids[cols, ids[:, h]] >= hobs[:, h]
+        rates[:, h] = np.where(won[:, h], batch.mu[win_index(s1), cols],
+                               delay[delay_index(s1)] * batch.mu[lose_index(s2), cols])
         ids[:, h + 1] = table.successors[ids[:, h], won[:, h].astype(np.intp)]
     for t, h in np.argwhere(rates < 0)[:1]:
         with _provenance(trial, start + t + 1):

@@ -14,7 +14,11 @@ element, so the two agree bit for bit.
 
 The expected round value and the auction's closed forms are each written
 once, for floats or arrays; the exact planner and the scoring of given bids
-(`policy_values`) share them.
+(`policy_values`) share them.  At a bid of inf the closed forms give their
+limit, which a batch takes directly, so a batch of forced rows costs no log
+and no erfc, and `policy_values` of it equals `outcome_values` of its plan
+bit for bit: every policy's bids are scored by `policy_values`, and
+`outcome_values` serves the tests and the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -228,14 +232,21 @@ def forced_bids(plan: OutcomePlan) -> tuple[float, ...]:
 def _auction_terms(op: OutcomeParams, h: int, bid) -> tuple:
     """Round h's win probability and expected payment at `bid`, a float for
     one customer or an array over a batch: both 0.0 at a zero bid, which
-    never wins or pays (every HOB is > 0), and the closed forms on
-    `math.log` of any other."""
-    terms = op.log_hob[h - 1], op.sigma[h - 1], op.hob[h - 1]
-    if isinstance(bid, np.ndarray):
-        F, pay = lognormal_cdf_terms(
-            np.array([math.log(b) if b else 0.0 for b in bid.tolist()]), *terms)
-        return np.where(bid != 0.0, F, 0.0), np.where(bid != 0.0, pay, 0.0)
-    return lognormal_cdf_terms(math.log(bid), *terms) if bid else (0.0, 0.0)
+    never wins or pays (every HOB is > 0), and the closed forms on `math.log`
+    of any other, whose limit at inf, 1.0 and the HOB mean, is what they
+    give there.  An array takes that limit without a log or an erfc."""
+    log_mean, log_sd, mean = op.log_hob[h - 1], op.sigma[h - 1], op.hob[h - 1]
+    if not isinstance(bid, np.ndarray):
+        return (0.0, 0.0) if bid == 0.0 else lognormal_cdf_terms(
+            math.log(bid), log_mean, log_sd, mean)
+    won = bid == math.inf
+    F, pay = won.astype(float), np.where(won, mean, 0.0)
+    inner = np.flatnonzero((bid != 0.0) & ~won)
+    if inner.size:
+        F[inner], pay[inner] = lognormal_cdf_terms(
+            np.array([math.log(b) for b in bid[inner].tolist()]),
+            log_mean[inner], log_sd, mean[inner])
+    return F, pay
 
 
 def _bid_value(op: OutcomeParams, h: int, s: ExposureState, bid, v_win, v_lose):
@@ -283,7 +294,7 @@ def policy_values(op: OutcomeParams, bids):
     bids, or with batch inputs an array over customers of the
     (n_states, customers) bids."""
     bids = np.asarray(bids, dtype=float)
-    if np.any(bids < 0):
+    if not np.all(bids >= 0):  # NaN fails too, as in run_episode
         raise ValueError("bid must be nonnegative")
     rows = bids.tolist() if bids.ndim == 1 else list(bids)
 

@@ -4,9 +4,10 @@ by `outcome_value`, a scalar round value `auction_round_value` on the
 model's closed forms (on one `Customer`: its context and auction model)
 with a scalar loop over a bid grid and a fixed bid rule's value built on
 it, the exact continuous-bid optimum, the oracle value in either planner
-mode, two identities of the HOB payment, an outcome-mode trial played one
-customer and one policy at a time, and the learner's update consuming one
-customer and one sample at a time."""
+mode, two identities of the HOB payment, the fixed baselines' target
+outcomes, an outcome-mode trial played one customer and one policy at a
+time, and the learner's update consuming one customer and one sample at a
+time."""
 
 import itertools
 import math
@@ -15,9 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from bidlab.agent import (
-    BaselinePolicy,
     act,
-    baseline_act,
     exploration_window,
     make_agent,
     update,
@@ -207,6 +206,18 @@ def expected_payment_given_win(h, bid, x, a):
     return expected_payment(h, bid, x, a) / F
 
 
+def baseline_plan(name, H, gen):
+    """A fixed baseline's target outcomes for one customer: all won
+    (aggressive), all lost (passive), or (random) round h won when bit h - 1
+    of one uniform draw below 2**H from `gen` is set."""
+    if name == "aggressive":
+        return (True,) * H
+    if name == "passive":
+        return (False,) * H
+    k = int(gen.integers(2**H))
+    return tuple(bool(k >> (h - 1) & 1) for h in range(1, H + 1))
+
+
 def per_customer_realized(config, trial, instance=None):
     """Realized cumulative regret of every policy of an outcome-mode
     config, each customer's episode run through `run_episode` once per
@@ -229,10 +240,10 @@ def per_customer_realized(config, trial, instance=None):
         hobs = draw_hobs(x, a, rng, t)
         for name in config.policies:
             if name == "learner":
-                bids = act(agent, x).bids
+                bids = act(agent, x)
             else:
-                bids = forced_bids(baseline_act(
-                    BaselinePolicy(name, config.H),
+                bids = forced_bids(baseline_plan(
+                    name, config.H,
                     rng.stream(t, "plan", name) if name == "random" else None,
                 ))
             log = run_episode(bids, x, m, a, rng, t=t, noise_label=name, hobs=hobs)

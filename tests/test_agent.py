@@ -1,6 +1,7 @@
 """Agent: exploration schedule, optimistic planning inputs, update routing,
 baselines, and snapshots."""
 
+import itertools
 import json
 import math
 import os
@@ -13,12 +14,11 @@ import numpy as np
 import pytest
 
 from bidlab.agent import (
-    BaselinePolicy,
     SIGMA_FLOOR,
     act,
     agent_from_dict,
     agent_to_dict,
-    baseline_act,
+    baseline_bids,
     default_n_underbar,
     exploration_plan,
     exploration_window,
@@ -45,12 +45,14 @@ from bidlab.model import (
     win_index,
 )
 import bidlab
+from bidlab.harness import benchmark_config
 from bidlab.planning import (
     best_outcome_plan,
     dp_policy,
     forced_bids,
     params_from_true,
 )
+from enumeration import baseline_plan
 
 BOUNDS = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
 
@@ -111,9 +113,9 @@ def test_exploration_never_consults_estimators():
     agent.theta_bank = None  # would crash any planner access
     agent.delay_bank = None
     agent.auction_bank = None
-    d = act(agent, np.array([1.0, 1.0]))
+    bids = act(agent, np.array([1.0, 1.0]))
     assert agent.exploring
-    assert d == (forced_bids((True, False, False)), (True, False, False))
+    assert bids == forced_bids((True, False, False))
 
 
 # --- optimistic planning inputs ----------------------------------------------
@@ -127,8 +129,8 @@ def test_zero_information_params_are_floored():
     assert params.log_hob == [0.0] * 3  # zero beta estimates
     assert params.sigma == [SIGMA_FLOOR] * 3
     assert params.hob == [lognormal_mean(0.0, SIGMA_FLOOR)] * 3
-    d = act(agent, np.array([1.0, 1.0]))
-    assert d.plan is not None and len(d.plan) == 3
+    bids = act(agent, np.array([1.0, 1.0]))
+    assert bids == forced_bids(best_outcome_plan(params)[0])  # outcome mode forces its plan
 
 
 def inject_truth(agent, m, a):
@@ -152,9 +154,8 @@ def test_exact_parameters_reproduce_oracle_plan():
         agent = small_agent()
         agent.t = 1000
         inject_truth(agent, m, a)
-        d = act(agent, x)
         want_plan, _ = best_outcome_plan(params_from_true(x, m, a))
-        assert d.plan == want_plan
+        assert act(agent, x) == forced_bids(want_plan)
 
 
 def test_optimism_orders_means_and_delays():
@@ -163,8 +164,7 @@ def test_optimism_orders_means_and_delays():
     m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, rng)
     for t in range(1, 13):
         x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream(t, "ctx"))
-        d = act(agent, x)
-        log = play(d.bids, x, m, a, rng, t)
+        log = play(act(agent, x), x, m, a, rng, t)
         update(agent, [log])
     x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream("probe"))
     params = optimistic_params(agent, x)
@@ -183,14 +183,13 @@ def test_dp_planner_mode_returns_bid_policy():
     m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, RandomSource(3))
     inject_truth(agent, m, a)
     x = sample_context(BENCHMARK_RECIPE, BOUNDS, RandomSource(3).stream("c"))
-    d = act(agent, x)
-    assert d.plan is None
-    assert len(d.bids) == len(state_table(BOUNDS.H).states)
-    assert all(0.0 <= bid <= BOUNDS.B_A for bid in d.bids)
+    bids = act(agent, x)
+    assert len(bids) == len(state_table(BOUNDS.H).states)
+    assert all(0.0 <= bid <= BOUNDS.B_A for bid in bids)
     # the exact bids by state id, as the planner gives them on the learner's
     # optimistic inputs
     want, _ = dp_policy(optimistic_params(agent, x), BOUNDS.B_A)
-    assert d == (want, None)
+    assert bids == want
 
 
 def test_dp_learner_caps_its_bids_at_B_A():
@@ -202,10 +201,10 @@ def test_dp_learner_caps_its_bids_at_B_A():
     m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, RandomSource(3))
     inject_truth(agent, m, a)
     x = sample_context(BENCHMARK_RECIPE, BOUNDS, RandomSource(3).stream("c"))
-    d = act(agent, x)
-    assert d.bids[0] == bounds.B_A  # id 0: round 1, initial state
-    assert all(0.0 <= bid <= bounds.B_A for bid in d.bids)
-    assert d == (dp_policy(optimistic_params(agent, x), bounds.B_A)[0], None)
+    bids = act(agent, x)
+    assert bids[0] == bounds.B_A  # id 0: round 1, initial state
+    assert all(0.0 <= bid <= bounds.B_A for bid in bids)
+    assert bids == dp_policy(optimistic_params(agent, x), bounds.B_A)[0]
 
 
 # --- updates -----------------------------------------------------------------
@@ -216,8 +215,7 @@ def run_exploration(agent, seed=5):
     window = exploration_window(agent.n_underbar, BOUNDS.H)
     for t in range(1, window + 1):
         x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream(t, "ctx"))
-        d = act(agent, x)
-        log = play(d.bids, x, m, a, rng, t)
+        log = play(act(agent, x), x, m, a, rng, t)
         update(agent, [log])
     return m, a
 
@@ -398,19 +396,28 @@ def test_estimates_approach_truth_after_learning():
 # --- baselines ---------------------------------------------------------------
 
 def test_fixed_baselines():
-    assert baseline_act(BaselinePolicy("aggressive", 3), None) == (True,) * 3
-    assert baseline_act(BaselinePolicy("passive", 3), None) == (False,) * 3
-    with pytest.raises(ValueError):
-        BaselinePolicy("greedy", 3)
+    # each baseline's row is the forced bids of the reference's plan, the
+    # random one's drawn as the reference draws it
+    for H in range(1, 7):
+        assert baseline_bids("aggressive", H, None) == forced_bids((True,) * H)
+        assert baseline_bids("passive", H, None) == forced_bids((False,) * H)
+        got, want = np.random.default_rng(H), np.random.default_rng(H)
+        for _ in range(50):
+            assert (baseline_bids("random", H, got)
+                    == forced_bids(baseline_plan("random", H, want)))
+    with pytest.raises(KeyError):
+        baseline_bids("greedy", 3, None)
+    with pytest.raises(ValueError, match="unknown policy 'greedy'"):
+        benchmark_config(policies=("learner", "greedy"))
 
 
 def test_random_baseline_uniformity():
     rng = np.random.default_rng(123)
-    policy = BaselinePolicy("random", 3)
+    plans = {forced_bids(p): p for p in itertools.product((False, True), repeat=3)}
     counts = np.zeros(8)
     n = 100_000
     for _ in range(n):
-        plan = baseline_act(policy, rng)
+        plan = plans[baseline_bids("random", 3, rng)]
         k = sum(1 << i for i, w in enumerate(plan) if w)
         counts[k] += 1
     expected = n / 8
@@ -453,8 +460,7 @@ def test_agent_snapshot_round_trip():
         # the whole exploration window and a few optimistic customers
         for t in range(1, exploration_window(2, H) + 4):
             x = sample_context(BENCHMARK_RECIPE, bounds, rng.stream(t, "ctx"))
-            d = act(agent, x)
-            log = play(d.bids, x, m, a, rng, t)
+            log = play(act(agent, x), x, m, a, rng, t)
             update(agent, [log])
         d = agent_to_dict(agent)
         lags = [f"LAG{k}" for k in range(1, H)]
@@ -615,9 +621,9 @@ def test_schedule_decisions_may_run_ahead_of_updates():
     window = exploration_window(agent.n_underbar, BOUNDS.H)
     x = np.array([1.0, 1.0])
     for t in range(1, window + 1):
-        assert act(agent, x, t).plan == exploration_plan(
+        assert act(agent, x, t) == forced_bids(exploration_plan(
             t, agent.n_underbar, BOUNDS.H
-        )
+        ))
     assert agent.t == 1
     with pytest.raises(ValueError, match=rf"^customer {window + 1}: "):
         act(agent, x, window + 1)

@@ -30,9 +30,11 @@ from bidlab.environment import (
     Z_MAX,
     InstanceRecipe,
     RandomSource,
+    draw_hobs,
     generate_instance,
     read_context_csv,
     read_episode_csv,
+    run_episode,
     sample_context,
     write_context_csv,
     write_episode_csv,
@@ -55,7 +57,9 @@ from bidlab.harness import (
 )
 from bidlab.model import INITIAL_STATE, Bounds, state_table
 from bidlab.planning import (
+    batch_params,
     best_outcome_plan,
+    forced_bids,
     outcome_value,
     params_from_true,
 )
@@ -454,6 +458,38 @@ def test_baseline_arrays_equal_per_customer_episodes_without_learner(trial):
     result = run_trial(cfg, trial)
     for name in cfg.policies:
         assert result.realized[name].tolist() == reference[name].tolist(), name
+
+
+@pytest.mark.parametrize("H", [1, 2, 3, 5])
+def test_array_player_follows_run_episodes_auction_rule(H):
+    # arbitrary rows: finite bids in (0, B_A], bids exactly a customer's HOB
+    # of the round (ties win) or just under it, inf and 0.0; each customer's
+    # realized reward is run_episode's, bit for bit
+    from bidlab.harness import _play_bids
+
+    cfg = small_config(H=H, bounds=replace(small_config().bounds, H=H))
+    start, n = 1000, 40
+    rng = RandomSource(11 + H)
+    m, a = generate_instance(cfg.instance, cfg.bounds, rng)
+    xs = np.array([sample_context(cfg.instance, cfg.bounds, rng.stream(t, "ctx"))
+                   for t in range(start + 1, start + n + 1)])
+    hobs = np.array([draw_hobs(x, a, rng, t) for t, x in enumerate(xs, start + 1)])
+    table = state_table(H)
+    round_of = np.array([h for h, ids in enumerate(table.layers) for _ in ids])
+    at_hob = hobs[:, round_of]  # (n, states): the HOB of each state's round
+    gen = np.random.default_rng(H)
+    finite = np.minimum(at_hob * np.exp(gen.standard_normal(at_hob.shape)),
+                        cfg.bounds.B_A)
+    choices = [finite, at_hob, np.nextafter(at_hob, 0.0), np.full_like(at_hob, math.inf),
+               np.zeros_like(at_hob)]
+    pick = gen.integers(0, len(choices), at_hob.shape)
+    bids = np.choose(pick, choices)
+    assert (pick == 1).any() and (pick == 3).any() and (pick == 4).any()
+    got = _play_bids(bids, hobs, batch_params(xs, m, a), rng, "policy", 0, start)
+    want = [run_episode(bids[c], x, m, a, rng, t=t, noise_label="policy",
+                        hobs=hobs[c]).realized_reward
+            for c, (t, x) in enumerate(zip(range(start + 1, start + n + 1), xs))]
+    assert got.tolist() == want
 
 
 @pytest.mark.parametrize("mode", ["outcome", "dp"])
@@ -1110,16 +1146,17 @@ def test_replay_holds_at_most_one_chunk_of_episodes(tmp_path, small_result, monk
 
 def _recording_trial(monkeypatch, cfg):
     """Run trial 0 of `cfg`, recording every learner decision as (customer,
-    the agent's next customer, plan) and the length of every update."""
+    the agent's next customer, bids by state id) and the length of every
+    update."""
     import bidlab.harness as harness_module
 
     decisions, runs = [], []
     real_act, real_update = harness_module.act, harness_module.update
 
     def recording_act(agent, x, t):
-        decision = real_act(agent, x, t)
-        decisions.append((t, agent.t, decision.plan))
-        return decision
+        bids = real_act(agent, x, t)
+        decisions.append((t, agent.t, bids))
+        return bids
 
     def recording_update(agent, logs):
         runs.append(len(logs))
@@ -1139,9 +1176,9 @@ def test_exploration_is_consumed_in_chunks_ending_at_the_window(monkeypatch):
     result, decisions, runs = _recording_trial(monkeypatch, cfg)
     window = exploration_window(10, cfg.H)
     assert runs == [7] * 5 + [window - 35] + [1] * (cfg.T - window)
-    for t, agent_t, plan in decisions:
+    for t, agent_t, bids in decisions:
         if t <= window:
-            assert plan == exploration_plan(t, 10, cfg.H)
+            assert bids == forced_bids(exploration_plan(t, 10, cfg.H))
         else:
             assert agent_t == t
     assert any(agent_t < t for t, agent_t, _ in decisions)  # updates deferred
@@ -1153,8 +1190,8 @@ def test_a_trial_shorter_than_the_window_consumes_every_customer(monkeypatch):
                        policies=("learner",))
     result, decisions, runs = _recording_trial(monkeypatch, cfg)
     assert runs == [UPDATE_CHUNK] * (300 // UPDATE_CHUNK) + [300 % UPDATE_CHUNK]
-    assert [plan for _, _, plan in decisions] == [
-        exploration_plan(t, 100, cfg.H) for t in range(1, 301)
+    assert [bids for _, _, bids in decisions] == [
+        forced_bids(exploration_plan(t, 100, cfg.H)) for t in range(1, 301)
     ]
     assert result.agent_snapshot["t"] == 301
 
@@ -1206,10 +1243,8 @@ def test_underfed_delays_in_a_run_name_trial_and_customer(monkeypatch):
     # all-lose episodes never feed a delay estimator; the run that ends at
     # the window (customer 20) trips the check
     import bidlab.harness as harness_module
-    from bidlab.agent import Decision
-    from bidlab.planning import forced_bids
 
-    never = Decision(forced_bids((False,) * 3), (False,) * 3)
+    never = forced_bids((False,) * 3)
     monkeypatch.setattr(harness_module, "act", lambda agent, x, t: never)
     with pytest.raises(RuntimeError) as err:
         run_trial(_learner_config(), 0)

@@ -9,7 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from bidlab.environment import BENCHMARK_RECIPE, RandomSource, generate_instance, sample_context
+from bidlab.environment import (
+    BENCHMARK_RECIPE,
+    RandomSource,
+    generate_instance,
+    run_episode,
+    sample_context,
+)
 from bidlab.model import (
     INITIAL_STATE,
     AuctionModel,
@@ -20,6 +26,7 @@ from bidlab.model import (
     conversion_mean,
     expected_payment,
     hob_mean,
+    lognormal_cdf_terms,
     lose_index,
     state_table,
     win_probability,
@@ -33,6 +40,7 @@ from bidlab.planning import (
     best_outcome_values,
     default_bid_grid,
     dp_policy,
+    forced_bids,
     outcome_value,
     outcome_values,
     params_from_true,
@@ -494,6 +502,58 @@ def test_block_policy_value_equals_per_customer_bitwise(H):
             assert got[c] == one == scalar_policy_value(true_customer(x, m, a), bids[:, c])
         with pytest.raises(ValueError, match="bid must be nonnegative"):
             policy_values(batch, -bids - 1.0)
+
+
+@pytest.mark.parametrize("H", range(1, 7))
+def test_forced_rows_score_as_their_plans_bitwise(H):
+    # random plans on random instances: their forced bids scored by
+    # policy_values equal the plans scored by outcome_values bit for bit,
+    # for a batch and for one customer in floats, so one scorer serves
+    # every policy
+    for dim in (1, 3, 5):
+        m, a, X = batch_instance(H, dim, T=33, seed=1700 + 10 * H + dim)
+        batch = batch_params(X, m, a)
+        plans = np.random.default_rng(H * dim).integers(0, 2, (len(X), H)).astype(bool)
+        rows = np.array([forced_bids(tuple(p)) for p in plans.tolist()])
+        got = policy_values(batch, rows.T).tolist()
+        assert got == outcome_values(plans.T, batch).tolist()
+        for c, x in enumerate(X):
+            one = params_from_true(x, m, a)
+            assert policy_value(one, rows[c]) == outcome_value(tuple(plans[c]), one) == got[c]
+
+
+def test_auction_terms_at_zero_and_infinite_bids():
+    # exactly the closed forms' floats in the limit at inf, and nothing at
+    # 0.0, for floats and for arrays; a finite bid in an array takes the
+    # closed form it takes alone
+    m, a, X = batch_instance(3, 2, T=4, seed=77)
+    batch = batch_params(X, m, a)
+    bid = np.array([math.inf, 0.0, 1.5, math.inf])
+    for h in (1, 2, 3):
+        F, pay = planning._auction_terms(batch, h, bid)
+        for c, x in enumerate(X):
+            one = params_from_true(x, m, a)
+            mean = one.hob[h - 1]
+            assert planning._auction_terms(one, h, math.inf) == (1.0, mean)
+            assert lognormal_cdf_terms(math.inf, one.log_hob[h - 1], one.sigma[h - 1],
+                                       mean) == (1.0, mean)
+            assert planning._auction_terms(one, h, 0.0) == (0.0, 0.0)
+            assert (F[c], pay[c]) == planning._auction_terms(one, h, float(bid[c]))
+        assert F.tolist()[:2] == [1.0, 0.0] and pay.tolist()[1] == 0.0
+        assert pay.tolist()[::3] == batch.hob[h - 1].tolist()[::3]
+
+
+def test_policy_values_rejects_a_nan_bid_as_run_episode_does():
+    m, a, x = random_instance(4)
+    n_states = len(state_table(BOUNDS.H).states)
+    bids = [math.nan] + [1.0] * (n_states - 1)
+    with pytest.raises(ValueError, match="bid must be nonnegative"):
+        policy_value(params_from_true(x, m, a), bids)
+    with pytest.raises(ValueError, match="bid must be nonnegative"):
+        policy_values(batch_params(np.array([x, x]), m, a), np.array([bids, bids]).T)
+    with pytest.raises(ValueError, match="bid must be >= 0, got nan at round 1"):
+        run_episode(bids, x, m, a, RandomSource(4), t=1, noise_label="policy",
+                    hobs=[1.0] * BOUNDS.H)
 
 
 def test_closed_form_bid_clamps():
