@@ -13,13 +13,14 @@ or, in dp mode past exploration, the exact second-price bid.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .environment import EpisodeLog, delay_token, theta_token
+from .environment import Episodes, delay_token, theta_token
 from .estimation import (
     AuctionEstimator,
     ConfidenceConfig,
@@ -41,6 +42,7 @@ from .model import (
     cap_norm,
     lognormal_mean,
     lose_index,
+    state_table,
     win_index,
 )
 from .planning import (
@@ -201,60 +203,70 @@ def act(agent: AgentState, x: np.ndarray, t: int | None = None) -> Sequence[floa
     return dp_policy(params, agent.bounds.B_A)[0]
 
 
-def update(agent: AgentState, logs: Sequence[EpisodeLog]) -> AgentState:
+@functools.cache
+def _home_buckets(H: int) -> np.ndarray:
+    """Provenance: the one bucket a round may be in, by state id and outcome
+    (lost, won), from the state's own lags.  W rounds are only wins at the
+    matching theta row or never-exposed losses feeding natural demand; D
+    rounds (H + lag) are the later losses."""
+    return np.array([[lose_index(s.s2) if s.s1 == NEVER else H + s.s1, win_index(s.s1)]
+                     for s in state_table(H).states])
+
+
+def update(agent: AgentState, episodes: Episodes) -> AgentState:
     """Consume a run of consecutive episodes (one customer is a run of one),
     bit for bit as one at a time: per round position a ridge sample per
-    customer, per theta row its W rounds in order, per lag its delay rounds,
-    each base rate from its row's estimate after the round's own customer.
-    Every error raised here names the customer."""
-    if not logs:
+    customer, per theta row its W rounds in customer-major, round-minor
+    order, per lag its delay rounds, each base rate from its row's estimate
+    after the round's own customer.  Every error raised here names the
+    customer."""
+    n, H = episodes.won.shape
+    if not n:
         return agent
     boundary = exploration_window(agent.n_underbar, agent.bounds.H)
     cut = boundary + 1 - agent.t
-    if 0 < cut < len(logs):  # the underfed check runs at the boundary
-        update(agent, logs[:cut])
-        return update(agent, logs[cut:])
-    t0 = agent.t
-    w, d = [[] for _ in agent.theta_bank], {}  # W rounds by theta row, D rounds by lag
-    for k, log in enumerate(logs):
-        if log.t != t0 + k:
-            raise ValueError(f"customer {log.t}: expected customer {t0 + k}")
-        for r in log.records:
-            if not 0.0 < r.hob < math.inf:
-                raise ValueError(f"customer {r.t}, round {r.h}: log HOB must be "
-                                 f"finite, got the HOB {r.hob!r}")
-        split = split_episode(log)
-        for i, rounds in enumerate(split.w):
-            for r in rounds:
-                # provenance: W rounds only — wins at the matching row, or
-                # never-exposed losses feeding natural demand
-                home = win_index(r.state.s1) if r.won else lose_index(r.state.s2)
-                if home != i or not (r.won or r.state.s1 == NEVER):
-                    raise ValueError(
-                        f"customer {r.t}, round {r.h} is not a clean sample of "
-                        f"theta row {i}"
-                    )
-                w[i].append(r)
-        for lag, rounds in split.d.items():
-            d.setdefault(lag, []).extend(rounds)
-    X = np.array([log.x for log in logs], dtype=float)
-    ridge_update([agent.auction_bank[h] for h in range(1, agent.bounds.H + 1)], X,
-                 [[math.log(r.hob) for r in log.records] for log in logs])
+    if 0 < cut < n:  # the underfed check runs at the boundary
+        update(agent, episodes[:cut])
+        return update(agent, episodes[cut:])
+    t0, ts, hobs = agent.t, episodes.t.tolist(), episodes.hob.ravel().tolist()
+    if ts != list(range(t0, t0 + n)):
+        k = next(k for k, t in enumerate(ts) if t != t0 + k)
+        raise ValueError(f"customer {ts[k]}: expected customer {t0 + k}")
+    if not all(0.0 < v < math.inf for v in hobs):
+        j = next(j for j, v in enumerate(hobs) if not 0.0 < v < math.inf)
+        raise ValueError(f"customer {ts[j // H]}, round {j % H + 1}: log HOB must "
+                         f"be finite, got the HOB {hobs[j]!r}")
+    bucket = split_episode(episodes)  # theta row i (W), or H + lag (D)
+    ids = episodes.ids[:, :H]
+    misfiled = bucket != _home_buckets(H)[ids, episodes.won.view(np.uint8)]
+    if misfiled.any():
+        k, h = np.argwhere(misfiled)[0].tolist()
+        i = int(bucket[k, h])
+        kind = f"a clean sample of theta row {i}" if i <= H else f"a delay sample of lag {i - H}"
+        raise ValueError(f"customer {ts[k]}, round {h + 1} is not {kind}")
+    ridge_update([agent.auction_bank[h] for h in range(1, H + 1)], episodes.x,
+                 np.array(list(map(math.log, hobs))).reshape(n, H))
+    # the rounds by bucket; a stable sort keeps each customer-major, round-minor
+    order = np.argsort(bucket, axis=None, kind="stable")
+    ends = [0, *np.bincount(bucket.ravel(), minlength=2 * H).cumsum().tolist()]
+    customer = order // H
+    X, ys, ks = episodes.x[customer], episodes.conversions.ravel()[order], customer.tolist()
     paths = []  # by theta row: its rounds' customers, its estimates from before the run
-    for est, rounds in zip(agent.theta_bank, w):
-        ts, path = [r.t for r in rounds], [est.theta_hat]
-        if rounds:
-            ys = [r.conversions for r in rounds]
-            path += crtm_update(est, X[[t - t0 for t in ts]], ys, agent.cfg)
-        paths.append((ts, path))
-    for lag in sorted(d):
-        thetas = []
-        for r in d[lag]:  # the base-rate row's estimate after r's customer
-            ts, path = paths[lose_index(r.state.s2)]
-            thetas.append(path[bisect.bisect_right(ts, r.t)])
-        X_lag = X[[r.t - t0 for r in d[lag]]]
-        tsmle_update(agent.delay_bank[lag], d[lag], X_lag, thetas, agent.bounds.b)
-    agent.t += len(logs)
+    for i, est in enumerate(agent.theta_bank):
+        a, b = ends[i], ends[i + 1]
+        path = [est.theta_hat]
+        if b > a:
+            path += crtm_update(est, X[a:b], ys[a:b], agent.cfg)
+        paths.append((ks[a:b], path))
+    base = lose_index(state_table(H).s2[ids]).ravel()[order].tolist()  # a loss's row
+    for lag in range(1, H):
+        a, b = ends[H + lag], ends[H + lag + 1]
+        if b > a:  # each base rate from its row's estimate after the round's customer
+            thetas = [paths[i][1][bisect.bisect_right(paths[i][0], k)]
+                      for k, i in zip(ks[a:b], base[a:b])]
+            tsmle_update(agent.delay_bank[lag], bucket.ravel()[order[a:b]] - H, ys[a:b],
+                         X[a:b], thetas, agent.bounds.b)
+    agent.t += n
     if agent.t == boundary + 1:
         for lag, est in agent.delay_bank.items():
             if est.N < agent.n_underbar:

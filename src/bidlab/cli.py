@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from collections import defaultdict
@@ -133,9 +134,12 @@ def _cmd_fit(args) -> int:
                 t = int(row[1])
                 if t not in wanted:
                     continue
+                realized, expected = float(row[3]), float(row[4])
+                if not (math.isfinite(realized) and math.isfinite(expected)):
+                    raise ValueError(f"regrets must be finite, got {row[3:]}")
                 cell = sums[row[2]].setdefault(t, [0.0, 0.0, 0])
-                cell[0] += float(row[3])
-                cell[1] += float(row[4])
+                cell[0] += realized
+                cell[1] += expected
                 cell[2] += 1
             except ValueError as exc:
                 raise ValueError(f"{args.curve}: line {lineno}: {exc}") from None

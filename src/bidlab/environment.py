@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -28,15 +29,17 @@ from .model import (
     TrueModel,
     cap_norm,
     conversion_mean,
+    delay_index,
+    lose_index,
     state_table,
+    win_index,
 )
 
 __all__ = [
     "RandomSource",
     "InstanceRecipe",
     "BENCHMARK_RECIPE",
-    "RoundRecord",
-    "EpisodeLog",
+    "Episodes",
     "Z_MAX",
     "POISSON_RATE_MAX",
     "sample_hob",
@@ -48,6 +51,7 @@ __all__ = [
     "write_episode_csv",
     "read_episode_csv",
     "write_context_csv",
+    "read_context_rows",
     "read_context_csv",
     "instance_to_dict",
     "instance_from_dict",
@@ -212,47 +216,47 @@ class InstanceRecipe:
 BENCHMARK_RECIPE = InstanceRecipe()
 
 
-class RoundRecord(NamedTuple):
-    """One auction round: the HOB is recorded whether or not the bid won
-    (full-information feedback).  An immutable tuple: logs hold one per
-    round, and a tuple is the cheapest record to build and read."""
+@dataclass(slots=True)
+class Episodes:
+    """A block of customers' H-round episodes as arrays, one row per
+    customer: its number `t` (n,), its context `x` (n, dim), the state id
+    of `state_table(H)` each round starts in, `ids` (n, H+1; column H is
+    the end), and per round (n, H) the `bid` played, the realized `hob`
+    (full-information feedback), `won` and the `conversions`.
+    `episodes[a:b]` holds its customers a..b-1."""
 
-    t: int
-    h: int
-    state: ExposureState
-    bid: float
-    hob: float
-    won: bool
-    payment: float
-    conversions: int
-
-
-@dataclass(frozen=True)
-class EpisodeLog:
-    """All H rounds of one customer, with the context that generated them."""
-
-    t: int
+    t: np.ndarray
     x: np.ndarray
-    records: list[RoundRecord]
+    ids: np.ndarray
+    bid: np.ndarray
+    hob: np.ndarray
+    won: np.ndarray
+    conversions: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not self.records:
-            raise ValueError("an episode needs at least one round")
-        table = state_table(len(self.records))
-        i = 0  # the state id each round should start from
-        for k, rec in enumerate(self.records):
-            state = table.states[i]  # the simulator and the reader use these objects
-            if rec.state is not state and rec.state != state:
-                if k == 0:
-                    raise ValueError("episodes must start from the initial state")
-                raise ValueError(f"state chain broken at round {k}: {rec.state} != {state}")
-            if rec.h != k + 1 or rec.t != self.t:
-                raise ValueError(f"round {k + 1} is mislabelled: {rec}")
-            i = table.next_id[i][bool(rec.won)]
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, rows: slice) -> "Episodes":
+        return Episodes(*(getattr(self, name)[rows] for name in self.__slots__))
+
+    @staticmethod
+    def concat(blocks: Sequence["Episodes"]) -> "Episodes":
+        """The customers of `blocks` (at least one), in order."""
+        if len(blocks) == 1:
+            return blocks[0]
+        return Episodes(*(np.concatenate([getattr(b, name) for b in blocks])
+                          for name in Episodes.__slots__))
 
     @property
-    def realized_reward(self) -> float:
-        return float(sum(r.conversions - r.payment for r in self.records))
+    def payment(self) -> np.ndarray:
+        """Each round's second-price payment: the HOB when won, else 0.0."""
+        return np.where(self.won, self.hob, 0.0)
+
+    @property
+    def realized_reward(self) -> np.ndarray:
+        """Each customer's conversions minus payments, summed round by round
+        from 0."""
+        return sum((self.conversions - self.payment).T)
 
 
 # The largest |z| numpy's ziggurat standard normal draws.  Its tail returns
@@ -268,8 +272,7 @@ def sample_hob(
     h: int, x: np.ndarray, a: AuctionModel, rng: np.random.Generator
 ) -> float:
     """One lognormal HOB draw for round h."""
-    z = rng.standard_normal()
-    return math.exp(a.log_mean(h, x) + a.log_sd(h) * z)
+    return math.exp(a.log_mean(h, x) + a.log_sd(h) * rng.standard_normal())
 
 
 def sample_conversions(rate: float, rng: np.random.Generator) -> int:
@@ -289,16 +292,9 @@ def draw_hobs(
 
 
 def run_episode(
-    bids: Sequence[float],
-    x: np.ndarray,
-    m: TrueModel,
-    a: AuctionModel,
-    rng: RandomSource,
-    *,
-    t: int,
-    noise_label: str,
-    hobs: Sequence[float],
-) -> EpisodeLog:
+    bids: Sequence[float], x: np.ndarray, m: TrueModel, a: AuctionModel,
+    rng: RandomSource, *, t: int, noise_label: str, hobs: Sequence[float],
+) -> Episodes:
     """Play one H-round episode of second-price auctions, bidding `bids[i]`
     in the state of id i of `state_table(H)`: a round is won when the bid is
     at least the realized HOB (ties win), and the winner pays the HOB.  A bid
@@ -314,18 +310,52 @@ def run_episode(
         raise ValueError(f"need one HOB per round, got {len(hobs)} for {H}")
     conv_rng = rng.stream(t, "conv", noise_label)
     table = state_table(H)
-    i = 0  # state id
-    records: list[RoundRecord] = []
+    ids, played, won, conversions = [0], [], [], []
     for h, hob in enumerate(hobs, start=1):
-        state, bid = table.states[i], float(bids[i])
+        i, bid = ids[-1], float(bids[ids[-1]])
         if not bid >= 0:
             raise ValueError(f"bid must be >= 0, got {bid} at round {h}")
-        won = bid >= hob
-        payment = hob if won else 0.0
-        y = sample_conversions(conversion_mean(state, won, x, m), conv_rng)
-        records.append(RoundRecord(t, h, state, bid, hob, won, payment, y))
-        i = table.next_id[i][won]
-    return EpisodeLog(t, x, records)
+        won.append(bid >= hob)
+        played.append(bid)
+        conversions.append(sample_conversions(
+            conversion_mean(table.states[i], won[-1], x, m), conv_rng))
+        ids.append(table.next_id[i][won[-1]])
+    return Episodes(np.array([t]), np.asarray(x, dtype=float)[None], np.array([ids]),
+                    np.array([played]), np.array([hobs]), np.array([won]),
+                    np.array([conversions]))
+
+
+def _play_bids(
+    bids: np.ndarray, x: np.ndarray, hobs: np.ndarray, means, rng: RandomSource,
+    name: str, start: int,
+) -> Episodes:
+    """Customers start+1..start+n, of contexts `x`, bidding `bids` ((n,
+    states) bids by state id) against `hobs`, under `run_episode`'s rule
+    and in its floats: a round is won when the bid is at least the HOB, the
+    winner pays the HOB, and round h's conversions are the h-th draw of the
+    (t, "conv", name) stream.  `means` holds the conversion means by theta
+    row and customer (`mu`, (H+1, n)) and the delay factors (`delay`), as
+    `planning.batch_params` gives them."""
+    n, H = hobs.shape
+    table, cols, delay = state_table(H), np.arange(n), np.array(means.delay)
+    ids = np.zeros((n, H + 1), dtype=np.intp)  # the state id of each round
+    won, rates = np.empty((n, H), dtype=bool), np.empty((n, H))
+    for h in range(H):
+        s1, s2 = table.s1[ids[:, h]], table.s2[ids[:, h]]
+        won[:, h] = bids[cols, ids[:, h]] >= hobs[:, h]
+        rates[:, h] = np.where(won[:, h], means.mu[win_index(s1), cols],
+                               delay[delay_index(s1)] * means.mu[lose_index(s2), cols])
+        ids[:, h + 1] = table.successors[ids[:, h], won[:, h].astype(np.intp)]
+    for k, h in np.argwhere(rates < 0)[:1]:
+        raise ValueError(f"customer {start + k + 1}: negative conversion rate "
+                         f"{rates[k, h]} in state {table.states[ids[k, h]]}")
+    conversions = []
+    for t, row in enumerate(rates.tolist(), start=start + 1):
+        gen = rng.stream(t, "conv", name)
+        conversions.append([sample_conversions(r, gen) for r in row])
+    return Episodes(np.arange(start + 1, start + n + 1), x, ids,
+                    bids[cols[:, None], ids[:, :H]], hobs, won,
+                    np.array(conversions, dtype=np.int64).reshape(n, H))
 
 
 def _half_normal(
@@ -349,38 +379,18 @@ def generate_instance(
     guarantees every sampled context satisfies the conversion-rate floor.
     """
     gen = rng.stream("instance")
-    theta = np.stack(
-        [
-            cap_norm(
-                _half_normal(gen, recipe.theta_scale, recipe.theta_offset, (bounds.dim,)),
-                bounds.B_theta,
-            )
-            for _ in range(bounds.H + 1)
-        ]
-    )
-    delay = np.array(
-        [1.0]
-        + [
-            float(np.clip(
-                _half_normal(gen, recipe.delay_scale, recipe.delay_offset, ()),
-                0.0, bounds.B_d,
-            ))
-            for _ in range(1, bounds.H)
-        ]
-    )
-    beta = np.stack(
-        [
-            cap_norm(
-                _half_normal(gen, recipe.beta_scale, recipe.beta_offset, (bounds.dim,)),
-                bounds.B_beta,
-            )
-            for _ in range(bounds.H)
-        ]
-    )
-    sigma = np.minimum(
-        _half_normal(gen, recipe.sigma_scale, recipe.sigma_offset, (bounds.H,)),
-        bounds.sigma_max,
-    )
+
+    def draw(family: str, shape: tuple[int, ...]) -> np.ndarray:
+        return _half_normal(gen, getattr(recipe, f"{family}_scale"),
+                            getattr(recipe, f"{family}_offset"), shape)
+
+    theta = np.stack([cap_norm(draw("theta", (bounds.dim,)), bounds.B_theta)
+                      for _ in range(bounds.H + 1)])
+    delay = np.array([1.0] + [float(np.clip(draw("delay", ()), 0.0, bounds.B_d))
+                              for _ in range(1, bounds.H)])
+    beta = np.stack([cap_norm(draw("beta", (bounds.dim,)), bounds.B_beta)
+                     for _ in range(bounds.H)])
+    sigma = np.minimum(draw("sigma", (bounds.H,)), bounds.sigma_max)
     model = TrueModel(theta=theta, delay=delay)
     model.validate(bounds)
     if recipe.strict:
@@ -406,7 +416,6 @@ def sample_context(
 
 # --- serialization -------------------------------------------------------
 
-_INF = math.inf
 _EPISODE_COLUMNS = [
     "trial", "t", "h", "s1", "s2", "bid", "hob", "won", "payment", "conversions",
 ]
@@ -435,8 +444,8 @@ def _state_tokens(s: ExposureState) -> tuple[str, str]:
 def _parse_state(s1: str, s2: str) -> ExposureState:
     def lag(token: str) -> int:
         value = int(token)
-        if value < 1:
-            raise ValueError(f"a lag token must be a positive integer, got {token!r}")
+        if not 1 <= value < 2**63:
+            raise ValueError(f"a lag token must be a positive 64-bit integer, got {token!r}")
         return value
 
     named = {"NEVERBEFORE": NEVER_BEFORE, "ONLYONE": ONLY_ONE}
@@ -446,86 +455,109 @@ def _parse_state(s1: str, s2: str) -> ExposureState:
 
 
 def write_episode_csv(
-    path, episodes: Iterable[tuple[int, EpisodeLog]], append: bool = False
+    path, blocks: Iterable[tuple[int, Episodes]], append: bool = False
 ) -> None:
-    """Write (trial, episode) pairs in the flat round-per-line schema; with
-    `append`, add them to the end of the file, without the header."""
+    """Write (trial, episodes) blocks in the flat round-per-line schema;
+    with `append`, add them to the end of the file, without the header."""
     with open(path, "a" if append else "w", newline="") as f:
         w = csv.writer(f)
         if not append:
             w.writerow(_EPISODE_COLUMNS)
-        for trial, ep in episodes:
-            for r in ep.records:
-                w.writerow(
-                    [
-                        trial,
-                        r.t,
-                        r.h,
-                        *_state_tokens(r.state),
-                        repr(r.bid),
-                        repr(r.hob),
-                        int(r.won),
-                        repr(r.payment),
-                        r.conversions,
-                    ]
+        for trial, ep in blocks:
+            tokens = [_state_tokens(s) for s in state_table(ep.bid.shape[1]).states]
+            for t, *rounds in zip(ep.t.tolist(), ep.ids.tolist(), ep.bid.tolist(),
+                                  ep.hob.tolist(), ep.won.tolist(),
+                                  ep.payment.tolist(), ep.conversions.tolist()):
+                w.writerows(  # a customer's H rounds: zip drops its end state id
+                    [trial, t, h, *tokens[i], repr(bid), repr(hob), int(won), repr(pay), y]
+                    for h, (i, bid, hob, won, pay, y) in enumerate(zip(*rounds), start=1)
                 )
 
 
 def read_episode_csv(
-    path, contexts: dict[tuple[int, int], np.ndarray], H: int
-) -> Iterator[tuple[int, EpisodeLog]]:
-    """Parse an episode CSV back into logs of H rounds, joining contexts by
-    (trial, t).  Every row must be a second-price round: won exactly when
-    bid >= HOB (a bid may be inf), paying the HOB when won and 0.0 when
-    lost.  Violations raise ValueError with the offending line
-    number, an episode's own with the line it starts at.  An episode's
-    length is checked before its state chain, whose table grows with it.
-    Once one episode has passed, a reachable state is read as the state
-    table's own object."""
-    states: dict[tuple[str, str], ExposureState] = {}  # tokens -> state_table(H)'s state
+    path, contexts: Iterable[tuple[int, int, np.ndarray]], H: int, block: int
+) -> Iterator[tuple[int, Episodes]]:
+    """Parse an episode CSV back into (trial, episodes) blocks of at most
+    `block` customers of one trial.  `contexts` yields (trial, t, x) in the
+    log's customer order (`read_context_rows`); each customer takes the
+    next one, which must be its own, so a block is read with its contexts
+    only.  Every row must be a second-price round: won exactly when bid >=
+    HOB (a bid may be inf), paying the HOB when won and 0.0 when lost.
+    Violations raise ValueError with the offending line number, an
+    episode's own with the line it starts at: its context, its length of
+    H rounds (before any state table, which grows with it, is built), and
+    its state chain and round labels, checked with its block's as arrays
+    against `StateTable.successors`."""
+    contexts, done = iter(contexts), []  # done: the block's episodes
+
+    def finish(trial: int, t: int, start: int, rounds: list) -> None:
+        x = next(contexts, None)  # a damaged contexts file raises its own line
+        try:
+            if x is None or x[:2] != (trial, t):
+                raise ValueError(f"no context recorded for trial {trial}, t {t}" + (
+                    "" if x is None else f": the next context is of trial {x[0]}, t {x[1]}"))
+            if len(rounds) != H:
+                raise ValueError(f"expected {H} rounds, got {len(rounds)}")
+        except ValueError as exc:
+            raise ValueError(f"line {start}: {exc}") from None
+        done.append((start, t, x[2], rounds))
+
+    def flush() -> Episodes:
+        starts, ts, xs, rounds = zip(*done)
+        done.clear()
+        n, table = len(ts), state_table(H)
+        label, s1, s2, bid, hob, won, ys = (np.array(column).reshape(n, H)
+                                            for column in zip(*itertools.chain(*rounds)))
+        ids = np.zeros((n, H + 1), dtype=np.intp)
+        for h in range(H):
+            ids[:, h + 1] = table.successors[ids[:, h], won[:, h].view(np.uint8)]
+        chained = (table.s1[ids[:, :H]] == s1) & (table.s2[ids[:, :H]] == s2)
+        bad = ~chained | (label != np.arange(1, H + 1))
+        for c, k in np.argwhere(bad)[:1].tolist():
+            if chained[c, k]:
+                message = f"round {k + 1} is mislabelled as round {label[c, k]}"
+            elif k == 0:
+                message = "episodes must start from the initial state"
+            else:
+                message = (f"state chain broken at round {k}: expected the state "
+                           f"{table.states[ids[c, k]]}")
+            raise ValueError(f"line {starts[c]}: {message}")
+        return Episodes(np.array(ts), np.array(xs, dtype=float), ids, bid, hob, won, ys)
+
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != _EPISODE_COLUMNS:
             raise ValueError(f"line 1: expected header {_EPISODE_COLUMNS}")
-        current, trial, t, start = [], None, None, 2  # the episode read, its key, its first line
-
-        def finish() -> tuple[int, EpisodeLog]:
-            try:
-                x = contexts.get((trial, t))
-                if x is None:
-                    raise ValueError(f"no context recorded for trial {trial}, t {t}")
-                if len(current) != H:
-                    raise ValueError(f"expected {H} rounds, got {len(current)}")
-                log = EpisodeLog(t, x, current)
-            except ValueError as exc:
-                raise ValueError(f"line {start}: {exc}") from None
-            if not states:
-                states.update((_state_tokens(s), s) for s in state_table(H).states)
-            return trial, log
-
+        key, start, rounds = None, 2, []  # the episode read: (trial, t), first line, rows
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(_EPISODE_COLUMNS):
                 raise ValueError(f"line {lineno}: expected {len(_EPISODE_COLUMNS)} fields")
             try:
                 row_trial, row_t, h = int(row[0]), int(row[1]), int(row[2])
-                state = states.get((row[3], row[4])) or _parse_state(row[3], row[4])
+                if not (0 < row_t < 2**63 and 0 < h < 2**63):
+                    raise ValueError(f"t and h must be positive 64-bit integers, got {row[1:3]}")
+                state = _parse_state(row[3], row[4])
                 bid, hob, pay, y = float(row[5]), float(row[6]), float(row[8]), int(row[9])
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
             won = row[7] == "1"
-            if not (0 <= bid and 0 < hob < _INF and y >= 0 and (won or row[7] == "0")
+            if not (0 <= bid and 0 < hob < math.inf and 0 <= y < 2**63
+                    and (won or row[7] == "0")
                     and won == (bid >= hob) and pay == (hob if won else 0.0)):
                 raise ValueError(f"line {lineno}: need bid >= 0, finite HOB > 0, won 0 or"
-                                 f" 1, conversions >= 0, and a second-price round (won"
-                                 f" when bid >= HOB, paying the HOB, else 0): {row[5:]}")
-            if row_t != t or row_trial != trial:
-                if current:
-                    yield finish()
-                current, trial, t, start = [], row_trial, row_t, lineno
-            current.append(RoundRecord(t, h, state, bid, hob, won, pay, y))
-        if current:
-            yield finish()
+                                 f" 1, conversions in [0, 2**63), and a second-price round"
+                                 f" (won when bid >= HOB, paying the HOB, else 0): {row[5:]}")
+            if (row_trial, row_t) != key:
+                if rounds:
+                    finish(*key, start, rounds)
+                    if len(done) == block or row_trial != key[0]:
+                        yield key[0], flush()
+                key, start, rounds = (row_trial, row_t), lineno, []
+            rounds.append((h, state.s1, state.s2, bid, hob, won, y))
+        if rounds:
+            finish(*key, start, rounds)
+            yield key[0], flush()
 
 
 def write_context_csv(
@@ -543,29 +575,36 @@ def write_context_csv(
             w.writerow([trial, t] + [repr(float(v)) for v in x])
 
 
-def read_context_csv(path, dim: int) -> dict[tuple[int, int], np.ndarray]:
-    """Parse one finite context of `dim` entries per (trial, t)."""
+def read_context_rows(path, dim: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Parse a context CSV row by row into (trial, t, x), x finite of `dim`
+    entries; a bad row raises ValueError naming its line."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None or header[:2] != ["trial", "t"]:
             raise ValueError("line 1: expected header trial,t,x0,...")
-        out: dict[tuple[int, int], np.ndarray] = {}
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"line {lineno}: expected {len(header)} fields")
             try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields")
                 if len(row) != dim + 2:
                     raise ValueError(f"expected {dim} x-columns, got {len(row) - 2}")
-                key, x = (int(row[0]), int(row[1])), [float(v) for v in row[2:]]
-                if key in out:
-                    raise ValueError(f"a second context of trial {key[0]}, t {key[1]}")
+                trial, t, x = int(row[0]), int(row[1]), [float(v) for v in row[2:]]
                 if not all(map(math.isfinite, x)):
                     raise ValueError(f"contexts must be finite, got {row[2:]}")
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-            out[key] = np.array(x)
-        return out
+            yield trial, t, np.array(x)
+
+
+def read_context_csv(path, dim: int) -> dict[tuple[int, int], np.ndarray]:
+    """Every context of a context CSV by (trial, t), one per key."""
+    out: dict[tuple[int, int], np.ndarray] = {}
+    for lineno, (trial, t, x) in enumerate(read_context_rows(path, dim), start=2):
+        if (trial, t) in out:
+            raise ValueError(f"line {lineno}: a second context of trial {trial}, t {t}")
+        out[trial, t] = x
+    return out
 
 
 def instance_to_dict(m: TrueModel, a: AuctionModel) -> dict:

@@ -7,6 +7,7 @@ widths that drive optimism.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -15,15 +16,14 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import solve1 as _lapack_solve1
 
-from .model import NEVER, Bounds, lose_index, win_index
-from .environment import EpisodeLog, RoundRecord, delay_token, theta_token
+from .model import NEVER, Bounds, lose_index, state_table, win_index
+from .environment import Episodes, delay_token, theta_token
 
 __all__ = [
     "ConfidenceConfig",
     "ThetaEstimator",
     "DelayEstimator",
     "AuctionEstimator",
-    "SplitDatasets",
     "split_episode",
     "crtm_update",
     "solve_small",
@@ -295,20 +295,23 @@ class DelayEstimator:
 
 
 def tsmle_update(
-    est: DelayEstimator, rounds: Sequence[RoundRecord], X: np.ndarray,
-    thetas: np.ndarray, b: float,
+    est: DelayEstimator, lags: Sequence[int], conversions: Sequence[float],
+    X: np.ndarray, thetas: np.ndarray, b: float,
 ) -> DelayEstimator:
-    """Consume lost rounds at this lag, in order: round k has context X[k],
+    """Consume lost rounds at this lag, in order: round k, filed under lag
+    lags[k] (0 for no delay sample), has conversions[k] and context X[k],
     and its base rate comes from thetas[k], the effect estimate of its row
     (lose_index(s2)) current for its customer.  Each base rate is floored
     at b so the ratio stays bounded.
     """
+    lags = np.asarray(lags)
+    for k in np.flatnonzero(lags != est.index)[:1].tolist():
+        raise ValueError(f"round {k}, filed under lag {lags[k]}, does not belong "
+                         f"to lag {est.index}")
     rates = _rowdot(np.asarray(thetas, dtype=float), np.asarray(X, dtype=float))
-    for r, rate in zip(rounds, rates.tolist()):
-        if r.won or r.state.s1 != est.index:
-            raise ValueError(f"round {r} does not belong to lag {est.index}")
+    for y, rate in zip(np.asarray(conversions).tolist(), rates.tolist()):
         est.denominator += max(b, rate)
-        est.numerator += float(r.conversions)
+        est.numerator += float(y)
         est.N += 1
     return est
 
@@ -389,32 +392,24 @@ def sigma_estimate(est: AuctionEstimator) -> float | None:
 
 # --- data splitting ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SplitDatasets:
-    """Per-episode buckets: W feeds the effect-vector estimators (one list
-    per theta row), D feeds the delay estimators (keyed by lag)."""
+@functools.cache
+def _buckets(H: int) -> np.ndarray:
+    """The bucket of a round by its state id and outcome (column 0 lost,
+    column 1 won), from masks over the state table's lags."""
+    s1, s2 = state_table(H).s1, state_table(H).s2
+    return np.stack([np.where(s1 == NEVER, lose_index(s2), H + s1), win_index(s1)], axis=1)
 
-    w: list[list[RoundRecord]]
-    d: dict[int, list[RoundRecord]]
 
-
-def split_episode(log: EpisodeLog) -> SplitDatasets:
-    """Assign each round to exactly one bucket.
+def split_episode(episodes: Episodes) -> np.ndarray:
+    """Assign each round to exactly one bucket, as an (n, H) array: W rounds
+    to their theta row i (0..H), D rounds to H + their lag (H+1..2H-1).
 
     Won rounds carry a clean effect sample at the win index.  Lost rounds of
     a never-exposed customer are clean natural-demand samples; lost rounds
     after an exposure are delay samples keyed by the current lag.
     """
-    w: list[list[RoundRecord]] = [[] for _ in range(len(log.records) + 1)]
-    d: dict[int, list[RoundRecord]] = {}
-    for r in log.records:
-        if r.won:
-            w[win_index(r.state.s1)].append(r)
-        elif r.state.s1 == NEVER:
-            w[lose_index(r.state.s2)].append(r)
-        else:
-            d.setdefault(r.state.s1, []).append(r)
-    return SplitDatasets(w=w, d=d)
+    won = episodes.won
+    return _buckets(won.shape[1])[episodes.ids[:, :-1], won.view(np.uint8)]
 
 
 def optimistic_mean(

@@ -32,28 +32,29 @@ from .agent import (
     make_agent,
     update,
 )
-from .environment import (
+# names run_trial does not call (read_context_csv, outcome_value, params_from_true,
+# best_outcome_plan, dp_policy, policy_value) stay here, where perfbench/tracing.py
+# wraps them
+from .environment import (  # noqa: F401
     POISSON_RATE_MAX,
     Z_MAX,
-    EpisodeLog,
+    Episodes,
     InstanceRecipe,
     RandomSource,
+    _play_bids,
     draw_hobs,
     generate_instance,
     instance_to_dict,
     read_context_csv,
+    read_context_rows,
     read_episode_csv,
     run_episode,
     sample_context,
-    sample_conversions,
     write_context_csv,
     write_episode_csv,
 )
-from .model import Bounds, delay_index, lose_index, state_table, win_index
-# names run_trial does not call (outcome_value, params_from_true, best_outcome_plan,
-# dp_policy, policy_value) stay here, where perfbench/tracing.py wraps them
+from .model import Bounds
 from .planning import (  # noqa: F401
-    OutcomeParams,
     batch_params,
     best_grid_values,
     best_outcome_plan,
@@ -92,11 +93,9 @@ _REFERENCE_T = 20000
 # Customers per trial on which both planner oracles are evaluated so the
 # summary can surface the gap between the two action abstractions.
 ORACLE_GAP_SAMPLE = 50
-# Episodes per learner update where no decision reads the estimates: in the
-# exploration window (its schedule reads none) and in an offline replay.
-UPDATE_CHUNK = 64
-# Customers a trial plays at once: apart from each policy's per-customer
-# regret increments, what a trial holds does not grow with T.
+# Customers a trial plays at once, and an offline replay reads at once:
+# apart from each policy's per-customer regret increments, what a trial
+# holds does not grow with T.
 SEGMENT = 512
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -321,9 +320,10 @@ class TrialResult:
     (both realized-reward and expected-value variants), the sampled
     instance, the learner's final estimator snapshot, the mean
     outcome-vs-dp oracle gap on the sampled prefix, and (when emitting)
-    the learner's episode logs with their contexts.  The logs are None
-    once written: `run_experiment` with an output directory writes them in
-    the process that ran the trial and returns the rest."""
+    the learner's episodes, one record of arrays for all its customers and
+    their contexts.  They are None once written: `run_experiment` with an
+    output directory writes the logs in the process that ran the trial and
+    returns the rest."""
 
     trial: int
     realized: dict[str, np.ndarray]
@@ -331,8 +331,7 @@ class TrialResult:
     instance: dict
     agent_snapshot: dict | None
     oracle_gap: float
-    episodes: list[tuple[int, EpisodeLog]] | None
-    contexts: list[tuple[int, int, np.ndarray]] | None
+    episodes: Episodes | None
 
 
 def run_trial(
@@ -346,10 +345,11 @@ def run_trial(
     besides each policy's per-customer regret increments.  Per segment the
     streams are seeded in one pass (`RandomSource.prepare`), the contexts
     and HOBs are drawn first, the oracles are scored for the whole segment,
-    the learner runs customer by customer (its updates consuming the
-    exploration window in chunks, carried across segments), every policy's
-    rows of bids by state id are scored after it, and the fixed baselines
-    play their rows as arrays under the same auction rule.  With `out_dir`
+    the learner runs customer by customer (one update consuming the
+    segment's exploration customers up to the window's edge, then one per
+    customer), every policy's rows of bids by state id are scored after
+    it, and the fixed baselines play their rows as arrays under the same
+    auction rule.  With `out_dir`
     and emitted logs, each segment's episode and context rows are appended
     to `episodes_trial{k}.csv` and `contexts_trial{k}.csv` there, and the
     result carries no logs; a failed trial deletes both files.  Any failure
@@ -375,18 +375,16 @@ def run_trial(
         instance=instance_to_dict(play.m, play.a),
         agent_snapshot=agent_to_dict(play.agent) if play.agent is not None else None,
         oracle_gap=play.gap_total / min(config.T, ORACLE_GAP_SAMPLE),
-        episodes=play.episodes,
-        contexts=play.contexts,
+        episodes=Episodes.concat(play.episodes) if play.episodes else None,
     )
 
 
 class _TrialPlay:
     """One trial's state between segments: its instance, learner and
     streams' source, each policy's regret increments (opt minus realized,
-    opt minus expected) by customer, the learner's played episodes its
-    update has not consumed, and the oracle-gap sum.  A trial that emits
-    logs appends them to `paths` or, without an output directory, keeps
-    its episodes and contexts."""
+    opt minus expected) by customer, and the oracle-gap sum.  A trial that
+    emits logs appends them to `paths` or, without an output directory,
+    keeps its episodes, a record per segment."""
 
     def __init__(self, config: ExperimentConfig, trial: int, out_dir: str | Path | None):
         T = config.T
@@ -402,14 +400,12 @@ class _TrialPlay:
         self.expected = {name: np.empty(T) for name in config.policies}
         self.window = (exploration_window(agent.n_underbar, config.H)
                        if agent is not None else 0)
-        self.pending: list[EpisodeLog] = []  # played, not yet consumed by the learner
         self.gap_total = 0.0
         self.paths: list[Path] = []
-        self.episodes: list[tuple[int, EpisodeLog]] | None = None
-        self.contexts: list[tuple[int, int, np.ndarray]] | None = None
+        self.episodes: list[Episodes] | None = None
         if config.emit_logs and agent is not None:
             if out_dir is None:
-                self.episodes, self.contexts = [], []
+                self.episodes = []
             else:
                 self.paths = [Path(out_dir) / f"{kind}_trial{trial}.csv"
                               for kind in ("episodes", "contexts")]
@@ -418,7 +414,7 @@ class _TrialPlay:
         """Play customers start+1..stop, record their regret increments and
         write or keep their logs."""
         config, trial, m, a, agent = self.config, self.trial, self.m, self.a, self.agent
-        T, n, bounds = config.T, stop - start, config.bounds
+        n, bounds = stop - start, config.bounds
         outcome_mode = config.mode == "outcome"
         rng = self.source.prepare(n, *self.families, start=start)
         customers = range(start + 1, stop + 1)
@@ -428,7 +424,8 @@ class _TrialPlay:
             with _provenance(trial, t):
                 xs.append(sample_context(config.instance, bounds, rng.stream(t, "ctx")))
                 hobs[i] = draw_hobs(xs[-1], a, rng, t)
-        batch = batch_params(np.array(xs), m, a)
+        X = np.array(xs)
+        batch = batch_params(X, m, a)
         outcome_opt = best_outcome_values(batch)
         # the auction oracle of dp mode's customers or outcome mode's gap sample; its
         # first customer with a negative conversion mean fails when its turn comes
@@ -450,10 +447,8 @@ class _TrialPlay:
                 bids[name] = np.broadcast_to(row, (n, len(row)))
             else:
                 bids[name] = []  # filled as the learner plays
-        realized = {LEARNER_POLICY: np.empty(n)}
-        expected = {}
-        episodes = [] if self.episodes is not None or self.paths else None
-
+        played: list[Episodes] = []  # the learner's, one per customer
+        run = 0  # the first of them its update has not consumed
         for i, (t, x) in enumerate(zip(customers, xs)):
             with _provenance(trial, t):
                 if t == first_negative:
@@ -461,68 +456,36 @@ class _TrialPlay:
                 if agent is None:
                     continue
                 bids[LEARNER_POLICY].append(act(agent, x, t))
-                log = run_episode(bids[LEARNER_POLICY][-1], x, m, a, rng,
-                                  t=t, noise_label=LEARNER_POLICY, hobs=hobs[i])
-                realized[LEARNER_POLICY][i] = log.realized_reward
-                self.pending.append(log)
-                if episodes is not None:
-                    episodes.append((trial, log))
-            if len(self.pending) == UPDATE_CHUNK or t >= self.window or t == T:
+                played.append(run_episode(bids[LEARNER_POLICY][-1], x, m, a, rng,
+                                          t=t, noise_label=LEARNER_POLICY, hobs=hobs[i]))
+            if t >= self.window or t == stop:
                 with _provenance(trial):
-                    update(agent, self.pending)
-                self.pending = []
+                    update(agent, Episodes.concat(played[run:]))
+                run = i + 1
 
         for i in range(n_gap):
             self.gap_total += float(outcome_opt[i] - dp_opt[i])
+        realized, expected = {}, {}
         for name, rows in bids.items():
             rows = np.array(rows, dtype=float)  # (n, states): each customer's row
             expected[name] = policy_values(batch, rows.T)
             if name != LEARNER_POLICY:
-                realized[name] = _play_bids(rows, hobs, batch, rng, name, trial, start)
+                with _provenance(trial):
+                    realized[name] = _play_bids(rows, X, hobs, batch, rng, name,
+                                                start).realized_reward
+        if agent is not None:
+            episodes = Episodes.concat(played)
+            realized[LEARNER_POLICY] = episodes.realized_reward
         opt = outcome_opt if outcome_mode else dp_opt
         for name in config.policies:
             self.realized[name][start:stop] = opt - realized[name]
             self.expected[name][start:stop] = opt - expected[name]
-        if episodes is None:
-            return
-        contexts = [(trial, t, x) for t, x in zip(customers, xs)]
         if self.paths:
-            write_episode_csv(self.paths[0], episodes, append=start > 0)
-            write_context_csv(self.paths[1], contexts, append=start > 0)
-        else:
-            self.episodes += episodes
-            self.contexts += contexts
-
-
-def _play_bids(
-    bids: np.ndarray, hobs: np.ndarray, batch: OutcomeParams, rng: RandomSource,
-    name: str, trial: int, start: int,
-) -> np.ndarray:
-    """Each customer's realized reward from bidding `bids` ((n, states)
-    bids by state id, customers start+1..start+n) against `hobs`, under
-    `run_episode`'s rule and in its floats: a round is won when the bid is
-    at least the HOB, the winner pays the HOB, and round h's conversions
-    are the h-th draw of the (t, "conv", name) stream."""
-    n, H = hobs.shape
-    table, cols, delay = state_table(H), np.arange(n), np.array(batch.delay)
-    ids = np.zeros((n, H + 1), dtype=np.intp)  # the state id of each round
-    won, rates = np.empty((n, H), dtype=bool), np.empty((n, H))
-    for h in range(H):
-        s1, s2 = table.s1[ids[:, h]], table.s2[ids[:, h]]
-        won[:, h] = bids[cols, ids[:, h]] >= hobs[:, h]
-        rates[:, h] = np.where(won[:, h], batch.mu[win_index(s1), cols],
-                               delay[delay_index(s1)] * batch.mu[lose_index(s2), cols])
-        ids[:, h + 1] = table.successors[ids[:, h], won[:, h].astype(np.intp)]
-    for t, h in np.argwhere(rates < 0)[:1]:
-        with _provenance(trial, start + t + 1):
-            raise ValueError(f"negative conversion rate {rates[t, h]} in state "
-                             f"{table.states[ids[t, h]]}")
-    conversions = []
-    for t, row in enumerate(rates.tolist(), start=start + 1):
-        gen = rng.stream(t, "conv", name)
-        conversions.append([sample_conversions(r, gen) for r in row])
-    # summed round by round from 0, as EpisodeLog.realized_reward sums
-    return sum((np.array(conversions) - np.where(won, hobs, 0.0)).T)
+            write_episode_csv(self.paths[0], [(trial, episodes)], append=start > 0)
+            write_context_csv(self.paths[1], [(trial, t, x) for t, x in zip(customers, xs)],
+                              append=start > 0)
+        elif self.episodes is not None:
+            self.episodes.append(episodes)
 
 
 @contextlib.contextmanager
@@ -546,7 +509,8 @@ def fit_regret_order(
     """OLS slope of log mean cumulative regret against log checkpoint.
 
     Returns None (rendered as "undefined") when any mean is nonpositive,
-    since the log-log fit does not exist there.
+    since the log-log fit does not exist there; a mean that is not finite
+    is an error.
     """
     if len(means) != len(checkpoints):
         raise ValueError("means and checkpoints must have equal length")
@@ -556,6 +520,8 @@ def fit_regret_order(
     if list(ckpts) != sorted(set(ckpts)) or ckpts[0] < 1:
         raise ValueError("checkpoints must be strictly increasing and >= 1")
     vals = np.asarray(means, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"means must be finite, got {vals.tolist()}")
     if np.any(vals <= 0):
         return None
     slope, _ = np.polyfit(np.log(ckpts), np.log(vals), 1)
@@ -729,24 +695,16 @@ def render_summary(result: ExperimentResult) -> str:
             lines.append(f"{name:<{width}} {cells}")
         lines.append("")
 
-    table(
-        "realized cumulative regret (mean +/- half-width):",
-        lambda s: s.means,
-        lambda s: s.half_widths,
-    )
-    table(
-        "expected cumulative regret (mean +/- half-width):",
-        lambda s: s.expected_means,
-        lambda s: s.expected_half_widths,
-    )
+    table("realized cumulative regret (mean +/- half-width):",
+          lambda s: s.means, lambda s: s.half_widths)
+    table("expected cumulative regret (mean +/- half-width):",
+          lambda s: s.expected_means, lambda s: s.expected_half_widths)
 
     lines.append("fitted regret order (log-log OLS on the mean curve):")
     for name in cfg.policies:
         s = result.summaries[name]
-        lines.append(
-            f"  {name:<{width}} realized={_order_label(s.mean_curve_order)} "
-            f"expected={_order_label(s.expected_mean_curve_order)}"
-        )
+        lines.append(f"  {name:<{width}} realized={_order_label(s.mean_curve_order)} "
+                     f"expected={_order_label(s.expected_mean_curve_order)}")
     lines.append("fitted regret order (average of per-trial fits, realized):")
     for name in cfg.policies:
         defined = [o for o in result.summaries[name].per_trial_orders if o is not None]
@@ -773,18 +731,11 @@ def write_curves_csv(path: Path, result: ExperimentResult) -> None:
         writer.writerow(_CURVE_COLUMNS)
         for tr in result.trials:
             for name in cfg.policies:
-                realized = tr.realized[name]
-                expected = tr.expected[name]
-                for t in range(1, cfg.T + 1):
-                    writer.writerow(
-                        [
-                            tr.trial,
-                            t,
-                            name,
-                            repr(float(realized[t - 1])),
-                            repr(float(expected[t - 1])),
-                        ]
-                    )
+                writer.writerows(
+                    [tr.trial, t, name, repr(r), repr(e)]
+                    for t, r, e in zip(range(1, cfg.T + 1), tr.realized[name].tolist(),
+                                       tr.expected[name].tolist())
+                )
 
 
 def write_outputs(result: ExperimentResult, out_dir: str | Path) -> None:
@@ -797,8 +748,10 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path) -> None:
     for tr in result.trials:
         _write_json(out / f"instance_trial{tr.trial}.snapshot", tr.instance)
         if tr.episodes is not None:
-            write_episode_csv(out / f"episodes_trial{tr.trial}.csv", tr.episodes)
-            write_context_csv(out / f"contexts_trial{tr.trial}.csv", tr.contexts)
+            ep = tr.episodes
+            write_episode_csv(out / f"episodes_trial{tr.trial}.csv", [(tr.trial, ep)])
+            write_context_csv(out / f"contexts_trial{tr.trial}.csv",
+                              [(tr.trial, t, x) for t, x in zip(ep.t.tolist(), ep.x)])
         if tr.agent_snapshot is not None and result.config.emit_logs:
             _write_json(out / f"agent_trial{tr.trial}.snapshot", tr.agent_snapshot)
 
@@ -826,36 +779,31 @@ def replay_estimation(
     """Rebuild the learner's estimator snapshot by replaying a persisted
     episode log offline.
 
-    The log must contain a single trial's episodes in customer order.  When
-    the context sidecar or config are not given they are located next to
-    the log (`episodes_*` -> `contexts_*`, plus `config.json`).  An empty
-    log yields the initial snapshot; replaying a prefix yields exactly the
-    live agent's state at that point.
+    The log must contain a single trial's episodes in customer order, and
+    the contexts the same customers in the same order.  When the context
+    sidecar or config are not given they are located next to the log
+    (`episodes_*` -> `contexts_*`, plus `config.json`).  Both files are
+    read in step, in blocks of `SEGMENT` customers, each consumed by one
+    update.  An empty log yields the initial snapshot; replaying a prefix
+    yields exactly the live agent's state at that point.
     """
     log_path = Path(log_path)
     if contexts_path is None:
         name = log_path.name.replace("episodes", "contexts")
         if name == log_path.name:
-            raise ValueError(
-                "contexts_path is required when the log file is not named "
-                "episodes_*"
-            )
+            raise ValueError("contexts_path is required when the log file is not "
+                             "named episodes_*")
         contexts_path = log_path.parent / name
     if config is None:
         config = load_config(log_path.parent / "config.json")
 
-    contexts = read_context_csv(contexts_path, config.dim)
-    agent = _agent_for(config)
-    seen, chunk = None, []
-    for trial, log in read_episode_csv(log_path, contexts, config.H):
+    agent, seen = _agent_for(config), None
+    contexts = read_context_rows(contexts_path, config.dim)
+    for trial, episodes in read_episode_csv(log_path, contexts, config.H, SEGMENT):
         if seen not in (None, trial):
             raise ValueError(
                 f"log mixes trials {seen} and {trial}; replay one trial at a time"
             )
         seen = trial
-        chunk.append(log)
-        if len(chunk) == UPDATE_CHUNK:
-            update(agent, chunk)
-            chunk = []
-    update(agent, chunk)
+        update(agent, episodes)
     return agent_to_dict(agent)

@@ -246,10 +246,10 @@ def per_customer_realized(config, trial, instance=None):
                     name, config.H,
                     rng.stream(t, "plan", name) if name == "random" else None,
                 ))
-            log = run_episode(bids, x, m, a, rng, t=t, noise_label=name, hobs=hobs)
-            rewards[name].append(log.realized_reward)
+            episode = run_episode(bids, x, m, a, rng, t=t, noise_label=name, hobs=hobs)
+            rewards[name].append(episode.realized_reward[0])
             if name == "learner":
-                update(agent, [log])
+                update(agent, episode)
     return {name: np.cumsum(opt - np.array(r)) for name, r in rewards.items()}
 
 
@@ -288,41 +288,49 @@ def per_sample_crtm(est, x, y, cfg):
 
 
 def per_sample_tsmle(est, rounds, x, theta_bank, b):
-    """Consume one customer's lost rounds at this lag, base rates from the
-    effect estimates current for this customer (`theta_bank`, by theta
-    row), each floored at b."""
-    for r in rounds:
-        if r.won or r.state.s1 != est.index:
-            raise ValueError(f"round {r} does not belong to lag {est.index}")
-        theta_hat = theta_bank[lose_index(r.state.s2)]
+    """Consume one customer's lost rounds at this lag, each a (state, won,
+    conversions) triple, base rates from the effect estimates current for
+    this customer (`theta_bank`, by theta row), each floored at b."""
+    for state, won, y in rounds:
+        if won or state.s1 != est.index:
+            raise ValueError(f"round {(state, won, y)} does not belong to lag {est.index}")
+        theta_hat = theta_bank[lose_index(state.s2)]
         est.denominator += max(b, float(theta_hat @ x))
-        est.numerator += float(r.conversions)
+        est.numerator += float(y)
         est.N += 1
     return est
 
 
-def per_sample_update(agent, log):
-    """Consume one episode: auction regression on every round, then the
-    split-bucket effect updates by theta row and the delay updates by lag."""
-    if log.t != agent.t:
-        raise ValueError(f"expected customer {agent.t}, got log for {log.t}")
-    x = log.x
-    for r in log.records:
-        per_sample_ridge(agent.auction_bank[r.h], x, math.log(r.hob))
-    split = split_episode(log)
-    for i, rounds in enumerate(split.w):
-        for r in rounds:
-            home = win_index(r.state.s1) if r.won else lose_index(r.state.s2)
-            if home != i or not (r.won or r.state.s1 == NEVER):
+def per_sample_update(agent, episode):
+    """Consume one customer's episode (a record of one customer): auction
+    regression on every round, then the split-bucket effect updates by theta
+    row and the delay updates by lag, one round at a time."""
+    (t,), x, H = episode.t.tolist(), episode.x[0], episode.won.shape[1]
+    if t != agent.t:
+        raise ValueError(f"expected customer {agent.t}, got log for {t}")
+    for h, hob in enumerate(episode.hob[0].tolist(), start=1):
+        per_sample_ridge(agent.auction_bank[h], x, math.log(hob))
+    states = [state_table(H).states[i] for i in episode.ids[0, :H].tolist()]
+    rounds = list(zip(range(1, H + 1), states, episode.won[0].tolist(),
+                      episode.conversions[0].tolist(),
+                      split_episode(episode)[0].tolist()))
+    for i in range(H + 1):
+        for h, state, won, y, bucket in rounds:
+            if bucket != i:
+                continue
+            home = win_index(state.s1) if won else lose_index(state.s2)
+            if home != i or not (won or state.s1 == NEVER):
                 raise ValueError(
-                    f"customer {r.t}, round {r.h} is not a clean sample of "
+                    f"customer {t}, round {h} is not a clean sample of "
                     f"theta row {i}"
                 )
-            per_sample_crtm(agent.theta_bank[i], x, float(r.conversions), agent.cfg)
+            per_sample_crtm(agent.theta_bank[i], x, float(y), agent.cfg)
     theta_snapshot = [est.theta_hat for est in agent.theta_bank]
-    for lag in sorted(split.d):
+    for lag in range(1, H):  # bucket H + lag
         per_sample_tsmle(
-            agent.delay_bank[lag], split.d[lag], x, theta_snapshot, agent.bounds.b
+            agent.delay_bank[lag],
+            [(state, won, y) for _, state, won, y, bucket in rounds if bucket == H + lag],
+            x, theta_snapshot, agent.bounds.b,
         )
     agent.t += 1
     boundary = exploration_window(agent.n_underbar, agent.bounds.H)

@@ -32,10 +32,9 @@ from scipy.stats import linregress, norm
 from bidlab.agent import make_agent, update
 from bidlab.cli import main
 from bidlab.environment import (
-    EpisodeLog,
     BENCHMARK_RECIPE,
+    Episodes,
     RandomSource,
-    RoundRecord,
     generate_instance,
     sample_context,
 )
@@ -63,12 +62,10 @@ from bidlab.model import (
     INITIAL_STATE,
     NEVER,
     NEVER_BEFORE,
-    ONLY_ONE,
     AuctionModel,
-    ExposureState,
     lose_index,
-    next_state,
     reachable_states,
+    state_table,
     win_index,
     win_probability,
 )
@@ -264,18 +261,12 @@ def _delay_replicate(
     rng: np.random.Generator,
 ) -> float:
     est = DelayEstimator(index=1)
-    state = ExposureState(1, ONLY_ONE)
     xs = np.abs(rng.standard_normal((n, 2))) + 0.1
     ys = rng.poisson(d_true * xs @ theta)
-    records = [
-        RoundRecord(
-            t=t + 1, h=2, state=state, bid=0.0, hob=1.0, won=False,
-            payment=0.0, conversions=int(ys[t]),
-        )
-        for t in range(n)
-    ]
-    # every round's base rate from the same effect estimate
-    tsmle_update(est, records, xs, np.broadcast_to(theta_hat, xs.shape), 0.1)
+    # n lost rounds one round after a first win (lag 1), every round's base
+    # rate from the same effect estimate
+    tsmle_update(est, np.ones(n, dtype=int), ys, xs,
+                 np.broadcast_to(theta_hat, xs.shape), 0.1)
     return est.estimate
 
 
@@ -479,23 +470,22 @@ def test_criterion_8_states_and_splitting():
                 reach_ok = reach_ok and (never == (s.s2 == NEVER_BEFORE))
                 reach_ok = reach_ok and s.s1 + max(s.s2, 0) <= h - 1
 
-    wins = {3, 6}
-    records = []
-    state = INITIAL_STATE
-    for h in range(1, 8):
-        won = h in wins
-        records.append(
-            RoundRecord(
-                t=1, h=h, state=state, bid=5.0 if won else 0.0, hob=1.0,
-                won=won, payment=1.0 if won else 0.0, conversions=0,
-            )
-        )
-        state = next_state(state, won)
-    split = split_episode(EpisodeLog(t=1, x=np.array([1.0, 0.0]), records=records))
-    got_w = {
-        i: sorted(r.h for r in rounds) for i, rounds in enumerate(split.w) if rounds
-    }
-    got_d = {lag: sorted(r.h for r in rounds) for lag, rounds in split.d.items() if rounds}
+    won = np.array([[h in (3, 6) for h in range(1, 8)]])
+    table = state_table(7)
+    ids = [0]
+    for w in won[0].tolist():
+        ids.append(table.next_id[ids[-1]][w])
+    bucket = split_episode(Episodes(
+        t=np.array([1]), x=np.array([[1.0, 0.0]]), ids=np.array([ids]),
+        bid=np.where(won, 5.0, 0.0), hob=np.ones((1, 7)), won=won,
+        conversions=np.zeros((1, 7), dtype=np.int64),
+    ))
+    got_w, got_d = {}, {}  # a W round's bucket is its theta row, a D round's 7 + lag
+    for h, i in enumerate(bucket[0].tolist(), start=1):
+        if i <= 7:
+            got_w.setdefault(i, []).append(h)
+        else:
+            got_d.setdefault(i - 7, []).append(h)
     # theta rows: natural demand, first exposure, the lag-3 win
     split_ok = got_w == {
         lose_index(NEVER_BEFORE): [1, 2],

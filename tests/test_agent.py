@@ -28,6 +28,7 @@ from bidlab.agent import (
 )
 from bidlab.environment import (
     BENCHMARK_RECIPE,
+    Episodes,
     RandomSource,
     draw_hobs,
     generate_instance,
@@ -165,7 +166,7 @@ def test_optimism_orders_means_and_delays():
     for t in range(1, 13):
         x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream(t, "ctx"))
         log = play(act(agent, x), x, m, a, rng, t)
-        update(agent, [log])
+        update(agent, log)
     x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream("probe"))
     params = optimistic_params(agent, x)
     for i, est in enumerate(agent.theta_bank):
@@ -216,7 +217,7 @@ def run_exploration(agent, seed=5):
     for t in range(1, window + 1):
         x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream(t, "ctx"))
         log = play(act(agent, x), x, m, a, rng, t)
-        update(agent, [log])
+        update(agent, log)
     return m, a
 
 
@@ -227,15 +228,15 @@ def test_update_rejects_out_of_order():
     x = np.array([1.0, 1.0])
     log = play(LOSE_ALL, x, m, a, rng, 5)
     with pytest.raises(ValueError):
-        update(agent, [log])
+        update(agent, log)
     assert agent.t == 1
     # the same customers fed in order are accepted one after another
     for t in (1, 2):
         log = play(LOSE_ALL, x, m, a, rng, t)
-        update(agent, [log])
+        update(agent, log)
         assert agent.t == t + 1
     with pytest.raises(ValueError):
-        update(agent, [log])
+        update(agent, log)
 
 
 # A won round filed as a natural-demand sample must be rejected by update,
@@ -247,7 +248,6 @@ from bidlab import agent as agent_mod
 from bidlab.environment import (
     BENCHMARK_RECIPE, RandomSource, draw_hobs, generate_instance, run_episode,
 )
-from bidlab.estimation import SplitDatasets
 from bidlab.model import Bounds
 
 if not sys.flags.optimize:
@@ -260,12 +260,19 @@ x = np.array([1.0, 1.0])
 log = run_episode(forced_bids((True, False, False)), x, m, a, rng, t=1,
                   noise_label="policy", hobs=draw_hobs(x, a, rng, 1))
 # round 1 is won, but filed under theta row 0 (natural demand)
-agent_mod.split_episode = lambda log: SplitDatasets(
-    w=[[log.records[0]], [], [], []], d={}
-)
+real = agent_mod.split_episode
+
+
+def misfile(episodes):
+    bucket = real(episodes)
+    bucket[0, 0] = 0
+    return bucket
+
+
+agent_mod.split_episode = misfile
 agent = agent_mod.make_agent(bounds, T=200, n_underbar=4)
 try:
-    agent_mod.update(agent, [log])
+    agent_mod.update(agent, log)
 except ValueError as exc:
     print(exc)
     sys.exit(0)
@@ -290,7 +297,7 @@ def test_all_lose_episode_routes_to_natural_demand_only():
     m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, rng)
     x = np.array([1.0, 1.0])
     log = play(LOSE_ALL, x, m, a, rng, 1)
-    update(agent, [log])
+    update(agent, log)
     assert agent.theta_bank[NATURAL_DEMAND].update_count == 3
     assert agent.theta_bank[FIRST_EXPOSURE].update_count == 0
     assert all(est.N == 0 for est in agent.delay_bank.values())
@@ -308,7 +315,7 @@ def test_replay_doubles_counts():
         # the same forced outcomes for customers 1 and 2; only the noise
         # differs, so every count doubles
         log = play(WIN_FIRST, x, m, a, rng, t)
-        update(agent, [log])
+        update(agent, log)
 
     replay(1)
     first = {
@@ -354,9 +361,9 @@ def test_underfed_exploration_raises():
         log = play(LOSE_ALL, x, m, a, rng, t)
         if t == window:
             with pytest.raises(RuntimeError):
-                update(agent, [log])
+                update(agent, log)
         else:
-            update(agent, [log])
+            update(agent, log)
 
 
 def test_underfed_exploration_raises_inside_a_run_across_the_window():
@@ -371,7 +378,7 @@ def test_underfed_exploration_raises_inside_a_run_across_the_window():
         for t in range(1, window + 3)
     ]
     with pytest.raises(RuntimeError, match=rf"^customer {window}: exploration underfed"):
-        update(agent, logs)
+        update(agent, Episodes.concat(logs))
     assert agent.t == window + 1
 
 
@@ -461,7 +468,7 @@ def test_agent_snapshot_round_trip():
         for t in range(1, exploration_window(2, H) + 4):
             x = sample_context(BENCHMARK_RECIPE, bounds, rng.stream(t, "ctx"))
             log = play(act(agent, x), x, m, a, rng, t)
-            update(agent, [log])
+            update(agent, log)
         d = agent_to_dict(agent)
         lags = [f"LAG{k}" for k in range(1, H)]
         assert list(d["theta"]) == ["NATURAL_DEMAND", "FIRST_EXPOSURE", *lags]
@@ -547,14 +554,14 @@ def _learner_run(name):
 
     cfg = config_from_dict({**RUN_CONFIGS[name], "trials": 1,
                             "policies": ["learner"], "emit_logs": True})
-    logs = [log for _, log in run_trial(cfg, 0).episodes]
+    episodes = run_trial(cfg, 0).episodes
 
     def fresh():
         return make_agent(cfg.bounds, cfg.T, delta=cfg.delta,
                           width_scale=cfg.width_scale, n_underbar=cfg.n_underbar,
                           Gamma_override=cfg.Gamma_trunc)
 
-    return fresh, logs
+    return fresh, episodes
 
 
 def _snapshot(agent):
@@ -567,20 +574,20 @@ def test_runs_of_episodes_equal_one_sample_at_a_time(name):
     # reference reaches at the same customer
     from enumeration import per_sample_update
 
-    fresh, logs = _learner_run(name)
+    fresh, episodes = _learner_run(name)
     reference = fresh()
     want = [_snapshot(reference)]
-    for log in logs:
-        per_sample_update(reference, log)
+    for k in range(len(episodes)):
+        per_sample_update(reference, episodes[k:k + 1])
         want.append(_snapshot(reference))
     window = exploration_window(reference.n_underbar, reference.bounds.H)
-    for size in (1, 2, 7, 256, len(logs)):
+    for size in (1, 2, 7, 256, len(episodes)):
         agent = fresh()
-        starts = range(0, len(logs), size)
+        starts = range(0, len(episodes), size)
         for start in starts:
-            update(agent, logs[start:start + size])
-            assert _snapshot(agent) == want[min(start + size, len(logs))]
-        if size in (7, len(logs)):
+            update(agent, episodes[start:start + size])
+            assert _snapshot(agent) == want[min(start + size, len(episodes))]
+        if size in (7, len(episodes)):
             assert any(s < window < s + size for s in starts)
 
 
@@ -596,22 +603,26 @@ def test_truncation_and_projection_run_in_the_trunc_proj_config(monkeypatch):
         return real(theta_star, V, radius)
 
     monkeypatch.setattr(estimation_module, "project_v_ball", counting)
-    fresh, logs = _learner_run("trunc_proj")
+    fresh, episodes = _learner_run("trunc_proj")
     gamma, metric, truncated = fresh().cfg.Gamma_trunc, {}, 0
-    for log in logs:
-        x = log.x
-        for i, rounds in enumerate(split_episode(log).w):
-            for r in rounds:  # the truncation test of the reference's step
+    H = episodes.won.shape[1]
+    buckets = split_episode(episodes).tolist()
+    for x, row, ys in zip(episodes.x, buckets, episodes.conversions.tolist()):
+        for i, y in zip(row, ys):
+            if i <= H:  # a W round: the truncation test of the reference's step
                 metric[i] = metric.get(i, np.eye(len(x))) + 0.5 * np.outer(x, x)
                 norm = math.sqrt(float(x @ np.linalg.solve(metric[i], x)))
-                truncated += norm * r.conversions > gamma
+                truncated += norm * y > gamma
     assert truncated > 0 and any(projected)
 
 
 def test_update_of_an_empty_run_changes_nothing():
     agent = small_agent()
+    rng = RandomSource(8)
+    m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, rng)
+    empty = play(LOSE_ALL, np.array([1.0, 1.0]), m, a, rng, 1)[:0]
     before = _snapshot(agent)
-    assert update(agent, []) is agent and _snapshot(agent) == before
+    assert update(agent, empty) is agent and _snapshot(agent) == before
 
 
 def test_schedule_decisions_may_run_ahead_of_updates():

@@ -7,6 +7,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,16 +15,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bidlab import environment
 from bidlab.environment import (
-    EpisodeLog,
+    Episodes,
     InstanceRecipe,
     BENCHMARK_RECIPE,
     RandomSource,
-    RoundRecord,
     draw_hobs,
     generate_instance,
     instance_from_dict,
     instance_to_dict,
     read_context_csv,
+    read_context_rows,
     read_episode_csv,
     run_episode,
     sample_context,
@@ -236,22 +237,49 @@ def play(bids, x, m, a, rng, t=1, noise_label="policy"):
                        hobs=draw_hobs(x, a, rng, t))
 
 
+class Round(NamedTuple):
+    h: int
+    state: ExposureState
+    bid: float
+    hob: float
+    won: bool
+    payment: float
+    conversions: int
+
+
+def rounds(ep, k=0):
+    """Row k of an episode record, one tuple per round, its state read from
+    the state table by id."""
+    states = state_table(ep.won.shape[1]).states
+    columns = (ep.ids, ep.bid, ep.hob, ep.won, ep.payment, ep.conversions)
+    return [Round(h, states[i], *rest)
+            for h, (i, *rest) in enumerate(zip(*(c[k].tolist() for c in columns)), 1)]
+
+
+def assert_same_record(got, want):
+    for name in Episodes.__slots__:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.tolist() == w.tolist(), name
+
+
 def test_auction_episode_semantics(instance):
     m, a = instance
     x = np.array([1.0, 1.0])
     rng = RandomSource(31)
     ep = play(always_bid(2.0), x, m, a, rng, t=5)
-    assert ep.t == 5 and len(ep.records) == BOUNDS.H
+    assert ep.t.tolist() == [5] and len(ep) == 1 and ep.won.shape == (1, BOUNDS.H)
+    assert ep.x.tolist() == [x.tolist()]
     s = INITIAL_STATE
-    for r in ep.records:
+    for r in rounds(ep):
         assert r.state == s
         assert r.won == (r.bid >= r.hob)
         assert r.payment == (r.hob if r.won else 0.0)
         assert r.bid == 2.0
         s = next_state(s, r.won)
-    assert ep.realized_reward == pytest.approx(
-        sum(r.conversions for r in ep.records) - sum(r.payment for r in ep.records)
-    )
+    assert ep.ids[0, BOUNDS.H] == len(state_table(BOUNDS.H).states)
+    assert ep.realized_reward.tolist() == [pytest.approx(
+        sum(r.conversions for r in rounds(ep)) - sum(r.payment for r in rounds(ep))
+    )]
 
 
 def test_each_state_id_plays_its_own_bid(instance):
@@ -261,7 +289,7 @@ def test_each_state_id_plays_its_own_bid(instance):
     bids = [0.25 * (i + 1) for i in range(len(table.states))]
     for t in range(1, 20):
         ep = play(bids, x, m, a, RandomSource(34), t=t)
-        for r in ep.records:
+        for r in rounds(ep):
             assert r.bid == bids[table.ids[(r.h, r.state)]]
             assert r.won == (r.bid >= r.hob)
 
@@ -270,7 +298,7 @@ def test_large_bids_are_uncapped_and_negative_bids_rejected(instance):
     m, a = instance
     x = np.array([1.0, 1.0])
     ep = play(always_bid(1e6), x, m, a, RandomSource(32))
-    assert all(r.bid == 1e6 and r.won for r in ep.records)
+    assert all(r.bid == 1e6 and r.won for r in rounds(ep))
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError, match="bid must be >= 0"):
             play(always_bid(bad), x, m, a, RandomSource(32))
@@ -281,7 +309,7 @@ def test_forced_episode_semantics(instance):
     x = np.array([1.0, 1.0])
     plan = (True, False, True)
     ep = play(forced_bids(plan), x, m, a, RandomSource(33), t=2)
-    for r in ep.records:
+    for r in rounds(ep):
         assert r.won == plan[r.h - 1]
         assert r.bid == (math.inf if r.won else 0.0)
         assert r.payment == (r.hob if r.won else 0.0)
@@ -290,8 +318,8 @@ def test_forced_episode_semantics(instance):
     for plan, hob in (((True,) * 3, 1e300), ((False,) * 3, 1e-300)):
         ep = run_episode(forced_bids(plan), x, m, a, RandomSource(33),
                          hobs=[hob] * 3, **kw)
-        assert [r.won for r in ep.records] == list(plan)
-        assert [r.payment for r in ep.records] == [hob if w else 0.0 for w in plan]
+        assert ep.won[0].tolist() == list(plan)
+        assert ep.payment[0].tolist() == [hob if w else 0.0 for w in plan]
 
 
 def test_hob_shared_across_policies(instance):
@@ -301,7 +329,7 @@ def test_hob_shared_across_policies(instance):
                noise_label="p1")
     lose = play(forced_bids((False,) * 3), x, m, a, RandomSource(40), t=9,
                 noise_label="p2")
-    assert [r.hob for r in win.records] == [r.hob for r in lose.records]
+    assert win.hob.tolist() == lose.hob.tolist()
 
 
 def test_hobs_drawn_once_feed_every_episode(instance):
@@ -313,12 +341,12 @@ def test_hobs_drawn_once_feed_every_episode(instance):
     assert hobs == draw_hobs(x, a, rng, 9)  # the customer's own stream
     kw = dict(t=9, noise_label="policy")
     given = run_episode(always_bid(2.0), x, m, a, rng, hobs=hobs, **kw)
-    assert [r.hob for r in given.records] == hobs
+    assert given.hob[0].tolist() == hobs
     # given HOBs are taken as they are, as floats; ties win
     fixed = run_episode(always_bid(2.0), x, m, a, rng,
-                        hobs=np.array([1.0, 3.0, 2.0]), **kw)
-    assert [r.won for r in fixed.records] == [True, False, True]
-    assert all(type(r.hob) is float for r in fixed.records)
+                        hobs=np.array([1.0, 3.0, 2.0], dtype=np.float32), **kw)
+    assert fixed.won[0].tolist() == [True, False, True]
+    assert fixed.hob.dtype == np.float64
     with pytest.raises(ValueError, match="one HOB per round"):
         run_episode(always_bid(2.0), x, m, a, rng, hobs=[1.0], **kw)
 
@@ -328,22 +356,34 @@ def test_episode_replay_bit_exact(instance):
     x = np.array([0.5, 1.5])
     e1 = play(always_bid(1.0), x, m, a, RandomSource(55), t=3)
     e2 = play(always_bid(1.0), x, m, a, RandomSource(55), t=3)
-    assert e1.records == e2.records
+    assert_same_record(e1, e2)
 
 
-def test_episode_log_validates_chain():
-    x = np.array([1.0, 0.0])
-    good = [
-        RoundRecord(1, 1, INITIAL_STATE, 0.0, 1.0, False, 0.0, 0),
-        RoundRecord(1, 2, INITIAL_STATE, 2.0, 1.0, True, 1.0, 1),
-        RoundRecord(1, 3, ExposureState(1, ONLY_ONE), 0.0, 1.0, False, 0.0, 0),
-    ]
-    EpisodeLog(1, x, good)
-    bad = [good[0], good[1], RoundRecord(1, 3, INITIAL_STATE, 0.0, 1.0, False, 0.0, 0)]
-    with pytest.raises(ValueError):
-        EpisodeLog(1, x, bad)
-    with pytest.raises(ValueError):
-        EpisodeLog(1, x, [good[1]])
+def test_episode_log_validates_chain(tmp_path):
+    # an episode read from a log starts from the initial state, follows
+    # each round's outcome and labels its rounds 1..H
+    good = ["0,1,1,NEVER,NEVERBEFORE,0.0,1.0,0,0.0,0\n",
+            "0,1,2,NEVER,NEVERBEFORE,2.0,1.0,1,1.0,1\n",
+            "0,1,3,1,ONLYONE,0.0,1.0,0,0.0,0\n"]
+    contexts = [(0, 1, np.array([1.0, 0.0]))]
+    path = tmp_path / "e.csv"
+    path.write_text(_HEADER + "".join(good))
+    [(_, ep)] = read_episode_csv(path, contexts, 3, 1)
+    table = state_table(3)
+    assert ep.ids.tolist() == [[0, table.ids[(2, INITIAL_STATE)],
+                                table.ids[(3, ExposureState(1, ONLY_ONE))],
+                                len(table.states)]]
+    for rows, message in (
+        (good[:2] + ["0,1,3,NEVER,NEVERBEFORE,0.0,1.0,0,0.0,0\n"],
+         "state chain broken at round 2"),
+        (["0,1,1,1,ONLYONE,0.0,1.0,0,0.0,0\n"] + good[1:],
+         "episodes must start from the initial state"),
+        (good[:1] + [good[1].replace("0,1,2,", "0,1,3,")] + good[2:],
+         "round 2 is mislabelled as round 3"),
+    ):
+        path.write_text(_HEADER + "".join(rows))
+        with pytest.raises(ValueError, match=rf"^line 2: {message}"):
+            list(read_episode_csv(path, contexts, 3, 1))
 
 
 def test_conversion_rates_feed_poisson(instance):
@@ -356,7 +396,7 @@ def test_conversion_rates_feed_poisson(instance):
     total, n = 0, 4000
     for t in range(n):
         ep = play(forced_bids((True, False, False)), x, m, a, rng, t=t)
-        total += ep.records[0].conversions
+        total += ep.conversions[0, 0]
     se = math.sqrt(rate / n)
     assert total / n == pytest.approx(rate, abs=5 * se)
 
@@ -439,15 +479,11 @@ def test_csv_round_trip(tmp_path, instance):
     cpath = tmp_path / "contexts.csv"
     write_episode_csv(epath, episodes)
     write_context_csv(cpath, contexts)
-    back = list(read_episode_csv(epath, read_context_csv(cpath, BOUNDS.dim), BOUNDS.H))
-    assert len(back) == len(episodes)
-    for (trial, ep), (trial2, ep2) in zip(episodes, back):
-        assert trial == trial2 and ep.t == ep2.t
-        assert np.array_equal(ep.x, ep2.x)
-        for r, r2 in zip(ep.records, ep2.records):
-            assert (r.t, r.h, r.state, r.bid, r.hob, r.won, r.payment,
-                    r.conversions) == (r2.t, r2.h, r2.state, r2.bid, r2.hob,
-                                       r2.won, r2.payment, r2.conversions)
+    # blocks of at most two customers, read in step with their contexts
+    back = list(read_episode_csv(epath, read_context_rows(cpath, BOUNDS.dim), BOUNDS.H, 2))
+    assert [(trial, len(ep)) for trial, ep in back] == [(1, 2), (1, 2), (1, 1)]
+    assert_same_record(Episodes.concat([ep for _, ep in back]),
+                       Episodes.concat([ep for _, ep in episodes]))
 
 
 @pytest.mark.parametrize("cut", [0, 1, 3, 5])
@@ -487,24 +523,34 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("nope\n")
     with pytest.raises(ValueError, match="line 1"):
-        list(read_episode_csv(path, {}, 3))
+        list(read_episode_csv(path, [], 3, 1))
     path.write_text(
         "trial,t,h,s1,s2,bid,hob,won,payment,conversions\n"
         "0,1,1,NEVER,NEVERBEFORE,0.0,1.0,0,0.0,0\n"
         "0,1,2,WAT,NEVERBEFORE,0.0,1.0,0,0.0,0\n"
     )
     with pytest.raises(ValueError, match="line 3"):
-        list(read_episode_csv(path, {(0, 1): np.array([1.0, 1.0])}, 3))
+        list(read_episode_csv(path, [(0, 1, np.array([1.0, 1.0]))], 3, 1))
     # 0 is spelled NEVER for s1 and ONLYONE for s2; the integer 0 and
-    # negative lags are not tokens
+    # negative lags are not tokens, nor is a lag beyond 64 bits
     for s1, s2 in (("0", "NEVERBEFORE"), ("1", "0"), ("-1", "ONLYONE"),
-                   ("NEVER", "-1"), ("1", "NEVERBEFORE")):
+                   ("NEVER", "-1"), ("1", "NEVERBEFORE"), ("1", str(2**63))):
         path.write_text(
             "trial,t,h,s1,s2,bid,hob,won,payment,conversions\n"
             f"0,1,1,{s1},{s2},0.0,1.0,0,0.0,0\n"
         )
         with pytest.raises(ValueError, match="line 2"):
-            list(read_episode_csv(path, {(0, 1): np.array([1.0, 1.0])}, 3))
+            list(read_episode_csv(path, [(0, 1, np.array([1.0, 1.0]))], 3, 1))
+    # customer numbers, round labels and conversions are read into 64-bit
+    # arrays: one beyond that range (or a customer number below 1) is
+    # rejected on its line, not by an OverflowError
+    for t, h, y in ((2**63, 1, 0), (0, 1, 0), (1, 2**64, 0), (1, 1, 2**63)):
+        path.write_text(
+            "trial,t,h,s1,s2,bid,hob,won,payment,conversions\n"
+            f"0,{t},{h},NEVER,NEVERBEFORE,0.0,1.0,0,0.0,{y}\n"
+        )
+        with pytest.raises(ValueError, match="^line 2: "):
+            list(read_episode_csv(path, [(0, t, np.array([1.0, 1.0]))], 1, 1))
 
 
 def test_context_csv_errors_carry_line_numbers(tmp_path):
@@ -546,24 +592,27 @@ def test_episode_csv_rejects_out_of_range_fields(tmp_path, column, value):
     path = tmp_path / "e.csv"
     path.write_text(_HEADER + _ROUNDS[0] + ",".join(row) + "\n" + _ROUNDS[2])
     with pytest.raises(ValueError, match=r"^line 3: need bid >= 0"):
-        list(read_episode_csv(path, {(0, 1): np.array([1.0, 1.0])}, 3))
+        list(read_episode_csv(path, [(0, 1, np.array([1.0, 1.0]))], 3, 1))
 
 
 def test_episode_violations_name_the_line_the_episode_starts_at(tmp_path):
     # the second customer starts at line 5; its episode jumps from round 1
-    # to round 3's state, or has no context, or is one round short of H
+    # to round 3's state, or has no context (or not the next one), or is
+    # one round short of H.  Blocks of one customer: the first is read whole
     path = tmp_path / "e.csv"
     second = [r.replace("0,1,", "0,2,", 1) for r in _ROUNDS]
     x = np.array([1.0, 1.0])
     for rows, contexts, H, message in (
-        ([second[0], second[2], second[2]], {(0, 1): x, (0, 2): x}, 3,
+        ([second[0], second[2], second[2]], [(0, 1, x), (0, 2, x)], 3,
          "state chain broken at round 1"),
-        (second, {(0, 1): x}, 3, "no context recorded for trial 0, t 2"),
-        (second[:2], {(0, 1): x, (0, 2): x}, 3, "expected 3 rounds, got 2"),
+        (second, [(0, 1, x)], 3, "no context recorded for trial 0, t 2"),
+        (second, [(0, 1, x), (0, 3, x), (0, 2, x)], 3,
+         "no context recorded for trial 0, t 2: the next context is of trial 0, t 3"),
+        (second[:2], [(0, 1, x), (0, 2, x)], 3, "expected 3 rounds, got 2"),
     ):
         path.write_text(_HEADER + "".join(_ROUNDS) + "".join(rows))
-        episodes = read_episode_csv(path, contexts, H)
-        assert next(episodes)[1].t == 1
+        episodes = read_episode_csv(path, contexts, H, 1)
+        assert next(episodes)[1].t.tolist() == [1]
         with pytest.raises(ValueError, match=rf"^line 5: {re.escape(message)}"):
             next(episodes)
 
@@ -581,7 +630,7 @@ def test_a_long_episode_fails_its_length_check_before_any_state_table(
         f"0,1,{h},NEVER,NEVERBEFORE,0.0,1.0,0,0.0,0\n" for h in range(1, 61)
     ))
     with pytest.raises(ValueError, match=r"^line 2: expected 3 rounds, got 60$"):
-        list(read_episode_csv(path, {(0, 1): np.array([1.0, 1.0])}, 3))
+        list(read_episode_csv(path, [(0, 1, np.array([1.0, 1.0]))], 3, 1))
     assert built == []
 
 
@@ -636,19 +685,20 @@ def test_fuzzed_episode_csv_parses_or_raises_a_value_error(tmp_path, edits, drop
         writer = csv.writer(fh)
         writer.writerow(_HEADER.strip().split(","))
         writer.writerows(rows)
-    contexts = {(0, t): np.array([1.0, 1.0]) for t in (1, 2)}
+    contexts = [(0, t, np.array([1.0, 1.0])) for t in (1, 2)]
     try:
-        episodes = list(read_episode_csv(path, contexts, H))
+        episodes = list(read_episode_csv(path, contexts, H, 2))
     except ValueError as exc:
         assert str(exc).startswith("line ")
         return
-    assert len(episodes) <= 2
+    assert sum(len(ep) for _, ep in episodes) <= 2
+    table = state_table(H)
     for _, ep in episodes:
-        assert len(ep.records) == H
-        for r in ep.records:
-            assert 0 <= r.bid and 0 < r.hob < math.inf and r.conversions >= 0
-            assert r.won == (r.bid >= r.hob)
-            assert r.payment == (r.hob if r.won else 0.0)
+        assert ep.won.shape == (len(ep), H) and ep.ids[:, 0].tolist() == [0] * len(ep)
+        assert np.all(table.successors[ep.ids[:, :H], ep.won.astype(int)] == ep.ids[:, 1:])
+        assert np.all((0 <= ep.bid) & (0 < ep.hob) & (ep.hob < math.inf))
+        assert np.all(ep.conversions >= 0)
+        assert np.all(ep.won == (ep.bid >= ep.hob))
 
 
 @_FUZZ
@@ -656,7 +706,7 @@ def test_fuzzed_episode_csv_parses_or_raises_a_value_error(tmp_path, edits, drop
 def test_fuzzed_text_as_episode_or_context_csv_raises_only_value_errors(tmp_path, text):
     path = tmp_path / "f.csv"
     path.write_text(text, encoding="utf-8")
-    for read in (lambda: list(read_episode_csv(path, {}, 3)),
+    for read in (lambda: list(read_episode_csv(path, [], 3, 2)),
                  lambda: read_context_csv(path, 2)):
         try:
             read()
@@ -684,23 +734,25 @@ def test_fuzzed_context_csv_parses_or_raises_a_value_error(tmp_path, rows, dim):
 
 @pytest.mark.parametrize("H", range(1, 7))
 def test_every_reachable_state_round_trips_through_the_csv(tmp_path, H):
-    # one episode per outcome sequence visits every reachable state
+    # one customer per outcome sequence visits every reachable state
     x = np.array([1.0, 2.0])
-    episodes = []
-    for t, plan in enumerate(itertools.product((False, True), repeat=H), start=1):
-        s, records = INITIAL_STATE, []
-        for h, won in enumerate(plan, start=1):
-            records.append(RoundRecord(t, h, s, 1.0 * won, 0.5, won, 0.5 * won, h))
-            s = next_state(s, won)
-        episodes.append((0, EpisodeLog(t, x, records)))
-    visited = {(r.h, r.state) for _, ep in episodes for r in ep.records}
+    n, table = 2**H, state_table(H)
+    won = np.array(list(itertools.product((False, True), repeat=H)))
+    ids = np.zeros((n, H + 1), dtype=np.intp)
+    for h in range(H):
+        ids[:, h + 1] = table.successors[ids[:, h], won[:, h].astype(int)]
+    episodes = Episodes(np.arange(1, n + 1), np.tile(x, (n, 1)), ids, 1.0 * won,
+                        np.full((n, H), 0.5), won, np.tile(np.arange(1, H + 1), (n, 1)))
+    visited = {(r.h, r.state) for k in range(n) for r in rounds(episodes, k)}
     assert visited == {
         (h, s) for h, states in enumerate(reachable_states(H), start=1) for s in states
     }
     path = tmp_path / "e.csv"
-    write_episode_csv(path, episodes)
-    back = list(read_episode_csv(path, {(0, t): x for t in range(1, 2**H + 1)}, H))
-    assert [ep.records for _, ep in back] == [ep.records for _, ep in episodes]
+    write_episode_csv(path, [(0, episodes)])
+    contexts = [(0, t, x) for t in range(1, n + 1)]
+    [(trial, back)] = read_episode_csv(path, contexts, H, n)
+    assert trial == 0
+    assert_same_record(back, episodes)
 
 
 def test_instance_snapshot_round_trip():

@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidlab import estimation
-from bidlab.environment import EpisodeLog, RoundRecord
+from bidlab.environment import Episodes
 from bidlab.estimation import (
     AuctionEstimator,
     ConfidenceConfig,
     DelayEstimator,
-    SplitDatasets,
     ThetaEstimator,
     crtm_update,
     delay_radius,
@@ -30,12 +29,11 @@ from bidlab.estimation import (
     tsmle_update,
 )
 from bidlab.model import (
-    INITIAL_STATE,
     NEVER_BEFORE,
     ONLY_ONE,
     Bounds,
-    ExposureState,
     lose_index,
+    state_table,
     win_index,
 )
 
@@ -236,14 +234,10 @@ def test_solve_small_raises_on_a_singular_or_nonfinite_system():
 
 # --- delay ratio -------------------------------------------------------------
 
-def lost_round(lag, s2, y, t=1, h=1):
-    return RoundRecord(t, h, ExposureState(lag, s2), 0.0, 1.0, False, 0.0, y)
-
-
 def test_tsmle_single_round():
     est = DelayEstimator(index=1)
     x = np.array([1.0, 0.0])
-    tsmle_update(est, [lost_round(1, ONLY_ONE, 3)], [x], [[1.5, 0.0]], b=0.1)
+    tsmle_update(est, [1], [3], [x], [[1.5, 0.0]], b=0.1)
     assert est.estimate == pytest.approx(2.0)
     assert est.N == 1
 
@@ -255,7 +249,7 @@ def test_tsmle_unavailable_before_data():
 
 def test_tsmle_floor_applies():
     est = DelayEstimator(index=1)
-    tsmle_update(est, [lost_round(1, ONLY_ONE, 0)], [np.ones(2)], [[0.0, 0.0]], b=0.5)
+    tsmle_update(est, [1], [0], [np.ones(2)], [[0.0, 0.0]], b=0.5)
     assert est.denominator == 0.5
 
 
@@ -268,20 +262,20 @@ def test_tsmle_plug_in_exactness():
         x = rng.uniform(0.2, 1.0, 2)
         rate = float(theta @ x)
         # observations replaced by their exact means
-        r = RoundRecord(t, 1, ExposureState(2, ONLY_ONE), 0.0, 1.0, False,
-                        0.0, d_true * rate)
-        tsmle_update(est, [r], [x], [theta], b=0.01)
+        tsmle_update(est, [2], [d_true * rate], [x], [theta], b=0.01)
     assert est.estimate == pytest.approx(d_true, rel=1e-12)
 
 
 def test_tsmle_rejects_foreign_rounds():
+    # a round filed under another lag, or under none (0: a won round, which
+    # is no delay sample), is rejected before any is consumed
     est = DelayEstimator(index=1)
-    bank = [np.ones(2)]
-    with pytest.raises(ValueError):
-        tsmle_update(est, [lost_round(2, ONLY_ONE, 1)], [np.ones(2)], bank, 0.1)
-    won = RoundRecord(1, 1, ExposureState(1, ONLY_ONE), 1.0, 0.5, True, 0.5, 1)
-    with pytest.raises(ValueError):
-        tsmle_update(est, [won], [np.ones(2)], bank, 0.1)
+    bank = [np.ones(2)] * 2
+    with pytest.raises(ValueError, match="^round 1, filed under lag 2, does not"):
+        tsmle_update(est, [1, 2], [1, 1], [np.ones(2)] * 2, bank, 0.1)
+    with pytest.raises(ValueError, match="^round 0, filed under lag 0, does not"):
+        tsmle_update(est, [0], [1], [np.ones(2)], bank[:1], 0.1)
+    assert (est.numerator, est.denominator, est.N) == (0.0, 0.0, 0)
 
 
 def test_tsmle_monte_carlo_consistency():
@@ -298,8 +292,7 @@ def test_tsmle_monte_carlo_consistency():
             x *= rng.uniform(1.0, 5.0) / float(theta @ x)  # rate in [1, 5]
             rate = float(theta @ x)
             ys = rng.poisson(d_true * rate, 100)
-            rounds = [lost_round(1, ONLY_ONE, int(y), t=c, h=1) for y in ys]
-            tsmle_update(est, rounds, [x] * len(rounds), [theta] * len(rounds), b=0.1)
+            tsmle_update(est, [1] * len(ys), ys, [x] * len(ys), [theta] * len(ys), b=0.1)
         assert est.N == 10_000
         if abs(est.estimate - d_true) <= 0.05:
             hits += 1
@@ -353,53 +346,66 @@ def test_ridge_rejects_nonfinite():
 
 # --- data splitting ----------------------------------------------------------
 
-def record(t, h, state, won, y=0):
-    return RoundRecord(t, h, state, 1.0 if won else 0.0, 1.0, won,
-                       1.0 if won else 0.0, y)
-
-
 def episode_from_outcomes(outcomes, t=1):
-    from bidlab.model import next_state
-    s = INITIAL_STATE
-    recs = []
-    for h, won in enumerate(outcomes, start=1):
-        recs.append(record(t, h, s, won))
-        s = next_state(s, won)
-    return EpisodeLog(t, np.ones(2), recs)
+    """Customer t's episode record with the given outcomes, its state ids
+    walked on the state table."""
+    H, table = len(outcomes), state_table(len(outcomes))
+    ids = [0]
+    for won in outcomes:
+        ids.append(table.next_id[ids[-1]][won])
+    won = np.array([outcomes], dtype=bool).reshape(1, H)
+    return Episodes(np.array([t]), np.ones((1, 2)), np.array([ids]),
+                    np.where(won, 1.0, 0.0), np.ones((1, H)), won,
+                    np.zeros((1, H), dtype=np.int64))
+
+
+def buckets(outcomes):
+    """The rounds (from 1) that split_episode files under each theta row
+    (W) and each lag (D) of one customer's episode."""
+    H = len(outcomes)
+    w, d = {}, {}
+    for h, i in enumerate(split_episode(episode_from_outcomes(outcomes))[0].tolist(), 1):
+        if i <= H:
+            w.setdefault(i, []).append(h)
+        else:
+            d.setdefault(i - H, []).append(h)
+    return w, d
 
 
 def test_split_all_lose():
-    split = split_episode(episode_from_outcomes([False, False, False]))
-    assert [i for i, rs in enumerate(split.w) if rs] == [NATURAL_DEMAND]
-    assert [r.h for r in split.w[NATURAL_DEMAND]] == [1, 2, 3]
-    assert split.d == {}
+    w, d = buckets([False, False, False])
+    assert w == {NATURAL_DEMAND: [1, 2, 3]}
+    assert d == {}
 
 
 def test_split_exploration_pattern():
     # wins at rounds 1 and l+1 with l=2, H=4
-    split = split_episode(episode_from_outcomes([True, False, True, False]))
-    assert [r.h for r in split.w[FIRST_EXPOSURE]] == [1]
-    assert [r.h for r in split.w[win_index(2)]] == [3]
-    assert [r.h for r in split.d[1]] == [2, 4]
+    w, d = buckets([True, False, True, False])
+    assert w == {FIRST_EXPOSURE: [1], win_index(2): [3]}
+    assert d == {1: [2, 4]}
 
 
 def test_split_seven_round_trajectory():
     outcomes = [h in (3, 6) for h in range(1, 8)]
-    split = split_episode(episode_from_outcomes(outcomes))
-    assert [r.h for r in split.w[NATURAL_DEMAND]] == [1, 2]
-    assert [r.h for r in split.w[FIRST_EXPOSURE]] == [3]
-    assert [r.h for r in split.w[win_index(3)]] == [6]
-    assert [r.h for r in split.d[1]] == [4, 7]
-    assert [r.h for r in split.d[2]] == [5]
+    w, d = buckets(outcomes)
+    assert w == {NATURAL_DEMAND: [1, 2], FIRST_EXPOSURE: [3], win_index(3): [6]}
+    assert d == {1: [4, 7], 2: [5]}
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=10))
 def test_split_is_a_partition(outcomes):
-    ep = episode_from_outcomes(outcomes)
-    split = split_episode(ep)
-    seen = [r.h for rs in split.w for r in rs]
-    seen += [r.h for rs in split.d.values() for r in rs]
-    assert sorted(seen) == [r.h for r in ep.records]
+    # every round in exactly one bucket, a theta row (0..H) or H + a lag
+    # (1..H-1); a block of customers splits as each customer alone
+    H = len(outcomes)
+    bucket = split_episode(episode_from_outcomes(outcomes))
+    assert bucket.shape == (1, H) and np.all((0 <= bucket) & (bucket < 2 * H))
+    w, d = buckets(outcomes)
+    assert sorted(h for rounds in (*w.values(), *d.values()) for h in rounds) == list(
+        range(1, H + 1))
+    reverse = split_episode(episode_from_outcomes(outcomes[::-1], t=2))
+    block = Episodes.concat([episode_from_outcomes(outcomes),
+                             episode_from_outcomes(outcomes[::-1], t=2)])
+    assert split_episode(block).tolist() == bucket.tolist() + reverse.tolist()
 
 
 # --- optimism ----------------------------------------------------------------
@@ -478,7 +484,7 @@ def test_estimator_snapshots_round_trip():
     assert back.update_count == theta.update_count
 
     delay = DelayEstimator(index=1)
-    tsmle_update(delay, [lost_round(1, ONLY_ONE, 2)], [np.ones(2)], [[1.0, 1.0]], 0.1)
+    tsmle_update(delay, [1], [2], [np.ones(2)], [[1.0, 1.0]], 0.1)
     back = DelayEstimator.from_dict(
         json.loads(json.dumps(delay.to_dict())), 1
     )

@@ -28,11 +28,13 @@ from bidlab.cli import main
 from bidlab.environment import (
     POISSON_RATE_MAX,
     Z_MAX,
+    Episodes,
     InstanceRecipe,
     RandomSource,
     draw_hobs,
     generate_instance,
     read_context_csv,
+    read_context_rows,
     read_episode_csv,
     run_episode,
     sample_context,
@@ -41,7 +43,6 @@ from bidlab.environment import (
 )
 from bidlab.harness import (
     DEFAULT_CHECKPOINTS,
-    UPDATE_CHUNK,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
@@ -304,6 +305,9 @@ def test_fit_validation():
         fit_regret_order([1.0], [1])
     with pytest.raises(ValueError, match="strictly increasing"):
         fit_regret_order([1.0, 2.0], [5, 5])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^means must be finite"):
+            fit_regret_order([1.0, bad], [1, 2])
 
 
 # --- trials ------------------------------------------------------------------
@@ -357,7 +361,7 @@ def test_bid_grid_points_leaves_a_dp_trial_unchanged():
     assert tr.realized["learner"].tolist() == reference.realized["learner"].tolist()
     assert tr.expected["learner"].tolist() == reference.expected["learner"].tolist()
     window = exploration_window(cfg.n_underbar, cfg.H)
-    bids = [r.bid for _, log in tr.episodes if log.t > window for r in log.records]
+    bids = tr.episodes.bid[tr.episodes.t > window].ravel().tolist()
     assert len(bids) == (cfg.T - window) * cfg.H
     assert all(0.0 <= bid <= cfg.bounds.B_A for bid in bids)
 
@@ -463,9 +467,9 @@ def test_baseline_arrays_equal_per_customer_episodes_without_learner(trial):
 @pytest.mark.parametrize("H", [1, 2, 3, 5])
 def test_array_player_follows_run_episodes_auction_rule(H):
     # arbitrary rows: finite bids in (0, B_A], bids exactly a customer's HOB
-    # of the round (ties win) or just under it, inf and 0.0; each customer's
-    # realized reward is run_episode's, bit for bit
-    from bidlab.harness import _play_bids
+    # of the round (ties win) or just under it, inf and 0.0; the record of
+    # the block is run_episode's, customer by customer, bit for bit
+    from bidlab.environment import _play_bids
 
     cfg = small_config(H=H, bounds=replace(small_config().bounds, H=H))
     start, n = 1000, 40
@@ -485,11 +489,15 @@ def test_array_player_follows_run_episodes_auction_rule(H):
     pick = gen.integers(0, len(choices), at_hob.shape)
     bids = np.choose(pick, choices)
     assert (pick == 1).any() and (pick == 3).any() and (pick == 4).any()
-    got = _play_bids(bids, hobs, batch_params(xs, m, a), rng, "policy", 0, start)
-    want = [run_episode(bids[c], x, m, a, rng, t=t, noise_label="policy",
-                        hobs=hobs[c]).realized_reward
-            for c, (t, x) in enumerate(zip(range(start + 1, start + n + 1), xs))]
-    assert got.tolist() == want
+    got = _play_bids(bids, xs, hobs, batch_params(xs, m, a), rng, "policy", start)
+    want = Episodes.concat([
+        run_episode(bids[c], x, m, a, rng, t=t, noise_label="policy", hobs=hobs[c])
+        for c, (t, x) in enumerate(zip(range(start + 1, start + n + 1), xs))
+    ])
+    for name in ("t", "x", "ids", "bid", "hob", "won", "conversions", "payment",
+                 "realized_reward"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.tolist() == w.tolist(), name
 
 
 @pytest.mark.parametrize("mode", ["outcome", "dp"])
@@ -882,7 +890,7 @@ def test_trials_write_their_logs_and_return_without_them(tmp_path, small_result,
                                                         workers):
     cfg = replace(small_result.config, workers=workers)
     result = run_experiment(cfg, tmp_path / "run")
-    assert all(tr.episodes is None and tr.contexts is None for tr in result.trials)
+    assert all(tr.episodes is None for tr in result.trials)
     write_outputs(small_result, tmp_path / "memory")
     written = sorted(p.name for p in (tmp_path / "memory").iterdir())
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == written
@@ -895,10 +903,15 @@ def test_trials_write_their_logs_and_return_without_them(tmp_path, small_result,
 
 
 def test_a_run_without_an_output_directory_keeps_the_logs(small_result):
-    customers = list(range(1, small_result.config.T + 1))
+    cfg = small_result.config
+    customers = list(range(1, cfg.T + 1))
     for tr in small_result.trials:
-        assert [log.t for _, log in tr.episodes] == customers
-        assert [t for _, t, _ in tr.contexts] == customers
+        assert tr.episodes.t.tolist() == customers
+        rng = RandomSource(cfg.seed).scoped(tr.trial)  # each customer's context
+        assert tr.episodes.x.tolist() == [
+            sample_context(cfg.instance, cfg.bounds, rng.stream(t, "ctx")).tolist()
+            for t in customers
+        ]
 
 
 @pytest.mark.parametrize("workers, trials, pool", [
@@ -1004,11 +1017,11 @@ def test_no_won_round_of_the_preset_log_pays_more_than_its_bid(tmp_path):
     cfg = benchmark_config(T=3000, trials=1, seed=69, emit_logs=True,
                            checkpoints=scaled_checkpoints(3000))
     run_experiment(cfg, tmp_path)
-    contexts = read_context_csv(tmp_path / "contexts_trial0.csv", cfg.dim)
-    episodes = read_episode_csv(tmp_path / "episodes_trial0.csv", contexts, cfg.H)
-    won = [r for _, ep in episodes for r in ep.records if r.won]
-    assert len(won) == 3600
-    assert [r for r in won if r.payment > r.bid] == []
+    contexts = read_context_rows(tmp_path / "contexts_trial0.csv", cfg.dim)
+    ep = Episodes.concat([ep for _, ep in read_episode_csv(
+        tmp_path / "episodes_trial0.csv", contexts, cfg.H, 512)])
+    assert len(ep) == 3000 and ep.won.sum() == 3600
+    assert not np.any(ep.payment[ep.won] > ep.bid[ep.won])
 
 
 # --- offline replay ------------------------------------------------------------
@@ -1048,7 +1061,7 @@ def test_replay_of_a_prefix_matches_a_live_agent_stopped_there(tmp_path, small_r
     contexts = read_context_csv(out / "contexts_trial0.csv", cfg.dim)
     episodes = small_result.trials[0].episodes
     k = 37
-    write_episode_csv(out / "episodes_trial9.csv", episodes[:k])
+    write_episode_csv(out / "episodes_trial9.csv", [(0, episodes[:k])])
     write_context_csv(
         out / "contexts_trial9.csv",
         [(0, t, contexts[(0, t)]) for t in range(1, k + 1)],
@@ -1064,15 +1077,15 @@ def test_replay_of_a_prefix_matches_a_live_agent_stopped_there(tmp_path, small_r
         Gamma_override=cfg.Gamma_trunc,
         planner_mode=cfg.mode,
     )
-    for _, log in episodes[:k]:
-        update(live, [log])
+    for j in range(k):
+        update(live, episodes[j:j + 1])
     assert snap == agent_to_dict(live)
 
 
 def test_replay_rejects_logs_mixing_trials(tmp_path, small_result):
     write_outputs(small_result, tmp_path)
-    mixed = [(0, small_result.trials[0].episodes[0][1]),
-             (1, small_result.trials[1].episodes[0][1])]
+    mixed = [(0, small_result.trials[0].episodes[:1]),
+             (1, small_result.trials[1].episodes[:1])]
     write_episode_csv(tmp_path / "episodes_mixed.csv", mixed)
     contexts = {
         (k, 1): read_context_csv(tmp_path / f"contexts_trial{k}.csv",
@@ -1114,30 +1127,40 @@ def test_replay_requires_locatable_contexts(tmp_path):
 
 
 def test_replay_holds_at_most_one_chunk_of_episodes(tmp_path, small_result, monkeypatch):
-    # the log is streamed: each update gets at most UPDATE_CHUNK episodes,
-    # and no episode is read before the ones already read are consumed
+    # the log and its contexts are streamed: each update gets a block of at
+    # most SEGMENT episodes, and no episode or context is read before the
+    # ones already read are consumed
     import bidlab.harness as harness_module
 
-    monkeypatch.setattr(harness_module, "UPDATE_CHUNK", 16)
+    monkeypatch.setattr(harness_module, "SEGMENT", 16)
     write_outputs(small_result, tmp_path)
-    counts = {"read": 0, "consumed": 0}
+    counts = {"contexts": 0, "read": 0, "consumed": 0}
+    real_contexts = harness_module.read_context_rows
     real_read, real_update = harness_module.read_episode_csv, harness_module.update
 
+    def counted_contexts(*args):
+        for row in real_contexts(*args):
+            counts["contexts"] += 1
+            assert counts["contexts"] - counts["consumed"] <= 16
+            yield row
+
     def counted_read(*args):
-        for item in real_read(*args):
-            counts["read"] += 1
+        for trial, episodes in real_read(*args):
+            counts["read"] += len(episodes)
             assert counts["read"] - counts["consumed"] <= 16
-            yield item
+            yield trial, episodes
 
-    def counted_update(agent, logs):
-        assert len(logs) <= 16
-        counts["consumed"] += len(logs)
-        return real_update(agent, logs)
+    def counted_update(agent, episodes):
+        assert len(episodes) <= 16
+        counts["consumed"] += len(episodes)
+        return real_update(agent, episodes)
 
+    monkeypatch.setattr(harness_module, "read_context_rows", counted_contexts)
     monkeypatch.setattr(harness_module, "read_episode_csv", counted_read)
     monkeypatch.setattr(harness_module, "update", counted_update)
     snap = replay_estimation(tmp_path / "episodes_trial0.csv")
-    assert counts == {"read": small_result.config.T, "consumed": small_result.config.T}
+    T = small_result.config.T
+    assert counts == {"contexts": T, "read": T, "consumed": T}
     assert snap == small_result.trials[0].agent_snapshot
 
 
@@ -1158,9 +1181,9 @@ def _recording_trial(monkeypatch, cfg):
         decisions.append((t, agent.t, bids))
         return bids
 
-    def recording_update(agent, logs):
-        runs.append(len(logs))
-        return real_update(agent, logs)
+    def recording_update(agent, episodes):
+        runs.append(len(episodes))
+        return real_update(agent, episodes)
 
     monkeypatch.setattr(harness_module, "act", recording_act)
     monkeypatch.setattr(harness_module, "update", recording_update)
@@ -1168,9 +1191,11 @@ def _recording_trial(monkeypatch, cfg):
 
 
 def test_exploration_is_consumed_in_chunks_ending_at_the_window(monkeypatch):
+    # segments of 7: each segment's exploration customers are one run, the
+    # last ending at the window's edge; then one customer per run
     import bidlab.harness as harness_module
 
-    monkeypatch.setattr(harness_module, "UPDATE_CHUNK", 7)
+    monkeypatch.setattr(harness_module, "SEGMENT", 7)
     cfg = small_config(T=60, trials=1, n_underbar=10, checkpoints=(60,),
                        policies=("learner",))
     result, decisions, runs = _recording_trial(monkeypatch, cfg)
@@ -1186,10 +1211,14 @@ def test_exploration_is_consumed_in_chunks_ending_at_the_window(monkeypatch):
 
 
 def test_a_trial_shorter_than_the_window_consumes_every_customer(monkeypatch):
+    # segments of 64: one run per segment, the last one short
+    import bidlab.harness as harness_module
+
+    monkeypatch.setattr(harness_module, "SEGMENT", 64)
     cfg = small_config(T=300, trials=1, n_underbar=100, checkpoints=(300,),
                        policies=("learner",))
     result, decisions, runs = _recording_trial(monkeypatch, cfg)
-    assert runs == [UPDATE_CHUNK] * (300 // UPDATE_CHUNK) + [300 % UPDATE_CHUNK]
+    assert runs == [64] * (300 // 64) + [300 % 64]
     assert [bids for _, _, bids in decisions] == [
         forced_bids(exploration_plan(t, 100, cfg.H)) for t in range(1, 301)
     ]
@@ -1221,15 +1250,14 @@ def test_a_nonfinite_log_hob_in_a_run_names_trial_customer_and_round(monkeypatch
 
 def test_a_misrouted_w_round_in_a_run_names_trial_and_customer(monkeypatch):
     import bidlab.agent as agent_module
-    from bidlab.estimation import SplitDatasets
 
     real = agent_module.split_episode
 
-    def misfile(log):
+    def misfile(episodes):
         # customer 9 wins round 1; file it under natural demand
-        if log.t != 9:
-            return real(log)
-        return SplitDatasets(w=[[log.records[0]], [], [], []], d={})
+        bucket = real(episodes)
+        bucket[episodes.t == 9, 0] = 0
+        return bucket
 
     monkeypatch.setattr(agent_module, "split_episode", misfile)
     with pytest.raises(RuntimeError) as err:
@@ -1416,16 +1444,26 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
 
 
 def test_cli_fit_rejects_a_malformed_curve_file_naming_the_line(cli_run, tmp_path, capsys):
-    # a missing column and a short row end in "error: ..." with exit 1,
-    # not in a traceback
+    # a missing column, a short row and a non-finite regret at a checkpoint
+    # end in "error: ..." with exit 1, not in a traceback or a fit of nan
     _, _, out = cli_run
     lines = (out / "curves.csv").read_text().splitlines(keepends=True)
     missing = "".join(",".join(ln.rstrip("\n").split(",")[:-1]) + "\n" for ln in lines)
     short = lines[0] + lines[1] + "0,2,learner,1.0\n" + "".join(lines[2:])
-    for text, message in (
+    k = next(k for k, ln in enumerate(lines) if ln.startswith("0,250,learner,"))
+
+    def with_cells(realized, expected):
+        changed = lines[:k] + [f"0,250,learner,{realized},{expected}\n"] + lines[k + 1:]
+        return "".join(changed)
+
+    cases = [
         (missing, "line 1: expected header trial,t,policy,cum_regret,cum_regret_expected"),
         (short, "line 3: expected 5 fields, got 4"),
-    ):
+    ]
+    for realized, expected in (("nan", "1.0"), ("1.0", "inf"), ("-inf", "nan")):
+        cases.append((with_cells(realized, expected), f"line {k + 1}: regrets must "
+                      f"be finite, got ['{realized}', '{expected}']"))
+    for text, message in cases:
         path = tmp_path / "curves.csv"
         path.write_text(text)
         code = main(["fit", "--curve", str(path), "--checkpoints", "100,250,400"])
