@@ -10,7 +10,6 @@ perturb each other's noise.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,13 +18,17 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .logrows import (
+    EPISODE_COLUMNS,
+    EPISODE_ROW,
+    episode_rows,
+    read_block,
+    row_error,
+    state_tokens,
+)
 from .model import (
-    NEVER,
-    NEVER_BEFORE,
-    ONLY_ONE,
     AuctionModel,
     Bounds,
-    ExposureState,
     TrueModel,
     cap_norm,
     conversion_mean,
@@ -416,13 +419,11 @@ def sample_context(
 
 # --- serialization -------------------------------------------------------
 
-_EPISODE_COLUMNS = [
-    "trial", "t", "h", "s1", "s2", "bid", "hob", "won", "payment", "conversions",
-]
+CONTEXT_CHUNK = 512  # the lines `read_context_rows` reads at a time
 
-
-# The file tokens of states and positions are spelled in these four
-# functions only, and only readers and writers of files call them.
+# The file tokens of positions are spelled in these two functions only, and
+# those of states in `logrows.state_tokens` and `logrows.parse_state`; only
+# readers and writers of files call them.
 
 
 def theta_token(i: int) -> str:
@@ -435,25 +436,6 @@ def delay_token(k: int) -> str:
     return "NEVER" if k == 0 else f"LAG{k}"
 
 
-def _state_tokens(s: ExposureState) -> tuple[str, str]:
-    s2 = {NEVER_BEFORE: "NEVERBEFORE", ONLY_ONE: "ONLYONE"}.get(s.s2, str(s.s2))
-    return ("NEVER" if s.s1 == NEVER else str(s.s1)), s2
-
-
-@functools.lru_cache(maxsize=256)
-def _parse_state(s1: str, s2: str) -> ExposureState:
-    def lag(token: str) -> int:
-        value = int(token)
-        if not 1 <= value < 2**63:
-            raise ValueError(f"a lag token must be a positive 64-bit integer, got {token!r}")
-        return value
-
-    named = {"NEVERBEFORE": NEVER_BEFORE, "ONLYONE": ONLY_ONE}
-    return ExposureState(
-        NEVER if s1 == "NEVER" else lag(s1), named[s2] if s2 in named else lag(s2)
-    )
-
-
 def write_episode_csv(
     path, blocks: Iterable[tuple[int, Episodes]], append: bool = False
 ) -> None:
@@ -462,9 +444,9 @@ def write_episode_csv(
     with open(path, "a" if append else "w", newline="") as f:
         w = csv.writer(f)
         if not append:
-            w.writerow(_EPISODE_COLUMNS)
+            w.writerow(EPISODE_COLUMNS)
         for trial, ep in blocks:
-            tokens = [_state_tokens(s) for s in state_table(ep.bid.shape[1]).states]
+            tokens = [state_tokens(s) for s in state_table(ep.bid.shape[1]).states]
             for t, *rounds in zip(ep.t.tolist(), ep.ids.tolist(), ep.bid.tolist(),
                                   ep.hob.tolist(), ep.won.tolist(),
                                   ep.payment.tolist(), ep.conversions.tolist()):
@@ -487,77 +469,97 @@ def read_episode_csv(
     episode's own with the line it starts at: its context, its length of
     H rounds (before any state table, which grows with it, is built), and
     its state chain and round labels, checked with its block's as arrays
-    against `StateTable.successors`."""
-    contexts, done = iter(contexts), []  # done: the block's episodes
+    against `StateTable.successors`.
 
-    def finish(trial: int, t: int, start: int, rounds: list) -> None:
-        x = next(contexts, None)  # a damaged contexts file raises its own line
-        try:
-            if x is None or x[:2] != (trial, t):
-                raise ValueError(f"no context recorded for trial {trial}, t {t}" + (
-                    "" if x is None else f": the next context is of trial {x[0]}, t {x[1]}"))
-            if len(rounds) != H:
-                raise ValueError(f"expected {H} rounds, got {len(rounds)}")
-        except ValueError as exc:
-            raise ValueError(f"line {start}: {exc}") from None
-        done.append((start, t, x[2], rounds))
+    The file is read `block` * H lines at a time (and the first line of
+    the next episode), each converted by numpy's C text reader and checked
+    as arrays; an episode the read cuts is carried into the next.  Errors
+    are raised in the order of a row-by-row reading: a bad row before the
+    previous episode's context and length, and those before its block's
+    chain."""
+    contexts, done = iter(contexts), []  # done: the block's (rows, contexts)
+
+    def finish(keys: list, starts: list, lengths: list) -> list[np.ndarray]:
+        """The contexts of finished episodes, of `keys` (trial, t), taken in
+        order: each must be its episode's own, which must be H rounds long."""
+        xs = []
+        for key, start, length in zip(keys, starts, lengths):
+            x = next(contexts, None)  # a damaged contexts file raises its own line
+            if x is None or x[:2] != key:
+                raise ValueError(f"line {start}: no context recorded for trial {key[0]}, t"
+                                 f" {key[1]}" + ("" if x is None else
+                                 f": the next context is of trial {x[0]}, t {x[1]}"))
+            if length != H:
+                raise ValueError(f"line {start}: expected {H} rounds, got {length}")
+            xs.append(x[2])
+        return xs
 
     def flush() -> Episodes:
-        starts, ts, xs, rounds = zip(*done)
+        rows = np.concatenate([r for r, _ in done]).reshape(-1, H)
+        xs = [x for _, group in done for x in group]
         done.clear()
-        n, table = len(ts), state_table(H)
-        label, s1, s2, bid, hob, won, ys = (np.array(column).reshape(n, H)
-                                            for column in zip(*itertools.chain(*rounds)))
+        n, table = len(rows), state_table(H)
+        won = rows["won"]
         ids = np.zeros((n, H + 1), dtype=np.intp)
         for h in range(H):
             ids[:, h + 1] = table.successors[ids[:, h], won[:, h].view(np.uint8)]
-        chained = (table.s1[ids[:, :H]] == s1) & (table.s2[ids[:, :H]] == s2)
-        bad = ~chained | (label != np.arange(1, H + 1))
+        chained = (table.s1[ids[:, :H]] == rows["s1"]) & (table.s2[ids[:, :H]] == rows["s2"])
+        bad = ~chained | (rows["h"] != np.arange(1, H + 1))
         for c, k in np.argwhere(bad)[:1].tolist():
             if chained[c, k]:
-                message = f"round {k + 1} is mislabelled as round {label[c, k]}"
+                message = f"round {k + 1} is mislabelled as round {rows['h'][c, k]}"
             elif k == 0:
                 message = "episodes must start from the initial state"
             else:
                 message = (f"state chain broken at round {k}: expected the state "
                            f"{table.states[ids[c, k]]}")
-            raise ValueError(f"line {starts[c]}: {message}")
-        return Episodes(np.array(ts), np.array(xs, dtype=float), ids, bid, hob, won, ys)
+            raise ValueError(f"line {rows['line'][c, 0]}: {message}")
+        return Episodes(rows["t"][:, 0].copy(), np.array(xs, dtype=float), ids,
+                        rows["bid"].copy(), rows["hob"].copy(), won.copy(),
+                        rows["conversions"].copy())
 
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != _EPISODE_COLUMNS:
-            raise ValueError(f"line 1: expected header {_EPISODE_COLUMNS}")
-        key, start, rounds = None, 2, []  # the episode read: (trial, t), first line, rows
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(_EPISODE_COLUMNS):
-                raise ValueError(f"line {lineno}: expected {len(_EPISODE_COLUMNS)} fields")
-            try:
-                row_trial, row_t, h = int(row[0]), int(row[1]), int(row[2])
-                if not (0 < row_t < 2**63 and 0 < h < 2**63):
-                    raise ValueError(f"t and h must be positive 64-bit integers, got {row[1:3]}")
-                state = _parse_state(row[3], row[4])
-                bid, hob, pay, y = float(row[5]), float(row[6]), float(row[8]), int(row[9])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            won = row[7] == "1"
-            if not (0 <= bid and 0 < hob < math.inf and 0 <= y < 2**63
-                    and (won or row[7] == "0")
-                    and won == (bid >= hob) and pay == (hob if won else 0.0)):
-                raise ValueError(f"line {lineno}: need bid >= 0, finite HOB > 0, won 0 or"
-                                 f" 1, conversions in [0, 2**63), and a second-price round"
-                                 f" (won when bid >= HOB, paying the HOB, else 0): {row[5:]}")
-            if (row_trial, row_t) != key:
-                if rounds:
-                    finish(*key, start, rounds)
-                    if len(done) == block or row_trial != key[0]:
-                        yield key[0], flush()
-                key, start, rounds = (row_trial, row_t), lineno, []
-            rounds.append((h, state.s1, state.s2, bid, hob, won, y))
-        if rounds:
-            finish(*key, start, rounds)
-            yield key[0], flush()
+        if next(csv.reader(f), None) != EPISODE_COLUMNS:
+            raise ValueError(f"line 1: expected header {EPISODE_COLUMNS}")
+        # carry: the rows of the episode the last read cut, and how many more
+        # it had beyond H + 1 (it fails its length check when it ends)
+        lineno, carry, extra, filled = 2, np.empty(0, EPISODE_ROW), 0, 0
+        while True:
+            lines = list(itertools.islice(f, max(block * H + 1 - len(carry), H)))
+            ended = not lines  # the file's last episode is finished
+            rows, error = episode_rows(lines, lineno, H)
+            lineno += len(lines)
+            del lines  # not held while the blocks are used
+            rows = np.concatenate([carry, rows])
+            cuts = np.flatnonzero((rows["trial"][1:] != rows["trial"][:-1])
+                                  | (rows["t"][1:] != rows["t"][:-1])) + 1
+            bounds = [0, *cuts.tolist(), len(rows)] if len(rows) else [0]
+            heads = rows[bounds[:-1]]
+            trials, starts = heads["trial"].tolist(), heads["line"].tolist()
+            keys = list(zip(trials, heads["t"].tolist()))
+            lengths = np.diff(bounds).tolist()
+            if lengths:
+                lengths[0] += extra
+            n_done = len(heads) if ended else max(len(heads) - 1, 0)
+            e = 0
+            while e < n_done:  # the finished episodes, a block's share at a time
+                stop = min(e + block - filled, n_done)
+                stop = next((j for j in range(e + 1, stop) if trials[j] != trials[e]), stop)
+                done.append((rows[bounds[e]:bounds[stop]],
+                             finish(keys[e:stop], starts[e:stop], lengths[e:stop])))
+                filled += stop - e
+                if filled == block or stop == len(heads) or trials[stop] != trials[e]:
+                    filled = 0
+                    yield trials[e], flush()
+                e = stop
+            if error is not None:
+                raise error
+            if ended:
+                return
+            extra = extra if n_done == 0 else 0
+            carry = rows[bounds[n_done]:]
+            if len(carry) > H + 1:
+                extra, carry = extra + len(carry) - H - 1, carry[:H + 1]
 
 
 def write_context_csv(
@@ -576,25 +578,37 @@ def write_context_csv(
 
 
 def read_context_rows(path, dim: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Parse a context CSV row by row into (trial, t, x), x finite of `dim`
-    entries; a bad row raises ValueError naming its line."""
+    """Parse a context CSV into (trial, t, x) rows, x finite of `dim`
+    entries, `CONTEXT_CHUNK` lines at a time by numpy's C text reader; a
+    bad row raises ValueError naming its line once the rows before it are
+    taken."""
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
+        header = next(csv.reader(f), None)
         if header is None or header[:2] != ["trial", "t"]:
             raise ValueError("line 1: expected header trial,t,x0,...")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields")
-                if len(row) != dim + 2:
-                    raise ValueError(f"expected {dim} x-columns, got {len(row) - 2}")
-                trial, t, x = int(row[0]), int(row[1]), [float(v) for v in row[2:]]
-                if not all(map(math.isfinite, x)):
-                    raise ValueError(f"contexts must be finite, got {row[2:]}")
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            yield trial, t, np.array(x)
+        dtype = np.dtype([("trial", np.int64), ("t", np.int64), ("x", float, (len(header) - 2,))])
+
+        def check(row: list[str]) -> None:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields")
+            if len(row) != dim + 2:
+                raise ValueError(f"expected {dim} x-columns, got {len(row) - 2}")
+            int(row[0]), int(row[1])
+            if not all(map(math.isfinite, [float(v) for v in row[2:]])):
+                raise ValueError(f"contexts must be finite, got {row[2:]}")
+
+        lineno = 2
+        while lines := list(itertools.islice(f, CONTEXT_CHUNK)):
+            rows, error = read_block(lines, lineno, dtype, check)
+            bad = np.flatnonzero(~np.isfinite(rows["x"]).all(axis=1)
+                                 | (len(header) != dim + 2))
+            if len(bad):
+                rows, error = rows[:bad[0]], row_error(lines[bad[0]], lineno + bad[0], check)
+            lineno += len(lines)
+            del lines  # not held while the rows are used
+            yield from zip(rows["trial"].tolist(), rows["t"].tolist(), rows["x"])
+            if error is not None:
+                raise error
 
 
 def read_context_csv(path, dim: int) -> dict[tuple[int, int], np.ndarray]:

@@ -447,8 +447,12 @@ class _TrialPlay:
                 bids[name] = np.broadcast_to(row, (n, len(row)))
             else:
                 bids[name] = []  # filled as the learner plays
-        played: list[Episodes] = []  # the learner's, one per customer
-        run = 0  # the first of them its update has not consumed
+        # the learner's episodes, each customer's rounds written in as it plays
+        H = config.H
+        played = Episodes(np.arange(start + 1, stop + 1), X, np.empty((n, H + 1), np.intp),
+                          np.empty((n, H)), hobs, np.empty((n, H), bool),
+                          np.empty((n, H), np.int64))
+        run = 0  # the first customer its update has not consumed
         for i, (t, x) in enumerate(zip(customers, xs)):
             with _provenance(trial, t):
                 if t == first_negative:
@@ -456,11 +460,13 @@ class _TrialPlay:
                 if agent is None:
                     continue
                 bids[LEARNER_POLICY].append(act(agent, x, t))
-                played.append(run_episode(bids[LEARNER_POLICY][-1], x, m, a, rng,
-                                          t=t, noise_label=LEARNER_POLICY, hobs=hobs[i]))
+                ep = run_episode(bids[LEARNER_POLICY][-1], x, m, a, rng,
+                                 t=t, noise_label=LEARNER_POLICY, hobs=hobs[i])
+                played.ids[i], played.bid[i], played.won[i], played.conversions[i] = (
+                    ep.ids[0], ep.bid[0], ep.won[0], ep.conversions[0])
             if t >= self.window or t == stop:
-                with _provenance(trial):
-                    update(agent, Episodes.concat(played[run:]))
+                with _provenance(trial):  # a run of one is the customer's own record
+                    update(agent, ep if run == i else played[run:i + 1])
                 run = i + 1
 
         for i in range(n_gap):
@@ -474,18 +480,17 @@ class _TrialPlay:
                     realized[name] = _play_bids(rows, X, hobs, batch, rng, name,
                                                 start).realized_reward
         if agent is not None:
-            episodes = Episodes.concat(played)
-            realized[LEARNER_POLICY] = episodes.realized_reward
+            realized[LEARNER_POLICY] = played.realized_reward
         opt = outcome_opt if outcome_mode else dp_opt
         for name in config.policies:
             self.realized[name][start:stop] = opt - realized[name]
             self.expected[name][start:stop] = opt - expected[name]
         if self.paths:
-            write_episode_csv(self.paths[0], [(trial, episodes)], append=start > 0)
+            write_episode_csv(self.paths[0], [(trial, played)], append=start > 0)
             write_context_csv(self.paths[1], [(trial, t, x) for t, x in zip(customers, xs)],
                               append=start > 0)
         elif self.episodes is not None:
-            self.episodes.append(episodes)
+            self.episodes.append(played)
 
 
 @contextlib.contextmanager

@@ -6,12 +6,14 @@ with a scalar loop over a bid grid and a fixed bid rule's value built on
 it, the exact continuous-bid optimum, the oracle value in either planner
 mode, two identities of the HOB payment, the fixed baselines' target
 outcomes, an outcome-mode trial played one customer and one policy at a
-time, and the learner's update consuming one customer and one sample at a
-time."""
+time, the learner's update consuming one customer and one sample at a
+time, and the episode and context CSV readers converting one row at a time
+with Python's int() and float()."""
 
+import csv
 import itertools
 import math
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -23,12 +25,14 @@ from bidlab.agent import (
 )
 from bidlab.estimation import project_v_ball, split_episode
 from bidlab.environment import (
+    Episodes,
     RandomSource,
     draw_hobs,
     generate_instance,
     run_episode,
     sample_context,
 )
+from bidlab.logrows import EPISODE_COLUMNS as _EPISODE_COLUMNS, parse_state as _parse_state
 from bidlab.model import (
     INITIAL_STATE,
     AuctionModel,
@@ -342,3 +346,116 @@ def per_sample_update(agent, episode):
                     f"{est.N} < {agent.n_underbar}"
                 )
     return agent
+
+
+# The episode and context readers as they were before numpy's text reader
+# read blocks of lines: one csv row at a time, each field by Python's int()
+# or float().  Tests give them and the package's readers the same files.
+
+
+def read_episode_csv(
+    path, contexts: Iterable[tuple[int, int, np.ndarray]], H: int, block: int
+) -> Iterator[tuple[int, Episodes]]:
+    """Parse an episode CSV back into (trial, episodes) blocks of at most
+    `block` customers of one trial.  `contexts` yields (trial, t, x) in the
+    log's customer order (`read_context_rows`); each customer takes the
+    next one, which must be its own, so a block is read with its contexts
+    only.  Every row must be a second-price round: won exactly when bid >=
+    HOB (a bid may be inf), paying the HOB when won and 0.0 when lost.
+    Violations raise ValueError with the offending line number, an
+    episode's own with the line it starts at: its context, its length of
+    H rounds (before any state table, which grows with it, is built), and
+    its state chain and round labels, checked with its block's as arrays
+    against `StateTable.successors`."""
+    contexts, done = iter(contexts), []  # done: the block's episodes
+
+    def finish(trial: int, t: int, start: int, rounds: list) -> None:
+        x = next(contexts, None)  # a damaged contexts file raises its own line
+        try:
+            if x is None or x[:2] != (trial, t):
+                raise ValueError(f"no context recorded for trial {trial}, t {t}" + (
+                    "" if x is None else f": the next context is of trial {x[0]}, t {x[1]}"))
+            if len(rounds) != H:
+                raise ValueError(f"expected {H} rounds, got {len(rounds)}")
+        except ValueError as exc:
+            raise ValueError(f"line {start}: {exc}") from None
+        done.append((start, t, x[2], rounds))
+
+    def flush() -> Episodes:
+        starts, ts, xs, rounds = zip(*done)
+        done.clear()
+        n, table = len(ts), state_table(H)
+        label, s1, s2, bid, hob, won, ys = (np.array(column).reshape(n, H)
+                                            for column in zip(*itertools.chain(*rounds)))
+        ids = np.zeros((n, H + 1), dtype=np.intp)
+        for h in range(H):
+            ids[:, h + 1] = table.successors[ids[:, h], won[:, h].view(np.uint8)]
+        chained = (table.s1[ids[:, :H]] == s1) & (table.s2[ids[:, :H]] == s2)
+        bad = ~chained | (label != np.arange(1, H + 1))
+        for c, k in np.argwhere(bad)[:1].tolist():
+            if chained[c, k]:
+                message = f"round {k + 1} is mislabelled as round {label[c, k]}"
+            elif k == 0:
+                message = "episodes must start from the initial state"
+            else:
+                message = (f"state chain broken at round {k}: expected the state "
+                           f"{table.states[ids[c, k]]}")
+            raise ValueError(f"line {starts[c]}: {message}")
+        return Episodes(np.array(ts), np.array(xs, dtype=float), ids, bid, hob, won, ys)
+
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header != _EPISODE_COLUMNS:
+            raise ValueError(f"line 1: expected header {_EPISODE_COLUMNS}")
+        key, start, rounds = None, 2, []  # the episode read: (trial, t), first line, rows
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(_EPISODE_COLUMNS):
+                raise ValueError(f"line {lineno}: expected {len(_EPISODE_COLUMNS)} fields")
+            try:
+                row_trial, row_t, h = int(row[0]), int(row[1]), int(row[2])
+                if not (0 < row_t < 2**63 and 0 < h < 2**63):
+                    raise ValueError(f"t and h must be positive 64-bit integers, got {row[1:3]}")
+                state = _parse_state(row[3], row[4])
+                bid, hob, pay, y = float(row[5]), float(row[6]), float(row[8]), int(row[9])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            won = row[7] == "1"
+            if not (0 <= bid and 0 < hob < math.inf and 0 <= y < 2**63
+                    and (won or row[7] == "0")
+                    and won == (bid >= hob) and pay == (hob if won else 0.0)):
+                raise ValueError(f"line {lineno}: need bid >= 0, finite HOB > 0, won 0 or"
+                                 f" 1, conversions in [0, 2**63), and a second-price round"
+                                 f" (won when bid >= HOB, paying the HOB, else 0): {row[5:]}")
+            if (row_trial, row_t) != key:
+                if rounds:
+                    finish(*key, start, rounds)
+                    if len(done) == block or row_trial != key[0]:
+                        yield key[0], flush()
+                key, start, rounds = (row_trial, row_t), lineno, []
+            rounds.append((h, state.s1, state.s2, bid, hob, won, y))
+        if rounds:
+            finish(*key, start, rounds)
+            yield key[0], flush()
+
+
+def read_context_rows(path, dim: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Parse a context CSV row by row into (trial, t, x), x finite of `dim`
+    entries; a bad row raises ValueError naming its line."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None or header[:2] != ["trial", "t"]:
+            raise ValueError("line 1: expected header trial,t,x0,...")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields")
+                if len(row) != dim + 2:
+                    raise ValueError(f"expected {dim} x-columns, got {len(row) - 2}")
+                trial, t, x = int(row[0]), int(row[1]), [float(v) for v in row[2:]]
+                if not all(map(math.isfinite, x)):
+                    raise ValueError(f"contexts must be finite, got {row[2:]}")
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            yield trial, t, np.array(x)

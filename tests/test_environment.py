@@ -48,6 +48,7 @@ from bidlab.model import (
     state_table,
 )
 from bidlab.planning import forced_bids
+import enumeration
 
 BOUNDS = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
 
@@ -730,6 +731,145 @@ def test_fuzzed_context_csv_parses_or_raises_a_value_error(tmp_path, rows, dim):
         return
     assert (dim == 2 or not rows) and len(contexts) == len(rows)
     assert all(np.all(np.isfinite(x)) and x.shape == (2,) for x in contexts.values())
+
+
+# --- numpy's block reader against the per-row reference -------------------
+
+# field values that numpy's text reader and Python's int() and float() could
+# read apart: a comment sign, quotes, tokens longer than the reader's text
+# fields, numbers beyond 64 bits, a digit group and a non-ASCII digit
+_SPECIAL = st.sampled_from([
+    "#", "1#2", '"1.5"', '"NEVER"', '"1', '1"', '""', "0000000000001", "NEVERBEFOREX",
+    "1" * 30, str(2**63), str(2**63 - 1), str(-2**63 - 1), "1_0", "\u0663", " 1 ", "\x1c1",
+    "1\x00",
+])
+
+
+def _log_strategy():
+    edit = st.tuples(st.integers(0, 30), st.integers(0, 9),
+                     st.one_of(_NUMBERS, st.sampled_from(_TOKENS), _SPECIAL))
+    return dict(
+        seed=st.integers(0, 2**32 - 1), H=st.sampled_from([1, 2, 3]),
+        n=st.integers(0, 5), edits=st.lists(edit, max_size=3),
+        context_edits=st.lists(edit, max_size=2),
+        blank=st.integers(0, 90).map(lambda k: k if k <= 30 else None),
+        drop=st.integers(0, 90).map(lambda k: k if k <= 30 else None),
+        ending=st.sampled_from(["\n", "\r\n"]), block=st.integers(1, 3),
+        chunk=st.sampled_from([1, 2, 512]),
+    )
+
+
+def _random_log(seed, H, n):
+    """Trial 0's first customers and trial 1's rest, as the harness writes
+    them: episodes under the auction rule, with some bids of inf and 0.0."""
+    gen = np.random.default_rng(seed)
+    table = state_table(H)
+    won = gen.random((n, H)) < 0.5
+    ids = np.zeros((n, H + 1), dtype=np.intp)
+    for h in range(H):
+        ids[:, h + 1] = table.successors[ids[:, h], won[:, h].astype(int)]
+    hob = np.exp(gen.standard_normal((n, H)))
+    bid = np.where(won, hob * (1 + gen.random((n, H))), hob * gen.random((n, H)))
+    bid = np.where(gen.random((n, H)) < 0.2, np.where(won, math.inf, 0.0), bid)
+    x = np.abs(gen.standard_normal((n, 2)))
+    episodes = Episodes(np.arange(1, n + 1), x, ids, bid, hob, won,
+                        gen.integers(0, 5, (n, H)))
+    cut = int(gen.integers(0, n + 1))
+    return [(0, episodes[:cut]), (1, episodes[cut:])]
+
+
+def _edited_text(path, edits, blank, drop, ending):
+    """The file's rows with fields replaced, a row dropped and a blank line
+    put in, joined by commas (no quoting) with the given line ending."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for k, column, value in edits:
+        if 0 < k < len(rows) and column < len(rows[k]):
+            rows[k][column] = value
+    lines = [",".join(row) for k, row in enumerate(rows) if k != drop or k == 0]
+    if blank is not None:
+        lines.insert(min(blank + 1, len(lines)), "")
+    return "".join(line + ending for line in lines)
+
+
+def _outcome(read):
+    """The blocks a reader yields, and its ValueError's text (None if none)."""
+    blocks = []
+    try:
+        for item in read():
+            blocks.append(item)
+    except ValueError as exc:
+        return blocks, str(exc)
+    return blocks, None
+
+
+def _same_bits(got, want):
+    assert_same_record(got, want)
+    for name in Episodes.__slots__:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+_NUMPY_REJECTS = re.compile(r"^line (\d+): numpy's text reader cannot read")
+
+
+def _declared(texts, lineno):
+    """Whether line `lineno` of one of the files holds a field only Python's
+    int() and float() read: a digit group, a non-ASCII character, a number
+    beyond 64 bits, or a quote left open."""
+    for text in texts:
+        lines = text.splitlines(keepends=True)
+        if lineno > len(lines):
+            continue
+        line = lines[lineno - 1]
+        fields = next(csv.reader([line]), [])
+        if ("_" in line or not line.isascii() or line.count('"') % 2
+                or any(re.fullmatch(r"\s*[+-]?\d+\s*", v) and abs(int(v)) >= 2**63
+                       for v in fields)):
+            return True
+    return False
+
+
+@_FUZZ
+@given(**_log_strategy())
+def test_numpy_reader_equals_the_per_row_reference(
+    tmp_path, monkeypatch, seed, H, n, edits, context_edits, blank, drop, ending, block,
+    chunk,
+):
+    # the harness's files, edited: both readers yield the same blocks bit for
+    # bit and fail with the same text, or numpy's reader rejects, on its
+    # line, a field only Python's int() and float() read (after the blocks
+    # before it, which equal the reference's)
+    monkeypatch.setattr(environment, "CONTEXT_CHUNK", chunk)
+    blocks = _random_log(seed, H, n)
+    epath, cpath = tmp_path / "e.csv", tmp_path / "c.csv"
+    write_episode_csv(epath, blocks)
+    write_context_csv(cpath, [(trial, t, x) for trial, ep in blocks
+                              for t, x in zip(ep.t.tolist(), ep.x)])
+    texts = [_edited_text(epath, edits, blank, drop, ending),
+             _edited_text(cpath, context_edits, None, None, ending)]
+    for path, text in zip((epath, cpath), texts):
+        path.write_bytes(text.encode("utf-8"))
+    for reads in (
+        (lambda: enumeration.read_episode_csv(
+            epath, enumeration.read_context_rows(cpath, 2), H, block),
+         lambda: read_episode_csv(epath, read_context_rows(cpath, 2), H, block)),
+        (lambda: enumeration.read_context_rows(cpath, 2),
+         lambda: read_context_rows(cpath, 2)),
+    ):
+        (want, want_error), (got, got_error) = map(_outcome, reads)
+        declared = got_error is not None and _NUMPY_REJECTS.match(got_error)
+        if declared:
+            assert _declared(texts, int(declared.group(1))), got_error
+            want = want[:len(got)]
+        else:
+            assert got_error == want_error
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g[:-1] == w[:-1] and type(g[0]) is type(w[0])
+            if isinstance(g[-1], Episodes):
+                _same_bits(g[-1], w[-1])
+            else:
+                assert g[-1].dtype == w[-1].dtype and g[-1].tobytes() == w[-1].tobytes()
 
 
 @pytest.mark.parametrize("H", range(1, 7))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import os
 import re
 import sys
 import time
@@ -1129,14 +1130,39 @@ def test_replay_requires_locatable_contexts(tmp_path):
 def test_replay_holds_at_most_one_chunk_of_episodes(tmp_path, small_result, monkeypatch):
     # the log and its contexts are streamed: each update gets a block of at
     # most SEGMENT episodes, and no episode or context is read before the
-    # ones already read are consumed
+    # ones already read are consumed.  In lines pulled from the files: the
+    # log's reader holds one block of SEGMENT * H lines besides the episode
+    # its last read cut, the contexts' one chunk of CONTEXT_CHUNK lines
+    import bidlab.environment as environment_module
     import bidlab.harness as harness_module
 
     monkeypatch.setattr(harness_module, "SEGMENT", 16)
+    monkeypatch.setattr(environment_module, "CONTEXT_CHUNK", 5)
     write_outputs(small_result, tmp_path)
+    H = small_result.config.H
     counts = {"contexts": 0, "read": 0, "consumed": 0}
+    pulled = {"episodes": 0, "contexts": 0}  # lines, headers included
     real_contexts = harness_module.read_context_rows
     real_read, real_update = harness_module.read_episode_csv, harness_module.update
+
+    class CountedFile:
+        def __init__(self, path, **kwargs):
+            self.name = os.path.basename(path).split("_")[0]
+            self.file = open(path, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.file.close()
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            line = next(self.file)
+            pulled[self.name] += 1
+            return line
 
     def counted_contexts(*args):
         for row in real_contexts(*args):
@@ -1152,15 +1178,19 @@ def test_replay_holds_at_most_one_chunk_of_episodes(tmp_path, small_result, monk
 
     def counted_update(agent, episodes):
         assert len(episodes) <= 16
+        assert pulled["episodes"] - 1 - counts["consumed"] * H <= 16 * H + H
         counts["consumed"] += len(episodes)
+        assert pulled["contexts"] - 1 - counts["consumed"] <= 5
         return real_update(agent, episodes)
 
+    monkeypatch.setattr(environment_module, "open", CountedFile, raising=False)
     monkeypatch.setattr(harness_module, "read_context_rows", counted_contexts)
     monkeypatch.setattr(harness_module, "read_episode_csv", counted_read)
     monkeypatch.setattr(harness_module, "update", counted_update)
     snap = replay_estimation(tmp_path / "episodes_trial0.csv")
     T = small_result.config.T
     assert counts == {"contexts": T, "read": T, "consumed": T}
+    assert pulled == {"episodes": 1 + T * H, "contexts": 1 + T}
     assert snap == small_result.trials[0].agent_snapshot
 
 
