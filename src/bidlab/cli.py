@@ -101,8 +101,7 @@ def _cmd_oracle(args) -> int:
         )
     contexts = read_context_csv(args.contexts, config.dim)
     instances: dict[int, tuple] = {}
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["trial", "t", "value", "plan"])
+    sys.stdout.write("trial,t,value,plan\r\n")
     for trial, t in sorted(contexts):
         if trial not in instances:
             rng = RandomSource(config.seed).scoped(trial)
@@ -110,9 +109,8 @@ def _cmd_oracle(args) -> int:
         m, a = instances[trial]
         x = contexts[(trial, t)]
         plan, value = best_outcome_plan(params_from_true(x, m, a))
-        writer.writerow(
-            [trial, t, repr(value), "".join("1" if w else "0" for w in plan)]
-        )
+        bits = "".join("1" if w else "0" for w in plan)
+        sys.stdout.write(f"{trial},{t},{value!r},{bits}\r\n")
     return 0
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "Episodes",
     "Z_MAX",
     "POISSON_RATE_MAX",
-    "sample_hob",
     "draw_hobs",
     "sample_conversions",
     "run_episode",
@@ -226,7 +225,8 @@ class Episodes:
     of `state_table(H)` each round starts in, `ids` (n, H+1; column H is
     the end), and per round (n, H) the `bid` played, the realized `hob`
     (full-information feedback), `won` and the `conversions`.
-    `episodes[a:b]` holds its customers a..b-1."""
+    `episodes[a:b]` holds its customers a..b-1, and `episodes[a:b] = block`
+    writes them."""
 
     t: np.ndarray
     x: np.ndarray
@@ -241,6 +241,10 @@ class Episodes:
 
     def __getitem__(self, rows: slice) -> "Episodes":
         return Episodes(*(getattr(self, name)[rows] for name in self.__slots__))
+
+    def __setitem__(self, rows: slice, block: "Episodes") -> None:
+        for name in self.__slots__:
+            getattr(self, name)[rows] = getattr(block, name)
 
     @staticmethod
     def concat(blocks: Sequence["Episodes"]) -> "Episodes":
@@ -271,13 +275,6 @@ Z_MAX = _ZIGGURAT_R + 53 * math.log(2) / _ZIGGURAT_R
 POISSON_RATE_MAX = 9.2e18
 
 
-def sample_hob(
-    h: int, x: np.ndarray, a: AuctionModel, rng: np.random.Generator
-) -> float:
-    """One lognormal HOB draw for round h."""
-    return math.exp(a.log_mean(h, x) + a.log_sd(h) * rng.standard_normal())
-
-
 def sample_conversions(rate: float, rng: np.random.Generator) -> int:
     """One Poisson conversion count at the given mean."""
     if rate < 0:
@@ -285,13 +282,19 @@ def sample_conversions(rate: float, rng: np.random.Generator) -> int:
     return int(rng.poisson(rate))
 
 
-def draw_hobs(
-    x: np.ndarray, a: AuctionModel, rng: RandomSource, t: int
-) -> list[float]:
-    """Customer t's H highest other bids, round h from the h-th draw of its
-    (t, "hob") stream; the same for every policy that plays the customer."""
-    gen = rng.stream(t, "hob")
-    return [sample_hob(h, x, a, gen) for h in range(1, a.beta.shape[0] + 1)]
+def draw_hobs(means, rng: RandomSource, start: int) -> np.ndarray:
+    """The highest other bids of customers start+1..start+n, (n, H); the
+    same for every policy that plays them.  Round h of customer t is
+    exp(log-mean + sd * z), z the h-th of H normals drawn at once from
+    its (t, "hob") stream.  `means` holds the HOB log-means by round and
+    customer (`log_hob`, (H, n)) and the log-sds by round (`sigma`), as
+    `planning.batch_params` gives them.  Each HOB takes `math.exp`, since
+    `np.exp` differs in the last bit."""
+    H, n = np.shape(means.log_hob)
+    z = np.array([rng.stream(t, "hob").standard_normal(H)
+                  for t in range(start + 1, start + n + 1)])
+    exponents = (means.log_hob.T + np.array(means.sigma) * z).ravel().tolist()
+    return np.array(list(map(math.exp, exponents))).reshape(n, H)
 
 
 def run_episode(
@@ -303,7 +306,7 @@ def run_episode(
     at least the realized HOB (ties win), and the winner pays the HOB.  A bid
     of inf wins at any price and 0.0 never wins, since every HOB is > 0;
     that is how a target outcome is played (`planning.forced_bids`).  `hobs`
-    holds the H realized HOBs, drawn once per customer (`draw_hobs`) and
+    holds the customer's H realized HOBs, drawn once (`draw_hobs`) and
     passed to every policy that plays it.  Conversion noise is keyed by
     (t, "conv", noise_label), round h taking the h-th draw.
     """
@@ -420,6 +423,7 @@ def sample_context(
 # --- serialization -------------------------------------------------------
 
 CONTEXT_CHUNK = 512  # the lines `read_context_rows` reads at a time
+WRITE_BLOCK = 512  # the customers (or context rows) a log writer joins into one write
 
 # The file tokens of positions are spelled in these two functions only, and
 # those of states in `logrows.state_tokens` and `logrows.parse_state`; only
@@ -439,21 +443,24 @@ def delay_token(k: int) -> str:
 def write_episode_csv(
     path, blocks: Iterable[tuple[int, Episodes]], append: bool = False
 ) -> None:
-    """Write (trial, episodes) blocks in the flat round-per-line schema;
-    with `append`, add them to the end of the file, without the header."""
+    """Write (trial, episodes) blocks in the flat round-per-line schema,
+    one write per `WRITE_BLOCK` customers; with `append`, add them to the
+    end of the file, without the header."""
     with open(path, "a" if append else "w", newline="") as f:
-        w = csv.writer(f)
         if not append:
-            w.writerow(EPISODE_COLUMNS)
+            f.write(",".join(EPISODE_COLUMNS) + "\r\n")
         for trial, ep in blocks:
-            tokens = [state_tokens(s) for s in state_table(ep.bid.shape[1]).states]
-            for t, *rounds in zip(ep.t.tolist(), ep.ids.tolist(), ep.bid.tolist(),
-                                  ep.hob.tolist(), ep.won.tolist(),
-                                  ep.payment.tolist(), ep.conversions.tolist()):
-                w.writerows(  # a customer's H rounds: zip drops its end state id
-                    [trial, t, h, *tokens[i], repr(bid), repr(hob), int(won), repr(pay), y]
-                    for h, (i, bid, hob, won, pay, y) in enumerate(zip(*rounds), start=1)
-                )
+            H = ep.bid.shape[1]
+            tokens = [",".join(state_tokens(s)) for s in state_table(H).states]
+            for k in range(0, len(ep), WRITE_BLOCK):
+                part = ep[k:k + WRITE_BLOCK]
+                f.write("".join(  # each customer's H rounds: its end state id is not written
+                    f"{trial},{t},{h},{tokens[i]},{bid!r},{hob!r},{won:d},{pay!r},{y}\r\n"
+                    for t, h, i, bid, hob, won, pay, y in zip(
+                        np.repeat(part.t, H).tolist(), itertools.cycle(range(1, H + 1)),
+                        *(a.ravel().tolist() for a in (
+                            part.ids[:, :H], part.bid, part.hob, part.won, part.payment,
+                            part.conversions)))))
 
 
 def read_episode_csv(
@@ -565,16 +572,17 @@ def read_episode_csv(
 def write_context_csv(
     path, rows: Iterable[tuple[int, int, np.ndarray]], append: bool = False
 ) -> None:
-    """Write (trial, t, context) rows; column count follows the dimension.
-    With `append`, add them to the end of the file, without the header."""
+    """Write (trial, t, context) rows, one write per `WRITE_BLOCK` rows;
+    column count follows the dimension.  With `append`, add them to the end
+    of the file, without the header."""
     rows = list(rows)
     with open(path, "a" if append else "w", newline="") as f:
-        w = csv.writer(f)
         if not append:
             dim = len(rows[0][2]) if rows else 0
-            w.writerow(["trial", "t"] + [f"x{i}" for i in range(dim)])
-        for trial, t, x in rows:
-            w.writerow([trial, t] + [repr(float(v)) for v in x])
+            f.write(",".join(["trial", "t"] + [f"x{i}" for i in range(dim)]) + "\r\n")
+        for k in range(0, len(rows), WRITE_BLOCK):
+            f.write("".join(f"{trial},{t}" + "".join(f",{v!r}" for v in map(float, x)) + "\r\n"
+                            for trial, t, x in rows[k:k + WRITE_BLOCK]))
 
 
 def read_context_rows(path, dim: int) -> Iterator[tuple[int, int, np.ndarray]]:

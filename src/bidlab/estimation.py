@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from numpy.linalg._umath_linalg import solve1 as _lapack_solve1
+from numpy.linalg._umath_linalg import solve as _lapack_solve, solve1 as _lapack_solve1
 
 from .model import NEVER, Bounds, lose_index, state_table, win_index
 from .environment import Episodes, delay_token, theta_token
@@ -27,6 +27,7 @@ __all__ = [
     "split_episode",
     "crtm_update",
     "solve_small",
+    "solve_stacked",
     "project_v_ball",
     "theta_gamma",
     "truncation_threshold",
@@ -131,6 +132,17 @@ def solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (after numpy's warning of the invalid value)."""
     r = _lapack_solve1(a, b, signature="dd->d")
     if not math.isfinite(r.dot(r)) and not np.isfinite(r).all():
+        raise LinAlgError("singular or non-finite system")
+    return r
+
+
+def solve_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) of a stack of float64 systems, a (..., d, d)
+    and b (..., d, k), bit for bit: the kernel np.linalg.solve runs when
+    b.ndim > 1, with `solve_small`'s contract."""
+    r = _lapack_solve(a, b, signature="dd->d")
+    flat = r.ravel()
+    if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
         raise LinAlgError("singular or non-finite system")
     return r
 
@@ -242,7 +254,7 @@ def crtm_update(
     X = np.asarray(X, dtype=float)
     ys = np.asarray(ys, dtype=float)
     V = _partial_sums(est.V, 0.5 * (X[:, :, None] * X[:, None, :]))[1:]
-    x_norm = np.sqrt(_rowdot(X, np.linalg.solve(V, X[:, :, None])[..., 0]))
+    x_norm = np.sqrt(_rowdot(X, solve_stacked(V, X[:, :, None])[..., 0]))
     y_trunc = np.where(x_norm * np.abs(ys) <= cfg.Gamma_trunc, ys, 0.0).tolist()
     thetas, theta, radius = [], est.theta_hat, est.B_theta
     for x, v, y in zip(X, V, y_trunc):
@@ -375,7 +387,7 @@ def ridge_update(
     outer = X[:, None, :, None] * X[:, None, None, :]  # each sample's, at every position
     grams = _partial_sums([e.gram for e in bank], outer)
     moments = _partial_sums([e.moment for e in bank], X[:, None, :] * Y[:, :, None])
-    betas = np.linalg.solve(grams[:-1], moments[:-1, :, :, None])[..., 0]
+    betas = solve_stacked(grams[:-1], moments[:-1, :, :, None])[..., 0]
     resid = Y - _rowdot(X[:, None, :], betas)
     rss = _partial_sums([e.residual_sq_sum for e in bank], resid * resid)[-1].tolist()
     for j, est in enumerate(bank):

@@ -11,7 +11,6 @@ byte-identical.
 from __future__ import annotations
 
 import contextlib
-import csv
 import itertools
 import json
 import math
@@ -345,15 +344,14 @@ def run_trial(
     besides each policy's per-customer regret increments.  Per segment the
     streams are seeded in one pass (`RandomSource.prepare`), the contexts
     and HOBs are drawn first, the oracles are scored for the whole segment,
-    the learner runs customer by customer (one update consuming the
-    segment's exploration customers up to the window's edge, then one per
-    customer), every policy's rows of bids by state id are scored after
-    it, and the fixed baselines play their rows as arrays under the same
-    auction rule.  With `out_dir`
-    and emitted logs, each segment's episode and context rows are appended
-    to `episodes_trial{k}.csv` and `contexts_trial{k}.csv` there, and the
-    result carries no logs; a failed trial deletes both files.  Any failure
-    at a customer is re-raised with (trial, customer) provenance.
+    the learner's exploration customers play at once as arrays and are
+    consumed by one update, its exploit customers run one at a time, every
+    policy's rows of bids by state id are scored after it, and the fixed
+    baselines play their rows as arrays under the same auction rule.  With
+    `out_dir` and emitted logs, each segment's episode and context rows are
+    appended to `episodes_trial{k}.csv` and `contexts_trial{k}.csv` there,
+    and the result carries no logs; a failed trial deletes both files.  Any
+    failure at a customer is re-raised with (trial, customer) provenance.
     """
     if trial < 0:
         raise ValueError("trial index must be nonnegative")
@@ -413,31 +411,30 @@ class _TrialPlay:
     def segment(self, start: int, stop: int) -> None:
         """Play customers start+1..stop, record their regret increments and
         write or keep their logs."""
-        config, trial, m, a, agent = self.config, self.trial, self.m, self.a, self.agent
-        n, bounds = stop - start, config.bounds
-        outcome_mode = config.mode == "outcome"
+        config, trial, n, bounds = self.config, self.trial, stop - start, self.config.bounds
         rng = self.source.prepare(n, *self.families, start=start)
         customers = range(start + 1, stop + 1)
-
-        xs, hobs = [], np.empty((n, config.H))
-        for i, t in enumerate(customers):
+        xs = []
+        for t in customers:
             with _provenance(trial, t):
                 xs.append(sample_context(config.instance, bounds, rng.stream(t, "ctx")))
-                hobs[i] = draw_hobs(xs[-1], a, rng, t)
         X = np.array(xs)
-        batch = batch_params(X, m, a)
+        batch = batch_params(X, self.m, self.a)
+        with _provenance(trial, f"customers {start + 1}-{stop}"):
+            hobs = draw_hobs(batch, rng, start)
         outcome_opt = best_outcome_values(batch)
-        # the auction oracle of dp mode's customers or outcome mode's gap sample; its
-        # first customer with a negative conversion mean fails when its turn comes
+        # the auction oracle of dp mode's customers or outcome mode's gap sample;
+        # the first of them with a negative conversion mean fails before any play
         n_gap = min(max(ORACLE_GAP_SAMPLE - start, 0), n)
-        n_dp = n_gap if outcome_mode else n
+        n_dp = n_gap if config.mode == "outcome" else n
         dp_opt = np.empty(0)
         if n_dp:
             with _provenance(trial, f"customers {start + 1}-{start + n_dp}"):
                 dp_opt = best_grid_values(batch.rows(0, n_dp), bounds.B_A)
-        negative = np.flatnonzero((batch.mu[:, :n_dp] < 0).any(axis=0)).tolist()
-        first_negative = start + negative[0] + 1 if negative else 0
-        bids = {}  # each customer's bids by state id, by policy
+        for i in np.flatnonzero((batch.mu[:, :n_dp] < 0).any(axis=0))[:1].tolist():
+            with _provenance(trial, start + i + 1):
+                raise ValueError("conversion means must be clamped nonnegative")
+        bids, played = {}, None  # each customer's bids by state id, by policy
         for name in config.policies:
             if name == "random":
                 bids[name] = [baseline_bids(name, config.H, rng.stream(t, "plan", name))
@@ -446,28 +443,7 @@ class _TrialPlay:
                 row = baseline_bids(name, config.H, None)
                 bids[name] = np.broadcast_to(row, (n, len(row)))
             else:
-                bids[name] = []  # filled as the learner plays
-        # the learner's episodes, each customer's rounds written in as it plays
-        H = config.H
-        played = Episodes(np.arange(start + 1, stop + 1), X, np.empty((n, H + 1), np.intp),
-                          np.empty((n, H)), hobs, np.empty((n, H), bool),
-                          np.empty((n, H), np.int64))
-        run = 0  # the first customer its update has not consumed
-        for i, (t, x) in enumerate(zip(customers, xs)):
-            with _provenance(trial, t):
-                if t == first_negative:
-                    raise ValueError("conversion means must be clamped nonnegative")
-                if agent is None:
-                    continue
-                bids[LEARNER_POLICY].append(act(agent, x, t))
-                ep = run_episode(bids[LEARNER_POLICY][-1], x, m, a, rng,
-                                 t=t, noise_label=LEARNER_POLICY, hobs=hobs[i])
-                played.ids[i], played.bid[i], played.won[i], played.conversions[i] = (
-                    ep.ids[0], ep.bid[0], ep.won[0], ep.conversions[0])
-            if t >= self.window or t == stop:
-                with _provenance(trial):  # a run of one is the customer's own record
-                    update(agent, ep if run == i else played[run:i + 1])
-                run = i + 1
+                bids[name], played = self.learn(start, X, hobs, batch, rng)
 
         for i in range(n_gap):
             self.gap_total += float(outcome_opt[i] - dp_opt[i])
@@ -475,13 +451,10 @@ class _TrialPlay:
         for name, rows in bids.items():
             rows = np.array(rows, dtype=float)  # (n, states): each customer's row
             expected[name] = policy_values(batch, rows.T)
-            if name != LEARNER_POLICY:
-                with _provenance(trial):
-                    realized[name] = _play_bids(rows, X, hobs, batch, rng, name,
-                                                start).realized_reward
-        if agent is not None:
-            realized[LEARNER_POLICY] = played.realized_reward
-        opt = outcome_opt if outcome_mode else dp_opt
+            with _provenance(trial):
+                realized[name] = (played if name == LEARNER_POLICY else _play_bids(
+                    rows, X, hobs, batch, rng, name, start)).realized_reward
+        opt = outcome_opt if config.mode == "outcome" else dp_opt
         for name in config.policies:
             self.realized[name][start:stop] = opt - realized[name]
             self.expected[name][start:stop] = opt - expected[name]
@@ -491,6 +464,34 @@ class _TrialPlay:
                               append=start > 0)
         elif self.episodes is not None:
             self.episodes.append(played)
+
+    def learn(self, start: int, X: np.ndarray, hobs: np.ndarray, batch, rng) -> tuple:
+        """The learner's segment: each customer's bids by state id, from
+        `act`, and its episodes.  The exploration customers play at once
+        (`_play_bids`) and are consumed by one update; the rest play and are
+        consumed one at a time."""
+        trial, agent, (n, H) = self.trial, self.agent, hobs.shape
+        explore, bids = min(max(self.window - start, 0), n), []
+        for t, x in zip(range(start + 1, start + explore + 1), X):
+            with _provenance(trial, t):
+                bids.append(act(agent, x, t))
+        played = Episodes(np.arange(start + 1, start + n + 1), X, np.empty((n, H + 1), np.intp),
+                          np.empty((n, H)), hobs, np.empty((n, H), bool),
+                          np.empty((n, H), np.int64))
+        if explore:
+            with _provenance(trial):
+                played[:explore] = _play_bids(np.array(bids, dtype=float), X[:explore],
+                                              hobs[:explore], batch.rows(0, explore), rng,
+                                              LEARNER_POLICY, start)
+                update(agent, played[:explore])
+        for i, t in enumerate(range(start + explore + 1, start + n + 1), explore):
+            with _provenance(trial, t):
+                bids.append(act(agent, X[i], t))
+                played[i:i + 1] = ep = run_episode(bids[-1], X[i], self.m, self.a, rng, t=t,
+                                                   noise_label=LEARNER_POLICY, hobs=hobs[i])
+            with _provenance(trial):
+                update(agent, ep)
+        return bids, played
 
 
 @contextlib.contextmanager
@@ -730,17 +731,14 @@ _CURVE_COLUMNS = ["trial", "t", "policy", "cum_regret", "cum_regret_expected"]
 
 
 def write_curves_csv(path: Path, result: ExperimentResult) -> None:
-    cfg = result.config
+    T = result.config.T
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CURVE_COLUMNS)
-        for tr in result.trials:
-            for name in cfg.policies:
-                writer.writerows(
-                    [tr.trial, t, name, repr(r), repr(e)]
-                    for t, r, e in zip(range(1, cfg.T + 1), tr.realized[name].tolist(),
-                                       tr.expected[name].tolist())
-                )
+        fh.write(",".join(_CURVE_COLUMNS) + "\r\n")
+        for tr, name in itertools.product(result.trials, result.config.policies):
+            for s in range(0, T, SEGMENT):
+                fh.write("".join(f"{tr.trial},{t},{name},{r!r},{e!r}\r\n" for t, r, e in zip(
+                    range(s + 1, T + 1), tr.realized[name][s:s + SEGMENT].tolist(),
+                    tr.expected[name][s:s + SEGMENT].tolist())))
 
 
 def write_outputs(result: ExperimentResult, out_dir: str | Path) -> None:

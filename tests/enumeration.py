@@ -5,10 +5,11 @@ model's closed forms (on one `Customer`: its context and auction model)
 with a scalar loop over a bid grid and a fixed bid rule's value built on
 it, the exact continuous-bid optimum, the oracle value in either planner
 mode, two identities of the HOB payment, the fixed baselines' target
-outcomes, an outcome-mode trial played one customer and one policy at a
-time, the learner's update consuming one customer and one sample at a
-time, and the episode and context CSV readers converting one row at a time
-with Python's int() and float()."""
+outcomes, each customer's HOBs drawn one round at a time, an outcome-mode
+trial played one customer and one policy at a time, the learner's update
+consuming one customer and one sample at a time, the episode and context
+CSV readers converting one row at a time with Python's int() and float(),
+and the episode, context and curve writers writing through `csv.writer`."""
 
 import csv
 import itertools
@@ -27,12 +28,15 @@ from bidlab.estimation import project_v_ball, split_episode
 from bidlab.environment import (
     Episodes,
     RandomSource,
-    draw_hobs,
     generate_instance,
     run_episode,
     sample_context,
 )
-from bidlab.logrows import EPISODE_COLUMNS as _EPISODE_COLUMNS, parse_state as _parse_state
+from bidlab.logrows import (
+    EPISODE_COLUMNS as _EPISODE_COLUMNS,
+    parse_state as _parse_state,
+    state_tokens as _state_tokens,
+)
 from bidlab.model import (
     INITIAL_STATE,
     AuctionModel,
@@ -220,6 +224,18 @@ def baseline_plan(name, H, gen):
         return (False,) * H
     k = int(gen.integers(2**H))
     return tuple(bool(k >> (h - 1) & 1) for h in range(1, H + 1))
+
+
+def sample_hob(h, x, a, rng):
+    """One lognormal HOB draw for round h."""
+    return math.exp(a.log_mean(h, x) + a.log_sd(h) * rng.standard_normal())
+
+
+def draw_hobs(x, a, rng, t):
+    """Customer t's H highest other bids, round h from the h-th draw of its
+    (t, "hob") stream, one draw at a time."""
+    gen = rng.stream(t, "hob")
+    return [sample_hob(h, x, a, gen) for h in range(1, a.beta.shape[0] + 1)]
 
 
 def per_customer_realized(config, trial, instance=None):
@@ -459,3 +475,48 @@ def read_context_rows(path, dim: int) -> Iterator[tuple[int, int, np.ndarray]]:
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
             yield trial, t, np.array(x)
+
+
+# The episode, context and curve writers as they were before their lines
+# were joined: one csv.writer row at a time.  Tests compare the bytes.
+
+
+def csv_write_episode_csv(path, blocks, append=False):
+    with open(path, "a" if append else "w", newline="") as f:
+        w = csv.writer(f)
+        if not append:
+            w.writerow(_EPISODE_COLUMNS)
+        for trial, ep in blocks:
+            tokens = [_state_tokens(s) for s in state_table(ep.bid.shape[1]).states]
+            for t, *rounds in zip(ep.t.tolist(), ep.ids.tolist(), ep.bid.tolist(),
+                                  ep.hob.tolist(), ep.won.tolist(),
+                                  ep.payment.tolist(), ep.conversions.tolist()):
+                w.writerows(
+                    [trial, t, h, *tokens[i], repr(bid), repr(hob), int(won), repr(pay), y]
+                    for h, (i, bid, hob, won, pay, y) in enumerate(zip(*rounds), start=1)
+                )
+
+
+def csv_write_context_csv(path, rows, append=False):
+    rows = list(rows)
+    with open(path, "a" if append else "w", newline="") as f:
+        w = csv.writer(f)
+        if not append:
+            dim = len(rows[0][2]) if rows else 0
+            w.writerow(["trial", "t"] + [f"x{i}" for i in range(dim)])
+        for trial, t, x in rows:
+            w.writerow([trial, t] + [repr(float(v)) for v in x])
+
+
+def csv_write_curves_csv(path, result):
+    cfg = result.config
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trial", "t", "policy", "cum_regret", "cum_regret_expected"])
+        for tr in result.trials:
+            for name in cfg.policies:
+                writer.writerows(
+                    [tr.trial, t, name, repr(r), repr(e)]
+                    for t, r, e in zip(range(1, cfg.T + 1), tr.realized[name].tolist(),
+                                       tr.expected[name].tolist())
+                )

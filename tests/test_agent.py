@@ -30,7 +30,6 @@ from bidlab.environment import (
     BENCHMARK_RECIPE,
     Episodes,
     RandomSource,
-    draw_hobs,
     generate_instance,
     run_episode,
     sample_context,
@@ -53,7 +52,7 @@ from bidlab.planning import (
     forced_bids,
     params_from_true,
 )
-from enumeration import baseline_plan
+from enumeration import baseline_plan, draw_hobs
 
 BOUNDS = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
 
@@ -249,6 +248,7 @@ from bidlab.environment import (
     BENCHMARK_RECIPE, RandomSource, draw_hobs, generate_instance, run_episode,
 )
 from bidlab.model import Bounds
+from bidlab.planning import batch_params
 
 if not sys.flags.optimize:
     sys.exit("expected to run under python -O")
@@ -258,7 +258,7 @@ m, a = generate_instance(BENCHMARK_RECIPE, bounds, rng)
 from bidlab.planning import forced_bids
 x = np.array([1.0, 1.0])
 log = run_episode(forced_bids((True, False, False)), x, m, a, rng, t=1,
-                  noise_label="policy", hobs=draw_hobs(x, a, rng, 1))
+                  noise_label="policy", hobs=draw_hobs(batch_params(x[None], m, a), rng, 0)[0])
 # round 1 is won, but filed under theta row 0 (natural demand)
 real = agent_mod.split_episode
 

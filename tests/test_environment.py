@@ -7,6 +7,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +30,6 @@ from bidlab.environment import (
     run_episode,
     sample_context,
     sample_conversions,
-    sample_hob,
     write_context_csv,
     write_episode_csv,
 )
@@ -47,7 +47,8 @@ from bidlab.model import (
     reachable_states,
     state_table,
 )
-from bidlab.planning import forced_bids
+from bidlab import harness
+from bidlab.planning import batch_params, forced_bids
 import enumeration
 
 BOUNDS = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
@@ -209,10 +210,25 @@ def test_sample_hob_distribution():
     a = AuctionModel(beta=np.array([[0.4, 0.2]]), sigma=np.array([0.7]))
     x = np.array([1.0, 2.0])
     gen = RandomSource(11).stream("hob-dist")
-    draws = np.array([sample_hob(1, x, a, gen) for _ in range(40_000)])
+    draws = np.array([enumeration.sample_hob(1, x, a, gen) for _ in range(40_000)])
     logs = np.log(draws)
     assert logs.mean() == pytest.approx(0.8, abs=4 * 0.7 / math.sqrt(40_000))
     assert logs.std(ddof=1) == pytest.approx(0.7, rel=0.03)
+
+
+@pytest.mark.parametrize("H", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 9])
+def test_a_segments_hobs_equal_each_customers_draws_one_at_a_time(H, n):
+    # a segment of one customer takes batch_params's padded product
+    bounds = replace(BOUNDS, H=H, dim=3)
+    rng = RandomSource(50 + H)
+    m, a = generate_instance(BENCHMARK_RECIPE, bounds, rng)
+    start = 1000
+    X = np.array([sample_context(BENCHMARK_RECIPE, bounds, rng.stream(t, "ctx"))
+                  for t in range(start + 1, start + n + 1)])
+    got = draw_hobs(batch_params(X, m, a), rng, start)
+    want = [enumeration.draw_hobs(x, a, rng, t) for t, x in enumerate(X, start + 1)]
+    assert got.shape == (n, H) and got.tolist() == want
 
 
 def test_sample_conversions_distribution():
@@ -235,7 +251,7 @@ def always_bid(amount, H=BOUNDS.H):
 def play(bids, x, m, a, rng, t=1, noise_label="policy"):
     """One episode on customer t's own HOB draws."""
     return run_episode(bids, x, m, a, rng, t=t, noise_label=noise_label,
-                       hobs=draw_hobs(x, a, rng, t))
+                       hobs=enumeration.draw_hobs(x, a, rng, t))
 
 
 class Round(NamedTuple):
@@ -337,9 +353,9 @@ def test_hobs_drawn_once_feed_every_episode(instance):
     m, a = instance
     x = np.array([1.0, 1.0])
     rng = RandomSource(41)
-    hobs = draw_hobs(x, a, rng, 9)
+    hobs = enumeration.draw_hobs(x, a, rng, 9)
     assert len(hobs) == BOUNDS.H
-    assert hobs == draw_hobs(x, a, rng, 9)  # the customer's own stream
+    assert hobs == enumeration.draw_hobs(x, a, rng, 9)  # the customer's own stream
     kw = dict(t=9, noise_label="policy")
     given = run_episode(always_bid(2.0), x, m, a, rng, hobs=hobs, **kw)
     assert given.hob[0].tolist() == hobs
@@ -910,3 +926,57 @@ def test_instance_snapshot_round_trip():
                           (a2.beta, a.beta), (a2.sigma, a.sigma)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert json.dumps(instance_to_dict(m2, a2), sort_keys=True) == blob
+
+
+# --- the joined writers against csv.writer ---------------------------------
+
+_WRITTEN = st.one_of(
+    st.sampled_from([math.inf, 0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2, 1 / 3, 2.0**-1022 / 3]),
+    st.floats(allow_nan=False),
+)
+
+
+@_FUZZ
+@given(data=st.data(), H=st.sampled_from([1, 5]), dim=st.sampled_from([1, 2, 3]),
+       n=st.integers(0, 7), cut=st.integers(0, 7), block=st.sampled_from([1, 3, 512]))
+def test_joined_writers_equal_the_csv_writer_references(
+    tmp_path, monkeypatch, data, H, dim, n, cut, block
+):
+    # two trials' customers, the first written and the rest appended, in
+    # joins of `block` customers or rows; each file byte for byte
+    monkeypatch.setattr(environment, "WRITE_BLOCK", block)
+    monkeypatch.setattr(harness, "SEGMENT", block)
+
+    def floats(*shape):
+        size = math.prod(shape)
+        return np.array(data.draw(st.lists(_WRITTEN, min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+
+    table = state_table(H)
+    won = floats(n, H) > 0
+    ids = np.zeros((n, H + 1), dtype=np.intp)
+    for h in range(H):
+        ids[:, h + 1] = table.successors[ids[:, h], won[:, h].astype(int)]
+    conversions = np.array(data.draw(st.lists(st.integers(0, 2**62), min_size=n * H,
+                                              max_size=n * H)), np.int64).reshape(n, H)
+    ep = Episodes(np.arange(1, n + 1) * 10**9, floats(n, dim), ids, floats(n, H),
+                  floats(n, H), won, conversions)
+    blocks = [(0, ep[:cut]), (3, ep[cut:])]
+    contexts = [(k, t, x) for k, e in blocks for t, x in zip(e.t.tolist(), e.x)]
+    for write, reference, rows in (
+        (write_episode_csv, enumeration.csv_write_episode_csv, blocks),
+        (write_context_csv, enumeration.csv_write_context_csv, contexts),
+    ):
+        for path, writer in ((tmp_path / "got.csv", write), (tmp_path / "want.csv", reference)):
+            writer(path, rows[:cut])
+            writer(path, rows[cut:], append=True)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    curves = SimpleNamespace(
+        config=SimpleNamespace(T=n, policies=("learner", "random")),
+        trials=[SimpleNamespace(trial=k, realized={"learner": floats(n), "random": floats(n)},
+                                expected={"learner": floats(n), "random": floats(n)})
+                for k in (0, 1)],
+    )
+    harness.write_curves_csv(tmp_path / "got.csv", curves)
+    enumeration.csv_write_curves_csv(tmp_path / "want.csv", curves)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -23,6 +23,7 @@ from bidlab.estimation import (
     ridge_update,
     sigma_estimate,
     solve_small,
+    solve_stacked,
     split_episode,
     theta_gamma,
     truncation_threshold,
@@ -219,15 +220,23 @@ def test_solve_small_and_the_norms_match_numpy_bit_for_bit(d):
             assert float(cols[:, 0].dot(v)) == float(cols[:, 0] @ v)
         for v in (b, X[k - 1], metrics[k - 1][0]):
             assert math.sqrt(v.dot(v)) == float(np.linalg.norm(v))
+    # the stacked solves: crtm_update's (n, d, d) metrics, ridge_update's
+    # (n, H, d, d) grams
+    for a, b in ((metrics[1:], X[:, :, None]),
+                 (metrics[1:].reshape(100, 4, d, d), rng.normal(size=(100, 4, d, 1)))):
+        assert solve_stacked(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
 
 
 def test_solve_small_raises_on_a_singular_or_nonfinite_system():
+    # and solve_stacked, on a stack whose second system is the bad one
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
     for a, b in ((singular, np.ones(2)), (np.zeros((3, 3)), np.ones(3)),
                  (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2)),
                  (np.eye(2), np.array([1.0, np.inf]))):
         with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
             solve_small(a, b)
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            solve_stacked(np.stack([np.eye(len(b)), a]), np.stack([b, b])[:, :, None])
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(singular, np.ones(2))  # the contract kept
 

@@ -32,7 +32,6 @@ from bidlab.environment import (
     Episodes,
     InstanceRecipe,
     RandomSource,
-    draw_hobs,
     generate_instance,
     read_context_csv,
     read_context_rows,
@@ -65,7 +64,7 @@ from bidlab.planning import (
     outcome_value,
     params_from_true,
 )
-from enumeration import per_customer_realized
+from enumeration import draw_hobs, per_customer_realized
 from reference_table import REFERENCE_CHECKPOINTS, REFERENCE_MEANS, REFERENCE_ORDERS
 
 
@@ -517,10 +516,11 @@ def test_only_the_learner_runs_episodes(monkeypatch, mode, learner):
     policies = ("learner",) * learner + ("aggressive", "random", "passive")
     cfg = small_config(T=30, trials=2, n_underbar=5, checkpoints=(10, 30),
                        mode=mode, policies=policies, emit_logs=False)
+    exploit = cfg.T - exploration_window(cfg.n_underbar, cfg.H)  # the window plays as arrays
     for k in range(cfg.trials):
         calls.clear()
         run_trial(cfg, k)
-        assert calls == ["learner"] * cfg.T * learner
+        assert calls == ["learner"] * exploit * learner
 
 
 def test_negative_rate_of_a_baseline_names_trial_and_customer(monkeypatch):
@@ -1255,6 +1255,31 @@ def test_a_trial_shorter_than_the_window_consumes_every_customer(monkeypatch):
     assert result.agent_snapshot["t"] == 301
 
 
+def test_the_exploration_window_plays_as_run_episode_plays_each_customer(monkeypatch):
+    # segments of 7, the window's edge (customer 20) inside the third: the
+    # window's logged episodes are per-customer run_episode play, bit for bit
+    import bidlab.harness as harness_module
+
+    monkeypatch.setattr(harness_module, "SEGMENT", 7)
+    cfg = small_config(T=30, trials=1, n_underbar=5, checkpoints=(30,),
+                       policies=("learner",))
+    window = exploration_window(cfg.n_underbar, cfg.H)
+    assert window % 7 != 0
+    rng = RandomSource(cfg.seed).scoped(0)
+    m, a = generate_instance(cfg.instance, cfg.bounds, rng)
+    want = []
+    for t in range(1, window + 1):
+        x = sample_context(cfg.instance, cfg.bounds, rng.stream(t, "ctx"))
+        bids = forced_bids(exploration_plan(t, cfg.n_underbar, cfg.H))
+        want.append(run_episode(bids, x, m, a, rng, t=t, noise_label="learner",
+                                hobs=draw_hobs(x, a, rng, t)))
+    want = Episodes.concat(want)
+    got = run_trial(cfg, 0).episodes[:window]
+    for name in (*Episodes.__slots__, "payment", "realized_reward"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.tolist() == w.tolist(), name
+
+
 def _learner_config(**overrides):
     return small_config(T=40, trials=1, n_underbar=5, checkpoints=(40,),
                         policies=("learner",), **overrides)
@@ -1266,9 +1291,11 @@ def test_a_nonfinite_log_hob_in_a_run_names_trial_customer_and_round(monkeypatch
 
     real = harness_module.draw_hobs
 
-    def draw(x, a, rng, t):
-        hobs = real(x, a, rng, t)
-        return [math.inf if (t, h) == (7, 2) else v for h, v in enumerate(hobs, 1)]
+    def draw(means, rng, start):
+        hobs = real(means, rng, start)
+        if start < 7 <= start + len(hobs):
+            hobs[7 - start - 1, 2 - 1] = math.inf
+        return hobs
 
     monkeypatch.setattr(harness_module, "draw_hobs", draw)
     with pytest.raises(RuntimeError) as err:

@@ -43,7 +43,9 @@ def test_every_traced_name_is_in_its_module(module, attr):
     assert attr in vars(importlib.import_module(module))
 
 
-def test_a_traced_learner_run_records_one_episode_span_per_customer(tmp_path):
+def test_a_traced_learner_run_records_one_episode_span_per_exploit_customer(tmp_path):
+    # the exploration window plays as arrays, outside run_episode
+    from bidlab.agent import exploration_window
     from bidlab.environment import RandomSource
     from bidlab.harness import benchmark_config, run_experiment
 
@@ -61,7 +63,8 @@ def test_a_traced_learner_run_records_one_episode_span_per_customer(tmp_path):
     assert result.trials[0].agent_snapshot["t"] == cfg.T + 1
     episodes = {name: row["calls"] for name, row in tracer.span_table().items()
                 if name.startswith("environment.run_episode.")}
-    assert episodes == {"environment.run_episode.auction": cfg.T}
+    exploit = cfg.T - exploration_window(cfg.n_underbar, cfg.H)
+    assert episodes == {"environment.run_episode.auction": exploit}
 
 
 def test_the_set_up_probe_runs_on_the_dp_workload():
