@@ -7,16 +7,21 @@ The learner plans one customer at a time on the planners' one input,
 policy plays a customer as a row of bids by state id, which the simulator
 bids at the auction: the forced bids of a target outcome per round
 (`forced_bids`: the exploration schedule, outcome mode and the baselines),
-or, in dp mode past exploration, the exact second-price bid.
+or, in dp mode past exploration, the exact second-price bid.  In outcome
+mode a block of customers can also be planned at once, in arrays with the
+same operations element by element: drafted on the estimates as they
+stand (`draft_plans`), then checked against the estimates each customer
+would have seen one at a time (`check_drafts`).
 """
 
 from __future__ import annotations
 
 import bisect
+import copy
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,11 +31,13 @@ from .estimation import (
     ConfidenceConfig,
     DelayEstimator,
     ThetaEstimator,
+    _rowdot,
     crtm_update,
     delay_radius,
     optimistic_mean,
     ridge_update,
     sigma_estimate,
+    solve_stacked,
     split_episode,
     theta_gamma,
     truncation_threshold,
@@ -49,6 +56,7 @@ from .planning import (
     OutcomeParams,
     OutcomePlan,
     best_outcome_plan,
+    best_outcome_plans,
     dp_policy,
     forced_bids,
 )
@@ -63,6 +71,10 @@ __all__ = [
     "optimistic_params",
     "act",
     "update",
+    "Estimates",
+    "draft_plans",
+    "exploit_plans",
+    "check_drafts",
     "baseline_bids",
     "agent_to_dict",
     "agent_from_dict",
@@ -162,18 +174,8 @@ def optimistic_params(agent: AgentState, x: np.ndarray) -> OutcomeParams:
     sigma_max]), which keeps them finite."""
     b = agent.bounds
     mu = [optimistic_mean(est, x, agent.cfg.gamma, b=b.b) for est in agent.theta_bank]
-    delay = [1.0]
-    for lag in range(1, b.H):
-        est = agent.delay_bank[lag]
-        d_hat = est.estimate
-        if d_hat is None:
-            delay.append(b.B_d)
-        else:
-            radius = delay_radius(
-                est.N, agent.cfg.gamma_raw, b, b.H, agent.T, agent.cfg.delta,
-                width_scale=agent.cfg.width_scale,
-            )
-            delay.append(min(max(d_hat + radius, 0.0), b.B_d))
+    delays = [agent.delay_bank[lag] for lag in range(1, b.H)]
+    delay = [1.0, *(_upper_delay(agent, est.estimate, est.N) for est in delays)]
     beta = np.stack(
         [cap_norm(agent.auction_bank[h].beta_hat, b.B_beta) for h in range(1, b.H + 1)]
     )
@@ -186,6 +188,17 @@ def optimistic_params(agent: AgentState, x: np.ndarray) -> OutcomeParams:
         mu=mu, delay=delay, hob=[lognormal_mean(v, sd) for v, sd in zip(log_hob, sigma)],
         log_hob=log_hob, sigma=sigma,
     )
+
+
+def _upper_delay(agent: AgentState, d_hat: float | None, N: int) -> float:
+    """A lag's planned delay factor: its estimate plus the confidence
+    radius after N rounds, clipped to [0, B_d], or B_d before any data."""
+    b = agent.bounds
+    if d_hat is None:
+        return b.B_d
+    radius = delay_radius(N, agent.cfg.gamma_raw, b, b.H, agent.T, agent.cfg.delta,
+                          width_scale=agent.cfg.width_scale)
+    return min(max(d_hat + radius, 0.0), b.B_d)
 
 
 def act(agent: AgentState, x: np.ndarray, t: int | None = None) -> Sequence[float]:
@@ -201,6 +214,83 @@ def act(agent: AgentState, x: np.ndarray, t: int | None = None) -> Sequence[floa
     if agent.planner_mode == "outcome":
         return forced_bids(best_outcome_plan(params)[0])
     return dp_policy(params, agent.bounds.B_A)[0]
+
+
+def exploit_plans(agent: AgentState, seen: Estimates, X: np.ndarray) -> np.ndarray:
+    """Outcome mode's plans, (n, H) bools, of the customers of contexts X
+    (n, d), each planned on its estimates in `seen`: bit for bit the plan
+    `act` makes on them.  Every step is `optimistic_params` in arrays, with
+    the same operations element by element; the HOB means and the delay
+    factors take the scalar closed forms per element, since `np.exp` and
+    `** 2` are not the scalar ones bit for bit.  A width that the scalar
+    square root would reject raises ValueError."""
+    b, cfg = agent.bounds, agent.cfg
+    n = len(X)
+    width = 0.0  # what the product gives: V is positive definite
+    if cfg.gamma:
+        q = _rowdot(X, solve_stacked(seen.V, X[:, :, None])[..., 0])
+        if (q < 0.0).any():
+            raise ValueError("math domain error")
+        width = math.sqrt(cfg.gamma) * np.sqrt(q)
+    mu = np.maximum(_rowdot(X, seen.theta) + width, b.b)
+    delay = np.ones((b.H, n))
+    for lag in range(1, b.H):  # one customer at a time, in Python scalars
+        terms = zip(map(float, seen.numerator[lag - 1]), map(float, seen.denominator[lag - 1]),
+                    map(int, seen.N[lag - 1]))
+        delay[lag] = np.fromiter((_upper_delay(agent, None if den <= 0.0 else num / den, N)
+                                  for num, den, N in terms), float)
+    beta = seen.beta * (b.B_beta / np.maximum(np.sqrt(_rowdot(seen.beta, seen.beta)),
+                                              b.B_beta))[..., None]  # cap_norm's
+    sigma = np.minimum(np.maximum(np.sqrt(seen.rss / seen.count), SIGMA_FLOOR), b.sigma_max)
+    log_hob = _rowdot(X, beta)
+    hob = np.fromiter(map(lognormal_mean, map(float, log_hob.flat),
+                          map(float, np.broadcast_to(sigma, log_hob.shape).flat)),
+                      float, log_hob.size).reshape(log_hob.shape)
+    return best_outcome_plans(OutcomeParams(mu=mu, delay=delay, hob=hob))
+
+
+def draft_plans(agent: AgentState, X: np.ndarray) -> np.ndarray:
+    """`exploit_plans` of customers X all planned on the learner's current
+    estimates: the plan `act` makes for the first of them, and a draft of
+    the others' that `check_drafts` checks."""
+    H, theta = agent.bounds.H, agent.theta_bank
+    auction = [agent.auction_bank[h] for h in range(1, H + 1)]
+    delays = [agent.delay_bank[lag] for lag in range(1, H)]
+
+    def column(estimators, key: str) -> np.ndarray:
+        return np.array([getattr(est, key) for est in estimators])[:, None]
+
+    return exploit_plans(agent, Estimates(
+        theta=column(theta, "theta_hat"),
+        V=column(theta, "V") if agent.cfg.gamma else None,
+        numerator=column(delays, "numerator").reshape(H - 1, 1),
+        denominator=column(delays, "denominator").reshape(H - 1, 1),
+        N=column(delays, "N").reshape(H - 1, 1),
+        # as update's pre-sample estimates
+        beta=solve_stacked(column(auction, "gram"), column(auction, "moment")[..., None])[..., 0],
+        rss=column(auction, "residual_sq_sum"),
+        count=column(auction, "count"),
+    ), X)
+
+
+def check_drafts(agent: AgentState, episodes: Episodes, drafts: np.ndarray) -> int:
+    """Consume a played run of exploit customers whose plans were drafted
+    (`drafts`, (n, H)), and return k, the customers up to the first whose
+    draft is not the plan it would have made one at a time, on the
+    estimates after the customers before it.  The learner's state becomes
+    that after consuming the first k episodes: an updated copy is adopted
+    when all n hold, or the k are consumed again.  Episodes from k on are
+    dropped."""
+    ahead = replace(agent, theta_bank=list(map(copy.copy, agent.theta_bank)),
+                    delay_bank={k: copy.copy(e) for k, e in agent.delay_bank.items()},
+                    auction_bank={k: copy.copy(e) for k, e in agent.auction_bank.items()})
+    seen = _consume(ahead, episodes, seen=True)  # an update replaces, never writes, arrays
+    missed = np.flatnonzero((exploit_plans(agent, seen, episodes.x) != drafts).any(axis=1))
+    if not missed.size:
+        vars(agent).update(vars(ahead))
+        return len(episodes)
+    update(agent, episodes[:missed[0]])
+    return int(missed[0])
 
 
 @functools.cache
@@ -220,14 +310,42 @@ def update(agent: AgentState, episodes: Episodes) -> AgentState:
     order, per lag its delay rounds, each base rate from its row's estimate
     after the round's own customer.  Every error raised here names the
     customer."""
-    n, H = episodes.won.shape
-    if not n:
-        return agent
     boundary = exploration_window(agent.n_underbar, agent.bounds.H)
     cut = boundary + 1 - agent.t
-    if 0 < cut < n:  # the underfed check runs at the boundary
+    if 0 < cut < len(episodes):  # the underfed check runs at the boundary
         update(agent, episodes[:cut])
         return update(agent, episodes[cut:])
+    _consume(agent, episodes)
+    return agent
+
+
+class Estimates(NamedTuple):
+    """The estimates that each of n customers plans on, by position, along
+    axis 1 of every array (of length 1 when all plan on the same):
+    theta row i's effect estimate `theta` (H+1, n, d) and metric `V` (H+1,
+    n, d, d; None when the width is switched off), each lag's ratio terms
+    `numerator`, `denominator` and `N` (H-1, n), and each round position's
+    ridge estimate `beta` (H, n, d), residual sum `rss` and sample `count`
+    (H, n)."""
+
+    theta: np.ndarray
+    V: np.ndarray | None
+    numerator: np.ndarray
+    denominator: np.ndarray
+    N: np.ndarray
+    beta: np.ndarray
+    rss: np.ndarray
+    count: np.ndarray
+
+
+def _consume(agent: AgentState, episodes: Episodes, seen: bool = False) -> Estimates | None:
+    """`update` of a run that does not cross the window's edge; with `seen`,
+    also the estimates each customer of the run planned on, those before
+    its own episode, taken from the update's running terms."""
+    n, H = episodes.won.shape
+    if not n:
+        return None
+    boundary = exploration_window(agent.n_underbar, agent.bounds.H)
     t0, ts, hobs = agent.t, episodes.t.tolist(), episodes.hob.ravel().tolist()
     if ts != list(range(t0, t0 + n)):
         k = next(k for k, t in enumerate(ts) if t != t0 + k)
@@ -244,28 +362,36 @@ def update(agent: AgentState, episodes: Episodes) -> AgentState:
         i = int(bucket[k, h])
         kind = f"a clean sample of theta row {i}" if i <= H else f"a delay sample of lag {i - H}"
         raise ValueError(f"customer {ts[k]}, round {h + 1} is not {kind}")
-    ridge_update([agent.auction_bank[h] for h in range(1, H + 1)], episodes.x,
-                 np.array(list(map(math.log, hobs))).reshape(n, H))
+    auction = [agent.auction_bank[h] for h in range(1, H + 1)]
+    counts = [est.count for est in auction]
+    betas, rss = ridge_update(auction, episodes.x,
+                              np.array(list(map(math.log, hobs))).reshape(n, H))
+    del hobs  # not held while the run is consumed
     # the rounds by bucket; a stable sort keeps each customer-major, round-minor
     order = np.argsort(bucket, axis=None, kind="stable")
     ends = [0, *np.bincount(bucket.ravel(), minlength=2 * H).cumsum().tolist()]
     customer = order // H
     X, ys, ks = episodes.x[customer], episodes.conversions.ravel()[order], customer.tolist()
-    paths = []  # by theta row: its rounds' customers, its estimates from before the run
+    paths, metrics = [], []  # by theta row: its estimates and metrics from before the run
     for i, est in enumerate(agent.theta_bank):
         a, b = ends[i], ends[i + 1]
-        path = [est.theta_hat]
         if b > a:
-            path += crtm_update(est, X[a:b], ys[a:b], agent.cfg)
-        paths.append((ks[a:b], path))
+            path, metric = crtm_update(est, X[a:b], ys[a:b], agent.cfg)
+        else:
+            path, metric = est.theta_hat[None], est.V[None]
+        paths.append(path)
+        metrics.append(metric)
     base = lose_index(state_table(H).s2[ids]).ravel()[order].tolist()  # a loss's row
+    ratios = []  # by lag: its numerators and denominators from before the run, its N
     for lag in range(1, H):
         a, b = ends[H + lag], ends[H + lag + 1]
+        est = agent.delay_bank[lag]
+        ratios.append(([est.numerator], [est.denominator], est.N))
         if b > a:  # each base rate from its row's estimate after the round's customer
-            thetas = [paths[i][1][bisect.bisect_right(paths[i][0], k)]
+            thetas = [paths[i][bisect.bisect_right(ks, k, ends[i], ends[i + 1]) - ends[i]]
                       for k, i in zip(ks[a:b], base[a:b])]
-            tsmle_update(agent.delay_bank[lag], bucket.ravel()[order[a:b]] - H, ys[a:b],
-                         X[a:b], thetas, agent.bounds.b)
+            ratios[-1] = (*tsmle_update(est, bucket.ravel()[order[a:b]] - H, ys[a:b],
+                                        X[a:b], thetas, agent.bounds.b), ratios[-1][2])
     agent.t += n
     if agent.t == boundary + 1:
         for lag, est in agent.delay_bank.items():
@@ -274,7 +400,22 @@ def update(agent: AgentState, episodes: Episodes) -> AgentState:
                     f"customer {boundary}: exploration underfed the lag-{lag} "
                     f"delay estimator: {est.N} < {agent.n_underbar}"
                 )
-    return agent
+    if not seen:
+        return None
+    # each bucket's running terms as they stood before each customer's own rounds
+    before = [np.searchsorted(customer[a:b], np.arange(n)) for a, b in zip(ends, ends[1:])]
+    rows, lags = before[:H + 1], before[H + 1:]
+    return Estimates(
+        theta=np.stack([path[k] for path, k in zip(paths, rows)]),
+        V=np.stack([metric[k] for metric, k in zip(metrics, rows)]) if agent.cfg.gamma else None,
+        numerator=np.array([np.asarray(num)[k] for (num, _, _), k in zip(ratios, lags)]
+                           ).reshape(H - 1, n),
+        denominator=np.array([np.asarray(den)[k] for (_, den, _), k in zip(ratios, lags)]
+                             ).reshape(H - 1, n),
+        N=np.array([N + k for (_, _, N), k in zip(ratios, lags)]).reshape(H - 1, n),
+        beta=betas.transpose(1, 0, 2), rss=rss.T,
+        count=np.array(counts)[:, None] + np.arange(n),
+    )
 
 
 # --- baselines ---------------------------------------------------------------

@@ -486,11 +486,13 @@ def read_episode_csv(
     chain."""
     contexts, done = iter(contexts), []  # done: the block's (rows, contexts)
 
-    def finish(keys: list, starts: list, lengths: list) -> list[np.ndarray]:
-        """The contexts of finished episodes, of `keys` (trial, t), taken in
-        order: each must be its episode's own, which must be H rounds long."""
-        xs = []
-        for key, start, length in zip(keys, starts, lengths):
+    def finish(rows: np.ndarray, bounds: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+        """The contexts of the finished episodes that start at rows
+        `bounds` and have `lengths` rows, taken in order: each must be its
+        episode's own, which must be H rounds long."""
+        heads, xs = rows[bounds], []
+        for key, start, length in zip(zip(heads["trial"].tolist(), heads["t"].tolist()),
+                                      heads["line"].tolist(), lengths.tolist()):
             x = next(contexts, None)  # a damaged contexts file raises its own line
             if x is None or x[:2] != key:
                 raise ValueError(f"line {start}: no context recorded for trial {key[0]}, t"
@@ -538,33 +540,35 @@ def read_episode_csv(
             lineno += len(lines)
             del lines  # not held while the blocks are used
             rows = np.concatenate([carry, rows])
-            cuts = np.flatnonzero((rows["trial"][1:] != rows["trial"][:-1])
-                                  | (rows["t"][1:] != rows["t"][:-1])) + 1
-            bounds = [0, *cuts.tolist(), len(rows)] if len(rows) else [0]
-            heads = rows[bounds[:-1]]
-            trials, starts = heads["trial"].tolist(), heads["line"].tolist()
-            keys = list(zip(trials, heads["t"].tolist()))
-            lengths = np.diff(bounds).tolist()
-            if lengths:
+            del carry  # not a view that holds the last read's rows
+            # the episodes' first rows, and the end; their trials and lengths
+            bounds = np.flatnonzero((rows["trial"][1:] != rows["trial"][:-1])
+                                    | (rows["t"][1:] != rows["t"][:-1])) + 1
+            bounds = np.concatenate([[0], bounds, [len(rows)]]) if len(rows) else np.zeros(1, int)
+            trials, lengths = rows["trial"][bounds[:-1]], np.diff(bounds)
+            if len(lengths):
                 lengths[0] += extra
-            n_done = len(heads) if ended else max(len(heads) - 1, 0)
-            e = 0
-            while e < n_done:  # the finished episodes, a block's share at a time
-                stop = min(e + block - filled, n_done)
-                stop = next((j for j in range(e + 1, stop) if trials[j] != trials[e]), stop)
-                done.append((rows[bounds[e]:bounds[stop]],
-                             finish(keys[e:stop], starts[e:stop], lengths[e:stop])))
-                filled += stop - e
-                if filled == block or stop == len(heads) or trials[stop] != trials[e]:
-                    filled = 0
-                    yield trials[e], flush()
-                e = stop
+            finished = len(trials) if ended else max(len(trials) - 1, 0)
+            extra = extra if finished == 0 else 0
+            while finished:  # the finished episodes, a block's share at a time
+                stop = min(block - filled, finished)
+                other = np.flatnonzero(trials[1:stop] != trials[0])[:1].tolist()
+                stop = other[0] + 1 if other else stop
+                done.append((rows[:bounds[stop]], finish(rows, bounds[:stop], lengths[:stop])))
+                filled += stop
+                trial, full = int(trials[0]), (filled == block or stop == len(trials)
+                                               or trials[stop] != trials[0])
+                # what is left: the rows, bounds, trials and lengths from episode stop on
+                rows, bounds = rows[bounds[stop]:], bounds[stop:] - bounds[stop]
+                trials, lengths, finished = trials[stop:], lengths[stop:], finished - stop
+                if full:
+                    filled, rows = 0, rows.copy()  # the yielded episodes' rows are not held
+                    yield trial, flush()
             if error is not None:
                 raise error
             if ended:
                 return
-            extra = extra if n_done == 0 else 0
-            carry = rows[bounds[n_done]:]
+            carry = rows
             if len(carry) > H + 1:
                 extra, carry = extra + len(carry) - H - 1, carry[:H + 1]
 

@@ -244,27 +244,30 @@ def project_v_ball(theta_star: np.ndarray, V: np.ndarray, radius: float) -> np.n
 
 def crtm_update(
     est: ThetaEstimator, X: np.ndarray, ys: Sequence[float], cfg: ConfidenceConfig
-) -> list[np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Truncated-mean online Newton steps on the samples (X[k], ys[k]) in
-    order; returns the estimate after each step.  Each step's metric gains
-    half the outer product first, and the truncation test uses the updated
-    metric.  The metrics are running sums and the truncation norms come
-    from one stacked solve; each step's own solve runs in sequence, and
-    only a step that leaves the ball is projected."""
+    order; returns the estimates and the metrics from before the first
+    step and after each, (n + 1, d) and (n + 1, d, d).  Each step's metric
+    gains half the outer product first, and the truncation test uses the
+    updated metric.  The metrics are running sums and the truncation norms
+    come from one stacked solve; each step's own solve runs in sequence,
+    and only a step that leaves the ball is projected."""
     X = np.asarray(X, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    V = _partial_sums(est.V, 0.5 * (X[:, :, None] * X[:, None, :]))[1:]
+    metrics = _partial_sums(est.V, 0.5 * (X[:, :, None] * X[:, None, :]))
+    V = metrics[1:]
     x_norm = np.sqrt(_rowdot(X, solve_stacked(V, X[:, :, None])[..., 0]))
     y_trunc = np.where(x_norm * np.abs(ys) <= cfg.Gamma_trunc, ys, 0.0).tolist()
-    thetas, theta, radius = [], est.theta_hat, est.B_theta
-    for x, v, y in zip(X, V, y_trunc):
+    thetas, theta, radius = np.empty((len(X) + 1, X.shape[1])), est.theta_hat, est.B_theta
+    thetas[0] = theta
+    for k, (x, v, y) in enumerate(zip(X, V, y_trunc), 1):
         theta = theta - solve_small(v, (float(x.dot(theta)) - y) * x)
         if math.sqrt(theta.dot(theta)) > radius:
             theta = project_v_ball(theta, v, radius)
-        thetas.append(theta)
-    est.V, est.theta_hat = V[-1], theta
+        thetas[k] = theta
+    est.V, est.theta_hat = V[-1].copy(), theta  # a copy: no view holds the run's metrics
     est.update_count += len(X)
-    return thetas
+    return thetas, metrics
 
 
 # --- delay factors (two-stage ratio) ---------------------------------------
@@ -309,23 +312,28 @@ class DelayEstimator:
 def tsmle_update(
     est: DelayEstimator, lags: Sequence[int], conversions: Sequence[float],
     X: np.ndarray, thetas: np.ndarray, b: float,
-) -> DelayEstimator:
+) -> tuple[list[float], list[float]]:
     """Consume lost rounds at this lag, in order: round k, filed under lag
     lags[k] (0 for no delay sample), has conversions[k] and context X[k],
     and its base rate comes from thetas[k], the effect estimate of its row
     (lose_index(s2)) current for its customer.  Each base rate is floored
-    at b so the ratio stays bounded.
+    at b so the ratio stays bounded.  Returns the numerator and the
+    denominator before each round and after the last, as running sums in
+    round order, as one round at a time adds them.
     """
     lags = np.asarray(lags)
     for k in np.flatnonzero(lags != est.index)[:1].tolist():
         raise ValueError(f"round {k}, filed under lag {lags[k]}, does not belong "
                          f"to lag {est.index}")
     rates = _rowdot(np.asarray(thetas, dtype=float), np.asarray(X, dtype=float))
+    numerators, denominators = [est.numerator], [est.denominator]
     for y, rate in zip(np.asarray(conversions).tolist(), rates.tolist()):
         est.denominator += max(b, rate)
         est.numerator += float(y)
         est.N += 1
-    return est
+        numerators.append(est.numerator)
+        denominators.append(est.denominator)
+    return numerators, denominators
 
 
 # --- auction coefficients (ridge) and noise scale ---------------------------
@@ -375,11 +383,13 @@ class AuctionEstimator:
 
 def ridge_update(
     bank: Sequence[AuctionEstimator], X: np.ndarray, log_hobs: np.ndarray
-) -> None:
+) -> tuple[np.ndarray, np.ndarray]:
     """One regression sample per context X[k] at each round position,
     log_hobs[k, j] going to bank[j]; each residual is scored against the
     estimate before its sample (progressive first stage), all of them from
-    one stacked solve on the running grams and moments."""
+    one stacked solve on the running grams and moments.  Returns those
+    estimates, (n, len(bank), d), and each residual sum before its sample,
+    (n, len(bank))."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(log_hobs, dtype=float)
     if not np.all(np.isfinite(Y)):
@@ -389,10 +399,12 @@ def ridge_update(
     moments = _partial_sums([e.moment for e in bank], X[:, None, :] * Y[:, :, None])
     betas = solve_stacked(grams[:-1], moments[:-1, :, :, None])[..., 0]
     resid = Y - _rowdot(X[:, None, :], betas)
-    rss = _partial_sums([e.residual_sq_sum for e in bank], resid * resid)[-1].tolist()
+    rss = _partial_sums([e.residual_sq_sum for e in bank], resid * resid)
+    gram, moment = grams[-1].copy(), moments[-1].copy()  # no view holds the run's sums
     for j, est in enumerate(bank):
-        est.gram, est.moment, est.residual_sq_sum = grams[-1, j], moments[-1, j], rss[j]
+        est.gram, est.moment, est.residual_sq_sum = gram[j], moment[j], float(rss[-1, j])
         est.count += len(X)
+    return betas, rss[:-1]
 
 
 def sigma_estimate(est: AuctionEstimator) -> float | None:

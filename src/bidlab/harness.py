@@ -27,6 +27,8 @@ from .agent import (
     act,
     agent_to_dict,
     baseline_bids,
+    check_drafts,
+    draft_plans,
     exploration_window,
     make_agent,
     update,
@@ -52,13 +54,14 @@ from .environment import (  # noqa: F401
     write_context_csv,
     write_episode_csv,
 )
-from .model import Bounds
+from .model import Bounds, state_table
 from .planning import (  # noqa: F401
     batch_params,
     best_grid_values,
     best_outcome_plan,
     best_outcome_values,
     dp_policy,
+    forced_rows,
     outcome_value,
     params_from_true,
     policy_value,
@@ -399,6 +402,7 @@ class _TrialPlay:
         self.window = (exploration_window(agent.n_underbar, config.H)
                        if agent is not None else 0)
         self.gap_total = 0.0
+        self.block = 1  # the customers of the learner's next exploit block
         self.paths: list[Path] = []
         self.episodes: list[Episodes] | None = None
         if config.emit_logs and agent is not None:
@@ -449,7 +453,7 @@ class _TrialPlay:
             self.gap_total += float(outcome_opt[i] - dp_opt[i])
         realized, expected = {}, {}
         for name, rows in bids.items():
-            rows = np.array(rows, dtype=float)  # (n, states): each customer's row
+            rows = np.asarray(rows, dtype=float)  # (n, states): each customer's row
             expected[name] = policy_values(batch, rows.T)
             with _provenance(trial):
                 realized[name] = (played if name == LEARNER_POLICY else _play_bids(
@@ -466,32 +470,69 @@ class _TrialPlay:
             self.episodes.append(played)
 
     def learn(self, start: int, X: np.ndarray, hobs: np.ndarray, batch, rng) -> tuple:
-        """The learner's segment: each customer's bids by state id, from
-        `act`, and its episodes.  The exploration customers play at once
-        (`_play_bids`) and are consumed by one update; the rest play and are
-        consumed one at a time."""
+        """The learner's segment: each customer's bids by state id and its
+        episodes.  The exploration customers take their bids from `act`,
+        play at once (`_play_bids`) and are consumed by one update.  The
+        exploit customers play in blocks that end at the segment's end: a
+        block of one is `act`, `run_episode` and `update`; in outcome mode a
+        longer block plays plans drafted from the estimates at its start and
+        keeps the customers before the first draft that `check_drafts`
+        finds is not the customer's own plan.  A block kept whole is
+        followed by one twice as long, any other by a block of one, which
+        starts at the first customer not kept."""
         trial, agent, (n, H) = self.trial, self.agent, hobs.shape
-        explore, bids = min(max(self.window - start, 0), n), []
-        for t, x in zip(range(start + 1, start + explore + 1), X):
+        explore = min(max(self.window - start, 0), n)
+        bids = np.empty((n, len(state_table(H).states)))  # each customer's, by state id
+        for i, (t, x) in enumerate(zip(range(start + 1, start + explore + 1), X)):
             with _provenance(trial, t):
-                bids.append(act(agent, x, t))
+                bids[i] = act(agent, x, t)
         played = Episodes(np.arange(start + 1, start + n + 1), X, np.empty((n, H + 1), np.intp),
                           np.empty((n, H)), hobs, np.empty((n, H), bool),
                           np.empty((n, H), np.int64))
         if explore:
             with _provenance(trial):
-                played[:explore] = _play_bids(np.array(bids, dtype=float), X[:explore],
+                played[:explore] = _play_bids(bids[:explore], X[:explore],
                                               hobs[:explore], batch.rows(0, explore), rng,
                                               LEARNER_POLICY, start)
                 update(agent, played[:explore])
-        for i, t in enumerate(range(start + explore + 1, start + n + 1), explore):
-            with _provenance(trial, t):
-                bids.append(act(agent, X[i], t))
-                played[i:i + 1] = ep = run_episode(bids[-1], X[i], self.m, self.a, rng, t=t,
-                                                   noise_label=LEARNER_POLICY, hobs=hobs[i])
-            with _provenance(trial):
-                update(agent, ep)
+        i = explore
+        while i < n:
+            size = min(self.block, n - i) if agent.planner_mode == "outcome" else 1
+            if size == 1:
+                t = start + i + 1
+                with _provenance(trial, t):
+                    bids[i] = act(agent, X[i], t)
+                    played[i:i + 1] = ep = run_episode(bids[i], X[i], self.m, self.a, rng,
+                                                       t=t, noise_label=LEARNER_POLICY,
+                                                       hobs=hobs[i])
+                with _provenance(trial):
+                    update(agent, ep)
+                kept = 1
+            else:
+                kept = self.speculate(start, i, i + size, X, hobs, batch, rng, bids, played)
+            self.block = min(2 * self.block, SEGMENT) if kept == size else 1
+            i += kept
         return bids, played
+
+    def speculate(self, start: int, a: int, b: int, X, hobs, batch, rng, bids: np.ndarray,
+                  played: Episodes) -> int:
+        """Play the segment's customers a..b-1 on drafted plans and keep
+        those before the first miss (`check_drafts`), writing their bids
+        and their episodes; returns how many were kept.  A block
+        that fails keeps none: its first customer then plays alone, where
+        the failure, if its own plan meets it, is raised."""
+        with _provenance(self.trial, f"customers {start + a + 1}-{start + b}"):
+            try:
+                drafts = draft_plans(self.agent, X[a:b])
+                rows = forced_rows(drafts)
+                block = _play_bids(rows, X[a:b], hobs[a:b], batch.rows(a, b), rng,
+                                   LEARNER_POLICY, start + a)
+                kept = check_drafts(self.agent, block, drafts)
+            except (ValueError, ArithmeticError):
+                return 0
+        bids[a:a + kept] = rows[:kept]
+        played[a:a + kept] = block[:kept]
+        return kept
 
 
 @contextlib.contextmanager

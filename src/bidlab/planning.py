@@ -53,8 +53,10 @@ __all__ = [
     "outcome_value",
     "outcome_values",
     "best_outcome_plan",
+    "best_outcome_plans",
     "best_outcome_values",
     "forced_bids",
+    "forced_rows",
     "dp_policy",
     "best_grid_values",
     "policy_value",
@@ -220,6 +222,20 @@ def best_outcome_plan(op: OutcomeParams) -> tuple[OutcomePlan, float]:
     return tuple(plan), values[0]
 
 
+def best_outcome_plans(op: OutcomeParams) -> np.ndarray:
+    """`best_outcome_plan` of every customer of a batch, as an (n, H) bool
+    array: the batch's forced DP, traced forward by state id."""
+    won, _ = _forced_policy(op, _win_if_better)
+    won = np.array(won)  # (states, n)
+    H, n = len(op.hob), won.shape[1]
+    successors, ids, cols = state_table(H).successors, np.zeros(n, np.intp), np.arange(n)
+    plans = np.empty((n, H), bool)
+    for h in range(H):
+        plans[:, h] = won[ids, cols]
+        ids = successors[ids, plans[:, h].view(np.uint8)]
+    return plans
+
+
 @functools.lru_cache(maxsize=1024)
 def forced_bids(plan: OutcomePlan) -> tuple[float, ...]:
     """The bids by state id that play the target outcomes `plan`: inf, which
@@ -227,6 +243,13 @@ def forced_bids(plan: OutcomePlan) -> tuple[float, ...]:
     wins (every HOB is > 0), in each state of a lost one."""
     layers = state_table(len(plan)).layers
     return tuple(math.inf if won else 0.0 for won, ids in zip(plan, layers) for _ in ids)
+
+
+def forced_rows(plans: np.ndarray) -> np.ndarray:
+    """`forced_bids` of each of the (n, H) plans, as an (n, states) array."""
+    layers = state_table(plans.shape[1]).layers
+    return np.where(plans[:, np.repeat(np.arange(len(layers)), list(map(len, layers)))],
+                    math.inf, 0.0)
 
 
 def _auction_terms(op: OutcomeParams, h: int, bid) -> tuple:

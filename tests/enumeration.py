@@ -6,7 +6,8 @@ with a scalar loop over a bid grid and a fixed bid rule's value built on
 it, the exact continuous-bid optimum, the oracle value in either planner
 mode, two identities of the HOB payment, the fixed baselines' target
 outcomes, each customer's HOBs drawn one round at a time, an outcome-mode
-trial played one customer and one policy at a time, the learner's update
+trial played one customer and one policy at a time, the learner's segment
+with its exploit customers played one at a time, the learner's update
 consuming one customer and one sample at a time, the episode and context
 CSV readers converting one row at a time with Python's int() and float(),
 and the episode, context and curve writers writing through `csv.writer`."""
@@ -362,6 +363,40 @@ def per_sample_update(agent, episode):
                     f"{est.N} < {agent.n_underbar}"
                 )
     return agent
+
+
+# --- the learner's segment, its exploit customers one at a time ----------------
+
+
+def learn_one_at_a_time(play, start, X, hobs, batch, rng):
+    """`harness._TrialPlay.learn` as it was before the exploit customers
+    played in drafted blocks: the window's customers at once, then each
+    exploit customer's `act`, `run_episode` and `update` in turn.  Patched
+    over `_TrialPlay.learn`, it makes the reference trial."""
+    from bidlab.harness import LEARNER_POLICY, _play_bids, _provenance
+
+    trial, agent, (n, H) = play.trial, play.agent, hobs.shape
+    explore, bids = min(max(play.window - start, 0), n), []
+    for t, x in zip(range(start + 1, start + explore + 1), X):
+        with _provenance(trial, t):
+            bids.append(act(agent, x, t))
+    played = Episodes(np.arange(start + 1, start + n + 1), X, np.empty((n, H + 1), np.intp),
+                      np.empty((n, H)), hobs, np.empty((n, H), bool),
+                      np.empty((n, H), np.int64))
+    if explore:
+        with _provenance(trial):
+            played[:explore] = _play_bids(np.array(bids, dtype=float), X[:explore],
+                                          hobs[:explore], batch.rows(0, explore), rng,
+                                          LEARNER_POLICY, start)
+            update(agent, played[:explore])
+    for i, t in enumerate(range(start + explore + 1, start + n + 1), explore):
+        with _provenance(trial, t):
+            bids.append(act(agent, X[i], t))
+            played[i:i + 1] = ep = run_episode(bids[-1], X[i], play.m, play.a, rng, t=t,
+                                               noise_label=LEARNER_POLICY, hobs=hobs[i])
+        with _provenance(trial):
+            update(agent, ep)
+    return bids, played
 
 
 # The episode and context readers as they were before numpy's text reader

@@ -11,6 +11,7 @@ import re
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import fields, replace
 
@@ -64,7 +65,7 @@ from bidlab.planning import (
     outcome_value,
     params_from_true,
 )
-from enumeration import draw_hobs, per_customer_realized
+from enumeration import draw_hobs, learn_one_at_a_time, per_customer_realized
 from reference_table import REFERENCE_CHECKPOINTS, REFERENCE_MEANS, REFERENCE_ORDERS
 
 
@@ -423,9 +424,44 @@ def test_single_checkpoint_config_runs_to_the_end(tmp_path):
         assert trial.expected[name].tolist() == [opt - outcome_value(plan, params)]
 
 
+def _spy_checks(monkeypatch, miss=()):
+    """Record every check of a drafted block as (its first customer, its
+    length, the customers kept); with `miss`, each customer in it is
+    drafted with its first round flipped, so its draft misses."""
+    import bidlab.harness as harness_module
+
+    checks = []
+    real_draft, real_check = harness_module.draft_plans, harness_module.check_drafts
+
+    def draft(agent, X):
+        plans = real_draft(agent, X)
+        for k in range(len(X)):
+            if agent.t + k in miss:
+                plans[k, 0] = not plans[k, 0]
+        return plans
+
+    def check(agent, episodes, drafts):
+        first = agent.t
+        kept = real_check(agent, episodes, drafts)
+        checks.append((first, len(episodes), kept))
+        return kept
+
+    monkeypatch.setattr(harness_module, "draft_plans", draft)
+    monkeypatch.setattr(harness_module, "check_drafts", check)
+    return checks
+
+
+def _missed(checks):
+    """The customers whose drafts missed: each check's first not kept."""
+    return [first + kept for first, length, kept in checks if kept < length]
+
+
 def test_each_customer_builds_each_stream_once(monkeypatch):
     # one HOB stream per customer, shared by all four policies: context,
-    # HOBs, the random plan and four conversion streams
+    # HOBs, the random plan and four conversion streams; a customer that a
+    # drafted block drops (from its first missed draft on) builds its
+    # learner's conversion stream again when it plays later.  Drafts run
+    # as they are, then missing at 24, 25 (each first in its block) and 27
     keys = []
     real = RandomSource.stream
 
@@ -436,10 +472,19 @@ def test_each_customer_builds_each_stream_once(monkeypatch):
     monkeypatch.setattr(RandomSource, "stream", stream)
     cfg = small_config(T=30, trials=1, n_underbar=5, checkpoints=(10, 30),
                        emit_logs=False)
-    run_trial(cfg, 0)
-    per_customer = [k for k in keys if k[1] != ("instance",)]
-    assert len(per_customer) == 7 * cfg.T
-    assert len(set(per_customer)) == len(per_customer)
+    for miss in ((), (24, 25, 27)):
+        keys.clear()
+        with monkeypatch.context() as patch:
+            checks = _spy_checks(patch, miss)
+            run_trial(cfg, 0)
+        assert _missed(checks) == list(miss)
+        dropped = [t for first, length, kept in checks
+                   for t in range(first + kept, first + length)]
+        assert len(dropped) == (0 if not miss else 7)
+        per_customer = [k for k in keys if k[1] != ("instance",)]
+        assert len(per_customer) == 7 * cfg.T + len(dropped)
+        again = Counter(per_customer) - Counter(set(per_customer))
+        assert again == Counter(((0,), (t, "conv", "learner")) for t in dropped)
 
 
 @pytest.mark.parametrize("H", [1, 2, 3, 4, 5, 6])
@@ -503,6 +548,8 @@ def test_array_player_follows_run_episodes_auction_rule(H):
 @pytest.mark.parametrize("mode", ["outcome", "dp"])
 @pytest.mark.parametrize("learner", [True, False])
 def test_only_the_learner_runs_episodes(monkeypatch, mode, learner):
+    # only the learner's exploit blocks of one run episodes: the window and
+    # the drafted blocks play as arrays, and dp mode drafts none
     import bidlab.harness as harness_module
 
     calls = []
@@ -513,14 +560,18 @@ def test_only_the_learner_runs_episodes(monkeypatch, mode, learner):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(harness_module, "run_episode", counting)
+    checks = _spy_checks(monkeypatch)
     policies = ("learner",) * learner + ("aggressive", "random", "passive")
     cfg = small_config(T=30, trials=2, n_underbar=5, checkpoints=(10, 30),
                        mode=mode, policies=policies, emit_logs=False)
-    exploit = cfg.T - exploration_window(cfg.n_underbar, cfg.H)  # the window plays as arrays
+    exploit = cfg.T - exploration_window(cfg.n_underbar, cfg.H)
     for k in range(cfg.trials):
         calls.clear()
+        checks.clear()
         run_trial(cfg, k)
-        assert calls == ["learner"] * exploit * learner
+        kept = sum(kept for _, _, kept in checks)
+        assert calls == ["learner"] * (exploit - kept) * learner
+        assert (kept > 0) == (learner and mode == "outcome")
 
 
 def test_negative_rate_of_a_baseline_names_trial_and_customer(monkeypatch):
@@ -841,6 +892,36 @@ def test_a_trial_holds_one_segment_besides_its_regret_increments(monkeypatch, tm
 
     peak(S)  # caches and free lists
     assert (peak(4 * S) - peak(S)) / (3 * S) <= 256
+
+
+def test_a_replay_holds_about_one_block_at_each_update(monkeypatch, tmp_path):
+    # the episode reader keeps no more of what it read than the block it
+    # yields: at the entry of each update of a T=4000 replay (blocks of 512)
+    # the traced heap above the replay's start stays under 0.25 MB, about
+    # the per-row reader's figure; it was 0.52-0.61 MB while each read's
+    # rows and its episodes' keys, starts and lengths lived across the yield
+    import bidlab.harness as harness_module
+
+    cfg = small_config(T=4000, trials=1, seed=0, n_underbar=600, checkpoints=(4000,),
+                       policies=("learner",))
+    run_experiment(cfg, tmp_path)
+    held, real = [], harness_module.update
+
+    def update(agent, episodes):
+        held.append(tracemalloc.get_traced_memory()[0] - start)
+        return real(agent, episodes)
+
+    monkeypatch.setattr(harness_module, "update", update)
+    start = 0
+    replay_estimation(tmp_path / "episodes_trial0.csv")  # caches and free lists
+    held.clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        replay_estimation(tmp_path / "episodes_trial0.csv")
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 8 and max(held) < 0.25e6
 
 
 def test_experiment_aborts_on_trial_failure(tmp_path):
@@ -1222,15 +1303,20 @@ def _recording_trial(monkeypatch, cfg):
 
 def test_exploration_is_consumed_in_chunks_ending_at_the_window(monkeypatch):
     # segments of 7: each segment's exploration customers are one run, the
-    # last ending at the window's edge; then one customer per run
+    # last ending at the window's edge; then each exploit block of one is a
+    # run, and the drafted blocks, consumed by their check, cover the rest
     import bidlab.harness as harness_module
 
     monkeypatch.setattr(harness_module, "SEGMENT", 7)
     cfg = small_config(T=60, trials=1, n_underbar=10, checkpoints=(60,),
                        policies=("learner",))
+    checks = _spy_checks(monkeypatch)
     result, decisions, runs = _recording_trial(monkeypatch, cfg)
     window = exploration_window(10, cfg.H)
-    assert runs == [7] * 5 + [window - 35] + [1] * (cfg.T - window)
+    kept = sum(kept for _, _, kept in checks)
+    assert kept > 0
+    assert runs == [7] * 5 + [window - 35] + [1] * (cfg.T - window - kept)
+    assert len(decisions) == window + cfg.T - window - kept
     for t, agent_t, bids in decisions:
         if t <= window:
             assert bids == forced_bids(exploration_plan(t, 10, cfg.H))
@@ -1278,6 +1364,129 @@ def test_the_exploration_window_plays_as_run_episode_plays_each_customer(monkeyp
     for name in (*Episodes.__slots__, "payment", "realized_reward"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and g.tolist() == w.tolist(), name
+
+
+def _one_at_a_time_trial(monkeypatch, cfg, out_dir=None):
+    """Trial 0 of `cfg` with every exploit customer played alone: the
+    reference that drafted blocks must equal bit for bit."""
+    import bidlab.harness as harness_module
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness_module._TrialPlay, "learn", learn_one_at_a_time)
+        return run_trial(cfg, 0, out_dir)
+
+
+@pytest.mark.parametrize("width_scale", [0.0, 0.01])
+@pytest.mark.parametrize("mode", ["outcome", "dp"])
+@pytest.mark.parametrize("H", [1, 2, 3, 5])
+def test_drafted_blocks_equal_one_at_a_time_play(monkeypatch, H, mode, width_scale):
+    # segments of 7 with the window's edge inside one; drafts as they are,
+    # then missing at a block's last customer and at two customers in a row
+    # after it (each first in its block): every curve, episode and estimate
+    # is the one-at-a-time loop's, bit for bit
+    import bidlab.harness as harness_module
+
+    monkeypatch.setattr(harness_module, "SEGMENT", 7)
+    cfg = config_from_dict({"T": 90, "trials": 1, "H": H, "seed": 11 + H, "n_underbar": 5,
+                            "mode": mode, "width_scale": width_scale, "checkpoints": [90],
+                            "policies": ["learner", "random"], "emit_logs": True})
+    window = exploration_window(cfg.n_underbar, H)
+    assert window % 7 != 0
+    want = _one_at_a_time_trial(monkeypatch, cfg)
+
+    def spied_trial(miss=()):
+        with monkeypatch.context() as patch:
+            checks = _spy_checks(patch, miss)
+            return run_trial(cfg, 0), checks
+
+    got, checks = spied_trial()
+    runs = [got]
+    if mode == "outcome":
+        first, length, _ = next(c for c in checks if c[1] == c[2] >= 3)
+        last = first + length - 1
+        after = last + 1 if (last + 1) % 7 else last + 2  # not alone at a segment's end
+        miss = (last, after, after + 1)
+        got, checks = spied_trial(miss)
+        runs.append(got)
+        assert set(miss) <= set(_missed(checks))
+        assert (first, length, length - 1) in checks
+    else:
+        assert checks == []
+    for got in runs:
+        assert got.agent_snapshot == want.agent_snapshot
+        for name in cfg.policies:
+            assert got.realized[name].tolist() == want.realized[name].tolist()
+            assert got.expected[name].tolist() == want.expected[name].tolist()
+        for name in Episodes.__slots__:
+            g, w = getattr(got.episodes, name), getattr(want.episodes, name)
+            assert g.dtype == w.dtype and g.tolist() == w.tolist(), name
+
+
+@pytest.mark.parametrize("failure", ["log HOB", "conversion rate"])
+def test_a_failure_inside_a_drafted_block_is_the_one_at_a_time_failure(
+    monkeypatch, tmp_path, failure
+):
+    # segments of 16: customer 40 is inside the drafted block 33-48 of the
+    # third.  A HOB of inf fails its update, a context that turns every
+    # conversion rate negative fails its play; either raises what the
+    # one-at-a-time loop raises at customer 40, and the trial's logs, the
+    # first segment's written, are deleted
+    import bidlab.harness as harness_module
+
+    monkeypatch.setattr(harness_module, "SEGMENT", 16)
+    cfg = small_config(T=60, trials=1, n_underbar=5, checkpoints=(60,),
+                       policies=("learner",))
+    j = 40
+    if failure == "log HOB":
+        real_draw = harness_module.draw_hobs
+
+        def draw(means, rng, start):
+            hobs = real_draw(means, rng, start)
+            if start < j <= start + len(hobs):
+                hobs[j - start - 1, 1] = math.inf
+            return hobs
+
+        monkeypatch.setattr(harness_module, "draw_hobs", draw)
+        message = f"trial 0, customer {j}, round 2: log HOB must be finite, got the HOB inf"
+    else:
+        rng = RandomSource(cfg.seed).scoped(0)
+        m, a = generate_instance(cfg.instance, cfg.bounds, rng)
+        bad = (replace(m, theta=np.tile([9.0, -0.1], (cfg.H + 1, 1))), a)
+        real_context = harness_module.sample_context
+        x_j = real_context(cfg.instance, cfg.bounds, rng.stream(j, "ctx"))
+
+        def context(recipe, bounds, rng):
+            x = real_context(recipe, bounds, rng)
+            return np.array([0.01, 4.9]) if np.array_equal(x, x_j) else x
+
+        monkeypatch.setattr(harness_module, "generate_instance", lambda *args: bad)
+        monkeypatch.setattr(harness_module, "sample_context", context)
+        monkeypatch.setattr(harness_module, "ORACLE_GAP_SAMPLE", 0)
+        message = f"trial 0, customer {j}: negative conversion rate "
+    blocks, real_play = [], harness_module._play_bids
+
+    def play(bids, x, hobs, means, rng, name, start):
+        blocks.append((start + 1, len(x), name))
+        return real_play(bids, x, hobs, means, rng, name, start)
+
+    monkeypatch.setattr(harness_module, "_play_bids", play)
+    with pytest.raises(RuntimeError) as want:
+        _one_at_a_time_trial(monkeypatch, cfg, tmp_path)
+    assert str(want.value).startswith(message)
+    assert list(tmp_path.iterdir()) == []
+    written, real_write = [], harness_module.write_episode_csv
+
+    def write(path, blocks, append=False):
+        written.append(path)
+        return real_write(path, blocks, append)
+
+    monkeypatch.setattr(harness_module, "write_episode_csv", write)
+    blocks.clear()
+    with pytest.raises(RuntimeError) as got:
+        run_trial(cfg, 0, tmp_path)
+    assert str(got.value) == str(want.value)
+    assert (33, 16, "learner") in blocks and len(written) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def _learner_config(**overrides):

@@ -43,11 +43,23 @@ def test_every_traced_name_is_in_its_module(module, attr):
     assert attr in vars(importlib.import_module(module))
 
 
-def test_a_traced_learner_run_records_one_episode_span_per_exploit_customer(tmp_path):
-    # the exploration window plays as arrays, outside run_episode
+def test_a_traced_learner_run_records_one_episode_span_per_exploit_customer(
+    tmp_path, monkeypatch,
+):
+    # one span per exploit customer played alone: the exploration window and
+    # the customers kept from drafted blocks play as arrays, outside run_episode
+    import bidlab.harness as harness_module
     from bidlab.agent import exploration_window
     from bidlab.environment import RandomSource
     from bidlab.harness import benchmark_config, run_experiment
+
+    kept, real_check = [], harness_module.check_drafts
+
+    def check(agent, episodes, drafts):
+        kept.append(real_check(agent, episodes, drafts))
+        return kept[-1]
+
+    monkeypatch.setattr(harness_module, "check_drafts", check)
 
     def installed():
         return [vars(importlib.import_module(m))[a] for m, a in TARGETS] + [
@@ -64,7 +76,8 @@ def test_a_traced_learner_run_records_one_episode_span_per_exploit_customer(tmp_
     episodes = {name: row["calls"] for name, row in tracer.span_table().items()
                 if name.startswith("environment.run_episode.")}
     exploit = cfg.T - exploration_window(cfg.n_underbar, cfg.H)
-    assert episodes == {"environment.run_episode.auction": exploit}
+    assert sum(kept) > 0
+    assert episodes == {"environment.run_episode.auction": exploit - sum(kept)}
 
 
 def test_the_set_up_probe_runs_on_the_dp_workload():
