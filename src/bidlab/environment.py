@@ -246,14 +246,6 @@ class Episodes:
         for name in self.__slots__:
             getattr(self, name)[rows] = getattr(block, name)
 
-    @staticmethod
-    def concat(blocks: Sequence["Episodes"]) -> "Episodes":
-        """The customers of `blocks` (at least one), in order."""
-        if len(blocks) == 1:
-            return blocks[0]
-        return Episodes(*(np.concatenate([getattr(b, name) for b in blocks])
-                          for name in Episodes.__slots__))
-
     @property
     def payment(self) -> np.ndarray:
         """Each round's second-price payment: the HOB when won, else 0.0."""

@@ -318,14 +318,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Everything one trial produced: cumulative regret curves per policy
+    """Everything one trial returns: cumulative regret curves per policy
     (both realized-reward and expected-value variants), the sampled
-    instance, the learner's final estimator snapshot, the mean
-    outcome-vs-dp oracle gap on the sampled prefix, and (when emitting)
-    the learner's episodes, one record of arrays for all its customers and
-    their contexts.  They are None once written: `run_experiment` with an
-    output directory writes the logs in the process that ran the trial and
-    returns the rest."""
+    instance, the learner's final estimator snapshot and the mean
+    outcome-vs-dp oracle gap on the sampled prefix.  The learner's logs
+    are not part of it: the process that runs the trial writes them."""
 
     trial: int
     realized: dict[str, np.ndarray]
@@ -333,7 +330,6 @@ class TrialResult:
     instance: dict
     agent_snapshot: dict | None
     oracle_gap: float
-    episodes: Episodes | None
 
 
 def run_trial(
@@ -348,12 +344,14 @@ def run_trial(
     streams are seeded in one pass (`RandomSource.prepare`), the contexts
     and HOBs are drawn first, the oracles are scored for the whole segment,
     the learner's exploration customers play at once as arrays and are
-    consumed by one update, its exploit customers run one at a time, every
-    policy's rows of bids by state id are scored after it, and the fixed
-    baselines play their rows as arrays under the same auction rule.  With
-    `out_dir` and emitted logs, each segment's episode and context rows are
-    appended to `episodes_trial{k}.csv` and `contexts_trial{k}.csv` there,
-    and the result carries no logs; a failed trial deletes both files.  Any
+    consumed by one update, its exploit customers play in blocks (drafted
+    and checked in outcome mode, one at a time in dp mode; see
+    `_TrialPlay.learn`), every policy's rows of bids by state id are
+    scored after it, and the fixed baselines play their rows as arrays
+    under the same auction rule.  With `out_dir` and emitted logs, each
+    segment's episode and context rows are appended to
+    `episodes_trial{k}.csv` and `contexts_trial{k}.csv` there; a failed
+    trial deletes both files.  Without `out_dir` no log is written.  Any
     failure at a customer is re-raised with (trial, customer) provenance.
     """
     if trial < 0:
@@ -376,7 +374,6 @@ def run_trial(
         instance=instance_to_dict(play.m, play.a),
         agent_snapshot=agent_to_dict(play.agent) if play.agent is not None else None,
         oracle_gap=play.gap_total / min(config.T, ORACLE_GAP_SAMPLE),
-        episodes=Episodes.concat(play.episodes) if play.episodes else None,
     )
 
 
@@ -384,8 +381,7 @@ class _TrialPlay:
     """One trial's state between segments: its instance, learner and
     streams' source, each policy's regret increments (opt minus realized,
     opt minus expected) by customer, and the oracle-gap sum.  A trial that
-    emits logs appends them to `paths` or, without an output directory,
-    keeps its episodes, a record per segment."""
+    emits logs into an output directory appends them to `paths`."""
 
     def __init__(self, config: ExperimentConfig, trial: int, out_dir: str | Path | None):
         T = config.T
@@ -404,17 +400,13 @@ class _TrialPlay:
         self.gap_total = 0.0
         self.block = 1  # the customers of the learner's next exploit block
         self.paths: list[Path] = []
-        self.episodes: list[Episodes] | None = None
-        if config.emit_logs and agent is not None:
-            if out_dir is None:
-                self.episodes = []
-            else:
-                self.paths = [Path(out_dir) / f"{kind}_trial{trial}.csv"
-                              for kind in ("episodes", "contexts")]
+        if config.emit_logs and agent is not None and out_dir is not None:
+            self.paths = [Path(out_dir) / f"{kind}_trial{trial}.csv"
+                          for kind in ("episodes", "contexts")]
 
     def segment(self, start: int, stop: int) -> None:
         """Play customers start+1..stop, record their regret increments and
-        write or keep their logs."""
+        append their logs."""
         config, trial, n, bounds = self.config, self.trial, stop - start, self.config.bounds
         rng = self.source.prepare(n, *self.families, start=start)
         customers = range(start + 1, stop + 1)
@@ -466,8 +458,6 @@ class _TrialPlay:
             write_episode_csv(self.paths[0], [(trial, played)], append=start > 0)
             write_context_csv(self.paths[1], [(trial, t, x) for t, x in zip(customers, xs)],
                               append=start > 0)
-        elif self.episodes is not None:
-            self.episodes.append(played)
 
     def learn(self, start: int, X: np.ndarray, hobs: np.ndarray, batch, rng) -> tuple:
         """The learner's segment: each customer's bids by state id and its
@@ -640,7 +630,7 @@ def _summarize_policy(
 
 def _run_trial_args(args: tuple[ExperimentConfig, int, Path | None]) -> TrialResult:
     """Run one trial; with an output directory, this process writes its
-    episode and context logs, and the result comes back without them."""
+    episode and context logs."""
     return run_trial(*args)
 
 
@@ -668,7 +658,7 @@ def run_experiment(
     config emits logs) the learner's episode logs and estimator snapshots.
 
     With `out_dir`, the process that ran a trial writes its episode and
-    context logs, and the returned trials carry none.  The pool has
+    context logs; without it, no log is written.  The pool has
     min(workers, trials) processes; with one, the trials run here.  A
     failed trial aborts the experiment with its provenance, before
     `curves.csv` and `summary.txt` are written and before any trial not yet
@@ -791,11 +781,6 @@ def write_outputs(result: ExperimentResult, out_dir: str | Path) -> None:
     _write_json(out / "config.json", config_to_dict(result.config))
     for tr in result.trials:
         _write_json(out / f"instance_trial{tr.trial}.snapshot", tr.instance)
-        if tr.episodes is not None:
-            ep = tr.episodes
-            write_episode_csv(out / f"episodes_trial{tr.trial}.csv", [(tr.trial, ep)])
-            write_context_csv(out / f"contexts_trial{tr.trial}.csv",
-                              [(tr.trial, t, x) for t, x in zip(ep.t.tolist(), ep.x)])
         if tr.agent_snapshot is not None and result.config.emit_logs:
             _write_json(out / f"agent_trial{tr.trial}.snapshot", tr.agent_snapshot)
 

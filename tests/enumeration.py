@@ -8,13 +8,16 @@ mode, two identities of the HOB payment, the fixed baselines' target
 outcomes, each customer's HOBs drawn one round at a time, an outcome-mode
 trial played one customer and one policy at a time, the learner's segment
 with its exploit customers played one at a time, the learner's update
-consuming one customer and one sample at a time, the episode and context
-CSV readers converting one row at a time with Python's int() and float(),
-and the episode, context and curve writers writing through `csv.writer`."""
+consuming one customer and one sample at a time, episode records joined
+(`concat`) and a trial's written log read back as one (`trial_log`), the
+episode and context CSV readers converting one row at a time with Python's
+int() and float(), and the episode, context and curve writers writing
+through `csv.writer`."""
 
 import csv
 import itertools
 import math
+from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -397,6 +400,26 @@ def learn_one_at_a_time(play, start, X, hobs, batch, rng):
         with _provenance(trial):
             update(agent, ep)
     return bids, played
+
+
+# --- episode records, and a trial's written log as one ------------------------
+
+
+def concat(blocks):
+    """The customers of the `Episodes` records `blocks` (at least one), in
+    order, in one record."""
+    return Episodes(*(np.concatenate([getattr(b, name) for b in blocks])
+                      for name in Episodes.__slots__))
+
+
+def trial_log(out_dir, config, trial=0):
+    """The learner's episodes, contexts included, that a run of `config`
+    with `emit_logs` wrote under `out_dir` for `trial`, in one record, read
+    by the row-by-row readers below."""
+    out = Path(out_dir)
+    contexts = read_context_rows(out / f"contexts_trial{trial}.csv", config.dim)
+    return concat([ep for _, ep in read_episode_csv(
+        out / f"episodes_trial{trial}.csv", contexts, config.H, config.T)])
 
 
 # The episode and context readers as they were before numpy's text reader

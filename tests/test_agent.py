@@ -28,7 +28,6 @@ from bidlab.agent import (
 )
 from bidlab.environment import (
     BENCHMARK_RECIPE,
-    Episodes,
     RandomSource,
     generate_instance,
     run_episode,
@@ -52,7 +51,7 @@ from bidlab.planning import (
     forced_bids,
     params_from_true,
 )
-from enumeration import baseline_plan, draw_hobs
+from enumeration import baseline_plan, concat, draw_hobs, trial_log
 
 BOUNDS = Bounds(b=0.1, B_x=5.0, B_theta=10.0, B_d=5.0, B_A=50.0, H=3, dim=2)
 
@@ -378,7 +377,7 @@ def test_underfed_exploration_raises_inside_a_run_across_the_window():
         for t in range(1, window + 3)
     ]
     with pytest.raises(RuntimeError, match=rf"^customer {window}: exploration underfed"):
-        update(agent, Episodes.concat(logs))
+        update(agent, concat(logs))
     assert agent.t == window + 1
 
 
@@ -549,12 +548,15 @@ RUN_CONFIGS = {
 }
 
 
-def _learner_run(name):
+def _learner_run(name, out_dir):
+    """A fresh learner for config `name`, and the episodes that trial 0 of
+    it logged under `out_dir`."""
     from bidlab.harness import config_from_dict, run_trial
 
     cfg = config_from_dict({**RUN_CONFIGS[name], "trials": 1,
                             "policies": ["learner"], "emit_logs": True})
-    episodes = run_trial(cfg, 0).episodes
+    run_trial(cfg, 0, out_dir)
+    episodes = trial_log(out_dir, cfg)
 
     def fresh():
         return make_agent(cfg.bounds, cfg.T, delta=cfg.delta,
@@ -569,12 +571,12 @@ def _snapshot(agent):
 
 
 @pytest.mark.parametrize("name", sorted(RUN_CONFIGS))
-def test_runs_of_episodes_equal_one_sample_at_a_time(name):
+def test_runs_of_episodes_equal_one_sample_at_a_time(name, tmp_path):
     # after every run the snapshot is byte for byte the one the per-sample
     # reference reaches at the same customer
     from enumeration import per_sample_update
 
-    fresh, episodes = _learner_run(name)
+    fresh, episodes = _learner_run(name, tmp_path)
     reference = fresh()
     want = [_snapshot(reference)]
     for k in range(len(episodes)):
@@ -591,7 +593,7 @@ def test_runs_of_episodes_equal_one_sample_at_a_time(name):
             assert any(s < window < s + size for s in starts)
 
 
-def test_truncation_and_projection_run_in_the_trunc_proj_config(monkeypatch):
+def test_truncation_and_projection_run_in_the_trunc_proj_config(monkeypatch, tmp_path):
     # the config above reaches both branches of the online Newton step
     import bidlab.estimation as estimation_module
 
@@ -603,7 +605,7 @@ def test_truncation_and_projection_run_in_the_trunc_proj_config(monkeypatch):
         return real(theta_star, V, radius)
 
     monkeypatch.setattr(estimation_module, "project_v_ball", counting)
-    fresh, episodes = _learner_run("trunc_proj")
+    fresh, episodes = _learner_run("trunc_proj", tmp_path)
     gamma, metric, truncated = fresh().cfg.Gamma_trunc, {}, 0
     H = episodes.won.shape[1]
     buckets = split_episode(episodes).tolist()

@@ -499,8 +499,8 @@ def test_csv_round_trip(tmp_path, instance):
     # blocks of at most two customers, read in step with their contexts
     back = list(read_episode_csv(epath, read_context_rows(cpath, BOUNDS.dim), BOUNDS.H, 2))
     assert [(trial, len(ep)) for trial, ep in back] == [(1, 2), (1, 2), (1, 1)]
-    assert_same_record(Episodes.concat([ep for _, ep in back]),
-                       Episodes.concat([ep for _, ep in episodes]))
+    assert_same_record(enumeration.concat([ep for _, ep in back]),
+                       enumeration.concat([ep for _, ep in episodes]))
 
 
 @pytest.mark.parametrize("cut", [0, 1, 3, 5])

@@ -37,6 +37,7 @@ from bidlab.model import (
     state_table,
     win_index,
 )
+from enumeration import concat
 
 # theta rows by name
 NATURAL_DEMAND, FIRST_EXPOSURE = lose_index(NEVER_BEFORE), lose_index(ONLY_ONE)
@@ -412,8 +413,8 @@ def test_split_is_a_partition(outcomes):
     assert sorted(h for rounds in (*w.values(), *d.values()) for h in rounds) == list(
         range(1, H + 1))
     reverse = split_episode(episode_from_outcomes(outcomes[::-1], t=2))
-    block = Episodes.concat([episode_from_outcomes(outcomes),
-                             episode_from_outcomes(outcomes[::-1], t=2)])
+    block = concat([episode_from_outcomes(outcomes),
+                    episode_from_outcomes(outcomes[::-1], t=2)])
     assert split_episode(block).tolist() == bucket.tolist() + reverse.tolist()
 
 

@@ -35,8 +35,6 @@ from bidlab.environment import (
     RandomSource,
     generate_instance,
     read_context_csv,
-    read_context_rows,
-    read_episode_csv,
     run_episode,
     sample_context,
     write_context_csv,
@@ -65,7 +63,13 @@ from bidlab.planning import (
     outcome_value,
     params_from_true,
 )
-from enumeration import draw_hobs, learn_one_at_a_time, per_customer_realized
+from enumeration import (
+    concat,
+    draw_hobs,
+    learn_one_at_a_time,
+    per_customer_realized,
+    trial_log,
+)
 from reference_table import REFERENCE_CHECKPOINTS, REFERENCE_MEANS, REFERENCE_ORDERS
 
 
@@ -83,8 +87,21 @@ def small_config(**overrides) -> ExperimentConfig:
 
 
 @pytest.fixture(scope="module")
-def small_result():
-    return run_experiment(small_config())
+def small_run(tmp_path_factory):
+    """The small config run with an output directory: its result, and the
+    directory of its outputs and its trials' logs, which tests only read."""
+    out = tmp_path_factory.mktemp("small")
+    return run_experiment(small_config(), out), out
+
+
+@pytest.fixture(scope="module")
+def small_result(small_run):
+    return small_run[0]
+
+
+@pytest.fixture(scope="module")
+def small_dir(small_run):
+    return small_run[1]
 
 
 # --- configuration ---------------------------------------------------------
@@ -352,17 +369,18 @@ def test_expected_regret_matches_direct_computation():
     assert np.allclose(tr.expected["passive"], np.cumsum(want), atol=1e-12)
 
 
-def test_bid_grid_points_leaves_a_dp_trial_unchanged():
+def test_bid_grid_points_leaves_a_dp_trial_unchanged(tmp_path):
     # no planner reads the grid size: the learner bids its exact bids, each
     # within [0, B_A], whatever the config names
     cfg = small_config(trials=1, T=30, n_underbar=5, mode="dp", checkpoints=(30,),
                        policies=("learner",))
     reference = run_trial(cfg, 0)
-    tr = run_trial(replace(cfg, bid_grid_points=8), 0)
+    tr = run_trial(replace(cfg, bid_grid_points=8), 0, tmp_path)
     assert tr.realized["learner"].tolist() == reference.realized["learner"].tolist()
     assert tr.expected["learner"].tolist() == reference.expected["learner"].tolist()
     window = exploration_window(cfg.n_underbar, cfg.H)
-    bids = tr.episodes.bid[tr.episodes.t > window].ravel().tolist()
+    logged = trial_log(tmp_path, cfg)
+    bids = logged.bid[logged.t > window].ravel().tolist()
     assert len(bids) == (cfg.T - window) * cfg.H
     assert all(0.0 <= bid <= cfg.bounds.B_A for bid in bids)
 
@@ -535,7 +553,7 @@ def test_array_player_follows_run_episodes_auction_rule(H):
     bids = np.choose(pick, choices)
     assert (pick == 1).any() and (pick == 3).any() and (pick == 4).any()
     got = _play_bids(bids, xs, hobs, batch_params(xs, m, a), rng, "policy", start)
-    want = Episodes.concat([
+    want = concat([
         run_episode(bids[c], x, m, a, rng, t=t, noise_label="policy", hobs=hobs[c])
         for c, (t, x) in enumerate(zip(range(start + 1, start + n + 1), xs))
     ])
@@ -969,31 +987,27 @@ def test_worker_pool_matches_sequential(small_result):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_trials_write_their_logs_and_return_without_them(tmp_path, small_result,
-                                                        workers):
+                                                        small_dir, workers):
+    # the sequential run's files, the logs its trials wrote included, are
+    # the pooled run's, byte for byte
     cfg = replace(small_result.config, workers=workers)
-    result = run_experiment(cfg, tmp_path / "run")
-    assert all(tr.episodes is None for tr in result.trials)
-    write_outputs(small_result, tmp_path / "memory")
-    written = sorted(p.name for p in (tmp_path / "memory").iterdir())
-    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == written
+    run_experiment(cfg, tmp_path)
+    written = sorted(p.name for p in small_dir.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
     for name in written:
         if name == "config.json":  # it records the workers
-            assert load_config(tmp_path / "run" / name) == cfg
+            assert load_config(tmp_path / name) == cfg
         else:
-            assert ((tmp_path / "run" / name).read_bytes()
-                    == (tmp_path / "memory" / name).read_bytes()), name
+            assert (tmp_path / name).read_bytes() == (small_dir / name).read_bytes(), name
 
 
-def test_a_run_without_an_output_directory_keeps_the_logs(small_result):
-    cfg = small_result.config
-    customers = list(range(1, cfg.T + 1))
-    for tr in small_result.trials:
-        assert tr.episodes.t.tolist() == customers
-        rng = RandomSource(cfg.seed).scoped(tr.trial)  # each customer's context
-        assert tr.episodes.x.tolist() == [
-            sample_context(cfg.instance, cfg.bounds, rng.stream(t, "ctx")).tolist()
-            for t in customers
-        ]
+def test_a_run_without_an_output_directory_writes_no_log(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    cfg = small_config(T=30, n_underbar=5, checkpoints=(30,))
+    assert cfg.emit_logs
+    result = run_experiment(cfg)
+    assert [tr.agent_snapshot["t"] for tr in result.trials] == [cfg.T + 1] * cfg.trials
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("workers, trials, pool", [
@@ -1069,11 +1083,10 @@ def test_summary_text_renders_undefined_orders(small_result):
     assert "undefined" in shown
 
 
-def test_written_outputs_round_trip(tmp_path, small_result):
-    write_outputs(small_result, tmp_path)
-    cfg = small_result.config
+def test_written_outputs_round_trip(small_result, small_dir):
+    out, cfg = small_dir, small_result.config
 
-    with open(tmp_path / "curves.csv", encoding="utf-8") as fh:
+    with open(out / "curves.csv", encoding="utf-8") as fh:
         header = fh.readline().strip()
         rows = fh.read().splitlines()
     assert header == "trial,t,policy,cum_regret,cum_regret_expected"
@@ -1082,15 +1095,20 @@ def test_written_outputs_round_trip(tmp_path, small_result):
     assert first[:3] == ["0", "1", "learner"]
     assert float(first[3]) == small_result.trials[0].realized["learner"][0]
 
-    assert load_config(tmp_path / "config.json") == cfg
+    assert load_config(out / "config.json") == cfg
     for k in range(cfg.trials):
-        snap = json.loads((tmp_path / f"instance_trial{k}.snapshot").read_text())
+        snap = json.loads((out / f"instance_trial{k}.snapshot").read_text())
         assert snap == small_result.trials[k].instance
-        assert (tmp_path / f"episodes_trial{k}.csv").exists()
-        assert (tmp_path / f"contexts_trial{k}.csv").exists()
-        agent_snap = json.loads((tmp_path / f"agent_trial{k}.snapshot").read_text())
+        logged = trial_log(out, cfg, k)  # every customer, with its context
+        assert logged.t.tolist() == list(range(1, cfg.T + 1))
+        rng = RandomSource(cfg.seed).scoped(k)
+        assert logged.x.tolist() == [
+            sample_context(cfg.instance, cfg.bounds, rng.stream(t, "ctx")).tolist()
+            for t in range(1, cfg.T + 1)
+        ]
+        agent_snap = json.loads((out / f"agent_trial{k}.snapshot").read_text())
         assert agent_snap == small_result.trials[k].agent_snapshot
-    assert (tmp_path / "summary.txt").read_text() == render_summary(small_result)
+    assert (out / "summary.txt").read_text() == render_summary(small_result)
 
 
 def test_no_won_round_of_the_preset_log_pays_more_than_its_bid(tmp_path):
@@ -1099,9 +1117,7 @@ def test_no_won_round_of_the_preset_log_pays_more_than_its_bid(tmp_path):
     cfg = benchmark_config(T=3000, trials=1, seed=69, emit_logs=True,
                            checkpoints=scaled_checkpoints(3000))
     run_experiment(cfg, tmp_path)
-    contexts = read_context_rows(tmp_path / "contexts_trial0.csv", cfg.dim)
-    ep = Episodes.concat([ep for _, ep in read_episode_csv(
-        tmp_path / "episodes_trial0.csv", contexts, cfg.H, 512)])
+    ep = trial_log(tmp_path, cfg)
     assert len(ep) == 3000 and ep.won.sum() == 3600
     assert not np.any(ep.payment[ep.won] > ep.bid[ep.won])
 
@@ -1109,10 +1125,9 @@ def test_no_won_round_of_the_preset_log_pays_more_than_its_bid(tmp_path):
 # --- offline replay ------------------------------------------------------------
 
 
-def test_replay_matches_live_snapshots(tmp_path, small_result):
-    write_outputs(small_result, tmp_path)
+def test_replay_matches_live_snapshots(small_result, small_dir):
     for k in range(small_result.config.trials):
-        snap = replay_estimation(tmp_path / f"episodes_trial{k}.csv")
+        snap = replay_estimation(small_dir / f"episodes_trial{k}.csv")
         assert snap == small_result.trials[k].agent_snapshot
 
 
@@ -1136,12 +1151,12 @@ def test_replay_of_empty_log_is_the_initial_snapshot(tmp_path):
     assert snap == agent_to_dict(fresh)
 
 
-def test_replay_of_a_prefix_matches_a_live_agent_stopped_there(tmp_path, small_result):
+def test_replay_of_a_prefix_matches_a_live_agent_stopped_there(tmp_path, small_result,
+                                                              small_dir):
     cfg = small_result.config
     out = tmp_path
-    write_outputs(small_result, out)
-    contexts = read_context_csv(out / "contexts_trial0.csv", cfg.dim)
-    episodes = small_result.trials[0].episodes
+    contexts = read_context_csv(small_dir / "contexts_trial0.csv", cfg.dim)
+    episodes = trial_log(small_dir, cfg)
     k = 37
     write_episode_csv(out / "episodes_trial9.csv", [(0, episodes[:k])])
     write_context_csv(
@@ -1164,13 +1179,11 @@ def test_replay_of_a_prefix_matches_a_live_agent_stopped_there(tmp_path, small_r
     assert snap == agent_to_dict(live)
 
 
-def test_replay_rejects_logs_mixing_trials(tmp_path, small_result):
-    write_outputs(small_result, tmp_path)
-    mixed = [(0, small_result.trials[0].episodes[:1]),
-             (1, small_result.trials[1].episodes[:1])]
+def test_replay_rejects_logs_mixing_trials(tmp_path, small_result, small_dir):
+    mixed = [(k, trial_log(small_dir, small_result.config, k)[:1]) for k in (0, 1)]
     write_episode_csv(tmp_path / "episodes_mixed.csv", mixed)
     contexts = {
-        (k, 1): read_context_csv(tmp_path / f"contexts_trial{k}.csv",
+        (k, 1): read_context_csv(small_dir / f"contexts_trial{k}.csv",
                                   small_result.config.dim)[(k, 1)]
         for k in (0, 1)
     }
@@ -1186,11 +1199,12 @@ def test_replay_rejects_logs_mixing_trials(tmp_path, small_result):
 
 
 def test_replay_rejects_a_short_episode_and_contexts_of_another_dimension(
-    tmp_path, small_result
+    tmp_path, small_dir
 ):
     # unchecked, the first fails inside numpy on ragged HOB rows and the
     # second on a matrix product of mismatched shapes, neither naming a line
-    write_outputs(small_result, tmp_path)
+    for name in ("config.json", "episodes_trial0.csv", "contexts_trial0.csv"):
+        (tmp_path / name).write_bytes((small_dir / name).read_bytes())
     log, ctx = tmp_path / "episodes_trial0.csv", tmp_path / "contexts_trial0.csv"
     lines = log.read_text().splitlines(keepends=True)
     log.write_text("".join(lines[:3] + lines[4:]))  # customer 1's round 3
@@ -1208,7 +1222,7 @@ def test_replay_requires_locatable_contexts(tmp_path):
         replay_estimation(tmp_path / "rounds.csv", config=small_config())
 
 
-def test_replay_holds_at_most_one_chunk_of_episodes(tmp_path, small_result, monkeypatch):
+def test_replay_holds_at_most_one_chunk_of_episodes(small_result, small_dir, monkeypatch):
     # the log and its contexts are streamed: each update gets a block of at
     # most SEGMENT episodes, and no episode or context is read before the
     # ones already read are consumed.  In lines pulled from the files: the
@@ -1219,7 +1233,6 @@ def test_replay_holds_at_most_one_chunk_of_episodes(tmp_path, small_result, monk
 
     monkeypatch.setattr(harness_module, "SEGMENT", 16)
     monkeypatch.setattr(environment_module, "CONTEXT_CHUNK", 5)
-    write_outputs(small_result, tmp_path)
     H = small_result.config.H
     counts = {"contexts": 0, "read": 0, "consumed": 0}
     pulled = {"episodes": 0, "contexts": 0}  # lines, headers included
@@ -1268,7 +1281,7 @@ def test_replay_holds_at_most_one_chunk_of_episodes(tmp_path, small_result, monk
     monkeypatch.setattr(harness_module, "read_context_rows", counted_contexts)
     monkeypatch.setattr(harness_module, "read_episode_csv", counted_read)
     monkeypatch.setattr(harness_module, "update", counted_update)
-    snap = replay_estimation(tmp_path / "episodes_trial0.csv")
+    snap = replay_estimation(small_dir / "episodes_trial0.csv")
     T = small_result.config.T
     assert counts == {"contexts": T, "read": T, "consumed": T}
     assert pulled == {"episodes": 1 + T * H, "contexts": 1 + T}
@@ -1341,7 +1354,8 @@ def test_a_trial_shorter_than_the_window_consumes_every_customer(monkeypatch):
     assert result.agent_snapshot["t"] == 301
 
 
-def test_the_exploration_window_plays_as_run_episode_plays_each_customer(monkeypatch):
+def test_the_exploration_window_plays_as_run_episode_plays_each_customer(monkeypatch,
+                                                                        tmp_path):
     # segments of 7, the window's edge (customer 20) inside the third: the
     # window's logged episodes are per-customer run_episode play, bit for bit
     import bidlab.harness as harness_module
@@ -1359,14 +1373,15 @@ def test_the_exploration_window_plays_as_run_episode_plays_each_customer(monkeyp
         bids = forced_bids(exploration_plan(t, cfg.n_underbar, cfg.H))
         want.append(run_episode(bids, x, m, a, rng, t=t, noise_label="learner",
                                 hobs=draw_hobs(x, a, rng, t)))
-    want = Episodes.concat(want)
-    got = run_trial(cfg, 0).episodes[:window]
+    want = concat(want)
+    run_trial(cfg, 0, tmp_path)
+    got = trial_log(tmp_path, cfg)[:window]
     for name in (*Episodes.__slots__, "payment", "realized_reward"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and g.tolist() == w.tolist(), name
 
 
-def _one_at_a_time_trial(monkeypatch, cfg, out_dir=None):
+def _one_at_a_time_trial(monkeypatch, cfg, out_dir):
     """Trial 0 of `cfg` with every exploit customer played alone: the
     reference that drafted blocks must equal bit for bit."""
     import bidlab.harness as harness_module
@@ -1379,11 +1394,12 @@ def _one_at_a_time_trial(monkeypatch, cfg, out_dir=None):
 @pytest.mark.parametrize("width_scale", [0.0, 0.01])
 @pytest.mark.parametrize("mode", ["outcome", "dp"])
 @pytest.mark.parametrize("H", [1, 2, 3, 5])
-def test_drafted_blocks_equal_one_at_a_time_play(monkeypatch, H, mode, width_scale):
+def test_drafted_blocks_equal_one_at_a_time_play(monkeypatch, tmp_path, H, mode,
+                                                 width_scale):
     # segments of 7 with the window's edge inside one; drafts as they are,
     # then missing at a block's last customer and at two customers in a row
-    # after it (each first in its block): every curve, episode and estimate
-    # is the one-at-a-time loop's, bit for bit
+    # after it (each first in its block): every curve and estimate is the
+    # one-at-a-time loop's, bit for bit, and so are the written logs
     import bidlab.harness as harness_module
 
     monkeypatch.setattr(harness_module, "SEGMENT", 7)
@@ -1392,12 +1408,19 @@ def test_drafted_blocks_equal_one_at_a_time_play(monkeypatch, H, mode, width_sca
                             "policies": ["learner", "random"], "emit_logs": True})
     window = exploration_window(cfg.n_underbar, H)
     assert window % 7 != 0
-    want = _one_at_a_time_trial(monkeypatch, cfg)
+    (tmp_path / "want").mkdir()
+    want = _one_at_a_time_trial(monkeypatch, cfg, tmp_path / "want")
+    logs = ("episodes_trial0.csv", "contexts_trial0.csv")
 
     def spied_trial(miss=()):
+        out = tmp_path / f"miss{len(miss)}"
+        out.mkdir()
         with monkeypatch.context() as patch:
             checks = _spy_checks(patch, miss)
-            return run_trial(cfg, 0), checks
+            got = run_trial(cfg, 0, out)
+        for name in logs:
+            assert (out / name).read_bytes() == (tmp_path / "want" / name).read_bytes(), name
+        return got, checks
 
     got, checks = spied_trial()
     runs = [got]
@@ -1417,9 +1440,6 @@ def test_drafted_blocks_equal_one_at_a_time_play(monkeypatch, H, mode, width_sca
         for name in cfg.policies:
             assert got.realized[name].tolist() == want.realized[name].tolist()
             assert got.expected[name].tolist() == want.expected[name].tolist()
-        for name in Episodes.__slots__:
-            g, w = getattr(got.episodes, name), getattr(want.episodes, name)
-            assert g.dtype == w.dtype and g.tolist() == w.tolist(), name
 
 
 @pytest.mark.parametrize("failure", ["log HOB", "conversion rate"])

@@ -16,3 +16,25 @@ def test_no_invariant_is_checked_by_an_assert_statement():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert SOURCES and found == []
+
+
+def test_every_name_in_all_is_defined_in_its_module():
+    # a name deleted from a module but left in its __all__ breaks
+    # `from module import *` only when that runs; here every entry must be
+    # a top-level def, class or assignment of the module itself
+    missing = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        defined, exported = set(), []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined.add(target.id)
+                    if target.id == "__all__":
+                        exported = ast.literal_eval(node.value)
+        missing += [f"{path.name}: {name}" for name in exported if name not in defined]
+    assert missing == []
