@@ -17,7 +17,6 @@ would have seen one at a time (`check_drafts`).
 from __future__ import annotations
 
 import bisect
-import copy
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -27,16 +26,15 @@ import numpy as np
 
 from .environment import Episodes, delay_token, theta_token
 from .estimation import (
-    AuctionEstimator,
     ConfidenceConfig,
-    DelayEstimator,
-    ThetaEstimator,
     _rowdot,
     crtm_update,
+    delay_estimate,
     delay_radius,
     optimistic_mean,
     ridge_update,
     sigma_estimate,
+    solve_small,
     solve_stacked,
     split_episode,
     theta_gamma,
@@ -109,16 +107,29 @@ def exploration_plan(t: int, n_underbar: int, H: int) -> OutcomePlan:
 
 @dataclass
 class AgentState:
-    """All mutable learning state for one trial."""
+    """All mutable learning state for one trial.  The estimates are arrays
+    by position: theta row i's effect estimate `theta[i]`, its metric `V[i]`
+    and its sample count `update_count[i]`; lag k's ratio terms
+    `numerator[k - 1]` and `denominator[k - 1]` and its round count
+    `N[k - 1]`; round h's ridge sums `gram[h - 1]` and `moment[h - 1]`, its
+    progressive residual sum `rss[h - 1]` and its sample count
+    `count[h - 1]`.  An update writes them in place."""
 
     bounds: Bounds
     T: int
     cfg: ConfidenceConfig
     n_underbar: int
     planner_mode: str  # "outcome" | "dp"
-    theta_bank: list[ThetaEstimator]  # by theta row
-    delay_bank: dict[int, DelayEstimator]  # by lag, 1..H-1
-    auction_bank: dict[int, AuctionEstimator]
+    theta: np.ndarray  # (H+1, d)
+    V: np.ndarray  # (H+1, d, d)
+    update_count: np.ndarray  # (H+1,)
+    numerator: np.ndarray  # (H-1,)
+    denominator: np.ndarray  # (H-1,)
+    N: np.ndarray  # (H-1,)
+    gram: np.ndarray  # (H, d, d)
+    moment: np.ndarray  # (H, d)
+    rss: np.ndarray  # (H,)
+    count: np.ndarray  # (H,)
     t: int = 1
 
     @property
@@ -147,6 +158,7 @@ def make_agent(
         ),
         width_scale=width_scale,
     )
+    H, eye = bounds.H, np.eye(bounds.dim)
     return AgentState(
         bounds=bounds,
         T=T,
@@ -155,14 +167,16 @@ def make_agent(
             n_underbar if n_underbar is not None else default_n_underbar(bounds, T)
         ),
         planner_mode=planner_mode,
-        theta_bank=[
-            ThetaEstimator(index=i, dim=bounds.dim, B_theta=bounds.B_theta)
-            for i in range(bounds.H + 1)
-        ],
-        delay_bank={k: DelayEstimator(index=k) for k in range(1, bounds.H)},
-        auction_bank={
-            h: AuctionEstimator(h=h, dim=bounds.dim) for h in range(1, bounds.H + 1)
-        },
+        theta=np.zeros((H + 1, bounds.dim)),
+        V=np.tile(eye, (H + 1, 1, 1)),
+        update_count=np.zeros(H + 1, dtype=np.int64),
+        numerator=np.zeros(H - 1),
+        denominator=np.zeros(H - 1),
+        N=np.zeros(H - 1, dtype=np.int64),
+        gram=np.tile(eye, (H, 1, 1)),
+        moment=np.zeros((H, bounds.dim)),
+        rss=np.zeros(H),
+        count=np.zeros(H, dtype=np.int64),
     )
 
 
@@ -173,16 +187,14 @@ def optimistic_params(agent: AgentState, x: np.ndarray) -> OutcomeParams:
     beta row onto the B_beta ball, the noise scale into [SIGMA_FLOOR,
     sigma_max]), which keeps them finite."""
     b = agent.bounds
-    mu = [optimistic_mean(est, x, agent.cfg.gamma, b=b.b) for est in agent.theta_bank]
-    delays = [agent.delay_bank[lag] for lag in range(1, b.H)]
-    delay = [1.0, *(_upper_delay(agent, est.estimate, est.N) for est in delays)]
-    beta = np.stack(
-        [cap_norm(agent.auction_bank[h].beta_hat, b.B_beta) for h in range(1, b.H + 1)]
-    )
-    sigma = [
-        min(max(sigma_estimate(agent.auction_bank[h]) or 0.0, SIGMA_FLOOR), b.sigma_max)
-        for h in range(1, b.H + 1)
-    ]
+    mu = [optimistic_mean(theta, V, x, agent.cfg.gamma, b=b.b)
+          for theta, V in zip(agent.theta, agent.V)]
+    delay = [1.0, *map(functools.partial(_upper_delay, agent), agent.numerator.tolist(),
+                       agent.denominator.tolist(), agent.N.tolist())]
+    beta = [cap_norm(solve_small(gram, moment), b.B_beta)
+            for gram, moment in zip(agent.gram, agent.moment)]
+    sigma = [min(max(sigma_estimate(rss, count) or 0.0, SIGMA_FLOOR), b.sigma_max)
+             for rss, count in zip(agent.rss.tolist(), agent.count.tolist())]
     log_hob = [float(row @ x) for row in beta]
     return OutcomeParams(
         mu=mu, delay=delay, hob=[lognormal_mean(v, sd) for v, sd in zip(log_hob, sigma)],
@@ -190,10 +202,11 @@ def optimistic_params(agent: AgentState, x: np.ndarray) -> OutcomeParams:
     )
 
 
-def _upper_delay(agent: AgentState, d_hat: float | None, N: int) -> float:
-    """A lag's planned delay factor: its estimate plus the confidence
-    radius after N rounds, clipped to [0, B_d], or B_d before any data."""
-    b = agent.bounds
+def _upper_delay(agent: AgentState, numerator: float, denominator: float, N: int) -> float:
+    """A lag's planned delay factor from its ratio terms: its estimate plus
+    the confidence radius after N rounds, clipped to [0, B_d], or B_d
+    before any data."""
+    b, d_hat = agent.bounds, delay_estimate(numerator, denominator)
     if d_hat is None:
         return b.B_d
     radius = delay_radius(N, agent.cfg.gamma_raw, b, b.H, agent.T, agent.cfg.delta,
@@ -235,10 +248,10 @@ def exploit_plans(agent: AgentState, seen: Estimates, X: np.ndarray) -> np.ndarr
     mu = np.maximum(_rowdot(X, seen.theta) + width, b.b)
     delay = np.ones((b.H, n))
     for lag in range(1, b.H):  # one customer at a time, in Python scalars
-        terms = zip(map(float, seen.numerator[lag - 1]), map(float, seen.denominator[lag - 1]),
-                    map(int, seen.N[lag - 1]))
-        delay[lag] = np.fromiter((_upper_delay(agent, None if den <= 0.0 else num / den, N)
-                                  for num, den, N in terms), float)
+        delay[lag] = np.fromiter(map(functools.partial(_upper_delay, agent),
+                                     seen.numerator[lag - 1].tolist(),
+                                     seen.denominator[lag - 1].tolist(),
+                                     seen.N[lag - 1].tolist()), float)
     beta = seen.beta * (b.B_beta / np.maximum(np.sqrt(_rowdot(seen.beta, seen.beta)),
                                               b.B_beta))[..., None]  # cap_norm's
     sigma = np.minimum(np.maximum(np.sqrt(seen.rss / seen.count), SIGMA_FLOOR), b.sigma_max)
@@ -253,23 +266,16 @@ def draft_plans(agent: AgentState, X: np.ndarray) -> np.ndarray:
     """`exploit_plans` of customers X all planned on the learner's current
     estimates: the plan `act` makes for the first of them, and a draft of
     the others' that `check_drafts` checks."""
-    H, theta = agent.bounds.H, agent.theta_bank
-    auction = [agent.auction_bank[h] for h in range(1, H + 1)]
-    delays = [agent.delay_bank[lag] for lag in range(1, H)]
-
-    def column(estimators, key: str) -> np.ndarray:
-        return np.array([getattr(est, key) for est in estimators])[:, None]
-
     return exploit_plans(agent, Estimates(
-        theta=column(theta, "theta_hat"),
-        V=column(theta, "V") if agent.cfg.gamma else None,
-        numerator=column(delays, "numerator").reshape(H - 1, 1),
-        denominator=column(delays, "denominator").reshape(H - 1, 1),
-        N=column(delays, "N").reshape(H - 1, 1),
+        theta=agent.theta[:, None],
+        V=agent.V[:, None] if agent.cfg.gamma else None,
+        numerator=agent.numerator[:, None],
+        denominator=agent.denominator[:, None],
+        N=agent.N[:, None],
         # as update's pre-sample estimates
-        beta=solve_stacked(column(auction, "gram"), column(auction, "moment")[..., None])[..., 0],
-        rss=column(auction, "residual_sq_sum"),
-        count=column(auction, "count"),
+        beta=solve_stacked(agent.gram[:, None], agent.moment[:, None, :, None])[..., 0],
+        rss=agent.rss[:, None],
+        count=agent.count[:, None],
     ), X)
 
 
@@ -281,10 +287,9 @@ def check_drafts(agent: AgentState, episodes: Episodes, drafts: np.ndarray) -> i
     that after consuming the first k episodes: an updated copy is adopted
     when all n hold, or the k are consumed again.  Episodes from k on are
     dropped."""
-    ahead = replace(agent, theta_bank=list(map(copy.copy, agent.theta_bank)),
-                    delay_bank={k: copy.copy(e) for k, e in agent.delay_bank.items()},
-                    auction_bank={k: copy.copy(e) for k, e in agent.auction_bank.items()})
-    seen = _consume(ahead, episodes, seen=True)  # an update replaces, never writes, arrays
+    ahead = replace(agent, **{key: value.copy() for key, value in vars(agent).items()
+                              if isinstance(value, np.ndarray)})  # an update writes them
+    seen = _consume(ahead, episodes, seen=True)
     missed = np.flatnonzero((exploit_plans(agent, seen, episodes.x) != drafts).any(axis=1))
     if not missed.size:
         vars(agent).update(vars(ahead))
@@ -362,43 +367,51 @@ def _consume(agent: AgentState, episodes: Episodes, seen: bool = False) -> Estim
         i = int(bucket[k, h])
         kind = f"a clean sample of theta row {i}" if i <= H else f"a delay sample of lag {i - H}"
         raise ValueError(f"customer {ts[k]}, round {h + 1} is not {kind}")
-    auction = [agent.auction_bank[h] for h in range(1, H + 1)]
-    counts = [est.count for est in auction]
-    betas, rss = ridge_update(auction, episodes.x,
-                              np.array(list(map(math.log, hobs))).reshape(n, H))
+    counts, Ns = agent.count.tolist(), agent.N.tolist()  # from before the run
+    grams, moments, rss, betas = ridge_update(
+        agent.gram, agent.moment, agent.rss, episodes.x,
+        np.array(list(map(math.log, hobs))).reshape(n, H))
     del hobs  # not held while the run is consumed
+    agent.gram[:], agent.moment[:], agent.rss[:] = grams[-1], moments[-1], rss[-1]
+    agent.count += n
     # the rounds by bucket; a stable sort keeps each customer-major, round-minor
     order = np.argsort(bucket, axis=None, kind="stable")
-    ends = [0, *np.bincount(bucket.ravel(), minlength=2 * H).cumsum().tolist()]
+    sizes = np.bincount(bucket.ravel(), minlength=2 * H)
+    ends = [0, *sizes.cumsum().tolist()]
     customer = order // H
     X, ys, ks = episodes.x[customer], episodes.conversions.ravel()[order], customer.tolist()
     paths, metrics = [], []  # by theta row: its estimates and metrics from before the run
-    for i, est in enumerate(agent.theta_bank):
+    for i in range(H + 1):
         a, b = ends[i], ends[i + 1]
         if b > a:
-            path, metric = crtm_update(est, X[a:b], ys[a:b], agent.cfg)
+            path, metric = crtm_update(agent.theta[i], agent.V[i], X[a:b], ys[a:b],
+                                       agent.cfg, agent.bounds.B_theta)
+            agent.theta[i], agent.V[i] = path[-1], metric[-1]
         else:
-            path, metric = est.theta_hat[None], est.V[None]
+            path, metric = agent.theta[i][None], agent.V[i][None]
         paths.append(path)
         metrics.append(metric)
     base = lose_index(state_table(H).s2[ids]).ravel()[order].tolist()  # a loss's row
-    ratios = []  # by lag: its numerators and denominators from before the run, its N
-    for lag in range(1, H):
+    ratios = []  # by lag: its numerators and denominators from before the run
+    for lag, num, den in zip(range(1, H), agent.numerator.tolist(), agent.denominator.tolist()):
         a, b = ends[H + lag], ends[H + lag + 1]
-        est = agent.delay_bank[lag]
-        ratios.append(([est.numerator], [est.denominator], est.N))
+        ratios.append(([num], [den]))
         if b > a:  # each base rate from its row's estimate after the round's customer
             thetas = [paths[i][bisect.bisect_right(ks, k, ends[i], ends[i + 1]) - ends[i]]
                       for k, i in zip(ks[a:b], base[a:b])]
-            ratios[-1] = (*tsmle_update(est, bucket.ravel()[order[a:b]] - H, ys[a:b],
-                                        X[a:b], thetas, agent.bounds.b), ratios[-1][2])
+            nums, dens = tsmle_update(lag, num, den, bucket.ravel()[order[a:b]] - H, ys[a:b],
+                                      X[a:b], thetas, agent.bounds.b)
+            ratios[-1] = nums, dens
+            agent.numerator[lag - 1], agent.denominator[lag - 1] = nums[-1], dens[-1]
+    agent.update_count += sizes[:H + 1]
+    agent.N += sizes[H + 1:]
     agent.t += n
     if agent.t == boundary + 1:
-        for lag, est in agent.delay_bank.items():
-            if est.N < agent.n_underbar:
+        for lag, N in enumerate(agent.N.tolist(), 1):
+            if N < agent.n_underbar:
                 raise RuntimeError(
                     f"customer {boundary}: exploration underfed the lag-{lag} "
-                    f"delay estimator: {est.N} < {agent.n_underbar}"
+                    f"delay estimator: {N} < {agent.n_underbar}"
                 )
     if not seen:
         return None
@@ -408,12 +421,12 @@ def _consume(agent: AgentState, episodes: Episodes, seen: bool = False) -> Estim
     return Estimates(
         theta=np.stack([path[k] for path, k in zip(paths, rows)]),
         V=np.stack([metric[k] for metric, k in zip(metrics, rows)]) if agent.cfg.gamma else None,
-        numerator=np.array([np.asarray(num)[k] for (num, _, _), k in zip(ratios, lags)]
+        numerator=np.array([np.asarray(num)[k] for (num, _), k in zip(ratios, lags)]
                            ).reshape(H - 1, n),
-        denominator=np.array([np.asarray(den)[k] for (_, den, _), k in zip(ratios, lags)]
+        denominator=np.array([np.asarray(den)[k] for (_, den), k in zip(ratios, lags)]
                              ).reshape(H - 1, n),
-        N=np.array([N + k for (_, _, N), k in zip(ratios, lags)]).reshape(H - 1, n),
-        beta=betas.transpose(1, 0, 2), rss=rss.T,
+        N=np.array([N + k for N, k in zip(Ns, lags)]).reshape(H - 1, n),
+        beta=betas.transpose(1, 0, 2), rss=rss[:-1].T,
         count=np.array(counts)[:, None] + np.arange(n),
     )
 
@@ -436,7 +449,10 @@ def baseline_bids(
 # --- snapshots ---------------------------------------------------------------
 
 def agent_to_dict(agent: AgentState) -> dict:
+    """The learner as a JSON-ready mapping, each estimate filed under the
+    token of its theta row, its lag or its round."""
     b = agent.bounds
+    theta, V = agent.theta.tolist(), agent.V.tolist()
     return {
         "bounds": {
             "b": b.b, "B_x": b.B_x, "B_theta": b.B_theta, "B_d": b.B_d,
@@ -456,14 +472,31 @@ def agent_to_dict(agent: AgentState) -> dict:
         "bid_mode": "forced",  # outcome plans are played as forced bids
         "t": agent.t,
         "theta": {
-            theta_token(i): est.to_dict() for i, est in enumerate(agent.theta_bank)
+            theta_token(i): {"index": theta_token(i), "dim": b.dim, "B_theta": b.B_theta,
+                             "V": V[i], "theta_hat": theta[i], "update_count": count}
+            for i, count in enumerate(agent.update_count.tolist())
         },
-        "delay": {delay_token(k): est.to_dict() for k, est in agent.delay_bank.items()},
-        "auction": {str(h): est.to_dict() for h, est in agent.auction_bank.items()},
+        "delay": {
+            delay_token(k): {"index": delay_token(k), "numerator": num, "denominator": den,
+                             "N": N}
+            for k, num, den, N in zip(range(1, b.H), agent.numerator.tolist(),
+                                      agent.denominator.tolist(), agent.N.tolist())
+        },
+        "auction": {
+            str(h): {"h": h, "dim": b.dim, "gram": gram, "moment": moment,
+                     "residual_sq_sum": rss, "count": count}
+            for h, gram, moment, rss, count in zip(
+                range(1, b.H + 1), agent.gram.tolist(), agent.moment.tolist(),
+                agent.rss.tolist(), agent.count.tolist())
+        },
     }
 
 
 def agent_from_dict(d: dict) -> AgentState:
+    """The learner `agent_to_dict` wrote.  A section whose keys are not
+    exactly the positions of the bounds, an entry of another position,
+    dim or B_theta, an array of the wrong shape and an unknown planner mode
+    raise ValueError naming the section and key."""
     b, c = Bounds(**d["bounds"]), d["cfg"]
     cfg = ConfidenceConfig(delta=c["delta"], gamma_raw=float(d["gamma_raw"]),
                            Gamma_trunc=c["Gamma_trunc"], width_scale=c["width_scale"])
@@ -472,22 +505,68 @@ def agent_from_dict(d: dict) -> AgentState:
                          f"got {c['gamma']!r}")
     if d["bid_mode"] != "forced":
         raise ValueError(f"bid_mode must be 'forced', got {d['bid_mode']!r}")
+    if d["planner_mode"] not in ("outcome", "dp"):
+        raise ValueError(f"planner_mode must be 'outcome' or 'dp', got {d['planner_mode']!r}")
+    H, dim = b.H, b.dim
+    theta = _entries(d, "theta", {theta_token(i): {"index": theta_token(i), "dim": dim,
+                                                   "B_theta": b.B_theta}
+                                  for i in range(H + 1)})
+    delay = _entries(d, "delay", {delay_token(k): {"index": delay_token(k)}
+                                  for k in range(1, H)})
+    auction = _entries(d, "auction", {str(h): {"h": h, "dim": dim} for h in range(1, H + 1)})
+
+    def arrays(entries, field: str, shape: tuple) -> np.ndarray:
+        return np.array([_array(where, e[field], field, shape) for where, e in entries])
+
+    def scalars(entries, field: str, kind: type) -> np.ndarray:
+        return np.array([kind(e[field]) for _, e in entries],
+                        dtype=np.int64 if kind is int else float)
+
     return AgentState(
         bounds=b,
         T=int(d["T"]),
         cfg=cfg,
         n_underbar=int(d["n_underbar"]),
         planner_mode=d["planner_mode"],
-        theta_bank=[
-            ThetaEstimator.from_dict(d["theta"][theta_token(i)], i)
-            for i in range(b.H + 1)
-        ],
-        delay_bank={
-            k: DelayEstimator.from_dict(d["delay"][delay_token(k)], k)
-            for k in range(1, b.H)
-        },
-        auction_bank={
-            int(h): AuctionEstimator.from_dict(sub) for h, sub in d["auction"].items()
-        },
+        theta=arrays(theta, "theta_hat", (dim,)),
+        V=arrays(theta, "V", (dim, dim)),
+        update_count=scalars(theta, "update_count", int),
+        numerator=scalars(delay, "numerator", float),
+        denominator=scalars(delay, "denominator", float),
+        N=scalars(delay, "N", int),
+        gram=arrays(auction, "gram", (dim, dim)),
+        moment=arrays(auction, "moment", (dim,)),
+        rss=scalars(auction, "residual_sq_sum", float),
+        count=scalars(auction, "count", int),
         t=int(d["t"]),
     )
+
+
+def _entries(d: dict, section: str, fixed: dict[str, dict]) -> list[tuple[str, dict]]:
+    """A snapshot section's entries in position order, each with its name
+    for messages, after checking that its keys are exactly those of `fixed`
+    and that each entry holds its key's `fixed` values."""
+    got = d[section]
+    missing = [key for key in fixed if key not in got]
+    for key in missing or [key for key in got if key not in fixed]:
+        problem = "is missing" if missing else "is not a position of the bounds"
+        raise ValueError(f"snapshot {section}: key {key!r} {problem}; "
+                         f"the keys must be {list(fixed)}")
+    for key, values in fixed.items():
+        for field, want in values.items():
+            if got[key][field] != want:
+                raise ValueError(f"snapshot {section}[{key!r}]: {field} must be {want!r}, "
+                                 f"got {got[key][field]!r}")
+    return [(f"{section}[{key!r}]", got[key]) for key in fixed]
+
+
+def _array(where: str, value, field: str, shape: tuple) -> np.ndarray:
+    """A snapshot entry's array field, which must have `shape`."""
+    try:
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError):  # a ragged list, or not numbers
+        array = None
+    if array is None or array.shape != shape:
+        raise ValueError(f"snapshot {where}: {field} must be an array of shape {shape}, "
+                         f"got {value!r}")
+    return array

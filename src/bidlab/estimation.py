@@ -17,13 +17,10 @@ from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import solve as _lapack_solve, solve1 as _lapack_solve1
 
 from .model import NEVER, Bounds, lose_index, state_table, win_index
-from .environment import Episodes, delay_token, theta_token
+from .environment import Episodes
 
 __all__ = [
     "ConfidenceConfig",
-    "ThetaEstimator",
-    "DelayEstimator",
-    "AuctionEstimator",
     "split_episode",
     "crtm_update",
     "solve_small",
@@ -32,6 +29,7 @@ __all__ = [
     "theta_gamma",
     "truncation_threshold",
     "tsmle_update",
+    "delay_estimate",
     "delay_radius",
     "ridge_update",
     "sigma_estimate",
@@ -161,55 +159,6 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-@dataclass
-class ThetaEstimator:
-    """Online Newton state for one effect vector (theta row `index`)."""
-
-    index: int
-    dim: int
-    B_theta: float
-    V: np.ndarray = None
-    theta_hat: np.ndarray = None
-    update_count: int = 0
-
-    def __post_init__(self) -> None:
-        if self.V is None:
-            self.V = np.eye(self.dim)
-        if self.theta_hat is None:
-            self.theta_hat = np.zeros(self.dim)
-
-    def mean(self, x: np.ndarray) -> float:
-        return float(x.dot(self.theta_hat))
-
-    def width(self, x: np.ndarray, gamma: float) -> float:
-        if gamma == 0.0:
-            return 0.0  # what the product gives: V is positive definite
-        return math.sqrt(gamma) * math.sqrt(float(x.dot(solve_small(self.V, x))))
-
-    def to_dict(self) -> dict:
-        return {
-            "index": theta_token(self.index),
-            "dim": self.dim,
-            "B_theta": self.B_theta,
-            "V": [[float(v) for v in row] for row in self.V],
-            "theta_hat": [float(v) for v in self.theta_hat],
-            "update_count": self.update_count,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, index: int) -> "ThetaEstimator":
-        if d["index"] != theta_token(index):
-            raise ValueError(f"snapshot index {d['index']} != {theta_token(index)}")
-        return cls(
-            index=index,
-            dim=int(d["dim"]),
-            B_theta=float(d["B_theta"]),
-            V=np.array(d["V"], dtype=float),
-            theta_hat=np.array(d["theta_hat"], dtype=float),
-            update_count=int(d["update_count"]),
-        )
-
-
 def project_v_ball(theta_star: np.ndarray, V: np.ndarray, radius: float) -> np.ndarray:
     """Nearest point of the Euclidean radius-ball in the V-metric.
 
@@ -243,175 +192,102 @@ def project_v_ball(theta_star: np.ndarray, V: np.ndarray, radius: float) -> np.n
 
 
 def crtm_update(
-    est: ThetaEstimator, X: np.ndarray, ys: Sequence[float], cfg: ConfidenceConfig
+    theta: np.ndarray, V: np.ndarray, X: np.ndarray, ys: Sequence[float],
+    cfg: ConfidenceConfig, radius: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated-mean online Newton steps on the samples (X[k], ys[k]) in
-    order; returns the estimates and the metrics from before the first
-    step and after each, (n + 1, d) and (n + 1, d, d).  Each step's metric
-    gains half the outer product first, and the truncation test uses the
-    updated metric.  The metrics are running sums and the truncation norms
-    come from one stacked solve; each step's own solve runs in sequence,
-    and only a step that leaves the ball is projected."""
+    """Truncated-mean online Newton steps from the estimate `theta` and its
+    metric `V` on the samples (X[k], ys[k]) in order, each estimate kept in
+    the ball of `radius`; returns the estimates and the metrics from before
+    the first step and after each, (n + 1, d) and (n + 1, d, d).  Each
+    step's metric gains half the outer product first, and the truncation
+    test uses the updated metric.  The metrics are running sums and the
+    truncation norms come from one stacked solve; each step's own solve
+    runs in sequence, and only a step that leaves the ball is projected."""
     X = np.asarray(X, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    metrics = _partial_sums(est.V, 0.5 * (X[:, :, None] * X[:, None, :]))
+    metrics = _partial_sums(V, 0.5 * (X[:, :, None] * X[:, None, :]))
     V = metrics[1:]
     x_norm = np.sqrt(_rowdot(X, solve_stacked(V, X[:, :, None])[..., 0]))
     y_trunc = np.where(x_norm * np.abs(ys) <= cfg.Gamma_trunc, ys, 0.0).tolist()
-    thetas, theta, radius = np.empty((len(X) + 1, X.shape[1])), est.theta_hat, est.B_theta
+    thetas = np.empty((len(X) + 1, X.shape[1]))
     thetas[0] = theta
     for k, (x, v, y) in enumerate(zip(X, V, y_trunc), 1):
         theta = theta - solve_small(v, (float(x.dot(theta)) - y) * x)
         if math.sqrt(theta.dot(theta)) > radius:
             theta = project_v_ball(theta, v, radius)
         thetas[k] = theta
-    est.V, est.theta_hat = V[-1].copy(), theta  # a copy: no view holds the run's metrics
-    est.update_count += len(X)
     return thetas, metrics
 
 
 # --- delay factors (two-stage ratio) ---------------------------------------
 
-@dataclass
-class DelayEstimator:
-    """Ratio estimator for one delay factor (the lag, and delay entry,
-    `index`): total conversions over total estimated base rates."""
-
-    index: int
-    numerator: float = 0.0
-    denominator: float = 0.0
-    N: int = 0
-
-    @property
-    def estimate(self) -> float | None:
-        # unavailable before any data; callers fall back to pure optimism
-        if self.denominator <= 0.0:
-            return None
-        return self.numerator / self.denominator
-
-    def to_dict(self) -> dict:
-        return {
-            "index": delay_token(self.index),
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "N": self.N,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, index: int) -> "DelayEstimator":
-        if d["index"] != delay_token(index):
-            raise ValueError(f"snapshot index {d['index']} != {delay_token(index)}")
-        return cls(
-            index=index,
-            numerator=float(d["numerator"]),
-            denominator=float(d["denominator"]),
-            N=int(d["N"]),
-        )
-
-
 def tsmle_update(
-    est: DelayEstimator, lags: Sequence[int], conversions: Sequence[float],
-    X: np.ndarray, thetas: np.ndarray, b: float,
+    lag: int, numerator: float, denominator: float, lags: Sequence[int],
+    conversions: Sequence[float], X: np.ndarray, thetas: np.ndarray, b: float,
 ) -> tuple[list[float], list[float]]:
-    """Consume lost rounds at this lag, in order: round k, filed under lag
-    lags[k] (0 for no delay sample), has conversions[k] and context X[k],
-    and its base rate comes from thetas[k], the effect estimate of its row
-    (lose_index(s2)) current for its customer.  Each base rate is floored
-    at b so the ratio stays bounded.  Returns the numerator and the
-    denominator before each round and after the last, as running sums in
-    round order, as one round at a time adds them.
+    """Add lost rounds to the ratio terms of lag `lag`, in order: round k,
+    filed under lag lags[k] (0 for no delay sample), has conversions[k] and
+    context X[k], and its base rate comes from thetas[k], the effect
+    estimate of its row (lose_index(s2)) current for its customer.  Each
+    base rate is floored at b so the ratio stays bounded.  Returns the
+    numerator and the denominator before each round and after the last, as
+    running sums in round order, as one round at a time adds them.
     """
     lags = np.asarray(lags)
-    for k in np.flatnonzero(lags != est.index)[:1].tolist():
+    for k in np.flatnonzero(lags != lag)[:1].tolist():
         raise ValueError(f"round {k}, filed under lag {lags[k]}, does not belong "
-                         f"to lag {est.index}")
+                         f"to lag {lag}")
     rates = _rowdot(np.asarray(thetas, dtype=float), np.asarray(X, dtype=float))
-    numerators, denominators = [est.numerator], [est.denominator]
+    numerators, denominators = [numerator], [denominator]
     for y, rate in zip(np.asarray(conversions).tolist(), rates.tolist()):
-        est.denominator += max(b, rate)
-        est.numerator += float(y)
-        est.N += 1
-        numerators.append(est.numerator)
-        denominators.append(est.denominator)
+        denominator += max(b, rate)
+        numerator += float(y)
+        numerators.append(numerator)
+        denominators.append(denominator)
     return numerators, denominators
+
+
+def delay_estimate(numerator: float, denominator: float) -> float | None:
+    """Total conversions over total estimated base rates; unavailable
+    before any data, where callers fall back to pure optimism."""
+    if denominator <= 0.0:
+        return None
+    return numerator / denominator
 
 
 # --- auction coefficients (ridge) and noise scale ---------------------------
 
-@dataclass
-class AuctionEstimator:
-    """Ridge state for one round position's log-HOB regression."""
-
-    h: int
-    dim: int
-    gram: np.ndarray = None
-    moment: np.ndarray = None
-    residual_sq_sum: float = 0.0
-    count: int = 0
-
-    def __post_init__(self) -> None:
-        if self.gram is None:
-            self.gram = np.eye(self.dim)
-        if self.moment is None:
-            self.moment = np.zeros(self.dim)
-
-    @property
-    def beta_hat(self) -> np.ndarray:
-        return solve_small(self.gram, self.moment)
-
-    def to_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "dim": self.dim,
-            "gram": [[float(v) for v in row] for row in self.gram],
-            "moment": [float(v) for v in self.moment],
-            "residual_sq_sum": self.residual_sq_sum,
-            "count": self.count,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AuctionEstimator":
-        return cls(
-            h=int(d["h"]),
-            dim=int(d["dim"]),
-            gram=np.array(d["gram"], dtype=float),
-            moment=np.array(d["moment"], dtype=float),
-            residual_sq_sum=float(d["residual_sq_sum"]),
-            count=int(d["count"]),
-        )
-
-
 def ridge_update(
-    bank: Sequence[AuctionEstimator], X: np.ndarray, log_hobs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One regression sample per context X[k] at each round position,
-    log_hobs[k, j] going to bank[j]; each residual is scored against the
-    estimate before its sample (progressive first stage), all of them from
-    one stacked solve on the running grams and moments.  Returns those
-    estimates, (n, len(bank), d), and each residual sum before its sample,
-    (n, len(bank))."""
+    gram: np.ndarray, moment: np.ndarray, rss: np.ndarray, X: np.ndarray,
+    log_hobs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One regression sample per context X[k] at each of the H round
+    positions, log_hobs[k, j] going to position j, whose ridge sums are
+    gram[j] (d, d) and moment[j] (d,) and progressive residual sum rss[j];
+    each residual is scored against the estimate before its sample
+    (progressive first stage), all of them from one stacked solve on the
+    running grams and moments.  Returns the grams, moments and residual
+    sums from before the first sample and after each, (n + 1, H, d, d),
+    (n + 1, H, d) and (n + 1, H), and the estimates before each sample,
+    (n, H, d)."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(log_hobs, dtype=float)
     if not np.all(np.isfinite(Y)):
         raise ValueError("log HOB must be finite")
     outer = X[:, None, :, None] * X[:, None, None, :]  # each sample's, at every position
-    grams = _partial_sums([e.gram for e in bank], outer)
-    moments = _partial_sums([e.moment for e in bank], X[:, None, :] * Y[:, :, None])
+    grams = _partial_sums(gram, outer)
+    moments = _partial_sums(moment, X[:, None, :] * Y[:, :, None])
     betas = solve_stacked(grams[:-1], moments[:-1, :, :, None])[..., 0]
     resid = Y - _rowdot(X[:, None, :], betas)
-    rss = _partial_sums([e.residual_sq_sum for e in bank], resid * resid)
-    gram, moment = grams[-1].copy(), moments[-1].copy()  # no view holds the run's sums
-    for j, est in enumerate(bank):
-        est.gram, est.moment, est.residual_sq_sum = gram[j], moment[j], float(rss[-1, j])
-        est.count += len(X)
-    return betas, rss[:-1]
+    return grams, moments, _partial_sums(rss, resid * resid), betas
 
 
-def sigma_estimate(est: AuctionEstimator) -> float | None:
-    """Root mean squared progressive residual; unavailable with no data."""
-    if est.count == 0:
+def sigma_estimate(rss: float, count: int) -> float | None:
+    """Root mean squared progressive residual of `count` samples whose
+    squares sum to `rss`; unavailable with no data."""
+    if count == 0:
         return None
-    return math.sqrt(est.residual_sq_sum / est.count)
+    return math.sqrt(rss / count)
 
 
 # --- data splitting ----------------------------------------------------------
@@ -437,8 +313,12 @@ def split_episode(episodes: Episodes) -> np.ndarray:
 
 
 def optimistic_mean(
-    est: ThetaEstimator, x: np.ndarray, gamma: float, b: float = 0.0
+    theta: np.ndarray, V: np.ndarray, x: np.ndarray, gamma: float, b: float = 0.0
 ) -> float:
-    """Upper confidence value of the conversion rate <x, theta>, floored at
-    the rate floor b."""
-    return max(est.mean(x) + est.width(x, gamma), b)
+    """Upper confidence value of the conversion rate <x, theta> over the
+    ellipsoid of metric V and squared radius gamma, floored at the rate
+    floor b."""
+    width = 0.0  # what the product gives at gamma = 0: V is positive definite
+    if gamma != 0.0:
+        width = math.sqrt(gamma) * math.sqrt(float(x.dot(solve_small(V, x))))
+    return max(float(x.dot(theta)) + width, b)

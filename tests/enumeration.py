@@ -280,49 +280,49 @@ def per_customer_realized(config, trial, instance=None):
 # --- the learner's update, one customer and one sample at a time -------------
 
 
-def per_sample_ridge(est, x, log_hob):
-    """One regression sample; the residual is scored against the estimate
-    available before the sample arrives (progressive first stage)."""
+def per_sample_ridge(agent, j, x, log_hob):
+    """One regression sample at round position j (from 0); the residual is
+    scored against the estimate available before the sample arrives
+    (progressive first stage)."""
     if not math.isfinite(log_hob):
         raise ValueError("log HOB must be finite")
     x = np.asarray(x, dtype=float)
-    resid = log_hob - float(x @ est.beta_hat)
-    est.residual_sq_sum += resid * resid
-    est.gram = est.gram + np.outer(x, x)
-    est.moment = est.moment + x * log_hob
-    est.count += 1
-    return est
+    resid = log_hob - float(x @ np.linalg.solve(agent.gram[j], agent.moment[j]))
+    agent.rss[j] += resid * resid
+    agent.gram[j] = agent.gram[j] + np.outer(x, x)
+    agent.moment[j] = agent.moment[j] + x * log_hob
+    agent.count[j] += 1
+    return agent
 
 
-def per_sample_crtm(est, x, y, cfg):
-    """One truncated-mean online Newton step.
+def per_sample_crtm(agent, i, x, y):
+    """One truncated-mean online Newton step of theta row i.
 
     The design matrix gains half the outer product first; the truncation
     test uses the updated metric.
     """
     x = np.asarray(x, dtype=float)
-    est.V = est.V + 0.5 * np.outer(x, x)
-    x_norm = math.sqrt(float(x @ np.linalg.solve(est.V, x)))
-    y_trunc = float(y) if x_norm * abs(float(y)) <= cfg.Gamma_trunc else 0.0
-    grad = (float(x @ est.theta_hat) - y_trunc) * x
-    theta_star = est.theta_hat - np.linalg.solve(est.V, grad)
-    est.theta_hat = project_v_ball(theta_star, est.V, est.B_theta)
-    est.update_count += 1
-    return est
+    V = agent.V[i] = agent.V[i] + 0.5 * np.outer(x, x)
+    x_norm = math.sqrt(float(x @ np.linalg.solve(V, x)))
+    y_trunc = float(y) if x_norm * abs(float(y)) <= agent.cfg.Gamma_trunc else 0.0
+    grad = (float(x @ agent.theta[i]) - y_trunc) * x
+    theta_star = agent.theta[i] - np.linalg.solve(V, grad)
+    agent.theta[i] = project_v_ball(theta_star, V, agent.bounds.B_theta)
+    agent.update_count[i] += 1
+    return agent
 
 
-def per_sample_tsmle(est, rounds, x, theta_bank, b):
+def per_sample_tsmle(agent, lag, rounds, x, thetas):
     """Consume one customer's lost rounds at this lag, each a (state, won,
     conversions) triple, base rates from the effect estimates current for
-    this customer (`theta_bank`, by theta row), each floored at b."""
+    this customer (`thetas`, by theta row), each floored at the rate floor."""
     for state, won, y in rounds:
-        if won or state.s1 != est.index:
-            raise ValueError(f"round {(state, won, y)} does not belong to lag {est.index}")
-        theta_hat = theta_bank[lose_index(state.s2)]
-        est.denominator += max(b, float(theta_hat @ x))
-        est.numerator += float(y)
-        est.N += 1
-    return est
+        if won or state.s1 != lag:
+            raise ValueError(f"round {(state, won, y)} does not belong to lag {lag}")
+        agent.denominator[lag - 1] += max(agent.bounds.b, float(thetas[lose_index(state.s2)] @ x))
+        agent.numerator[lag - 1] += float(y)
+        agent.N[lag - 1] += 1
+    return agent
 
 
 def per_sample_update(agent, episode):
@@ -332,8 +332,8 @@ def per_sample_update(agent, episode):
     (t,), x, H = episode.t.tolist(), episode.x[0], episode.won.shape[1]
     if t != agent.t:
         raise ValueError(f"expected customer {agent.t}, got log for {t}")
-    for h, hob in enumerate(episode.hob[0].tolist(), start=1):
-        per_sample_ridge(agent.auction_bank[h], x, math.log(hob))
+    for j, hob in enumerate(episode.hob[0].tolist()):
+        per_sample_ridge(agent, j, x, math.log(hob))
     states = [state_table(H).states[i] for i in episode.ids[0, :H].tolist()]
     rounds = list(zip(range(1, H + 1), states, episode.won[0].tolist(),
                       episode.conversions[0].tolist(),
@@ -348,22 +348,22 @@ def per_sample_update(agent, episode):
                     f"customer {t}, round {h} is not a clean sample of "
                     f"theta row {i}"
                 )
-            per_sample_crtm(agent.theta_bank[i], x, float(y), agent.cfg)
-    theta_snapshot = [est.theta_hat for est in agent.theta_bank]
+            per_sample_crtm(agent, i, x, float(y))
+    theta_snapshot = agent.theta.copy()
     for lag in range(1, H):  # bucket H + lag
         per_sample_tsmle(
-            agent.delay_bank[lag],
+            agent, lag,
             [(state, won, y) for _, state, won, y, bucket in rounds if bucket == H + lag],
-            x, theta_snapshot, agent.bounds.b,
+            x, theta_snapshot,
         )
     agent.t += 1
     boundary = exploration_window(agent.n_underbar, agent.bounds.H)
     if agent.t == boundary + 1:
-        for lag, est in agent.delay_bank.items():
-            if est.N < agent.n_underbar:
+        for lag, N in enumerate(agent.N.tolist(), 1):
+            if N < agent.n_underbar:
                 raise RuntimeError(
                     f"exploration underfed the lag-{lag} delay estimator: "
-                    f"{est.N} < {agent.n_underbar}"
+                    f"{N} < {agent.n_underbar}"
                 )
     return agent
 

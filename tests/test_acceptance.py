@@ -39,11 +39,9 @@ from bidlab.environment import (
     sample_context,
 )
 from bidlab.estimation import (
-    AuctionEstimator,
     ConfidenceConfig,
-    DelayEstimator,
-    ThetaEstimator,
     crtm_update,
+    delay_estimate,
     optimistic_mean,
     project_v_ball,
     ridge_update,
@@ -260,14 +258,13 @@ def _delay_replicate(
     n: int, theta: np.ndarray, theta_hat: np.ndarray, d_true: float,
     rng: np.random.Generator,
 ) -> float:
-    est = DelayEstimator(index=1)
     xs = np.abs(rng.standard_normal((n, 2))) + 0.1
     ys = rng.poisson(d_true * xs @ theta)
     # n lost rounds one round after a first win (lag 1), every round's base
     # rate from the same effect estimate
-    tsmle_update(est, np.ones(n, dtype=int), ys, xs,
-                 np.broadcast_to(theta_hat, xs.shape), 0.1)
-    return est.estimate
+    nums, dens = tsmle_update(1, 0.0, 0.0, np.ones(n, dtype=int), ys, xs,
+                              np.broadcast_to(theta_hat, xs.shape), 0.1)
+    return delay_estimate(nums[-1], dens[-1])
 
 
 def test_criterion_4_delay_estimator_rate():
@@ -344,19 +341,20 @@ def test_criterion_5_payment_identities():
 
 def test_criterion_6_estimator_micro_oracles():
     cfg = ConfidenceConfig(delta=0.01, gamma_raw=1.0, Gamma_trunc=1e6, width_scale=1.0)
-    est = ThetaEstimator(index=lose_index(NEVER_BEFORE), dim=2, B_theta=10.0)
-    crtm_update(est, [[1.0, 0.0]], [1], cfg)
+    # the effect estimate of the natural-demand row, fresh
+    thetas, metrics = crtm_update(np.zeros(2), np.eye(2), [[1.0, 0.0]], [1], cfg, 10.0)
     crtm_ok = np.allclose(
-        est.V, np.diag([1.5, 1.0]), atol=1e-12
-    ) and np.allclose(est.theta_hat, [2.0 / 3.0, 0.0], atol=1e-12)
+        metrics[-1], np.diag([1.5, 1.0]), atol=1e-12
+    ) and np.allclose(thetas[-1], [2.0 / 3.0, 0.0], atol=1e-12)
 
-    ridge = AuctionEstimator(h=1, dim=2)
-    ridge_update([ridge], [[1.0, 0.0]], [[4.0]])
+    # one round position's fresh ridge sums
+    grams, moments, rss, _ = ridge_update(np.eye(2)[None], np.zeros((1, 2)), np.zeros(1),
+                                          [[1.0, 0.0]], [[4.0]])
     ridge_ok = (
-        np.array_equal(ridge.gram, np.diag([2.0, 1.0]))
-        and np.array_equal(ridge.moment, np.array([4.0, 0.0]))
-        and ridge.residual_sq_sum == 16.0
-        and sigma_estimate(ridge) == 4.0
+        np.array_equal(grams[-1, 0], np.diag([2.0, 1.0]))
+        and np.array_equal(moments[-1, 0], np.array([4.0, 0.0]))
+        and rss[-1, 0] == 16.0
+        and sigma_estimate(float(rss[-1, 0]), len(rss) - 1) == 4.0
     )
 
     rng = np.random.default_rng(5)
@@ -364,17 +362,15 @@ def test_criterion_6_estimator_micro_oracles():
     for _ in range(20):
         A = rng.normal(size=(2, 2))
         V = A @ A.T + np.eye(2)
-        est = ThetaEstimator(index=lose_index(NEVER_BEFORE), dim=2, B_theta=50.0)
-        est.V = V
-        est.theta_hat = rng.normal(size=2) + 2.0
+        theta = rng.normal(size=2) + 2.0
         x = np.abs(rng.normal(size=2)) + 0.5
         gamma = float(rng.uniform(0.1, 4.0))
         lam, Q = np.linalg.eigh(V)
         width = math.sqrt(gamma) * math.sqrt(
             float(np.sum((Q.T @ x) ** 2 / lam))
         )
-        want = max(float(est.theta_hat @ x) + width, 0.0)
-        got = optimistic_mean(est, x, gamma)
+        want = max(float(theta @ x) + width, 0.0)
+        got = optimistic_mean(theta, V, x, gamma)
         opt_ok = opt_ok and abs(got - want) <= 1e-6
 
     proj_ok = True

@@ -33,7 +33,7 @@ from bidlab.environment import (
     run_episode,
     sample_context,
 )
-from bidlab.estimation import optimistic_mean, split_episode
+from bidlab.estimation import delay_estimate, optimistic_mean, solve_small, split_episode
 from bidlab.model import (
     NEVER_BEFORE,
     ONLY_ONE,
@@ -109,9 +109,9 @@ def test_phase_boundary():
 
 def test_exploration_never_consults_estimators():
     agent = small_agent()
-    agent.theta_bank = None  # would crash any planner access
-    agent.delay_bank = None
-    agent.auction_bank = None
+    for name in ("theta", "V", "numerator", "denominator", "N", "gram", "moment", "rss",
+                 "count"):
+        setattr(agent, name, None)  # would crash any planner access
     bids = act(agent, np.array([1.0, 1.0]))
     assert agent.exploring
     assert bids == forced_bids((True, False, False))
@@ -133,17 +133,15 @@ def test_zero_information_params_are_floored():
 
 
 def inject_truth(agent, m, a):
-    for i, est in enumerate(agent.theta_bank):
-        est.theta_hat = m.theta[i].copy()
-    for lag, est in agent.delay_bank.items():
-        est.numerator = float(m.delay[lag])
-        est.denominator = 1.0
-        est.N = 1
-    for h, est in agent.auction_bank.items():
-        est.gram = np.eye(2) * 1e8
-        est.moment = est.gram @ a.beta[h - 1]
-        est.count = 1000
-        est.residual_sq_sum = a.sigma[h - 1] ** 2 * est.count
+    agent.theta[:] = m.theta
+    agent.numerator[:] = m.delay[1:]
+    agent.denominator[:] = 1.0
+    agent.N[:] = 1
+    agent.gram[:] = np.eye(2) * 1e8
+    for j, beta in enumerate(a.beta):
+        agent.moment[j] = agent.gram[j] @ beta
+    agent.count[:] = 1000
+    agent.rss[:] = a.sigma ** 2 * agent.count
 
 
 def test_exact_parameters_reproduce_oracle_plan():
@@ -167,13 +165,14 @@ def test_optimism_orders_means_and_delays():
         update(agent, log)
     x = sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream("probe"))
     params = optimistic_params(agent, x)
-    for i, est in enumerate(agent.theta_bank):
-        assert params.mu[i] >= est.mean(x) - 1e-12
-    for lag, est in agent.delay_bank.items():
-        if est.estimate is not None:
+    for i, theta in enumerate(agent.theta):
+        assert params.mu[i] >= float(x.dot(theta)) - 1e-12
+    for lag, (num, den) in enumerate(zip(agent.numerator, agent.denominator), 1):
+        estimate = delay_estimate(num, den)
+        if estimate is not None:
             # optimistic delay is the estimate plus a positive radius,
             # clamped into [0, B_d]
-            assert params.delay[lag] >= min(est.estimate, BOUNDS.B_d) - 1e-12
+            assert params.delay[lag] >= min(estimate, BOUNDS.B_d) - 1e-12
 
 
 def test_dp_planner_mode_returns_bid_policy():
@@ -297,10 +296,10 @@ def test_all_lose_episode_routes_to_natural_demand_only():
     x = np.array([1.0, 1.0])
     log = play(LOSE_ALL, x, m, a, rng, 1)
     update(agent, log)
-    assert agent.theta_bank[NATURAL_DEMAND].update_count == 3
-    assert agent.theta_bank[FIRST_EXPOSURE].update_count == 0
-    assert all(est.N == 0 for est in agent.delay_bank.values())
-    assert all(est.count == 1 for est in agent.auction_bank.values())
+    assert agent.update_count[NATURAL_DEMAND] == 3
+    assert agent.update_count[FIRST_EXPOSURE] == 0
+    assert all(N == 0 for N in agent.N)
+    assert all(count == 1 for count in agent.count)
     assert agent.t == 2
 
 
@@ -318,32 +317,32 @@ def test_replay_doubles_counts():
 
     replay(1)
     first = {
-        "theta": [e.update_count for e in agent.theta_bank],
-        "delay": {lag: e.N for lag, e in agent.delay_bank.items()},
-        "auction": {h: e.count for h, e in agent.auction_bank.items()},
+        "theta": agent.update_count.tolist(),
+        "delay": agent.N.tolist(),
+        "auction": agent.count.tolist(),
     }
-    assert sum(first["theta"]) == 1 and sum(first["delay"].values()) == 2
+    assert sum(first["theta"]) == 1 and sum(first["delay"]) == 2
     replay(2)
-    for i, e in enumerate(agent.theta_bank):
-        assert e.update_count == 2 * first["theta"][i]
-    for lag, e in agent.delay_bank.items():
-        assert e.N == 2 * first["delay"][lag]
-    for h, e in agent.auction_bank.items():
-        assert e.count == 2 * first["auction"][h]
+    for i, count in enumerate(agent.update_count):
+        assert count == 2 * first["theta"][i]
+    for k, N in enumerate(agent.N):
+        assert N == 2 * first["delay"][k]
+    for j, count in enumerate(agent.count):
+        assert count == 2 * first["auction"][j]
 
 
 def test_exploration_feeds_every_estimator():
     agent = small_agent()
     run_exploration(agent)
     n = agent.n_underbar
-    assert agent.theta_bank[NATURAL_DEMAND].update_count == 3 * n
-    assert agent.theta_bank[FIRST_EXPOSURE].update_count == 3 * n
-    assert agent.theta_bank[win_index(1)].update_count == n
-    assert agent.theta_bank[win_index(2)].update_count == n
-    assert agent.delay_bank[1].N == 3 * n
-    assert agent.delay_bank[2].N == n
-    for est in agent.auction_bank.values():
-        assert est.count == 4 * n
+    assert agent.update_count[NATURAL_DEMAND] == 3 * n
+    assert agent.update_count[FIRST_EXPOSURE] == 3 * n
+    assert agent.update_count[win_index(1)] == n
+    assert agent.update_count[win_index(2)] == n
+    assert agent.N[1 - 1] == 3 * n
+    assert agent.N[2 - 1] == n
+    for count in agent.count:
+        assert count == 4 * n
     assert not agent.exploring
 
 
@@ -389,14 +388,14 @@ def test_estimates_approach_truth_after_learning():
                        Gamma_override=100_000.0)
     m, a = run_exploration(agent, seed=21)
     probe = sample_context(BENCHMARK_RECIPE, BOUNDS, RandomSource(21).stream("p"))
-    for i, est in enumerate(agent.theta_bank):
-        got = est.mean(probe)
+    for i, theta in enumerate(agent.theta):
+        got = float(probe.dot(theta))
         want = float(m.theta[i] @ probe)
         assert got == pytest.approx(want, rel=0.25, abs=0.5)
-    for lag, est in agent.delay_bank.items():
-        assert est.estimate == pytest.approx(m.delay[lag], abs=0.3)
-    for h, est in agent.auction_bank.items():
-        assert np.linalg.norm(est.beta_hat - a.beta[h - 1]) <= 0.5
+    for lag, (num, den) in enumerate(zip(agent.numerator, agent.denominator), 1):
+        assert delay_estimate(num, den) == pytest.approx(m.delay[lag], abs=0.3)
+    for h, (gram, moment) in enumerate(zip(agent.gram, agent.moment), 1):
+        assert np.linalg.norm(solve_small(gram, moment) - a.beta[h - 1]) <= 0.5
 
 
 # --- baselines ---------------------------------------------------------------
@@ -443,22 +442,19 @@ def test_agent_snapshot_round_trip():
     assert back.n_underbar == agent.n_underbar
     assert back.cfg == agent.cfg
     for i in range(4):
-        assert np.array_equal(back.theta_bank[i].V, agent.theta_bank[i].V)
-        assert np.array_equal(
-            back.theta_bank[i].theta_hat, agent.theta_bank[i].theta_hat
-        )
+        assert np.array_equal(back.V[i], agent.V[i])
+        assert np.array_equal(back.theta[i], agent.theta[i])
     for lag in (1, 2):
-        assert back.delay_bank[lag].to_dict() == agent.delay_bank[lag].to_dict()
+        for name in ("numerator", "denominator", "N"):
+            assert getattr(back, name)[lag - 1] == getattr(agent, name)[lag - 1]
     for h in (1, 2, 3):
-        assert np.array_equal(
-            back.auction_bank[h].gram, agent.auction_bank[h].gram
-        )
-        assert back.auction_bank[h].residual_sq_sum == (
-            agent.auction_bank[h].residual_sq_sum
-        )
+        assert np.array_equal(back.gram[h - 1], agent.gram[h - 1])
+        assert back.rss[h - 1] == agent.rss[h - 1]
 
-    # bit-equal arrays back, and the same JSON again, at every horizon
-    for H in range(1, 7):
+    # bit-equal arrays back, and the same JSON again, at every horizon; at
+    # H = 11 the sorted keys ("1", "10", "11", "2", ...) are not in
+    # position order
+    for H in (*range(1, 7), 11):
         bounds = replace(BOUNDS, H=H)
         agent = make_agent(bounds, T=100, n_underbar=2, width_scale=1.0)
         rng = RandomSource(40 + H)
@@ -475,8 +471,8 @@ def test_agent_snapshot_round_trip():
         blob = json.dumps(d, sort_keys=True)
         back = agent_from_dict(json.loads(blob))
         assert json.dumps(agent_to_dict(back), sort_keys=True) == blob
-        assert len(back.theta_bank) == H + 1
-        assert list(back.delay_bank) == list(range(1, H))
+        assert len(back.theta) == H + 1
+        assert len(back.N) == H - 1
         for got, want in zip(_estimator_arrays(back), _estimator_arrays(agent)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -497,10 +493,33 @@ def test_agent_snapshot_holds_one_gamma_and_the_forced_bid_mode():
         agent_from_dict(auction)
 
 
+@pytest.mark.parametrize("damage, match", [
+    (lambda d: d["auction"].pop("2"), r"^snapshot auction: key '2' is missing"),
+    (lambda d: d["auction"].update({"4": d["auction"]["3"]}),
+     r"^snapshot auction: key '4' is not a position of the bounds"),
+    (lambda d: d["auction"]["2"].update(dim=3),
+     r"^snapshot auction\['2'\]: dim must be 2, got 3"),
+    (lambda d: d["theta"]["LAG1"].update(V=[[1.0]]),
+     r"^snapshot theta\['LAG1'\]: V must be an array of shape \(2, 2\), got \[\[1\.0\]\]"),
+    (lambda d: d["delay"]["LAG2"].update(index="LAG1"),
+     r"^snapshot delay\['LAG2'\]: index must be 'LAG2', got 'LAG1'"),
+    (lambda d: d.update(planner_mode="grid"),
+     r"^planner_mode must be 'outcome' or 'dp', got 'grid'"),
+])
+def test_malformed_snapshots_are_rejected_when_loaded(damage, match):
+    # each of these loaded before and failed, or played wrongly, later on
+    agent = small_agent()
+    run_exploration(agent, seed=31)
+    d = json.loads(json.dumps(agent_to_dict(agent)))
+    damage(d)
+    with pytest.raises(ValueError, match=match):
+        agent_from_dict(d)
+
+
 def _estimator_arrays(agent):
-    return [v for e in agent.theta_bank for v in (e.V, e.theta_hat)] + [
-        v for e in agent.auction_bank.values() for v in (e.gram, e.moment)
-    ]
+    return [getattr(agent, name) for name in (
+        "theta", "V", "update_count", "numerator", "denominator", "N",
+        "gram", "moment", "rss", "count")]
 
 
 def test_optimistic_params_project_auction_estimates():
@@ -509,17 +528,17 @@ def test_optimistic_params_project_auction_estimates():
     agent = small_agent()
     agent.t = 1000
     inside = np.array([0.3, -0.4])
-    for h, est in agent.auction_bank.items():
-        est.moment = est.gram @ (inside if h == 1 else np.array([30.0, 40.0]))
-        est.count = 10
-        est.residual_sq_sum = 10 * (2.0 if h == 2 else 100.0) ** 2
+    for h in (1, 2, 3):
+        agent.moment[h - 1] = agent.gram[h - 1] @ (inside if h == 1 else np.array([30.0, 40.0]))
+        agent.count[h - 1] = 10
+        agent.rss[h - 1] = 10 * (2.0 if h == 2 else 100.0) ** 2
     # at a unit context the HOB log-mean of round h is one coordinate of the
     # planned beta row, so the two contexts read the rows back coordinatewise
     p0 = optimistic_params(agent, np.array([1.0, 0.0]))
     p1 = optimistic_params(agent, np.array([0.0, 1.0]))
     rows = np.array([p0.log_hob, p1.log_hob]).T
-    # the row inside the ball keeps the bits of beta_hat
-    assert rows[0].tobytes() == agent.auction_bank[1].beta_hat.tobytes()
+    # the row inside the ball keeps the bits of the ridge estimate
+    assert rows[0].tobytes() == solve_small(agent.gram[0], agent.moment[0]).tobytes()
     # the projected rows point along (0.6, 0.8) with norm B_beta
     for row in rows[1:]:
         assert np.linalg.norm(row) == pytest.approx(BOUNDS.B_beta)

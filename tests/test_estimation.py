@@ -1,7 +1,6 @@
 """Estimators: hand-derived update oracles, dual-evaluation constants,
 Monte Carlo consistency, and the data-splitting rules."""
 
-import json
 import math
 
 import numpy as np
@@ -12,11 +11,9 @@ from hypothesis import strategies as st
 from bidlab import estimation
 from bidlab.environment import Episodes
 from bidlab.estimation import (
-    AuctionEstimator,
     ConfidenceConfig,
-    DelayEstimator,
-    ThetaEstimator,
     crtm_update,
+    delay_estimate,
     delay_radius,
     optimistic_mean,
     project_v_ball,
@@ -50,8 +47,32 @@ TRUNC_211_20K = 46.541775896248616     # truncation_threshold(.., T=20000, delta
 RADIUS_600 = 2.2410732180112998        # delay_radius(N=600, gamma=1, unit, H=3, T=20000, delta=0.01)
 
 
-def make_theta(dim=2, B=10.0):
-    return ThetaEstimator(index=FIRST_EXPOSURE, dim=dim, B_theta=B)
+def make_theta(dim=2):
+    """A fresh effect estimate and its metric."""
+    return np.zeros(dim), np.eye(dim)
+
+
+def newton(theta, V, X, ys, cfg, B=10.0):
+    """crtm_update's estimate and metric after the run, and its length."""
+    thetas, metrics = crtm_update(theta, V, X, ys, cfg, B)
+    return thetas[-1], metrics[-1], len(thetas) - 1
+
+
+def fresh_ridge(dim=2):
+    """One round position's fresh ridge sums: gram, moment, residual sum."""
+    return np.eye(dim)[None], np.zeros((1, dim)), np.zeros(1)
+
+
+def ridge(gram, moment, rss, X, log_hobs):
+    """ridge_update's sums after the run, and its length."""
+    grams, moments, sums, _ = ridge_update(gram, moment, rss, X, log_hobs)
+    return grams[-1], moments[-1], sums[-1], len(grams) - 1
+
+
+def ratio(lag, numerator, denominator, lags, conversions, X, thetas, b):
+    """tsmle_update's ratio terms after the rounds, and their count."""
+    nums, dens = tsmle_update(lag, numerator, denominator, lags, conversions, X, thetas, b)
+    return nums[-1], dens[-1], len(nums) - 1
 
 
 def big_cfg(Gamma=1e12):
@@ -113,61 +134,60 @@ def test_confidence_config_validation():
 # --- online Newton -----------------------------------------------------------
 
 def test_crtm_hand_oracle():
-    est = make_theta()
-    crtm_update(est, [[1.0, 0.0]], [1.0], big_cfg())
-    assert np.allclose(est.V, np.diag([1.5, 1.0]), atol=0)
-    assert est.theta_hat == pytest.approx([2.0 / 3.0, 0.0], abs=1e-12)
-    assert est.update_count == 1
+    theta, V, n = newton(*make_theta(), [[1.0, 0.0]], [1.0], big_cfg())
+    assert np.allclose(V, np.diag([1.5, 1.0]), atol=0)
+    assert theta == pytest.approx([2.0 / 3.0, 0.0], abs=1e-12)
+    assert n == 1
 
 
 def test_crtm_truncation_zeroes_gradient():
-    est = make_theta()
-    crtm_update(est, [[1.0, 0.0]], [1e9], ConfidenceConfig(0.01, 1.0, 0.0))
-    assert np.array_equal(est.theta_hat, np.zeros(2))
-    assert np.allclose(est.V, np.diag([1.5, 1.0]))
+    theta, V, _ = newton(*make_theta(), [[1.0, 0.0]], [1e9], ConfidenceConfig(0.01, 1.0, 0.0))
+    assert np.array_equal(theta, np.zeros(2))
+    assert np.allclose(V, np.diag([1.5, 1.0]))
 
 
 def test_crtm_interior_point_unprojected():
-    est = make_theta(B=100.0)
-    crtm_update(est, [[1.0, 0.0]], [1.0], big_cfg())
+    theta, _, _ = newton(*make_theta(), [[1.0, 0.0]], [1.0], big_cfg(), B=100.0)
     # unconstrained Newton step lands inside the ball and is kept as is
-    assert est.theta_hat == pytest.approx([2.0 / 3.0, 0.0], abs=1e-12)
+    assert theta == pytest.approx([2.0 / 3.0, 0.0], abs=1e-12)
 
 
 def test_crtm_v_bookkeeping():
-    est = make_theta()
+    theta, V = make_theta()
     rng = np.random.default_rng(5)
     xs = rng.uniform(-1, 1, (30, 2))
+    count = 0
     for x in xs:
-        crtm_update(est, [x], [float(rng.poisson(1.0))], big_cfg())
+        theta, V, n = newton(theta, V, [x], [float(rng.poisson(1.0))], big_cfg())
+        count += n
     want = np.eye(2) + 0.5 * sum(np.outer(x, x) for x in xs)
-    assert np.allclose(est.V, want, rtol=0, atol=1e-12)
-    assert est.update_count == 30
+    assert np.allclose(V, want, rtol=0, atol=1e-12)
+    assert count == 30
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_crtm_norm_bound_holds(seed):
     rng = np.random.default_rng(seed)
-    est = make_theta(B=1.0)
+    theta, V = make_theta()
     for _ in range(15):
         x = rng.uniform(-2, 2, 2)
         y = float(rng.uniform(-50, 50))
-        crtm_update(est, [x], [y], big_cfg())
-        assert np.linalg.norm(est.theta_hat) <= 1.0 + 1e-8
+        theta, V, _ = newton(theta, V, [x], [y], big_cfg(), B=1.0)
+        assert np.linalg.norm(theta) <= 1.0 + 1e-8
 
 
 def test_elliptical_potential_bound():
     # sum of min(1, squared post-update widths) is controlled by the log-det
     bx, T, d = 1.5, 400, 2
     rng = np.random.default_rng(11)
-    est = make_theta(B=5.0)
+    theta, V = make_theta()
     total = 0.0
     for _ in range(T):
         x = rng.uniform(-1, 1, d)
         x *= bx / max(np.linalg.norm(x), 1e-9) * rng.uniform(0.2, 1.0)
-        crtm_update(est, [x], [0.0], big_cfg())
-        w = float(x @ np.linalg.solve(est.V, x))
+        theta, V, _ = newton(theta, V, [x], [0.0], big_cfg(), B=5.0)
+        w = float(x @ np.linalg.solve(V, x))
         total += min(1.0, w)
     assert total <= 2.0 * d * math.log(1.0 + T * bx * bx / (2.0 * d))
 
@@ -245,47 +265,42 @@ def test_solve_small_raises_on_a_singular_or_nonfinite_system():
 # --- delay ratio -------------------------------------------------------------
 
 def test_tsmle_single_round():
-    est = DelayEstimator(index=1)
     x = np.array([1.0, 0.0])
-    tsmle_update(est, [1], [3], [x], [[1.5, 0.0]], b=0.1)
-    assert est.estimate == pytest.approx(2.0)
-    assert est.N == 1
+    num, den, N = ratio(1, 0.0, 0.0, [1], [3], [x], [[1.5, 0.0]], b=0.1)
+    assert delay_estimate(num, den) == pytest.approx(2.0)
+    assert N == 1
 
 
 def test_tsmle_unavailable_before_data():
-    est = DelayEstimator(index=1)
-    assert est.estimate is None
+    assert delay_estimate(0.0, 0.0) is None
 
 
 def test_tsmle_floor_applies():
-    est = DelayEstimator(index=1)
-    tsmle_update(est, [1], [0], [np.ones(2)], [[0.0, 0.0]], b=0.5)
-    assert est.denominator == 0.5
+    _, den, _ = ratio(1, 0.0, 0.0, [1], [0], [np.ones(2)], [[0.0, 0.0]], b=0.5)
+    assert den == 0.5
 
 
 def test_tsmle_plug_in_exactness():
     d_true = 0.7
-    est = DelayEstimator(index=2)
+    num = den = 0.0
     theta = np.array([2.0, 1.0])
     rng = np.random.default_rng(3)
     for t in range(50):
         x = rng.uniform(0.2, 1.0, 2)
         rate = float(theta @ x)
         # observations replaced by their exact means
-        tsmle_update(est, [2], [d_true * rate], [x], [theta], b=0.01)
-    assert est.estimate == pytest.approx(d_true, rel=1e-12)
+        num, den, _ = ratio(2, num, den, [2], [d_true * rate], [x], [theta], b=0.01)
+    assert delay_estimate(num, den) == pytest.approx(d_true, rel=1e-12)
 
 
 def test_tsmle_rejects_foreign_rounds():
     # a round filed under another lag, or under none (0: a won round, which
     # is no delay sample), is rejected before any is consumed
-    est = DelayEstimator(index=1)
     bank = [np.ones(2)] * 2
     with pytest.raises(ValueError, match="^round 1, filed under lag 2, does not"):
-        tsmle_update(est, [1, 2], [1, 1], [np.ones(2)] * 2, bank, 0.1)
+        tsmle_update(1, 0.0, 0.0, [1, 2], [1, 1], [np.ones(2)] * 2, bank, 0.1)
     with pytest.raises(ValueError, match="^round 0, filed under lag 0, does not"):
-        tsmle_update(est, [0], [1], [np.ones(2)], bank[:1], 0.1)
-    assert (est.numerator, est.denominator, est.N) == (0.0, 0.0, 0)
+        tsmle_update(1, 0.0, 0.0, [0], [1], [np.ones(2)], bank[:1], 0.1)
 
 
 def test_tsmle_monte_carlo_consistency():
@@ -296,15 +311,18 @@ def test_tsmle_monte_carlo_consistency():
     reps = 40
     for rep in range(reps):
         rng = np.random.default_rng(1000 + rep)
-        est = DelayEstimator(index=1)
+        num = den = 0.0
+        N = 0
         for c in range(100):
             x = rng.uniform(0.1, 1.0, 2)
             x *= rng.uniform(1.0, 5.0) / float(theta @ x)  # rate in [1, 5]
             rate = float(theta @ x)
             ys = rng.poisson(d_true * rate, 100)
-            tsmle_update(est, [1] * len(ys), ys, [x] * len(ys), [theta] * len(ys), b=0.1)
-        assert est.N == 10_000
-        if abs(est.estimate - d_true) <= 0.05:
+            num, den, n = ratio(1, num, den, [1] * len(ys), ys, [x] * len(ys),
+                                [theta] * len(ys), b=0.1)
+            N += n
+        assert N == 10_000
+        if abs(delay_estimate(num, den) - d_true) <= 0.05:
             hits += 1
     assert hits >= int(0.95 * reps)
 
@@ -312,22 +330,19 @@ def test_tsmle_monte_carlo_consistency():
 # --- ridge and noise scale ---------------------------------------------------
 
 def test_ridge_first_sample_oracle():
-    est = AuctionEstimator(h=1, dim=2)
-    assert np.array_equal(est.beta_hat, np.zeros(2))
-    ridge_update([est], [[1.0, 0.0]], [[4.0]])
-    assert est.beta_hat == pytest.approx([2.0, 0.0], abs=1e-14)
+    gram, moment, rss = fresh_ridge()
+    assert np.array_equal(solve_small(gram[0], moment[0]), np.zeros(2))
+    gram, moment, rss, count = ridge(gram, moment, rss, [[1.0, 0.0]], [[4.0]])
+    assert solve_small(gram[0], moment[0]) == pytest.approx([2.0, 0.0], abs=1e-14)
     # progressive residual scored against the prior estimate (zero)
-    assert est.residual_sq_sum == pytest.approx(16.0)
-    assert est.count == 1
+    assert rss[0] == pytest.approx(16.0)
+    assert count == 1
 
 
 def test_sigma_estimate_cases():
-    est = AuctionEstimator(h=1, dim=2)
-    assert sigma_estimate(est) is None
-    est.residual_sq_sum, est.count = 0.0, 5
-    assert sigma_estimate(est) == 0.0
-    est.residual_sq_sum, est.count = 2.0, 2  # residuals {+1, -1}
-    assert sigma_estimate(est) == 1.0
+    assert sigma_estimate(0.0, 0) is None
+    assert sigma_estimate(0.0, 5) == 0.0
+    assert sigma_estimate(2.0, 2) == 1.0  # residuals {+1, -1}
 
 
 def test_ridge_and_sigma_monte_carlo():
@@ -337,21 +352,19 @@ def test_ridge_and_sigma_monte_carlo():
     reps = 20
     for rep in range(reps):
         rng = np.random.default_rng(2000 + rep)
-        est = AuctionEstimator(h=1, dim=2)
         xs = rng.uniform(-1, 1, (10_000, 2))
         noise = sigma * rng.standard_normal(10_000)
         log_hobs = [[float(x @ beta + eps)] for x, eps in zip(xs, noise)]
-        ridge_update([est], xs, log_hobs)
-        hits_beta += np.linalg.norm(est.beta_hat - beta) <= 0.1
-        hits_sigma += abs(sigma_estimate(est) - sigma) <= 0.05
+        gram, moment, rss, count = ridge(*fresh_ridge(), xs, log_hobs)
+        hits_beta += np.linalg.norm(solve_small(gram[0], moment[0]) - beta) <= 0.1
+        hits_sigma += abs(sigma_estimate(float(rss[0]), count) - sigma) <= 0.05
     assert hits_beta >= int(0.95 * reps)
     assert hits_sigma >= int(0.95 * reps)
 
 
 def test_ridge_rejects_nonfinite():
-    est = AuctionEstimator(h=1, dim=2)
     with pytest.raises(ValueError):
-        ridge_update([est], [np.ones(2)], [[float("inf")]])
+        ridge_update(*fresh_ridge(), [np.ones(2)], [[float("inf")]])
 
 
 # --- data splitting ----------------------------------------------------------
@@ -421,12 +434,11 @@ def test_split_is_a_partition(outcomes):
 # --- optimism ----------------------------------------------------------------
 
 def test_optimistic_mean_identity_metric():
-    est = make_theta()
-    est.theta_hat = np.array([0.5, 0.0])
+    theta, V = np.array([0.5, 0.0]), np.eye(2)
     x = np.array([1.0, 0.0])
-    assert optimistic_mean(est, x, 4.0) == pytest.approx(0.5 + 2.0)
-    assert optimistic_mean(est, x, 0.0) == pytest.approx(0.5)
-    assert optimistic_mean(est, x, 0.0, b=0.9) == pytest.approx(0.9)
+    assert optimistic_mean(theta, V, x, 4.0) == pytest.approx(0.5 + 2.0)
+    assert optimistic_mean(theta, V, x, 0.0) == pytest.approx(0.5)
+    assert optimistic_mean(theta, V, x, 0.0, b=0.9) == pytest.approx(0.9)
 
 
 def test_optimistic_mean_is_ellipsoid_max():
@@ -434,16 +446,14 @@ def test_optimistic_mean_is_ellipsoid_max():
     for _ in range(20):
         A = rng.normal(size=(2, 2))
         V = A @ A.T + 0.3 * np.eye(2)
-        est = make_theta()
-        est.V = V
-        est.theta_hat = rng.normal(size=2)
+        theta = rng.normal(size=2)
         x = rng.uniform(0.2, 1.0, 2)
         gamma = float(rng.uniform(0.1, 4.0))
-        got = optimistic_mean(est, x, gamma)
+        got = optimistic_mean(theta, V, x, gamma)
         # independent evaluation through the eigendecomposition
         vals, vecs = np.linalg.eigh(V)
         v_inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.T
-        want = float(x @ est.theta_hat) + math.sqrt(gamma) * float(
+        want = float(x @ theta) + math.sqrt(gamma) * float(
             np.linalg.norm(v_inv_sqrt @ x)
         )
         assert got == pytest.approx(max(want, 0.0), abs=1e-6)
@@ -451,8 +461,8 @@ def test_optimistic_mean_is_ellipsoid_max():
         for _ in range(300):
             u = rng.normal(size=2)
             u /= np.linalg.norm(u)
-            theta = est.theta_hat + math.sqrt(gamma) * (v_inv_sqrt @ u) * rng.uniform(0, 1)
-            assert float(x @ theta) <= got + 1e-8
+            point = theta + math.sqrt(gamma) * (v_inv_sqrt @ u) * rng.uniform(0, 1)
+            assert float(x @ point) <= got + 1e-8
 
 
 def test_optimistic_mean_at_zero_width_skips_the_solve(monkeypatch):
@@ -461,53 +471,18 @@ def test_optimistic_mean_at_zero_width_skips_the_solve(monkeypatch):
     cases = []
     for _ in range(50):
         A = rng.normal(size=(3, 3))
-        est = make_theta(dim=3)
-        est.V = A @ A.T + 0.1 * np.eye(3)
-        est.theta_hat = rng.normal(size=3)
+        V = A @ A.T + 0.1 * np.eye(3)
+        theta = rng.normal(size=3)
         x = rng.uniform(0.1, 2.0, 3)
         b = float(rng.uniform(0.0, 1.0))
-        width = math.sqrt(0.0) * math.sqrt(float(x @ np.linalg.solve(est.V, x)))
-        cases.append((est, x, b, max(float(x @ est.theta_hat) + width, b)))
+        width = math.sqrt(0.0) * math.sqrt(float(x @ np.linalg.solve(V, x)))
+        cases.append((theta, V, x, b, max(float(x @ theta) + width, b)))
 
     def no_solve(*args):
         raise AssertionError("solve called at gamma = 0")
 
     monkeypatch.setattr(np.linalg, "solve", no_solve)
     monkeypatch.setattr(estimation, "solve_small", no_solve)
-    for est, x, b, want in cases:
-        assert est.width(x, 0.0) == 0.0
-        got = optimistic_mean(est, x, 0.0, b=b)
+    for theta, V, x, b, want in cases:
+        got = optimistic_mean(theta, V, x, 0.0, b=b)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
-
-
-# --- serialization -----------------------------------------------------------
-
-def test_estimator_snapshots_round_trip():
-    theta = make_theta()
-    crtm_update(theta, [[0.7, 0.2]], [3.0], big_cfg())
-    crtm_update(theta, [[0.1, 0.9]], [1.0], big_cfg())
-    back = ThetaEstimator.from_dict(
-        json.loads(json.dumps(theta.to_dict())), FIRST_EXPOSURE
-    )
-    assert np.array_equal(back.V, theta.V)
-    assert np.array_equal(back.theta_hat, theta.theta_hat)
-    assert back.update_count == theta.update_count
-
-    delay = DelayEstimator(index=1)
-    tsmle_update(delay, [1], [2], [np.ones(2)], [[1.0, 1.0]], 0.1)
-    back = DelayEstimator.from_dict(
-        json.loads(json.dumps(delay.to_dict())), 1
-    )
-    assert (back.numerator, back.denominator, back.N) == (
-        delay.numerator, delay.denominator, delay.N
-    )
-
-    auc = AuctionEstimator(h=2, dim=2)
-    ridge_update([auc], [[0.3, 0.4]], [[1.7]])
-    back = AuctionEstimator.from_dict(json.loads(json.dumps(auc.to_dict())))
-    assert np.array_equal(back.gram, auc.gram)
-    assert np.array_equal(back.moment, auc.moment)
-    assert back.residual_sq_sum == auc.residual_sq_sum
-
-    with pytest.raises(ValueError):
-        ThetaEstimator.from_dict(theta.to_dict(), NATURAL_DEMAND)

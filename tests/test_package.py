@@ -1,6 +1,7 @@
 """Checks on the package's own source."""
 
 import ast
+import sys
 from pathlib import Path
 
 import bidlab
@@ -38,3 +39,21 @@ def test_every_name_in_all_is_defined_in_its_module():
                         exported = ast.literal_eval(node.value)
         missing += [f"{path.name}: {name}" for name in exported if name not in defined]
     assert missing == []
+
+
+def test_the_package_imports_only_the_standard_library_numpy_and_itself():
+    # the runtime dependency is numpy only; a relative import is the
+    # package's own
+    foreign = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.partition(".")[0] not in
+                        (*sys.stdlib_module_names, "numpy", "bidlab")]
+    assert SOURCES and foreign == []
