@@ -469,22 +469,18 @@ def agent_to_dict(agent: AgentState) -> dict:
         "gamma_raw": agent.cfg.gamma_raw,
         "n_underbar": agent.n_underbar,
         "planner_mode": agent.planner_mode,
-        "bid_mode": "forced",  # outcome plans are played as forced bids
         "t": agent.t,
         "theta": {
-            theta_token(i): {"index": theta_token(i), "dim": b.dim, "B_theta": b.B_theta,
-                             "V": V[i], "theta_hat": theta[i], "update_count": count}
+            theta_token(i): {"V": V[i], "theta_hat": theta[i], "update_count": count}
             for i, count in enumerate(agent.update_count.tolist())
         },
         "delay": {
-            delay_token(k): {"index": delay_token(k), "numerator": num, "denominator": den,
-                             "N": N}
+            delay_token(k): {"numerator": num, "denominator": den, "N": N}
             for k, num, den, N in zip(range(1, b.H), agent.numerator.tolist(),
                                       agent.denominator.tolist(), agent.N.tolist())
         },
         "auction": {
-            str(h): {"h": h, "dim": b.dim, "gram": gram, "moment": moment,
-                     "residual_sq_sum": rss, "count": count}
+            str(h): {"gram": gram, "moment": moment, "residual_sq_sum": rss, "count": count}
             for h, gram, moment, rss, count in zip(
                 range(1, b.H + 1), agent.gram.tolist(), agent.moment.tolist(),
                 agent.rss.tolist(), agent.count.tolist())
@@ -494,32 +490,31 @@ def agent_to_dict(agent: AgentState) -> dict:
 
 def agent_from_dict(d: dict) -> AgentState:
     """The learner `agent_to_dict` wrote.  A section whose keys are not
-    exactly the positions of the bounds, an entry of another position,
-    dim or B_theta, an array of the wrong shape and an unknown planner mode
-    raise ValueError naming the section and key."""
+    exactly the positions of the bounds, an array of the wrong shape, a
+    count that is not an int or an estimate that is not a number, and an
+    unknown planner mode raise ValueError naming the section and key."""
     b, c = Bounds(**d["bounds"]), d["cfg"]
     cfg = ConfidenceConfig(delta=c["delta"], gamma_raw=float(d["gamma_raw"]),
                            Gamma_trunc=c["Gamma_trunc"], width_scale=c["width_scale"])
     if c["gamma"] != cfg.gamma:
         raise ValueError(f"cfg.gamma must be width_scale * gamma_raw = {cfg.gamma!r}, "
                          f"got {c['gamma']!r}")
-    if d["bid_mode"] != "forced":
-        raise ValueError(f"bid_mode must be 'forced', got {d['bid_mode']!r}")
     if d["planner_mode"] not in ("outcome", "dp"):
         raise ValueError(f"planner_mode must be 'outcome' or 'dp', got {d['planner_mode']!r}")
     H, dim = b.H, b.dim
-    theta = _entries(d, "theta", {theta_token(i): {"index": theta_token(i), "dim": dim,
-                                                   "B_theta": b.B_theta}
-                                  for i in range(H + 1)})
-    delay = _entries(d, "delay", {delay_token(k): {"index": delay_token(k)}
-                                  for k in range(1, H)})
-    auction = _entries(d, "auction", {str(h): {"h": h, "dim": dim} for h in range(1, H + 1)})
+    theta = _entries(d, "theta", [theta_token(i) for i in range(H + 1)])
+    delay = _entries(d, "delay", [delay_token(k) for k in range(1, H)])
+    auction = _entries(d, "auction", [str(h) for h in range(1, H + 1)])
 
     def arrays(entries, field: str, shape: tuple) -> np.ndarray:
         return np.array([_array(where, e[field], field, shape) for where, e in entries])
 
     def scalars(entries, field: str, kind: type) -> np.ndarray:
-        return np.array([kind(e[field]) for _, e in entries],
+        for where, e in entries:
+            if type(e[field]) not in (kind, int):  # an estimate may be a whole int
+                raise ValueError(f"snapshot {where}: {field} must be of type "
+                                 f"{kind.__name__}, got {e[field]!r}")
+        return np.array([e[field] for _, e in entries],
                         dtype=np.int64 if kind is int else float)
 
     return AgentState(
@@ -542,22 +537,16 @@ def agent_from_dict(d: dict) -> AgentState:
     )
 
 
-def _entries(d: dict, section: str, fixed: dict[str, dict]) -> list[tuple[str, dict]]:
-    """A snapshot section's entries in position order, each with its name
-    for messages, after checking that its keys are exactly those of `fixed`
-    and that each entry holds its key's `fixed` values."""
+def _entries(d: dict, section: str, keys: list[str]) -> list[tuple[str, dict]]:
+    """A snapshot section's entries in the order of `keys`, each with its
+    name for messages, after checking that its keys are exactly `keys`."""
     got = d[section]
-    missing = [key for key in fixed if key not in got]
-    for key in missing or [key for key in got if key not in fixed]:
+    missing = [key for key in keys if key not in got]
+    for key in missing or [key for key in got if key not in keys]:
         problem = "is missing" if missing else "is not a position of the bounds"
         raise ValueError(f"snapshot {section}: key {key!r} {problem}; "
-                         f"the keys must be {list(fixed)}")
-    for key, values in fixed.items():
-        for field, want in values.items():
-            if got[key][field] != want:
-                raise ValueError(f"snapshot {section}[{key!r}]: {field} must be {want!r}, "
-                                 f"got {got[key][field]!r}")
-    return [(f"{section}[{key!r}]", got[key]) for key in fixed]
+                         f"the keys must be {keys}")
+    return [(f"{section}[{key!r}]", got[key]) for key in keys]
 
 
 def _array(where: str, value, field: str, shape: tuple) -> np.ndarray:

@@ -200,21 +200,24 @@ def crtm_update(
     the ball of `radius`; returns the estimates and the metrics from before
     the first step and after each, (n + 1, d) and (n + 1, d, d).  Each
     step's metric gains half the outer product first, and the truncation
-    test uses the updated metric.  The metrics are running sums and the
-    truncation norms come from one stacked solve; each step's own solve
-    runs in sequence, and only a step that leaves the ball is projected."""
+    test uses the updated metric.  The metrics are running sums, and one
+    stacked solve gives every gain g_k = V_k^{-1} x_k, which sets both the
+    truncation norm sqrt(x_k . g_k) and the step theta - (x_k . theta -
+    y_k) g_k.  Only the steps, each a product and a scaled difference, run
+    in sequence, and only a step that leaves the ball is projected."""
     X = np.asarray(X, dtype=float)
     ys = np.asarray(ys, dtype=float)
     metrics = _partial_sums(V, 0.5 * (X[:, :, None] * X[:, None, :]))
     V = metrics[1:]
-    x_norm = np.sqrt(_rowdot(X, solve_stacked(V, X[:, :, None])[..., 0]))
+    G = solve_stacked(V, X[:, :, None])[..., 0]
+    x_norm = np.sqrt(_rowdot(X, G))
     y_trunc = np.where(x_norm * np.abs(ys) <= cfg.Gamma_trunc, ys, 0.0).tolist()
     thetas = np.empty((len(X) + 1, X.shape[1]))
     thetas[0] = theta
-    for k, (x, v, y) in enumerate(zip(X, V, y_trunc), 1):
-        theta = theta - solve_small(v, (float(x.dot(theta)) - y) * x)
+    for k, (x, g, y) in enumerate(zip(X, G, y_trunc), 1):
+        theta = theta - (float(x.dot(theta)) - y) * g
         if math.sqrt(theta.dot(theta)) > radius:
-            theta = project_v_ball(theta, v, radius)
+            theta = project_v_ball(theta, V[k - 1], radius)
         thetas[k] = theta
     return thetas, metrics
 
@@ -224,7 +227,7 @@ def crtm_update(
 def tsmle_update(
     lag: int, numerator: float, denominator: float, lags: Sequence[int],
     conversions: Sequence[float], X: np.ndarray, thetas: np.ndarray, b: float,
-) -> tuple[list[float], list[float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Add lost rounds to the ratio terms of lag `lag`, in order: round k,
     filed under lag lags[k] (0 for no delay sample), has conversions[k] and
     context X[k], and its base rate comes from thetas[k], the effect
@@ -238,13 +241,9 @@ def tsmle_update(
         raise ValueError(f"round {k}, filed under lag {lags[k]}, does not belong "
                          f"to lag {lag}")
     rates = _rowdot(np.asarray(thetas, dtype=float), np.asarray(X, dtype=float))
-    numerators, denominators = [numerator], [denominator]
-    for y, rate in zip(np.asarray(conversions).tolist(), rates.tolist()):
-        denominator += max(b, rate)
-        numerator += float(y)
-        numerators.append(numerator)
-        denominators.append(denominator)
-    return numerators, denominators
+    # fmax(b, rate) is max(b, rate): b on a tie and on a NaN rate
+    return (_partial_sums(numerator, np.asarray(conversions, dtype=float)),
+            _partial_sums(denominator, np.fmax(b, rates)))
 
 
 def delay_estimate(numerator: float, denominator: float) -> float | None:

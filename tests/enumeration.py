@@ -299,14 +299,14 @@ def per_sample_crtm(agent, i, x, y):
     """One truncated-mean online Newton step of theta row i.
 
     The design matrix gains half the outer product first; the truncation
-    test uses the updated metric.
+    test and the step both use the gain g = V^{-1} x of the updated metric.
     """
     x = np.asarray(x, dtype=float)
     V = agent.V[i] = agent.V[i] + 0.5 * np.outer(x, x)
-    x_norm = math.sqrt(float(x @ np.linalg.solve(V, x)))
+    g = np.linalg.solve(V, x)
+    x_norm = math.sqrt(float(x @ g))
     y_trunc = float(y) if x_norm * abs(float(y)) <= agent.cfg.Gamma_trunc else 0.0
-    grad = (float(x @ agent.theta[i]) - y_trunc) * x
-    theta_star = agent.theta[i] - np.linalg.solve(V, grad)
+    theta_star = agent.theta[i] - (float(x @ agent.theta[i]) - y_trunc) * g
     agent.theta[i] = project_v_ball(theta_star, V, agent.bounds.B_theta)
     agent.update_count[i] += 1
     return agent

@@ -477,10 +477,17 @@ def test_agent_snapshot_round_trip():
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_agent_snapshot_holds_one_gamma_and_the_forced_bid_mode():
+def test_agent_snapshot_holds_one_gamma_and_no_copies():
+    # the gamma the optimistic means use, checked against gamma_raw and
+    # width_scale; no constant bid mode, and no entry repeats its key or a
+    # bound
     agent = make_agent(BOUNDS, T=200, n_underbar=4, width_scale=0.25)
     d = agent_to_dict(agent)
-    assert d["bid_mode"] == "forced"
+    assert "bid_mode" not in d
+    assert [set(e) for e in d["theta"].values()] == [{"V", "theta_hat", "update_count"}] * 4
+    assert [set(e) for e in d["delay"].values()] == [{"numerator", "denominator", "N"}] * 2
+    assert ([set(e) for e in d["auction"].values()]
+            == [{"gram", "moment", "residual_sq_sum", "count"}] * 3)
     assert d["cfg"]["gamma"] == 0.25 * d["gamma_raw"] == agent.cfg.gamma
     assert d["gamma_raw"] == agent.cfg.gamma_raw
     assert agent_from_dict(json.loads(json.dumps(d))).cfg == agent.cfg
@@ -488,21 +495,20 @@ def test_agent_snapshot_holds_one_gamma_and_the_forced_bid_mode():
     stale["cfg"]["gamma"] = d["gamma_raw"]  # width_scale not applied
     with pytest.raises(ValueError, match=r"^cfg\.gamma must be width_scale \* gamma_raw"):
         agent_from_dict(stale)
-    auction = {**d, "bid_mode": "auction"}
-    with pytest.raises(ValueError, match=r"^bid_mode must be 'forced', got 'auction'"):
-        agent_from_dict(auction)
 
 
 @pytest.mark.parametrize("damage, match", [
     (lambda d: d["auction"].pop("2"), r"^snapshot auction: key '2' is missing"),
     (lambda d: d["auction"].update({"4": d["auction"]["3"]}),
      r"^snapshot auction: key '4' is not a position of the bounds"),
-    (lambda d: d["auction"]["2"].update(dim=3),
-     r"^snapshot auction\['2'\]: dim must be 2, got 3"),
+    (lambda d: d["auction"]["2"].update(gram=[1.0, 2.0]),
+     r"^snapshot auction\['2'\]: gram must be an array of shape \(2, 2\), got \[1\.0, 2\.0\]"),
     (lambda d: d["theta"]["LAG1"].update(V=[[1.0]]),
      r"^snapshot theta\['LAG1'\]: V must be an array of shape \(2, 2\), got \[\[1\.0\]\]"),
-    (lambda d: d["delay"]["LAG2"].update(index="LAG1"),
-     r"^snapshot delay\['LAG2'\]: index must be 'LAG2', got 'LAG1'"),
+    (lambda d: d["delay"]["LAG2"].update(N=2.5),
+     r"^snapshot delay\['LAG2'\]: N must be of type int, got 2\.5"),
+    (lambda d: d["delay"]["LAG1"].update(numerator="1.5"),
+     r"^snapshot delay\['LAG1'\]: numerator must be of type float, got '1\.5'"),
     (lambda d: d.update(planner_mode="grid"),
      r"^planner_mode must be 'outcome' or 'dp', got 'grid'"),
 ])

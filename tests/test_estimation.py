@@ -177,6 +177,53 @@ def test_crtm_norm_bound_holds(seed):
         assert np.linalg.norm(theta) <= 1.0 + 1e-8
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from([0.3, 1.0, 1e6]),
+       st.lists(st.integers(0, 40), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_crtm_chained_over_any_split_is_one_call(seed, d, radius, cuts):
+    # the estimates and metrics of a run fed in pieces, each piece starting
+    # from the last estimate and metric of the one before, are byte for byte
+    # those of one call; at radius 0.3 the steps leave the ball and project
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, (40, d))
+    ys = rng.poisson(3.0, 40).astype(float)
+    cfg = ConfidenceConfig(0.01, 1.0, 8.0)  # truncates the largest samples
+    thetas, metrics = crtm_update(np.zeros(d), np.eye(d), X, ys, cfg, radius)
+    pieces = [thetas[:1]], [metrics[:1]]
+    theta, V = thetas[0], metrics[0]
+    for a, b in zip([0, *sorted(cuts)], [*sorted(cuts), 40]):
+        got, got_v = crtm_update(theta, V, X[a:b], ys[a:b], cfg, radius)
+        assert got[0].tobytes() == theta.tobytes() and got_v[0].tobytes() == V.tobytes()
+        pieces[0].append(got[1:])
+        pieces[1].append(got_v[1:])
+        theta, V = got[-1], got_v[-1]
+    assert np.concatenate(pieces[0]).tobytes() == thetas.tobytes()
+    assert np.concatenate(pieces[1]).tobytes() == metrics.tobytes()
+    norms = np.linalg.norm(thetas, axis=1)
+    assert np.all(norms <= radius + 1e-8)
+    if radius == 0.3:
+        assert np.any(norms > radius - 1e-8)  # projected onto the sphere
+
+
+def test_crtm_solves_once_for_the_whole_run(monkeypatch):
+    # every step's gain comes from the one stacked solve: a run whose steps
+    # stay in the ball makes no single solve, and only a projection does
+    calls = {"solve_small": 0, "solve_stacked": 0}
+    for name in calls:
+        def counted(*args, _name=name, _solve=getattr(estimation, name)):
+            calls[_name] += 1
+            return _solve(*args)
+        monkeypatch.setattr(estimation, name, counted)
+    rng = np.random.default_rng(8)
+    X = rng.uniform(-1.0, 1.0, (50, 3))
+    ys = rng.poisson(2.0, 50).astype(float)
+    thetas, _ = crtm_update(np.zeros(3), np.eye(3), X, ys, big_cfg(), 1e6)
+    assert np.linalg.norm(thetas, axis=1).max() < 1e6
+    assert calls == {"solve_small": 0, "solve_stacked": 1}
+    crtm_update(np.zeros(3), np.eye(3), X, ys, big_cfg(), 0.1)
+    assert calls["solve_stacked"] == 2 and calls["solve_small"] > 0
+
+
 def test_elliptical_potential_bound():
     # sum of min(1, squared post-update widths) is controlled by the log-det
     bx, T, d = 1.5, 400, 2
@@ -220,7 +267,7 @@ def test_projection_optimality():
             assert dist <= (z - target) @ V @ (z - target) + 1e-7
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", range(1, 9))
 def test_solve_small_and_the_norms_match_numpy_bit_for_bit(d):
     # random SPD systems and running-sum metrics I + sum x x^T / 2, built as
     # crtm_update builds them, against np.linalg.solve; the dot form against
@@ -246,6 +293,11 @@ def test_solve_small_and_the_norms_match_numpy_bit_for_bit(d):
     for a, b in ((metrics[1:], X[:, :, None]),
                  (metrics[1:].reshape(100, 4, d, d), rng.normal(size=(100, 4, d, 1)))):
         assert solve_stacked(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+    # crtm_update's Newton gains: row k of the stacked solve is the single
+    # solve of system k, so a step's gain does not depend on its run
+    gains = solve_stacked(metrics[1:], X[:, :, None])[..., 0]
+    for V, x, g in zip(metrics[1:], X, gains):
+        assert g.tobytes() == np.linalg.solve(V, x).tobytes() == solve_small(V, x).tobytes()
 
 
 def test_solve_small_raises_on_a_singular_or_nonfinite_system():

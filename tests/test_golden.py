@@ -97,8 +97,8 @@ CONFIGS = {
 
 GOLDEN = {
     "outcome": {
-        "agent_trial0.snapshot": "e517d8f7d0588a15132f0787dd7f0a80374c988661e1b5e5e05cbd7597264623",
-        "agent_trial1.snapshot": "6a3b988d01a6525cb8310cbf5bce23f99df3fac5e836317760d78a321ef2612c",
+        "agent_trial0.snapshot": "c145b00930784e3202d8809580aa83431d9e725ca541e8b09246b546d462f14f",
+        "agent_trial1.snapshot": "0800a780ebec94852c608b764442d22e22430aaea948617ed68e555026b3fdd2",
         "config.json": "5b40e14bb9e3189650415a1c856c956ac93f4d3f7c740c9bbb216dc3f41545a4",
         "contexts_trial0.csv": "9c7263b04e2ff9b3e92af470f1f48eb050122a9ddb5fa880e9e5ebae13406a3e",
         "contexts_trial1.csv": "058ec76871de266f393d2832b0914903efd618be1eb08e31b7913d288c6b5262",
@@ -110,7 +110,7 @@ GOLDEN = {
         "summary.txt": "c84e97ca5f86a510a0ef6089d480ba1f03214a5d6322d6fb66d0cb5180ed46a1",
     },
     "outcome_h1": {
-        "agent_trial0.snapshot": "43d172bbb845fb41f57897adf81b81058a40b7c1f1e9e52aeda054c6ff3a7726",
+        "agent_trial0.snapshot": "789c8fd1194b83b7bfa6d4ce24ce1dbba6e70275c4389db07ce9ffb9f6a5de83",
         "config.json": "6d8237db8cf0124ff2b8fa88c060d9102f328a7c9f9a32c3c7df2d177a275cbd",
         "contexts_trial0.csv": "4b0f48e0df687f770b0fa425f980917c7cdbbd4b0193b051edd4ccab18b2bb7c",
         "curves.csv": "4ea2939a9381bdb810ee7520a4b49eaca0d1226e81bf62e7adab357498befb2d",
@@ -119,8 +119,8 @@ GOLDEN = {
         "summary.txt": "00ee2b2a3419e08f60b194417aa34bda81da4fc18f5e9520f6fbd0e46eab9292",
     },
     "outcome_h5_dim3": {
-        "agent_trial0.snapshot": "881e1e4744e73c83c9f197613510d9983952b2784afc5463ca6a3be3a8587ff1",
-        "agent_trial1.snapshot": "9adafca156b8628de9f7d2f7df3e6304334f89cccc003ff5695e452b81c39c15",
+        "agent_trial0.snapshot": "6e0c290e039a5bcd6469c4776a25777c86530bb574dfe36007daa8b3a51a2eae",
+        "agent_trial1.snapshot": "815ca24c4e50efc2b2e4c3c4f5c01c21d0aec428a81436bba00b079a1ca0808e",
         "config.json": "29dac33b97696ba6b4cfd82c19c1388bc9e3485ebe1d4a802184af556ae9ba4e",
         "contexts_trial0.csv": "e28a84c6513ddbaa2b931615c50c846caa9383aacd7d8ec9d20bd0853efce146",
         "contexts_trial1.csv": "43f53a44e256cca1789a50b655331bbe51262b2389bf7008df7d12e18b3006a8",
@@ -132,7 +132,7 @@ GOLDEN = {
         "summary.txt": "7147cca0fe4eff0ff56fe330d361b0a3238a979e399c0b9dc507a834c06eaf17",
     },
     "outcome_t2": {
-        "agent_trial0.snapshot": "57649f2031cae13bb364974a4b8af479d3a1053febf5c58bd9617d95581ccb1a",
+        "agent_trial0.snapshot": "8f18361c3323f292d945d7fb6af595c0ccf28f0a73ba7248c160944007ce26b7",
         "config.json": "a60aff6bdb62b89d87287af53be0752e8a30378e5bddc17734877ea0f314ea5d",
         "contexts_trial0.csv": "b26ec3ce7c3700e79f2b11250c2959f60858627dc2b491ec10eceb4efa06a8bd",
         "curves.csv": "535f4b87ae01fb4e7c2ad2c81d1d88382d415ac1d0ede6e2c2f66d0c024dd79a",
@@ -141,8 +141,8 @@ GOLDEN = {
         "summary.txt": "e94791e686ee50c7bac57640045d1f8300bafa9d504b8defbc42cbd19c67fea3",
     },
     "outcome_seed_2pow40": {
-        "agent_trial0.snapshot": "4a06d7fca0035952c0e0557bc4262dca6f60be85208a6754842785aaddbf87c2",
-        "agent_trial1.snapshot": "310c666c90b213045fb1411eeba6600bbf23579715764f6230615dc7b91de4cb",
+        "agent_trial0.snapshot": "30a88829a1dbaae7d8523d7055c3bc4b7360bc77fdfcc59d6e214fdf77008978",
+        "agent_trial1.snapshot": "e607dea52c07dfae370201bfbb816796bb8c8034a04102a77b6ad9ba4bf2d7f4",
         "config.json": "10732d3bfa847faaeb9af6cdf425fc162c1eaf96068a2afb33e396ffd7c13276",
         "contexts_trial0.csv": "fd663105bb6af9f7e2ad56880f283d1bee5c7a01793bfbd8453ff8b537f09d37",
         "contexts_trial1.csv": "7da3b07b9bf4b65bf56a2f47ee7bcbe14474d0e874e75e067fdb1ca1995fec65",
@@ -161,9 +161,9 @@ GOLDEN = {
         "summary.txt": "bb343ef5c562fc52b83024f2607b8a2efdd2328b1e5bb4110cd6c8017c7e7f95",
     },
     "outcome_workers2": {
-        "agent_trial0.snapshot": "2f9f07fda81ce154750c6de19cdd2c8d6185de963d42ad1d967a14829ab601b6",
-        "agent_trial1.snapshot": "81e1b952d8ec16053a5bee37d26ea6083d6f4db3c8fb39ce8b4ddab315eecf17",
-        "agent_trial2.snapshot": "b15a1adb8594c179a0315fba125680e7e2784600aff3445f27be547b77f0a478",
+        "agent_trial0.snapshot": "6190a4b3916d85ba0b92852f5239b6f3f67fd11fa4a6a8e5eaa2df185536485c",
+        "agent_trial1.snapshot": "d2789d4d2bae874cdcb0afa08b27296b42cdb7a6de3ef1387aa5a3ce1e2dd52b",
+        "agent_trial2.snapshot": "8bd8dd4097bbf2a9f56811f32b06be8d016bacacfe80dfccbdcdea8d21a5ac26",
         "config.json": "63fde41b16ce2af8d7be74ad3392bed1f9ec960705c46f2ce768917e6c420981",
         "contexts_trial0.csv": "6e23815af94284c346407673deedfa3ec859a695eab6a4df7a42c90a9836a271",
         "contexts_trial1.csv": "f4f98ee60c846e28f62c511574a163527ec44f156bb19cbb3d7cdee87b430168",
@@ -178,8 +178,8 @@ GOLDEN = {
         "summary.txt": "d840f411ddd41b87f5e67827d3d8ec2f9eb2cc72395779a7661c75d2be0b9aeb",
     },
     "outcome_trunc_proj": {
-        "agent_trial0.snapshot": "09d519cecf39bece9364ece9bffedd298641d9052483aa03da2799d56d1d397a",
-        "agent_trial1.snapshot": "5fbb7199ba26c30b7ece025b2d6b3dd80ecf0a4063699dcdba29312fd20aba27",
+        "agent_trial0.snapshot": "a7c8563101183eadfd5ed61fa5d48537d6f51246ab9843991081895e44e5efe4",
+        "agent_trial1.snapshot": "f2c72e13bee4b3b06394e654ea8e012b1e3691362310657e8219b409004b48d2",
         "config.json": "2f36be5ee726474de758ae69063c7e801a0e6bf27de1176a18c6377611b36ede",
         "contexts_trial0.csv": "6e23815af94284c346407673deedfa3ec859a695eab6a4df7a42c90a9836a271",
         "contexts_trial1.csv": "f4f98ee60c846e28f62c511574a163527ec44f156bb19cbb3d7cdee87b430168",
@@ -191,25 +191,25 @@ GOLDEN = {
         "summary.txt": "8176b28182b4336bcb0c3ee8655df07a5180f86a2e05e9bf0f2b86a2bb635dd3",
     },
     "dp": {
-        "agent_trial0.snapshot": "952cae640ca76b0726301eb87488df090537de3c46f1d6fa83516434734ebf66",
+        "agent_trial0.snapshot": "614a3154823cc6ccf215f5922fe62046ceb37cc59b9b4fa8989df02f6d85e497",
         "config.json": "c199ad305ce4843481e42d24d71fde949b92c267c5cc493858ec12a4bff73f61",
         "contexts_trial0.csv": "4b0f48e0df687f770b0fa425f980917c7cdbbd4b0193b051edd4ccab18b2bb7c",
         "curves.csv": "a3387f664de037ed7be9dcdc93f62618376a2e842858669a6af197e852a3fb8b",
-        "episodes_trial0.csv": "7b76144d5de51b918024952f6d6fedbb8966d431b784cc0924d346697f47c251",
+        "episodes_trial0.csv": "f3a45b550bf37502151549aefc7fdcc0c541ef4c49c208193d785c70aa93d1f6",
         "instance_trial0.snapshot": "5224ffb2ca1412074c36969583d75dbf6a178543ea7dfe1c55aab1a1f9c55b4e",
         "summary.txt": "8a03c497871d9050811d8ee7f2ae520563cd9536882d78197abb669156515e73",
     },
     "dp_h4_grid8": {
-        "agent_trial0.snapshot": "1f1b6a4267db442578c247e4cc03ec114ad5b6915f8576cc4eaf9a5c3f77b73b",
+        "agent_trial0.snapshot": "520d77ebaa28f067b2c5ebdada13eff13f2f9417c821de4d07c5ecf537c0357f",
         "config.json": "740235ff607360a07c9fc37c6e7fa633ca666a71cdf579d42a353929e91b8633",
         "contexts_trial0.csv": "4b0f48e0df687f770b0fa425f980917c7cdbbd4b0193b051edd4ccab18b2bb7c",
         "curves.csv": "6e215e758c3e0c19a58d6a79773f87793510288549645aedaf93a2ceeb07ee62",
-        "episodes_trial0.csv": "ae202feaa90ca8112fb2730cd1c11b802f80353a8f40cef612c8fb5bc0aa5290",
+        "episodes_trial0.csv": "8de10441d3d250f9702bfa085bfdc719166bbd706b20dbbab6b9749889e6b199",
         "instance_trial0.snapshot": "45542f1f4ec3fe51b7051c34ac7fa37d6aa4334fc3a9b2f5f2d37e9d6bf6cc40",
         "summary.txt": "c40bfb5e5cd730bf4347b6b3e5843faa306619b8a860127f066953e1ccbdea5e",
     },
     "dp_t1": {
-        "agent_trial0.snapshot": "d4f3652f563410b949771db85ce2fa198e76f1495422f6e807ad2dd9362bde68",
+        "agent_trial0.snapshot": "096391232f4b6965b123ab2342d3f05b6b9845181c4f5a5d0845ec3cb32d00cf",
         "config.json": "2ac785d114cb0d2dddbbc3f3b04a52359b91b5960fbc1ea70b41c68d364e5834",
         "contexts_trial0.csv": "432570627a2c69b92413e94eda991687a92711b82fb501f8596cad5c009e3baf",
         "curves.csv": "c4825a490004c78d6f88b77e4fb1313ee00d6e0dbaa020f4bd33cdcd2fb7012e",
@@ -218,14 +218,14 @@ GOLDEN = {
         "summary.txt": "368b043e339cd345d3d9d55333c5d3c5c6826d904bb770b08465c0c5734b89ba",
     },
     "dp_h5_dim3": {
-        "agent_trial0.snapshot": "683d982a0a5444528601d73128cf91bed527ed5d086d2cb69f48db2c5d0b98f1",
-        "agent_trial1.snapshot": "df2e7cec288fc10db6929b7394cd14307e9af6c661e7a99e588804630b17470d",
+        "agent_trial0.snapshot": "1258cca62bad1dd0bf8561bf63ef46b672b539f2209020e06c3d3fc84495db72",
+        "agent_trial1.snapshot": "9b60e0f59e6cd1122dcdf676e5ecabfc9d81c3cfa35840a5b69eb5cd68c4e2c1",
         "config.json": "8b852703a9aa8a453656255b761300fc516a0c165a9429fa2ed9c8a50166ea24",
         "contexts_trial0.csv": "9b0bdadc71053f9ead62493eea62a8b507a57a0995d5537163b99ab518581baa",
         "contexts_trial1.csv": "ca30957a4a28ddad0589fa8384ed4faed9db852a8d4e99db3f0361391c81ee5b",
-        "curves.csv": "3c5a789976870be1a8e8ced56d71011c2f2f761ab975ddfa646bbc5c8fbe6681",
-        "episodes_trial0.csv": "42c944c82b2d4e7e2a96772a41a2d8c3a401e5028ece1258b947c1900282648d",
-        "episodes_trial1.csv": "7dc5917fd6c560b01f1c6bfcaf9bc084670583ef295460e46441ef9174758b28",
+        "curves.csv": "3495cc1ce9b58da1242bf9d3822cd6d6cb778edace8aae2dc0f2915f5e316b7e",
+        "episodes_trial0.csv": "6179448bef3ad997a9cdb3adc0b62743fb09440ccdbe0d26e0535977dae7d4a8",
+        "episodes_trial1.csv": "70e57344a8f842535e7dbd922f1ce610a9f73920a0768b5d227785ff6d0d8b72",
         "instance_trial0.snapshot": "650f7f66c7d851ca5ec90172bf1b9b1e9f2b41b089b5612ede1eff4f02c9f4db",
         "instance_trial1.snapshot": "5b794fb31dd9d60fd3f107b1c1bb54bd29ef891f1544094027b5e3947d8d152c",
         "summary.txt": "6e2438349e435f90880cdce50613ee4f963c5f6262626d673b8dd61dd8bd05d1",
