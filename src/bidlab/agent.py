@@ -7,11 +7,11 @@ The learner plans one customer at a time on the planners' one input,
 policy plays a customer as a row of bids by state id, which the simulator
 bids at the auction: the forced bids of a target outcome per round
 (`forced_bids`: the exploration schedule, outcome mode and the baselines),
-or, in dp mode past exploration, the exact second-price bid.  In outcome
-mode a block of customers can also be planned at once, in arrays with the
-same operations element by element: drafted on the estimates as they
-stand (`draft_plans`), then checked against the estimates each customer
-would have seen one at a time (`check_drafts`).
+or, in dp mode past exploration, the exact second-price bid.  A block of
+exploit customers can also be planned at once, in arrays with the same
+operations element by element: drafted on the estimates as they stand
+(`draft_plans`), played, then checked on each customer's played path
+against the row it would have planned one at a time (`check_drafts`).
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .planning import (
     best_outcome_plans,
     dp_policy,
     forced_bids,
+    forced_rows,
 )
 
 __all__ = [
@@ -230,13 +231,14 @@ def act(agent: AgentState, x: np.ndarray, t: int | None = None) -> Sequence[floa
 
 
 def exploit_plans(agent: AgentState, seen: Estimates, X: np.ndarray) -> np.ndarray:
-    """Outcome mode's plans, (n, H) bools, of the customers of contexts X
-    (n, d), each planned on its estimates in `seen`: bit for bit the plan
-    `act` makes on them.  Every step is `optimistic_params` in arrays, with
-    the same operations element by element; the HOB means and the delay
-    factors take the scalar closed forms per element, since `np.exp` and
-    `** 2` are not the scalar ones bit for bit.  A width that the scalar
-    square root would reject raises ValueError."""
+    """The rows of bids by state id, (n, states), of the customers of
+    contexts X (n, d), each planned on its estimates in `seen`: bit for bit
+    the row `act` makes on them.  Every step is `optimistic_params` in
+    arrays, with the same operations element by element; the HOB means and
+    the delay factors take the scalar closed forms per element, since
+    `np.exp` and `** 2` are not the scalar ones bit for bit.  A width that
+    the scalar square root would reject raises ValueError, as does a value
+    of winning that is not finite (with `dp_policy`'s batch message)."""
     b, cfg = agent.bounds, agent.cfg
     n = len(X)
     width = 0.0  # what the product gives: V is positive definite
@@ -246,56 +248,65 @@ def exploit_plans(agent: AgentState, seen: Estimates, X: np.ndarray) -> np.ndarr
             raise ValueError("math domain error")
         width = math.sqrt(cfg.gamma) * np.sqrt(q)
     mu = np.maximum(_rowdot(X, seen.theta) + width, b.b)
-    delay = np.ones((b.H, n))
-    for lag in range(1, b.H):  # one customer at a time, in Python scalars
-        delay[lag] = np.fromiter(map(functools.partial(_upper_delay, agent),
+    delay, upper = np.ones((b.H, n)), functools.cache(functools.partial(_upper_delay, agent))
+    for lag in range(1, b.H):  # one set of ratio terms at a time, in Python scalars
+        delay[lag] = np.fromiter(map(upper,
                                      seen.numerator[lag - 1].tolist(),
                                      seen.denominator[lag - 1].tolist(),
                                      seen.N[lag - 1].tolist()), float)
     beta = seen.beta * (b.B_beta / np.maximum(np.sqrt(_rowdot(seen.beta, seen.beta)),
                                               b.B_beta))[..., None]  # cap_norm's
-    sigma = np.minimum(np.maximum(np.sqrt(seen.rss / seen.count), SIGMA_FLOOR), b.sigma_max)
     log_hob = _rowdot(X, beta)
-    hob = np.fromiter(map(lognormal_mean, map(float, log_hob.flat),
-                          map(float, np.broadcast_to(sigma, log_hob.shape).flat)),
+    sigma = np.broadcast_to(
+        np.minimum(np.maximum(np.sqrt(seen.rss / seen.count), SIGMA_FLOOR), b.sigma_max),
+        log_hob.shape)
+    hob = np.fromiter(map(lognormal_mean, map(float, log_hob.flat), map(float, sigma.flat)),
                       float, log_hob.size).reshape(log_hob.shape)
-    return best_outcome_plans(OutcomeParams(mu=mu, delay=delay, hob=hob))
+    params = OutcomeParams(mu=mu, delay=delay, hob=hob, log_hob=log_hob, sigma=sigma)
+    if agent.planner_mode == "outcome":
+        return forced_rows(best_outcome_plans(params))
+    return np.array(dp_policy(params, b.B_A)[0]).T
 
 
 def draft_plans(agent: AgentState, X: np.ndarray) -> np.ndarray:
     """`exploit_plans` of customers X all planned on the learner's current
-    estimates: the plan `act` makes for the first of them, and a draft of
-    the others' that `check_drafts` checks."""
+    estimates: the row `act` makes for the first of them, and a draft of
+    the others' rows that `check_drafts` checks."""
     return exploit_plans(agent, Estimates(
-        theta=agent.theta[:, None],
-        V=agent.V[:, None] if agent.cfg.gamma else None,
-        numerator=agent.numerator[:, None],
-        denominator=agent.denominator[:, None],
-        N=agent.N[:, None],
+        **{name: getattr(agent, name)[:, None] for name in _HELD},
         # as update's pre-sample estimates
         beta=solve_stacked(agent.gram[:, None], agent.moment[:, None, :, None])[..., 0],
-        rss=agent.rss[:, None],
-        count=agent.count[:, None],
     ), X)
 
 
 def check_drafts(agent: AgentState, episodes: Episodes, drafts: np.ndarray) -> int:
-    """Consume a played run of exploit customers whose plans were drafted
-    (`drafts`, (n, H)), and return k, the customers up to the first whose
-    draft is not the plan it would have made one at a time, on the
-    estimates after the customers before it.  The learner's state becomes
-    that after consuming the first k episodes: an updated copy is adopted
-    when all n hold, or the k are consumed again.  Episodes from k on are
+    """Consume a played run of exploit customers whose rows of bids were
+    drafted (`drafts`, (n, states)), and return k, the customers before the
+    first whose own row, the one `act` makes on the estimates after the
+    customers before it, walks another path on its HOBs.  An episode
+    depends on its bids only through its path, so the first k are the
+    one-at-a-time loop's but for the bids, which are rewritten in their
+    rows of `drafts` and their `bid` column.  The learner's state becomes
+    that after the first k: an updated copy when all n hold, else the
+    update's running terms before customer k.  Episodes from k on are
     dropped."""
     ahead = replace(agent, **{key: value.copy() for key, value in vars(agent).items()
                               if isinstance(value, np.ndarray)})  # an update writes them
     seen = _consume(ahead, episodes, seen=True)
-    missed = np.flatnonzero((exploit_plans(agent, seen, episodes.x) != drafts).any(axis=1))
-    if not missed.size:
+    exact = exploit_plans(agent, seen, episodes.x)
+    n, H = episodes.won.shape
+    rows, ids = np.arange(n)[:, None], episodes.ids[:, :H]
+    walked = ((exact[rows, ids] >= episodes.hob) == episodes.won).all(axis=1)
+    k = n if walked.all() else int(walked.argmin())
+    drafts[:k] = exact[:k]
+    episodes.bid[:k] = exact[rows[:k], ids[:k]]
+    if k == n:
         vars(agent).update(vars(ahead))
-        return len(episodes)
-    update(agent, episodes[:missed[0]])
-    return int(missed[0])
+    else:
+        for name in _HELD:
+            getattr(agent, name)[:] = getattr(seen, name)[:, k]
+        agent.t += k
+    return k
 
 
 @functools.cache
@@ -325,28 +336,31 @@ def update(agent: AgentState, episodes: Episodes) -> AgentState:
 
 
 class Estimates(NamedTuple):
-    """The estimates that each of n customers plans on, by position, along
-    axis 1 of every array (of length 1 when all plan on the same):
-    theta row i's effect estimate `theta` (H+1, n, d) and metric `V` (H+1,
-    n, d, d; None when the width is switched off), each lag's ratio terms
-    `numerator`, `denominator` and `N` (H-1, n), and each round position's
-    ridge estimate `beta` (H, n, d), residual sum `rss` and sample `count`
-    (H, n)."""
+    """The learner's arrays as each of n customers planned on them, along
+    axis 1 (of length 1 when all plan on the same): each `AgentState`
+    array of the name before the customer's own episode, and each round
+    position's ridge estimate `beta` (H, n, d)."""
 
     theta: np.ndarray
-    V: np.ndarray | None
+    V: np.ndarray
+    update_count: np.ndarray
     numerator: np.ndarray
     denominator: np.ndarray
     N: np.ndarray
-    beta: np.ndarray
+    gram: np.ndarray
+    moment: np.ndarray
     rss: np.ndarray
     count: np.ndarray
+    beta: np.ndarray
+
+
+_HELD = Estimates._fields[:-1]  # the learner's own arrays, each by its name
 
 
 def _consume(agent: AgentState, episodes: Episodes, seen: bool = False) -> Estimates | None:
     """`update` of a run that does not cross the window's edge; with `seen`,
-    also the estimates each customer of the run planned on, those before
-    its own episode, taken from the update's running terms."""
+    also the learner's arrays as each customer of the run planned on them,
+    before its own episode, taken from the update's running terms."""
     n, H = episodes.won.shape
     if not n:
         return None
@@ -367,7 +381,8 @@ def _consume(agent: AgentState, episodes: Episodes, seen: bool = False) -> Estim
         i = int(bucket[k, h])
         kind = f"a clean sample of theta row {i}" if i <= H else f"a delay sample of lag {i - H}"
         raise ValueError(f"customer {ts[k]}, round {h + 1} is not {kind}")
-    counts, Ns = agent.count.tolist(), agent.N.tolist()  # from before the run
+    # from before the run
+    counts, Ns, rows0 = agent.count.tolist(), agent.N.tolist(), agent.update_count.tolist()
     grams, moments, rss, betas = ridge_update(
         agent.gram, agent.moment, agent.rss, episodes.x,
         np.array(list(map(math.log, hobs))).reshape(n, H))
@@ -420,14 +435,16 @@ def _consume(agent: AgentState, episodes: Episodes, seen: bool = False) -> Estim
     rows, lags = before[:H + 1], before[H + 1:]
     return Estimates(
         theta=np.stack([path[k] for path, k in zip(paths, rows)]),
-        V=np.stack([metric[k] for metric, k in zip(metrics, rows)]) if agent.cfg.gamma else None,
+        V=np.stack([metric[k] for metric, k in zip(metrics, rows)]),
+        update_count=np.array(rows0)[:, None] + np.stack(rows),
         numerator=np.array([np.asarray(num)[k] for (num, _), k in zip(ratios, lags)]
                            ).reshape(H - 1, n),
         denominator=np.array([np.asarray(den)[k] for (_, den), k in zip(ratios, lags)]
                              ).reshape(H - 1, n),
         N=np.array([N + k for N, k in zip(Ns, lags)]).reshape(H - 1, n),
-        beta=betas.transpose(1, 0, 2), rss=rss[:-1].T,
-        count=np.array(counts)[:, None] + np.arange(n),
+        gram=grams[:-1].transpose(1, 0, 2, 3), moment=moments[:-1].transpose(1, 0, 2),
+        rss=rss[:-1].T, count=np.array(counts)[:, None] + np.arange(n),
+        beta=betas.transpose(1, 0, 2),
     )
 
 

@@ -61,7 +61,6 @@ from .planning import (  # noqa: F401
     best_outcome_plan,
     best_outcome_values,
     dp_policy,
-    forced_rows,
     outcome_value,
     params_from_true,
     policy_value,
@@ -99,6 +98,10 @@ ORACLE_GAP_SAMPLE = 50
 # apart from each policy's per-customer regret increments, what a trial
 # holds does not grow with T.
 SEGMENT = 512
+# The learner's first drafted exploit block, and its shortest after misses:
+# a block's draft, play and check cost about 4 customers played alone.
+DRAFT_FIRST = 64
+DRAFT_MIN = 8
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -344,12 +347,11 @@ def run_trial(
     streams are seeded in one pass (`RandomSource.prepare`), the contexts
     and HOBs are drawn first, the oracles are scored for the whole segment,
     the learner's exploration customers play at once as arrays and are
-    consumed by one update, its exploit customers play in blocks (drafted
-    and checked in outcome mode, one at a time in dp mode; see
-    `_TrialPlay.learn`), every policy's rows of bids by state id are
-    scored after it, and the fixed baselines play their rows as arrays
-    under the same auction rule.  With `out_dir` and emitted logs, each
-    segment's episode and context rows are appended to
+    consumed by one update, its exploit customers play in drafted blocks
+    or alone (see `_TrialPlay.learn`), every policy's rows of bids by
+    state id are scored after it, and the fixed baselines play their rows
+    as arrays under the same auction rule.  With `out_dir` and emitted
+    logs, each segment's episode and context rows are appended to
     `episodes_trial{k}.csv` and `contexts_trial{k}.csv` there; a failed
     trial deletes both files.  Without `out_dir` no log is written.  Any
     failure at a customer is re-raised with (trial, customer) provenance.
@@ -398,7 +400,9 @@ class _TrialPlay:
         self.window = (exploration_window(agent.n_underbar, config.H)
                        if agent is not None else 0)
         self.gap_total = 0.0
-        self.block = 1  # the customers of the learner's next exploit block
+        self.block = DRAFT_FIRST  # the customers of the learner's next drafted block
+        self.alone = 0  # the exploit customers to play alone before it
+        self.backoff = 1  # the customers to play alone after the next miss
         self.paths: list[Path] = []
         if config.emit_logs and agent is not None and out_dir is not None:
             self.paths = [Path(out_dir) / f"{kind}_trial{trial}.csv"
@@ -464,12 +468,14 @@ class _TrialPlay:
         episodes.  The exploration customers take their bids from `act`,
         play at once (`_play_bids`) and are consumed by one update.  The
         exploit customers play in blocks that end at the segment's end: a
-        block of one is `act`, `run_episode` and `update`; in outcome mode a
-        longer block plays plans drafted from the estimates at its start and
-        keeps the customers before the first draft that `check_drafts`
-        finds is not the customer's own plan.  A block kept whole is
-        followed by one twice as long, any other by a block of one, which
-        starts at the first customer not kept."""
+        block of one is `act`, `run_episode` and `update`; a longer block
+        plays rows drafted on the estimates at its start and keeps the
+        customers before the first whose own row walks another path
+        (`check_drafts`).  A block kept whole doubles the next (up to
+        SEGMENT) and halves the back-off.  After a miss the next block is
+        half as long (down to DRAFT_MIN), and as many customers as the
+        back-off, from the first not kept, play alone before it; the
+        back-off then doubles."""
         trial, agent, (n, H) = self.trial, self.agent, hobs.shape
         explore = min(max(self.window - start, 0), n)
         bids = np.empty((n, len(state_table(H).states)))  # each customer's, by state id
@@ -487,8 +493,9 @@ class _TrialPlay:
                 update(agent, played[:explore])
         i = explore
         while i < n:
-            size = min(self.block, n - i) if agent.planner_mode == "outcome" else 1
+            size = 1 if self.alone else min(self.block, n - i)
             if size == 1:
+                self.alone = max(self.alone - 1, 0)
                 t = start + i + 1
                 with _provenance(trial, t):
                     bids[i] = act(agent, X[i], t)
@@ -500,24 +507,28 @@ class _TrialPlay:
                 kept = 1
             else:
                 kept = self.speculate(start, i, i + size, X, hobs, batch, rng, bids, played)
-            self.block = min(2 * self.block, SEGMENT) if kept == size else 1
+                if kept == size:
+                    self.block = min(2 * self.block, SEGMENT)
+                    self.backoff = max(self.backoff // 2, 1)
+                else:
+                    self.block = max(self.block // 2, DRAFT_MIN)
+                    self.alone, self.backoff = self.backoff, 2 * self.backoff
             i += kept
         return bids, played
 
     def speculate(self, start: int, a: int, b: int, X, hobs, batch, rng, bids: np.ndarray,
                   played: Episodes) -> int:
-        """Play the segment's customers a..b-1 on drafted plans and keep
-        those before the first miss (`check_drafts`), writing their bids
-        and their episodes; returns how many were kept.  A block
-        that fails keeps none: its first customer then plays alone, where
-        the failure, if its own plan meets it, is raised."""
+        """Play the segment's customers a..b-1 on drafted rows and keep
+        those before the first miss (`check_drafts`), writing their exact
+        bids and their episodes; returns how many were kept.  A block that
+        fails keeps none: its first customer then plays alone, where the
+        failure, if its own row meets it, is raised."""
         with _provenance(self.trial, f"customers {start + a + 1}-{start + b}"):
             try:
-                drafts = draft_plans(self.agent, X[a:b])
-                rows = forced_rows(drafts)
+                rows = draft_plans(self.agent, X[a:b])
                 block = _play_bids(rows, X[a:b], hobs[a:b], batch.rows(a, b), rng,
                                    LEARNER_POLICY, start + a)
-                kept = check_drafts(self.agent, block, drafts)
+                kept = check_drafts(self.agent, block, rows)
             except (ValueError, ArithmeticError):
                 return 0
         bids[a:a + kept] = rows[:kept]

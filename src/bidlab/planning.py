@@ -70,8 +70,10 @@ OutcomePlan = tuple[bool, ...]
 class OutcomeParams(NamedTuple):
     """What planning needs: the conversion mean of each theta row and the
     HOB mean and log-mean of each round, floats for one customer or arrays
-    over a batch (customers along the last axis), and the delay factors and
-    HOB log-sds by position, which outcome planning does not read."""
+    over a batch (customers along the last axis), the delay factors by
+    position, and the HOB log-sd of each round, a float per round or an
+    array over a batch's customers; outcome planning reads neither of the
+    last two."""
 
     mu: Sequence
     delay: Sequence[float]
@@ -257,7 +259,8 @@ def _auction_terms(op: OutcomeParams, h: int, bid) -> tuple:
     one customer or an array over a batch: both 0.0 at a zero bid, which
     never wins or pays (every HOB is > 0), and the closed forms on `math.log`
     of any other, whose limit at inf, 1.0 and the HOB mean, is what they
-    give there.  An array takes that limit without a log or an erfc."""
+    give there.  An array takes that limit without a log or an erfc; its
+    round's log-sd is a float or an array over the batch."""
     log_mean, log_sd, mean = op.log_hob[h - 1], op.sigma[h - 1], op.hob[h - 1]
     if not isinstance(bid, np.ndarray):
         return (0.0, 0.0) if bid == 0.0 else lognormal_cdf_terms(
@@ -268,7 +271,7 @@ def _auction_terms(op: OutcomeParams, h: int, bid) -> tuple:
     if inner.size:
         F[inner], pay[inner] = lognormal_cdf_terms(
             np.array([math.log(b) for b in bid[inner].tolist()]),
-            log_mean[inner], log_sd, mean[inner])
+            log_mean[inner], np.broadcast_to(log_sd, bid.shape)[inner], mean[inner])
     return F, pay
 
 

@@ -20,6 +20,7 @@ from bidlab.agent import (
     agent_to_dict,
     baseline_bids,
     default_n_underbar,
+    draft_plans,
     exploration_plan,
     exploration_window,
     make_agent,
@@ -203,6 +204,22 @@ def test_dp_learner_caps_its_bids_at_B_A():
     assert bids[0] == bounds.B_A  # id 0: round 1, initial state
     assert all(0.0 <= bid <= bounds.B_A for bid in bids)
     assert bids == dp_policy(optimistic_params(agent, x), bounds.B_A)[0]
+
+
+@pytest.mark.parametrize("width_scale", [0.0, 0.01])
+@pytest.mark.parametrize("mode", ["outcome", "dp"])
+def test_drafted_rows_are_the_rows_act_plans(mode, width_scale):
+    # past exploration, the rows draft_plans gives a block of contexts on the
+    # learner's estimates are, bit for bit, those act plans for each alone:
+    # the forced bids of the best plan, or the exact bids in dp mode
+    agent = small_agent(planner_mode=mode, width_scale=width_scale)
+    run_exploration(agent)
+    rng = RandomSource(9)
+    X = np.array([sample_context(BENCHMARK_RECIPE, BOUNDS, rng.stream(k, "ctx"))
+                  for k in range(17)])
+    rows = draft_plans(agent, X)
+    assert rows.shape == (17, len(state_table(BOUNDS.H).states))
+    assert [row.tolist() for row in rows] == [list(act(agent, x)) for x in X]
 
 
 # --- updates -----------------------------------------------------------------

@@ -388,17 +388,20 @@ def test_bid_grid_points_leaves_a_dp_trial_unchanged(tmp_path):
 def test_a_non_finite_value_of_winning_names_trial_customer_round_and_state(
     monkeypatch,
 ):
-    # a NaN first-exposure mean in the learner's optimistic view at its
-    # first planned customer fails there, before any bid is played
+    # a NaN first-exposure mean in the learner's optimistic view fails its
+    # first planned customer, before any bid is played: the drafted block
+    # fails with the batch's message, which is not raised, and the customer
+    # then plays alone and raises its own
     import bidlab.agent as agent_module
 
-    real = agent_module.optimistic_params
+    real = agent_module.dp_policy
 
-    def nan_first_exposure(agent, x):
-        params = real(agent, x)
-        return params._replace(mu=[params.mu[0], math.nan, *params.mu[2:]])
+    def nan_first_exposure(params, B_A):
+        mu = params.mu.copy() if isinstance(params.mu, np.ndarray) else list(params.mu)
+        mu[1] = math.nan  # in a batch, every customer's
+        return real(params._replace(mu=mu), B_A)
 
-    monkeypatch.setattr(agent_module, "optimistic_params", nan_first_exposure)
+    monkeypatch.setattr(agent_module, "dp_policy", nan_first_exposure)
     cfg = small_config(trials=1, T=30, n_underbar=5, mode="dp", checkpoints=(30,),
                        policies=("learner",), emit_logs=False)
     window = exploration_window(cfg.n_underbar, cfg.H)
@@ -442,21 +445,31 @@ def test_single_checkpoint_config_runs_to_the_end(tmp_path):
         assert trial.expected[name].tolist() == [opt - outcome_value(plan, params)]
 
 
-def _spy_checks(monkeypatch, miss=()):
+def _spy_checks(monkeypatch, miss=(), second=False):
     """Record every check of a drafted block as (its first customer, its
     length, the customers kept); with `miss`, each customer in it is
-    drafted with its first round flipped, so its draft misses."""
+    drafted with its first round's bid moved across its HOB (to 0.0 if it
+    won there, to the HOB, which ties win, if it lost), so its draft walks
+    another path and misses; with `second`, so is every drafted block's
+    second customer."""
     import bidlab.harness as harness_module
 
-    checks = []
+    checks, first_hob = [], {}  # each customer's first-round HOB
     real_draft, real_check = harness_module.draft_plans, harness_module.check_drafts
+    real_draw = harness_module.draw_hobs
+
+    def draw(means, rng, start):
+        hobs = real_draw(means, rng, start)
+        first_hob.update(enumerate(hobs[:, 0].tolist(), start + 1))
+        return hobs
 
     def draft(agent, X):
-        plans = real_draft(agent, X)
+        rows = real_draft(agent, X)
         for k in range(len(X)):
-            if agent.t + k in miss:
-                plans[k, 0] = not plans[k, 0]
-        return plans
+            if agent.t + k in miss or second and k == 1:
+                hob = first_hob[agent.t + k]
+                rows[k, 0] = 0.0 if rows[k, 0] >= hob else hob
+        return rows
 
     def check(agent, episodes, drafts):
         first = agent.t
@@ -464,6 +477,7 @@ def _spy_checks(monkeypatch, miss=()):
         checks.append((first, len(episodes), kept))
         return kept
 
+    monkeypatch.setattr(harness_module, "draw_hobs", draw)
     monkeypatch.setattr(harness_module, "draft_plans", draft)
     monkeypatch.setattr(harness_module, "check_drafts", check)
     return checks
@@ -474,12 +488,34 @@ def _missed(checks):
     return [first + kept for first, length, kept in checks if kept < length]
 
 
+@pytest.mark.parametrize("mode", ["outcome", "dp"])
+def test_drafts_that_always_miss_back_off_to_playing_alone(monkeypatch, mode):
+    # every drafted block misses at its second customer, so each keeps one:
+    # the blocks shrink and the customers played alone between them double,
+    # so the drafted blocks grow as the log of the exploit customers and
+    # the dropped customers stay within a multiple of those played
+    checks = _spy_checks(monkeypatch, second=True)
+    cfg = small_config(T=300, trials=1, n_underbar=20, checkpoints=(300,), mode=mode,
+                       policies=("learner",), emit_logs=False)
+    exploit = cfg.T - exploration_window(cfg.n_underbar, cfg.H)
+    got = run_trial(cfg, 0)
+    assert checks and all(kept == 1 for _, _, kept in checks)
+    dropped = sum(length - kept for _, length, kept in checks)
+    assert dropped <= 2 * exploit
+    assert len(checks) <= math.log2(exploit) + 4
+    want = _one_at_a_time_trial(monkeypatch, cfg, None)
+    assert got.agent_snapshot == want.agent_snapshot
+    assert got.expected["learner"].tolist() == want.expected["learner"].tolist()
+
+
 def test_each_customer_builds_each_stream_once(monkeypatch):
     # one HOB stream per customer, shared by all four policies: context,
     # HOBs, the random plan and four conversion streams; a customer that a
     # drafted block drops (from its first missed draft on) builds its
     # learner's conversion stream again when it plays later.  Drafts run
-    # as they are, then missing at 24, 25 (each first in its block) and 27
+    # as they are, then missing at 24 (the block 21-30 drops 7), 25 (the
+    # block 25-30, after 24 plays alone, drops 6) and 27 (the block 27-30,
+    # after two more alone, drops 4)
     keys = []
     real = RandomSource.stream
 
@@ -498,7 +534,7 @@ def test_each_customer_builds_each_stream_once(monkeypatch):
         assert _missed(checks) == list(miss)
         dropped = [t for first, length, kept in checks
                    for t in range(first + kept, first + length)]
-        assert len(dropped) == (0 if not miss else 7)
+        assert len(dropped) == (0 if not miss else 7 + 6 + 4)
         per_customer = [k for k in keys if k[1] != ("instance",)]
         assert len(per_customer) == 7 * cfg.T + len(dropped)
         again = Counter(per_customer) - Counter(set(per_customer))
@@ -567,7 +603,7 @@ def test_array_player_follows_run_episodes_auction_rule(H):
 @pytest.mark.parametrize("learner", [True, False])
 def test_only_the_learner_runs_episodes(monkeypatch, mode, learner):
     # only the learner's exploit blocks of one run episodes: the window and
-    # the drafted blocks play as arrays, and dp mode drafts none
+    # the drafted blocks, in either mode, play as arrays
     import bidlab.harness as harness_module
 
     calls = []
@@ -589,7 +625,7 @@ def test_only_the_learner_runs_episodes(monkeypatch, mode, learner):
         run_trial(cfg, k)
         kept = sum(kept for _, _, kept in checks)
         assert calls == ["learner"] * (exploit - kept) * learner
-        assert (kept > 0) == (learner and mode == "outcome")
+        assert (kept > 0) == learner
 
 
 def test_negative_rate_of_a_baseline_names_trial_and_customer(monkeypatch):
@@ -644,7 +680,8 @@ def test_a_dp_trial_plans_on_the_grid_only_for_the_learners_exploit_customers(
     monkeypatch,
 ):
     # the auction oracle runs on one block of customers, so dp_policy is called
-    # once per exploit customer by the learner and never by the harness,
+    # by the learner only, once per exploit customer played alone and twice
+    # per drafted block (its drafts and its check), and never by the harness,
     # which also builds no per-customer params and scores no bid rule alone
     import bidlab.agent as agent_module
     import bidlab.harness as harness_module
@@ -659,11 +696,13 @@ def test_a_dp_trial_plans_on_the_grid_only_for_the_learners_exploit_customers(
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
+    checks = _spy_checks(monkeypatch)
     cfg = small_config(T=45, trials=1, n_underbar=5, checkpoints=(45,), mode="dp",
                        emit_logs=False)
     run_trial(cfg, 0)
-    exploit = cfg.T - exploration_window(cfg.n_underbar, cfg.H)
-    assert calls == ["bidlab.agent.dp_policy"] * exploit
+    alone = cfg.T - exploration_window(cfg.n_underbar, cfg.H) - sum(
+        kept for _, _, kept in checks)
+    assert checks and calls == ["bidlab.agent.dp_policy"] * (alone + 2 * len(checks))
 
 
 @pytest.mark.parametrize("mode", ["outcome", "dp"])
@@ -1397,8 +1436,9 @@ def _one_at_a_time_trial(monkeypatch, cfg, out_dir):
 def test_drafted_blocks_equal_one_at_a_time_play(monkeypatch, tmp_path, H, mode,
                                                  width_scale):
     # segments of 7 with the window's edge inside one; drafts as they are,
-    # then missing at a block's last customer and at two customers in a row
-    # after it (each first in its block): every curve and estimate is the
+    # then missing at a block's last customer, and then also at the first
+    # customer of the next drafted block, so two drafted blocks in a row
+    # miss and the second keeps none: every curve and estimate is the
     # one-at-a-time loop's, bit for bit, and so are the written logs
     import bidlab.harness as harness_module
 
@@ -1423,41 +1463,65 @@ def test_drafted_blocks_equal_one_at_a_time_play(monkeypatch, tmp_path, H, mode,
         return got, checks
 
     got, checks = spied_trial()
-    runs = [got]
-    if mode == "outcome":
-        first, length, _ = next(c for c in checks if c[1] == c[2] >= 3)
-        last = first + length - 1
-        after = last + 1 if (last + 1) % 7 else last + 2  # not alone at a segment's end
-        miss = (last, after, after + 1)
-        got, checks = spied_trial(miss)
-        runs.append(got)
-        assert set(miss) <= set(_missed(checks))
-        assert (first, length, length - 1) in checks
-    else:
-        assert checks == []
-    for got in runs:
+    first, length, _ = next(c for c in checks if c[1] == c[2] >= 3)
+    last = first + length - 1
+    once, once_checks = spied_trial((last,))
+    assert (first, length, length - 1) in once_checks
+    after = next(f for f, _, _ in once_checks if f > last)
+    twice, twice_checks = spied_trial((last, after))
+    assert (first, length, length - 1) in twice_checks
+    assert [kept for f, _, kept in twice_checks if f == after] == [0]
+    for got in (got, once, twice):
         assert got.agent_snapshot == want.agent_snapshot
         for name in cfg.policies:
             assert got.realized[name].tolist() == want.realized[name].tolist()
             assert got.expected[name].tolist() == want.expected[name].tolist()
 
 
-@pytest.mark.parametrize("failure", ["log HOB", "conversion rate"])
+@pytest.mark.parametrize("mode, failure", [
+    pytest.param("outcome", "log HOB", id="log HOB"),
+    pytest.param("outcome", "conversion rate", id="conversion rate"),
+    pytest.param("dp", "log HOB", id="dp-log HOB"),
+    pytest.param("dp", "value of winning", id="dp-value of winning"),
+])
 def test_a_failure_inside_a_drafted_block_is_the_one_at_a_time_failure(
-    monkeypatch, tmp_path, failure
+    monkeypatch, tmp_path, mode, failure
 ):
     # segments of 16: customer 40 is inside the drafted block 33-48 of the
     # third.  A HOB of inf fails its update, a context that turns every
-    # conversion rate negative fails its play; either raises what the
-    # one-at-a-time loop raises at customer 40, and the trial's logs, the
-    # first segment's written, are deleted
+    # conversion rate negative fails its play (in outcome mode: in dp mode
+    # the auction oracle rejects the context before any play), and in dp
+    # mode a HOB mean of
+    # NaN in the learner's view of customer 40 alone (keyed by its last
+    # round's log-sd, which no other customer sees) fails its plan, in the
+    # block's check and in any draft made on its estimates.  Each raises
+    # what the one-at-a-time loop raises at customer 40, never the batch
+    # planner's message, and the trial's logs, the first segment's
+    # written, are deleted
+    import bidlab.agent as agent_module
     import bidlab.harness as harness_module
 
     monkeypatch.setattr(harness_module, "SEGMENT", 16)
     cfg = small_config(T=60, trials=1, n_underbar=5, checkpoints=(60,),
-                       policies=("learner",))
+                       policies=("learner",), mode=mode)
     j = 40
-    if failure == "log HOB":
+    if failure == "value of winning":
+        sigmas, real_params = {}, agent_module.optimistic_params
+
+        def recording(agent, x):
+            params = real_params(agent, x)
+            sigmas[agent.t] = params.sigma[-1]
+            return params
+
+        with monkeypatch.context() as patch:
+            patch.setattr(agent_module, "optimistic_params", recording)
+            _one_at_a_time_trial(monkeypatch, cfg, None)
+        assert sigmas[j] not in {sd for t, sd in sigmas.items() if t != j}
+        real_mean = agent_module.lognormal_mean
+        monkeypatch.setattr(agent_module, "lognormal_mean", lambda log_mean, sd: (
+            math.nan if sd == sigmas[j] else real_mean(log_mean, sd)))
+        message = f"trial 0, customer {j}: round "
+    elif failure == "log HOB":
         real_draw = harness_module.draw_hobs
 
         def draw(means, rng, start):
@@ -1505,6 +1569,7 @@ def test_a_failure_inside_a_drafted_block_is_the_one_at_a_time_failure(
     with pytest.raises(RuntimeError) as got:
         run_trial(cfg, 0, tmp_path)
     assert str(got.value) == str(want.value)
+    assert "of the batch" not in str(got.value)
     assert (33, 16, "learner") in blocks and len(written) == 2
     assert list(tmp_path.iterdir()) == []
 
