@@ -32,6 +32,7 @@ from .estimation import (
     delay_estimate,
     delay_radius,
     optimistic_mean,
+    ridge_sums,
     ridge_update,
     sigma_estimate,
     solve_small,
@@ -288,7 +289,9 @@ def check_drafts(agent: AgentState, episodes: Episodes, drafts: np.ndarray) -> i
     one-at-a-time loop's but for the bids, which are rewritten in their
     rows of `drafts` and their `bid` column.  The learner's state becomes
     that after the first k: an updated copy when all n hold, else the
-    update's running terms before customer k.  Episodes from k on are
+    update's running terms before customer k, but for the ridge sums,
+    which are summed again over the k (holding every customer's while the
+    rows are planned would raise a block's peak).  Episodes from k on are
     dropped."""
     ahead = replace(agent, **{key: value.copy() for key, value in vars(agent).items()
                               if isinstance(value, np.ndarray)})  # an update writes them
@@ -305,6 +308,10 @@ def check_drafts(agent: AgentState, episodes: Episodes, drafts: np.ndarray) -> i
     else:
         for name in _HELD:
             getattr(agent, name)[:] = getattr(seen, name)[:, k]
+        del seen, exact
+        grams, moments = ridge_sums(agent.gram, agent.moment, episodes.x[:k],
+                                    _log_hobs(episodes[:k]))
+        agent.gram[:], agent.moment[:] = grams[-1], moments[-1]
         agent.t += k
     return k
 
@@ -339,7 +346,8 @@ class Estimates(NamedTuple):
     """The learner's arrays as each of n customers planned on them, along
     axis 1 (of length 1 when all plan on the same): each `AgentState`
     array of the name before the customer's own episode, and each round
-    position's ridge estimate `beta` (H, n, d)."""
+    position's ridge estimate `beta` (H, n, d), which stands for the ridge
+    sums."""
 
     theta: np.ndarray
     V: np.ndarray
@@ -347,8 +355,6 @@ class Estimates(NamedTuple):
     numerator: np.ndarray
     denominator: np.ndarray
     N: np.ndarray
-    gram: np.ndarray
-    moment: np.ndarray
     rss: np.ndarray
     count: np.ndarray
     beta: np.ndarray
@@ -383,10 +389,9 @@ def _consume(agent: AgentState, episodes: Episodes, seen: bool = False) -> Estim
         raise ValueError(f"customer {ts[k]}, round {h + 1} is not {kind}")
     # from before the run
     counts, Ns, rows0 = agent.count.tolist(), agent.N.tolist(), agent.update_count.tolist()
-    grams, moments, rss, betas = ridge_update(
-        agent.gram, agent.moment, agent.rss, episodes.x,
-        np.array(list(map(math.log, hobs))).reshape(n, H))
     del hobs  # not held while the run is consumed
+    grams, moments, rss, betas = ridge_update(agent.gram, agent.moment, agent.rss,
+                                              episodes.x, _log_hobs(episodes))
     agent.gram[:], agent.moment[:], agent.rss[:] = grams[-1], moments[-1], rss[-1]
     agent.count += n
     # the rounds by bucket; a stable sort keeps each customer-major, round-minor
@@ -430,22 +435,38 @@ def _consume(agent: AgentState, episodes: Episodes, seen: bool = False) -> Estim
                 )
     if not seen:
         return None
+    del X, ys, ks, base, order, bucket  # not held while the running terms are gathered
     # each bucket's running terms as they stood before each customer's own rounds
     before = [np.searchsorted(customer[a:b], np.arange(n)) for a, b in zip(ends, ends[1:])]
     rows, lags = before[:H + 1], before[H + 1:]
+    theta, V = _gather(paths, rows), _gather(metrics, rows)
+    del paths, metrics
     return Estimates(
-        theta=np.stack([path[k] for path, k in zip(paths, rows)]),
-        V=np.stack([metric[k] for metric, k in zip(metrics, rows)]),
+        theta=theta, V=V,
         update_count=np.array(rows0)[:, None] + np.stack(rows),
         numerator=np.array([np.asarray(num)[k] for (num, _), k in zip(ratios, lags)]
                            ).reshape(H - 1, n),
         denominator=np.array([np.asarray(den)[k] for (_, den), k in zip(ratios, lags)]
                              ).reshape(H - 1, n),
         N=np.array([N + k for N, k in zip(Ns, lags)]).reshape(H - 1, n),
-        gram=grams[:-1].transpose(1, 0, 2, 3), moment=moments[:-1].transpose(1, 0, 2),
         rss=rss[:-1].T, count=np.array(counts)[:, None] + np.arange(n),
         beta=betas.transpose(1, 0, 2),
     )
+
+
+def _log_hobs(episodes: Episodes) -> np.ndarray:
+    """The regression's targets, (n, H): math.log of each HOB."""
+    return np.array(list(map(math.log, episodes.hob.ravel().tolist()))).reshape(
+        episodes.hob.shape)
+
+
+def _gather(paths: list[np.ndarray], picks: list[np.ndarray]) -> np.ndarray:
+    """np.stack([path[k] for path, k in zip(paths, picks)]), written row by
+    row into the one array it returns."""
+    out = np.empty((len(paths), len(picks[0]), *paths[0].shape[1:]))
+    for row, path, k in zip(out, paths, picks):
+        row[...] = path[k]
+    return out
 
 
 # --- baselines ---------------------------------------------------------------

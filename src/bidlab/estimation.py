@@ -31,6 +31,7 @@ __all__ = [
     "tsmle_update",
     "delay_estimate",
     "delay_radius",
+    "ridge_sums",
     "ridge_update",
     "sigma_estimate",
     "optimistic_mean",
@@ -256,6 +257,17 @@ def delay_estimate(numerator: float, denominator: float) -> float | None:
 
 # --- auction coefficients (ridge) and noise scale ---------------------------
 
+def ridge_sums(
+    gram: np.ndarray, moment: np.ndarray, X: np.ndarray, log_hobs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`ridge_update`'s running grams and moments, (n + 1, H, d, d) and
+    (n + 1, H, d), without its solve."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(log_hobs, dtype=float)
+    outer = X[:, None, :, None] * X[:, None, None, :]  # each sample's, at every position
+    return _partial_sums(gram, outer), _partial_sums(moment, X[:, None, :] * Y[:, :, None])
+
+
 def ridge_update(
     gram: np.ndarray, moment: np.ndarray, rss: np.ndarray, X: np.ndarray,
     log_hobs: np.ndarray,
@@ -273,9 +285,7 @@ def ridge_update(
     Y = np.asarray(log_hobs, dtype=float)
     if not np.all(np.isfinite(Y)):
         raise ValueError("log HOB must be finite")
-    outer = X[:, None, :, None] * X[:, None, None, :]  # each sample's, at every position
-    grams = _partial_sums(gram, outer)
-    moments = _partial_sums(moment, X[:, None, :] * Y[:, :, None])
+    grams, moments = ridge_sums(gram, moment, X, Y)
     betas = solve_stacked(grams[:-1], moments[:-1, :, :, None])[..., 0]
     resid = Y - _rowdot(X[:, None, :], betas)
     return grams, moments, _partial_sums(rss, resid * resid), betas

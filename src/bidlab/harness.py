@@ -104,6 +104,10 @@ DRAFT_FIRST = 64
 DRAFT_MIN = 8
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# What the HOB bound keeps of log(max float) for rounding: at the edge
+# itself a trial's regret, its HOB sum plus the oracle's conversions, can
+# round past max float.
+_HOB_SLACK = 1e-9
 
 _BOUNDS_DEFAULTS: Mapping[str, float] = {
     "b": 0.1,
@@ -218,10 +222,11 @@ class ExperimentConfig:
             raise ValueError("bounds must agree with the configured H and dim")
         b = self.bounds
         spread = max(b.sigma_max * Z_MAX, b.sigma_max * b.sigma_max / 2)
-        if b.B_beta * b.B_x + spread + math.log(self.T * self.H) > _LOG_FLOAT_MAX:
+        if b.B_beta * b.B_x + spread + math.log(self.T * self.H) > _LOG_FLOAT_MAX - _HOB_SLACK:
             raise ValueError(
                 "B_beta * B_x + sigma_max * Z_MAX (or sigma_max**2 / 2 when larger) "
-                f"+ log(T * H) must not exceed log(max float) = {_LOG_FLOAT_MAX:.2f}, "
+                f"+ log(T * H) must not exceed log(max float) = {_LOG_FLOAT_MAX:.2f} "
+                "less 1e-9, "
                 "or a HOB draw exp(<x, beta_h> + sigma_h z), |z| <= Z_MAX = "
                 f"{Z_MAX:.4f}, a HOB mean, or a trial's sum of them overflows"
             )
