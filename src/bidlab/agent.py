@@ -32,7 +32,6 @@ from .estimation import (
     delay_estimate,
     delay_radius,
     optimistic_mean,
-    ridge_sums,
     ridge_update,
     sigma_estimate,
     solve_small,
@@ -288,11 +287,9 @@ def check_drafts(agent: AgentState, episodes: Episodes, drafts: np.ndarray) -> i
     depends on its bids only through its path, so the first k are the
     one-at-a-time loop's but for the bids, which are rewritten in their
     rows of `drafts` and their `bid` column.  The learner's state becomes
-    that after the first k: an updated copy when all n hold, else the
-    update's running terms before customer k, but for the ridge sums,
-    which are summed again over the k (holding every customer's while the
-    rows are planned would raise a block's peak).  Episodes from k on are
-    dropped."""
+    that after the first k, as an update makes it: the updated copy when
+    all n hold, else the first k updated again from the state before the
+    run.  Episodes from k on are dropped."""
     ahead = replace(agent, **{key: value.copy() for key, value in vars(agent).items()
                               if isinstance(value, np.ndarray)})  # an update writes them
     seen = _consume(ahead, episodes, seen=True)
@@ -306,13 +303,8 @@ def check_drafts(agent: AgentState, episodes: Episodes, drafts: np.ndarray) -> i
     if k == n:
         vars(agent).update(vars(ahead))
     else:
-        for name in _HELD:
-            getattr(agent, name)[:] = getattr(seen, name)[:, k]
-        del seen, exact
-        grams, moments = ridge_sums(agent.gram, agent.moment, episodes.x[:k],
-                                    _log_hobs(episodes[:k]))
-        agent.gram[:], agent.moment[:] = grams[-1], moments[-1]
-        agent.t += k
+        del seen, exact  # not held while the k are updated again
+        update(agent, episodes[:k])
     return k
 
 
@@ -345,13 +337,12 @@ def update(agent: AgentState, episodes: Episodes) -> AgentState:
 class Estimates(NamedTuple):
     """The learner's arrays as each of n customers planned on them, along
     axis 1 (of length 1 when all plan on the same): each `AgentState`
-    array of the name before the customer's own episode, and each round
-    position's ridge estimate `beta` (H, n, d), which stands for the ridge
-    sums."""
+    array of the name that its plan reads, before the customer's own
+    episode, and each round position's ridge estimate `beta` (H, n, d),
+    which stands for the ridge sums."""
 
     theta: np.ndarray
     V: np.ndarray
-    update_count: np.ndarray
     numerator: np.ndarray
     denominator: np.ndarray
     N: np.ndarray
@@ -387,11 +378,11 @@ def _consume(agent: AgentState, episodes: Episodes, seen: bool = False) -> Estim
         i = int(bucket[k, h])
         kind = f"a clean sample of theta row {i}" if i <= H else f"a delay sample of lag {i - H}"
         raise ValueError(f"customer {ts[k]}, round {h + 1} is not {kind}")
-    # from before the run
-    counts, Ns, rows0 = agent.count.tolist(), agent.N.tolist(), agent.update_count.tolist()
+    log_hobs = np.array(list(map(math.log, hobs))).reshape(n, H)  # the regression's targets
     del hobs  # not held while the run is consumed
+    counts, Ns = agent.count.tolist(), agent.N.tolist()  # from before the run
     grams, moments, rss, betas = ridge_update(agent.gram, agent.moment, agent.rss,
-                                              episodes.x, _log_hobs(episodes))
+                                              episodes.x, log_hobs)
     agent.gram[:], agent.moment[:], agent.rss[:] = grams[-1], moments[-1], rss[-1]
     agent.count += n
     # the rounds by bucket; a stable sort keeps each customer-major, round-minor
@@ -443,7 +434,6 @@ def _consume(agent: AgentState, episodes: Episodes, seen: bool = False) -> Estim
     del paths, metrics
     return Estimates(
         theta=theta, V=V,
-        update_count=np.array(rows0)[:, None] + np.stack(rows),
         numerator=np.array([np.asarray(num)[k] for (num, _), k in zip(ratios, lags)]
                            ).reshape(H - 1, n),
         denominator=np.array([np.asarray(den)[k] for (_, den), k in zip(ratios, lags)]
@@ -452,12 +442,6 @@ def _consume(agent: AgentState, episodes: Episodes, seen: bool = False) -> Estim
         rss=rss[:-1].T, count=np.array(counts)[:, None] + np.arange(n),
         beta=betas.transpose(1, 0, 2),
     )
-
-
-def _log_hobs(episodes: Episodes) -> np.ndarray:
-    """The regression's targets, (n, H): math.log of each HOB."""
-    return np.array(list(map(math.log, episodes.hob.ravel().tolist()))).reshape(
-        episodes.hob.shape)
 
 
 def _gather(paths: list[np.ndarray], picks: list[np.ndarray]) -> np.ndarray:

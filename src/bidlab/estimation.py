@@ -31,7 +31,6 @@ __all__ = [
     "tsmle_update",
     "delay_estimate",
     "delay_radius",
-    "ridge_sums",
     "ridge_update",
     "sigma_estimate",
     "optimistic_mean",
@@ -257,17 +256,6 @@ def delay_estimate(numerator: float, denominator: float) -> float | None:
 
 # --- auction coefficients (ridge) and noise scale ---------------------------
 
-def ridge_sums(
-    gram: np.ndarray, moment: np.ndarray, X: np.ndarray, log_hobs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """`ridge_update`'s running grams and moments, (n + 1, H, d, d) and
-    (n + 1, H, d), without its solve."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(log_hobs, dtype=float)
-    outer = X[:, None, :, None] * X[:, None, None, :]  # each sample's, at every position
-    return _partial_sums(gram, outer), _partial_sums(moment, X[:, None, :] * Y[:, :, None])
-
-
 def ridge_update(
     gram: np.ndarray, moment: np.ndarray, rss: np.ndarray, X: np.ndarray,
     log_hobs: np.ndarray,
@@ -280,12 +268,16 @@ def ridge_update(
     running grams and moments.  Returns the grams, moments and residual
     sums from before the first sample and after each, (n + 1, H, d, d),
     (n + 1, H, d) and (n + 1, H), and the estimates before each sample,
-    (n, H, d)."""
+    (n, H, d).  An update keeps the last sums, and a drafted block's check
+    plans on the estimates (a miss updates the kept customers again), so
+    no caller reads the sums of a prefix."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(log_hobs, dtype=float)
     if not np.all(np.isfinite(Y)):
         raise ValueError("log HOB must be finite")
-    grams, moments = ridge_sums(gram, moment, X, Y)
+    outer = X[:, None, :, None] * X[:, None, None, :]  # each sample's, at every position
+    grams = _partial_sums(gram, outer)
+    moments = _partial_sums(moment, X[:, None, :] * Y[:, :, None])
     betas = solve_stacked(grams[:-1], moments[:-1, :, :, None])[..., 0]
     resid = Y - _rowdot(X[:, None, :], betas)
     return grams, moments, _partial_sums(rss, resid * resid), betas

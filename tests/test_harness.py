@@ -818,7 +818,8 @@ def test_the_hob_draw_overflow_probe_is_rejected_at_load():
              "instance": {"beta_scale": 1000.0, "context_scale": 1000.0,
                           "sigma_scale": 100.0}}
     with pytest.raises(ValueError, match=r"^B_beta \* B_x \+ sigma_max \* Z_MAX .*"
-                       r"\+ log\(T \* H\) must not exceed log\(max float\) = 709\.78"):
+                       r"\+ log\(T \* H \* trials\) must not exceed "
+                       r"log\(max float\) = 709\.78"):
         config_from_dict(probe)
 
 
@@ -826,15 +827,44 @@ def test_the_hob_draw_overflow_probe_is_rejected_at_load():
 @pytest.mark.parametrize("T, H", [(1, 1), (50, 3)])
 def test_the_hob_bound_holds_at_its_edge(sigma_max, T, H):
     spread = max(sigma_max * Z_MAX, sigma_max * sigma_max / 2)
-    edge = _LOG_FLOAT_MAX - spread - math.log(T * H)  # B_beta * B_x there
-    for B_beta, loads in ((edge * (1 - 1e-9), True), (edge * (1 + 1e-9), False)):
-        raw = {"T": T, "H": H, "bounds": {"B_x": 1.0, "B_beta": B_beta,
-                                          "sigma_max": sigma_max}}
-        if loads:
-            config_from_dict(raw)
-        else:
-            with pytest.raises(ValueError, match=r"^B_beta \* B_x \+ sigma_max"):
+    for trials in (1, 20):
+        edge = _LOG_FLOAT_MAX - spread - math.log(T * H * trials)  # B_beta * B_x there
+        for B_beta, loads in ((edge * (1 - 1e-9), True), (edge * (1 + 1e-9), False)):
+            raw = {"T": T, "H": H, "trials": trials,
+                   "bounds": {"B_x": 1.0, "B_beta": B_beta, "sigma_max": sigma_max}}
+            if loads:
                 config_from_dict(raw)
+            else:
+                with pytest.raises(ValueError, match=r"^B_beta \* B_x \+ sigma_max"):
+                    config_from_dict(raw)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in square")  # the std's
+@pytest.mark.parametrize("trials", [2, 3])
+def test_the_hob_bound_counts_the_trials_the_summary_sums(trials):
+    # B_beta * B_x 1e-6 inside one trial's edge used to load and fail in the
+    # summary with "means must be finite": the mean across trials sums
+    # their curves, each near max float.  1e-6 inside the edge that counts
+    # every trial's rounds the config loads and every summary mean is
+    # finite (a half-width from the std, which squares the spread, may
+    # still read inf)
+    sigma_max = 28.0
+    spread = max(sigma_max * Z_MAX, sigma_max * sigma_max / 2)
+    for customers, must_load in ((50 * 3, False), (50 * 3 * trials, True)):
+        B_beta = _LOG_FLOAT_MAX - 1e-9 - spread - math.log(customers) - 1e-6
+        raw = {"T": 50, "trials": trials, "H": 3, "dim": 1, "mode": "outcome",
+               "n_underbar": 2,
+               "bounds": {"B_x": 1.0, "B_beta": B_beta, "sigma_max": sigma_max},
+               "instance": {f"{k}_scale": 1e6
+                            for k in ("theta", "beta", "sigma", "context")}}
+        try:
+            cfg = config_from_dict(raw)
+        except ValueError:
+            assert not must_load
+            continue
+        for name, summary in run_experiment(cfg).summaries.items():
+            assert np.all(np.isfinite(summary.means)), name
+            assert np.all(np.isfinite(summary.expected_means)), name
 
 
 def test_a_conversion_rate_numpy_cannot_draw_is_rejected_at_load():
