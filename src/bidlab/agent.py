@@ -112,9 +112,9 @@ class AgentState:
     by position: theta row i's effect estimate `theta[i]`, its metric `V[i]`
     and its sample count `update_count[i]`; lag k's ratio terms
     `numerator[k - 1]` and `denominator[k - 1]` and its round count
-    `N[k - 1]`; round h's ridge sums `gram[h - 1]` and `moment[h - 1]`, its
-    progressive residual sum `rss[h - 1]` and its sample count
-    `count[h - 1]`.  An update writes them in place."""
+    `N[k - 1]`; the ridge design `gram` that all H rounds share, round h's
+    moment `moment[h - 1]` and residual sum `rss[h - 1]`, each of t - 1
+    samples.  An update writes them in place."""
 
     bounds: Bounds
     T: int
@@ -127,10 +127,9 @@ class AgentState:
     numerator: np.ndarray  # (H-1,)
     denominator: np.ndarray  # (H-1,)
     N: np.ndarray  # (H-1,)
-    gram: np.ndarray  # (H, d, d)
+    gram: np.ndarray  # (d, d)
     moment: np.ndarray  # (H, d)
     rss: np.ndarray  # (H,)
-    count: np.ndarray  # (H,)
     t: int = 1
 
     @property
@@ -174,10 +173,9 @@ def make_agent(
         numerator=np.zeros(H - 1),
         denominator=np.zeros(H - 1),
         N=np.zeros(H - 1, dtype=np.int64),
-        gram=np.tile(eye, (H, 1, 1)),
+        gram=eye,
         moment=np.zeros((H, bounds.dim)),
         rss=np.zeros(H),
-        count=np.zeros(H, dtype=np.int64),
     )
 
 
@@ -192,10 +190,9 @@ def optimistic_params(agent: AgentState, x: np.ndarray) -> OutcomeParams:
           for theta, V in zip(agent.theta, agent.V)]
     delay = [1.0, *map(functools.partial(_upper_delay, agent), agent.numerator.tolist(),
                        agent.denominator.tolist(), agent.N.tolist())]
-    beta = [cap_norm(solve_small(gram, moment), b.B_beta)
-            for gram, moment in zip(agent.gram, agent.moment)]
-    sigma = [min(max(sigma_estimate(rss, count) or 0.0, SIGMA_FLOOR), b.sigma_max)
-             for rss, count in zip(agent.rss.tolist(), agent.count.tolist())]
+    beta = [cap_norm(solve_small(agent.gram, moment), b.B_beta) for moment in agent.moment]
+    sigma = [min(max(sigma_estimate(rss, agent.t - 1) or 0.0, SIGMA_FLOOR), b.sigma_max)
+             for rss in agent.rss.tolist()]
     log_hob = [float(row @ x) for row in beta]
     return OutcomeParams(
         mu=mu, delay=delay, hob=[lognormal_mean(v, sd) for v, sd in zip(log_hob, sigma)],
@@ -274,8 +271,8 @@ def draft_plans(agent: AgentState, X: np.ndarray) -> np.ndarray:
     the others' rows that `check_drafts` checks."""
     return exploit_plans(agent, Estimates(
         **{name: getattr(agent, name)[:, None] for name in _HELD},
-        # as update's pre-sample estimates
-        beta=solve_stacked(agent.gram[:, None], agent.moment[:, None, :, None])[..., 0],
+        count=np.array([[agent.t - 1]]),  # these two as update's pre-sample estimates
+        beta=solve_stacked(agent.gram, agent.moment[:, None, :, None])[..., 0],
     ), X)
 
 
@@ -337,9 +334,9 @@ def update(agent: AgentState, episodes: Episodes) -> AgentState:
 class Estimates(NamedTuple):
     """The learner's arrays as each of n customers planned on them, along
     axis 1 (of length 1 when all plan on the same): each `AgentState`
-    array of the name that its plan reads, before the customer's own
-    episode, and each round position's ridge estimate `beta` (H, n, d),
-    which stands for the ridge sums."""
+    array of the name that its plan reads and the ridge sample count
+    `count` (1, n), t - 1, before the customer's own episode, and each
+    round position's ridge estimate `beta` (H, n, d), for the ridge sums."""
 
     theta: np.ndarray
     V: np.ndarray
@@ -351,7 +348,7 @@ class Estimates(NamedTuple):
     beta: np.ndarray
 
 
-_HELD = Estimates._fields[:-1]  # the learner's own arrays, each by its name
+_HELD = Estimates._fields[:-2]  # the learner's own arrays, each by its name
 
 
 def _consume(agent: AgentState, episodes: Episodes, seen: bool = False) -> Estimates | None:
@@ -380,11 +377,10 @@ def _consume(agent: AgentState, episodes: Episodes, seen: bool = False) -> Estim
         raise ValueError(f"customer {ts[k]}, round {h + 1} is not {kind}")
     log_hobs = np.array(list(map(math.log, hobs))).reshape(n, H)  # the regression's targets
     del hobs  # not held while the run is consumed
-    counts, Ns = agent.count.tolist(), agent.N.tolist()  # from before the run
+    Ns = agent.N.tolist()  # from before the run
     grams, moments, rss, betas = ridge_update(agent.gram, agent.moment, agent.rss,
                                               episodes.x, log_hobs)
     agent.gram[:], agent.moment[:], agent.rss[:] = grams[-1], moments[-1], rss[-1]
-    agent.count += n
     # the rounds by bucket; a stable sort keeps each customer-major, round-minor
     order = np.argsort(bucket, axis=None, kind="stable")
     sizes = np.bincount(bucket.ravel(), minlength=2 * H)
@@ -439,7 +435,7 @@ def _consume(agent: AgentState, episodes: Episodes, seen: bool = False) -> Estim
         denominator=np.array([np.asarray(den)[k] for (_, den), k in zip(ratios, lags)]
                              ).reshape(H - 1, n),
         N=np.array([N + k for N, k in zip(Ns, lags)]).reshape(H - 1, n),
-        rss=rss[:-1].T, count=np.array(counts)[:, None] + np.arange(n),
+        rss=rss[:-1].T, count=t0 - 1 + np.arange(n)[None],
         beta=betas.transpose(1, 0, 2),
     )
 
@@ -473,8 +469,8 @@ def baseline_bids(
 def agent_to_dict(agent: AgentState) -> dict:
     """The learner as a JSON-ready mapping, each estimate filed under the
     token of its theta row, its lag or its round."""
-    b = agent.bounds
-    theta, V = agent.theta.tolist(), agent.V.tolist()
+    b, count = agent.bounds, agent.t - 1  # every round's ridge sample count
+    theta, V, gram = agent.theta.tolist(), agent.V.tolist(), agent.gram.tolist()
     return {
         "bounds": {
             "b": b.b, "B_x": b.B_x, "B_theta": b.B_theta, "B_d": b.B_d,
@@ -503,9 +499,7 @@ def agent_to_dict(agent: AgentState) -> dict:
         },
         "auction": {
             str(h): {"gram": gram, "moment": moment, "residual_sq_sum": rss, "count": count}
-            for h, gram, moment, rss, count in zip(
-                range(1, b.H + 1), agent.gram.tolist(), agent.moment.tolist(),
-                agent.rss.tolist(), agent.count.tolist())
+            for h, (moment, rss) in enumerate(zip(agent.moment.tolist(), agent.rss.tolist()), 1)
         },
     }
 
@@ -513,8 +507,8 @@ def agent_to_dict(agent: AgentState) -> dict:
 def agent_from_dict(d: dict) -> AgentState:
     """The learner `agent_to_dict` wrote.  A section whose keys are not
     exactly the positions of the bounds, an array of the wrong shape, a
-    count that is not an int or an estimate that is not a number, and an
-    unknown planner mode raise ValueError naming the section and key."""
+    count not the int t - 1, a gram not round 1's, an estimate not a number
+    and an unknown planner mode raise ValueError naming section and key."""
     b, c = Bounds(**d["bounds"]), d["cfg"]
     cfg = ConfidenceConfig(delta=c["delta"], gamma_raw=float(d["gamma_raw"]),
                            Gamma_trunc=c["Gamma_trunc"], width_scale=c["width_scale"])
@@ -539,6 +533,12 @@ def agent_from_dict(d: dict) -> AgentState:
         return np.array([e[field] for _, e in entries],
                         dtype=np.int64 if kind is int else float)
 
+    grams, t = arrays(auction, "gram", (dim, dim)), int(d["t"])
+    for (where, e), gram, count in zip(auction, grams, scalars(auction, "count", int).tolist()):
+        if count != t - 1:  # every round has t - 1 samples of the one shared design
+            raise ValueError(f"snapshot {where}: count must be t - 1 = {t - 1}, got {count!r}")
+        if gram.tobytes() != grams[0].tobytes():
+            raise ValueError(f"snapshot {where}: gram must equal round 1's, got {e['gram']!r}")
     return AgentState(
         bounds=b,
         T=int(d["T"]),
@@ -551,11 +551,10 @@ def agent_from_dict(d: dict) -> AgentState:
         numerator=scalars(delay, "numerator", float),
         denominator=scalars(delay, "denominator", float),
         N=scalars(delay, "N", int),
-        gram=arrays(auction, "gram", (dim, dim)),
+        gram=grams[0].copy(),  # not a view holding every round's copy
         moment=arrays(auction, "moment", (dim,)),
         rss=scalars(auction, "residual_sq_sum", float),
-        count=scalars(auction, "count", int),
-        t=int(d["t"]),
+        t=t,
     )
 
 

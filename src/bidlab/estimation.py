@@ -261,24 +261,21 @@ def ridge_update(
     log_hobs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One regression sample per context X[k] at each of the H round
-    positions, log_hobs[k, j] going to position j, whose ridge sums are
-    gram[j] (d, d) and moment[j] (d,) and progressive residual sum rss[j];
-    each residual is scored against the estimate before its sample
-    (progressive first stage), all of them from one stacked solve on the
-    running grams and moments.  Returns the grams, moments and residual
-    sums from before the first sample and after each, (n + 1, H, d, d),
-    (n + 1, H, d) and (n + 1, H), and the estimates before each sample,
-    (n, H, d).  An update keeps the last sums, and a drafted block's check
-    plans on the estimates (a miss updates the kept customers again), so
-    no caller reads the sums of a prefix."""
+    positions, log_hobs[k, j] going to position j; the positions share the
+    ridge gram (d, d), and position j has the moment moment[j] (d,) and the
+    progressive residual sum rss[j].  Each residual is scored against the
+    estimate before its sample, all from one stacked solve on the running
+    gram and moments.  Returns the grams, moments and residual sums from
+    before the first sample and after each, (n + 1, d, d), (n + 1, H, d)
+    and (n + 1, H), and the estimates before each sample, (n, H, d); an
+    update keeps the last sums, and a draft's check reads the estimates."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(log_hobs, dtype=float)
     if not np.all(np.isfinite(Y)):
         raise ValueError("log HOB must be finite")
-    outer = X[:, None, :, None] * X[:, None, None, :]  # each sample's, at every position
-    grams = _partial_sums(gram, outer)
+    grams = _partial_sums(gram, X[:, :, None] * X[:, None, :])
     moments = _partial_sums(moment, X[:, None, :] * Y[:, :, None])
-    betas = solve_stacked(grams[:-1], moments[:-1, :, :, None])[..., 0]
+    betas = solve_stacked(grams[:-1, None], moments[:-1, :, :, None])[..., 0]
     resid = Y - _rowdot(X[:, None, :], betas)
     return grams, moments, _partial_sums(rss, resid * resid), betas
 

@@ -618,11 +618,15 @@ def _summarize_policy(
 
     def stats(matrix: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
         at = matrix[:, idx]
-        means = at.mean(axis=0)
-        if matrix.shape[0] > 1:
-            hw = config.half_width_multiplier * at.std(axis=0, ddof=1)
-        else:
-            hw = np.zeros_like(means)
+        means, hw = at.mean(axis=0), np.zeros(len(idx))
+        if len(at) > 1:
+            with np.errstate(over="ignore"):  # squares past max float: redone scaled below
+                sd = at.std(axis=0, ddof=1)
+            redo = ~np.isfinite(sd) & np.isfinite(at).all(axis=0)
+            dev = at[:, redo] - means[redo]
+            scale = np.abs(dev).max(axis=0)  # the deviations over it square finitely
+            sd[redo] = scale * (dev / scale).std(axis=0, ddof=1)
+            hw = config.half_width_multiplier * sd
         return tuple(float(v) for v in means), tuple(float(v) for v in hw)
 
     def order(means) -> float | None:

@@ -280,18 +280,19 @@ def per_customer_realized(config, trial, instance=None):
 # --- the learner's update, one customer and one sample at a time -------------
 
 
-def per_sample_ridge(agent, j, x, log_hob):
-    """One regression sample at round position j (from 0); the residual is
-    scored against the estimate available before the sample arrives
-    (progressive first stage)."""
-    if not math.isfinite(log_hob):
+def per_sample_ridge(agent, x, log_hobs):
+    """One customer's regression samples, log_hobs[j] at round position j
+    (from 0).  Each round's residual is scored against the estimate
+    available before the customer arrives (progressive first stage); the
+    design, which every round shares, then gains the context once."""
+    if not all(map(math.isfinite, log_hobs)):
         raise ValueError("log HOB must be finite")
     x = np.asarray(x, dtype=float)
-    resid = log_hob - float(x @ np.linalg.solve(agent.gram[j], agent.moment[j]))
-    agent.rss[j] += resid * resid
-    agent.gram[j] = agent.gram[j] + np.outer(x, x)
-    agent.moment[j] = agent.moment[j] + x * log_hob
-    agent.count[j] += 1
+    for j, log_hob in enumerate(log_hobs):
+        resid = log_hob - float(x @ np.linalg.solve(agent.gram, agent.moment[j]))
+        agent.rss[j] += resid * resid
+        agent.moment[j] = agent.moment[j] + x * log_hob
+    agent.gram[:] = agent.gram + np.outer(x, x)
     return agent
 
 
@@ -332,8 +333,7 @@ def per_sample_update(agent, episode):
     (t,), x, H = episode.t.tolist(), episode.x[0], episode.won.shape[1]
     if t != agent.t:
         raise ValueError(f"expected customer {agent.t}, got log for {t}")
-    for j, hob in enumerate(episode.hob[0].tolist()):
-        per_sample_ridge(agent, j, x, math.log(hob))
+    per_sample_ridge(agent, x, [math.log(hob) for hob in episode.hob[0].tolist()])
     states = [state_table(H).states[i] for i in episode.ids[0, :H].tolist()]
     rounds = list(zip(range(1, H + 1), states, episode.won[0].tolist(),
                       episode.conversions[0].tolist(),

@@ -348,10 +348,10 @@ def test_criterion_6_estimator_micro_oracles():
     ) and np.allclose(thetas[-1], [2.0 / 3.0, 0.0], atol=1e-12)
 
     # one round position's fresh ridge sums
-    grams, moments, rss, _ = ridge_update(np.eye(2)[None], np.zeros((1, 2)), np.zeros(1),
+    grams, moments, rss, _ = ridge_update(np.eye(2), np.zeros((1, 2)), np.zeros(1),
                                           [[1.0, 0.0]], [[4.0]])
     ridge_ok = (
-        np.array_equal(grams[-1, 0], np.diag([2.0, 1.0]))
+        np.array_equal(grams[-1], np.diag([2.0, 1.0]))
         and np.array_equal(moments[-1, 0], np.array([4.0, 0.0]))
         and rss[-1, 0] == 16.0
         and sigma_estimate(float(rss[-1, 0]), len(rss) - 1) == 4.0

@@ -110,8 +110,7 @@ def test_phase_boundary():
 
 def test_exploration_never_consults_estimators():
     agent = small_agent()
-    for name in ("theta", "V", "numerator", "denominator", "N", "gram", "moment", "rss",
-                 "count"):
+    for name in ("theta", "V", "numerator", "denominator", "N", "gram", "moment", "rss"):
         setattr(agent, name, None)  # would crash any planner access
     bids = act(agent, np.array([1.0, 1.0]))
     assert agent.exploring
@@ -134,15 +133,15 @@ def test_zero_information_params_are_floored():
 
 
 def inject_truth(agent, m, a):
+    agent.t = 1001  # past exploration, with 1000 ridge samples
     agent.theta[:] = m.theta
     agent.numerator[:] = m.delay[1:]
     agent.denominator[:] = 1.0
     agent.N[:] = 1
     agent.gram[:] = np.eye(2) * 1e8
     for j, beta in enumerate(a.beta):
-        agent.moment[j] = agent.gram[j] @ beta
-    agent.count[:] = 1000
-    agent.rss[:] = a.sigma ** 2 * agent.count
+        agent.moment[j] = agent.gram @ beta
+    agent.rss[:] = a.sigma ** 2 * (agent.t - 1)
 
 
 def test_exact_parameters_reproduce_oracle_plan():
@@ -150,7 +149,6 @@ def test_exact_parameters_reproduce_oracle_plan():
         m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, RandomSource(seed))
         x = sample_context(BENCHMARK_RECIPE, BOUNDS, RandomSource(seed).stream("c"))
         agent = small_agent()
-        agent.t = 1000
         inject_truth(agent, m, a)
         want_plan, _ = best_outcome_plan(params_from_true(x, m, a))
         assert act(agent, x) == forced_bids(want_plan)
@@ -178,7 +176,6 @@ def test_optimism_orders_means_and_delays():
 
 def test_dp_planner_mode_returns_bid_policy():
     agent = small_agent(planner_mode="dp")
-    agent.t = 1000
     m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, RandomSource(3))
     inject_truth(agent, m, a)
     x = sample_context(BENCHMARK_RECIPE, BOUNDS, RandomSource(3).stream("c"))
@@ -196,7 +193,6 @@ def test_dp_learner_caps_its_bids_at_B_A():
     bounds = replace(BOUNDS, B_A=0.05)
     agent = make_agent(bounds, T=200, n_underbar=4, width_scale=0.0,
                        Gamma_override=100_000.0, planner_mode="dp")
-    agent.t = 1000
     m, a = generate_instance(BENCHMARK_RECIPE, BOUNDS, RandomSource(3))
     inject_truth(agent, m, a)
     x = sample_context(BENCHMARK_RECIPE, BOUNDS, RandomSource(3).stream("c"))
@@ -316,7 +312,7 @@ def test_all_lose_episode_routes_to_natural_demand_only():
     assert agent.update_count[NATURAL_DEMAND] == 3
     assert agent.update_count[FIRST_EXPOSURE] == 0
     assert all(N == 0 for N in agent.N)
-    assert all(count == 1 for count in agent.count)
+    assert np.array_equal(agent.gram, np.eye(2) + np.outer(x, x))  # one ridge sample
     assert agent.t == 2
 
 
@@ -336,7 +332,7 @@ def test_replay_doubles_counts():
     first = {
         "theta": agent.update_count.tolist(),
         "delay": agent.N.tolist(),
-        "auction": agent.count.tolist(),
+        "auction": agent.t - 1,
     }
     assert sum(first["theta"]) == 1 and sum(first["delay"]) == 2
     replay(2)
@@ -344,8 +340,7 @@ def test_replay_doubles_counts():
         assert count == 2 * first["theta"][i]
     for k, N in enumerate(agent.N):
         assert N == 2 * first["delay"][k]
-    for j, count in enumerate(agent.count):
-        assert count == 2 * first["auction"][j]
+    assert agent.t - 1 == 2 * first["auction"]
 
 
 def test_exploration_feeds_every_estimator():
@@ -358,8 +353,7 @@ def test_exploration_feeds_every_estimator():
     assert agent.update_count[win_index(2)] == n
     assert agent.N[1 - 1] == 3 * n
     assert agent.N[2 - 1] == n
-    for count in agent.count:
-        assert count == 4 * n
+    assert agent.t - 1 == 4 * n  # every round's ridge samples
     assert not agent.exploring
 
 
@@ -411,8 +405,8 @@ def test_estimates_approach_truth_after_learning():
         assert got == pytest.approx(want, rel=0.25, abs=0.5)
     for lag, (num, den) in enumerate(zip(agent.numerator, agent.denominator), 1):
         assert delay_estimate(num, den) == pytest.approx(m.delay[lag], abs=0.3)
-    for h, (gram, moment) in enumerate(zip(agent.gram, agent.moment), 1):
-        assert np.linalg.norm(solve_small(gram, moment) - a.beta[h - 1]) <= 0.5
+    for h, moment in enumerate(agent.moment, 1):
+        assert np.linalg.norm(solve_small(agent.gram, moment) - a.beta[h - 1]) <= 0.5
 
 
 # --- baselines ---------------------------------------------------------------
@@ -464,8 +458,8 @@ def test_agent_snapshot_round_trip():
     for lag in (1, 2):
         for name in ("numerator", "denominator", "N"):
             assert getattr(back, name)[lag - 1] == getattr(agent, name)[lag - 1]
+    assert np.array_equal(back.gram, agent.gram)
     for h in (1, 2, 3):
-        assert np.array_equal(back.gram[h - 1], agent.gram[h - 1])
         assert back.rss[h - 1] == agent.rss[h - 1]
 
     # bit-equal arrays back, and the same JSON again, at every horizon; at
@@ -526,6 +520,13 @@ def test_agent_snapshot_holds_one_gamma_and_no_copies():
      r"^snapshot delay\['LAG2'\]: N must be of type int, got 2\.5"),
     (lambda d: d["delay"]["LAG1"].update(numerator="1.5"),
      r"^snapshot delay\['LAG1'\]: numerator must be of type float, got '1\.5'"),
+    # the rounds share one design and its t - 1 samples
+    (lambda d: d["auction"]["2"].update(gram=[[1.0, 0.0], [0.0, 1.0]]),
+     r"^snapshot auction\['2'\]: gram must equal round 1's, got \[\[1\.0, 0\.0\], \[0\.0, 1\.0\]\]"),
+    (lambda d: d["auction"]["1"].update(count=d["t"]),
+     r"^snapshot auction\['1'\]: count must be t - 1 = 16, got 17"),
+    (lambda d: d["auction"]["3"].update(count=d["t"] - 2),
+     r"^snapshot auction\['3'\]: count must be t - 1 = 16, got 15"),
     (lambda d: d.update(planner_mode="grid"),
      r"^planner_mode must be 'outcome' or 'dp', got 'grid'"),
 ])
@@ -542,7 +543,7 @@ def test_malformed_snapshots_are_rejected_when_loaded(damage, match):
 def _estimator_arrays(agent):
     return [getattr(agent, name) for name in (
         "theta", "V", "update_count", "numerator", "denominator", "N",
-        "gram", "moment", "rss", "count")]
+        "gram", "moment", "rss")]
 
 
 def test_optimistic_params_project_auction_estimates():
@@ -552,16 +553,15 @@ def test_optimistic_params_project_auction_estimates():
     agent.t = 1000
     inside = np.array([0.3, -0.4])
     for h in (1, 2, 3):
-        agent.moment[h - 1] = agent.gram[h - 1] @ (inside if h == 1 else np.array([30.0, 40.0]))
-        agent.count[h - 1] = 10
-        agent.rss[h - 1] = 10 * (2.0 if h == 2 else 100.0) ** 2
+        agent.moment[h - 1] = agent.gram @ (inside if h == 1 else np.array([30.0, 40.0]))
+        agent.rss[h - 1] = (agent.t - 1) * (2.0 if h == 2 else 100.0) ** 2
     # at a unit context the HOB log-mean of round h is one coordinate of the
     # planned beta row, so the two contexts read the rows back coordinatewise
     p0 = optimistic_params(agent, np.array([1.0, 0.0]))
     p1 = optimistic_params(agent, np.array([0.0, 1.0]))
     rows = np.array([p0.log_hob, p1.log_hob]).T
     # the row inside the ball keeps the bits of the ridge estimate
-    assert rows[0].tobytes() == solve_small(agent.gram[0], agent.moment[0]).tobytes()
+    assert rows[0].tobytes() == solve_small(agent.gram, agent.moment[0]).tobytes()
     # the projected rows point along (0.6, 0.8) with norm B_beta
     for row in rows[1:]:
         assert np.linalg.norm(row) == pytest.approx(BOUNDS.B_beta)

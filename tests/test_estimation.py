@@ -59,8 +59,9 @@ def newton(theta, V, X, ys, cfg, B=10.0):
 
 
 def fresh_ridge(dim=2):
-    """One round position's fresh ridge sums: gram, moment, residual sum."""
-    return np.eye(dim)[None], np.zeros((1, dim)), np.zeros(1)
+    """One round position's fresh ridge sums: the shared gram, its moment
+    and residual sum."""
+    return np.eye(dim), np.zeros((1, dim)), np.zeros(1)
 
 
 def ridge(gram, moment, rss, X, log_hobs):
@@ -288,11 +289,15 @@ def test_solve_small_and_the_norms_match_numpy_bit_for_bit(d):
             assert float(cols[:, 0].dot(v)) == float(cols[:, 0] @ v)
         for v in (b, X[k - 1], metrics[k - 1][0]):
             assert math.sqrt(v.dot(v)) == float(np.linalg.norm(v))
-    # the stacked solves: crtm_update's (n, d, d) metrics, ridge_update's
-    # (n, H, d, d) grams
-    for a, b in ((metrics[1:], X[:, :, None]),
-                 (metrics[1:].reshape(100, 4, d, d), rng.normal(size=(100, 4, d, 1)))):
+    # the stacked solves: crtm_update's (n, d, d) metrics, and ridge_update's
+    # (n, 1, d, d) grams against (n, H, d, 1) moments, which solve as the
+    # grams' H copies do
+    moments = rng.normal(size=(400, 4, d, 1))
+    copies = np.repeat(metrics[1:, None], 4, axis=1)
+    for a, b in ((metrics[1:], X[:, :, None]), (metrics[1:, None], moments), (copies, moments)):
         assert solve_stacked(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+    assert (solve_stacked(metrics[1:, None], moments).tobytes()
+            == solve_stacked(copies, moments).tobytes())
     # crtm_update's Newton gains: row k of the stacked solve is the single
     # solve of system k, so a step's gain does not depend on its run
     gains = solve_stacked(metrics[1:], X[:, :, None])[..., 0]
@@ -383,9 +388,9 @@ def test_tsmle_monte_carlo_consistency():
 
 def test_ridge_first_sample_oracle():
     gram, moment, rss = fresh_ridge()
-    assert np.array_equal(solve_small(gram[0], moment[0]), np.zeros(2))
+    assert np.array_equal(solve_small(gram, moment[0]), np.zeros(2))
     gram, moment, rss, count = ridge(gram, moment, rss, [[1.0, 0.0]], [[4.0]])
-    assert solve_small(gram[0], moment[0]) == pytest.approx([2.0, 0.0], abs=1e-14)
+    assert solve_small(gram, moment[0]) == pytest.approx([2.0, 0.0], abs=1e-14)
     # progressive residual scored against the prior estimate (zero)
     assert rss[0] == pytest.approx(16.0)
     assert count == 1
@@ -408,7 +413,7 @@ def test_ridge_and_sigma_monte_carlo():
         noise = sigma * rng.standard_normal(10_000)
         log_hobs = [[float(x @ beta + eps)] for x, eps in zip(xs, noise)]
         gram, moment, rss, count = ridge(*fresh_ridge(), xs, log_hobs)
-        hits_beta += np.linalg.norm(solve_small(gram[0], moment[0]) - beta) <= 0.1
+        hits_beta += np.linalg.norm(solve_small(gram, moment[0]) - beta) <= 0.1
         hits_sigma += abs(sigma_estimate(float(rss[0]), count) - sigma) <= 0.05
     assert hits_beta >= int(0.95 * reps)
     assert hits_sigma >= int(0.95 * reps)

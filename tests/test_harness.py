@@ -8,6 +8,7 @@ import math
 import multiprocessing
 import os
 import re
+import statistics
 import sys
 import time
 import tracemalloc
@@ -839,15 +840,16 @@ def test_the_hob_bound_holds_at_its_edge(sigma_max, T, H):
                     config_from_dict(raw)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in square")  # the std's
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("trials", [2, 3])
 def test_the_hob_bound_counts_the_trials_the_summary_sums(trials):
     # B_beta * B_x 1e-6 inside one trial's edge used to load and fail in the
     # summary with "means must be finite": the mean across trials sums
     # their curves, each near max float.  1e-6 inside the edge that counts
     # every trial's rounds the config loads and every summary mean is
-    # finite (a half-width from the std, which squares the spread, may
-    # still read inf)
+    # finite.  There the realized regret passes 1e154, whose square
+    # overflows in numpy's std: such a half-width is taken from the
+    # deviations scaled by their largest, and every other keeps the std's bits
     sigma_max = 28.0
     spread = max(sigma_max * Z_MAX, sigma_max * sigma_max / 2)
     for customers, must_load in ((50 * 3, False), (50 * 3 * trials, True)):
@@ -862,9 +864,24 @@ def test_the_hob_bound_counts_the_trials_the_summary_sums(trials):
         except ValueError:
             assert not must_load
             continue
-        for name, summary in run_experiment(cfg).summaries.items():
-            assert np.all(np.isfinite(summary.means)), name
-            assert np.all(np.isfinite(summary.expected_means)), name
+        result, scaled = run_experiment(cfg), 0
+        for name, summary in result.summaries.items():
+            for curves, means, widths in (
+                    ("realized", summary.means, summary.half_widths),
+                    ("expected", summary.expected_means, summary.expected_half_widths)):
+                at = np.stack([getattr(tr, curves)[name] for tr in result.trials])
+                at = at[:, np.asarray(cfg.checkpoints) - 1]
+                assert np.all(np.isfinite(means)), name
+                with np.errstate(over="ignore"):
+                    sd = at.std(axis=0, ddof=1)
+                widths, kept = np.array(widths), np.isfinite(sd)
+                scaled += int((~kept).sum())
+                assert (widths[kept].tobytes()
+                        == (cfg.half_width_multiplier * sd[kept]).tobytes()), name
+                exact = [statistics.stdev(col) for col in at[:, ~kept].T.tolist()]
+                assert widths[~kept] == pytest.approx(
+                    [cfg.half_width_multiplier * v for v in exact], rel=1e-12), name
+        assert scaled > 0
 
 
 def test_a_conversion_rate_numpy_cannot_draw_is_rejected_at_load():
